@@ -439,3 +439,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:  # pragma: no cover - thin wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

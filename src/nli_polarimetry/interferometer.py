@@ -115,14 +115,25 @@ class OutputCoefficients:
         )
 
 
-def detected_mode(cfg: InterferometerConfig) -> OperatorExpansion:
-    """Detected signal mode as an operator expansion over the vacuum inputs."""
+def detected_mode(
+    cfg: InterferometerConfig,
+    signal_phase: float | np.ndarray = 0.0,
+    diff_phase: float | np.ndarray = 0.0,
+) -> OperatorExpansion:
+    """Detected signal mode as an operator expansion over the vacuum inputs.
+
+    The scan phases are imprinted as in ``with_scan_phases``.  Array phases
+    broadcast against each other and give an expansion whose batch axes
+    follow them, so a whole scan is composed in one pass.
+    """
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v
-    ts = complex(cfg.signal.transmission)
+    ts = complex(cfg.signal.transmission) * np.exp(1j * np.asarray(signal_phase))
     rs = cfg.signal.reflection
     tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
-    t_perp, t_par = cfg.sample.t_perp, cfg.sample.t_par
+    half_diff = np.exp(0.5j * np.asarray(diff_phase))
+    t_perp = cfg.sample.t_perp * half_diff
+    t_par = cfg.sample.t_par * np.conj(half_diff)
     r_perp, r_par = cfg.sample.r_perp, cfg.sample.r_par
 
     a_sig = pure_mode(Mode.SIGNAL)

@@ -5,6 +5,10 @@ combinations of annihilation and creation operators of the six vacuum input
 modes.  This module provides that linear-combination type together with the
 handful of operations needed to compose elements and evaluate vacuum
 expectation values of photon numbers.
+
+Amplitude arrays may carry trailing batch axes, shape ``(N_MODES, *batch)``,
+so that one composition evaluates a whole family of configurations (for
+example every step of a phase scan) at once.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class OperatorExpansion:
 
     ``ann[m]`` is the amplitude of the annihilation operator of mode ``m``,
     ``cre[m]`` the amplitude of its creation operator.  A canonical output
-    mode satisfies sum|ann|^2 - sum|cre|^2 = 1.
+    mode satisfies sum|ann|^2 - sum|cre|^2 = 1.  Both arrays have shape
+    ``(N_MODES, *batch)``; each batch index is an independent expansion.
     """
 
     ann: np.ndarray
@@ -44,14 +49,18 @@ class OperatorExpansion:
     def __post_init__(self):
         ann = np.asarray(self.ann, dtype=complex).copy()
         cre = np.asarray(self.cre, dtype=complex).copy()
-        if ann.shape != (N_MODES,) or cre.shape != (N_MODES,):
-            raise ValueError(f"amplitude arrays must have shape ({N_MODES},)")
-        if not (np.all(np.isfinite(ann.view(float))) and np.all(np.isfinite(cre.view(float)))):
+        if ann.shape[:1] != (N_MODES,) or cre.shape != ann.shape:
+            raise ValueError(f"amplitude arrays must have equal shape ({N_MODES}, *batch)")
+        if not (np.isfinite(ann).all() and np.isfinite(cre).all()):
             raise ValueError("amplitudes must be finite")
         ann.flags.writeable = False
         cre.flags.writeable = False
         object.__setattr__(self, "ann", ann)
         object.__setattr__(self, "cre", cre)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.ann.shape[1:]
 
 
 def zero_expansion() -> OperatorExpansion:
@@ -72,23 +81,39 @@ def adjoint(x: OperatorExpansion) -> OperatorExpansion:
     return OperatorExpansion(np.conj(x.cre), np.conj(x.ann))
 
 
-def linear_combine(terms: list[tuple[complex, OperatorExpansion]]) -> OperatorExpansion:
-    """Amplitude-wise weighted sum ``sum_k c_k * x_k``; needs at least one term."""
+def linear_combine(
+    terms: list[tuple[complex | np.ndarray, OperatorExpansion]],
+) -> OperatorExpansion:
+    """Amplitude-wise weighted sum ``sum_k c_k * x_k``; needs at least one term.
+
+    Coefficients may be arrays; they broadcast against the expansions' batch
+    shapes, both aligned on their trailing axes.
+    """
     if not terms:
         raise ValueError("linear_combine needs at least one term")
-    ann = np.zeros(N_MODES, dtype=complex)
-    cre = np.zeros(N_MODES, dtype=complex)
-    for coeff, x in terms:
-        ann += coeff * x.ann
-        cre += coeff * x.cre
+    coeffs = [np.asarray(c) for c, _ in terms]
+    ndim = max(*(c.ndim for c in coeffs), *(len(x.batch_shape) for _, x in terms))
+    ann = cre = 0.0
+    for coeff, (_, x) in zip(coeffs, terms):
+        # unit axes after the mode axis align x's batch axes with the coefficients'
+        lift = (N_MODES,) + (1,) * (ndim - len(x.batch_shape)) + x.batch_shape
+        ann = ann + coeff * x.ann.reshape(lift)
+        cre = cre + coeff * x.cre.reshape(lift)
     return OperatorExpansion(ann, cre)
 
 
-def vacuum_photon_number(x: OperatorExpansion) -> float:
+def _per_expansion(total: np.ndarray) -> float | np.ndarray:
+    """A float for an unbatched expansion, the batch-shaped array otherwise."""
+    return float(total) if total.ndim == 0 else total
+
+
+def vacuum_photon_number(x: OperatorExpansion) -> float | np.ndarray:
     """Vacuum expectation value <0| x^dagger x |0> = sum_m |cre[m]|^2."""
-    return float(np.sum(np.abs(x.cre) ** 2))
+    return _per_expansion(np.sum(np.abs(x.cre) ** 2, axis=0))
 
 
-def commutator_defect(x: OperatorExpansion) -> float:
+def commutator_defect(x: OperatorExpansion) -> float | np.ndarray:
     """(sum|ann|^2 - sum|cre|^2) - 1; vanishes for any canonical output mode."""
-    return float(np.sum(np.abs(x.ann) ** 2) - np.sum(np.abs(x.cre) ** 2) - 1.0)
+    return _per_expansion(
+        np.sum(np.abs(x.ann) ** 2, axis=0) - np.sum(np.abs(x.cre) ** 2, axis=0) - 1.0
+    )

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .angles import wrap_pi
-from .interferometer import InterferometerConfig, photon_number_exact, with_scan_phases
+from .interferometer import InterferometerConfig, detected_mode
+from .mode_algebra import vacuum_photon_number
 from .signals import beating_parameters
 
 __all__ = [
@@ -161,6 +162,13 @@ class TimeSeries:
         if not rows:
             raise ValueError("empty time series")
         data = np.array([[float(x) for x in row] for row in rows])
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(
+                f"non-finite value {rows[row][col]!r} in column "
+                f"'{CSV_COLUMNS[col]}' of data row {row + 1}"
+            )
         return cls(
             step=data[:, 0].astype(int),
             phi0=data[:, 1],
@@ -179,10 +187,10 @@ def simulate_scan(
     """Run a scheduled phase scan and return the simulated count record.
 
     ``regime`` selects the forward model: ``"exact"`` composes the full
-    transformation per step (any gain), ``"lowgain"`` evaluates the
-    first-order beating formula (requires equal gains).  Counts are
-    ``expected_n * counts_per_unit``, Poisson-sampled in ``"poisson"`` mode
-    with a per-scan generator seeded from the noise model.
+    transformation for all steps in one vectorised pass (any gain),
+    ``"lowgain"`` evaluates the first-order beating formula (requires equal
+    gains).  Counts are ``expected_n * counts_per_unit``, Poisson-sampled in
+    ``"poisson"`` mode with a per-scan generator seeded from the noise model.
     """
     t = schedule.steps.astype(float)
     signal_phase = schedule.signal_offset + schedule.signal_rate * t
@@ -199,12 +207,11 @@ def simulate_scan(
         )
         expected = np.maximum(expected, 0.0)
     elif regime == "exact":
-        expected = np.array(
-            [
-                photon_number_exact(with_scan_phases(cfg, sp, dp))
-                for sp, dp in zip(signal_phase, diff_phase)
-            ]
-        )
+        mode = detected_mode(cfg, signal_phase, diff_phase)
+        with np.errstate(over="ignore"):
+            expected = vacuum_photon_number(mode)
+        if not np.all(np.isfinite(expected)):
+            raise OverflowError("detected photon number overflows at this gain")
     else:
         raise ValueError("regime must be 'exact' or 'lowgain'")
 

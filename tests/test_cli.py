@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nli_polarimetry
 from nli_polarimetry import TimeSeries
 from nli_polarimetry.angles import axis_distance
 from nli_polarimetry.cli import main
@@ -197,6 +202,28 @@ class TestCalibrateAndEstimate:
         assert run("estimate", "--pipeline", "fourier", "--data", bad,
                    "--calibration", bad, "--out", tmp_path / "e.json") == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_count_exits_2(self, tmp_path, capsys, cell):
+        scans = self.make_scans(tmp_path)
+        calib = tmp_path / "calib.json"
+        assert run("calibrate", "--signal-scan", scans["sig"],
+                   "--idler-scan", scans["idl"], "--out", calib) == 0
+        cfg = write_config(tmp_path, base_config(), name="main.json")
+        data = tmp_path / "main.csv"
+        assert run("simulate", "--config", cfg, "--out", data) == 0
+        lines = data.read_text().splitlines()
+        fields = lines[7].split(",")
+        fields[-1] = cell
+        lines[7] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        est_path = tmp_path / "est.json"
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "fourier", "--data", data,
+                   "--calibration", calib, "--out", est_path) == 2
+        err = capsys.readouterr().err
+        assert "'counts'" in err and "data row 7" in err
+        assert not est_path.exists()
+
 
 def rotated_setting_config(setting, psi, **overrides):
     gamma2 = 3 * DIAG if setting == 1 else DIAG
@@ -310,6 +337,28 @@ class TestFigures:
 
     def test_unknown_id_rejected(self, tmp_path):
         assert run("figures", "--id", "fig9", "--out-dir", tmp_path) == 2
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *argv, cwd):
+        src = Path(nli_polarimetry.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-m", "nli_polarimetry.cli", *map(str, argv)],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_simulate_writes_series(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "series.csv"
+        proc = self.run_module("simulate", "--config", cfg, "--out", out, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n_samples"] == 400
+        assert len(TimeSeries.from_csv(out)) == 400
+
+    def test_bad_argument_exits_2(self, tmp_path):
+        proc = self.run_module("simulate", "--no-such-flag", cwd=tmp_path)
+        assert proc.returncode == 2
 
 
 class TestDeterminism:

@@ -27,7 +27,7 @@ from nli_polarimetry import (
     three_path_decomposition,
     with_scan_phases,
 )
-from nli_polarimetry.mode_algebra import commutator_defect
+from nli_polarimetry.mode_algebra import commutator_defect, vacuum_photon_number
 
 
 def identity_plate():
@@ -289,3 +289,45 @@ class TestScanPhases:
                 sample=lossless_sample(),
                 check_equal_gain=True,
             )
+
+
+class TestBatchedComposer:
+    def phase_grid(self, rng):
+        # 2-D batch: signal phase along rows, differential phase along columns
+        sp = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=(4, 1))
+        dp = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, size=(1, 4))
+        return sp, dp
+
+    def configs(self, rng, n):
+        for k in range(n):
+            cfg = random_config(rng)
+            yield dataclasses.replace(cfg, signal=blocked_signal()) if k % 4 == 0 else cfg
+
+    def test_matches_per_step_composition(self, rng):
+        for cfg in self.configs(rng, 200):
+            sp, dp = self.phase_grid(rng)
+            batched = detected_mode(cfg, sp, dp)
+            assert batched.batch_shape == (4, 4)
+            steps = [detected_mode(with_scan_phases(cfg, s, d)) for s in sp[:, 0] for d in dp[0]]
+            ref_ann = np.stack([x.ann for x in steps], axis=-1).reshape(6, 4, 4)
+            ref_cre = np.stack([x.cre for x in steps], axis=-1).reshape(6, 4, 4)
+            # relative to each step's largest amplitude
+            scale = np.maximum(np.abs(ref_ann).max(axis=0), np.abs(ref_cre).max(axis=0))
+            assert np.all(np.abs(batched.ann - ref_ann) <= 1e-13 * scale)
+            assert np.all(np.abs(batched.cre - ref_cre) <= 1e-13 * scale)
+
+    def test_commutator_defect_per_column(self, rng):
+        for cfg in self.configs(rng, 200):
+            d = detected_mode(cfg, *self.phase_grid(rng))
+            n = vacuum_photon_number(d)
+            assert np.all(np.abs(commutator_defect(d)) <= 1e-12 * (1.0 + n))
+
+    def test_scalar_phases_match_unbatched_call(self, rng):
+        cfg = random_config(rng)
+        d = detected_mode(cfg)
+        assert d.batch_shape == ()
+        assert vacuum_photon_number(d) == pytest.approx(photon_number_exact(cfg), rel=1e-14)
+
+    def test_nonfinite_phase_rejected(self, rng):
+        with pytest.raises(ValueError):
+            detected_mode(random_config(rng), np.array([0.0, np.nan]), 0.0)

@@ -126,3 +126,55 @@ def test_rejects_nonfinite_amplitudes():
     bad[0] = np.nan
     with pytest.raises(ValueError):
         OperatorExpansion(bad, np.zeros(6, dtype=complex))
+
+
+def test_rejects_nonfinite_batched_amplitude():
+    ann = np.ones((6, 5), dtype=complex)
+    cre = np.zeros((6, 5), dtype=complex)
+    cre[3, 2] = np.inf
+    with pytest.raises(ValueError):
+        OperatorExpansion(ann, cre)
+    with pytest.raises(ValueError):
+        OperatorExpansion(cre, ann)
+
+
+@pytest.mark.parametrize("ann_shape, cre_shape", [((6, 3), (6, 4)), ((6,), (6, 1)), ((5, 3), (5, 3))])
+def test_rejects_mismatched_batched_shapes(ann_shape, cre_shape):
+    with pytest.raises(ValueError):
+        OperatorExpansion(np.zeros(ann_shape, dtype=complex), np.zeros(cre_shape, dtype=complex))
+
+
+def batched_expansion(columns):
+    ann = np.array([c[0] for c in columns]).T
+    cre = np.array([c[1] for c in columns]).T
+    return OperatorExpansion(ann, cre)
+
+
+amp_lists = st.lists(complex_amps, min_size=6, max_size=6)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.tuples(amp_lists, amp_lists), min_size=k, max_size=k),
+            st.lists(complex_amps, min_size=k, max_size=k),
+            st.lists(complex_amps, min_size=k, max_size=k),
+        )
+    ),
+    expansions,
+)
+@settings(max_examples=50, deadline=None)
+def test_batched_linear_combine_matches_columns(batch, y):
+    # a batched expansion and an unbatched one, each weighted per column
+    columns, a, b = batch
+    x = batched_expansion(columns)
+    combined = linear_combine([(np.array(a), x), (np.array(b), y)])
+    assert combined.batch_shape == (len(columns),)
+    photons = vacuum_photon_number(combined)
+    defects = commutator_defect(combined)
+    for j, (ann, cre) in enumerate(columns):
+        col = linear_combine([(a[j], random_expansion(ann, cre)), (b[j], y)])
+        np.testing.assert_allclose(combined.ann[:, j], col.ann, rtol=1e-14, atol=1e-12)
+        np.testing.assert_allclose(combined.cre[:, j], col.cre, rtol=1e-14, atol=1e-12)
+        assert photons[j] == pytest.approx(vacuum_photon_number(col), rel=1e-12, abs=1e-12)
+        assert defects[j] == pytest.approx(commutator_defect(col), rel=1e-12, abs=1e-9)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_config
 from nli_polarimetry import (
     CalibrationError,
     CrystalGain,
@@ -19,6 +20,7 @@ from nli_polarimetry import (
     photon_number_exact,
     quarter_wave,
     simulate_scan,
+    with_scan_phases,
 )
 
 KAPPA = 1.0e4
@@ -156,6 +158,26 @@ class TestSimulateScan:
         scale = np.sqrt(np.mean(series.counts**2))
         assert np.sqrt(np.mean(resid**2)) / scale < 1e-10
 
+    def test_exact_matches_per_step_composition(self, rng):
+        # reference: the scan phases imprinted on the config one step at a time
+        sched = ScanSchedule(signal_offset=0.4, diff_offset=-1.1, signal_rate=0.37,
+                             diff_rate=-0.23, n_samples=64)
+        for _ in range(10):
+            cfg = random_config(rng)
+            series = simulate_scan(cfg, sched, NoiseModel(1.0), regime="exact")
+            t = sched.steps.astype(float)
+            want = [
+                photon_number_exact(with_scan_phases(cfg, 0.4 + 0.37 * k, -1.1 - 0.23 * k))
+                for k in t
+            ]
+            np.testing.assert_allclose(series.expected_n, want, rtol=1e-13, atol=1e-13)
+
+    def test_exact_overflow_raises(self):
+        # amplitudes stay finite but their squares do not
+        with pytest.raises(OverflowError):
+            simulate_scan(calibration_config(v=1e200), ScanSchedule(n_samples=8),
+                          NoiseModel(1.0), regime="exact")
+
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError):
             simulate_scan(calibration_config(), ScanSchedule(n_samples=8),
@@ -173,6 +195,21 @@ class TestTimeSeriesCsv:
         np.testing.assert_array_equal(back.delta_phase, series.delta_phase)
         np.testing.assert_array_equal(back.expected_n, series.expected_n)
         np.testing.assert_array_equal(back.counts, series.counts)
+
+    @pytest.mark.parametrize(
+        "column, cell", [(1, "nan"), (2, "inf"), (3, "-inf"), (4, "nan")]
+    )
+    def test_rejects_nonfinite_value(self, tmp_path, column, cell):
+        path = tmp_path / "scan.csv"
+        signal_arm_scan(0.31, 0.77, n=16).to_csv(path)
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = cell
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        name = ("step", "phi0", "delta_phase", "expected_N", "counts")[column]
+        with pytest.raises(ValueError, match=f"'{name}' of data row 3"):
+            TimeSeries.from_csv(path)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
