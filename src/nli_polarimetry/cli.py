@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import json
 import math
 import sys
@@ -27,7 +26,15 @@ from .estimation import (
     harmonic_regress,
 )
 from .interferometer import InterferometerConfig
-from .scan import CalibrationError, NoiseModel, ScanSchedule, TimeSeries, calibrate, simulate_scan
+from .scan import (
+    CalibrationError,
+    NoiseModel,
+    ScanSchedule,
+    TimeSeries,
+    calibrate,
+    simulate_scan,
+    write_csv,
+)
 from .signals import beating_intensity, highgain_intensity, n_rotated
 
 EXIT_OK = 0
@@ -185,14 +192,6 @@ def load_experiment(path: str | Path, seed_override: int | None = None):
     )
 
 
-def _write_grid_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def _write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -275,7 +274,7 @@ def _figure_fig3(out_dir: Path, t_par_mag: float, name: str) -> list[Path]:
     mm, dd = np.meshgrid(mean_phase, diff_phase, indexing="ij")
     n = beating_intensity(4.0, 0.5 * diff_trans, mean_trans, 0.5 * dd, mm)
     path = out_dir / f"{name}.csv"
-    _write_grid_csv(
+    write_csv(
         path,
         ["mean_phase", "diff_phase", "n"],
         [mm.ravel(), dd.ravel(), n.ravel()],
@@ -299,7 +298,7 @@ def _figure_fig4(out_dir: Path, name: str) -> list[Path]:
         rows_n.append(n)
     path = out_dir / f"{name}.csv"
     column = "mean_phase" if name == "fig4a" else "diff_phase"
-    _write_grid_csv(
+    write_csv(
         path,
         ["v", column, "n"],
         [np.concatenate(rows_v), np.concatenate(rows_phase), np.concatenate(rows_n)],
@@ -315,7 +314,7 @@ def _figure_fig5b(out_dir: Path) -> list[Path]:
         half = 0.5 * (diff_phase - math.pi)
         n = v + v**2 * (0.25 * 0.1**2 * np.cos(half) ** 2 + 0.85**2 * np.sin(half) ** 2)
         path = out_dir / f"fig5b_{tag}.csv"
-        _write_grid_csv(path, ["diff_phase", "n"], [diff_phase, n])
+        write_csv(path, ["diff_phase", "n"], [diff_phase, n])
         paths.append(path)
     return paths
 
@@ -331,7 +330,7 @@ def _figure_fig6(out_dir: Path) -> list[Path]:
         n2 = n_rotated(2, phase, mean_photons=1.0, mean_sample_phase=0.0,
                        rotation=1.8, **row)
         path = out_dir / f"fig6{tag}_signals.csv"
-        _write_grid_csv(path, ["phase", "n_setting1", "n_setting2"], [phase, n1, n2])
+        write_csv(path, ["phase", "n_setting1", "n_setting2"], [phase, n1, n2])
         paths.append(path)
     for psi, tag in ((1.8, "psi1p8"), (3.5, "psi3p5")):
         cols = [phase]
@@ -344,7 +343,7 @@ def _figure_fig6(out_dir: Path) -> list[Path]:
                 )
                 header.append(f"n{setting}_{row_tag}")
         path = out_dir / f"fig6_ellipse_{tag}.csv"
-        _write_grid_csv(path, header, cols)
+        write_csv(path, header, cols)
         paths.append(path)
     return paths
 

@@ -9,7 +9,7 @@ only through calibration.
 from __future__ import annotations
 
 import cmath
-import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,47 +135,83 @@ class TimeSeries:
         return len(self.step)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for k in range(len(self)):
-                writer.writerow(
-                    [
-                        int(self.step[k]),
-                        repr(float(self.phi0[k])),
-                        repr(float(self.delta_phase[k])),
-                        repr(float(self.expected_n[k])),
-                        repr(float(self.counts[k])),
-                    ]
-                )
+        """Write the series with ``write_csv``, ``step`` as the integer column."""
+        write_csv(
+            path,
+            CSV_COLUMNS,
+            [self.step, self.phi0, self.delta_phase, self.expected_n, self.counts],
+            n_int=1,
+        )
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TimeSeries":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader, ()))
-            if header != CSV_COLUMNS:
-                raise ValueError(
-                    f"unexpected CSV header {header!r}; expected {CSV_COLUMNS!r}"
-                )
-            rows = [row for row in reader if row]
-        if not rows:
+        """Read a series written by ``to_csv``.
+
+        Raises ``ValueError`` for a wrong header, an empty body, a row without
+        exactly five columns, a non-numeric or non-finite cell (named by column
+        and data row), or a ``step`` that is not an integer in [0, 2**63).
+        Blank lines are skipped and do not count as data rows.
+        """
+        data = read_csv(path, CSV_COLUMNS)
+        if not len(data):
             raise ValueError("empty time series")
-        data = np.array([[float(x) for x in row] for row in rows])
-        bad = np.argwhere(~np.isfinite(data))
+        step = data[:, 0]
+        bad = np.flatnonzero((step < 0) | (step != np.floor(step)) | (step >= 2.0**63))
         if bad.size:
-            row, col = bad[0]
             raise ValueError(
-                f"non-finite value {rows[row][col]!r} in column "
-                f"'{CSV_COLUMNS[col]}' of data row {row + 1}"
+                f"step {float(step[bad[0]])!r} of data row {bad[0] + 1} "
+                "is not an integer in [0, 2**63)"
             )
         return cls(
-            step=data[:, 0].astype(int),
+            step=step.astype(int),
             phi0=data[:, 1],
             delta_phase=data[:, 2],
             expected_n=data[:, 3],
             counts=data[:, 4],
         )
+
+
+def write_csv(path: str | Path, header, columns, n_int: int = 0) -> None:
+    """Write equal-length columns as CSV with one ``write`` call.
+
+    The header row and every data row end in ``\\r\\n``.  The first ``n_int``
+    columns are written as integers; every other cell is ``repr`` of the
+    value cast to a Python float, the shortest string that reads back to the
+    same double.
+    """
+    cells = [np.asarray(c).tolist() for c in columns[:n_int]]
+    cells += [np.asarray(c, dtype=float).tolist() for c in columns[n_int:]]
+    row = ",".join(["%d"] * n_int + ["%r"] * (len(cells) - n_int)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + "".join(map(row.__mod__, zip(*cells))))
+
+
+def read_csv(path: str | Path, header) -> np.ndarray:
+    """Read a CSV written by ``write_csv`` into a float array, one row per data row.
+
+    Raises ``ValueError`` when the first line is not ``header``, when a cell
+    is not a number, when a row does not have one cell per header column, or
+    when a value is NaN or infinite (naming its column and data row).  Blank
+    lines are skipped; a body of only blank lines gives zero rows.
+    """
+    with open(path) as fh:
+        found = tuple(fh.readline().rstrip("\n").split(","))
+        body = fh.read()
+    if found != tuple(header):
+        raise ValueError(f"unexpected CSV header {found!r}; expected {tuple(header)!r}")
+    if not body or body.isspace():
+        return np.empty((0, len(header)))
+    data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, dtype=float, ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"expected {len(header)} columns per row, found {data.shape[1]}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(
+            f"non-finite value '{data[row, col]}' in column "
+            f"'{header[col]}' of data row {row + 1}"
+        )
+    return data
 
 
 def simulate_scan(

@@ -45,3 +45,46 @@ def angles_close(a, b, atol=1e-12):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240831)
+
+
+def _with_field(row: str, index: int, cell: str) -> str:
+    fields = row.split(",")
+    fields[index] = cell
+    return ",".join(fields)
+
+
+def _drop_last_field(row: str) -> str:
+    return row.rsplit(",", 1)[0]
+
+
+# Corruptions of a series CSV given as its lines (header first), each with the
+# message ``TimeSeries.from_csv`` must raise (None: any ValueError, because
+# the text comes from numpy's parser).  The two step cases keep the steps
+# strictly increasing, so only the file-boundary step check can catch them.
+MALFORMED_SERIES = {
+    "four_columns": (
+        lambda lines: lines[:1] + [_drop_last_field(r) for r in lines[1:]],
+        "expected 5 columns per row, found 4",
+    ),
+    "ragged": (
+        lambda lines: lines[:3] + [_drop_last_field(lines[3])] + lines[4:],
+        None,
+    ),
+    "non_numeric": (
+        lambda lines: lines[:3] + [_with_field(lines[3], 2, "abc")] + lines[4:],
+        None,
+    ),
+    "fractional_step": (
+        lambda lines: lines[:2] + [_with_field(lines[2], 0, "1.5")] + lines[3:],
+        r"step 1\.5 of data row 2 is not an integer in \[0, 2\*\*63\)",
+    ),
+    "negative_step": (
+        lambda lines: [lines[0], _with_field(lines[1], 0, "-1")] + lines[2:],
+        r"step -1\.0 of data row 1 is not an integer in \[0, 2\*\*63\)",
+    ),
+    "step_beyond_int64": (
+        lambda lines: lines[:-1] + [_with_field(lines[-1], 0, "1e19")],
+        r"step 1e\+19 of data row \d+ is not an integer in \[0, 2\*\*63\)",
+    ),
+    "header_only": (lambda lines: lines[:1], "empty time series"),
+}

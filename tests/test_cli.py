@@ -1,17 +1,23 @@
+import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nli_polarimetry
-from nli_polarimetry import TimeSeries
+from conftest import MALFORMED_SERIES
+from nli_polarimetry import TimeSeries, cli
 from nli_polarimetry.angles import axis_distance
 from nli_polarimetry.cli import main
+from nli_polarimetry.scan import write_csv
 
 QWP = math.pi / 2
 DIAG = math.pi / 4
@@ -59,6 +65,15 @@ def write_config(tmp_path, doc, name="config.json"):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def reference_grid_csv(path, header, columns):
+    """The per-row ``csv.writer`` loop that wrote the figure grids before."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 class TestSimulate:
@@ -224,6 +239,27 @@ class TestCalibrateAndEstimate:
         assert "'counts'" in err and "data row 7" in err
         assert not est_path.exists()
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SERIES))
+    def test_malformed_series_exits_2(self, tmp_path, capsys, case):
+        mutate, message = MALFORMED_SERIES[case]
+        scans = self.make_scans(tmp_path)
+        calib = tmp_path / "calib.json"
+        assert run("calibrate", "--signal-scan", scans["sig"],
+                   "--idler-scan", scans["idl"], "--out", calib) == 0
+        cfg = write_config(tmp_path, base_config(), name="main.json")
+        data = tmp_path / "main.csv"
+        assert run("simulate", "--config", cfg, "--out", data) == 0
+        data.write_text("\n".join(mutate(data.read_text().splitlines())) + "\n")
+        est_path = tmp_path / "est.json"
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "fourier", "--data", data,
+                   "--calibration", calib, "--out", est_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if message is not None:
+            assert re.search(message, err)
+        assert not est_path.exists()
+
 
 def rotated_setting_config(setting, psi, **overrides):
     gamma2 = 3 * DIAG if setting == 1 else DIAG
@@ -337,6 +373,39 @@ class TestFigures:
 
     def test_unknown_id_rejected(self, tmp_path):
         assert run("figures", "--id", "fig9", "--out-dir", tmp_path) == 2
+
+    @pytest.mark.parametrize("fig_id", cli.FIGURE_IDS)
+    def test_files_match_reference_writer(self, tmp_path, monkeypatch, fig_id):
+        calls = []
+
+        def spy(path, header, columns):
+            calls.append((Path(path), header, columns))
+            write_csv(path, header, columns)
+
+        monkeypatch.setattr(cli, "write_csv", spy)
+        assert run("figures", "--id", fig_id, "--out-dir", tmp_path / "new") == 0
+        assert calls
+        for path, header, columns in calls:
+            ref = tmp_path / f"ref_{path.name}"
+            reference_grid_csv(ref, header, columns)
+            assert path.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_grid_writer_matches_reference(self, tmp_path, data):
+        n_cols = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(0, 30))
+        cells = st.one_of(
+            st.floats(), st.sampled_from([-0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308])
+        )
+        columns = [np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
+                   for _ in range(n_cols)]
+        header = [f"c{j}" for j in range(n_cols)]
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_csv(new, header, columns)
+        reference_grid_csv(ref, header, columns)
+        assert new.read_bytes() == ref.read_bytes()
 
 
 class TestModuleEntryPoint:

@@ -1,10 +1,15 @@
+import csv
 import dataclasses
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_config
+from conftest import MALFORMED_SERIES, random_config
 from nli_polarimetry import (
     CalibrationError,
     CrystalGain,
@@ -22,6 +27,7 @@ from nli_polarimetry import (
     simulate_scan,
     with_scan_phases,
 )
+from nli_polarimetry.scan import CSV_COLUMNS
 
 KAPPA = 1.0e4
 
@@ -184,6 +190,64 @@ class TestSimulateScan:
                           NoiseModel(1.0), regime="midgain")
 
 
+def reference_to_csv(series, path):
+    """The per-row ``csv.writer`` loop that ``TimeSeries.to_csv`` replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for k in range(len(series)):
+            writer.writerow(
+                [
+                    int(series.step[k]),
+                    repr(float(series.phi0[k])),
+                    repr(float(series.delta_phase[k])),
+                    repr(float(series.expected_n[k])),
+                    repr(float(series.counts[k])),
+                ]
+            )
+
+
+EDGE_FLOATS = [
+    -0.0, 0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22,
+]
+any_double = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(), st.integers(-2**53, 2**53).map(float)
+)
+finite_double = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+).filter(math.isfinite)
+csv_file_settings = settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def value_column(draw, n):
+    """A length-n column of float64, float32 or int64 values."""
+    dtype = draw(st.sampled_from(["float64", "float32", "int64"]))
+    if dtype == "float64":
+        values = st.lists(any_double, min_size=n, max_size=n)
+    elif dtype == "float32":
+        values = st.lists(st.floats(width=32), min_size=n, max_size=n)
+    else:
+        values = st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n)
+    return np.array(draw(values), dtype=dtype)
+
+
+@st.composite
+def step_column(draw, n):
+    """Strictly increasing integer-valued steps as int64, int32 or float64."""
+    start = draw(st.integers(0, 10**6))
+    gaps = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+    dtype = draw(st.sampled_from(["int64", "int32", "float64"]))
+    return np.cumsum([start, *gaps])[:n].astype(dtype)
+
+
+def write_lines(path, lines, newline="\n"):
+    path.write_text(newline.join(lines) + newline, newline="")
+
+
 class TestTimeSeriesCsv:
     def test_round_trip_lossless(self, tmp_path):
         series = signal_arm_scan(0.31, 0.77, n=64)
@@ -216,6 +280,115 @@ class TestTimeSeriesCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             TimeSeries.from_csv(path)
+
+
+    def test_rejects_empty_body_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        for body in ("", "\r\n", "\n\n"):
+            path.write_text(",".join(CSV_COLUMNS) + "\r\n" + body, newline="")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^empty time series$"):
+                    TimeSeries.from_csv(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SERIES))
+    def test_rejects_malformed_file(self, tmp_path, case):
+        mutate, message = MALFORMED_SERIES[case]
+        path = tmp_path / "scan.csv"
+        signal_arm_scan(0.31, 0.77, n=16).to_csv(path)
+        write_lines(path, mutate(path.read_text().splitlines()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                TimeSeries.from_csv(path)
+
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
+        series = signal_arm_scan(0.31, 0.77, n=16)
+        path = tmp_path / "scan.csv"
+        series.to_csv(path)
+        lines = path.read_text().splitlines()
+        spaced = [lines[0], lines[1], "", lines[2], "", "", *lines[3:], ""]
+        write_lines(path, spaced, newline="\r\n")
+        back = TimeSeries.from_csv(path)
+        np.testing.assert_array_equal(back.step, series.step)
+        np.testing.assert_array_equal(back.counts, series.counts)
+        spaced[6] = lines[3].rsplit(",", 1)[0] + ",nan"
+        write_lines(path, spaced)
+        with pytest.raises(ValueError, match="'counts' of data row 3"):
+            TimeSeries.from_csv(path)
+
+    @csv_file_settings
+    @given(data=st.data())
+    def test_writer_bytes_match_reference(self, tmp_path, data):
+        n = data.draw(st.integers(0, 40))
+        series = TimeSeries(
+            step=data.draw(step_column(n)),
+            phi0=data.draw(value_column(n)),
+            delta_phase=data.draw(value_column(n)),
+            expected_n=np.abs(data.draw(value_column(n))),
+            counts=data.draw(value_column(n)),
+        )
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        series.to_csv(new)
+        reference_to_csv(series, ref)
+        assert new.read_bytes() == ref.read_bytes()
+
+    def test_writer_edge_values_match_reference(self, tmp_path):
+        n = len(EDGE_FLOATS)
+        with np.errstate(over="ignore"):  # 1.8e308 becomes a float32 inf
+            counts = np.array(EDGE_FLOATS, dtype=np.float32)
+        series = TimeSeries(
+            step=np.arange(n),
+            phi0=np.array(EDGE_FLOATS),
+            delta_phase=-np.array(EDGE_FLOATS),
+            expected_n=np.arange(n, dtype=np.int64),
+            counts=counts,
+        )
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        series.to_csv(new)
+        reference_to_csv(series, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        assert new.read_bytes().split(b"\r\n")[1] == b"0,-0.0,0.0,0.0,-0.0"
+
+    @csv_file_settings
+    @given(data=st.data())
+    def test_round_trip_is_bitwise(self, tmp_path, data):
+        n = data.draw(st.integers(1, 40))
+        cols = [np.array(data.draw(st.lists(finite_double, min_size=n, max_size=n)))
+                for _ in range(4)]
+        series = TimeSeries(
+            step=np.arange(n) * 7,
+            phi0=cols[0],
+            delta_phase=cols[1],
+            expected_n=np.abs(cols[2]),
+            counts=cols[3],
+        )
+        path = tmp_path / "scan.csv"
+        series.to_csv(path)
+        back = TimeSeries.from_csv(path)
+        np.testing.assert_array_equal(back.step, series.step)
+        for name in ("phi0", "delta_phase", "expected_n", "counts"):
+            got, want = getattr(back, name), getattr(series, name)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @csv_file_settings
+    @given(data=st.data())
+    def test_non_shortest_digits_parse_like_float(self, tmp_path, data):
+        n = data.draw(st.integers(1, 20))
+        fmts = data.draw(st.lists(st.sampled_from(["%.25e", "%.17g", "%.3e", "%r"]),
+                                  min_size=4, max_size=4))
+        rows = [[abs(v) if j == 2 else v
+                 for j, v in enumerate(data.draw(st.lists(finite_double, min_size=4,
+                                                          max_size=4)))]
+                for _ in range(n)]
+        cells = [[f % v for f, v in zip(fmts, row)] for row in rows]
+        path = tmp_path / "scan.csv"
+        write_lines(path, [",".join(CSV_COLUMNS)]
+                    + [",".join([str(k), *row]) for k, row in enumerate(cells)])
+        back = TimeSeries.from_csv(path)
+        got = np.column_stack([back.phi0, back.delta_phase, back.expected_n, back.counts])
+        want = np.array([[float(c) for c in row] for row in cells])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestCalibrate:
