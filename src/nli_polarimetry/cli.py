@@ -35,7 +35,7 @@ from .scan import (
     simulate_scan,
     write_csv,
 )
-from .signals import beating_intensity, highgain_intensity, n_rotated
+from .signals import beating_intensity, blocked_intensity, highgain_intensity, n_rotated
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -311,8 +311,7 @@ def _figure_fig5b(out_dir: Path) -> list[Path]:
     diff_phase = np.linspace(0.0, 2.0 * math.pi, 201)
     paths = []
     for v, tag in ((0.5, "v0p5"), (1.0, "v1"), (2.0, "v2")):
-        half = 0.5 * (diff_phase - math.pi)
-        n = v + v**2 * (0.25 * 0.1**2 * np.cos(half) ** 2 + 0.85**2 * np.sin(half) ** 2)
+        n = blocked_intensity(v, 0.85, 0.1, 0.5 * (diff_phase - math.pi))
         path = out_dir / f"fig5b_{tag}.csv"
         write_csv(path, ["diff_phase", "n"], [diff_phase, n])
         paths.append(path)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import TimeSeries
+from .scan import TimeSeries, _fit_harmonics
+from .signals import amplitude_relations
 
 __all__ = [
     "EstimationError",
@@ -152,29 +153,14 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
             flag="series_too_short",
         )
 
-    t = series.step.astype(float)
-    design = np.column_stack(
-        [
-            np.ones_like(t),
-            np.cos(0.5 * omega_scan * t),
-            np.sin(0.5 * omega_scan * t),
-            np.cos(1.5 * omega_scan * t),
-            np.sin(1.5 * omega_scan * t),
-        ]
+    error = EstimationError("harmonic design matrix is rank deficient",
+                            flag="rank_deficient")
+    rates = (0.5 * omega_scan, 1.5 * omega_scan)
+    dc, (amp_half, amp_threehalf), rms = _fit_harmonics(
+        series.step.astype(float), series.counts, rates, error
     )
-    singular = np.linalg.svd(design, compute_uv=False)
-    if singular[-1] < 1e-10 * singular[0]:
-        raise EstimationError("harmonic design matrix is rank deficient",
-                              flag="rank_deficient")
-    coef, _, _, _ = np.linalg.lstsq(design, series.counts, rcond=None)
-    resid = series.counts - design @ coef
-    return HarmonicDecomposition(
-        dc=float(coef[0]),
-        omega_scan=omega_scan,
-        amp_half=complex(coef[1] - 1j * coef[2]),
-        amp_threehalf=complex(coef[3] - 1j * coef[4]),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-    )
+    return HarmonicDecomposition(dc=dc, omega_scan=omega_scan, amp_half=amp_half,
+                                 amp_threehalf=amp_threehalf, residual_rms=rms)
 
 
 def extract_sample_fourier(
@@ -282,15 +268,12 @@ def fit_sinusoid(series: TimeSeries, phase_reference: float | None = None) -> Si
         raise EstimationError("scan must cover at least one fringe period",
                               flag="series_too_short")
 
-    x = series.phi0
-    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
-    coef, _, _, _ = np.linalg.lstsq(design, series.counts, rcond=None)
-    resid = series.counts - design @ coef
-    dc, a, b = (float(c) for c in coef)
+    error = EstimationError("sinusoid design matrix is rank deficient",
+                            flag="rank_deficient")
+    dc, (z,), rms = _fit_harmonics(series.phi0, series.counts, (1.0,), error)
     if dc <= 0.0:
         raise EstimationError("nonpositive mean count level", flag="bad_amplitude")
-    harmonic = complex(a - 1j * b) / dc
-    rms = float(np.sqrt(np.mean(resid**2)))
+    harmonic = z / dc
 
     if phase_reference is None:
         return SinusoidFit(
@@ -353,21 +336,9 @@ def recover_rotated_params(b1: float, c1: float, b2: float, c2: float) -> Rotate
     else:
         dt = 2.0 * math.copysign(math.hypot(b1, c2), c2)
 
-    half = 0.5 * dphi
-    pred = (
-        -0.5 * dt * math.sin(half),
-        tbar * math.cos(half),
-        -tbar * math.sin(half),
-        0.5 * dt * math.cos(half),
-    )
+    pred = amplitude_relations(tbar, dt, dphi)
     residual = max(abs(p - q) for p, q in zip(pred, (b1, c1, b2, c2)))
     return RotatedRecovery(tbar=tbar, dt=dt, dphi=dphi, residual=residual, flags=flags)
-
-
-def _normalized_harmonic(series: TimeSeries) -> tuple[float, complex, float]:
-    fit = fit_sinusoid(series)
-    w = fit.amp_cos * cmath.exp(1j * fit.phase_reference)
-    return fit.offset, w, fit.residual_rms
 
 
 def estimate_rotated(
@@ -398,8 +369,9 @@ def estimate_rotated(
     """
     if assume not in ROTATED_ASSUMPTIONS:
         raise EstimationError(f"unknown assumption {assume!r}", flag="bad_assumption")
-    dc1, w1, rms1 = _normalized_harmonic(series_setting1)
-    dc2, w2, rms2 = _normalized_harmonic(series_setting2)
+    fit1, fit2 = fit_sinusoid(series_setting1), fit_sinusoid(series_setting2)
+    w1 = fit1.amp_cos * cmath.exp(1j * fit1.phase_reference)
+    w2 = fit2.amp_cos * cmath.exp(1j * fit2.phase_reference)
     flags: list[str] = []
 
     if assume == "general":
@@ -468,8 +440,8 @@ def estimate_rotated(
         dphi=float(wrap_pi(rec.dphi)),
         psi=psi,
         residuals={
-            "fit_rms_setting1": rms1,
-            "fit_rms_setting2": rms2,
+            "fit_rms_setting1": fit1.residual_rms,
+            "fit_rms_setting2": fit2.residual_rms,
             "amplitude_consistency": rec.residual,
         },
         flags=flags,

@@ -46,9 +46,7 @@ class InterferometerConfig:
     """Complete parameter set of one interferometer configuration.
 
     ``rotation`` is the angle of the sample's axes against the idler
-    polarization (0 for an aligned sample).  ``check_equal_gain`` asserts at
-    construction that both crystals generate the same mean photon number,
-    which the closed-form signal models assume.
+    polarization (0 for an aligned sample).
     """
 
     crystal1: CrystalGain
@@ -58,13 +56,10 @@ class InterferometerConfig:
     waveplate2: WaveplateSetting | WaveplateCoeffs
     sample: SampleAxes
     rotation: float = 0.0
-    check_equal_gain: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.rotation):
             raise ValueError("rotation must be finite")
-        if self.check_equal_gain and not self.has_equal_gains:
-            raise ValueError("crystal gains differ but check_equal_gain is set")
 
     @property
     def has_equal_gains(self) -> bool:

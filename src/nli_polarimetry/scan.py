@@ -19,7 +19,7 @@ import numpy as np
 from .angles import wrap_pi
 from .interferometer import InterferometerConfig, detected_mode
 from .mode_algebra import vacuum_photon_number
-from .signals import beating_parameters
+from .signals import beating_intensity, beating_parameters
 
 __all__ = [
     "ScanSchedule",
@@ -135,7 +135,12 @@ class TimeSeries:
         return len(self.step)
 
     def to_csv(self, path: str | Path) -> None:
-        """Write the series with ``write_csv``, ``step`` as the integer column."""
+        """Write the series with ``write_csv``, ``step`` as the integer column.
+
+        Raises ``ValueError``, and writes nothing, for a ``step`` that is not
+        an integer in [0, 2**63) (named by value and data row).
+        """
+        _check_steps(self.step)
         write_csv(
             path,
             CSV_COLUMNS,
@@ -156,18 +161,23 @@ class TimeSeries:
         if not len(data):
             raise ValueError("empty time series")
         step = data[:, 0]
-        bad = np.flatnonzero((step < 0) | (step != np.floor(step)) | (step >= 2.0**63))
-        if bad.size:
-            raise ValueError(
-                f"step {float(step[bad[0]])!r} of data row {bad[0] + 1} "
-                "is not an integer in [0, 2**63)"
-            )
+        _check_steps(step)
         return cls(
             step=step.astype(int),
             phi0=data[:, 1],
             delta_phase=data[:, 2],
             expected_n=data[:, 3],
             counts=data[:, 4],
+        )
+
+
+def _check_steps(step) -> None:
+    step = np.asarray(step, dtype=float)
+    bad = np.flatnonzero(~((step >= 0) & (step < 2.0**63) & (step == np.floor(step))))
+    if bad.size:
+        raise ValueError(
+            f"step {float(step[bad[0]])!r} of data row {bad[0] + 1} "
+            "is not an integer in [0, 2**63)"
         )
 
 
@@ -190,9 +200,11 @@ def read_csv(path: str | Path, header) -> np.ndarray:
     """Read a CSV written by ``write_csv`` into a float array, one row per data row.
 
     Raises ``ValueError`` when the first line is not ``header``, when a cell
-    is not a number, when a row does not have one cell per header column, or
-    when a value is NaN or infinite (naming its column and data row).  Blank
-    lines are skipped; a body of only blank lines gives zero rows.
+    is not a number (naming its column and data row), when a row does not
+    have one cell per header column (naming the data row where the rows
+    differ in width), or when a value is NaN or infinite (naming its column
+    and data row).  Blank lines are skipped; a body of only blank lines gives
+    zero rows.
     """
     with open(path) as fh:
         found = tuple(fh.readline().rstrip("\n").split(","))
@@ -201,7 +213,11 @@ def read_csv(path: str | Path, header) -> np.ndarray:
         raise ValueError(f"unexpected CSV header {found!r}; expected {tuple(header)!r}")
     if not body or body.isspace():
         return np.empty((0, len(header)))
-    data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, dtype=float, ndmin=2)
+    try:
+        data = _loadtxt(io.StringIO(body))
+    except ValueError:
+        _locate_bad_row(body, header)
+        raise
     if data.shape[1] != len(header):
         raise ValueError(f"expected {len(header)} columns per row, found {data.shape[1]}")
     bad = np.argwhere(~np.isfinite(data))
@@ -212,6 +228,36 @@ def read_csv(path: str | Path, header) -> np.ndarray:
             f"'{header[col]}' of data row {row + 1}"
         )
     return data
+
+
+def _loadtxt(lines, **kwargs) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, **kwargs)
+
+
+def _locate_bad_row(body: str, header) -> None:
+    """Raise ``ValueError`` naming the first data row ``_loadtxt`` rejects.
+
+    Parses each line it does not skip (each non-empty one) alone with that
+    call, and a failing line cell by cell.  Returns if no line fails.
+    """
+    rows = (line for line in body.split("\n") if line)
+    for n, line in enumerate(rows, 1):
+        width = line.count(",") + 1
+        if width != len(header):
+            raise ValueError(
+                f"expected {len(header)} columns per row, found {width} in data row {n}"
+            )
+        try:
+            _loadtxt([line])
+        except ValueError:
+            for col, cell in enumerate(line.split(",")):
+                try:
+                    _loadtxt([line], usecols=col)
+                except ValueError:
+                    raise ValueError(
+                        f"non-numeric value {cell!r} in column '{header[col]}' "
+                        f"of data row {n}"
+                    ) from None
 
 
 def simulate_scan(
@@ -236,10 +282,8 @@ def simulate_scan(
         p = beating_parameters(cfg)
         mean = p.mean_total_phase + signal_phase
         half_diff = p.half_diff_phase + 0.5 * diff_phase
-        expected = 0.5 * p.amplitude * (
-            1.0
-            + p.diff_visibility * np.cos(half_diff) * np.cos(mean)
-            - p.mean_visibility * np.sin(half_diff) * np.sin(mean)
+        expected = beating_intensity(
+            p.amplitude, p.diff_visibility, p.mean_visibility, half_diff, mean
         )
         expected = np.maximum(expected, 0.0)
     elif regime == "exact":
@@ -277,15 +321,24 @@ class Calibration:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _single_harmonic(x: np.ndarray, counts: np.ndarray) -> tuple[float, complex, float]:
-    """Least-squares fit counts ~ dc + Re[Z exp(i x)]; returns (dc, Z, resid_rms)."""
-    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
-    coef, _, rank, _ = np.linalg.lstsq(design, counts, rcond=None)
-    if rank < 3:
-        raise CalibrationError("harmonic fit is rank deficient; scan span too small")
+def _fit_harmonics(t, counts, rates, rank_error: Exception):
+    """Least-squares fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]``.
+
+    Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention.  Rank
+    rule: raises ``rank_error`` unless the design has at least as many rows
+    as columns and the smallest singular value ``lstsq`` returns is at least
+    1e-10 of the largest.
+    """
+    t = np.asarray(t)
+    design = np.column_stack(
+        [np.ones_like(t)] + [f(r * t) for r in rates for f in (np.cos, np.sin)]
+    )
+    coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
+    if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
+        raise rank_error
     resid = counts - design @ coef
-    dc, a, b = coef
-    return float(dc), complex(a - 1j * b), float(np.sqrt(np.mean(resid**2)))
+    amps = [complex(coef[k] - 1j * coef[k + 1]) for k in range(1, len(coef), 2)]
+    return float(coef[0]), amps, float(np.sqrt(np.mean(resid**2)))
 
 
 def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
@@ -312,8 +365,10 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     if np.ptp(idler_scan.delta_phase) < 4.0 * math.pi * 0.999:
         raise CalibrationError("idler scan must span at least one half-angle period")
 
-    dc1, z1, resid1 = _single_harmonic(signal_scan.phi0, signal_scan.counts)
-    dc2, z2, resid2 = _single_harmonic(0.5 * idler_scan.delta_phase, idler_scan.counts)
+    error = CalibrationError("harmonic fit is rank deficient; scan span too small")
+    dc1, (z1,), resid1 = _fit_harmonics(signal_scan.phi0, signal_scan.counts, (1.0,), error)
+    dc2, (z2,), resid2 = _fit_harmonics(idler_scan.delta_phase, idler_scan.counts, (0.5,),
+                                        error)
     flux = 0.5 * (dc1 + dc2)
     if flux <= 0.0:
         raise CalibrationError("nonpositive mean count level")

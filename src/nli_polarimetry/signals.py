@@ -141,20 +141,18 @@ def n_lowgain(p: BeatingParameters) -> float:
 def n_lowgain_timescan(t, schedule: "ScanSchedule", p: BeatingParameters):
     """Low-gain signal under dual phase scans, evaluated at step ``t``.
 
-    This is the scan protocol's form of the beating signal: both analyzer
-    quarter-wave plates are assumed set to the calibration pair, whose fixed
-    setup phases are already folded into the sine/cosine assignment.  The
-    scans add ``signal_offset + signal_rate*t`` to the mean phase and
-    ``diff_offset + diff_rate*t`` to the differential phase.
+    This is ``beating_intensity`` in the calibration-pair convention: both
+    analyzer quarter-wave plates are assumed set to the calibration pair,
+    whose fixed setup phases swap the roles of the two visibilities (the
+    mean visibility multiplies the cosine product, the differential one the
+    sine product).  The scans add ``signal_offset + signal_rate*t`` to the
+    mean phase and ``diff_offset + diff_rate*t`` to the differential phase.
     """
     t = np.asarray(t, dtype=float)
     mean = p.mean_sample_phase + schedule.signal_offset + schedule.signal_rate * t
     half_diff = 0.5 * (p.retardance + schedule.diff_offset + schedule.diff_rate * t)
-    return 0.5 * p.amplitude * (
-        1.0
-        - p.diff_visibility * np.sin(half_diff) * np.sin(mean)
-        + p.mean_visibility * np.cos(half_diff) * np.cos(mean)
-    )
+    return beating_intensity(p.amplitude, p.mean_visibility, p.diff_visibility,
+                             half_diff, mean)
 
 
 @dataclass(frozen=True)
@@ -204,9 +202,14 @@ def highgain_intensity(mean_photons, signal_mag, mean_trans, diff_trans,
         half_diff_phase,
         mean_phase,
     )
-    cross_pol = (0.25 * diff_trans**2 * np.cos(half_diff_phase) ** 2
-                 + mean_trans**2 * np.sin(half_diff_phase) ** 2)
+    cross_pol = _cross_pol(mean_trans, diff_trans, half_diff_phase)
     return low * (1.0 + v) - v**2 + v**2 * cross_pol
+
+
+def _cross_pol(mean_trans, diff_trans, half_diff_phase):
+    """Gain-squared interference of the idler's two polarization paths; broadcasts."""
+    return (0.25 * diff_trans**2 * np.cos(half_diff_phase) ** 2
+            + mean_trans**2 * np.sin(half_diff_phase) ** 2)
 
 
 def n_highgain(p: BeatingParameters) -> float:
@@ -236,17 +239,20 @@ def highgain_visibility(p: BeatingParameters) -> float:
     )
 
 
-def n_blocked(p: BeatingParameters) -> float:
-    """Detected photon number with the signal arm blocked.
+def blocked_intensity(mean_photons, mean_trans, diff_trans, half_diff_phase):
+    """Signal with the signal arm blocked; broadcasts over array-valued phases.
 
     Only the idler's two polarization paths interfere; the fringe amplitude
     scales with the square of the gain.
     """
-    v = p.mean_photons
-    y = p.half_diff_phase
+    v = mean_photons
+    return v + v**2 * _cross_pol(mean_trans, diff_trans, half_diff_phase)
+
+
+def n_blocked(p: BeatingParameters) -> float:
+    """Detected photon number with the signal arm blocked."""
     return float(
-        v + v**2 * (0.25 * p.diff_trans**2 * math.cos(y) ** 2
-                    + p.mean_trans**2 * math.sin(y) ** 2)
+        blocked_intensity(p.mean_photons, p.mean_trans, p.diff_trans, p.half_diff_phase)
     )
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import nli_polarimetry
 from conftest import MALFORMED_SERIES
-from nli_polarimetry import TimeSeries, cli
+from nli_polarimetry import BeatingParameters, TimeSeries, cli, n_blocked
 from nli_polarimetry.angles import axis_distance
 from nli_polarimetry.cli import main
 from nli_polarimetry.scan import write_csv
@@ -360,6 +360,27 @@ class TestFigures:
         assert run("figures", "--id", "fig5b", "--out-dir", tmp_path) == 0
         for tag in ("v0p5", "v1", "v2"):
             assert (tmp_path / f"fig5b_{tag}.csv").exists()
+
+    def test_fig5b_matches_inline_oracle_and_n_blocked(self, tmp_path):
+        assert run("figures", "--id", "fig5b", "--out-dir", tmp_path) == 0
+        diff_phase = np.linspace(0.0, 2.0 * math.pi, 201)
+        for v, tag in ((0.5, "v0p5"), (1.0, "v1"), (2.0, "v2")):
+            grid = np.loadtxt(tmp_path / f"fig5b_{tag}.csv", delimiter=",", skiprows=1)
+            # oracle: the grid's formula as written out before it called
+            # blocked_intensity, in the same operation order
+            half = 0.5 * (diff_phase - math.pi)
+            want = v + v**2 * (0.25 * 0.1**2 * np.cos(half) ** 2
+                               + 0.85**2 * np.sin(half) ** 2)
+            assert grid[:, 0].tobytes() == diff_phase.tobytes()
+            assert grid[:, 1].tobytes() == want.tobytes()
+            for phase, n in grid:
+                p = BeatingParameters(
+                    mean_photons=v, signal_mag=0.0, control_phase=0.0,
+                    mean_trans=0.85, diff_trans=0.1, mean_sample_phase=0.0,
+                    retardance=phase - math.pi, setup_phase_offset=0.0,
+                    diff_setup_phase=0.0,
+                )
+                assert abs(n - n_blocked(p)) <= 1e-15 * n
 
     def test_fig6_files(self, tmp_path):
         assert run("figures", "--id", "fig6", "--out-dir", tmp_path) == 0

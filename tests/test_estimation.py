@@ -292,6 +292,27 @@ class TestRecoverRotatedParams:
             assert rec.dphi == pytest.approx(dphi, abs=1e-12)
             assert rec.residual < 1e-12
 
+    def test_residual_matches_inline_oracle(self, rng):
+        # oracle: the residual as recover_rotated_params wrote out its
+        # predicted amplitudes before it called amplitude_relations
+        for _ in range(2000):
+            amps = rng.normal(size=4) * (rng.uniform(size=4) > 0.2)
+            if not np.any(amps[[1, 2]]):
+                continue
+            rec = recover_rotated_params(*amps)
+            b1, c1, b2, c2 = (float(a) for a in amps)
+            if c1 < 0.0:
+                c1, c2 = -c1, -c2
+            half = 0.5 * rec.dphi
+            pred = (
+                -0.5 * rec.dt * math.sin(half),
+                rec.tbar * math.cos(half),
+                -rec.tbar * math.sin(half),
+                0.5 * rec.dt * math.cos(half),
+            )
+            want = max(abs(p - q) for p, q in zip(pred, (b1, c1, b2, c2)))
+            assert rec.residual.hex() == want.hex()
+
     def test_negative_c1_flip_rule(self):
         # retardance beyond a half turn flips the fitted cosine amplitudes
         tbar, dt, dphi = 0.7, 0.3, 2.5

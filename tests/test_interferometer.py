@@ -10,7 +10,9 @@ from nli_polarimetry import (
     CrystalGain,
     InterferometerConfig,
     Mode,
+    NoiseModel,
     SampleAxes,
+    ScanSchedule,
     SignalControl,
     WaveplateCoeffs,
     WaveplateSetting,
@@ -24,6 +26,7 @@ from nli_polarimetry import (
     output_coefficients,
     photon_number_exact,
     quarter_wave,
+    simulate_scan,
     three_path_decomposition,
     with_scan_phases,
 )
@@ -278,17 +281,16 @@ class TestScanPhases:
         assert cmath.phase(shifted.sample.t_perp) == pytest.approx(0.5)
         assert cmath.phase(shifted.sample.t_par) == pytest.approx(-0.3)
 
-    def test_equal_gain_flag(self):
-        with pytest.raises(ValueError):
-            InterferometerConfig(
-                crystal1=CrystalGain(1.0),
-                crystal2=CrystalGain(2.0),
-                signal=SignalControl(1.0),
-                waveplate1=identity_plate(),
-                waveplate2=identity_plate(),
-                sample=lossless_sample(),
-                check_equal_gain=True,
-            )
+    def test_unequal_gains_rejected_only_by_closed_forms(self):
+        # unequal gains are a valid configuration for the exact composer;
+        # the closed forms, and so the low-gain scan, refuse it
+        cfg = simple_config(crystal2=CrystalGain(2.0))
+        schedule, noise = ScanSchedule(signal_rate=0.3, n_samples=8), NoiseModel(1.0)
+        assert len(simulate_scan(cfg, schedule, noise, regime="exact")) == 8
+        with pytest.raises(ValueError, match="equal crystal gains"):
+            beating_parameters(cfg)
+        with pytest.raises(ValueError, match="equal crystal gains"):
+            simulate_scan(cfg, schedule, noise, regime="lowgain")
 
 
 class TestBatchedComposer:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 import struct
 import warnings
 
@@ -13,21 +14,24 @@ from conftest import MALFORMED_SERIES, random_config
 from nli_polarimetry import (
     CalibrationError,
     CrystalGain,
+    EstimationError,
     InterferometerConfig,
     NoiseModel,
     SampleAxes,
     ScanSchedule,
     SignalControl,
     TimeSeries,
+    beating_parameters,
     calibrate,
     fourier_protocol_schedule,
+    harmonic_regress,
     lossless_sample,
     photon_number_exact,
     quarter_wave,
     simulate_scan,
     with_scan_phases,
 )
-from nli_polarimetry.scan import CSV_COLUMNS
+from nli_polarimetry.scan import CSV_COLUMNS, _fit_harmonics, read_csv
 
 KAPPA = 1.0e4
 
@@ -105,6 +109,25 @@ class TestSimulateScan:
         t = np.arange(100, dtype=float)
         want = 2.0 * v * (1.0 + np.cos(0.5 * (1.1 + 0.1 * t)) * np.cos(0.7 + 0.1 * t))
         np.testing.assert_allclose(series.counts, want, atol=1e-12)
+
+    def test_lowgain_matches_inline_oracle(self, rng):
+        # oracle: the formula simulate_scan wrote out before it called
+        # beating_intensity, in the same operation order
+        for _ in range(100):
+            cfg = random_config(rng, equal_gains=True)
+            sched = ScanSchedule(*rng.uniform(-3.0, 3.0, 4), n_samples=64)
+            series = simulate_scan(cfg, sched, NoiseModel(1.0), regime="lowgain")
+            p = beating_parameters(cfg)
+            t = sched.steps.astype(float)
+            mean = p.mean_total_phase + (sched.signal_offset + sched.signal_rate * t)
+            half_diff = p.half_diff_phase + 0.5 * (sched.diff_offset + sched.diff_rate * t)
+            want = 0.5 * p.amplitude * (
+                1.0
+                + p.diff_visibility * np.cos(half_diff) * np.cos(mean)
+                - p.mean_visibility * np.sin(half_diff) * np.sin(mean)
+            )
+            want = np.maximum(want, 0.0)
+            assert series.expected_n.tobytes() == want.tobytes()
 
     def test_exact_and_lowgain_agree_at_tiny_gain(self):
         cfg = dataclasses.replace(
@@ -302,6 +325,36 @@ class TestTimeSeriesCsv:
             with pytest.raises(ValueError, match=message):
                 TimeSeries.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2\n3,x\n", "non-numeric value 'x' in column 'b' of data row 2"),
+            ("1,2\n\n3,x\n", "non-numeric value 'x' in column 'b' of data row 2"),
+            ("1,2\n3,\n", "non-numeric value '' in column 'b' of data row 2"),
+            ("1,2\n3\n", "expected 2 columns per row, found 1 in data row 2"),
+            ("1,2\n3,4,5\n6,7\n", "expected 2 columns per row, found 3 in data row 2"),
+        ],
+    )
+    def test_parse_error_names_data_row(self, tmp_path, body, message):
+        # numpy numbers rows its own way; the reader names the data row
+        path = tmp_path / "grid.csv"
+        path.write_text("a,b\n" + body)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            read_csv(path, ("a", "b"))
+
+    @pytest.mark.parametrize("step, shown", [(1.5, "1.5"), (math.nan, "nan"),
+                                             (math.inf, "inf")])
+    def test_writer_rejects_non_integer_step(self, tmp_path, step, shown):
+        # in-process construction does not check steps; the %d cell would
+        # truncate 1.5 to 1, so the writer refuses and writes nothing
+        zeros = np.zeros(3)
+        series = TimeSeries(np.array([0.0, 1.0, step]), zeros, zeros, zeros, zeros)
+        path = tmp_path / "scan.csv"
+        with pytest.raises(ValueError,
+                           match=rf"^step {shown} of data row 3 is not an integer in \[0, 2\*\*63\)$"):
+            series.to_csv(path)
+        assert not path.exists()
+
     def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
         series = signal_arm_scan(0.31, 0.77, n=16)
         path = tmp_path / "scan.csv"
@@ -458,3 +511,89 @@ class TestCalibrate:
         )
         with pytest.raises(CalibrationError):
             calibrate(trimmed, idler_arm_scan(0.5, 0.5))
+
+
+def single_rate_oracle(x, counts):
+    """``scan._single_harmonic``'s fit before ``_fit_harmonics`` replaced it."""
+    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+    coef, _, _, _ = np.linalg.lstsq(design, counts, rcond=None)
+    resid = counts - design @ coef
+    dc, a, b = coef
+    return float(dc), [complex(a - 1j * b)], float(np.sqrt(np.mean(resid**2)))
+
+
+def sinusoid_oracle(x, counts):
+    """``fit_sinusoid``'s fit before ``_fit_harmonics`` replaced it."""
+    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+    coef, _, _, _ = np.linalg.lstsq(design, counts, rcond=None)
+    resid = counts - design @ coef
+    dc, a, b = (float(c) for c in coef)
+    return dc, [complex(a - 1j * b)], float(np.sqrt(np.mean(resid**2)))
+
+
+def dual_rate_oracle(t, counts, omega_scan):
+    """``harmonic_regress``'s fit before ``_fit_harmonics`` replaced it."""
+    design = np.column_stack(
+        [
+            np.ones_like(t),
+            np.cos(0.5 * omega_scan * t),
+            np.sin(0.5 * omega_scan * t),
+            np.cos(1.5 * omega_scan * t),
+            np.sin(1.5 * omega_scan * t),
+        ]
+    )
+    coef, _, _, _ = np.linalg.lstsq(design, counts, rcond=None)
+    resid = counts - design @ coef
+    return (
+        float(coef[0]),
+        [complex(coef[1] - 1j * coef[2]), complex(coef[3] - 1j * coef[4])],
+        float(np.sqrt(np.mean(resid**2))),
+    )
+
+
+def fit_bits(fit):
+    """Bit patterns of a (dc, [Z_k], rms) fit, signed zeros included."""
+    dc, amps, rms = fit
+    return [dc.hex(), rms.hex()] + [v.hex() for z in amps for v in (z.real, z.imag)]
+
+
+class TestFitHarmonics:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(8, 400),
+        rate=st.floats(0.05, 2.0),
+        offset=st.floats(-10.0, 10.0),
+        scale=st.floats(1e-3, 1e6),
+        poisson=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_previous_designs_bitwise(self, n, rate, offset, scale, poisson, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(scale, n).astype(float) if poisson else rng.uniform(0, scale, n)
+        err = RuntimeError("rank deficient")
+        x = offset + rate * np.arange(n)
+        single = fit_bits(_fit_harmonics(x, counts, (1.0,), err))
+        assert single == fit_bits(single_rate_oracle(x, counts))
+        assert single == fit_bits(sinusoid_oracle(x, counts))
+        half = fit_bits(_fit_harmonics(x, counts, (0.5,), err))
+        assert half == fit_bits(single_rate_oracle(0.5 * x, counts))
+        t = np.arange(n, dtype=float)
+        dual = _fit_harmonics(t, counts, (0.5 * rate, 1.5 * rate), err)
+        assert fit_bits(dual) == fit_bits(dual_rate_oracle(t, counts, rate))
+
+    def test_rank_rule_raises_each_callers_error(self):
+        err = RuntimeError("rank deficient")
+        # fewer rows than columns
+        with pytest.raises(RuntimeError) as info:
+            _fit_harmonics(np.arange(2.0), np.ones(2), (1.0,), err)
+        assert info.value is err
+        # a half-turn per step leaves the half-rate sine column at rounding level
+        steps = np.arange(16)
+        ramp = 2.0 * math.pi * steps
+        series = TimeSeries(steps, ramp, ramp, np.ones(16), np.ones(16))
+        with pytest.raises(EstimationError) as info:
+            harmonic_regress(series, 2.0 * math.pi)
+        assert info.value.flag == "rank_deficient"
+        flat = TimeSeries(steps, ramp, np.zeros(16), np.ones(16), np.ones(16))
+        with pytest.raises(CalibrationError, match="rank deficient"):
+            calibrate(flat, idler_arm_scan(0.5, 0.5))

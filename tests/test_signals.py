@@ -144,6 +144,23 @@ class TestTimeScan:
                 n_lowgain(shifted), abs=1e-12
             )
 
+    def test_matches_written_out_formula(self, rng):
+        # oracle: the formula as written out before it called
+        # beating_intensity; the sums now run in another order
+        t = np.arange(64.0)
+        for _ in range(200):
+            p = beating_parameters(random_config(rng, equal_gains=True))
+            sched = ScanSchedule(*rng.uniform(-3.0, 3.0, 4), n_samples=64)
+            mean = p.mean_sample_phase + sched.signal_offset + sched.signal_rate * t
+            half_diff = 0.5 * (p.retardance + sched.diff_offset + sched.diff_rate * t)
+            want = 0.5 * p.amplitude * (
+                1.0
+                - p.diff_visibility * np.sin(half_diff) * np.sin(mean)
+                + p.mean_visibility * np.cos(half_diff) * np.cos(mean)
+            )
+            got = n_lowgain_timescan(t, sched, p)
+            assert np.all(np.abs(got - want) <= 1e-15 * p.amplitude)
+
 
 class TestFourierModel:
     def test_amplitude_ratio_is_transmission_ratio(self):

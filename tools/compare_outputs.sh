@@ -1,0 +1,139 @@
+#!/usr/bin/env bash
+# Byte-identity check of the nlipol outputs against another commit.
+#
+#   tools/compare_outputs.sh BASE_REF
+#
+# Exports BASE_REF into a temporary directory, runs the same fixed list of
+# nlipol commands with the working tree's src/ and with BASE_REF's src/, and
+# compares every file they write (output files, stdout, stderr and exit
+# codes) with cmp.  The commands cover every figure id, `simulate` in both
+# regimes with Poisson noise, `calibrate`, and `estimate` for the fourier,
+# rotated and ellipse pipelines.
+#
+# Exit status: 0 when every file matches, 1 on any difference, 2 on a usage
+# error.  Set PYTHON to choose the interpreter (default: python3).
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 BASE_REF" >&2
+    exit 2
+fi
+root=$(git rev-parse --show-toplevel)
+base_sha=$(git -C "$root" rev-parse --verify --quiet "$1^{commit}") || {
+    echo "error: unknown commit '$1'" >&2
+    exit 2
+}
+python=${PYTHON:-python3}
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+mkdir "$work/base" "$work/configs"
+git -C "$root" archive "$base_sha" | tar -x -C "$work/base"
+
+# The configs: the README's example sample (V = 0.5, crossed quarter-wave
+# pair) scanned at equal rates, two sample-removed calibration scans, and the
+# two analyzer settings of a sample rotated by psi = 1.8.
+"$python" - "$work/configs" <<'EOF'
+import copy, json, math, sys
+
+qwp, diag = math.pi / 2, math.pi / 4
+base = {
+    "interferometer": {
+        "gain1": {"V": 0.5}, "gain2": {"V": 0.5}, "signal": {"ts_mag": 1.0},
+        "wp1": {"axis_angle": diag, "retardance": qwp},
+        "wp2": {"axis_angle": 3 * diag, "retardance": qwp},
+        "sample": {"t_perp_mag": 0.9, "t_par_mag": 0.2,
+                   "t_perp_phase": 0.85, "t_par_phase": -0.05},
+    },
+    "schedule": {"xi_bar": 0.23, "delta_xi": -0.61, "rate_phi0": 16 * math.pi / 400,
+                 "rate_delta": 16 * math.pi / 400, "n_samples": 400},
+    "noise": {"counts_per_unit_N": 1.0e4, "seed": 5, "mode": "poisson"},
+    "regime": "lowgain",
+}
+empty = {"t_perp_mag": 1.0, "t_par_mag": 1.0, "t_perp_phase": 0.0, "t_par_phase": 0.0}
+
+
+def config(name, interferometer=None, schedule=None, noise=None, regime="lowgain"):
+    doc = copy.deepcopy(base)
+    doc["interferometer"].update(interferometer or {})
+    doc["schedule"].update(schedule or {})
+    doc["noise"].update(noise or {})
+    doc["regime"] = regime
+    with open(f"{sys.argv[1]}/{name}.json", "w") as fh:
+        json.dump(doc, fh)
+
+
+config("lowgain")
+config("exact", regime="exact")
+config("cal_signal", {"sample": empty},
+       {"rate_phi0": 2 * math.pi / 100, "rate_delta": 0.0}, {"seed": 6})
+config("cal_idler", {"sample": empty},
+       {"rate_phi0": 0.0, "rate_delta": 4 * math.pi / 160}, {"seed": 7})
+rotated = {"sample": {"t_perp_mag": 0.9, "t_par_mag": 0.3,
+                      "t_perp_phase": 0.4, "t_par_phase": 0.4}, "psi": 1.8}
+schedule = {"xi_bar": 0.0, "delta_xi": 0.0, "rate_phi0": 2 * math.pi / 72,
+            "rate_delta": 0.0, "n_samples": 72}
+config("setting1", rotated, schedule, {"seed": 8})
+config("setting2", dict(rotated, wp2={"axis_angle": diag, "retardance": qwp}),
+       schedule, {"seed": 9})
+EOF
+
+# run_all SRC OUT: run the command list with SRC on PYTHONPATH, in OUT.
+run_all() {
+    local src=$1 out=$2 cfg=$work/configs
+    mkdir "$out"
+    nlipol() {
+        local name=$1
+        shift
+        if (cd "$out" && PYTHONPATH="$src" "$python" -B -m nli_polarimetry.cli "$@" \
+                >"$name.stdout" 2>"$name.stderr"); then
+            echo 0 >"$out/$name.exit"
+        else
+            echo $? >"$out/$name.exit"
+        fi
+    }
+    for id in fig3a fig3b fig4a fig4b fig5b fig6; do
+        nlipol "figures_$id" figures --id "$id" --out-dir figures
+    done
+    for name in lowgain exact cal_signal cal_idler setting1 setting2; do
+        nlipol "simulate_$name" simulate --config "$cfg/$name.json" --out "$name.csv"
+    done
+    nlipol calibrate calibrate --signal-scan cal_signal.csv --idler-scan cal_idler.csv \
+        --out calibration.json
+    nlipol estimate_fourier estimate --pipeline fourier --data lowgain.csv \
+        --calibration calibration.json --out estimate_fourier.json
+    for pipeline in rotated ellipse; do
+        nlipol "estimate_$pipeline" estimate --pipeline "$pipeline" \
+            --data setting1.csv --data setting2.csv --out "estimate_$pipeline.json"
+    done
+}
+
+run_all "$root/src" "$work/head"
+run_all "$work/base/src" "$work/base_out"
+
+status=0
+files=$(cd "$work/head" && find . -type f | sort)
+if [ "$files" != "$(cd "$work/base_out" && find . -type f | sort)" ]; then
+    echo "DIFFERENT file lists:" >&2
+    diff <(echo "$files") <(cd "$work/base_out" && find . -type f | sort) >&2 || true
+    status=1
+fi
+count=0
+for f in $files; do
+    count=$((count + 1))
+    if ! cmp -s "$work/head/$f" "$work/base_out/$f"; then
+        echo "DIFFERENT ${f#./}" >&2
+        status=1
+    fi
+done
+for f in $(cd "$work/head" && find . -name '*.exit' | sort); do
+    if [ "$(cat "$work/head/$f")" != 0 ]; then
+        echo "FAILED ${f#./} exited $(cat "$work/head/$f"):" >&2
+        cat "$work/head/${f%.exit}.stderr" >&2
+        status=1
+    fi
+done
+if [ $status -eq 0 ]; then
+    echo "identical: $count files against ${base_sha:0:12}"
+fi
+exit $status
