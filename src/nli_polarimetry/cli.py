@@ -12,12 +12,14 @@ import cmath
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .elements import CrystalGain, SampleAxes, SignalControl, WaveplateSetting
 from .estimation import (
+    ROTATED_ASSUMPTIONS,
     EstimationError,
     UnidentifiableError,
     estimate_ellipse,
@@ -41,8 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_UNIDENTIFIABLE = 4
-
-FIGURE_IDS = ("fig3a", "fig3b", "fig4a", "fig4b", "fig5b", "fig6")
 
 
 class ConfigError(ValueError):
@@ -248,20 +248,19 @@ def cmd_estimate(args) -> int:
         rate = float(np.median(np.diff(series[0].phi0)))
         decomp = harmonic_regress(series[0], rate)
         estimate = extract_sample_fourier(decomp, 2.0 * decomp.dc, xi_bar, delta_xi)
-    elif args.pipeline == "rotated":
+    else:
         if len(series) != 2:
-            raise ConfigError("rotated pipeline takes two --data series (settings 1, 2)")
-        estimate = estimate_rotated(
-            series[0], series[1], assume=args.assume, phibar=args.phibar
-        )
-    elif args.pipeline == "ellipse":
-        if len(series) != 2:
-            raise ConfigError("ellipse pipeline takes two --data series (settings 1, 2)")
-        if args.assume == "general":
+            raise ConfigError(
+                f"{args.pipeline} pipeline takes two --data series (settings 1, 2)"
+            )
+        if args.pipeline == "rotated":
+            estimate = estimate_rotated(
+                series[0], series[1], assume=args.assume, phibar=args.phibar
+            )
+        elif args.assume == "general":
             raise ConfigError("ellipse pipeline supports only the structural assumptions")
-        estimate = estimate_ellipse(series[0], series[1], assume=args.assume)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown pipeline '{args.pipeline}'")
+        else:
+            estimate = estimate_ellipse(series[0], series[1], assume=args.assume)
     _write_json(args.out, estimate.to_json_dict())
     return EXIT_OK
 
@@ -347,21 +346,21 @@ def _figure_fig6(out_dir: Path) -> list[Path]:
     return paths
 
 
+FIGURES = {
+    "fig3a": partial(_figure_fig3, t_par_mag=0.9, name="fig3a"),
+    "fig3b": partial(_figure_fig3, t_par_mag=0.2, name="fig3b"),
+    "fig4a": partial(_figure_fig4, name="fig4a"),
+    "fig4b": partial(_figure_fig4, name="fig4b"),
+    "fig5b": _figure_fig5b,
+    "fig6": _figure_fig6,
+}
+FIGURE_IDS = tuple(FIGURES)
+
+
 def cmd_figures(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.id == "fig3a":
-        paths = _figure_fig3(out_dir, 0.9, "fig3a")
-    elif args.id == "fig3b":
-        paths = _figure_fig3(out_dir, 0.2, "fig3b")
-    elif args.id in ("fig4a", "fig4b"):
-        paths = _figure_fig4(out_dir, args.id)
-    elif args.id == "fig5b":
-        paths = _figure_fig5b(out_dir)
-    elif args.id == "fig6":
-        paths = _figure_fig6(out_dir)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown figure id '{args.id}'")
+    paths = FIGURES[args.id](out_dir)
     print(json.dumps({"written": [str(p) for p in paths]}, sort_keys=True))
     return EXIT_OK
 
@@ -391,11 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("fourier", "rotated", "ellipse"))
     p_est.add_argument("--data", action="append", required=True)
     p_est.add_argument("--calibration", default=None)
-    p_est.add_argument(
-        "--assume",
-        default="isotropic_phase",
-        choices=("isotropic_phase", "isotropic_attenuation", "general"),
-    )
+    p_est.add_argument("--assume", default="isotropic_phase", choices=ROTATED_ASSUMPTIONS)
     p_est.add_argument("--phibar", type=float, default=None)
     p_est.add_argument("--out", required=True)
     p_est.set_defaults(func=cmd_estimate)
@@ -419,9 +414,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unidentifiable: {exc.flag}: {exc}", file=sys.stderr)
         return EXIT_UNIDENTIFIABLE
     except EstimationError as exc:
-        if exc.flag == "degenerate_conic":
-            print(f"error: unidentifiable: {exc.flag}: {exc}", file=sys.stderr)
-            return EXIT_UNIDENTIFIABLE
         print(f"error: {exc.flag}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except CalibrationError as exc:

@@ -36,7 +36,13 @@ __all__ = [
     "estimate_ellipse",
 ]
 
-ROTATED_ASSUMPTIONS = ("isotropic_phase", "isotropic_attenuation", "general")
+# the structural assumptions of the two-setting routes, each with the flag
+# raised when the setting-2 fringe vanishes and leaves psi undetermined
+_PSI_UNIDENTIFIED = {
+    "isotropic_phase": "psi_unidentified_no_diattenuation_fringe",
+    "isotropic_attenuation": "psi_unidentified_no_retardance_fringe",
+}
+ROTATED_ASSUMPTIONS = (*_PSI_UNIDENTIFIED, "general")
 
 
 class EstimationError(RuntimeError):
@@ -372,7 +378,6 @@ def estimate_rotated(
     fit1, fit2 = fit_sinusoid(series_setting1), fit_sinusoid(series_setting2)
     w1 = fit1.amp_cos * cmath.exp(1j * fit1.phase_reference)
     w2 = fit2.amp_cos * cmath.exp(1j * fit2.phase_reference)
-    flags: list[str] = []
 
     if assume == "general":
         if phibar is None:
@@ -399,52 +404,59 @@ def estimate_rotated(
             b2 = m / c2
         else:
             b2 = -math.sqrt(max(s, 0.0))
-        flags.append("general_mode_root_choice")
+        amps = (b1, c1, b2, c2)
+        flags = ["general_mode_root_choice"]
         psi = float(wrap_axis(0.5 * (cmath.phase(complex(c2, -b2)) - cmath.phase(z2))))
         phib = float(phibar)
     else:
-        c1 = abs(w1)
-        b1 = 0.0
         phib = cmath.phase(w1) if abs(w1) > 0 else 0.0
-        if assume == "isotropic_phase":
-            c2 = abs(w2)
-            b2 = 0.0
-            psi = float(wrap_axis(0.5 * (phib - cmath.phase(w2)))) if abs(w2) > 0 else None
-            if abs(w2) == 0.0:
-                flags.append("psi_unidentified_no_diattenuation_fringe")
-        else:
-            b2 = -abs(w2)
-            c2 = 0.0
-            psi = (
-                float(wrap_axis(0.5 * (phib - cmath.phase(w2) + 0.5 * math.pi)))
-                if abs(w2) > 0
-                else None
-            )
-            if abs(w2) == 0.0:
-                flags.append("psi_unidentified_no_retardance_fringe")
+        amps, psi, flags = _structural_amplitudes(
+            assume, abs(w1), abs(w2), cmath.phase(w2) - phib
+        )
+    residuals = {"fit_rms_setting1": fit1.residual_rms,
+                 "fit_rms_setting2": fit2.residual_rms}
+    return _two_setting_estimate(amps, psi, phib, residuals, flags)
 
-    rec = recover_rotated_params(b1, c1, b2, c2)
-    flags.extend(rec.flags)
+
+def _structural_amplitudes(assume: str, mag1: float, mag2: float, lag: float):
+    """Map a structural assumption onto ``((b1, c1, b2, c2), psi, flags)``.
+
+    ``mag1``/``mag2`` are the relative fringe magnitudes of the two settings
+    and ``lag`` the phase lag of setting 2 behind setting 1.  A vanishing
+    setting-2 fringe leaves psi None and flagged.
+    """
+    if assume == "isotropic_phase":
+        amps = (0.0, mag1, 0.0, mag2)
+        half_angle = -0.5 * lag
+    else:
+        amps = (0.0, mag1, -mag2, 0.0)
+        half_angle = 0.5 * (0.5 * math.pi - lag)
+    if mag2 == 0.0:
+        return amps, None, [_PSI_UNIDENTIFIED[assume]]
+    return amps, float(wrap_axis(half_angle)), []
+
+
+def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> SampleEstimate:
+    """Invert the amplitudes ``(b1, c1, b2, c2)`` and assemble the estimate.
+
+    ``phibar`` is None when the route does not measure it; ``residuals`` and
+    ``flags`` are extended by those of the inversion.
+    """
+    rec = recover_rotated_params(*amps)
     if "c1_flipped_retardance_mod_2pi" in rec.flags and psi is not None:
         # the flip re-gauges the fringe reference by a half turn, which the
         # setting-2 phase absorbs as a quarter-turn of the sample orientation
         psi = float(wrap_axis(psi + 0.5 * math.pi))
-    t_perp = rec.tbar + 0.5 * rec.dt
-    t_par = rec.tbar - 0.5 * rec.dt
     return SampleEstimate(
-        t_perp=t_perp,
-        t_par=t_par,
+        t_perp=rec.tbar + 0.5 * rec.dt,
+        t_par=rec.tbar - 0.5 * rec.dt,
         tbar=rec.tbar,
         dt=rec.dt,
-        phibar=float(wrap_pi(phib)),
+        phibar=None if phibar is None else float(wrap_pi(phibar)),
         dphi=float(wrap_pi(rec.dphi)),
         psi=psi,
-        residuals={
-            "fit_rms_setting1": fit1.residual_rms,
-            "fit_rms_setting2": fit2.residual_rms,
-            "amplitude_consistency": rec.residual,
-        },
-        flags=flags,
+        residuals={**residuals, "amplitude_consistency": rec.residual},
+        flags=flags + rec.flags,
     )
 
 
@@ -489,8 +501,8 @@ def _direct_ellipse_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     try:
         t = -np.linalg.solve(s3, s2.T)
     except np.linalg.LinAlgError as exc:
-        raise EstimationError("degenerate point configuration",
-                              flag="degenerate_conic") from exc
+        raise UnidentifiableError("degenerate point configuration",
+                                  flag="degenerate_conic") from exc
     m = s1 + s2 @ t
     c1inv = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
     vals, vecs = np.linalg.eig(c1inv @ m)
@@ -503,7 +515,7 @@ def _direct_ellipse_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if constraint > 0.0:
             best = v / math.sqrt(constraint)
     if best is None:
-        raise EstimationError("no ellipse solution found", flag="degenerate_conic")
+        raise UnidentifiableError("no ellipse solution found", flag="degenerate_conic")
     return np.concatenate([best, t @ best])
 
 
@@ -529,9 +541,10 @@ def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseF
     Raises
     ------
     EstimationError
-        For fewer than 6 points, collinear points, or a non-elliptical conic.
+        For fewer than 6 points; as ``UnidentifiableError`` with flag
+        ``degenerate_conic`` for collinear points or a non-elliptical conic.
     """
-    if assume not in ("isotropic_phase", "isotropic_attenuation"):
+    if assume not in _PSI_UNIDENTIFIED:
         raise EstimationError(f"unsupported ellipse assumption {assume!r}",
                               flag="bad_assumption")
     pts = np.asarray(points, dtype=float)
@@ -545,17 +558,17 @@ def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseF
     centroid = pts.mean(axis=0)
     spread = np.sqrt(np.mean(np.sum((pts - centroid) ** 2, axis=1)))
     if spread <= 0.0:
-        raise EstimationError("all points coincide", flag="degenerate_conic")
+        raise UnidentifiableError("all points coincide", flag="degenerate_conic")
     norm = (pts - centroid) / spread
     sv = np.linalg.svd(norm - norm.mean(axis=0), compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
-        raise EstimationError("points are collinear", flag="degenerate_conic")
+        raise UnidentifiableError("points are collinear", flag="degenerate_conic")
 
     conic = _direct_ellipse_fit(norm[:, 0], norm[:, 1])
     a, b, c, d, e, f = conic
     disc = b * b - 4.0 * a * c
     if disc >= 0.0:
-        raise EstimationError("fitted conic is not an ellipse", flag="degenerate_conic")
+        raise UnidentifiableError("fitted conic is not an ellipse", flag="degenerate_conic")
     design = np.column_stack(
         [norm[:, 0] ** 2, norm[:, 0] * norm[:, 1], norm[:, 1] ** 2,
          norm[:, 0], norm[:, 1], np.ones(len(norm))]
@@ -576,8 +589,8 @@ def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseF
         a, b, c, d, e, f = (-v for v in (a, b, c, d, e, f))
         big_f = -big_f
     if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
-        raise EstimationError("fitted conic is not a real ellipse",
-                              flag="degenerate_conic")
+        raise UnidentifiableError("fitted conic is not a real ellipse",
+                                  flag="degenerate_conic")
 
     # harmonic invariants of the Lissajous parametrization
     cos_rel = -b / (2.0 * math.sqrt(a * c))
@@ -601,14 +614,10 @@ def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseF
     semi = (spread * math.sqrt(big_f / lam[0]), spread * math.sqrt(big_f / lam[1]))
     tilt = 0.5 * math.atan2(b, a - c)
 
-    if assume == "isotropic_phase":
-        b1, c1 = 0.0, amp_x
-        b2, c2 = 0.0, amp_y
-        psi = float(wrap_axis(-0.5 * rel_phase))
-    else:
-        b1, c1 = 0.0, amp_x
-        b2, c2 = -amp_y, 0.0
-        psi = float(wrap_axis(0.5 * (0.5 * math.pi - rel_phase)))
+    (b1, c1, b2, c2), psi, unidentified = _structural_amplitudes(
+        assume, amp_x, amp_y, rel_phase
+    )
+    flags += unidentified
 
     return EllipseFit(
         conic=tuple(float(v) for v in (a, b, c, d, e, f)),
@@ -640,19 +649,5 @@ def estimate_ellipse(
                               flag="length_mismatch")
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     fit = fit_ellipse(points, assume=assume)
-    rec = recover_rotated_params(fit.b1, fit.c1, fit.b2, fit.c2)
-    flags = list(fit.flags) + rec.flags
-    return SampleEstimate(
-        t_perp=rec.tbar + 0.5 * rec.dt,
-        t_par=rec.tbar - 0.5 * rec.dt,
-        tbar=rec.tbar,
-        dt=rec.dt,
-        phibar=None,
-        dphi=float(wrap_pi(rec.dphi)),
-        psi=fit.psi,
-        residuals={
-            "conic_rms": fit.residual,
-            "amplitude_consistency": rec.residual,
-        },
-        flags=flags,
-    )
+    return _two_setting_estimate((fit.b1, fit.c1, fit.b2, fit.c2), fit.psi, None,
+                                 {"conic_rms": fit.residual}, fit.flags)

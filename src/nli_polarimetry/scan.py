@@ -155,7 +155,8 @@ class TimeSeries:
         Raises ``ValueError`` for a wrong header, an empty body, a row without
         exactly five columns, a non-numeric or non-finite cell (named by column
         and data row), or a ``step`` that is not an integer in [0, 2**63).
-        Blank lines are skipped and do not count as data rows.
+        Empty lines are skipped and do not count as data rows; a line of
+        spaces is a malformed data row.
         """
         data = read_csv(path, CSV_COLUMNS)
         if not len(data):
@@ -203,15 +204,15 @@ def read_csv(path: str | Path, header) -> np.ndarray:
     is not a number (naming its column and data row), when a row does not
     have one cell per header column (naming the data row where the rows
     differ in width), or when a value is NaN or infinite (naming its column
-    and data row).  Blank lines are skipped; a body of only blank lines gives
-    zero rows.
+    and data row).  Empty lines are skipped; a body of only empty lines gives
+    zero rows.  A line of spaces is a data row, like any other non-empty line.
     """
     with open(path) as fh:
         found = tuple(fh.readline().rstrip("\n").split(","))
         body = fh.read()
     if found != tuple(header):
         raise ValueError(f"unexpected CSV header {found!r}; expected {tuple(header)!r}")
-    if not body or body.isspace():
+    if not body.lstrip("\n"):
         return np.empty((0, len(header)))
     try:
         data = _loadtxt(io.StringIO(body))

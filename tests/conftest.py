@@ -58,9 +58,9 @@ def _drop_last_field(row: str) -> str:
 
 
 # Corruptions of a series CSV given as its lines (header first), each with the
-# message ``TimeSeries.from_csv`` must raise (None: any ValueError, because
-# the text comes from numpy's parser).  The two step cases keep the steps
-# strictly increasing, so only the file-boundary step check can catch them.
+# message ``TimeSeries.from_csv`` must raise (a regular expression searched
+# for in it).  The two step cases keep the steps strictly increasing, so only
+# the file-boundary step check can catch them.
 MALFORMED_SERIES = {
     "four_columns": (
         lambda lines: lines[:1] + [_drop_last_field(r) for r in lines[1:]],
@@ -68,11 +68,11 @@ MALFORMED_SERIES = {
     ),
     "ragged": (
         lambda lines: lines[:3] + [_drop_last_field(lines[3])] + lines[4:],
-        None,
+        "expected 5 columns per row, found 4 in data row 3$",
     ),
     "non_numeric": (
         lambda lines: lines[:3] + [_with_field(lines[3], 2, "abc")] + lines[4:],
-        None,
+        "non-numeric value 'abc' in column 'delta_phase' of data row 3$",
     ),
     "fractional_step": (
         lambda lines: lines[:2] + [_with_field(lines[2], 0, "1.5")] + lines[3:],

@@ -256,8 +256,7 @@ class TestCalibrateAndEstimate:
                    "--calibration", calib, "--out", est_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        if message is not None:
-            assert re.search(message, err)
+        assert re.search(message, err)
         assert not est_path.exists()
 
 

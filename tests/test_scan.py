@@ -333,6 +333,9 @@ class TestTimeSeriesCsv:
             ("1,2\n3,\n", "non-numeric value '' in column 'b' of data row 2"),
             ("1,2\n3\n", "expected 2 columns per row, found 1 in data row 2"),
             ("1,2\n3,4,5\n6,7\n", "expected 2 columns per row, found 3 in data row 2"),
+            # only empty lines are skipped: a line of spaces is a data row
+            ("   \n", "expected 2 columns per row, found 1 in data row 1"),
+            ("1,2\n   \n3,4\n", "expected 2 columns per row, found 1 in data row 2"),
         ],
     )
     def test_parse_error_names_data_row(self, tmp_path, body, message):

@@ -7,8 +7,9 @@
 # nlipol commands with the working tree's src/ and with BASE_REF's src/, and
 # compares every file they write (output files, stdout, stderr and exit
 # codes) with cmp.  The commands cover every figure id, `simulate` in both
-# regimes with Poisson noise, `calibrate`, and `estimate` for the fourier,
-# rotated and ellipse pipelines.
+# regimes with Poisson noise, `calibrate`, and `estimate` for the fourier
+# pipeline and for every assumption of the rotated and ellipse pipelines
+# (the general mode with --phibar).
 #
 # Exit status: 0 when every file matches, 1 on any difference, 2 on a usage
 # error.  Set PYTHON to choose the interpreter (default: python3).
@@ -105,7 +106,13 @@ run_all() {
     for pipeline in rotated ellipse; do
         nlipol "estimate_$pipeline" estimate --pipeline "$pipeline" \
             --data setting1.csv --data setting2.csv --out "estimate_$pipeline.json"
+        nlipol "estimate_${pipeline}_attenuation" estimate --pipeline "$pipeline" \
+            --data setting1.csv --data setting2.csv --assume isotropic_attenuation \
+            --out "estimate_${pipeline}_attenuation.json"
     done
+    nlipol estimate_rotated_general estimate --pipeline rotated \
+        --data setting1.csv --data setting2.csv --assume general --phibar 0.4 \
+        --out estimate_rotated_general.json
 }
 
 run_all "$root/src" "$work/head"
