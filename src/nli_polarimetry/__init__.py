@@ -34,9 +34,7 @@ from .estimation import (
 )
 from .interferometer import (
     InterferometerConfig,
-    OutputCoefficients,
     detected_mode,
-    output_coefficients,
     photon_number_exact,
     three_path_decomposition,
     with_scan_phases,
@@ -49,7 +47,6 @@ from .mode_algebra import (
     linear_combine,
     pure_mode,
     vacuum_photon_number,
-    zero_expansion,
 )
 from .scan import (
     Calibration,

@@ -231,13 +231,17 @@ def _load_calibration(path: str | Path) -> tuple[float, float]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read calibration: {exc}") from exc
     doc = _require_mapping(doc, "calibration")
-    for key in ("xi_bar", "delta_xi"):
-        if key not in doc:
-            raise ConfigError(f"calibration: missing required key '{key}'")
-    return float(doc["xi_bar"]), float(doc["delta_xi"])
+    return _number(doc, "calibration", "xi_bar"), _number(doc, "calibration", "delta_xi")
 
 
 def cmd_estimate(args) -> int:
+    if args.calibration is not None and args.pipeline != "fourier":
+        raise ConfigError("--calibration is used only by --pipeline fourier")
+    if args.phibar is not None:
+        if (args.pipeline, args.assume) != ("rotated", "general"):
+            raise ConfigError("--phibar is used only by --pipeline rotated --assume general")
+        if not math.isfinite(args.phibar):
+            raise ConfigError("--phibar: must be finite")
     series = [TimeSeries.from_csv(p) for p in args.data]
     if args.pipeline == "fourier":
         if len(series) != 1:

@@ -43,6 +43,9 @@ _PSI_UNIDENTIFIED = {
     "isotropic_attenuation": "psi_unidentified_no_retardance_fringe",
 }
 ROTATED_ASSUMPTIONS = (*_PSI_UNIDENTIFIED, "general")
+# a relative fringe amplitude (a fraction of the dc level) at or below this
+# is rounding noise and counts as no fringe
+_FRINGE_FLOOR = 1e-12
 
 
 class EstimationError(RuntimeError):
@@ -313,14 +316,16 @@ class RotatedRecovery:
 def recover_rotated_params(b1: float, c1: float, b2: float, c2: float) -> RotatedRecovery:
     """Invert the two-setting amplitude relations.
 
-    Applies the flip ``(c1, c2) -> (-c1, -c2)`` when ``c1 < 0`` (the mean
-    transmission must be positive; the retardance is then only known up to
-    a full turn).  The returned residual compares the inputs against the
-    amplitudes regenerated from the recovered parameters.
+    The amplitudes are relative to the dc level; when none exceeds 1e-12
+    (``_FRINGE_FLOOR``) the mean transmission is unidentifiable.  Applies the
+    flip ``(c1, c2) -> (-c1, -c2)`` when ``c1 < 0`` (the mean transmission
+    must be positive; the retardance is then only known up to a full turn).
+    The returned residual compares the inputs against the amplitudes
+    regenerated from the recovered parameters.
     """
     flags: list[str] = []
     scale = max(abs(b1), abs(c1), abs(b2), abs(c2))
-    if scale == 0.0:
+    if scale <= _FRINGE_FLOOR:
         raise UnidentifiableError("all fringe amplitudes vanish",
                                   flag="tbar_unidentifiable")
     tol = 1e-12 * scale
@@ -386,6 +391,8 @@ def estimate_rotated(
                 "measurement",
                 flag="phibar_required",
             )
+        if not math.isfinite(phibar):
+            raise EstimationError("phibar must be finite", flag="bad_phibar")
         z1 = w1 * cmath.exp(-1j * phibar)
         b1, c1 = -z1.imag, z1.real
         z2 = w2 * cmath.exp(-1j * phibar)
@@ -422,8 +429,8 @@ def _structural_amplitudes(assume: str, mag1: float, mag2: float, lag: float):
     """Map a structural assumption onto ``((b1, c1, b2, c2), psi, flags)``.
 
     ``mag1``/``mag2`` are the relative fringe magnitudes of the two settings
-    and ``lag`` the phase lag of setting 2 behind setting 1.  A vanishing
-    setting-2 fringe leaves psi None and flagged.
+    and ``lag`` the phase lag of setting 2 behind setting 1.  A setting-2
+    fringe at or below ``_FRINGE_FLOOR`` (1e-12) leaves psi None and flagged.
     """
     if assume == "isotropic_phase":
         amps = (0.0, mag1, 0.0, mag2)
@@ -431,7 +438,7 @@ def _structural_amplitudes(assume: str, mag1: float, mag2: float, lag: float):
     else:
         amps = (0.0, mag1, -mag2, 0.0)
         half_angle = 0.5 * (0.5 * math.pi - lag)
-    if mag2 == 0.0:
+    if mag2 <= _FRINGE_FLOOR:
         return amps, None, [_PSI_UNIDENTIFIED[assume]]
     return amps, float(wrap_axis(half_angle)), []
 
@@ -464,16 +471,11 @@ def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> Sa
 class EllipseFit:
     """Direct conic fit of the Lissajous curve traced by the two settings.
 
-    ``conic`` holds (a, b, c, d, e, f) of a x^2 + b xy + c y^2 + d x + e y
-    + f = 0 in normalized coordinates; ``amp_x``/``amp_y`` are the harmonic
-    magnitudes of the two coordinates relative to their dc levels and
-    ``rel_phase`` the signed phase lag of the second coordinate.
+    ``amp_x``/``amp_y`` are the harmonic magnitudes of the two coordinates
+    relative to their dc levels and ``rel_phase`` the signed phase lag of the
+    second coordinate.
     """
 
-    conic: tuple
-    center: tuple
-    semi_axes: tuple
-    tilt: float
     amp_x: float
     amp_y: float
     rel_phase: float
@@ -586,8 +588,7 @@ def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseF
     # central form A X^2 + B XY + C Y^2 = F
     big_f = -(a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f)
     if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
-        a, b, c, d, e, f = (-v for v in (a, b, c, d, e, f))
-        big_f = -big_f
+        a, b, c, big_f = -a, -b, -c, -big_f
     if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
         raise UnidentifiableError("fitted conic is not a real ellipse",
                                   flag="degenerate_conic")
@@ -609,21 +610,12 @@ def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseF
     if abs(cos_rel) < 1e-7 and abs(amp_x_raw - amp_y_raw) < 1e-7 * (amp_x_raw + amp_y_raw):
         flags.append("psi_unidentifiable_circle")
 
-    # semi-axes and tilt of the ellipse itself (original units)
-    lam = np.sort(np.linalg.eigvalsh(np.array([[a, b / 2.0], [b / 2.0, c]])))
-    semi = (spread * math.sqrt(big_f / lam[0]), spread * math.sqrt(big_f / lam[1]))
-    tilt = 0.5 * math.atan2(b, a - c)
-
     (b1, c1, b2, c2), psi, unidentified = _structural_amplitudes(
         assume, amp_x, amp_y, rel_phase
     )
     flags += unidentified
 
     return EllipseFit(
-        conic=tuple(float(v) for v in (a, b, c, d, e, f)),
-        center=(float(center[0]), float(center[1])),
-        semi_axes=(float(semi[0]), float(semi[1])),
-        tilt=float(tilt),
         amp_x=float(amp_x),
         amp_y=float(amp_y),
         rel_phase=float(rel_phase),

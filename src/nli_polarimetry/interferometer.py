@@ -29,13 +29,12 @@ from .mode_algebra import (
     adjoint,
     linear_combine,
     pure_mode,
+    vacuum_photon_number,
 )
 
 __all__ = [
     "InterferometerConfig",
-    "OutputCoefficients",
     "detected_mode",
-    "output_coefficients",
     "photon_number_exact",
     "three_path_decomposition",
 ]
@@ -74,40 +73,6 @@ class InterferometerConfig:
             t2, r2 = waveplate_coeffs(self.waveplate2)
             return t1, r1, t2, r2
         return rotated_waveplate_coeffs(self.waveplate1, self.waveplate2, self.rotation)
-
-
-@dataclass(frozen=True)
-class OutputCoefficients:
-    """Amplitudes of the detected mode over the six vacuum inputs.
-
-    ``ann_*`` multiply annihilation operators and do not contribute photons;
-    ``cre_*`` multiply creation operators and set the detected photon number.
-    """
-
-    ann_signal: complex
-    cre_idler: complex
-    ann_signal_tap: complex
-    cre_idler_pol: complex
-    cre_sample_perp: complex
-    cre_sample_par: complex
-
-    @property
-    def photon_number(self) -> float:
-        return (
-            abs(self.cre_idler) ** 2
-            + abs(self.cre_idler_pol) ** 2
-            + abs(self.cre_sample_perp) ** 2
-            + abs(self.cre_sample_par) ** 2
-        )
-
-    @property
-    def commutator_defect(self) -> float:
-        return (
-            abs(self.ann_signal) ** 2
-            + abs(self.ann_signal_tap) ** 2
-            - self.photon_number
-            - 1.0
-        )
 
 
 def detected_mode(
@@ -157,22 +122,9 @@ def detected_mode(
     return linear_combine([(u2, ctrl_sig), (v2, adjoint(seed_idl))])
 
 
-def output_coefficients(cfg: InterferometerConfig) -> OutputCoefficients:
-    """The six nonzero amplitudes of the detected mode."""
-    d = detected_mode(cfg)
-    return OutputCoefficients(
-        ann_signal=complex(d.ann[Mode.SIGNAL]),
-        cre_idler=complex(d.cre[Mode.IDLER]),
-        ann_signal_tap=complex(d.ann[Mode.SIGNAL_TAP]),
-        cre_idler_pol=complex(d.cre[Mode.IDLER_POL]),
-        cre_sample_perp=complex(d.cre[Mode.SAMPLE_PERP]),
-        cre_sample_par=complex(d.cre[Mode.SAMPLE_PAR]),
-    )
-
-
 def photon_number_exact(cfg: InterferometerConfig) -> float:
     """Detected photon number, exact at any gain."""
-    return output_coefficients(cfg).photon_number
+    return vacuum_photon_number(detected_mode(cfg))
 
 
 def three_path_decomposition(cfg: InterferometerConfig) -> tuple[complex, complex, complex]:
@@ -181,7 +133,7 @@ def three_path_decomposition(cfg: InterferometerConfig) -> tuple[complex, comple
     The photon-carrying idler amplitude is a superposition of three paths:
     the signal photon seeding the second crystal directly, and the idler
     probing the perpendicular or the parallel sample axis.  Their sum equals
-    ``output_coefficients(cfg).cre_idler``.
+    ``detected_mode(cfg).cre[Mode.IDLER]``.
     """
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v

@@ -63,12 +63,6 @@ class OperatorExpansion:
         return self.ann.shape[1:]
 
 
-def zero_expansion() -> OperatorExpansion:
-    """Expansion with every amplitude zero (non-physical, flagged by the commutator)."""
-    z = np.zeros(N_MODES, dtype=complex)
-    return OperatorExpansion(z, z)
-
-
 def pure_mode(mode: Mode) -> OperatorExpansion:
     """Annihilation operator of a single input mode."""
     ann = np.zeros(N_MODES, dtype=complex)

@@ -117,6 +117,15 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--out", tmp_path / "x.csv") == 2
         assert "t_diag_mag" in capsys.readouterr().err
 
+    def test_exact_overflow_exits_3(self, tmp_path, capsys):
+        doc = base_config(**{"regime": "exact", "interferometer.gain1.V": 1e200,
+                             "interferometer.gain2.V": 1e200})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out.csv"
+        assert run("simulate", "--config", cfg, "--out", out) == 3
+        assert capsys.readouterr().err.startswith("error: numeric failure: ")
+        assert not out.exists()
+
     def test_rejects_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"interferometer": \n  oops\n}')
@@ -210,6 +219,34 @@ class TestCalibrateAndEstimate:
         assert run("simulate", "--config", cfg, "--out", data) == 0
         assert run("estimate", "--pipeline", "fourier", "--data", data,
                    "--out", tmp_path / "e.json") == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"xi_bar": null, "delta_xi": 0.1}', "calibration.xi_bar: expected a number"),
+        ('{"xi_bar": NaN, "delta_xi": 0.1}', "calibration.xi_bar: must be finite"),
+        ('{"xi_bar": true, "delta_xi": 0.1}', "calibration.xi_bar: expected a number"),
+        ('{"xi_bar": "0.2", "delta_xi": 0.1}', "calibration.xi_bar: expected a number"),
+        ('{"delta_xi": 0.1}', "calibration: missing required key 'xi_bar'"),
+    ], ids=["null", "nan", "true", "string", "missing"])
+    def test_bad_calibration_value_exits_2(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, base_config())
+        data = tmp_path / "main.csv"
+        assert run("simulate", "--config", cfg, "--out", data) == 0
+        calib = tmp_path / "calib.json"
+        calib.write_text(text)
+        est_path = tmp_path / "e.json"
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "fourier", "--data", data,
+                   "--calibration", calib, "--out", est_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not est_path.exists()
+
+    def test_swapped_calibration_scans_exit_3(self, tmp_path, capsys):
+        scans = self.make_scans(tmp_path)
+        capsys.readouterr()
+        assert run("calibrate", "--signal-scan", scans["idl"],
+                   "--idler-scan", scans["sig"], "--out", tmp_path / "c.json") == 3
+        err = capsys.readouterr().err
+        assert err == "error: calibration: first scan must ramp only the signal arm\n"
 
     def test_schema_mismatch_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -328,6 +365,56 @@ class TestRotatedPipelines:
                    "--data", s2, "--out", tmp_path / "e.json")
         assert code == 4
         assert "degenerate_conic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options, message", [
+        (("--pipeline", "rotated", "--phibar", "2.5"),
+         "--phibar is used only by --pipeline rotated --assume general"),
+        (("--pipeline", "rotated", "--assume", "isotropic_attenuation", "--phibar", "2.5"),
+         "--phibar is used only by --pipeline rotated --assume general"),
+        (("--pipeline", "ellipse", "--phibar", "2.5"),
+         "--phibar is used only by --pipeline rotated --assume general"),
+        (("--pipeline", "fourier", "--calibration", "missing.json", "--phibar", "0.4"),
+         "--phibar is used only by --pipeline rotated --assume general"),
+        (("--pipeline", "rotated", "--assume", "general", "--phibar", "nan"),
+         "--phibar: must be finite"),
+        (("--pipeline", "rotated", "--assume", "general", "--phibar", "inf"),
+         "--phibar: must be finite"),
+        (("--pipeline", "rotated", "--calibration", "missing.json"),
+         "--calibration is used only by --pipeline fourier"),
+        (("--pipeline", "ellipse", "--calibration", "missing.json"),
+         "--calibration is used only by --pipeline fourier"),
+    ], ids=["phibar_rotated_phase", "phibar_rotated_attenuation", "phibar_ellipse",
+            "phibar_fourier", "phibar_nan", "phibar_inf",
+            "calibration_rotated", "calibration_ellipse"])
+    def test_unused_or_bad_option_exits_2(self, tmp_path, capsys, options, message):
+        s1, s2 = self.simulate_settings(tmp_path)
+        est_path = tmp_path / "e.json"
+        capsys.readouterr()
+        code = run("estimate", "--data", s1, "--data", s2, *options, "--out", est_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not est_path.exists()
+
+    def test_general_mode_without_phibar_exits_3(self, tmp_path, capsys):
+        s1, s2 = self.simulate_settings(tmp_path)
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "rotated", "--data", s1, "--data", s2,
+                   "--assume", "general", "--out", tmp_path / "e.json") == 3
+        assert capsys.readouterr().err.startswith("error: phibar_required: ")
+
+    def test_opaque_sample_exits_4(self, tmp_path, capsys):
+        # every fringe amplitude is rounding noise: no mean transmission
+        s1, s2 = self.simulate_settings(
+            tmp_path,
+            **{"interferometer.gain1.V": 0.01, "interferometer.gain2.V": 0.01,
+               "interferometer.sample.t_perp_mag": 0.0,
+               "interferometer.sample.t_par_mag": 0.0},
+        )
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "rotated", "--data", s1, "--data", s2,
+                   "--out", tmp_path / "e.json") == 4
+        assert capsys.readouterr().err.startswith(
+            "error: unidentifiable: tbar_unidentifiable: ")
 
 
 class TestFigures:

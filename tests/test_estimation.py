@@ -396,6 +396,32 @@ class TestEstimateRotated:
         with pytest.raises(EstimationError):
             estimate_rotated(s1, s2, assume="general")
 
+    def test_general_mode_rejects_nonfinite_phibar(self):
+        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
+        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        for phibar in (math.nan, math.inf, -math.inf):
+            with pytest.raises(EstimationError) as err:
+                estimate_rotated(s1, s2, assume="general", phibar=phibar)
+            assert err.value.flag == "bad_phibar"
+
+    def test_rounding_noise_fringe_leaves_psi_unidentified(self):
+        # without diattenuation the setting-2 fringe is rounding noise
+        # (about 1e-16 of dc), which must not fix an orientation
+        s1, s2 = (setting_scan(0.6, 0.0, 0.4, 0.0, 1.8, setting=k, v=0.01) for k in (1, 2))
+        est = estimate_rotated(s1, s2, assume="isotropic_phase")
+        assert est.psi is None
+        assert est.flags == ["psi_unidentified_no_diattenuation_fringe"]
+        assert est.tbar == pytest.approx(0.6, abs=1e-9)
+
+    @pytest.mark.parametrize("assume", ROTATED_ASSUMPTIONS)
+    def test_opaque_sample_unidentifiable(self, assume):
+        # every fringe amplitude of an opaque sample is rounding noise
+        s1, s2 = (setting_scan(0.0, 0.0, 0.4, 0.0, 1.8, setting=k, v=0.01) for k in (1, 2))
+        kwargs = {"phibar": 0.4} if assume == "general" else {}
+        with pytest.raises(UnidentifiableError) as err:
+            estimate_rotated(s1, s2, assume=assume, **kwargs)
+        assert err.value.flag == "tbar_unidentifiable"
+
     def test_axis_swap_equivalence(self):
         # a sample rotated by a quarter turn with swapped axes produces the
         # same record; estimates land in the canonical branch
@@ -475,7 +501,11 @@ class TestFitEllipse:
 # Oracle: the two-setting estimators as written before they shared one back
 # end (one assumption mapping, one estimate assembly).  ``estimate_rotated``
 # is kept whole; the ellipse route keeps its old mapping of the fitted
-# invariants and its old assembly around the current conic fit.
+# invariants and its old assembly around the current conic fit.  The
+# rotated reference treats a relative setting-2 fringe of at most 1e-12 as
+# absent, as the estimators do; both references call the estimators'
+# ``recover_rotated_params`` and so share its 1e-12 floor on the largest
+# relative amplitude.
 
 
 def reference_estimate_rotated(series_setting1, series_setting2,
@@ -523,18 +553,18 @@ def reference_estimate_rotated(series_setting1, series_setting2,
         if assume == "isotropic_phase":
             c2 = abs(w2)
             b2 = 0.0
-            psi = float(wrap_axis(0.5 * (phib - cmath.phase(w2)))) if abs(w2) > 0 else None
-            if abs(w2) == 0.0:
+            psi = float(wrap_axis(0.5 * (phib - cmath.phase(w2)))) if abs(w2) > 1e-12 else None
+            if abs(w2) <= 1e-12:
                 flags.append("psi_unidentified_no_diattenuation_fringe")
         else:
             b2 = -abs(w2)
             c2 = 0.0
             psi = (
                 float(wrap_axis(0.5 * (phib - cmath.phase(w2) + 0.5 * math.pi)))
-                if abs(w2) > 0
+                if abs(w2) > 1e-12
                 else None
             )
-            if abs(w2) == 0.0:
+            if abs(w2) <= 1e-12:
                 flags.append("psi_unidentified_no_retardance_fringe")
 
     rec = recover_rotated_params(b1, c1, b2, c2)
@@ -677,3 +707,24 @@ class TestTwoSettingOracle:
                 seen["psi_unidentified"] += "psi_unidentified" in str(got)
                 seen["error"] += isinstance(got, tuple)
         assert seen["psi_unidentified"] > 0 and seen["error"] > 0
+
+    def test_fringe_floor_matches_reference(self, monkeypatch):
+        # relative fringes below, at and just above the 1e-12 floor, drawn
+        # directly as sinusoid fits
+        fits = {}
+        monkeypatch.setattr(estimation, "fit_sinusoid", lambda series: fits[id(series)])
+        s1, s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 1), setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2)
+        levels = (0.0, 3e-13, 1e-12, 1.001e-12, 5e-12, 0.4)
+        seen = collections.Counter()
+        for amp1 in levels:
+            for amp2 in levels:
+                fits[id(s1)] = SinusoidFit(1.0, 0.0, amp1, 0.3, 0.0)
+                fits[id(s2)] = SinusoidFit(1.0, 0.0, amp2, -1.1, 0.0)
+                for assume in ROTATED_ASSUMPTIONS:
+                    kwargs = {"phibar": 0.2} if assume == "general" else {}
+                    got = outcome(estimate_rotated, s1, s2, assume=assume, **kwargs)
+                    want = outcome(reference_estimate_rotated, s1, s2, assume=assume, **kwargs)
+                    assert got == want, (amp1, amp2, assume)
+                    seen["psi_unidentified"] += "psi_unidentified" in str(got)
+                    seen["tbar_unidentifiable"] += "tbar_unidentifiable" in str(got)
+        assert seen["psi_unidentified"] > 0 and seen["tbar_unidentifiable"] > 0

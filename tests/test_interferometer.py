@@ -23,7 +23,6 @@ from nli_polarimetry import (
     n_blocked,
     n_highgain,
     n_lowgain,
-    output_coefficients,
     photon_number_exact,
     quarter_wave,
     simulate_scan,
@@ -73,22 +72,29 @@ def caption_coefficients(cfg):
     }
 
 
+def amplitude(d, name):
+    """Amplitude of ``d`` named as in ``caption_coefficients``: the part
+    (``ann``/``cre``) then the input mode, e.g. ``cre_idler_pol``."""
+    part, mode = name.split("_", 1)
+    return getattr(d, part)[Mode[mode.upper()]]
+
+
 class TestOutputCoefficients:
     def test_signal_tap_coefficient(self, rng):
         for _ in range(20):
             cfg = random_config(rng)
-            out = output_coefficients(cfg)
-            assert out.ann_signal_tap == pytest.approx(
+            d = detected_mode(cfg)
+            assert d.ann[Mode.SIGNAL_TAP] == pytest.approx(
                 cfg.crystal2.u * cfg.signal.reflection, abs=1e-14
             )
 
     def test_matches_closed_form_coefficients(self, rng):
         for _ in range(200):
             cfg = random_config(rng)
-            out = output_coefficients(cfg)
+            d = detected_mode(cfg)
             want = caption_coefficients(cfg)
             for name, value in want.items():
-                assert getattr(out, name) == pytest.approx(value, abs=1e-12)
+                assert amplitude(d, name) == pytest.approx(value, abs=1e-12)
 
     def test_no_other_amplitudes(self, rng):
         d = detected_mode(random_config(rng))
@@ -102,17 +108,17 @@ class TestOutputCoefficients:
     def test_constructive_lossless_interference(self):
         v = 0.8
         cfg = simple_config(crystal1=CrystalGain(v), crystal2=CrystalGain(v))
-        out = output_coefficients(cfg)
-        assert out.cre_idler == pytest.approx(2.0 * math.sqrt(v * (1.0 + v)), abs=1e-12)
-        for name in ("cre_idler_pol", "cre_sample_perp", "cre_sample_par"):
-            assert getattr(out, name) == pytest.approx(0.0, abs=1e-14)
+        d = detected_mode(cfg)
+        assert d.cre[Mode.IDLER] == pytest.approx(2.0 * math.sqrt(v * (1.0 + v)), abs=1e-12)
+        for mode in (Mode.IDLER_POL, Mode.SAMPLE_PERP, Mode.SAMPLE_PAR):
+            assert d.cre[mode] == pytest.approx(0.0, abs=1e-14)
 
     def test_blocked_arm_tap_is_full(self):
         cfg = simple_config(signal=blocked_signal())
-        out = output_coefficients(cfg)
-        assert out.ann_signal_tap == pytest.approx(cfg.crystal2.u, abs=1e-14)
+        d = detected_mode(cfg)
+        assert d.ann[Mode.SIGNAL_TAP] == pytest.approx(cfg.crystal2.u, abs=1e-14)
         # the interfering amplitude keeps only the idler-loop terms
-        assert out.cre_idler == pytest.approx(
+        assert d.cre[Mode.IDLER] == pytest.approx(
             cfg.crystal2.v.conjugate() * 0 + caption_coefficients(cfg)["cre_idler"],
             abs=1e-14,
         )
@@ -121,17 +127,20 @@ class TestOutputCoefficients:
         worst = 0.0
         for _ in range(1000):
             cfg = random_config(rng)
-            worst = max(worst, abs(output_coefficients(cfg).commutator_defect))
+            worst = max(worst, abs(commutator_defect(detected_mode(cfg))))
         assert worst < 1e-12
-
-    def test_detected_mode_defect_matches(self, rng):
-        cfg = random_config(rng)
-        assert commutator_defect(detected_mode(cfg)) == pytest.approx(
-            output_coefficients(cfg).commutator_defect, abs=1e-14
-        )
 
 
 class TestPhotonNumber:
+    def test_equals_exact_scan_at_zero_phase_bitwise(self, rng):
+        # the scalar photon number and the exact scan are one reduction of
+        # one composer: equal to the last bit, not merely close
+        schedule, noise = ScanSchedule(0.0, 0.0, 0.0, 0.0, 8), NoiseModel(1.0)
+        for _ in range(2000):
+            cfg = random_config(rng)
+            expected_n = simulate_scan(cfg, schedule, noise, regime="exact").expected_n
+            assert np.all(expected_n == photon_number_exact(cfg))
+
     def test_no_pump_no_photons(self):
         cfg = simple_config(crystal1=CrystalGain(0.0), crystal2=CrystalGain(0.0))
         assert photon_number_exact(cfg) == 0.0
@@ -263,9 +272,7 @@ class TestThreePathDecomposition:
         for _ in range(200):
             cfg = random_config(rng)
             total = sum(three_path_decomposition(cfg))
-            assert total == pytest.approx(
-                output_coefficients(cfg).cre_idler, abs=1e-14
-            )
+            assert total == pytest.approx(detected_mode(cfg).cre[Mode.IDLER], abs=1e-14)
 
 
 class TestScanPhases:

@@ -13,8 +13,8 @@ from nli_polarimetry import (
     linear_combine,
     pure_mode,
     vacuum_photon_number,
-    zero_expansion,
 )
+from nli_polarimetry.mode_algebra import N_MODES
 
 complex_amps = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -118,7 +118,7 @@ def test_photon_number_invariant_under_global_phase(x, phase):
 
 
 def test_zero_expansion_flagged_nonphysical():
-    assert commutator_defect(zero_expansion()) == -1.0
+    assert commutator_defect(OperatorExpansion(np.zeros(N_MODES), np.zeros(N_MODES))) == -1.0
 
 
 def test_rejects_nonfinite_amplitudes():
