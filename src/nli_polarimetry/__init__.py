@@ -3,7 +3,6 @@
 from .elements import (
     CrystalGain,
     SampleAxes,
-    SampleSummary,
     SignalControl,
     WaveplateCoeffs,
     WaveplateSetting,
@@ -12,7 +11,6 @@ from .elements import (
     lossless_sample,
     quarter_wave,
     rotated_waveplate_coeffs,
-    sample_summary,
     waveplate_coeffs,
     waveplate_matrix,
 )
@@ -68,7 +66,6 @@ from .signals import (
     n_blocked,
     n_highgain,
     n_lowgain,
-    n_lowgain_timescan,
     n_rotated,
 )
 

@@ -22,6 +22,7 @@ from .estimation import (
     ROTATED_ASSUMPTIONS,
     EstimationError,
     UnidentifiableError,
+    _column_rate,
     estimate_ellipse,
     estimate_rotated,
     extract_sample_fourier,
@@ -161,6 +162,8 @@ def parse_noise(doc, path: str = "noise") -> NoiseModel:
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"{path}.seed: expected an integer")
+    if seed < 0:
+        raise ConfigError(f"{path}.seed: must be >= 0")
     mode = doc.get("mode", "noiseless")
     if mode not in ("noiseless", "poisson"):
         raise ConfigError(f"{path}.mode: must be 'noiseless' or 'poisson'")
@@ -183,6 +186,8 @@ def load_experiment(path: str | Path, seed_override: int | None = None):
         raise ConfigError("config.regime: must be 'exact' or 'lowgain'")
     noise = parse_noise(doc["noise"])
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError("--seed: must be >= 0")
         noise = NoiseModel(noise.counts_per_unit, seed_override, noise.mode)
     return (
         parse_interferometer(doc["interferometer"]),
@@ -237,6 +242,8 @@ def _load_calibration(path: str | Path) -> tuple[float, float]:
 def cmd_estimate(args) -> int:
     if args.calibration is not None and args.pipeline != "fourier":
         raise ConfigError("--calibration is used only by --pipeline fourier")
+    if args.assume is not None and args.pipeline == "fourier":
+        raise ConfigError("--assume is used only by --pipeline rotated or ellipse")
     if args.phibar is not None:
         if (args.pipeline, args.assume) != ("rotated", "general"):
             raise ConfigError("--phibar is used only by --pipeline rotated --assume general")
@@ -249,7 +256,7 @@ def cmd_estimate(args) -> int:
         if not args.calibration:
             raise ConfigError("fourier pipeline requires --calibration")
         xi_bar, delta_xi = _load_calibration(args.calibration)
-        rate = float(np.median(np.diff(series[0].phi0)))
+        rate = _column_rate(series[0].phi0, "phi0")
         decomp = harmonic_regress(series[0], rate)
         estimate = extract_sample_fourier(decomp, 2.0 * decomp.dc, xi_bar, delta_xi)
     else:
@@ -257,14 +264,15 @@ def cmd_estimate(args) -> int:
             raise ConfigError(
                 f"{args.pipeline} pipeline takes two --data series (settings 1, 2)"
             )
+        assume = args.assume or "isotropic_phase"
         if args.pipeline == "rotated":
             estimate = estimate_rotated(
-                series[0], series[1], assume=args.assume, phibar=args.phibar
+                series[0], series[1], assume=assume, phibar=args.phibar
             )
-        elif args.assume == "general":
+        elif assume == "general":
             raise ConfigError("ellipse pipeline supports only the structural assumptions")
         else:
-            estimate = estimate_ellipse(series[0], series[1], assume=args.assume)
+            estimate = estimate_ellipse(series[0], series[1], assume=assume)
     _write_json(args.out, estimate.to_json_dict())
     return EXIT_OK
 
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("fourier", "rotated", "ellipse"))
     p_est.add_argument("--data", action="append", required=True)
     p_est.add_argument("--calibration", default=None)
-    p_est.add_argument("--assume", default="isotropic_phase", choices=ROTATED_ASSUMPTIONS)
+    p_est.add_argument("--assume", default=None, choices=ROTATED_ASSUMPTIONS)
     p_est.add_argument("--phibar", type=float, default=None)
     p_est.add_argument("--out", required=True)
     p_est.set_defaults(func=cmd_estimate)

@@ -186,58 +186,3 @@ class SignalControl:
 
 def blocked_signal() -> SignalControl:
     return SignalControl(transmission=0.0)
-
-
-@dataclass(frozen=True)
-class SampleSummary:
-    """Mean/differential transmission and phase of sample plus waveplate pair.
-
-    ``mean_trans``       |tau2 t_perp tau1| + |rho2 t_par rho1|
-    ``diff_trans``       2(|tau2 t_perp tau1| - |rho2 t_par rho1|)
-    ``mean_sample_phase``  (phase_perp + phase_par)/2
-    ``retardance``         phase_perp - phase_par
-    ``diff_setup_phase``   arg(tau2 tau1) - arg(rho2 conj(rho1))
-    ``setup_phase_offset`` (arg(tau2 tau1) + arg(rho2 conj(rho1)))/2
-    A path whose amplitude vanishes has its undefined phase set to 0 and is
-    flagged; the amplitude multiplies every term the phase enters, so the
-    closed forms stay continuous.
-    """
-
-    mean_trans: float
-    diff_trans: float
-    mean_sample_phase: float
-    retardance: float
-    diff_setup_phase: float
-    setup_phase_offset: float
-    degenerate_perp_path: bool = False
-    degenerate_par_path: bool = False
-
-
-def sample_summary(
-    sample: SampleAxes,
-    coeffs1: tuple[complex, complex],
-    coeffs2: tuple[complex, complex],
-) -> SampleSummary:
-    """Reduce a sample sandwiched between two waveplates to beating parameters."""
-    tau1, rho1 = coeffs1
-    tau2, rho2 = coeffs2
-    perp_amp = abs(tau2) * abs(sample.t_perp) * abs(tau1)
-    par_amp = abs(rho2) * abs(sample.t_par) * abs(rho1)
-
-    tau_prod = tau2 * tau1
-    rho_prod = rho2 * np.conj(rho1)
-    degenerate_perp = tau_prod == 0.0
-    degenerate_par = rho_prod == 0.0
-    phase_tau = 0.0 if degenerate_perp else cmath.phase(tau_prod)
-    phase_rho = 0.0 if degenerate_par else cmath.phase(rho_prod)
-
-    return SampleSummary(
-        mean_trans=perp_amp + par_amp,
-        diff_trans=2.0 * (perp_amp - par_amp),
-        mean_sample_phase=0.5 * (sample.phase_perp + sample.phase_par),
-        retardance=sample.phase_perp - sample.phase_par,
-        diff_setup_phase=phase_tau - phase_rho,
-        setup_phase_offset=0.5 * (phase_tau + phase_rho),
-        degenerate_perp_path=degenerate_perp,
-        degenerate_par_path=degenerate_par,
-    )

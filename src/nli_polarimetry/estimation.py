@@ -374,12 +374,18 @@ def estimate_rotated(
       assigned either way round); the larger cosine-amplitude root is
       returned and the ambiguity flagged.
 
+    A ``phibar`` passed with a structural assumption raises
+    ``EstimationError`` (flag ``phibar_unused``).
+
     The swap of the two sample axes maps (psi, dt, dphi) to
     (psi + pi/2, -dt, -dphi) and produces identical data; estimates are
     reported in the canonical branch with ``psi`` in [0, pi).
     """
     if assume not in ROTATED_ASSUMPTIONS:
         raise EstimationError(f"unknown assumption {assume!r}", flag="bad_assumption")
+    if phibar is not None and assume != "general":
+        raise EstimationError(f"phibar is used only by the general mode, not {assume!r}",
+                              flag="phibar_unused")
     fit1, fit2 = fit_sinusoid(series_setting1), fit_sinusoid(series_setting2)
     w1 = fit1.amp_cos * cmath.exp(1j * fit1.phase_reference)
     w2 = fit2.amp_cos * cmath.exp(1j * fit2.phase_reference)

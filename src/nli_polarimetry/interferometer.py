@@ -21,7 +21,6 @@ from .elements import (
     WaveplateCoeffs,
     WaveplateSetting,
     rotated_waveplate_coeffs,
-    waveplate_coeffs,
 )
 from .mode_algebra import (
     Mode,
@@ -68,10 +67,6 @@ class InterferometerConfig:
 
     def effective_waveplates(self) -> tuple[complex, complex, complex, complex]:
         """(tau1, rho1, tau2, rho2) with the sample rotation folded in."""
-        if self.rotation == 0.0:
-            t1, r1 = waveplate_coeffs(self.waveplate1)
-            t2, r2 = waveplate_coeffs(self.waveplate2)
-            return t1, r1, t2, r2
         return rotated_waveplate_coeffs(self.waveplate1, self.waveplate2, self.rotation)
 
 

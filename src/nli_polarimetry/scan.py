@@ -104,6 +104,8 @@ class NoiseModel:
             raise ValueError("counts_per_unit must be positive")
         if self.mode not in ("noiseless", "poisson"):
             raise ValueError("mode must be 'noiseless' or 'poisson'")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -272,7 +274,8 @@ def simulate_scan(
     ``regime`` selects the forward model: ``"exact"`` composes the full
     transformation for all steps in one vectorised pass (any gain),
     ``"lowgain"`` evaluates the first-order beating formula (requires equal
-    gains).  Counts are ``expected_n * counts_per_unit``, Poisson-sampled in
+    gains).  An exact photon number, or any amplitude composed on the way to
+    it, that overflows a double raises ``OverflowError``.  Counts are ``expected_n * counts_per_unit``, Poisson-sampled in
     ``"poisson"`` mode with a per-scan generator seeded from the noise model.
     """
     t = schedule.steps.astype(float)
@@ -288,11 +291,11 @@ def simulate_scan(
         )
         expected = np.maximum(expected, 0.0)
     elif regime == "exact":
-        mode = detected_mode(cfg, signal_phase, diff_phase)
-        with np.errstate(over="ignore"):
-            expected = vacuum_photon_number(mode)
-        if not np.all(np.isfinite(expected)):
-            raise OverflowError("detected photon number overflows at this gain")
+        try:
+            with np.errstate(over="raise"):
+                expected = vacuum_photon_number(detected_mode(cfg, signal_phase, diff_phase))
+        except FloatingPointError:
+            raise OverflowError("detected photon number overflows at this gain") from None
     else:
         raise ValueError("regime must be 'exact' or 'lowgain'")
 

@@ -14,8 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .elements import sample_summary
-
 if TYPE_CHECKING:
     from .interferometer import InterferometerConfig
     from .scan import ScanSchedule
@@ -25,7 +23,6 @@ __all__ = [
     "FourierModel",
     "beating_parameters",
     "n_lowgain",
-    "n_lowgain_timescan",
     "fourier_model",
     "n_highgain",
     "highgain_visibility",
@@ -89,15 +86,33 @@ class BeatingParameters:
 def beating_parameters(cfg: "InterferometerConfig") -> BeatingParameters:
     """Reduce an interferometer configuration to beating parameters.
 
-    Requires equal crystal gains (the closed forms assume them).  The
-    interferometer phase uses the gauge with real positive squeezing
-    coefficients, so it collects the pump phase difference and the
-    control-splitter phase.
+    Requires equal crystal gains (the closed forms assume them).  The sample
+    enters only through the waveplate-sample-waveplate sandwich, with the
+    rotation folded into the plates' coefficients (tau1, rho1), (tau2, rho2):
+
+    ``mean_trans``         |tau2 t_perp tau1| + |rho2 t_par rho1|
+    ``diff_trans``         2(|tau2 t_perp tau1| - |rho2 t_par rho1|)
+    ``mean_sample_phase``  (phase_perp + phase_par)/2
+    ``retardance``         phase_perp - phase_par
+    ``diff_setup_phase``   arg(tau2 tau1) - arg(rho2 conj(rho1))
+    ``setup_phase_offset`` (arg(tau2 tau1) + arg(rho2 conj(rho1)))/2
+
+    A path whose waveplate product vanishes has its undefined phase set to 0;
+    its amplitude multiplies every term the phase enters, so the closed forms
+    stay continuous.  The interferometer phase uses the gauge with real
+    positive squeezing coefficients, so it collects the pump phase difference
+    and the control-splitter phase.
     """
     if not cfg.has_equal_gains:
         raise ValueError("closed-form signals require equal crystal gains")
     tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
-    summ = sample_summary(cfg.sample, (tau1, rho1), (tau2, rho2))
+    sample = cfg.sample
+    perp_amp = abs(tau2) * abs(sample.t_perp) * abs(tau1)
+    par_amp = abs(rho2) * abs(sample.t_par) * abs(rho1)
+    tau_prod = tau2 * tau1
+    rho_prod = rho2 * np.conj(rho1)
+    phase_tau = 0.0 if tau_prod == 0.0 else cmath.phase(tau_prod)
+    phase_rho = 0.0 if rho_prod == 0.0 else cmath.phase(rho_prod)
     ts = complex(cfg.signal.transmission)
     if abs(ts) > 0.0:
         control_phase = cfg.crystal1.pump_phase - cfg.crystal2.pump_phase + cmath.phase(ts)
@@ -107,12 +122,12 @@ def beating_parameters(cfg: "InterferometerConfig") -> BeatingParameters:
         mean_photons=cfg.crystal1.mean_photons,
         signal_mag=abs(ts),
         control_phase=control_phase,
-        mean_trans=summ.mean_trans,
-        diff_trans=summ.diff_trans,
-        mean_sample_phase=summ.mean_sample_phase,
-        retardance=summ.retardance,
-        setup_phase_offset=summ.setup_phase_offset,
-        diff_setup_phase=summ.diff_setup_phase,
+        mean_trans=perp_amp + par_amp,
+        diff_trans=2.0 * (perp_amp - par_amp),
+        mean_sample_phase=0.5 * (sample.phase_perp + sample.phase_par),
+        retardance=sample.phase_perp - sample.phase_par,
+        setup_phase_offset=0.5 * (phase_tau + phase_rho),
+        diff_setup_phase=phase_tau - phase_rho,
     )
 
 
@@ -138,23 +153,6 @@ def n_lowgain(p: BeatingParameters) -> float:
     )
 
 
-def n_lowgain_timescan(t, schedule: "ScanSchedule", p: BeatingParameters):
-    """Low-gain signal under dual phase scans, evaluated at step ``t``.
-
-    This is ``beating_intensity`` in the calibration-pair convention: both
-    analyzer quarter-wave plates are assumed set to the calibration pair,
-    whose fixed setup phases swap the roles of the two visibilities (the
-    mean visibility multiplies the cosine product, the differential one the
-    sine product).  The scans add ``signal_offset + signal_rate*t`` to the
-    mean phase and ``diff_offset + diff_rate*t`` to the differential phase.
-    """
-    t = np.asarray(t, dtype=float)
-    mean = p.mean_sample_phase + schedule.signal_offset + schedule.signal_rate * t
-    half_diff = 0.5 * (p.retardance + schedule.diff_offset + schedule.diff_rate * t)
-    return beating_intensity(p.amplitude, p.mean_visibility, p.diff_visibility,
-                             half_diff, mean)
-
-
 @dataclass(frozen=True)
 class FourierModel:
     """Spectral content of an equal-rate dual scan.
@@ -174,7 +172,16 @@ class FourierModel:
 
 
 def fourier_model(p: BeatingParameters, schedule: "ScanSchedule") -> FourierModel:
-    """Predicted harmonic content of the scan signal; rates must be equal."""
+    """Predicted harmonic content of the scan signal; rates must be equal.
+
+    The model is ``beating_intensity`` in the calibration-pair convention:
+    both analyzer quarter-wave plates are assumed set to the calibration
+    pair, whose fixed setup phases swap the roles of the two visibilities
+    (the mean visibility multiplies the cosine product, the differential one
+    the sine product), and ``p``'s control and setup phases do not enter.
+    The scans add ``signal_offset + signal_rate*t`` to the mean sample phase
+    and ``diff_offset + diff_rate*t`` to the retardance.
+    """
     if abs(schedule.signal_rate - schedule.diff_rate) > 1e-12:
         raise ValueError("fourier_model requires equal signal and differential scan rates")
     mean0 = p.mean_sample_phase + schedule.signal_offset

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,12 +119,28 @@ class TestSimulate:
         assert "t_diag_mag" in capsys.readouterr().err
 
     def test_exact_overflow_exits_3(self, tmp_path, capsys):
-        doc = base_config(**{"regime": "exact", "interferometer.gain1.V": 1e200,
-                             "interferometer.gain2.V": 1e200})
-        cfg = write_config(tmp_path, doc)
+        for v in (1e200, 1.7e308):
+            doc = base_config(**{"regime": "exact", "interferometer.gain1.V": v,
+                                 "interferometer.gain2.V": v})
+            cfg = write_config(tmp_path, doc)
+            out = tmp_path / "out.csv"
+            assert run("simulate", "--config", cfg, "--out", out) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: numeric failure: ")
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["noiseless", "poisson"])
+    @pytest.mark.parametrize("options, overrides, message", [
+        ((), {"noise.seed": -3}, "noise.seed: must be >= 0"),
+        (("--seed", "-2"), {}, "--seed: must be >= 0"),
+    ], ids=["config", "flag"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, mode, options, overrides,
+                                   message):
+        cfg = write_config(tmp_path, base_config(**{"noise.mode": mode, **overrides}))
         out = tmp_path / "out.csv"
-        assert run("simulate", "--config", cfg, "--out", out) == 3
-        assert capsys.readouterr().err.startswith("error: numeric failure: ")
+        assert run("simulate", "--config", cfg, "--out", out, *options) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_rejects_malformed_json(self, tmp_path, capsys):
@@ -238,6 +255,22 @@ class TestCalibrateAndEstimate:
         assert run("estimate", "--pipeline", "fourier", "--data", data,
                    "--calibration", calib, "--out", est_path) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not est_path.exists()
+
+    def test_one_row_series_exits_3_without_warning(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        write_csv(data, ("step", "phi0", "delta_phase", "expected_N", "counts"),
+                  [[0], [0.0], [0.0], [1.0], [1.0]], n_int=1)
+        calib = tmp_path / "calib.json"
+        calib.write_text('{"xi_bar": 0.23, "delta_xi": -0.61}')
+        est_path = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("estimate", "--pipeline", "fourier", "--data", data,
+                       "--calibration", calib, "--out", est_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: series_too_short: ") and err.count("\n") == 1
         assert not est_path.exists()
 
     def test_swapped_calibration_scans_exit_3(self, tmp_path, capsys):
@@ -383,9 +416,13 @@ class TestRotatedPipelines:
          "--calibration is used only by --pipeline fourier"),
         (("--pipeline", "ellipse", "--calibration", "missing.json"),
          "--calibration is used only by --pipeline fourier"),
+        *((("--pipeline", "fourier", "--calibration", "missing.json", "--assume", assume),
+           "--assume is used only by --pipeline rotated or ellipse")
+          for assume in ("isotropic_phase", "isotropic_attenuation", "general")),
     ], ids=["phibar_rotated_phase", "phibar_rotated_attenuation", "phibar_ellipse",
             "phibar_fourier", "phibar_nan", "phibar_inf",
-            "calibration_rotated", "calibration_ellipse"])
+            "calibration_rotated", "calibration_ellipse",
+            "assume_fourier_phase", "assume_fourier_attenuation", "assume_fourier_general"])
     def test_unused_or_bad_option_exits_2(self, tmp_path, capsys, options, message):
         s1, s2 = self.simulate_settings(tmp_path)
         est_path = tmp_path / "e.json"

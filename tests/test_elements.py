@@ -7,14 +7,15 @@ import pytest
 from conftest import angles_close
 from nli_polarimetry import (
     CrystalGain,
+    InterferometerConfig,
     SampleAxes,
     SignalControl,
     WaveplateCoeffs,
     WaveplateSetting,
+    beating_parameters,
     half_wave,
     quarter_wave,
     rotated_waveplate_coeffs,
-    sample_summary,
     waveplate_coeffs,
     waveplate_matrix,
 )
@@ -147,41 +148,52 @@ class TestSignalControl:
         assert abs(c.transmission) ** 2 + c.reflection**2 == pytest.approx(1.0, abs=1e-14)
 
 
+def sandwich_config(plate1, plate2, sample):
+    return InterferometerConfig(
+        crystal1=CrystalGain(0.5),
+        crystal2=CrystalGain(0.5),
+        signal=SignalControl(1.0),
+        waveplate1=plate1,
+        waveplate2=plate2,
+        sample=sample,
+    )
+
+
 class TestSampleSummary:
+    """The waveplate-sample-waveplate reduction inside ``beating_parameters``."""
+
     def test_identity_waveplates_kill_parallel_path(self):
         # no conversion: the parallel axis is never probed
-        coeffs = (1.0 + 0j, 0j)
-        s = sample_summary(SampleAxes(0.7, 0.7), coeffs, coeffs)
+        plate = WaveplateCoeffs(1.0 + 0j, 0j)
+        s = beating_parameters(sandwich_config(plate, plate, SampleAxes(0.7, 0.7)))
         assert s.mean_trans == pytest.approx(0.7)
         assert s.diff_trans == pytest.approx(1.4)
         assert s.retardance == 0.0
-        assert s.degenerate_par_path
-        assert not s.degenerate_perp_path
 
     def test_crossed_quarter_wave_pair(self):
-        c1 = waveplate_coeffs(quarter_wave(math.pi / 4))
-        c2 = waveplate_coeffs(quarter_wave(3 * math.pi / 4))
-        s = sample_summary(SampleAxes(0.9, 0.2), c1, c2)
+        cfg = sandwich_config(quarter_wave(math.pi / 4), quarter_wave(3 * math.pi / 4),
+                              SampleAxes(0.9, 0.2))
+        s = beating_parameters(cfg)
         assert s.mean_trans == pytest.approx(0.55, abs=1e-12)
         assert s.diff_trans == pytest.approx(0.7, abs=1e-12)
         angles_close(s.diff_setup_phase, -math.pi, atol=1e-12)
 
     def test_equal_axes_have_no_diattenuation(self):
-        c1 = waveplate_coeffs(quarter_wave(math.pi / 4))
-        c2 = waveplate_coeffs(quarter_wave(3 * math.pi / 4))
-        s = sample_summary(SampleAxes(0.55, 0.55), c1, c2)
+        cfg = sandwich_config(quarter_wave(math.pi / 4), quarter_wave(3 * math.pi / 4),
+                              SampleAxes(0.55, 0.55))
+        s = beating_parameters(cfg)
         assert s.diff_trans == pytest.approx(0.0, abs=1e-12)
 
     def test_global_sample_phase_shifts_only_mean_phase(self, rng):
-        c1 = waveplate_coeffs(WaveplateSetting(0.4, 1.1))
-        c2 = waveplate_coeffs(WaveplateSetting(1.9, 2.3))
+        plate1 = WaveplateSetting(0.4, 1.1)
+        plate2 = WaveplateSetting(1.9, 2.3)
         base = SampleAxes(0.8 * cmath.exp(0.2j), 0.5 * cmath.exp(-0.7j))
         shift = 0.9
         shifted = SampleAxes(
             base.t_perp * cmath.exp(1j * shift), base.t_par * cmath.exp(1j * shift)
         )
-        a = sample_summary(base, c1, c2)
-        b = sample_summary(shifted, c1, c2)
+        a = beating_parameters(sandwich_config(plate1, plate2, base))
+        b = beating_parameters(sandwich_config(plate1, plate2, shifted))
         assert b.mean_trans == pytest.approx(a.mean_trans, abs=1e-14)
         assert b.diff_trans == pytest.approx(a.diff_trans, abs=1e-14)
         assert b.retardance == pytest.approx(a.retardance, abs=1e-12)

@@ -404,6 +404,14 @@ class TestEstimateRotated:
                 estimate_rotated(s1, s2, assume="general", phibar=phibar)
             assert err.value.flag == "bad_phibar"
 
+    def test_structural_modes_reject_phibar(self):
+        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
+        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        for assume in ("isotropic_phase", "isotropic_attenuation"):
+            with pytest.raises(EstimationError) as err:
+                estimate_rotated(s1, s2, assume=assume, phibar=2.5)
+            assert err.value.flag == "phibar_unused"
+
     def test_rounding_noise_fringe_leaves_psi_unidentified(self):
         # without diattenuation the setting-2 fringe is rounding noise
         # (about 1e-16 of dc), which must not fix an orientation

@@ -88,6 +88,10 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(counts_per_unit=1.0, mode="gaussian")
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            NoiseModel(counts_per_unit=1.0, seed=-1)
+
 
 class TestSimulateScan:
     def test_zero_rates_constant_counts(self):
@@ -202,10 +206,14 @@ class TestSimulateScan:
             np.testing.assert_allclose(series.expected_n, want, rtol=1e-13, atol=1e-13)
 
     def test_exact_overflow_raises(self):
-        # amplitudes stay finite but their squares do not
-        with pytest.raises(OverflowError):
-            simulate_scan(calibration_config(v=1e200), ScanSchedule(n_samples=8),
-                          NoiseModel(1.0), regime="exact")
+        # at 1e200 the amplitudes stay finite but their squares do not; at
+        # 1.7e308 an amplitude itself overflows while the mode is composed
+        for v in (1e200, 1.7e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError):
+                    simulate_scan(calibration_config(v=v), ScanSchedule(n_samples=8),
+                                  NoiseModel(1.0), regime="exact")
 
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,21 +11,26 @@ from nli_polarimetry import (
     BeatingParameters,
     CrystalGain,
     InterferometerConfig,
+    NoiseModel,
     SampleAxes,
     ScanSchedule,
     SignalControl,
+    WaveplateCoeffs,
     amplitude_relations,
     beating_parameters,
     blocked_signal,
     fourier_model,
+    half_wave,
     highgain_visibility,
     n_blocked,
     n_highgain,
     n_lowgain,
-    n_lowgain_timescan,
     n_rotated,
     photon_number_exact,
     quarter_wave,
+    rotated_waveplate_coeffs,
+    simulate_scan,
+    waveplate_coeffs,
 )
 
 
@@ -42,6 +48,45 @@ def params(**overrides):
     )
     base.update(overrides)
     return BeatingParameters(**base)
+
+
+def reference_beating_parameters(cfg):
+    """Oracle: the reduction as two steps, a sample summary of the
+    waveplate-sample-waveplate sandwich copied into the beating parameters,
+    with the unrotated plates' coefficients taken directly."""
+    if cfg.rotation == 0.0:
+        tau1, rho1 = waveplate_coeffs(cfg.waveplate1)
+        tau2, rho2 = waveplate_coeffs(cfg.waveplate2)
+    else:
+        tau1, rho1, tau2, rho2 = rotated_waveplate_coeffs(
+            cfg.waveplate1, cfg.waveplate2, cfg.rotation
+        )
+    sample = cfg.sample
+    perp_amp = abs(tau2) * abs(sample.t_perp) * abs(tau1)
+    par_amp = abs(rho2) * abs(sample.t_par) * abs(rho1)
+    tau_prod = tau2 * tau1
+    rho_prod = rho2 * np.conj(rho1)
+    phase_tau = 0.0 if tau_prod == 0.0 else cmath.phase(tau_prod)
+    phase_rho = 0.0 if rho_prod == 0.0 else cmath.phase(rho_prod)
+    summary = dict(
+        mean_trans=perp_amp + par_amp,
+        diff_trans=2.0 * (perp_amp - par_amp),
+        mean_sample_phase=0.5 * (sample.phase_perp + sample.phase_par),
+        retardance=sample.phase_perp - sample.phase_par,
+        diff_setup_phase=phase_tau - phase_rho,
+        setup_phase_offset=0.5 * (phase_tau + phase_rho),
+    )
+    ts = complex(cfg.signal.transmission)
+    if abs(ts) > 0.0:
+        control_phase = cfg.crystal1.pump_phase - cfg.crystal2.pump_phase + cmath.phase(ts)
+    else:
+        control_phase = 0.0
+    return BeatingParameters(mean_photons=cfg.crystal1.mean_photons, signal_mag=abs(ts),
+                             control_phase=control_phase, **summary)
+
+
+def lowgain_scan(cfg, sched):
+    return simulate_scan(cfg, sched, NoiseModel(1.0), regime="lowgain").expected_n
 
 
 def qwp_pair_config(t_perp, t_par, v=0.5, ts=1.0 + 0j, rotation=0.0):
@@ -79,6 +124,30 @@ class TestBeatingParameters:
         assert p.mean_visibility == pytest.approx(0.55, abs=1e-12)
         assert p.diff_visibility == pytest.approx(0.35, abs=1e-12)
 
+    def test_matches_two_step_reduction_bitwise(self, rng):
+        # random plates, half of them at zero rotation, then identity,
+        # quarter- and half-wave plates at zero rotation, paired every way
+        # and sandwiching samples with an opaque or a lossless axis
+        configs = [random_config(rng, equal_gains=True, rotation=k % 2 == 0)
+                   for k in range(2000)]
+        plates = [WaveplateCoeffs(1.0 + 0j, 0j)]
+        plates += [make(k * math.pi / 8) for make in (quarter_wave, half_wave)
+                   for k in range(16)]
+        samples = [SampleAxes(0.9, 0.0), SampleAxes(0j, 0.5j), SampleAxes(1.0, 1.0),
+                   SampleAxes(0.8 * cmath.exp(2.1j), 0.4 * cmath.exp(-0.3j))]
+        base = random_config(rng, equal_gains=True, rotation=False)
+        for k, (plate1, plate2) in enumerate(itertools.product(plates, plates)):
+            configs.append(dataclasses.replace(
+                base, waveplate1=plate1, waveplate2=plate2, sample=samples[k % 4]
+            ))
+        names = [f.name for f in dataclasses.fields(BeatingParameters)]
+        for cfg in configs:
+            got = beating_parameters(cfg)
+            want = reference_beating_parameters(cfg)
+            for name in names:
+                assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), (
+                    name, cfg)
+
 
 class TestLowGain:
     def test_visibility_from_exact_composer_extrema(self):
@@ -105,25 +174,9 @@ class TestLowGain:
 
 
 class TestTimeScan:
-    def test_reduces_to_empty_interferometer_form(self):
-        # sample removed: 2V[1 + cos(half diff scan) cos(mean scan)]
-        cfg = qwp_pair_config(1.0, 1.0, v=0.5)
-        p = beating_parameters(cfg)
-        sched = ScanSchedule(
-            signal_offset=0.7, diff_offset=1.1, signal_rate=0.05,
-            diff_rate=0.05, n_samples=64,
-        )
-        t = np.arange(64, dtype=float)
-        got = n_lowgain_timescan(t, sched, p)
-        want = 2.0 * 0.5 * (
-            1.0 + np.cos(0.5 * (1.1 + 0.05 * t)) * np.cos(0.7 + 0.05 * t)
-        )
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
     def test_zero_rates_constant(self):
-        p = beating_parameters(qwp_pair_config(0.9, 0.2))
         sched = ScanSchedule(signal_offset=0.3, diff_offset=0.4, n_samples=16)
-        got = n_lowgain_timescan(np.arange(16.0), sched, p)
+        got = lowgain_scan(qwp_pair_config(0.9, 0.2), sched)
         assert np.ptp(got) == 0.0
 
     def test_matches_beating_formula_pointwise(self):
@@ -134,32 +187,14 @@ class TestTimeScan:
             signal_offset=0.2, diff_offset=-0.5, signal_rate=0.11,
             diff_rate=0.07, n_samples=40,
         )
+        got = lowgain_scan(cfg, sched)
         for t in range(0, 40, 7):
             shifted = dataclasses.replace(
                 p,
                 control_phase=p.control_phase + sched.signal_offset + sched.signal_rate * t,
                 retardance=p.retardance + sched.diff_offset + sched.diff_rate * t,
             )
-            assert n_lowgain_timescan(float(t), sched, p) == pytest.approx(
-                n_lowgain(shifted), abs=1e-12
-            )
-
-    def test_matches_written_out_formula(self, rng):
-        # oracle: the formula as written out before it called
-        # beating_intensity; the sums now run in another order
-        t = np.arange(64.0)
-        for _ in range(200):
-            p = beating_parameters(random_config(rng, equal_gains=True))
-            sched = ScanSchedule(*rng.uniform(-3.0, 3.0, 4), n_samples=64)
-            mean = p.mean_sample_phase + sched.signal_offset + sched.signal_rate * t
-            half_diff = 0.5 * (p.retardance + sched.diff_offset + sched.diff_rate * t)
-            want = 0.5 * p.amplitude * (
-                1.0
-                - p.diff_visibility * np.sin(half_diff) * np.sin(mean)
-                + p.mean_visibility * np.cos(half_diff) * np.cos(mean)
-            )
-            got = n_lowgain_timescan(t, sched, p)
-            assert np.all(np.abs(got - want) <= 1e-15 * p.amplitude)
+            assert got[t] == pytest.approx(n_lowgain(shifted), abs=1e-12)
 
 
 class TestFourierModel:
@@ -206,7 +241,7 @@ class TestFourierModel:
             diff_rate=rate, n_samples=n,
         )
         t = np.arange(n, dtype=float)
-        y = n_lowgain_timescan(t, sched, p)
+        y = lowgain_scan(cfg, sched)
         model = fourier_model(p, sched)
         for freq, want in ((0.5 * rate, model.amp_half), (1.5 * rate, model.amp_threehalf)):
             a = 2.0 / n * np.sum(y * np.cos(freq * t))
