@@ -30,6 +30,7 @@ from .estimation import (
 )
 from .interferometer import InterferometerConfig
 from .scan import (
+    REGIMES,
     CalibrationError,
     NoiseModel,
     ScanSchedule,
@@ -38,7 +39,7 @@ from .scan import (
     simulate_scan,
     write_csv,
 )
-from .signals import beating_intensity, blocked_intensity, highgain_intensity, n_rotated
+from .signals import BeatingParameters, n_blocked, n_highgain, n_lowgain, n_rotated
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,7 +183,7 @@ def load_experiment(path: str | Path, seed_override: int | None = None):
     doc = _require_mapping(doc, "config")
     _check_keys(doc, "config", ("interferometer", "schedule", "noise"), ("regime",))
     regime = doc.get("regime", "exact")
-    if regime not in ("exact", "lowgain"):
+    if regime not in REGIMES:
         raise ConfigError("config.regime: must be 'exact' or 'lowgain'")
     noise = parse_noise(doc["noise"])
     if seed_override is not None:
@@ -277,13 +278,22 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _grid_parameters(mean_photons, signal_mag, mean_trans, diff_trans) -> BeatingParameters:
+    """Beating parameters with every phase zero: a grid's phases are the total phases."""
+    return BeatingParameters(
+        mean_photons=mean_photons, signal_mag=signal_mag, control_phase=0.0,
+        mean_trans=mean_trans, diff_trans=diff_trans, mean_sample_phase=0.0,
+        retardance=0.0, setup_phase_offset=0.0, diff_setup_phase=0.0,
+    )
+
+
 def _figure_fig3(out_dir: Path, t_par_mag: float, name: str) -> list[Path]:
-    mean_phase = np.linspace(0.0, 2.0 * math.pi, 201)
-    diff_phase = np.linspace(0.0, 2.0 * math.pi, 201)
-    mean_trans = 0.5 * (0.9 + t_par_mag)
-    diff_trans = 0.9 - t_par_mag
-    mm, dd = np.meshgrid(mean_phase, diff_phase, indexing="ij")
-    n = beating_intensity(4.0, 0.5 * diff_trans, mean_trans, 0.5 * dd, mm)
+    # unit gain, lossless signal arm, axis moduli 0.9 / t_par_mag through the
+    # crossed quarter-wave pair
+    phase = np.linspace(0.0, 2.0 * math.pi, 201)
+    p = _grid_parameters(1.0, 1.0, 0.5 * (0.9 + t_par_mag), 0.9 - t_par_mag)
+    mm, dd = np.meshgrid(phase, phase, indexing="ij")
+    n = n_lowgain(p, mm, dd)
     path = out_dir / f"{name}.csv"
     write_csv(
         path,
@@ -298,12 +308,11 @@ def _figure_fig4(out_dir: Path, name: str) -> list[Path]:
     # through the crossed quarter-wave pair), lossless signal arm
     gains = (1e-6, 0.5, 1.0, 2.0)
     phase = np.linspace(0.0, 2.0 * math.pi, 401)
+    # fig4a scans the mean phase at differential phase pi, fig4b the reverse
+    scan = (phase, math.pi) if name == "fig4a" else (math.pi, phase)
     rows_v, rows_phase, rows_n = [], [], []
     for v in gains:
-        if name == "fig4a":
-            n = highgain_intensity(v, 1.0, 0.85, 0.1, 0.5 * math.pi, phase)
-        else:
-            n = highgain_intensity(v, 1.0, 0.85, 0.1, 0.5 * phase, math.pi)
+        n = n_highgain(_grid_parameters(v, 1.0, 0.85, 0.1), *scan)
         rows_v.append(np.full_like(phase, v))
         rows_phase.append(phase)
         rows_n.append(n)
@@ -322,7 +331,7 @@ def _figure_fig5b(out_dir: Path) -> list[Path]:
     diff_phase = np.linspace(0.0, 2.0 * math.pi, 201)
     paths = []
     for v, tag in ((0.5, "v0p5"), (1.0, "v1"), (2.0, "v2")):
-        n = blocked_intensity(v, 0.85, 0.1, 0.5 * (diff_phase - math.pi))
+        n = n_blocked(_grid_parameters(v, 0.0, 0.85, 0.1), 0.0, diff_phase - math.pi)
         path = out_dir / f"fig5b_{tag}.csv"
         write_csv(path, ["diff_phase", "n"], [diff_phase, n])
         paths.append(path)

@@ -117,9 +117,19 @@ def detected_mode(
     return linear_combine([(u2, ctrl_sig), (v2, adjoint(seed_idl))])
 
 
-def photon_number_exact(cfg: InterferometerConfig) -> float:
-    """Detected photon number, exact at any gain."""
-    return vacuum_photon_number(detected_mode(cfg))
+def photon_number_exact(
+    cfg: InterferometerConfig,
+    signal_phase: float | np.ndarray = 0.0,
+    diff_phase: float | np.ndarray = 0.0,
+) -> float | np.ndarray:
+    """Detected photon number, exact at any gain, with the scan phases of
+    ``detected_mode``.  A photon number, or any amplitude composed on the way
+    to it, that overflows a double raises ``OverflowError``."""
+    try:
+        with np.errstate(over="raise"):
+            return vacuum_photon_number(detected_mode(cfg, signal_phase, diff_phase))
+    except FloatingPointError:
+        raise OverflowError("detected photon number overflows at this gain") from None
 
 
 def three_path_decomposition(cfg: InterferometerConfig) -> tuple[complex, complex, complex]:

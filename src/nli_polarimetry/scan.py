@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .angles import wrap_pi
-from .interferometer import InterferometerConfig, detected_mode
-from .mode_algebra import vacuum_photon_number
-from .signals import beating_intensity, beating_parameters
+from .interferometer import InterferometerConfig, photon_number_exact
+from .signals import beating_parameters, n_lowgain
 
 __all__ = [
     "ScanSchedule",
@@ -33,6 +32,8 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("step", "phi0", "delta_phase", "expected_N", "counts")
+# the forward models ``simulate_scan`` can run
+REGIMES = ("exact", "lowgain")
 
 
 class CalibrationError(RuntimeError):
@@ -271,35 +272,36 @@ def simulate_scan(
 ) -> TimeSeries:
     """Run a scheduled phase scan and return the simulated count record.
 
-    ``regime`` selects the forward model: ``"exact"`` composes the full
-    transformation for all steps in one vectorised pass (any gain),
-    ``"lowgain"`` evaluates the first-order beating formula (requires equal
-    gains).  An exact photon number, or any amplitude composed on the way to
-    it, that overflows a double raises ``OverflowError``.  Counts are ``expected_n * counts_per_unit``, Poisson-sampled in
+    ``regime`` selects the forward model, one of ``REGIMES``: ``"exact"`` is
+    ``photon_number_exact`` over all steps in one vectorised pass (any
+    gain), ``"lowgain"`` is ``n_lowgain`` clipped at zero (requires equal
+    gains).  Counts are ``expected_n * counts_per_unit``, Poisson-sampled in
     ``"poisson"`` mode with a per-scan generator seeded from the noise model.
+    A photon number or a count rate that overflows a double, in either
+    regime, raises ``OverflowError``.
     """
+    if regime not in REGIMES:
+        raise ValueError("regime must be 'exact' or 'lowgain'")
     t = schedule.steps.astype(float)
     signal_phase = schedule.signal_offset + schedule.signal_rate * t
     diff_phase = schedule.diff_offset + schedule.diff_rate * t
 
-    if regime == "lowgain":
-        p = beating_parameters(cfg)
-        mean = p.mean_total_phase + signal_phase
-        half_diff = p.half_diff_phase + 0.5 * diff_phase
-        expected = beating_intensity(
-            p.amplitude, p.diff_visibility, p.mean_visibility, half_diff, mean
-        )
-        expected = np.maximum(expected, 0.0)
-    elif regime == "exact":
+    # the low-gain amplitude is a Python float, which overflows to inf
+    # without raising, hence the finiteness test next to numpy's flags
+    with np.errstate(over="raise", invalid="raise"):
         try:
-            with np.errstate(over="raise"):
-                expected = vacuum_photon_number(detected_mode(cfg, signal_phase, diff_phase))
+            if regime == "exact":
+                expected = photon_number_exact(cfg, signal_phase, diff_phase)
+            else:
+                p = beating_parameters(cfg)
+                expected = np.maximum(n_lowgain(p, signal_phase, diff_phase), 0.0)
+            mean_counts = expected * noise.counts_per_unit
+            finite = np.isfinite(mean_counts).all()
         except FloatingPointError:
-            raise OverflowError("detected photon number overflows at this gain") from None
-    else:
-        raise ValueError("regime must be 'exact' or 'lowgain'")
+            finite = False
+    if not finite:
+        raise OverflowError("expected photon number or counts overflow a double")
 
-    mean_counts = expected * noise.counts_per_unit
     if noise.mode == "poisson":
         rng = np.random.default_rng(noise.seed)
         counts = rng.poisson(mean_counts).astype(float)

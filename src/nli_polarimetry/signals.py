@@ -3,6 +3,14 @@
 These formulas are implemented independently of the exact operator
 composition so that agreement between the two is a genuine cross-check.
 They also serve as the forward models of the estimation stage.
+
+The low-gain, all-orders and blocked-arm photon numbers share one signature
+with the exact model ``photon_number_exact(cfg, signal_phase, diff_phase)``:
+``f(p, signal_phase=0.0, diff_phase=0.0)`` for the ``BeatingParameters`` ``p``
+of one configuration.  The scan phases are imprinted as in ``detected_mode``:
+the fringe phase is ``p.mean_total_phase + signal_phase`` and the half
+differential phase ``p.half_diff_phase + 0.5 * diff_phase``.  Array phases
+broadcast against each other, so one call evaluates a whole scan.
 """
 
 from __future__ import annotations
@@ -131,25 +139,14 @@ def beating_parameters(cfg: "InterferometerConfig") -> BeatingParameters:
     )
 
 
-def beating_intensity(amplitude, diff_vis, mean_vis, half_diff_phase, mean_phase):
-    """Low-gain beating signal; broadcasts over array-valued phases."""
-    return 0.5 * amplitude * (
-        1.0
-        + diff_vis * np.cos(half_diff_phase) * np.cos(mean_phase)
-        - mean_vis * np.sin(half_diff_phase) * np.sin(mean_phase)
-    )
-
-
-def n_lowgain(p: BeatingParameters) -> float:
+def n_lowgain(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):
     """Detected photon number to first order in the gain."""
-    return float(
-        beating_intensity(
-            p.amplitude,
-            p.diff_visibility,
-            p.mean_visibility,
-            p.half_diff_phase,
-            p.mean_total_phase,
-        )
+    mean = p.mean_total_phase + signal_phase
+    half = p.half_diff_phase + 0.5 * diff_phase
+    return 0.5 * p.amplitude * (
+        1.0
+        + p.diff_visibility * np.cos(half) * np.cos(mean)
+        - p.mean_visibility * np.sin(half) * np.sin(mean)
     )
 
 
@@ -174,13 +171,13 @@ class FourierModel:
 def fourier_model(p: BeatingParameters, schedule: "ScanSchedule") -> FourierModel:
     """Predicted harmonic content of the scan signal; rates must be equal.
 
-    The model is ``beating_intensity`` in the calibration-pair convention:
-    both analyzer quarter-wave plates are assumed set to the calibration
-    pair, whose fixed setup phases swap the roles of the two visibilities
-    (the mean visibility multiplies the cosine product, the differential one
-    the sine product), and ``p``'s control and setup phases do not enter.
-    The scans add ``signal_offset + signal_rate*t`` to the mean sample phase
-    and ``diff_offset + diff_rate*t`` to the retardance.
+    The model is ``n_lowgain(p, signal_offset + signal_rate*t, diff_offset +
+    diff_rate*t)`` in the calibration-pair convention: both analyzer
+    quarter-wave plates are assumed set to the calibration pair, whose fixed
+    setup phases swap the roles of the two visibilities (the mean visibility
+    multiplies the cosine product, the differential one the sine product),
+    and ``p``'s control and setup phases do not enter, so the scan phases add
+    to the mean sample phase and to the retardance alone.
     """
     if abs(schedule.signal_rate - schedule.diff_rate) > 1e-12:
         raise ValueError("fourier_model requires equal signal and differential scan rates")
@@ -198,39 +195,20 @@ def fourier_model(p: BeatingParameters, schedule: "ScanSchedule") -> FourierMode
     )
 
 
-def highgain_intensity(mean_photons, signal_mag, mean_trans, diff_trans,
-                       half_diff_phase, mean_phase):
-    """Exact (all orders in gain) signal for equal pumping; broadcasts."""
-    v = mean_photons
-    low = beating_intensity(
-        2.0 * v * (signal_mag**2 + 1.0),
-        signal_mag * diff_trans / (signal_mag**2 + 1.0),
-        2.0 * signal_mag * mean_trans / (signal_mag**2 + 1.0),
-        half_diff_phase,
-        mean_phase,
-    )
-    cross_pol = _cross_pol(mean_trans, diff_trans, half_diff_phase)
-    return low * (1.0 + v) - v**2 + v**2 * cross_pol
+def _cross_pol(p: BeatingParameters, diff_phase):
+    """Gain-squared interference of the idler's two polarization paths."""
+    # np.square rounds a scalar as an array element; a numpy scalar's ** 2
+    # goes through pow, which can differ in the last bit
+    half = p.half_diff_phase + 0.5 * diff_phase
+    return (0.25 * p.diff_trans**2 * np.square(np.cos(half))
+            + p.mean_trans**2 * np.square(np.sin(half)))
 
 
-def _cross_pol(mean_trans, diff_trans, half_diff_phase):
-    """Gain-squared interference of the idler's two polarization paths; broadcasts."""
-    return (0.25 * diff_trans**2 * np.cos(half_diff_phase) ** 2
-            + mean_trans**2 * np.sin(half_diff_phase) ** 2)
-
-
-def n_highgain(p: BeatingParameters) -> float:
-    """Detected photon number including all gain-squared contributions."""
-    return float(
-        highgain_intensity(
-            p.mean_photons,
-            p.signal_mag,
-            p.mean_trans,
-            p.diff_trans,
-            p.half_diff_phase,
-            p.mean_total_phase,
-        )
-    )
+def n_highgain(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):
+    """Detected photon number to all orders in the gain (equal pumping)."""
+    v = p.mean_photons
+    low = n_lowgain(p, signal_phase, diff_phase)
+    return low * (1.0 + v) - v**2 + v**2 * _cross_pol(p, diff_phase)
 
 
 def highgain_visibility(p: BeatingParameters) -> float:
@@ -246,21 +224,15 @@ def highgain_visibility(p: BeatingParameters) -> float:
     )
 
 
-def blocked_intensity(mean_photons, mean_trans, diff_trans, half_diff_phase):
-    """Signal with the signal arm blocked; broadcasts over array-valued phases.
+def n_blocked(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):
+    """Detected photon number with the signal arm blocked.
 
     Only the idler's two polarization paths interfere; the fringe amplitude
-    scales with the square of the gain.
+    scales with the square of the gain.  ``signal_phase`` does not enter, so
+    the result broadcasts over ``diff_phase`` alone.
     """
-    v = mean_photons
-    return v + v**2 * _cross_pol(mean_trans, diff_trans, half_diff_phase)
-
-
-def n_blocked(p: BeatingParameters) -> float:
-    """Detected photon number with the signal arm blocked."""
-    return float(
-        blocked_intensity(p.mean_photons, p.mean_trans, p.diff_trans, p.half_diff_phase)
-    )
+    v = p.mean_photons
+    return v + v**2 * _cross_pol(p, diff_phase)
 
 
 def amplitude_relations(mean_trans: float, diff_trans: float, retardance: float

@@ -119,9 +119,11 @@ class TestSimulate:
         assert "t_diag_mag" in capsys.readouterr().err
 
     def test_exact_overflow_exits_3(self, tmp_path, capsys):
-        for v in (1e200, 1.7e308):
-            doc = base_config(**{"regime": "exact", "interferometer.gain1.V": v,
-                                 "interferometer.gain2.V": v})
+        for regime, v, kappa in (("exact", 1e200, 1.0e4), ("exact", 1.7e308, 1.0e4),
+                                 ("lowgain", 1e308, 1.0e4), ("exact", 0.5, 1e308)):
+            doc = base_config(**{"regime": regime, "interferometer.gain1.V": v,
+                                 "interferometer.gain2.V": v,
+                                 "noise.counts_per_unit_N": kappa})
             cfg = write_config(tmp_path, doc)
             out = tmp_path / "out.csv"
             assert run("simulate", "--config", cfg, "--out", out) == 3

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,23 @@ class TestPhotonNumber:
             cfg = random_config(rng)
             expected_n = simulate_scan(cfg, schedule, noise, regime="exact").expected_n
             assert np.all(expected_n == photon_number_exact(cfg))
+
+    def test_overflow_raises_without_warning(self):
+        # crossed quarter-wave pair, sample removed: at 1e200 the photon
+        # number overflows, at 1.7e308 an amplitude already does
+        for v in (1e200, 1.7e308):
+            cfg = InterferometerConfig(
+                crystal1=CrystalGain(v),
+                crystal2=CrystalGain(v),
+                signal=SignalControl(1.0),
+                waveplate1=quarter_wave(math.pi / 4),
+                waveplate2=quarter_wave(3 * math.pi / 4),
+                sample=lossless_sample(),
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError, match="^detected photon number overflows"):
+                    photon_number_exact(cfg)
 
     def test_no_pump_no_photons(self):
         cfg = simple_config(crystal1=CrystalGain(0.0), crystal2=CrystalGain(0.0))

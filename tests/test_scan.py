@@ -206,14 +206,17 @@ class TestSimulateScan:
             np.testing.assert_allclose(series.expected_n, want, rtol=1e-13, atol=1e-13)
 
     def test_exact_overflow_raises(self):
-        # at 1e200 the amplitudes stay finite but their squares do not; at
-        # 1.7e308 an amplitude itself overflows while the mode is composed
-        for v in (1e200, 1.7e308):
+        # exact at 1e200: the amplitudes stay finite but their squares do
+        # not; at 1.7e308 an amplitude itself overflows while the mode is
+        # composed; low-gain at 1e308: the beating amplitude overflows; a
+        # finite photon number at 1e308 counts per unit: the counts overflow
+        for regime, v, kappa in (("exact", 1e200, 1.0), ("exact", 1.7e308, 1.0),
+                                 ("lowgain", 1e308, 1.0), ("exact", 0.5, 1e308)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(OverflowError):
                     simulate_scan(calibration_config(v=v), ScanSchedule(n_samples=8),
-                                  NoiseModel(1.0), regime="exact")
+                                  NoiseModel(kappa), regime=regime)
 
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,56 @@ def reference_beating_parameters(cfg):
                              control_phase=control_phase, **summary)
 
 
+def reference_beating_intensity(amplitude, diff_vis, mean_vis, half_diff_phase, mean_phase):
+    """Oracle: the low-gain kernel over raw amplitude, visibilities and total
+    phases that ``n_lowgain`` replaced."""
+    return 0.5 * amplitude * (
+        1.0
+        + diff_vis * np.cos(half_diff_phase) * np.cos(mean_phase)
+        - mean_vis * np.sin(half_diff_phase) * np.sin(mean_phase)
+    )
+
+
+def reference_cross_pol(mean_trans, diff_trans, half_diff_phase):
+    return (0.25 * diff_trans**2 * np.cos(half_diff_phase) ** 2
+            + mean_trans**2 * np.sin(half_diff_phase) ** 2)
+
+
+def reference_highgain_intensity(mean_photons, signal_mag, mean_trans, diff_trans,
+                                 half_diff_phase, mean_phase):
+    """Oracle: the all-orders kernel that ``n_highgain`` replaced, which
+    re-derived the amplitude and both visibilities."""
+    v = mean_photons
+    low = reference_beating_intensity(
+        2.0 * v * (signal_mag**2 + 1.0),
+        signal_mag * diff_trans / (signal_mag**2 + 1.0),
+        2.0 * signal_mag * mean_trans / (signal_mag**2 + 1.0),
+        half_diff_phase,
+        mean_phase,
+    )
+    cross_pol = reference_cross_pol(mean_trans, diff_trans, half_diff_phase)
+    return low * (1.0 + v) - v**2 + v**2 * cross_pol
+
+
+def reference_blocked_intensity(mean_photons, mean_trans, diff_trans, half_diff_phase):
+    """Oracle: the blocked-arm kernel that ``n_blocked`` replaced."""
+    v = mean_photons
+    return v + v**2 * reference_cross_pol(mean_trans, diff_trans, half_diff_phase)
+
+
+def reference_intensities(p, half_diff_phase, mean_phase):
+    """The three oracle kernels at the given total phases, in the order
+    low-gain, all-orders, blocked."""
+    return (
+        reference_beating_intensity(p.amplitude, p.diff_visibility, p.mean_visibility,
+                                    half_diff_phase, mean_phase),
+        reference_highgain_intensity(p.mean_photons, p.signal_mag, p.mean_trans,
+                                     p.diff_trans, half_diff_phase, mean_phase),
+        reference_blocked_intensity(p.mean_photons, p.mean_trans, p.diff_trans,
+                                    half_diff_phase),
+    )
+
+
 def lowgain_scan(cfg, sched):
     return simulate_scan(cfg, sched, NoiseModel(1.0), regime="lowgain").expected_n
 
@@ -147,6 +197,38 @@ class TestBeatingParameters:
             for name in names:
                 assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), (
                     name, cfg)
+
+
+class TestForwardModels:
+    MODELS = (n_lowgain, n_highgain, n_blocked)
+
+    def test_match_raw_kernels_bitwise(self, rng):
+        # array calls over random scan phases, each element against its own
+        # scalar call, and the zero-phase scalar call against a one-element
+        # array (the raw kernels squared a numpy scalar with pow, which can
+        # differ from an array's square in the last bit)
+        for _ in range(200):
+            p = beating_parameters(random_config(rng, equal_gains=True))
+            signal_phase, diff_phase = rng.uniform(-10.0, 10.0, (2, 32))
+            half = p.half_diff_phase + 0.5 * diff_phase
+            mean = p.mean_total_phase + signal_phase
+            for model, want in zip(self.MODELS, reference_intensities(p, half, mean)):
+                got = model(p, signal_phase, diff_phase)
+                assert got.tobytes() == want.tobytes(), (model, p)
+                for k in range(len(got)):
+                    one = model(p, signal_phase[k], diff_phase[k])
+                    assert float.hex(one) == float.hex(got[k]), (model, p, k)
+            want = reference_intensities(
+                p, np.array([p.half_diff_phase]), np.array([p.mean_total_phase])
+            )
+            for model, value in zip(self.MODELS, want):
+                assert float.hex(model(p)) == float.hex(value[0]), (model, p)
+
+    def test_blocked_ignores_signal_phase(self):
+        p = params(mean_photons=1.0, mean_trans=0.85, diff_trans=0.1)
+        diff_phase = np.linspace(0.0, 2.0 * math.pi, 17)
+        want = n_blocked(p, 0.0, diff_phase)
+        assert n_blocked(p, 1.3, diff_phase).tobytes() == want.tobytes()
 
 
 class TestLowGain:

@@ -7,12 +7,14 @@
 # nlipol commands with the working tree's src/ and with BASE_REF's src/, and
 # compares every file they write (output files, stdout, stderr and exit
 # codes) with cmp.  The commands cover every figure id, `simulate` in both
-# regimes with Poisson noise, `calibrate`, and `estimate` for the fourier
-# pipeline and for every assumption of the rotated and ellipse pipelines
-# (the general mode with --phibar).
+# regimes with Poisson noise, an exact `simulate` whose photon number
+# overflows (V = 1e200, expected to exit 3), `calibrate`, and `estimate` for
+# the fourier pipeline and for every assumption of the rotated and ellipse
+# pipelines (the general mode with --phibar).
 #
-# Exit status: 0 when every file matches, 1 on any difference, 2 on a usage
-# error.  Set PYTHON to choose the interpreter (default: python3).
+# Exit status: 0 when every file matches and every command exits as
+# expected (0, or the code listed in expected_exit), 1 otherwise, 2 on a
+# usage error.  Set PYTHON to choose the interpreter (default: python3).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -32,8 +34,9 @@ mkdir "$work/base" "$work/configs"
 git -C "$root" archive "$base_sha" | tar -x -C "$work/base"
 
 # The configs: the README's example sample (V = 0.5, crossed quarter-wave
-# pair) scanned at equal rates, two sample-removed calibration scans, and the
-# two analyzer settings of a sample rotated by psi = 1.8.
+# pair) scanned at equal rates, the same at V = 1e200 in the exact regime,
+# two sample-removed calibration scans, and the two analyzer settings of a
+# sample rotated by psi = 1.8.
 "$python" - "$work/configs" <<'EOF'
 import copy, json, math, sys
 
@@ -66,6 +69,7 @@ def config(name, interferometer=None, schedule=None, noise=None, regime="lowgain
 
 config("lowgain")
 config("exact", regime="exact")
+config("exact_overflow", {"gain1": {"V": 1e200}, "gain2": {"V": 1e200}}, regime="exact")
 config("cal_signal", {"sample": empty},
        {"rate_phi0": 2 * math.pi / 100, "rate_delta": 0.0}, {"seed": 6})
 config("cal_idler", {"sample": empty},
@@ -96,7 +100,7 @@ run_all() {
     for id in fig3a fig3b fig4a fig4b fig5b fig6; do
         nlipol "figures_$id" figures --id "$id" --out-dir figures
     done
-    for name in lowgain exact cal_signal cal_idler setting1 setting2; do
+    for name in lowgain exact exact_overflow cal_signal cal_idler setting1 setting2; do
         nlipol "simulate_$name" simulate --config "$cfg/$name.json" --out "$name.csv"
     done
     nlipol calibrate calibrate --signal-scan cal_signal.csv --idler-scan cal_idler.csv \
@@ -114,6 +118,9 @@ run_all() {
         --data setting1.csv --data setting2.csv --assume general --phibar 0.4 \
         --out estimate_rotated_general.json
 }
+
+# commands expected to fail, with their exit code; every other one exits 0
+declare -A expected_exit=([simulate_exact_overflow]=3)
 
 run_all "$root/src" "$work/head"
 run_all "$work/base/src" "$work/base_out"
@@ -134,8 +141,10 @@ for f in $files; do
     fi
 done
 for f in $(cd "$work/head" && find . -name '*.exit' | sort); do
-    if [ "$(cat "$work/head/$f")" != 0 ]; then
-        echo "FAILED ${f#./} exited $(cat "$work/head/$f"):" >&2
+    name=$(basename "$f" .exit)
+    want=${expected_exit[$name]:-0}
+    if [ "$(cat "$work/head/$f")" != "$want" ]; then
+        echo "FAILED ${f#./} exited $(cat "$work/head/$f"), expected $want:" >&2
         cat "$work/head/${f%.exit}.stderr" >&2
         status=1
     fi
