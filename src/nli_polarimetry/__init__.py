@@ -66,7 +66,6 @@ from .signals import (
     n_blocked,
     n_highgain,
     n_lowgain,
-    n_rotated,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elements import CrystalGain, SampleAxes, SignalControl, WaveplateSetting
+from .elements import CrystalGain, SampleAxes, SignalControl, WaveplateSetting, quarter_wave
 from .estimation import (
     ROTATED_ASSUMPTIONS,
     EstimationError,
@@ -39,7 +39,7 @@ from .scan import (
     simulate_scan,
     write_csv,
 )
-from .signals import BeatingParameters, n_blocked, n_highgain, n_lowgain, n_rotated
+from .signals import BeatingParameters, beating_parameters, n_blocked, n_highgain, n_lowgain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -338,29 +338,42 @@ def _figure_fig5b(out_dir: Path) -> list[Path]:
     return paths
 
 
+def _analyzer_config(setting: int, tbar: float, dt: float, dphi: float,
+                     psi: float) -> InterferometerConfig:
+    """Analyzer setting 1 (crossed quarter-wave pair) or 2 (aligned pair) at
+    unit gain with a lossless signal arm, for a sample of zero mean phase
+    rotated by ``psi``."""
+    return InterferometerConfig(
+        crystal1=CrystalGain(1.0),
+        crystal2=CrystalGain(1.0),
+        signal=SignalControl(1.0),
+        waveplate1=quarter_wave(0.25 * math.pi),
+        waveplate2=quarter_wave((0.75 if setting == 1 else 0.25) * math.pi),
+        sample=SampleAxes((tbar + 0.5 * dt) * cmath.exp(0.5j * dphi),
+                          (tbar - 0.5 * dt) * cmath.exp(-0.5j * dphi)),
+        rotation=psi,
+    )
+
+
 def _figure_fig6(out_dir: Path) -> list[Path]:
-    row_a = dict(mean_trans=0.6, diff_trans=0.6, retardance=0.0)
-    row_b = dict(mean_trans=0.6, diff_trans=0.0, retardance=0.5 * math.pi)
+    # rows (tbar, dt, dphi): a pure diattenuator and a pure retarder
+    rows = {"a": (0.6, 0.6, 0.0), "b": (0.6, 0.0, 0.5 * math.pi)}
     phase = np.linspace(0.0, 2.0 * math.pi, 181)
+    curves = {
+        (row, psi, setting): n_lowgain(
+            beating_parameters(_analyzer_config(setting, *rows[row], psi)), phase
+        )
+        for row in rows for psi in (1.8, 3.5) for setting in (1, 2)
+    }
     paths = []
-    for row, tag in ((row_a, "a"), (row_b, "b")):
-        n1 = n_rotated(1, phase, mean_photons=1.0, mean_sample_phase=0.0,
-                       rotation=1.8, **row)
-        n2 = n_rotated(2, phase, mean_photons=1.0, mean_sample_phase=0.0,
-                       rotation=1.8, **row)
-        path = out_dir / f"fig6{tag}_signals.csv"
-        write_csv(path, ["phase", "n_setting1", "n_setting2"], [phase, n1, n2])
+    for row in rows:
+        path = out_dir / f"fig6{row}_signals.csv"
+        write_csv(path, ["phase", "n_setting1", "n_setting2"],
+                  [phase, curves[row, 1.8, 1], curves[row, 1.8, 2]])
         paths.append(path)
     for psi, tag in ((1.8, "psi1p8"), (3.5, "psi3p5")):
-        cols = [phase]
-        header = ["phi0"]
-        for row, row_tag in ((row_a, "a"), (row_b, "b")):
-            for setting in (1, 2):
-                cols.append(
-                    n_rotated(setting, phase, mean_photons=1.0, mean_sample_phase=0.0,
-                              rotation=psi, **row)
-                )
-                header.append(f"n{setting}_{row_tag}")
+        header = ["phi0"] + [f"n{setting}_{row}" for row in rows for setting in (1, 2)]
+        cols = [phase] + [curves[row, psi, setting] for row in rows for setting in (1, 2)]
         path = out_dir / f"fig6_ellipse_{tag}.csv"
         write_csv(path, header, cols)
         paths.append(path)

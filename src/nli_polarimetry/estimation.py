@@ -141,11 +141,13 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     Raises
     ------
     EstimationError
-        If the scan rates are unequal, the record covers less than one beat
-        period (``4*pi/omega_scan`` steps), or the design is rank deficient.
+        If ``omega_scan`` is not positive and finite, the scan rates are
+        unequal, the record covers less than one beat period
+        (``4*pi/omega_scan`` steps), or the design is rank deficient.
     """
-    if omega_scan <= 0.0:
-        raise EstimationError("omega_scan must be positive", flag="bad_scan_rate")
+    if not (math.isfinite(omega_scan) and omega_scan > 0.0):
+        raise EstimationError("omega_scan must be positive and finite",
+                              flag="bad_scan_rate")
     rate_signal = _column_rate(series.phi0, "phi0")
     rate_diff = _column_rate(series.delta_phase, "delta_phase")
     tol = 1e-9 * max(1.0, omega_scan)
@@ -196,9 +198,14 @@ def extract_sample_fourier(
     SampleEstimate
         Axis transmissions from the peak magnitudes; retardance and mean
         phase from the peak phases (mod 2*pi and mod pi respectively).
+        A non-finite or nonpositive amplitude raises ``EstimationError``
+        (flag ``bad_amplitude``), a non-finite offset flag ``bad_offset``.
     """
-    if amplitude <= 0.0:
-        raise EstimationError("nonpositive beating amplitude", flag="bad_amplitude")
+    if not (math.isfinite(amplitude) and amplitude > 0.0):
+        raise EstimationError("beating amplitude must be positive and finite",
+                              flag="bad_amplitude")
+    if not (math.isfinite(signal_offset) and math.isfinite(diff_offset)):
+        raise EstimationError("phase offsets must be finite", flag="bad_offset")
     flags: list[str] = []
 
     t_par = 4.0 * abs(decomp.amp_half) / amplitude
@@ -232,22 +239,20 @@ def extract_sample_fourier(
 
 @dataclass(frozen=True)
 class SinusoidFit:
-    """Single-harmonic fit ``counts ~ offset*(1 + B sin(x) + C cos(x))``.
+    """Single-harmonic fit ``counts ~ offset*(1 + amp_cos cos(x))``.
 
-    ``x = phase_reference + phi0``.  Without an externally supplied
-    reference the decomposition is gauge fixed to ``B = 0, C >= 0`` with the
-    fringe phase absorbed into ``phase_reference``; a single sinusoid cannot
-    separate the three quantities.
+    ``x = phase_reference + phi0``: the decomposition is gauge fixed to a
+    nonnegative cosine amplitude with the fringe phase absorbed into
+    ``phase_reference``; a single sinusoid cannot separate the two.
     """
 
     offset: float
-    amp_sin: float
     amp_cos: float
     phase_reference: float
     residual_rms: float
 
 
-def fit_sinusoid(series: TimeSeries, phase_reference: float | None = None) -> SinusoidFit:
+def fit_sinusoid(series: TimeSeries) -> SinusoidFit:
     """Least-squares sinusoid fit of a control-phase scan.
 
     Parameters
@@ -255,9 +260,6 @@ def fit_sinusoid(series: TimeSeries, phase_reference: float | None = None) -> Si
     series : TimeSeries
         Scan of the signal-arm control phase at fixed differential phase;
         must cover at least one period with >= 8 points per period.
-    phase_reference : float, optional
-        Known reference phase; when given, the quadrature amplitudes are
-        reported in the frame ``x = phase_reference + phi0``.
 
     Returns
     -------
@@ -283,21 +285,10 @@ def fit_sinusoid(series: TimeSeries, phase_reference: float | None = None) -> Si
     if dc <= 0.0:
         raise EstimationError("nonpositive mean count level", flag="bad_amplitude")
     harmonic = z / dc
-
-    if phase_reference is None:
-        return SinusoidFit(
-            offset=dc,
-            amp_sin=0.0,
-            amp_cos=abs(harmonic),
-            phase_reference=cmath.phase(harmonic) if abs(harmonic) > 0 else 0.0,
-            residual_rms=rms,
-        )
-    z = harmonic * cmath.exp(-1j * phase_reference)
     return SinusoidFit(
         offset=dc,
-        amp_sin=-z.imag,
-        amp_cos=z.real,
-        phase_reference=float(phase_reference),
+        amp_cos=abs(harmonic),
+        phase_reference=cmath.phase(harmonic) if abs(harmonic) > 0 else 0.0,
         residual_rms=rms,
     )
 

@@ -83,12 +83,15 @@ def detected_mode(
     """
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v
-    ts = complex(cfg.signal.transmission) * np.exp(1j * np.asarray(signal_phase))
+    # np.multiply rounds a scalar phase as an array element, so scalar and
+    # array phases give the same bits (complex * numpy scalar would not)
+    ts = np.multiply(complex(cfg.signal.transmission),
+                     np.exp(1j * np.asarray(signal_phase)))
     rs = cfg.signal.reflection
     tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
     half_diff = np.exp(0.5j * np.asarray(diff_phase))
-    t_perp = cfg.sample.t_perp * half_diff
-    t_par = cfg.sample.t_par * np.conj(half_diff)
+    t_perp = np.multiply(cfg.sample.t_perp, half_diff)
+    t_par = np.multiply(cfg.sample.t_par, np.conj(half_diff))
     r_perp, r_par = cfg.sample.r_perp, cfg.sample.r_par
 
     a_sig = pure_mode(Mode.SIGNAL)

@@ -278,7 +278,8 @@ def simulate_scan(
     gains).  Counts are ``expected_n * counts_per_unit``, Poisson-sampled in
     ``"poisson"`` mode with a per-scan generator seeded from the noise model.
     A photon number or a count rate that overflows a double, in either
-    regime, raises ``OverflowError``.
+    regime, raises ``OverflowError``, as does a Poisson mean too large for
+    numpy's draw.
     """
     if regime not in REGIMES:
         raise ValueError("regime must be 'exact' or 'lowgain'")
@@ -304,7 +305,11 @@ def simulate_scan(
 
     if noise.mode == "poisson":
         rng = np.random.default_rng(noise.seed)
-        counts = rng.poisson(mean_counts).astype(float)
+        try:
+            counts = rng.poisson(mean_counts).astype(float)
+        except ValueError:
+            # the means are finite: numpy refuses one above about 9.2e18
+            raise OverflowError("Poisson mean counts overflow the draw") from None
     else:
         counts = mean_counts
 

@@ -36,7 +36,6 @@ __all__ = [
     "highgain_visibility",
     "n_blocked",
     "amplitude_relations",
-    "n_rotated",
 ]
 
 
@@ -244,6 +243,11 @@ def amplitude_relations(mean_trans: float, diff_trans: float, retardance: float
 
         b1 = -(dt/2) sin(dphi/2)    c1 = tbar cos(dphi/2)
         b2 = -tbar sin(dphi/2)      c2 = (dt/2) cos(dphi/2)
+
+    The estimators' model: with a lossless signal arm, a setting's low-gain
+    record is ``2V(1 + b sin(x) + c cos(x))``, ``x = phibar + phi0`` for
+    setting 1 and ``phibar + phi0 - 2 psi`` for setting 2.  At any gain it is
+    ``n_highgain(beating_parameters(cfg))`` of the setting's configuration.
     """
     half = 0.5 * retardance
     b1 = -0.5 * diff_trans * math.sin(half)
@@ -251,26 +255,3 @@ def amplitude_relations(mean_trans: float, diff_trans: float, retardance: float
     b2 = -mean_trans * math.sin(half)
     c2 = 0.5 * diff_trans * math.cos(half)
     return b1, c1, b2, c2
-
-
-def n_rotated(setting: int, phi0, *, mean_photons: float, mean_trans: float,
-              diff_trans: float, retardance: float, mean_sample_phase: float,
-              rotation: float):
-    """Low-gain signal of the two quarter-wave analyzer settings, lossless
-    signal arm assumed.
-
-    Setting 1 uses the crossed pair, which cancels the sample rotation
-    exactly; setting 2 uses the aligned pair, where the rotation shifts the
-    fringe phase by twice its value.  Broadcasts over ``phi0``.
-    """
-    b1, c1, b2, c2 = amplitude_relations(mean_trans, diff_trans, retardance)
-    phi0 = np.asarray(phi0, dtype=float)
-    if setting == 1:
-        x = mean_sample_phase + phi0
-        b, c = b1, c1
-    elif setting == 2:
-        x = mean_sample_phase + phi0 - 2.0 * rotation
-        b, c = b2, c2
-    else:
-        raise ValueError("setting must be 1 or 2")
-    return 2.0 * mean_photons * (1.0 + b * np.sin(x) + c * np.cos(x))

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from nli_polarimetry import (
     SampleAxes,
     SignalControl,
     WaveplateSetting,
+    beating_parameters,
+    n_lowgain,
+    quarter_wave,
 )
 
 
@@ -34,6 +38,34 @@ def random_config(rng: np.random.Generator, *, equal_gains: bool = False,
         sample=sample,
         rotation=rng.uniform(0.0, two_pi) if rotation else 0.0,
     )
+
+
+def analyzer_config(tbar, dt, phibar, dphi, psi, setting, v=0.5) -> InterferometerConfig:
+    """Analyzer setting 1 (crossed quarter-wave pair) or 2 (aligned pair) at
+    gain ``v`` with a lossless signal arm, for the sample
+    (tbar +- dt/2) exp(i(phibar +- dphi/2)) rotated by ``psi``."""
+    return InterferometerConfig(
+        crystal1=CrystalGain(v),
+        crystal2=CrystalGain(v),
+        signal=SignalControl(1.0),
+        waveplate1=quarter_wave(math.pi / 4),
+        waveplate2=quarter_wave(3 * math.pi / 4 if setting == 1 else math.pi / 4),
+        sample=SampleAxes(
+            t_perp=(tbar + 0.5 * dt) * cmath.exp(1j * (phibar + 0.5 * dphi)),
+            t_par=(tbar - 0.5 * dt) * cmath.exp(1j * (phibar - 0.5 * dphi)),
+        ),
+        rotation=psi,
+    )
+
+
+def two_setting_points(tbar, dt, phibar, dphi, psi, phi0, v=0.5) -> np.ndarray:
+    """Low-gain records (N1, N2) of the two analyzer settings over the
+    control-phase scan ``phi0``, shape (len(phi0), 2)."""
+    return np.column_stack([
+        n_lowgain(beating_parameters(analyzer_config(tbar, dt, phibar, dphi, psi, s, v)),
+                  phi0)
+        for s in (1, 2)
+    ])
 
 
 def angles_close(a, b, atol=1e-12):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_config
+from conftest import analyzer_config, random_config, two_setting_points
 from nli_polarimetry import (
     CrystalGain,
     InterferometerConfig,
@@ -34,7 +34,6 @@ from nli_polarimetry import (
     n_blocked,
     n_highgain,
     n_lowgain,
-    n_rotated,
     photon_number_exact,
     quarter_wave,
     simulate_scan,
@@ -45,15 +44,14 @@ from nli_polarimetry.cli import main as cli_main
 DIAG = math.pi / 4
 
 
-def qwp_pair(t_perp, t_par, v, ts=1.0 + 0j, rotation=0.0, gamma2=3 * DIAG):
+def qwp_pair(t_perp, t_par, v, ts=1.0 + 0j):
     return InterferometerConfig(
         crystal1=CrystalGain(v),
         crystal2=CrystalGain(v),
         signal=SignalControl(ts),
         waveplate1=quarter_wave(DIAG),
-        waveplate2=quarter_wave(gamma2),
+        waveplate2=quarter_wave(3 * DIAG),
         sample=SampleAxes(t_perp, t_par),
-        rotation=rotation,
     )
 
 
@@ -255,19 +253,17 @@ def test_acceptance_07_fourier_protocol_round_trip():
           f"{good}/100 noisy seeds within 0.02 ({elapsed:.1f} s)")
 
 
-def _setting_series(t_perp, t_par, psi, setting, v=0.5):
-    cfg = qwp_pair(t_perp, t_par, v=v, rotation=psi,
-                   gamma2=3 * DIAG if setting == 1 else DIAG)
+def _setting_series(tbar, dt, phibar, dphi, psi, setting):
+    cfg = analyzer_config(tbar, dt, phibar, dphi, psi, setting)
     sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
     return simulate_scan(cfg, sched, NoiseModel(1.0e4), regime="lowgain")
 
 
 def test_acceptance_08_rotated_sample_protocol():
     # isotropically phase-retarding sample: tbar 0.6, dt 0.6, dphi 0
-    tp = 0.9 * cmath.exp(1j * 0.4)
-    tq = 0.3 * cmath.exp(1j * 0.4)
+    sample = (0.6, 0.6, 0.4, 0.0)
     est_a = estimate_rotated(
-        _setting_series(tp, tq, 1.8, 1), _setting_series(tp, tq, 1.8, 2),
+        _setting_series(*sample, 1.8, 1), _setting_series(*sample, 1.8, 2),
         assume="isotropic_phase",
     )
     assert est_a.tbar == pytest.approx(0.6, abs=1e-6)
@@ -277,10 +273,9 @@ def test_acceptance_08_rotated_sample_protocol():
     assert axis_distance(est_a.psi, 1.8) < 1e-6
 
     # purely birefringent sample: dt 0, dphi pi/2
-    tp = 0.6 * cmath.exp(1j * (0.4 + 0.25 * math.pi))
-    tq = 0.6 * cmath.exp(1j * (0.4 - 0.25 * math.pi))
+    sample = (0.6, 0.0, 0.4, 0.5 * math.pi)
     est_b = estimate_rotated(
-        _setting_series(tp, tq, 1.8, 1), _setting_series(tp, tq, 1.8, 2),
+        _setting_series(*sample, 1.8, 1), _setting_series(*sample, 1.8, 2),
         assume="isotropic_attenuation",
     )
     assert est_b.tbar == pytest.approx(0.6, abs=1e-6)
@@ -292,10 +287,7 @@ def test_acceptance_08_rotated_sample_protocol():
     worst = 0.0
     for phi0 in np.linspace(0.0, 2.0 * math.pi, 64):
         pair = [
-            photon_number_exact(
-                qwp_pair(0.9 * cmath.exp(0.4j), 0.3 * cmath.exp(0.4j), v=1.0,
-                         ts=cmath.exp(1j * phi0), rotation=psi)
-            )
+            photon_number_exact(analyzer_config(0.6, 0.6, 0.4, 0.0, psi, 1, v=1.0), phi0)
             for psi in (1.8, 3.5)
         ]
         worst = max(worst, abs(pair[0] - pair[1]))
@@ -307,14 +299,9 @@ def test_acceptance_08_rotated_sample_protocol():
 def test_acceptance_09_ellipse_pipeline():
     def points(psi, row):
         phi0 = np.linspace(0.0, 2.0 * math.pi, 73, endpoint=False)
-        kwargs = dict(mean_photons=0.5, mean_sample_phase=0.4, rotation=psi)
-        if row == "a":
-            kwargs.update(mean_trans=0.6, diff_trans=0.6, retardance=0.0)
-        else:
-            kwargs.update(mean_trans=0.6, diff_trans=0.0, retardance=0.5 * math.pi)
-        return np.column_stack(
-            [n_rotated(1, phi0, **kwargs), n_rotated(2, phi0, **kwargs)]
-        )
+        # (tbar, dt, phibar, dphi) of a pure diattenuator and a pure retarder
+        sample = (0.6, 0.6, 0.4, 0.0) if row == "a" else (0.6, 0.0, 0.4, 0.5 * math.pi)
+        return two_setting_points(*sample, psi, phi0)
 
     fits = {}
     for psi in (1.8, 3.5):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import nli_polarimetry
 from conftest import MALFORMED_SERIES
-from nli_polarimetry import BeatingParameters, TimeSeries, cli, n_blocked
+from nli_polarimetry import BeatingParameters, TimeSeries, amplitude_relations, cli, n_blocked
 from nli_polarimetry.angles import axis_distance
 from nli_polarimetry.cli import main
 from nli_polarimetry.scan import write_csv
@@ -119,11 +119,15 @@ class TestSimulate:
         assert "t_diag_mag" in capsys.readouterr().err
 
     def test_exact_overflow_exits_3(self, tmp_path, capsys):
-        for regime, v, kappa in (("exact", 1e200, 1.0e4), ("exact", 1.7e308, 1.0e4),
-                                 ("lowgain", 1e308, 1.0e4), ("exact", 0.5, 1e308)):
+        # the last case's counts are finite but too large for the Poisson draw
+        for regime, v, kappa, mode in (
+            ("exact", 1e200, 1.0e4, "noiseless"), ("exact", 1.7e308, 1.0e4, "noiseless"),
+            ("lowgain", 1e308, 1.0e4, "noiseless"), ("exact", 0.5, 1e308, "noiseless"),
+            ("exact", 0.5, 1e300, "poisson"),
+        ):
             doc = base_config(**{"regime": regime, "interferometer.gain1.V": v,
                                  "interferometer.gain2.V": v,
-                                 "noise.counts_per_unit_N": kappa})
+                                 "noise.counts_per_unit_N": kappa, "noise.mode": mode})
             cfg = write_config(tmp_path, doc)
             out = tmp_path / "out.csv"
             assert run("simulate", "--config", cfg, "--out", out) == 3
@@ -516,6 +520,30 @@ class TestFigures:
             "fig6a_signals.csv",
             "fig6b_signals.csv",
         ]
+        # every curve is the amplitude-relation model 2V(1 + b sin x + c cos x)
+        # at unit gain and zero mean sample phase
+        def model(setting, row, psi, phi0):
+            tbar, dt, dphi = (0.6, 0.6, 0.0) if row == "a" else (0.6, 0.0, 0.5 * math.pi)
+            b1, c1, b2, c2 = amplitude_relations(tbar, dt, dphi)
+            if setting == 1:
+                return 2.0 * (1.0 + b1 * np.sin(phi0) + c1 * np.cos(phi0))
+            x = phi0 - 2.0 * psi
+            return 2.0 * (1.0 + b2 * np.sin(x) + c2 * np.cos(x))
+
+        def load(name):
+            return np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+
+        for row in ("a", "b"):
+            grid = load(f"fig6{row}_signals.csv")
+            for setting in (1, 2):
+                np.testing.assert_allclose(grid[:, setting],
+                                           model(setting, row, 1.8, grid[:, 0]), atol=1e-12)
+        for psi, tag in ((1.8, "psi1p8"), (3.5, "psi3p5")):
+            grid = load(f"fig6_ellipse_{tag}.csv")
+            columns = [(row, setting) for row in "ab" for setting in (1, 2)]
+            for col, (row, setting) in enumerate(columns, start=1):
+                np.testing.assert_allclose(grid[:, col],
+                                           model(setting, row, psi, grid[:, 0]), atol=1e-12)
 
     def test_unknown_id_rejected(self, tmp_path):
         assert run("figures", "--id", "fig9", "--out-dir", tmp_path) == 2

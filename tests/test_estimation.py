@@ -1,12 +1,13 @@
 import cmath
 import collections
-import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import analyzer_config, two_setting_points
 from nli_polarimetry import (
     CrystalGain,
     EstimationError,
@@ -27,7 +28,6 @@ from nli_polarimetry import (
     fit_sinusoid,
     fourier_protocol_schedule,
     harmonic_regress,
-    n_rotated,
     quarter_wave,
     recover_rotated_params,
     simulate_scan,
@@ -39,22 +39,15 @@ from nli_polarimetry.estimation import ROTATED_ASSUMPTIONS
 KAPPA = 1.0e4
 
 
-def qwp_pair_config(t_perp, t_par, v=0.5, rotation=0.0, gamma2=3 * math.pi / 4):
+def qwp_pair_config(t_perp, t_par, v=0.5):
     return InterferometerConfig(
         crystal1=CrystalGain(v),
         crystal2=CrystalGain(v),
         signal=SignalControl(1.0),
         waveplate1=quarter_wave(math.pi / 4),
-        waveplate2=quarter_wave(gamma2),
+        waveplate2=quarter_wave(3 * math.pi / 4),
         sample=SampleAxes(t_perp, t_par),
-        rotation=rotation,
     )
-
-
-def sample_from(tbar, dt, phibar, dphi):
-    t_perp = (tbar + 0.5 * dt) * cmath.exp(1j * (phibar + 0.5 * dphi))
-    t_par = (tbar - 0.5 * dt) * cmath.exp(1j * (phibar - 0.5 * dphi))
-    return SampleAxes(t_perp, t_par)
 
 
 def fourier_scan(t_perp, t_par, xi_bar=0.0, delta_xi=0.0, n_periods=4,
@@ -66,10 +59,7 @@ def fourier_scan(t_perp, t_par, xi_bar=0.0, delta_xi=0.0, n_periods=4,
 
 
 def setting_scan(tbar, dt, phibar, dphi, psi, setting, n=72, noise=None, v=0.5):
-    gamma2 = 3 * math.pi / 4 if setting == 1 else math.pi / 4
-    cfg = qwp_pair_config(0.0, 0.0, v=v, rotation=psi, gamma2=gamma2)
-    # axis moduli through the quarter-wave pair: tbar +- dt/2
-    cfg = dataclasses.replace(cfg, sample=sample_from(tbar, dt, phibar, dphi))
+    cfg = analyzer_config(tbar, dt, phibar, dphi, psi, setting, v=v)
     sched = ScanSchedule(signal_rate=2.0 * math.pi / n, n_samples=n)
     noise = noise or NoiseModel(KAPPA)
     return simulate_scan(cfg, sched, noise, regime="lowgain")
@@ -114,6 +104,16 @@ class TestHarmonicRegress:
         series = simulate_scan(cfg, sched, NoiseModel(1.0), regime="lowgain")
         with pytest.raises(EstimationError):
             harmonic_regress(series, 0.2)
+
+    def test_rejects_bad_scan_rate(self, capfd):
+        series, sched = fourier_scan(0.9, 0.2)
+        for omega in (0.0, -sched.signal_rate, math.nan, math.inf, -math.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EstimationError) as err:
+                    harmonic_regress(series, omega)
+            assert err.value.flag == "bad_scan_rate", omega
+        assert capfd.readouterr().err == ""
 
     def test_rejects_short_series(self):
         series, sched = fourier_scan(0.9, 0.2, n_periods=4, samples_per_period=100)
@@ -190,11 +190,22 @@ class TestExtractSampleFourier:
                 abs(float(est.phibar) - phibar) - math.pi
             ) < 1e-9
 
-    def test_rejects_bad_amplitude(self):
+    def test_rejects_bad_amplitude(self, capfd):
         series, sched = fourier_scan(0.9, 0.2)
         decomp = harmonic_regress(series, sched.signal_rate)
-        with pytest.raises(EstimationError):
-            extract_sample_fourier(decomp, 0.0, 0.0, 0.0)
+        nan, inf = math.nan, math.inf
+        for args, flag in (
+            ((0.0, 0.0, 0.0), "bad_amplitude"), ((-1.0, 0.0, 0.0), "bad_amplitude"),
+            ((nan, 0.0, 0.0), "bad_amplitude"), ((inf, 0.0, 0.0), "bad_amplitude"),
+            ((1.0, nan, 0.0), "bad_offset"), ((1.0, 0.0, nan), "bad_offset"),
+            ((1.0, -inf, 0.0), "bad_offset"), ((1.0, 0.0, inf), "bad_offset"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EstimationError) as err:
+                    extract_sample_fourier(decomp, *args)
+            assert err.value.flag == flag, args
+        assert capfd.readouterr().err == ""
 
     def test_out_of_range_transmission_clipped_and_flagged(self):
         series, sched = fourier_scan(0.9, 0.2)
@@ -238,7 +249,6 @@ class TestFitSinusoid:
     def test_recovers_gauge_fixed_amplitudes(self):
         series = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
         fit = fit_sinusoid(series)
-        assert fit.amp_sin == 0.0
         assert fit.amp_cos == pytest.approx(0.6, abs=1e-9)
         assert fit.phase_reference == pytest.approx(0.4, abs=1e-9)
 
@@ -247,13 +257,6 @@ class TestFitSinusoid:
         fit = fit_sinusoid(series)
         assert fit.amp_cos == pytest.approx(0.3, abs=1e-9)
 
-    def test_known_reference_frame(self):
-        series = setting_scan(0.5, 0.2, 0.4, 1.1, 0.0, setting=1)
-        fit = fit_sinusoid(series, phase_reference=0.4)
-        b1, c1, _, _ = amplitude_relations(0.5, 0.2, 1.1)
-        assert fit.amp_sin == pytest.approx(b1, abs=1e-9)
-        assert fit.amp_cos == pytest.approx(c1, abs=1e-9)
-
     def test_constant_series(self):
         series = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
         flat = TimeSeries(
@@ -261,7 +264,6 @@ class TestFitSinusoid:
             expected_n=series.expected_n, counts=np.full(len(series), 5.0),
         )
         fit = fit_sinusoid(flat)
-        assert fit.amp_sin == 0.0
         assert fit.amp_cos == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_undersampled(self):
@@ -443,9 +445,7 @@ class TestEstimateRotated:
 
 def ellipse_points(tbar, dt, dphi, psi, phibar=0.4, n=73, v=0.5, phase_start=0.0):
     phi0 = phase_start + np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    kwargs = dict(mean_photons=v, mean_trans=tbar, diff_trans=dt,
-                  retardance=dphi, mean_sample_phase=phibar, rotation=psi)
-    return np.column_stack([n_rotated(1, phi0, **kwargs), n_rotated(2, phi0, **kwargs)])
+    return two_setting_points(tbar, dt, phibar, dphi, psi, phi0, v=v)
 
 
 class TestFitEllipse:
@@ -705,7 +705,7 @@ class TestTwoSettingOracle:
             if rng.uniform() < 0.3:
                 phases[1] = phases[0]
             for series, amp, phase in zip((s1, s2), amps, phases):
-                fits[id(series)] = SinusoidFit(1.0, 0.0, amp, phase if amp else 0.0, 0.0)
+                fits[id(series)] = SinusoidFit(1.0, amp, phase if amp else 0.0, 0.0)
             phibar = rng.uniform(-math.pi, math.pi)
             for assume in ROTATED_ASSUMPTIONS:
                 kwargs = {"phibar": phibar} if assume == "general" else {}
@@ -726,8 +726,8 @@ class TestTwoSettingOracle:
         seen = collections.Counter()
         for amp1 in levels:
             for amp2 in levels:
-                fits[id(s1)] = SinusoidFit(1.0, 0.0, amp1, 0.3, 0.0)
-                fits[id(s2)] = SinusoidFit(1.0, 0.0, amp2, -1.1, 0.0)
+                fits[id(s1)] = SinusoidFit(1.0, amp1, 0.3, 0.0)
+                fits[id(s2)] = SinusoidFit(1.0, amp2, -1.1, 0.0)
                 for assume in ROTATED_ASSUMPTIONS:
                     kwargs = {"phibar": 0.2} if assume == "general" else {}
                     got = outcome(estimate_rotated, s1, s2, assume=assume, **kwargs)

@@ -142,6 +142,16 @@ class TestPhotonNumber:
             expected_n = simulate_scan(cfg, schedule, noise, regime="exact").expected_n
             assert np.all(expected_n == photon_number_exact(cfg))
 
+    def test_array_phases_equal_scalar_calls_bitwise(self, rng):
+        # one function of the phases: a batched call gives the bits of its
+        # elementwise scalar calls
+        for _ in range(100):
+            cfg = random_config(rng)
+            sp, dp = rng.uniform(0.0, 2.0 * math.pi, size=(2, 32))
+            batched = photon_number_exact(cfg, sp, dp)
+            scalar = [photon_number_exact(cfg, float(s), float(d)) for s, d in zip(sp, dp)]
+            assert batched.tobytes() == np.array(scalar).tobytes()
+
     def test_overflow_raises_without_warning(self):
         # crossed quarter-wave pair, sample removed: at 1e200 the photon
         # number overflows, at 1.7e308 an amplitude already does

@@ -209,14 +209,18 @@ class TestSimulateScan:
         # exact at 1e200: the amplitudes stay finite but their squares do
         # not; at 1.7e308 an amplitude itself overflows while the mode is
         # composed; low-gain at 1e308: the beating amplitude overflows; a
-        # finite photon number at 1e308 counts per unit: the counts overflow
-        for regime, v, kappa in (("exact", 1e200, 1.0), ("exact", 1.7e308, 1.0),
-                                 ("lowgain", 1e308, 1.0), ("exact", 0.5, 1e308)):
+        # finite photon number at 1e308 counts per unit: the counts overflow;
+        # finite counts of 1e300 per unit: too large for the Poisson draw
+        for regime, v, kappa, mode in (
+            ("exact", 1e200, 1.0, "noiseless"), ("exact", 1.7e308, 1.0, "noiseless"),
+            ("lowgain", 1e308, 1.0, "noiseless"), ("exact", 0.5, 1e308, "noiseless"),
+            ("exact", 0.5, 1e300, "poisson"),
+        ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(OverflowError):
                     simulate_scan(calibration_config(v=v), ScanSchedule(n_samples=8),
-                                  NoiseModel(kappa), regime=regime)
+                                  NoiseModel(kappa, mode=mode), regime=regime)
 
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import angles_close, random_config
+from conftest import analyzer_config, angles_close, random_config, two_setting_points
 from nli_polarimetry import (
     BeatingParameters,
     CrystalGain,
@@ -25,7 +25,6 @@ from nli_polarimetry import (
     n_blocked,
     n_highgain,
     n_lowgain,
-    n_rotated,
     photon_number_exact,
     quarter_wave,
     rotated_waveplate_coeffs,
@@ -139,7 +138,7 @@ def lowgain_scan(cfg, sched):
     return simulate_scan(cfg, sched, NoiseModel(1.0), regime="lowgain").expected_n
 
 
-def qwp_pair_config(t_perp, t_par, v=0.5, ts=1.0 + 0j, rotation=0.0):
+def qwp_pair_config(t_perp, t_par, v=0.5, ts=1.0 + 0j):
     return InterferometerConfig(
         crystal1=CrystalGain(v),
         crystal2=CrystalGain(v),
@@ -147,7 +146,6 @@ def qwp_pair_config(t_perp, t_par, v=0.5, ts=1.0 + 0j, rotation=0.0):
         waveplate1=quarter_wave(math.pi / 4),
         waveplate2=quarter_wave(3 * math.pi / 4),
         sample=SampleAxes(t_perp, t_par),
-        rotation=rotation,
     )
 
 
@@ -396,32 +394,23 @@ class TestHighGain:
 
 
 class TestRotatedSignals:
+    """The two analyzer settings as interferometer configurations
+    (``analyzer_config``), evaluated by the shared closed forms."""
+
     def test_setting1_cancels_rotation(self):
-        kwargs = dict(mean_photons=0.5, mean_trans=0.6, diff_trans=0.6,
-                      retardance=0.0, mean_sample_phase=0.4)
         phi0 = np.linspace(0.0, 2.0 * math.pi, 64)
-        a = n_rotated(1, phi0, rotation=1.8, **kwargs)
-        b = n_rotated(2, phi0, rotation=1.8, **kwargs)
-        c = n_rotated(1, phi0, rotation=3.5, **kwargs)
-        np.testing.assert_allclose(a, c, atol=1e-14)
-        assert np.max(np.abs(a - b)) > 0.01  # setting 2 does shift
+        a = two_setting_points(0.6, 0.6, 0.4, 0.0, 1.8, phi0)
+        c = two_setting_points(0.6, 0.6, 0.4, 0.0, 3.5, phi0)
+        np.testing.assert_allclose(a[:, 0], c[:, 0], atol=1e-14)
+        assert np.max(np.abs(a[:, 0] - a[:, 1])) > 0.01  # setting 2 does shift
 
     def test_setting1_matches_exact_composer_any_rotation(self):
         # the crossed quarter-wave pair makes the exact signal rotation-free
         phi0 = np.linspace(0.0, 2.0 * math.pi, 16)
+        want = two_setting_points(0.6, 0.6, 0.4, 0.0, 0.0, phi0, v=1e-7)[:, 0]
         for psi in (1.8, 3.5):
-            got = []
-            for x in phi0:
-                cfg = qwp_pair_config(
-                    0.9 * cmath.exp(0.4j), 0.3 * cmath.exp(0.4j),
-                    v=1e-7, ts=cmath.exp(1j * x), rotation=psi,
-                )
-                got.append(photon_number_exact(cfg))
-            want = n_rotated(
-                1, phi0, mean_photons=1e-7, mean_trans=0.6, diff_trans=0.6,
-                retardance=0.0, mean_sample_phase=0.4, rotation=psi,
-            )
-            np.testing.assert_allclose(got, want, rtol=1e-6)
+            cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, psi, 1, v=1e-7)
+            np.testing.assert_allclose(photon_number_exact(cfg, phi0), want, rtol=1e-6)
 
     def test_amplitude_relations_special_case(self):
         b1, c1, b2, c2 = amplitude_relations(0.6, 0.6, 0.0)
@@ -430,50 +419,42 @@ class TestRotatedSignals:
         assert c2 == pytest.approx(0.3)
 
     def test_fringe_extrema_match_amplitudes(self):
-        kwargs = dict(mean_photons=0.5, mean_trans=0.6, diff_trans=0.6,
-                      retardance=0.0, mean_sample_phase=0.0)
         # fringe maxima sit where the cosine argument vanishes
-        assert n_rotated(1, 0.0, rotation=1.8, **kwargs) == pytest.approx(1.6, abs=1e-12)
-        assert n_rotated(2, 3.6, rotation=1.8, **kwargs) == pytest.approx(1.3, abs=1e-12)
-        phi0 = np.linspace(0.0, 2.0 * math.pi, 721)
-        n1 = n_rotated(1, phi0, rotation=1.8, **kwargs)
-        n2 = n_rotated(2, phi0, rotation=1.8, **kwargs)
-        assert np.max(n1) <= 1.6 + 1e-12
-        assert np.max(n2) <= 1.3 + 1e-12
+        at_max = two_setting_points(0.6, 0.6, 0.0, 0.0, 1.8, np.array([0.0, 3.6]))
+        assert at_max[0, 0] == pytest.approx(1.6, abs=1e-12)
+        assert at_max[1, 1] == pytest.approx(1.3, abs=1e-12)
+        n = two_setting_points(0.6, 0.6, 0.0, 0.0, 1.8, np.linspace(0.0, 2.0 * math.pi, 721))
+        assert np.max(n[:, 0]) <= 1.6 + 1e-12
+        assert np.max(n[:, 1]) <= 1.3 + 1e-12
 
     def test_setting2_shift_symmetry(self, rng):
-        kwargs = dict(mean_photons=0.5, mean_trans=0.5, diff_trans=0.3,
-                      retardance=0.7, mean_sample_phase=0.2)
+        def setting2(phi0, psi):
+            cfg = analyzer_config(0.5, 0.3, 0.2, 0.7, psi, 2)
+            return n_lowgain(beating_parameters(cfg), phi0)
+
         for _ in range(20):
             phi0 = rng.uniform(0.0, 2.0 * math.pi)
             psi = rng.uniform(0.0, math.pi)
             shift = rng.uniform(0.0, math.pi)
-            a = n_rotated(2, phi0, rotation=psi, **kwargs)
-            b = n_rotated(2, phi0 + 2.0 * shift, rotation=psi + shift, **kwargs)
-            assert b == pytest.approx(a, abs=1e-12)
-
-    def test_rejects_bad_setting(self):
-        with pytest.raises(ValueError):
-            n_rotated(3, 0.0, mean_photons=0.5, mean_trans=0.5, diff_trans=0.0,
-                      retardance=0.0, mean_sample_phase=0.0, rotation=0.0)
+            a = setting2(phi0, psi)
+            assert setting2(phi0 + 2.0 * shift, psi + shift) == pytest.approx(a, abs=1e-12)
 
     def test_matches_general_beating_formula(self):
-        # oracle: the rotated closed form equals the generic beating formula
-        # evaluated on the rotated configuration
-        phi0 = 0.9
-        for setting, gamma2 in ((1, 3 * math.pi / 4), (2, math.pi / 4)):
-            cfg = InterferometerConfig(
-                crystal1=CrystalGain(0.5),
-                crystal2=CrystalGain(0.5),
-                signal=SignalControl(cmath.exp(1j * phi0)),
-                waveplate1=quarter_wave(math.pi / 4),
-                waveplate2=quarter_wave(gamma2),
-                sample=SampleAxes(0.9 * cmath.exp(0.65j), 0.3 * cmath.exp(0.15j)),
-                rotation=1.8,
-            )
-            want = n_lowgain(beating_parameters(cfg))
-            got = n_rotated(
-                setting, phi0, mean_photons=0.5, mean_trans=0.6, diff_trans=0.6,
-                retardance=0.5, mean_sample_phase=0.4, rotation=1.8,
-            )
-            assert got == pytest.approx(want, abs=1e-12)
+        # each setting's all-orders closed form is its exact photon number,
+        # and its low-gain record is the estimators' amplitude-relation
+        # model 2V(1 + b sin(x) + c cos(x))
+        tbar, dt, phibar, dphi = 0.6, 0.6, 0.4, 0.5
+        b1, c1, b2, c2 = amplitude_relations(tbar, dt, dphi)
+        phi0 = np.linspace(0.0, 2.0 * math.pi, 37)
+        for setting, psi, v in itertools.product((1, 2), (0.0, 1.8, 3.5),
+                                                 (0.01, 0.1, 0.5, 1.0, 2.0)):
+            cfg = analyzer_config(tbar, dt, phibar, dphi, psi, setting, v)
+            p = beating_parameters(cfg)
+            np.testing.assert_allclose(n_highgain(p, phi0), photon_number_exact(cfg, phi0),
+                                       rtol=1e-12, atol=0.0)
+            if setting == 1:
+                x, b, c = phibar + phi0, b1, c1
+            else:
+                x, b, c = phibar + phi0 - 2.0 * psi, b2, c2
+            model = 2.0 * v * (1.0 + b * np.sin(x) + c * np.cos(x))
+            np.testing.assert_allclose(n_lowgain(p, phi0), model, rtol=1e-12, atol=0.0)

@@ -12,6 +12,10 @@
 # the fourier pipeline and for every assumption of the rotated and ellipse
 # pipelines (the general mode with --phibar).
 #
+# For each .csv file that differs, it also prints how far the file moved:
+# the number of cells that differ and the largest absolute difference
+# between them (nan when a differing cell is not a number).
+#
 # Exit status: 0 when every file matches and every command exits as
 # expected (0, or the code listed in expected_exit), 1 otherwise, 2 on a
 # usage error.  Set PYTHON to choose the interpreter (default: python3).
@@ -119,6 +123,30 @@ run_all() {
         --out estimate_rotated_general.json
 }
 
+# csv_delta NEW OLD: how far a CSV file moved, cell by cell
+csv_delta() {
+    "$python" - "$1" "$2" <<'PY'
+import csv, sys
+
+new, old = ([row for row in csv.reader(open(path, newline=""))] for path in sys.argv[1:])
+if len(new) != len(old) or any(len(a) != len(b) for a, b in zip(new, old)):
+    print(f"  cells: the shapes differ ({len(new)} against {len(old)} rows)")
+    sys.exit()
+cells = differ = 0
+largest = 0.0
+for row_new, row_old in zip(new, old):
+    for a, b in zip(row_new, row_old):
+        cells += 1
+        if a != b:
+            differ += 1
+            try:
+                largest = max(largest, abs(float(a) - float(b)))
+            except ValueError:
+                largest = float("nan")
+print(f"  cells: {differ} of {cells} differ, largest |difference| {largest!r}")
+PY
+}
+
 # commands expected to fail, with their exit code; every other one exits 0
 declare -A expected_exit=([simulate_exact_overflow]=3)
 
@@ -137,6 +165,9 @@ for f in $files; do
     count=$((count + 1))
     if ! cmp -s "$work/head/$f" "$work/base_out/$f"; then
         echo "DIFFERENT ${f#./}" >&2
+        case $f in
+            *.csv) csv_delta "$work/head/$f" "$work/base_out/$f" >&2 ;;
+        esac
         status=1
     fi
 done
