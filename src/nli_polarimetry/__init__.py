@@ -17,7 +17,6 @@ from .elements import (
 from .estimation import (
     EllipseFit,
     EstimationError,
-    HarmonicDecomposition,
     RotatedRecovery,
     SampleEstimate,
     SinusoidFit,
@@ -58,7 +57,7 @@ from .scan import (
 )
 from .signals import (
     BeatingParameters,
-    FourierModel,
+    HarmonicDecomposition,
     amplitude_relations,
     beating_parameters,
     fourier_model,

@@ -61,6 +61,8 @@ class WaveplateCoeffs:
     rho: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.tau) and cmath.isfinite(self.rho)):
+            raise ValueError("tau and rho must be finite")
         norm = abs(self.tau) ** 2 + abs(self.rho) ** 2
         if abs(norm - 1.0) > 1e-9:
             raise ValueError("coefficients must satisfy |tau|^2 + |rho|^2 = 1")

@@ -17,12 +17,11 @@ import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
 from .scan import TimeSeries, _fit_harmonics
-from .signals import amplitude_relations
+from .signals import HarmonicDecomposition, amplitude_relations
 
 __all__ = [
     "EstimationError",
     "UnidentifiableError",
-    "HarmonicDecomposition",
     "SampleEstimate",
     "SinusoidFit",
     "RotatedRecovery",
@@ -58,21 +57,6 @@ class EstimationError(RuntimeError):
 
 class UnidentifiableError(EstimationError):
     """The requested parameter is not determined by the data."""
-
-
-@dataclass(frozen=True)
-class HarmonicDecomposition:
-    """Least-squares harmonic content of a dual-rate scan.
-
-    Complex amplitudes use the cosine-phase convention
-    ``counts ~ dc + Re[amp_half e^{i w t/2}] + Re[amp_threehalf e^{i 3w t/2}]``.
-    """
-
-    dc: float
-    omega_scan: float
-    amp_half: complex
-    amp_threehalf: complex
-    residual_rms: float
 
 
 @dataclass
@@ -170,8 +154,8 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     dc, (amp_half, amp_threehalf), rms = _fit_harmonics(
         series.step.astype(float), series.counts, rates, error
     )
-    return HarmonicDecomposition(dc=dc, omega_scan=omega_scan, amp_half=amp_half,
-                                 amp_threehalf=amp_threehalf, residual_rms=rms)
+    return HarmonicDecomposition(dc=dc, amp_half=amp_half, amp_threehalf=amp_threehalf,
+                                 residual_rms=rms)
 
 
 def extract_sample_fourier(
@@ -476,11 +460,6 @@ class EllipseFit:
     amp_x: float
     amp_y: float
     rel_phase: float
-    b1: float
-    c1: float
-    b2: float
-    c2: float
-    psi: float
     flux_scale: float
     residual: float
     flags: list
@@ -518,8 +497,8 @@ def _direct_ellipse_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([best, t @ best])
 
 
-def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseFit:
-    """Fit the parametric fringe ellipse and map it back to sample parameters.
+def fit_ellipse(points: np.ndarray) -> EllipseFit:
+    """Fit the parametric fringe ellipse and return its Lissajous invariants.
 
     Parameters
     ----------
@@ -528,10 +507,6 @@ def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseF
         along the control-phase scan and covering at least one period.  The
         ordering only sets the traversal direction (the sign of the relative
         phase); the fit itself is invariant under phase shifts of the scan.
-    assume : str
-        Structural assumption mapping the three shape invariants to sample
-        parameters: ``"isotropic_phase"`` (no birefringence) or
-        ``"isotropic_attenuation"`` (no diattenuation).
 
     Returns
     -------
@@ -540,16 +515,17 @@ def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseF
     Raises
     ------
     EstimationError
-        For fewer than 6 points; as ``UnidentifiableError`` with flag
-        ``degenerate_conic`` for collinear points or a non-elliptical conic.
+        For fewer than 6 points (flag ``too_few_points``) or a NaN or
+        infinite one (``nonfinite_points``); as ``UnidentifiableError`` with
+        flag ``degenerate_conic`` for collinear points or a non-elliptical
+        conic.
     """
-    if assume not in _PSI_UNIDENTIFIED:
-        raise EstimationError(f"unsupported ellipse assumption {assume!r}",
-                              flag="bad_assumption")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 6:
         raise EstimationError("need at least 6 (N1, N2) points",
                               flag="too_few_points")
+    if not np.isfinite(pts).all():
+        raise EstimationError("points must be finite", flag="nonfinite_points")
     flags: list[str] = []
 
     # normalize: isotropic scaling keeps the conic fit well conditioned and
@@ -607,20 +583,10 @@ def fit_ellipse(points: np.ndarray, assume: str = "isotropic_phase") -> EllipseF
     if abs(cos_rel) < 1e-7 and abs(amp_x_raw - amp_y_raw) < 1e-7 * (amp_x_raw + amp_y_raw):
         flags.append("psi_unidentifiable_circle")
 
-    (b1, c1, b2, c2), psi, unidentified = _structural_amplitudes(
-        assume, amp_x, amp_y, rel_phase
-    )
-    flags += unidentified
-
     return EllipseFit(
         amp_x=float(amp_x),
         amp_y=float(amp_y),
         rel_phase=float(rel_phase),
-        b1=b1,
-        c1=c1,
-        b2=b2,
-        c2=c2,
-        psi=psi,
         flux_scale=float(0.25 * (center[0] + center[1])),
         residual=residual,
         flags=flags,
@@ -632,11 +598,20 @@ def estimate_ellipse(
     series_setting2: TimeSeries,
     assume: str = "isotropic_phase",
 ) -> SampleEstimate:
-    """Ellipse-route estimation from the paired analyzer-setting records."""
+    """Ellipse-route estimation from the paired analyzer-setting records.
+
+    The conic fit's invariants are mapped to sample parameters under the
+    structural assumption ``"isotropic_phase"`` (no birefringence) or
+    ``"isotropic_attenuation"`` (no diattenuation), as in ``estimate_rotated``.
+    """
     if len(series_setting1) != len(series_setting2):
         raise EstimationError("the two series must have matching samples",
                               flag="length_mismatch")
+    if assume not in _PSI_UNIDENTIFIED:
+        raise EstimationError(f"unsupported ellipse assumption {assume!r}",
+                              flag="bad_assumption")
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
-    fit = fit_ellipse(points, assume=assume)
-    return _two_setting_estimate((fit.b1, fit.c1, fit.b2, fit.c2), fit.psi, None,
-                                 {"conic_rms": fit.residual}, fit.flags)
+    fit = fit_ellipse(points)
+    amps, psi, flags = _structural_amplitudes(assume, fit.amp_x, fit.amp_y, fit.rel_phase)
+    return _two_setting_estimate(amps, psi, None, {"conic_rms": fit.residual},
+                                 fit.flags + flags)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,6 +60,8 @@ class ScanSchedule:
         for name in ("signal_offset", "diff_offset", "signal_rate", "diff_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not isinstance(self.n_samples, numbers.Integral):
+            raise ValueError("n_samples must be an integer")
         if self.n_samples < 8:
             raise ValueError("n_samples must be >= 8")
 
@@ -105,6 +108,8 @@ class NoiseModel:
             raise ValueError("counts_per_unit must be positive")
         if self.mode not in ("noiseless", "poisson"):
             raise ValueError("mode must be 'noiseless' or 'poisson'")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -115,7 +120,8 @@ class TimeSeries:
 
     ``phi0`` and ``delta_phase`` hold the commanded ramps (offsets excluded);
     ``expected_n`` is the model photon number and ``counts`` the detector
-    record in count units.
+    record in count units.  A NaN or infinite value raises ``ValueError``
+    naming its column and row, as ``read_csv`` does.
     """
 
     step: np.ndarray
@@ -126,9 +132,15 @@ class TimeSeries:
 
     def __post_init__(self):
         n = len(self.step)
-        for name in ("phi0", "delta_phase", "expected_n", "counts"):
-            if len(getattr(self, name)) != n:
+        for name in ("step", "phi0", "delta_phase", "expected_n", "counts"):
+            column = getattr(self, name)
+            if len(column) != n:
                 raise ValueError("all columns must have equal length")
+            finite = np.isfinite(column)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise ValueError(f"non-finite value '{column[row]}' in column "
+                                 f"'{name}' of data row {row + 1}")
         if np.any(np.diff(self.step) <= 0):
             raise ValueError("step index must be strictly increasing")
         if np.any(np.asarray(self.expected_n) < 0):

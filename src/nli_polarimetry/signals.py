@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BeatingParameters",
-    "FourierModel",
+    "HarmonicDecomposition",
     "beating_parameters",
     "n_lowgain",
     "fourier_model",
@@ -150,47 +150,40 @@ def n_lowgain(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):
 
 
 @dataclass(frozen=True)
-class FourierModel:
-    """Spectral content of an equal-rate dual scan.
+class HarmonicDecomposition:
+    """Harmonic content of an equal-rate dual scan at the scan rate ``w``.
 
-    The beating signal concentrates at the scan frequency halves: a dc level
-    ``amplitude/2``, one component at half the scan rate whose magnitude is
-    proportional to the parallel-axis transmission, and one at three halves
-    proportional to the perpendicular-axis transmission.  Complex amplitudes
-    follow the cosine-phase convention ``Re[amp * exp(i Omega t)]``.
+    Complex amplitudes use the cosine-phase convention
+    ``counts ~ dc + Re[amp_half e^{i w t/2}] + Re[amp_threehalf e^{i 3w t/2}]``.
+    ``residual_rms`` is the fit's residual; a predicted record has none.
     """
 
     dc: float
     amp_half: complex
     amp_threehalf: complex
-    epsilon_plus: complex
-    kappa_plus: complex
+    residual_rms: float = 0.0
 
 
-def fourier_model(p: BeatingParameters, schedule: "ScanSchedule") -> FourierModel:
-    """Predicted harmonic content of the scan signal; rates must be equal.
+def fourier_model(p: BeatingParameters, schedule: "ScanSchedule") -> HarmonicDecomposition:
+    """Harmonic content of ``n_lowgain(p, signal_offset + w t, diff_offset + w t)``.
 
-    The model is ``n_lowgain(p, signal_offset + signal_rate*t, diff_offset +
-    diff_rate*t)`` in the calibration-pair convention: both analyzer
-    quarter-wave plates are assumed set to the calibration pair, whose fixed
-    setup phases swap the roles of the two visibilities (the mean visibility
-    multiplies the cosine product, the differential one the sine product),
-    and ``p``'s control and setup phases do not enter, so the scan phases add
-    to the mean sample phase and to the retardance alone.
+    The two scan rates must equal ``w``.  With the fringe phase ``m = p.mean_total_phase + signal_offset`` and the
+    half differential phase ``h = p.half_diff_phase + diff_offset/2`` at step
+    zero, the record is ``A/2 + Re[A/4 (Dv - Mv) e^{i(m - h)} e^{i w t/2}]
+    + Re[A/4 (Dv + Mv) e^{i(m + h)} e^{i 3w t/2}]`` for the amplitude ``A``
+    and the visibilities ``Mv`` (mean) and ``Dv`` (differential) of ``p``.
     """
     if abs(schedule.signal_rate - schedule.diff_rate) > 1e-12:
         raise ValueError("fourier_model requires equal signal and differential scan rates")
-    mean0 = p.mean_sample_phase + schedule.signal_offset
-    half0 = 0.5 * (p.retardance + schedule.diff_offset)
-    epsilon_plus = cmath.exp(1j * (mean0 - half0))
-    kappa_plus = cmath.exp(1j * (mean0 + half0))
+    mean = p.mean_total_phase + schedule.signal_offset
+    half = p.half_diff_phase + 0.5 * schedule.diff_offset
     quarter = 0.25 * p.amplitude
-    return FourierModel(
+    return HarmonicDecomposition(
         dc=0.5 * p.amplitude,
-        amp_half=quarter * (p.mean_visibility - p.diff_visibility) * epsilon_plus,
-        amp_threehalf=quarter * (p.mean_visibility + p.diff_visibility) * kappa_plus,
-        epsilon_plus=epsilon_plus,
-        kappa_plus=kappa_plus,
+        amp_half=quarter * (p.diff_visibility - p.mean_visibility)
+        * cmath.exp(1j * (mean - half)),
+        amp_threehalf=quarter * (p.diff_visibility + p.mean_visibility)
+        * cmath.exp(1j * (mean + half)),
     )
 
 

@@ -24,9 +24,10 @@ from nli_polarimetry import (
     calibrate,
     commutator_defect,
     detected_mode,
+    TimeSeries,
+    estimate_ellipse,
     estimate_rotated,
     extract_sample_fourier,
-    fit_ellipse,
     fourier_protocol_schedule,
     harmonic_regress,
     highgain_visibility,
@@ -297,22 +298,29 @@ def test_acceptance_08_rotated_sample_protocol():
 
 
 def test_acceptance_09_ellipse_pipeline():
-    def points(psi, row):
-        phi0 = np.linspace(0.0, 2.0 * math.pi, 73, endpoint=False)
+    phi0 = np.linspace(0.0, 2.0 * math.pi, 73, endpoint=False)
+
+    def estimate(psi, row, assume):
         # (tbar, dt, phibar, dphi) of a pure diattenuator and a pure retarder
         sample = (0.6, 0.6, 0.4, 0.0) if row == "a" else (0.6, 0.0, 0.4, 0.5 * math.pi)
-        return two_setting_points(*sample, psi, phi0)
+        points = two_setting_points(*sample, psi, phi0)
+        s1, s2 = (
+            TimeSeries(step=np.arange(len(phi0)), phi0=phi0, delta_phase=np.zeros_like(phi0),
+                       expected_n=counts, counts=counts)
+            for counts in points.T
+        )
+        return estimate_ellipse(s1, s2, assume=assume)
 
-    fits = {}
+    ests = {}
     for psi in (1.8, 3.5):
-        fit = fit_ellipse(points(psi, "a"), assume="isotropic_phase")
-        assert axis_distance(fit.psi, psi) < 1e-3
-        assert fit.residual < 1e-10
-        fits[psi] = fit
-        fit_b = fit_ellipse(points(psi, "b"), assume="isotropic_attenuation")
-        assert axis_distance(fit_b.psi, psi) < 1e-3
-        assert fit_b.residual < 1e-10
-    separation = axis_distance(fits[1.8].psi, fits[3.5].psi)
+        est = estimate(psi, "a", "isotropic_phase")
+        assert axis_distance(est.psi, psi) < 1e-3
+        assert est.residuals["conic_rms"] < 1e-10
+        ests[psi] = est
+        est_b = estimate(psi, "b", "isotropic_attenuation")
+        assert axis_distance(est_b.psi, psi) < 1e-3
+        assert est_b.residuals["conic_rms"] < 1e-10
+    separation = axis_distance(ests[1.8].psi, ests[3.5].psi)
     assert separation > 0.1
     print(f"\nACCEPTANCE 9: PASS - ellipse fits recover the rotation within "
           f"1e-3 (fits for 1.8 vs 3.5 rad separated by {separation:.3f})")

@@ -83,6 +83,13 @@ class TestWaveplateCoeffs:
         with pytest.raises(ValueError):
             WaveplateCoeffs(tau=1.0, rho=1.0)
 
+    @pytest.mark.parametrize("tau, rho", [(math.nan, 0j), (1.0, complex(0.0, math.nan)),
+                                          (math.inf, 0j), (1.0, complex(math.inf, 0.0))])
+    def test_raw_coeffs_must_be_finite(self, tau, rho):
+        # a NaN norm passes the unit-norm test, so finiteness is checked first
+        with pytest.raises(ValueError, match="^tau and rho must be finite$"):
+            WaveplateCoeffs(tau=tau, rho=rho)
+
 
 class TestRotatedWaveplates:
     def test_zero_rotation_is_identity(self):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import analyzer_config, two_setting_points
+from conftest import analyzer_config, angles_close, two_setting_points
 from nli_polarimetry import (
     CrystalGain,
     EstimationError,
@@ -448,36 +448,55 @@ def ellipse_points(tbar, dt, dphi, psi, phibar=0.4, n=73, v=0.5, phase_start=0.0
     return two_setting_points(tbar, dt, phibar, dphi, psi, phi0, v=v)
 
 
+def ellipse_estimate(tbar, dt, dphi, psi, assume="isotropic_phase"):
+    """``estimate_ellipse`` of the records ``ellipse_points`` samples."""
+    s1, s2 = (setting_scan(tbar, dt, 0.4, dphi, psi, setting, n=73) for setting in (1, 2))
+    return estimate_ellipse(s1, s2, assume=assume)
+
+
 class TestFitEllipse:
-    def test_recovers_rotation_isotropic_phase(self):
+    def test_invariants_of_a_diattenuator(self):
+        # dphi = 0: the settings' relative fringes are tbar and dt/2, and the
+        # second lags the first by -2 psi
         fit = fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8))
-        assert axis_distance(fit.psi, 1.8) < 1e-9
         assert fit.residual < 1e-10
-        assert fit.c1 == pytest.approx(0.6, abs=1e-9)
-        assert fit.c2 == pytest.approx(0.3, abs=1e-9)
+        assert fit.amp_x == pytest.approx(0.6, abs=1e-9)
+        assert fit.amp_y == pytest.approx(0.3, abs=1e-9)
+        angles_close(fit.rel_phase, -2.0 * 1.8, atol=1e-9)
         assert fit.flux_scale == pytest.approx(0.5, abs=1e-9)
+        assert fit.flags == []
+
+    def test_invariants_of_a_retarder(self):
+        # dt = 0: both fringes are tbar/sqrt(2) at dphi = pi/2, and the
+        # second lags the first by pi/2 - 2 psi
+        fit = fit_ellipse(ellipse_points(0.6, 0.0, 0.5 * math.pi, 1.8))
+        assert fit.amp_x == pytest.approx(0.6 / math.sqrt(2.0), abs=1e-9)
+        assert fit.amp_y == pytest.approx(0.6 / math.sqrt(2.0), abs=1e-9)
+        angles_close(fit.rel_phase, 0.5 * math.pi - 2.0 * 1.8, atol=1e-9)
+
+    def test_recovers_rotation_isotropic_phase(self):
+        est = ellipse_estimate(0.6, 0.6, 0.0, 1.8)
+        assert axis_distance(est.psi, 1.8) < 1e-9
+        assert est.tbar == pytest.approx(0.6, abs=1e-9)
+        assert est.dt == pytest.approx(0.6, abs=1e-9)
 
     def test_recovers_rotation_isotropic_attenuation(self):
-        fit = fit_ellipse(
-            ellipse_points(0.6, 0.0, 0.5 * math.pi, 1.8),
-            assume="isotropic_attenuation",
-        )
-        assert axis_distance(fit.psi, 1.8) < 1e-9
-        rec = recover_rotated_params(fit.b1, fit.c1, fit.b2, fit.c2)
-        assert rec.dphi == pytest.approx(0.5 * math.pi, abs=1e-9)
-        assert rec.tbar == pytest.approx(0.6, abs=1e-9)
+        est = ellipse_estimate(0.6, 0.0, 0.5 * math.pi, 1.8, assume="isotropic_attenuation")
+        assert axis_distance(est.psi, 1.8) < 1e-9
+        assert est.dphi == pytest.approx(0.5 * math.pi, abs=1e-9)
+        assert est.tbar == pytest.approx(0.6, abs=1e-9)
 
     def test_distinguishes_rotations(self):
-        fit_a = fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8))
-        fit_b = fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 3.5))
-        assert axis_distance(fit_a.psi, fit_b.psi) > 0.1
+        est_a = ellipse_estimate(0.6, 0.6, 0.0, 1.8)
+        est_b = ellipse_estimate(0.6, 0.6, 0.0, 3.5)
+        assert axis_distance(est_a.psi, est_b.psi) > 0.1
 
     def test_invariant_under_phase_offset_resampling(self):
         fit_a = fit_ellipse(ellipse_points(0.55, 0.4, 0.0, 1.1))
         fit_b = fit_ellipse(ellipse_points(0.55, 0.4, 0.0, 1.1, phase_start=1.234))
-        assert fit_a.psi == pytest.approx(fit_b.psi, abs=1e-9)
-        assert fit_a.c1 == pytest.approx(fit_b.c1, abs=1e-9)
-        assert fit_a.c2 == pytest.approx(fit_b.c2, abs=1e-9)
+        assert fit_a.amp_x == pytest.approx(fit_b.amp_x, abs=1e-9)
+        assert fit_a.amp_y == pytest.approx(fit_b.amp_y, abs=1e-9)
+        assert fit_a.rel_phase == pytest.approx(fit_b.rel_phase, abs=1e-9)
 
     def test_circle_flagged(self):
         # equal amplitudes in quadrature trace a circle; its orientation
@@ -495,6 +514,27 @@ class TestFitEllipse:
     def test_too_few_points_rejected(self):
         with pytest.raises(EstimationError):
             fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8)[:5])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nonfinite_points_rejected(self, value, column):
+        points = ellipse_points(0.6, 0.6, 0.0, 1.8)
+        points[7, column] = value
+        with pytest.raises(EstimationError) as err:
+            fit_ellipse(points)
+        assert err.value.flag == "nonfinite_points"
+
+    def test_estimate_ellipse_rejects_unknown_assumption(self):
+        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
+        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        with pytest.raises(EstimationError) as err:
+            estimate_ellipse(s1, s2, assume="general")
+        assert err.value.flag == "bad_assumption"
+        # the length check comes first
+        with pytest.raises(EstimationError) as err:
+            estimate_ellipse(s1, setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2, n=80),
+                             assume="general")
+        assert err.value.flag == "length_mismatch"
 
     def test_estimate_ellipse_round_trip(self):
         s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
@@ -617,7 +657,7 @@ def reference_estimate_ellipse(series_setting1, series_setting2,
         raise EstimationError("the two series must have matching samples",
                               flag="length_mismatch")
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
-    fit = fit_ellipse(points, assume=assume)
+    fit = fit_ellipse(points)
     b1, c1, b2, c2, psi = reference_ellipse_mapping(fit, assume)
     rec = recover_rotated_params(b1, c1, b2, c2)
     flags = list(fit.flags) + rec.flags

@@ -31,7 +31,7 @@ from nli_polarimetry import (
     simulate_scan,
     with_scan_phases,
 )
-from nli_polarimetry.scan import CSV_COLUMNS, _fit_harmonics, read_csv
+from nli_polarimetry.scan import CSV_COLUMNS, _fit_harmonics, read_csv, write_csv
 
 KAPPA = 1.0e4
 
@@ -71,6 +71,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             ScanSchedule(n_samples=4)
 
+    def test_rejects_fractional_sample_count(self):
+        # np.arange(8.5) would make a 9-step scan
+        with pytest.raises(ValueError, match="^n_samples must be an integer$"):
+            ScanSchedule(n_samples=8.5)
+        assert len(ScanSchedule(n_samples=np.int64(8)).steps) == 8
+
     def test_fourier_protocol_spans_whole_periods(self):
         sched = fourier_protocol_schedule(4, 100)
         assert sched.n_samples == 400
@@ -91,6 +97,11 @@ class TestNoiseModel:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             NoiseModel(counts_per_unit=1.0, seed=-1)
+
+    def test_rejects_fractional_seed(self):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            NoiseModel(counts_per_unit=1.0, seed=1.5)
+        assert NoiseModel(counts_per_unit=1.0, seed=np.uint32(3)).seed == 3
 
 
 class TestSimulateScan:
@@ -228,21 +239,33 @@ class TestSimulateScan:
                           NoiseModel(1.0), regime="midgain")
 
 
-def reference_to_csv(series, path):
-    """The per-row ``csv.writer`` loop that ``TimeSeries.to_csv`` replaced."""
+def reference_to_csv(columns, path):
+    """The per-row ``csv.writer`` loop that ``TimeSeries.to_csv`` replaced,
+    over the columns (step, phi0, delta_phase, expected_n, counts)."""
+    step, *values = columns
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for k in range(len(series)):
-            writer.writerow(
-                [
-                    int(series.step[k]),
-                    repr(float(series.phi0[k])),
-                    repr(float(series.delta_phase[k])),
-                    repr(float(series.expected_n[k])),
-                    repr(float(series.counts[k])),
-                ]
-            )
+        for k in range(len(step)):
+            writer.writerow([int(step[k]), *(repr(float(c[k])) for c in values)])
+
+
+def assert_writer_matches_reference(tmp_path, columns):
+    """``write_csv`` writes the reference's bytes for any values, NaN and inf
+    included; a series of finite values writes them through ``to_csv``,
+    and a non-finite value cannot make a series."""
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    reference_to_csv(columns, ref)
+    write_csv(new, CSV_COLUMNS, columns, n_int=1)
+    assert new.read_bytes() == ref.read_bytes()
+    new.unlink()
+    if all(np.isfinite(c).all() for c in columns):
+        TimeSeries(*columns).to_csv(new)
+        assert new.read_bytes() == ref.read_bytes()
+    else:
+        with pytest.raises(ValueError, match="^non-finite value "):
+            TimeSeries(*columns)
+    return ref.read_bytes()
 
 
 EDGE_FLOATS = [
@@ -284,6 +307,20 @@ def step_column(draw, n):
 
 def write_lines(path, lines, newline="\n"):
     path.write_text(newline.join(lines) + newline, newline="")
+
+
+class TestTimeSeries:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", CSV_COLUMNS)
+    def test_rejects_nonfinite_value(self, column, value):
+        # the wording of read_csv, with the field's name
+        name = column.replace("expected_N", "expected_n")
+        fields = {"step": np.arange(6.0), **{c: np.ones(6) for c in
+                                              ("phi0", "delta_phase", "expected_n", "counts")}}
+        fields[name][3] = value
+        with pytest.raises(ValueError, match=f"^non-finite value '{value}' in column "
+                                             f"'{name}' of data row 4$"):
+            TimeSeries(**fields)
 
 
 class TestTimeSeriesCsv:
@@ -363,14 +400,20 @@ class TestTimeSeriesCsv:
     @pytest.mark.parametrize("step, shown", [(1.5, "1.5"), (math.nan, "nan"),
                                              (math.inf, "inf")])
     def test_writer_rejects_non_integer_step(self, tmp_path, step, shown):
-        # in-process construction does not check steps; the %d cell would
-        # truncate 1.5 to 1, so the writer refuses and writes nothing
+        # in-process construction checks only that steps are finite; the %d
+        # cell would truncate 1.5 to 1, so the writer refuses and writes
+        # nothing, and a NaN or infinite step cannot make a series at all
         zeros = np.zeros(3)
-        series = TimeSeries(np.array([0.0, 1.0, step]), zeros, zeros, zeros, zeros)
+        steps = np.array([0.0, 1.0, step])
         path = tmp_path / "scan.csv"
-        with pytest.raises(ValueError,
-                           match=rf"^step {shown} of data row 3 is not an integer in \[0, 2\*\*63\)$"):
-            series.to_csv(path)
+        if math.isfinite(step):
+            with pytest.raises(ValueError, match=rf"^step {shown} of data row 3 is not "
+                                                 r"an integer in \[0, 2\*\*63\)$"):
+                TimeSeries(steps, zeros, zeros, zeros, zeros).to_csv(path)
+        else:
+            with pytest.raises(ValueError, match=f"^non-finite value '{shown}' in column "
+                                                 "'step' of data row 3$"):
+                TimeSeries(steps, zeros, zeros, zeros, zeros)
         assert not path.exists()
 
     def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
@@ -392,34 +435,27 @@ class TestTimeSeriesCsv:
     @given(data=st.data())
     def test_writer_bytes_match_reference(self, tmp_path, data):
         n = data.draw(st.integers(0, 40))
-        series = TimeSeries(
-            step=data.draw(step_column(n)),
-            phi0=data.draw(value_column(n)),
-            delta_phase=data.draw(value_column(n)),
-            expected_n=np.abs(data.draw(value_column(n))),
-            counts=data.draw(value_column(n)),
-        )
-        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        series.to_csv(new)
-        reference_to_csv(series, ref)
-        assert new.read_bytes() == ref.read_bytes()
+        columns = [
+            data.draw(step_column(n)),
+            data.draw(value_column(n)),
+            data.draw(value_column(n)),
+            np.abs(data.draw(value_column(n))),
+            data.draw(value_column(n)),
+        ]
+        assert_writer_matches_reference(tmp_path, columns)
 
     def test_writer_edge_values_match_reference(self, tmp_path):
         n = len(EDGE_FLOATS)
         with np.errstate(over="ignore"):  # 1.8e308 becomes a float32 inf
             counts = np.array(EDGE_FLOATS, dtype=np.float32)
-        series = TimeSeries(
-            step=np.arange(n),
-            phi0=np.array(EDGE_FLOATS),
-            delta_phase=-np.array(EDGE_FLOATS),
-            expected_n=np.arange(n, dtype=np.int64),
-            counts=counts,
-        )
-        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        series.to_csv(new)
-        reference_to_csv(series, ref)
-        assert new.read_bytes() == ref.read_bytes()
-        assert new.read_bytes().split(b"\r\n")[1] == b"0,-0.0,0.0,0.0,-0.0"
+        columns = [np.arange(n), np.array(EDGE_FLOATS), -np.array(EDGE_FLOATS),
+                   np.arange(n, dtype=np.int64), counts]
+        written = assert_writer_matches_reference(tmp_path, columns)
+        assert written.split(b"\r\n")[1] == b"0,-0.0,0.0,0.0,-0.0"
+        assert written.split(b"\r\n")[6].endswith(b",inf")
+        with pytest.raises(ValueError, match="^non-finite value 'inf' in column 'counts' "
+                                             "of data row 6$"):
+            TimeSeries(*columns)
 
     @csv_file_settings
     @given(data=st.data())

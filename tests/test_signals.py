@@ -19,6 +19,7 @@ from nli_polarimetry import (
     amplitude_relations,
     beating_parameters,
     blocked_signal,
+    extract_sample_fourier,
     fourier_model,
     half_wave,
     highgain_visibility,
@@ -285,16 +286,18 @@ class TestFourierModel:
         assert abs(model.amp_threehalf) / abs(model.amp_half) == pytest.approx(
             4.5, abs=1e-12
         )
-        assert abs(model.epsilon_plus) == pytest.approx(1.0, abs=1e-12)
-        assert abs(model.kappa_plus) == pytest.approx(1.0, abs=1e-12)
+        # real transmissions at zero offsets put both peaks at zero phase
+        angles_close(cmath.phase(model.amp_half), 0.0, atol=1e-12)
+        angles_close(cmath.phase(model.amp_threehalf), 0.0, atol=1e-12)
+        assert model.residual_rms == 0.0
 
     def test_symmetric_axes_share_peak_phase(self):
         cfg = qwp_pair_config(0.7 * cmath.exp(0.4j), 0.7 * cmath.exp(0.4j))
         p = beating_parameters(cfg)
         sched = ScanSchedule(signal_rate=0.1, diff_rate=0.1, n_samples=128)
         model = fourier_model(p, sched)
-        angles_close(cmath.phase(model.kappa_plus), 0.4, atol=1e-12)
-        angles_close(cmath.phase(model.epsilon_plus), 0.4, atol=1e-12)
+        angles_close(cmath.phase(model.amp_threehalf), 0.4, atol=1e-12)
+        angles_close(cmath.phase(model.amp_half), 0.4, atol=1e-12)
 
     def test_opaque_parallel_axis_kills_half_peak(self):
         p = beating_parameters(qwp_pair_config(0.9, 0.0))
@@ -307,27 +310,56 @@ class TestFourierModel:
         with pytest.raises(ValueError):
             fourier_model(p, sched)
 
-    def test_matches_harmonic_regression_of_timescan(self):
+    def test_matches_harmonic_regression_of_timescan(self, rng):
         # oracle: discrete projection of the scanned signal over whole beat
-        # periods
-        cfg = qwp_pair_config(
-            0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j), v=0.5
-        )
-        p = beating_parameters(cfg)
+        # periods, for the crossed pair and for random equal-gain
+        # configurations (rotated samples, any waveplates, control and pump
+        # phases)
         n = 400
         rate = 16.0 * math.pi / n
-        sched = ScanSchedule(
-            signal_offset=0.3, diff_offset=-0.8, signal_rate=rate,
-            diff_rate=rate, n_samples=n,
-        )
         t = np.arange(n, dtype=float)
-        y = lowgain_scan(cfg, sched)
-        model = fourier_model(p, sched)
-        for freq, want in ((0.5 * rate, model.amp_half), (1.5 * rate, model.amp_threehalf)):
-            a = 2.0 / n * np.sum(y * np.cos(freq * t))
-            b = 2.0 / n * np.sum(y * np.sin(freq * t))
-            assert complex(a, -b) == pytest.approx(want, abs=1e-12)
-        assert np.mean(y) == pytest.approx(model.dc, abs=1e-12)
+        cases = [(qwp_pair_config(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j), v=0.5),
+                  0.3, -0.8)]
+        cases += [(random_config(rng, equal_gains=True), rng.uniform(-math.pi, math.pi),
+                   rng.uniform(-2.0 * math.pi, 2.0 * math.pi)) for _ in range(200)]
+        for cfg, signal_offset, diff_offset in cases:
+            sched = ScanSchedule(
+                signal_offset=signal_offset, diff_offset=diff_offset, signal_rate=rate,
+                diff_rate=rate, n_samples=n,
+            )
+            y = lowgain_scan(cfg, sched)
+            model = fourier_model(beating_parameters(cfg), sched)
+            tol = 1e-12 * max(model.dc, 1.0)
+            for freq, want in ((0.5 * rate, model.amp_half),
+                               (1.5 * rate, model.amp_threehalf)):
+                a = 2.0 / n * np.sum(y * np.cos(freq * t))
+                b = 2.0 / n * np.sum(y * np.sin(freq * t))
+                assert complex(a, -b) == pytest.approx(want, abs=tol)
+            assert np.mean(y) == pytest.approx(model.dc, abs=tol)
+
+    def test_extract_sample_fourier_inverts_model(self, rng):
+        # crossed pair, lossless signal arm: the Fourier estimator reads the
+        # sample back from the predicted spectrum, dphi mod 2 pi and phibar
+        # mod pi
+        for _ in range(500):
+            mags = rng.uniform(0.05, 1.0, size=2)
+            phases = rng.uniform(-math.pi, math.pi, size=2)
+            cfg = qwp_pair_config(*(mags * np.exp(1j * phases)),
+                                  v=10.0 ** rng.uniform(-3.0, math.log10(3.0)))
+            p = beating_parameters(cfg)
+            rate = rng.uniform(0.01, 1.0)
+            sched = ScanSchedule(
+                signal_offset=rng.uniform(-math.pi, math.pi),
+                diff_offset=rng.uniform(-2.0 * math.pi, 2.0 * math.pi),
+                signal_rate=rate, diff_rate=rate,
+            )
+            est = extract_sample_fourier(fourier_model(p, sched), p.amplitude,
+                                         sched.signal_offset, sched.diff_offset)
+            assert est.t_perp == pytest.approx(mags[0], abs=1e-12)
+            assert est.t_par == pytest.approx(mags[1], abs=1e-12)
+            angles_close(est.dphi, phases[0] - phases[1], atol=1e-12)
+            angles_close(2.0 * est.phibar, phases[0] + phases[1], atol=2e-12)
+            assert est.flags == []
 
 
 class TestHighGain:
