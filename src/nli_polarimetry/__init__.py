@@ -12,29 +12,23 @@ from .elements import (
     quarter_wave,
     rotated_waveplate_coeffs,
     waveplate_coeffs,
-    waveplate_matrix,
 )
 from .estimation import (
     EllipseFit,
     EstimationError,
-    RotatedRecovery,
     SampleEstimate,
-    SinusoidFit,
     UnidentifiableError,
     estimate_ellipse,
     estimate_rotated,
     extract_sample_fourier,
     fit_ellipse,
-    fit_sinusoid,
     harmonic_regress,
-    recover_rotated_params,
 )
 from .interferometer import (
     InterferometerConfig,
     detected_mode,
     photon_number_exact,
     three_path_decomposition,
-    with_scan_phases,
 )
 from .mode_algebra import (
     Mode,

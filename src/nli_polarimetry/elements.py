@@ -92,11 +92,6 @@ def waveplate_coeffs(plate: WaveplateSetting | WaveplateCoeffs) -> tuple[complex
     return tau, rho
 
 
-def waveplate_matrix(tau: complex, rho: complex) -> np.ndarray:
-    """SU(2) Jones matrix [[tau, rho], [-conj(rho), conj(tau)]]."""
-    return np.array([[tau, rho], [-np.conj(rho), np.conj(tau)]])
-
-
 def rotated_waveplate_coeffs(
     plate1: WaveplateSetting | WaveplateCoeffs,
     plate2: WaveplateSetting | WaveplateCoeffs,

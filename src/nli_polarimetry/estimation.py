@@ -2,9 +2,12 @@
 
 Three estimation routes are provided: harmonic regression of the dual-rate
 scan (transmissions from peak magnitudes, phases from peak arguments),
-sinusoid fits of the two analyzer settings for a rotated sample with the
+fringe fits of the two analyzer settings for a rotated sample with the
 algebraic amplitude relations, and a conic-constrained Lissajous-ellipse fit
 that needs no absolute phase reference.
+
+Fits report their content in counts; each estimator normalises by the
+record's dc level itself.
 """
 
 from __future__ import annotations
@@ -23,13 +26,9 @@ __all__ = [
     "EstimationError",
     "UnidentifiableError",
     "SampleEstimate",
-    "SinusoidFit",
-    "RotatedRecovery",
     "EllipseFit",
     "harmonic_regress",
     "extract_sample_fourier",
-    "fit_sinusoid",
-    "recover_rotated_params",
     "estimate_rotated",
     "fit_ellipse",
     "estimate_ellipse",
@@ -221,33 +220,12 @@ def extract_sample_fourier(
     )
 
 
-@dataclass(frozen=True)
-class SinusoidFit:
-    """Single-harmonic fit ``counts ~ offset*(1 + amp_cos cos(x))``.
+def _fit_fringe(series: TimeSeries) -> tuple[float, complex, float]:
+    """Fit ``counts ~ dc + Re[z e^{i phi0}]`` to a control-phase scan.
 
-    ``x = phase_reference + phi0``: the decomposition is gauge fixed to a
-    nonnegative cosine amplitude with the fringe phase absorbed into
-    ``phase_reference``; a single sinusoid cannot separate the two.
-    """
-
-    offset: float
-    amp_cos: float
-    phase_reference: float
-    residual_rms: float
-
-
-def fit_sinusoid(series: TimeSeries) -> SinusoidFit:
-    """Least-squares sinusoid fit of a control-phase scan.
-
-    Parameters
-    ----------
-    series : TimeSeries
-        Scan of the signal-arm control phase at fixed differential phase;
-        must cover at least one period with >= 8 points per period.
-
-    Returns
-    -------
-    SinusoidFit
+    The scan must ramp only ``phi0`` and cover at least one period with >= 8
+    points per period.  Returns the raw ``(dc, z, residual_rms)`` in counts;
+    a nonpositive dc raises ``EstimationError`` (flag ``bad_amplitude``).
     """
     if np.ptp(series.delta_phase) > 1e-12:
         raise EstimationError("sinusoid fit expects a pure control-phase scan",
@@ -268,35 +246,19 @@ def fit_sinusoid(series: TimeSeries) -> SinusoidFit:
     dc, (z,), rms = _fit_harmonics(series.phi0, series.counts, (1.0,), error)
     if dc <= 0.0:
         raise EstimationError("nonpositive mean count level", flag="bad_amplitude")
-    harmonic = z / dc
-    return SinusoidFit(
-        offset=dc,
-        amp_cos=abs(harmonic),
-        phase_reference=cmath.phase(harmonic) if abs(harmonic) > 0 else 0.0,
-        residual_rms=rms,
-    )
+    return dc, z, rms
 
 
-@dataclass(frozen=True)
-class RotatedRecovery:
-    """Sample parameters recovered from the two-setting fringe amplitudes."""
-
-    tbar: float
-    dt: float
-    dphi: float
-    residual: float
-    flags: list
-
-
-def recover_rotated_params(b1: float, c1: float, b2: float, c2: float) -> RotatedRecovery:
+def _recover_rotated_params(b1: float, c1: float, b2: float, c2: float):
     """Invert the two-setting amplitude relations.
 
-    The amplitudes are relative to the dc level; when none exceeds 1e-12
-    (``_FRINGE_FLOOR``) the mean transmission is unidentifiable.  Applies the
-    flip ``(c1, c2) -> (-c1, -c2)`` when ``c1 < 0`` (the mean transmission
-    must be positive; the retardance is then only known up to a full turn).
-    The returned residual compares the inputs against the amplitudes
-    regenerated from the recovered parameters.
+    Returns ``(tbar, dt, dphi, residual, flags)``.  The amplitudes are
+    relative to the flux; when none exceeds 1e-12 (``_FRINGE_FLOOR``) the
+    mean transmission is unidentifiable.  Applies the flip
+    ``(c1, c2) -> (-c1, -c2)`` when ``c1 < 0`` (the mean transmission must be
+    positive; the retardance is then only known up to a full turn).  The
+    residual compares the inputs against the amplitudes regenerated from the
+    recovered parameters.
     """
     flags: list[str] = []
     scale = max(abs(b1), abs(c1), abs(b2), abs(c2))
@@ -324,7 +286,7 @@ def recover_rotated_params(b1: float, c1: float, b2: float, c2: float) -> Rotate
 
     pred = amplitude_relations(tbar, dt, dphi)
     residual = max(abs(p - q) for p, q in zip(pred, (b1, c1, b2, c2)))
-    return RotatedRecovery(tbar=tbar, dt=dt, dphi=dphi, residual=residual, flags=flags)
+    return tbar, dt, dphi, residual, flags
 
 
 def estimate_rotated(
@@ -361,9 +323,9 @@ def estimate_rotated(
     if phibar is not None and assume != "general":
         raise EstimationError(f"phibar is used only by the general mode, not {assume!r}",
                               flag="phibar_unused")
-    fit1, fit2 = fit_sinusoid(series_setting1), fit_sinusoid(series_setting2)
-    w1 = fit1.amp_cos * cmath.exp(1j * fit1.phase_reference)
-    w2 = fit2.amp_cos * cmath.exp(1j * fit2.phase_reference)
+    dc1, fringe1, rms1 = _fit_fringe(series_setting1)
+    dc2, fringe2, rms2 = _fit_fringe(series_setting2)
+    w1, w2 = fringe1 / dc1, fringe2 / dc2
 
     if assume == "general":
         if phibar is None:
@@ -401,8 +363,7 @@ def estimate_rotated(
         amps, psi, flags = _structural_amplitudes(
             assume, abs(w1), abs(w2), cmath.phase(w2) - phib
         )
-    residuals = {"fit_rms_setting1": fit1.residual_rms,
-                 "fit_rms_setting2": fit2.residual_rms}
+    residuals = {"fit_rms_setting1": rms1, "fit_rms_setting2": rms2}
     return _two_setting_estimate(amps, psi, phib, residuals, flags)
 
 
@@ -430,21 +391,21 @@ def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> Sa
     ``phibar`` is None when the route does not measure it; ``residuals`` and
     ``flags`` are extended by those of the inversion.
     """
-    rec = recover_rotated_params(*amps)
-    if "c1_flipped_retardance_mod_2pi" in rec.flags and psi is not None:
+    tbar, dt, dphi, residual, rec_flags = _recover_rotated_params(*amps)
+    if "c1_flipped_retardance_mod_2pi" in rec_flags and psi is not None:
         # the flip re-gauges the fringe reference by a half turn, which the
         # setting-2 phase absorbs as a quarter-turn of the sample orientation
         psi = float(wrap_axis(psi + 0.5 * math.pi))
     return SampleEstimate(
-        t_perp=rec.tbar + 0.5 * rec.dt,
-        t_par=rec.tbar - 0.5 * rec.dt,
-        tbar=rec.tbar,
-        dt=rec.dt,
+        t_perp=tbar + 0.5 * dt,
+        t_par=tbar - 0.5 * dt,
+        tbar=tbar,
+        dt=dt,
         phibar=None if phibar is None else float(wrap_pi(phibar)),
-        dphi=float(wrap_pi(rec.dphi)),
+        dphi=float(wrap_pi(dphi)),
         psi=psi,
-        residuals={**residuals, "amplitude_consistency": rec.residual},
-        flags=flags + rec.flags,
+        residuals={**residuals, "amplitude_consistency": residual},
+        flags=flags + rec_flags,
     )
 
 
@@ -452,15 +413,15 @@ def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> Sa
 class EllipseFit:
     """Direct conic fit of the Lissajous curve traced by the two settings.
 
-    ``amp_x``/``amp_y`` are the harmonic magnitudes of the two coordinates
-    relative to their dc levels and ``rel_phase`` the signed phase lag of the
-    second coordinate.
+    ``amp_x``/``amp_y`` are the harmonic magnitudes of the two coordinates in
+    counts, ``center`` their dc levels (the ellipse's centre) and
+    ``rel_phase`` the signed phase lag of the second coordinate.
     """
 
     amp_x: float
     amp_y: float
     rel_phase: float
-    flux_scale: float
+    center: tuple[float, float]
     residual: float
     flags: list
 
@@ -575,19 +536,17 @@ def fit_ellipse(points: np.ndarray) -> EllipseFit:
     area = 0.5 * float(np.sum(x0 * np.roll(y0, -1) - np.roll(x0, -1) * y0))
     rel_phase = math.atan2(-math.copysign(sin_rel_mag, area), cos_rel)
     sin_sq = max(sin_rel_mag**2, 1e-300)
-    amp_x_raw = spread * math.sqrt(big_f / (a * sin_sq))
-    amp_y_raw = spread * math.sqrt(big_f / (c * sin_sq))
-    amp_x = amp_x_raw / center[0]
-    amp_y = amp_y_raw / center[1]
+    amp_x = spread * math.sqrt(big_f / (a * sin_sq))
+    amp_y = spread * math.sqrt(big_f / (c * sin_sq))
 
-    if abs(cos_rel) < 1e-7 and abs(amp_x_raw - amp_y_raw) < 1e-7 * (amp_x_raw + amp_y_raw):
+    if abs(cos_rel) < 1e-7 and abs(amp_x - amp_y) < 1e-7 * (amp_x + amp_y):
         flags.append("psi_unidentifiable_circle")
 
     return EllipseFit(
         amp_x=float(amp_x),
         amp_y=float(amp_y),
         rel_phase=float(rel_phase),
-        flux_scale=float(0.25 * (center[0] + center[1])),
+        center=(float(center[0]), float(center[1])),
         residual=residual,
         flags=flags,
     )
@@ -603,15 +562,22 @@ def estimate_ellipse(
     The conic fit's invariants are mapped to sample parameters under the
     structural assumption ``"isotropic_phase"`` (no birefringence) or
     ``"isotropic_attenuation"`` (no diattenuation), as in ``estimate_rotated``.
+    The counts are paired by index, so the two records must share their
+    ``phi0`` and ``delta_phase`` columns (flag ``phase_mismatch``).
     """
     if len(series_setting1) != len(series_setting2):
         raise EstimationError("the two series must have matching samples",
                               flag="length_mismatch")
+    if not (np.array_equal(series_setting1.phi0, series_setting2.phi0)
+            and np.array_equal(series_setting1.delta_phase, series_setting2.delta_phase)):
+        raise EstimationError("the two series must share their phase columns",
+                              flag="phase_mismatch")
     if assume not in _PSI_UNIDENTIFIED:
         raise EstimationError(f"unsupported ellipse assumption {assume!r}",
                               flag="bad_assumption")
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     fit = fit_ellipse(points)
-    amps, psi, flags = _structural_amplitudes(assume, fit.amp_x, fit.amp_y, fit.rel_phase)
+    amp_x, amp_y = fit.amp_x / fit.center[0], fit.amp_y / fit.center[1]
+    amps, psi, flags = _structural_amplitudes(assume, amp_x, amp_y, fit.rel_phase)
     return _two_setting_estimate(amps, psi, None, {"conic_rms": fit.residual},
                                  fit.flags + flags)

@@ -8,9 +8,8 @@ or open signal arm, and for arbitrary sample rotation.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +76,13 @@ def detected_mode(
 ) -> OperatorExpansion:
     """Detected signal mode as an operator expansion over the vacuum inputs.
 
-    The scan phases are imprinted as in ``with_scan_phases``.  Array phases
-    broadcast against each other and give an expansion whose batch axes
-    follow them, so a whole scan is composed in one pass.
+    ``signal_phase`` multiplies the control beam splitter's transmission by
+    ``exp(i signal_phase)``; ``diff_phase`` is imprinted antisymmetrically
+    between the sample's axes, ``t_perp`` times ``exp(+i diff_phase/2)`` and
+    ``t_par`` times ``exp(-i diff_phase/2)``, leaving the mean idler phase
+    unchanged.  Array phases broadcast against each other and give an
+    expansion whose batch axes follow them, so a whole scan is composed in
+    one pass.
     """
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v
@@ -136,7 +139,8 @@ def photon_number_exact(
 
 
 def three_path_decomposition(cfg: InterferometerConfig) -> tuple[complex, complex, complex]:
-    """Additive contributions to the interfering amplitude.
+    """Additive contributions to the interfering amplitude (the paper's
+    three-path formula).
 
     The photon-carrying idler amplitude is a superposition of three paths:
     the signal photon seeding the second crystal directly, and the idler
@@ -153,16 +157,3 @@ def three_path_decomposition(cfg: InterferometerConfig) -> tuple[complex, comple
     par_path = -v2 * np.conj(rho2 * cfg.sample.t_par) * rho1 * u1
     return complex(signal_path), complex(perp_path), complex(par_path)
 
-
-def with_scan_phases(
-    cfg: InterferometerConfig, signal_phase: float, diff_phase: float
-) -> InterferometerConfig:
-    """Imprint scan phases: ``signal_phase`` on the control beam splitter and
-    an antisymmetric ``diff_phase`` between the sample's axes (mean idler
-    phase unchanged)."""
-    new_signal = SignalControl(cfg.signal.transmission * cmath.exp(1j * signal_phase))
-    new_sample = SampleAxes(
-        t_perp=cfg.sample.t_perp * cmath.exp(0.5j * diff_phase),
-        t_par=cfg.sample.t_par * cmath.exp(-0.5j * diff_phase),
-    )
-    return replace(cfg, signal=new_signal, sample=new_sample)

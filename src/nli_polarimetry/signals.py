@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,7 +47,8 @@ class BeatingParameters:
     ``retardance``) and setup contributions: ``control_phase`` is the
     interferometer phase collecting the pump phase difference and the
     signal-arm control phase, while the ``*_setup_phase`` fields hold the
-    waveplate-pair contributions.
+    waveplate-pair contributions.  A NaN or infinite field raises
+    ``ValueError`` naming it.
     """
 
     mean_photons: float
@@ -61,6 +62,9 @@ class BeatingParameters:
     diff_setup_phase: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.mean_photons < 0.0:
             raise ValueError("mean_photons must be >= 0")
         if not 0.0 <= self.signal_mag <= 1.0 + 1e-12:
@@ -155,13 +159,19 @@ class HarmonicDecomposition:
 
     Complex amplitudes use the cosine-phase convention
     ``counts ~ dc + Re[amp_half e^{i w t/2}] + Re[amp_threehalf e^{i 3w t/2}]``.
-    ``residual_rms`` is the fit's residual; a predicted record has none.
+    ``residual_rms`` is the fit's residual; a predicted record has none.  A
+    NaN or infinite field raises ``ValueError`` naming it.
     """
 
     dc: float
     amp_half: complex
     amp_threehalf: complex
     residual_rms: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not cmath.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
 
 
 def fourier_model(p: BeatingParameters, schedule: "ScanSchedule") -> HarmonicDecomposition:

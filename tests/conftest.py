@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,19 @@ def random_config(rng: np.random.Generator, *, equal_gains: bool = False,
         sample=sample,
         rotation=rng.uniform(0.0, two_pi) if rotation else 0.0,
     )
+
+
+def with_scan_phases(cfg: InterferometerConfig, signal_phase: float,
+                     diff_phase: float) -> InterferometerConfig:
+    """Reference for ``detected_mode``'s scan phases, one configuration per
+    step: ``signal_phase`` on the control beam splitter and an antisymmetric
+    ``diff_phase`` between the sample's axes (mean idler phase unchanged)."""
+    new_signal = SignalControl(cfg.signal.transmission * cmath.exp(1j * signal_phase))
+    new_sample = SampleAxes(
+        t_perp=cfg.sample.t_perp * cmath.exp(0.5j * diff_phase),
+        t_par=cfg.sample.t_par * cmath.exp(-0.5j * diff_phase),
+    )
+    return dataclasses.replace(cfg, signal=new_signal, sample=new_sample)
 
 
 def analyzer_config(tbar, dt, phibar, dphi, psi, setting, v=0.5) -> InterferometerConfig:

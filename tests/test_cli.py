@@ -405,6 +405,22 @@ class TestRotatedPipelines:
         assert code == 4
         assert "degenerate_conic" in capsys.readouterr().err
 
+    def test_ellipse_pipeline_mismatched_phases_exits_3(self, tmp_path, capsys):
+        # setting 2 scanned at twice setting 1's rate: its counts cannot be
+        # paired with setting 1's by index
+        paths = []
+        for setting, rate in ((1, 2 * math.pi / 72), (2, 4 * math.pi / 72)):
+            doc = rotated_setting_config(setting, 1.8, **{"schedule.rate_phi0": rate})
+            cfg = write_config(tmp_path, doc, name=f"s{setting}.json")
+            paths.append(tmp_path / f"s{setting}.csv")
+            assert run("simulate", "--config", cfg, "--out", paths[-1]) == 0
+        est_path = tmp_path / "e.json"
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "ellipse", "--data", paths[0],
+                   "--data", paths[1], "--out", est_path) == 3
+        assert capsys.readouterr().err.startswith("error: phase_mismatch: ")
+        assert not est_path.exists()
+
     @pytest.mark.parametrize("options, message", [
         (("--pipeline", "rotated", "--phibar", "2.5"),
          "--phibar is used only by --pipeline rotated --assume general"),

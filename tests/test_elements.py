@@ -17,7 +17,6 @@ from nli_polarimetry import (
     quarter_wave,
     rotated_waveplate_coeffs,
     waveplate_coeffs,
-    waveplate_matrix,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -26,6 +25,11 @@ SQ2 = math.sqrt(2.0)
 def rotation_matrix(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def waveplate_matrix(tau, rho):
+    """SU(2) Jones matrix [[tau, rho], [-conj(rho), conj(tau)]] of a plate."""
+    return np.array([[tau, rho], [-np.conj(rho), np.conj(tau)]])
 
 
 class TestCrystalGain:

@@ -1,5 +1,6 @@
 import cmath
 import collections
+import dataclasses
 import json
 import math
 import warnings
@@ -17,7 +18,6 @@ from nli_polarimetry import (
     SampleEstimate,
     ScanSchedule,
     SignalControl,
-    SinusoidFit,
     TimeSeries,
     UnidentifiableError,
     amplitude_relations,
@@ -25,16 +25,18 @@ from nli_polarimetry import (
     estimate_rotated,
     extract_sample_fourier,
     fit_ellipse,
-    fit_sinusoid,
     fourier_protocol_schedule,
     harmonic_regress,
     quarter_wave,
-    recover_rotated_params,
     simulate_scan,
 )
 from nli_polarimetry import estimation
 from nli_polarimetry.angles import axis_distance, wrap_axis, wrap_pi
-from nli_polarimetry.estimation import ROTATED_ASSUMPTIONS
+from nli_polarimetry.estimation import (
+    ROTATED_ASSUMPTIONS,
+    _fit_fringe,
+    _recover_rotated_params,
+)
 
 KAPPA = 1.0e4
 
@@ -246,16 +248,19 @@ class TestExtractSampleFourier:
 
 
 class TestFitSinusoid:
+    """The rotated route's fringe fit, which reports counts."""
+
     def test_recovers_gauge_fixed_amplitudes(self):
         series = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
-        fit = fit_sinusoid(series)
-        assert fit.amp_cos == pytest.approx(0.6, abs=1e-9)
-        assert fit.phase_reference == pytest.approx(0.4, abs=1e-9)
+        dc, z, _ = _fit_fringe(series)
+        assert dc == pytest.approx(KAPPA, rel=1e-12)
+        assert abs(z) == pytest.approx(0.6 * KAPPA, rel=1e-9)
+        assert cmath.phase(z) == pytest.approx(0.4, abs=1e-9)
 
     def test_setting2_amplitude(self):
         series = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
-        fit = fit_sinusoid(series)
-        assert fit.amp_cos == pytest.approx(0.3, abs=1e-9)
+        dc, z, _ = _fit_fringe(series)
+        assert abs(z / dc) == pytest.approx(0.3, abs=1e-9)
 
     def test_constant_series(self):
         series = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
@@ -263,82 +268,98 @@ class TestFitSinusoid:
             step=series.step, phi0=series.phi0, delta_phase=series.delta_phase,
             expected_n=series.expected_n, counts=np.full(len(series), 5.0),
         )
-        fit = fit_sinusoid(flat)
-        assert fit.amp_cos == pytest.approx(0.0, abs=1e-12)
+        dc, z, rms = _fit_fringe(flat)
+        assert dc == pytest.approx(5.0, rel=1e-12)
+        assert abs(z / dc) == pytest.approx(0.0, abs=1e-12)
+        assert rms == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_undersampled(self):
         cfg = qwp_pair_config(0.9, 0.2)
         sched = ScanSchedule(signal_rate=2.0 * math.pi / 6, n_samples=12)
         series = simulate_scan(cfg, sched, NoiseModel(1.0), regime="lowgain")
         with pytest.raises(EstimationError):
-            fit_sinusoid(series)
+            _fit_fringe(series)
+
+    def test_rejects_nonpositive_dc(self):
+        series = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
+        for level in (0.0, -5.0):
+            flat = TimeSeries(
+                step=series.step, phi0=series.phi0, delta_phase=series.delta_phase,
+                expected_n=series.expected_n, counts=np.full(len(series), level),
+            )
+            with pytest.raises(EstimationError) as err:
+                _fit_fringe(flat)
+            assert err.value.flag == "bad_amplitude"
 
 
 class TestRecoverRotatedParams:
+    """The two-setting inversion, ``(tbar, dt, dphi, residual, flags)``."""
+
     def test_isotropic_phase_case(self):
-        rec = recover_rotated_params(0.0, 0.6, 0.0, 0.3)
-        assert rec.dphi == pytest.approx(0.0, abs=1e-12)
-        assert rec.tbar == pytest.approx(0.6, abs=1e-12)
-        assert rec.dt == pytest.approx(0.6, abs=1e-12)
-        assert rec.residual < 1e-12
+        tbar, dt, dphi, residual, _ = _recover_rotated_params(0.0, 0.6, 0.0, 0.3)
+        assert dphi == pytest.approx(0.0, abs=1e-12)
+        assert tbar == pytest.approx(0.6, abs=1e-12)
+        assert dt == pytest.approx(0.6, abs=1e-12)
+        assert residual < 1e-12
 
     def test_pure_retarder_quarter_turn(self):
         b1, c1, b2, c2 = amplitude_relations(1.0, 0.0, 0.5 * math.pi)
-        rec = recover_rotated_params(b1, c1, b2, c2)
-        assert rec.dphi == pytest.approx(0.5 * math.pi, abs=1e-12)
-        assert rec.tbar == pytest.approx(1.0, abs=1e-12)
-        assert rec.dt == pytest.approx(0.0, abs=1e-12)
+        tbar, dt, dphi, _, _ = _recover_rotated_params(b1, c1, b2, c2)
+        assert dphi == pytest.approx(0.5 * math.pi, abs=1e-12)
+        assert tbar == pytest.approx(1.0, abs=1e-12)
+        assert dt == pytest.approx(0.0, abs=1e-12)
 
     def test_round_trip_random(self, rng):
         for _ in range(300):
             tbar = rng.uniform(0.05, 1.0)
             dt = rng.uniform(-1.0, 1.0) * min(2.0 * tbar, 2.0 - 2.0 * tbar + 1e-12)
             dphi = rng.uniform(-math.pi + 0.1, math.pi - 0.1)
-            rec = recover_rotated_params(*amplitude_relations(tbar, dt, dphi))
-            assert rec.tbar == pytest.approx(tbar, abs=1e-12)
-            assert rec.dt == pytest.approx(dt, abs=1e-12)
-            assert rec.dphi == pytest.approx(dphi, abs=1e-12)
-            assert rec.residual < 1e-12
+            got_tbar, got_dt, got_dphi, residual, _ = _recover_rotated_params(
+                *amplitude_relations(tbar, dt, dphi))
+            assert got_tbar == pytest.approx(tbar, abs=1e-12)
+            assert got_dt == pytest.approx(dt, abs=1e-12)
+            assert got_dphi == pytest.approx(dphi, abs=1e-12)
+            assert residual < 1e-12
 
     def test_residual_matches_inline_oracle(self, rng):
-        # oracle: the residual as recover_rotated_params wrote out its
-        # predicted amplitudes before it called amplitude_relations
+        # oracle: the residual as the inversion wrote out its predicted
+        # amplitudes before it called amplitude_relations
         for _ in range(2000):
             amps = rng.normal(size=4) * (rng.uniform(size=4) > 0.2)
             if not np.any(amps[[1, 2]]):
                 continue
-            rec = recover_rotated_params(*amps)
+            tbar, dt, dphi, residual, _ = _recover_rotated_params(*amps)
             b1, c1, b2, c2 = (float(a) for a in amps)
             if c1 < 0.0:
                 c1, c2 = -c1, -c2
-            half = 0.5 * rec.dphi
+            half = 0.5 * dphi
             pred = (
-                -0.5 * rec.dt * math.sin(half),
-                rec.tbar * math.cos(half),
-                -rec.tbar * math.sin(half),
-                0.5 * rec.dt * math.cos(half),
+                -0.5 * dt * math.sin(half),
+                tbar * math.cos(half),
+                -tbar * math.sin(half),
+                0.5 * dt * math.cos(half),
             )
             want = max(abs(p - q) for p, q in zip(pred, (b1, c1, b2, c2)))
-            assert rec.residual.hex() == want.hex()
+            assert residual.hex() == want.hex()
 
     def test_negative_c1_flip_rule(self):
         # retardance beyond a half turn flips the fitted cosine amplitudes
         tbar, dt, dphi = 0.7, 0.3, 2.5
         b1, c1, b2, c2 = amplitude_relations(tbar, dt, dphi + 2.0 * math.pi)
         assert c1 < 0
-        rec = recover_rotated_params(b1, c1, b2, c2)
-        assert "c1_flipped_retardance_mod_2pi" in rec.flags
-        assert rec.tbar == pytest.approx(tbar, abs=1e-12)
+        got_tbar, _, _, _, flags = _recover_rotated_params(b1, c1, b2, c2)
+        assert "c1_flipped_retardance_mod_2pi" in flags
+        assert got_tbar == pytest.approx(tbar, abs=1e-12)
 
     def test_unidentifiable_tbar(self):
         with pytest.raises(UnidentifiableError):
-            recover_rotated_params(0.5, 0.0, 0.0, 0.4)
+            _recover_rotated_params(0.5, 0.0, 0.0, 0.4)
 
     def test_half_turn_dt_flagged(self):
         b1, c1, b2, c2 = amplitude_relations(0.6, 0.4, math.pi)
-        rec = recover_rotated_params(b1, c1, b2, c2)
-        assert "dt_sign_unidentified_at_half_turn" in rec.flags
-        assert rec.dt == pytest.approx(0.4, abs=1e-12)
+        _, dt, _, _, flags = _recover_rotated_params(b1, c1, b2, c2)
+        assert "dt_sign_unidentified_at_half_turn" in flags
+        assert dt == pytest.approx(0.4, abs=1e-12)
 
 
 class TestEstimateRotated:
@@ -456,14 +477,15 @@ def ellipse_estimate(tbar, dt, dphi, psi, assume="isotropic_phase"):
 
 class TestFitEllipse:
     def test_invariants_of_a_diattenuator(self):
-        # dphi = 0: the settings' relative fringes are tbar and dt/2, and the
-        # second lags the first by -2 psi
-        fit = fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8))
+        # dphi = 0: the settings' fringes are tbar and dt/2 of their common
+        # dc level (one photon at V = 0.5, here KAPPA counts), and the second
+        # lags the first by -2 psi
+        fit = fit_ellipse(KAPPA * ellipse_points(0.6, 0.6, 0.0, 1.8))
         assert fit.residual < 1e-10
-        assert fit.amp_x == pytest.approx(0.6, abs=1e-9)
-        assert fit.amp_y == pytest.approx(0.3, abs=1e-9)
+        assert fit.amp_x == pytest.approx(0.6 * KAPPA, rel=1e-9)
+        assert fit.amp_y == pytest.approx(0.3 * KAPPA, rel=1e-9)
         angles_close(fit.rel_phase, -2.0 * 1.8, atol=1e-9)
-        assert fit.flux_scale == pytest.approx(0.5, abs=1e-9)
+        assert fit.center == pytest.approx((KAPPA, KAPPA), rel=1e-9)
         assert fit.flags == []
 
     def test_invariants_of_a_retarder(self):
@@ -536,6 +558,23 @@ class TestFitEllipse:
                              assume="general")
         assert err.value.flag == "length_mismatch"
 
+    def test_estimate_ellipse_rejects_mismatched_phases(self):
+        # setting 2 scanned at twice setting 1's rate: pairing the counts by
+        # index would trace a figure that is not the fringe ellipse
+        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
+        cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 2)
+        sched = ScanSchedule(signal_rate=4.0 * math.pi / 72, n_samples=72)
+        s2 = simulate_scan(cfg, sched, NoiseModel(KAPPA), regime="lowgain")
+        with pytest.raises(EstimationError) as err:
+            estimate_ellipse(s1, s2)
+        assert err.value.flag == "phase_mismatch"
+        # a differential-phase column that differs is refused as well
+        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        s2 = dataclasses.replace(s2, delta_phase=s2.delta_phase + 0.1)
+        with pytest.raises(EstimationError) as err:
+            estimate_ellipse(s1, s2)
+        assert err.value.flag == "phase_mismatch"
+
     def test_estimate_ellipse_round_trip(self):
         s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
         s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
@@ -552,18 +591,17 @@ class TestFitEllipse:
 # invariants and its old assembly around the current conic fit.  The
 # rotated reference treats a relative setting-2 fringe of at most 1e-12 as
 # absent, as the estimators do; both references call the estimators'
-# ``recover_rotated_params`` and so share its 1e-12 floor on the largest
-# relative amplitude.
+# inversion ``_recover_rotated_params`` and so share its 1e-12 floor on the
+# largest relative amplitude.
 
 
 def reference_estimate_rotated(series_setting1, series_setting2,
                                assume="isotropic_phase", phibar=None):
     if assume not in ("isotropic_phase", "isotropic_attenuation", "general"):
         raise EstimationError(f"unknown assumption {assume!r}", flag="bad_assumption")
-    fit1 = estimation.fit_sinusoid(series_setting1)
-    fit2 = estimation.fit_sinusoid(series_setting2)
-    w1 = fit1.amp_cos * cmath.exp(1j * fit1.phase_reference)
-    w2 = fit2.amp_cos * cmath.exp(1j * fit2.phase_reference)
+    dc1, fringe1, rms1 = estimation._fit_fringe(series_setting1)
+    dc2, fringe2, rms2 = estimation._fit_fringe(series_setting2)
+    w1, w2 = fringe1 / dc1, fringe2 / dc2
     flags = []
 
     if assume == "general":
@@ -615,31 +653,32 @@ def reference_estimate_rotated(series_setting1, series_setting2,
             if abs(w2) <= 1e-12:
                 flags.append("psi_unidentified_no_retardance_fringe")
 
-    rec = recover_rotated_params(b1, c1, b2, c2)
-    flags.extend(rec.flags)
-    if "c1_flipped_retardance_mod_2pi" in rec.flags and psi is not None:
+    tbar, dt, dphi, residual, rec_flags = _recover_rotated_params(b1, c1, b2, c2)
+    flags.extend(rec_flags)
+    if "c1_flipped_retardance_mod_2pi" in rec_flags and psi is not None:
         psi = float(wrap_axis(psi + 0.5 * math.pi))
-    t_perp = rec.tbar + 0.5 * rec.dt
-    t_par = rec.tbar - 0.5 * rec.dt
+    t_perp = tbar + 0.5 * dt
+    t_par = tbar - 0.5 * dt
     return SampleEstimate(
         t_perp=t_perp,
         t_par=t_par,
-        tbar=rec.tbar,
-        dt=rec.dt,
+        tbar=tbar,
+        dt=dt,
         phibar=float(wrap_pi(phib)),
-        dphi=float(wrap_pi(rec.dphi)),
+        dphi=float(wrap_pi(dphi)),
         psi=psi,
         residuals={
-            "fit_rms_setting1": fit1.residual_rms,
-            "fit_rms_setting2": fit2.residual_rms,
-            "amplitude_consistency": rec.residual,
+            "fit_rms_setting1": rms1,
+            "fit_rms_setting2": rms2,
+            "amplitude_consistency": residual,
         },
         flags=flags,
     )
 
 
 def reference_ellipse_mapping(fit, assume):
-    amp_x, amp_y, rel_phase = fit.amp_x, fit.amp_y, fit.rel_phase
+    amp_x, amp_y = fit.amp_x / fit.center[0], fit.amp_y / fit.center[1]
+    rel_phase = fit.rel_phase
     if assume == "isotropic_phase":
         b1, c1 = 0.0, amp_x
         b2, c2 = 0.0, amp_y
@@ -659,19 +698,19 @@ def reference_estimate_ellipse(series_setting1, series_setting2,
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     fit = fit_ellipse(points)
     b1, c1, b2, c2, psi = reference_ellipse_mapping(fit, assume)
-    rec = recover_rotated_params(b1, c1, b2, c2)
-    flags = list(fit.flags) + rec.flags
+    tbar, dt, dphi, residual, rec_flags = _recover_rotated_params(b1, c1, b2, c2)
+    flags = list(fit.flags) + rec_flags
     return SampleEstimate(
-        t_perp=rec.tbar + 0.5 * rec.dt,
-        t_par=rec.tbar - 0.5 * rec.dt,
-        tbar=rec.tbar,
-        dt=rec.dt,
+        t_perp=tbar + 0.5 * dt,
+        t_par=tbar - 0.5 * dt,
+        tbar=tbar,
+        dt=dt,
         phibar=None,
-        dphi=float(wrap_pi(rec.dphi)),
+        dphi=float(wrap_pi(dphi)),
         psi=psi,
         residuals={
             "conic_rms": fit.residual,
-            "amplitude_consistency": rec.residual,
+            "amplitude_consistency": residual,
         },
         flags=flags,
     )
@@ -733,10 +772,10 @@ class TestTwoSettingOracle:
     def test_vanishing_fringes_match_reference(self, monkeypatch):
         # fitted fringes that vanish exactly (psi unidentified, tbar
         # unidentifiable) or share their phase (zero phase lag) are out of
-        # reach of simulated records, so the sinusoid fits are drawn directly
+        # reach of simulated records, so the fringe fits are drawn directly
         rng = np.random.default_rng(1018)
         fits = {}
-        monkeypatch.setattr(estimation, "fit_sinusoid", lambda series: fits[id(series)])
+        monkeypatch.setattr(estimation, "_fit_fringe", lambda series: fits[id(series)])
         s1, s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 1), setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2)
         seen = collections.Counter()
         for k in range(300):
@@ -745,7 +784,7 @@ class TestTwoSettingOracle:
             if rng.uniform() < 0.3:
                 phases[1] = phases[0]
             for series, amp, phase in zip((s1, s2), amps, phases):
-                fits[id(series)] = SinusoidFit(1.0, amp, phase if amp else 0.0, 0.0)
+                fits[id(series)] = (1.0, amp * cmath.exp(1j * phase) if amp else 0j, 0.0)
             phibar = rng.uniform(-math.pi, math.pi)
             for assume in ROTATED_ASSUMPTIONS:
                 kwargs = {"phibar": phibar} if assume == "general" else {}
@@ -758,16 +797,16 @@ class TestTwoSettingOracle:
 
     def test_fringe_floor_matches_reference(self, monkeypatch):
         # relative fringes below, at and just above the 1e-12 floor, drawn
-        # directly as sinusoid fits
+        # directly as fringe fits
         fits = {}
-        monkeypatch.setattr(estimation, "fit_sinusoid", lambda series: fits[id(series)])
+        monkeypatch.setattr(estimation, "_fit_fringe", lambda series: fits[id(series)])
         s1, s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 1), setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2)
         levels = (0.0, 3e-13, 1e-12, 1.001e-12, 5e-12, 0.4)
         seen = collections.Counter()
         for amp1 in levels:
             for amp2 in levels:
-                fits[id(s1)] = SinusoidFit(1.0, amp1, 0.3, 0.0)
-                fits[id(s2)] = SinusoidFit(1.0, amp2, -1.1, 0.0)
+                fits[id(s1)] = (1.0, amp1 * cmath.exp(0.3j), 0.0)
+                fits[id(s2)] = (1.0, amp2 * cmath.exp(-1.1j), 0.0)
                 for assume in ROTATED_ASSUMPTIONS:
                     kwargs = {"phibar": 0.2} if assume == "general" else {}
                     got = outcome(estimate_rotated, s1, s2, assume=assume, **kwargs)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_config
+from conftest import random_config, with_scan_phases
 from nli_polarimetry import (
     CrystalGain,
     InterferometerConfig,
@@ -28,7 +28,6 @@ from nli_polarimetry import (
     quarter_wave,
     simulate_scan,
     three_path_decomposition,
-    with_scan_phases,
 )
 from nli_polarimetry.mode_algebra import commutator_defect, vacuum_photon_number
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_SERIES, random_config
+from conftest import MALFORMED_SERIES, random_config, with_scan_phases
 from nli_polarimetry import (
     CalibrationError,
     CrystalGain,
@@ -29,7 +29,6 @@ from nli_polarimetry import (
     photon_number_exact,
     quarter_wave,
     simulate_scan,
-    with_scan_phases,
 )
 from nli_polarimetry.scan import CSV_COLUMNS, _fit_harmonics, read_csv, write_csv
 
@@ -577,7 +576,7 @@ def single_rate_oracle(x, counts):
 
 
 def sinusoid_oracle(x, counts):
-    """``fit_sinusoid``'s fit before ``_fit_harmonics`` replaced it."""
+    """The rotated route's fringe fit before ``_fit_harmonics`` replaced it."""
     design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
     coef, _, _, _ = np.linalg.lstsq(design, counts, rcond=None)
     resid = counts - design @ coef

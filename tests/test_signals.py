@@ -10,6 +10,7 @@ from conftest import analyzer_config, angles_close, random_config, two_setting_p
 from nli_polarimetry import (
     BeatingParameters,
     CrystalGain,
+    HarmonicDecomposition,
     InterferometerConfig,
     NoiseModel,
     SampleAxes,
@@ -161,6 +162,13 @@ class TestBeatingParameters:
             assert 0.0 <= p.mean_visibility <= 1.0 + 1e-12
             assert abs(p.diff_visibility) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(BeatingParameters)])
+    def test_rejects_nonfinite_field(self, name, value):
+        # a NaN passes every range test, so finiteness is checked first
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            params(**{name: value})
+
     def test_rejects_unequal_gains(self, rng):
         cfg = dataclasses.replace(
             random_config(rng, equal_gains=True), crystal2=CrystalGain(3.33)
@@ -276,6 +284,17 @@ class TestTimeScan:
                 retardance=p.retardance + sched.diff_offset + sched.diff_rate * t,
             )
             assert got[t] == pytest.approx(n_lowgain(shifted), abs=1e-12)
+
+
+class TestHarmonicDecomposition:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan),
+                                       complex(-math.inf, 0.0)])
+    @pytest.mark.parametrize("name", ["dc", "amp_half", "amp_threehalf", "residual_rms"])
+    def test_rejects_nonfinite_field(self, name, value):
+        fields = {"dc": 1.0, "amp_half": 0.1 + 0.2j, "amp_threehalf": 0.2 + 0j,
+                  "residual_rms": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            HarmonicDecomposition(**fields)
 
 
 class TestFourierModel:

@@ -14,7 +14,9 @@
 #
 # For each .csv file that differs, it also prints how far the file moved:
 # the number of cells that differ and the largest absolute difference
-# between them (nan when a differing cell is not a number).
+# between them (nan when a differing cell is not a number).  For each .json
+# file that differs, it prints the leaf keys that differ (dotted paths, list
+# items by index) and the largest absolute difference between them.
 #
 # Exit status: 0 when every file matches and every command exits as
 # expected (0, or the code listed in expected_exit), 1 otherwise, 2 on a
@@ -147,6 +149,48 @@ print(f"  cells: {differ} of {cells} differ, largest |difference| {largest!r}")
 PY
 }
 
+# json_delta NEW OLD: how far a JSON file moved, leaf by leaf
+json_delta() {
+    "$python" - "$1" "$2" <<'PY'
+import json, sys
+
+
+def leaves(node, path=""):
+    """Map each leaf's dotted path to its value; an empty dict or list is a leaf."""
+    if isinstance(node, dict) and node:
+        items = node.items()
+    elif isinstance(node, list) and node:
+        items = enumerate(node)
+    else:
+        return {path: node}
+    out = {}
+    for key, value in items:
+        out.update(leaves(value, f"{path}.{key}" if path else str(key)))
+    return out
+
+
+try:
+    new, old = (leaves(json.load(open(path))) for path in sys.argv[1:])
+except ValueError as exc:
+    print(f"  keys: not comparable as JSON ({exc})")
+    sys.exit()
+keys = new.keys() | old.keys()
+# repr tells -0.0 from 0.0 and matches a NaN with itself
+differ = sorted(k for k in keys if (k in new) != (k in old) or repr(new[k]) != repr(old[k]))
+deltas = {}
+for key in differ:
+    a, b = new.get(key), old.get(key)
+    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+    deltas[key] = abs(a - b) if numbers else float("nan")
+largest = max(deltas.values(), default=0.0)
+if any(d != d for d in deltas.values()):
+    largest = float("nan")
+print(f"  keys: {len(differ)} of {len(keys)} leaves differ, largest |difference| {largest!r}")
+for key in differ:
+    print(f"    {key}: |difference| {deltas[key]!r}")
+PY
+}
+
 # commands expected to fail, with their exit code; every other one exits 0
 declare -A expected_exit=([simulate_exact_overflow]=3)
 
@@ -167,6 +211,7 @@ for f in $files; do
         echo "DIFFERENT ${f#./}" >&2
         case $f in
             *.csv) csv_delta "$work/head/$f" "$work/base_out/$f" >&2 ;;
+            *.json) json_delta "$work/head/$f" "$work/base_out/$f" >&2 ;;
         esac
         status=1
     fi
