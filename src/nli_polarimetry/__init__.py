@@ -5,13 +5,12 @@ from .elements import (
     SampleAxes,
     SignalControl,
     WaveplateCoeffs,
-    WaveplateSetting,
     blocked_signal,
     half_wave,
     lossless_sample,
     quarter_wave,
     rotated_waveplate_coeffs,
-    waveplate_coeffs,
+    waveplate,
 )
 from .estimation import (
     EllipseFit,
@@ -56,7 +55,6 @@ from .signals import (
     beating_parameters,
     fourier_model,
     highgain_visibility,
-    n_blocked,
     n_highgain,
     n_lowgain,
 )

@@ -17,7 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .elements import CrystalGain, SampleAxes, SignalControl, WaveplateSetting, quarter_wave
+from .elements import (
+    CrystalGain,
+    SampleAxes,
+    SignalControl,
+    WaveplateCoeffs,
+    quarter_wave,
+    waveplate,
+)
 from .estimation import (
     ROTATED_ASSUMPTIONS,
     EstimationError,
@@ -39,7 +46,7 @@ from .scan import (
     simulate_scan,
     write_csv,
 )
-from .signals import BeatingParameters, beating_parameters, n_blocked, n_highgain, n_lowgain
+from .signals import BeatingParameters, beating_parameters, n_highgain, n_lowgain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,10 +101,10 @@ def _gain(doc, path: str) -> CrystalGain:
     )
 
 
-def _waveplate(doc, path: str) -> WaveplateSetting:
+def _waveplate(doc, path: str) -> WaveplateCoeffs:
     doc = _require_mapping(doc, path)
     _check_keys(doc, path, ("axis_angle", "retardance"))
-    return WaveplateSetting(
+    return waveplate(
         axis_angle=_number(doc, path, "axis_angle"),
         retardance=_number(doc, path, "retardance"),
     )
@@ -331,7 +338,7 @@ def _figure_fig5b(out_dir: Path) -> list[Path]:
     diff_phase = np.linspace(0.0, 2.0 * math.pi, 201)
     paths = []
     for v, tag in ((0.5, "v0p5"), (1.0, "v1"), (2.0, "v2")):
-        n = n_blocked(_grid_parameters(v, 0.0, 0.85, 0.1), 0.0, diff_phase - math.pi)
+        n = n_highgain(_grid_parameters(v, 0.0, 0.85, 0.1), 0.0, diff_phase - math.pi)
         path = out_dir / f"fig5b_{tag}.csv"
         write_csv(path, ["diff_phase", "n"], [diff_phase, n])
         paths.append(path)

@@ -42,20 +42,12 @@ class CrystalGain:
 
 
 @dataclass(frozen=True)
-class WaveplateSetting:
-    """Waveplate described by its fast-axis angle and retardance (radians)."""
-
-    axis_angle: float
-    retardance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.axis_angle) and math.isfinite(self.retardance)):
-            raise ValueError("waveplate angles must be finite")
-
-
-@dataclass(frozen=True)
 class WaveplateCoeffs:
-    """Raw SU(2) coefficient pair (tau, rho); |tau|^2 + |rho|^2 must be 1."""
+    """A waveplate as its SU(2) coefficient pair (tau, rho); |tau|^2 + |rho|^2 must be 1.
+
+    ``waveplate``, ``quarter_wave`` and ``half_wave`` build the pair of a
+    plate from its fast-axis angle and retardance.
+    """
 
     tau: complex
     rho: complex
@@ -68,34 +60,30 @@ class WaveplateCoeffs:
             raise ValueError("coefficients must satisfy |tau|^2 + |rho|^2 = 1")
 
 
-def quarter_wave(axis_angle: float) -> WaveplateSetting:
-    return WaveplateSetting(axis_angle=axis_angle, retardance=math.pi / 2)
+def waveplate(axis_angle: float, retardance: float) -> WaveplateCoeffs:
+    """SU(2) pair of a plate with fast axis g = ``axis_angle`` and retardance th (radians):
 
-
-def half_wave(axis_angle: float) -> WaveplateSetting:
-    return WaveplateSetting(axis_angle=axis_angle, retardance=math.pi)
-
-
-def waveplate_coeffs(plate: WaveplateSetting | WaveplateCoeffs) -> tuple[complex, complex]:
-    """Transmission/conversion pair ``(tau, rho)`` of a waveplate.
-
-    For a plate with fast axis at ``g`` and retardance ``th``:
     tau = cos^2(g) e^{-i th/2} + sin^2(g) e^{+i th/2},  rho = i sin(2g) sin(th/2).
-    Raw coefficient pairs pass through unchanged.
     """
-    if isinstance(plate, WaveplateCoeffs):
-        return plate.tau, plate.rho
-    g = plate.axis_angle
-    th = plate.retardance
+    if not (math.isfinite(axis_angle) and math.isfinite(retardance)):
+        raise ValueError("waveplate angles must be finite")
+    g = axis_angle
+    th = retardance
     tau = math.cos(g) ** 2 * cmath.exp(-0.5j * th) + math.sin(g) ** 2 * cmath.exp(0.5j * th)
     rho = 1j * math.sin(2.0 * g) * math.sin(0.5 * th)
-    return tau, rho
+    return WaveplateCoeffs(tau, rho)
+
+
+def quarter_wave(axis_angle: float) -> WaveplateCoeffs:
+    return waveplate(axis_angle, math.pi / 2)
+
+
+def half_wave(axis_angle: float) -> WaveplateCoeffs:
+    return waveplate(axis_angle, math.pi)
 
 
 def rotated_waveplate_coeffs(
-    plate1: WaveplateSetting | WaveplateCoeffs,
-    plate2: WaveplateSetting | WaveplateCoeffs,
-    rotation: float,
+    plate1: WaveplateCoeffs, plate2: WaveplateCoeffs, rotation: float
 ) -> tuple[complex, complex, complex, complex]:
     """Waveplate coefficients with a sample rotation folded in.
 
@@ -110,8 +98,8 @@ def rotated_waveplate_coeffs(
 
     Each pair keeps |tau|^2 + |rho|^2 = 1.
     """
-    t1, r1 = waveplate_coeffs(plate1)
-    t2, r2 = waveplate_coeffs(plate2)
+    t1, r1 = plate1.tau, plate1.rho
+    t2, r2 = plate2.tau, plate2.rho
     c = math.cos(rotation)
     s = math.sin(rotation)
     t1r = t1 * c + np.conj(r1) * s

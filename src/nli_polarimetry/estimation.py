@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import TimeSeries, _fit_harmonics
+from .scan import TimeSeries, _fit_harmonics, _pow2_scale
 from .signals import HarmonicDecomposition, amplitude_relations
 
 __all__ = [
@@ -81,17 +81,7 @@ class SampleEstimate:
     flags: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "t_perp": self.t_perp,
-            "t_par": self.t_par,
-            "tbar": self.tbar,
-            "dt": self.dt,
-            "phibar": self.phibar,
-            "dphi": self.dphi,
-            "psi": self.psi,
-            "residuals": self.residuals,
-            "flags": list(self.flags),
-        }
+        return asdict(self)
 
 
 def _column_rate(values: np.ndarray, name: str) -> float:
@@ -423,7 +413,6 @@ class EllipseFit:
     rel_phase: float
     center: tuple[float, float]
     residual: float
-    flags: list
 
 
 def _direct_ellipse_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -487,15 +476,17 @@ def fit_ellipse(points: np.ndarray) -> EllipseFit:
                               flag="too_few_points")
     if not np.isfinite(pts).all():
         raise EstimationError("points must be finite", flag="nonfinite_points")
-    flags: list[str] = []
 
     # normalize: isotropic scaling keeps the conic fit well conditioned and
-    # makes the residual scale-free
-    centroid = pts.mean(axis=0)
-    spread = np.sqrt(np.mean(np.sum((pts - centroid) ** 2, axis=1)))
+    # makes the residual scale-free; the exact power-of-two scale keeps the
+    # centroid's sum and the spread's squares from overflowing
+    scale = _pow2_scale(pts)
+    centroid = scale * (pts / scale).mean(axis=0)
+    offsets = pts - centroid
+    spread = scale * np.sqrt(np.mean(np.sum((offsets / scale) ** 2, axis=1)))
     if spread <= 0.0:
         raise UnidentifiableError("all points coincide", flag="degenerate_conic")
-    norm = (pts - centroid) / spread
+    norm = offsets / spread
     sv = np.linalg.svd(norm - norm.mean(axis=0), compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
         raise UnidentifiableError("points are collinear", flag="degenerate_conic")
@@ -539,16 +530,12 @@ def fit_ellipse(points: np.ndarray) -> EllipseFit:
     amp_x = spread * math.sqrt(big_f / (a * sin_sq))
     amp_y = spread * math.sqrt(big_f / (c * sin_sq))
 
-    if abs(cos_rel) < 1e-7 and abs(amp_x - amp_y) < 1e-7 * (amp_x + amp_y):
-        flags.append("psi_unidentifiable_circle")
-
     return EllipseFit(
         amp_x=float(amp_x),
         amp_y=float(amp_y),
         rel_phase=float(rel_phase),
         center=(float(center[0]), float(center[1])),
         residual=residual,
-        flags=flags,
     )
 
 
@@ -579,5 +566,4 @@ def estimate_ellipse(
     fit = fit_ellipse(points)
     amp_x, amp_y = fit.amp_x / fit.center[0], fit.amp_y / fit.center[1]
     amps, psi, flags = _structural_amplitudes(assume, amp_x, amp_y, fit.rel_phase)
-    return _two_setting_estimate(amps, psi, None, {"conic_rms": fit.residual},
-                                 fit.flags + flags)
+    return _two_setting_estimate(amps, psi, None, {"conic_rms": fit.residual}, flags)

@@ -18,7 +18,6 @@ from .elements import (
     SampleAxes,
     SignalControl,
     WaveplateCoeffs,
-    WaveplateSetting,
     rotated_waveplate_coeffs,
 )
 from .mode_algebra import (
@@ -49,8 +48,8 @@ class InterferometerConfig:
     crystal1: CrystalGain
     crystal2: CrystalGain
     signal: SignalControl
-    waveplate1: WaveplateSetting | WaveplateCoeffs
-    waveplate2: WaveplateSetting | WaveplateCoeffs
+    waveplate1: WaveplateCoeffs
+    waveplate2: WaveplateCoeffs
     sample: SampleAxes
     rotation: float = 0.0
 

@@ -344,10 +344,21 @@ class Calibration:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _pow2_scale(values) -> float:
+    """Power of two near the largest |value|, to divide by before summing or squaring.
+
+    The quotients stay below 2 in magnitude, so their sums and squares do not
+    overflow, and dividing by a power of two is exact: a mean or root mean
+    square taken of them and multiplied back by the scale keeps every bit.
+    """
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values))))[1] - 1)
+
+
 def _fit_harmonics(t, counts, rates, rank_error: Exception):
     """Least-squares fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]``.
 
-    Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention.  Rank
+    Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention; the
+    residual is rescaled by ``_pow2_scale`` before it is squared.  Rank
     rule: raises ``rank_error`` unless the design has at least as many rows
     as columns and the smallest singular value ``lstsq`` returns is at least
     1e-10 of the largest.
@@ -360,8 +371,10 @@ def _fit_harmonics(t, counts, rates, rank_error: Exception):
     if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
         raise rank_error
     resid = counts - design @ coef
+    scale = _pow2_scale(resid)
+    rms = scale * float(np.sqrt(np.mean((resid / scale) ** 2)))
     amps = [complex(coef[k] - 1j * coef[k + 1]) for k in range(1, len(coef), 2)]
-    return float(coef[0]), amps, float(np.sqrt(np.mean(resid**2)))
+    return float(coef[0]), amps, rms
 
 
 def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:

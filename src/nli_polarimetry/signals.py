@@ -4,8 +4,8 @@ These formulas are implemented independently of the exact operator
 composition so that agreement between the two is a genuine cross-check.
 They also serve as the forward models of the estimation stage.
 
-The low-gain, all-orders and blocked-arm photon numbers share one signature
-with the exact model ``photon_number_exact(cfg, signal_phase, diff_phase)``:
+The low-gain and all-orders photon numbers share one signature with the
+exact model ``photon_number_exact(cfg, signal_phase, diff_phase)``:
 ``f(p, signal_phase=0.0, diff_phase=0.0)`` for the ``BeatingParameters`` ``p``
 of one configuration.  The scan phases are imprinted as in ``detected_mode``:
 the fringe phase is ``p.mean_total_phase + signal_phase`` and the half
@@ -34,7 +34,6 @@ __all__ = [
     "fourier_model",
     "n_highgain",
     "highgain_visibility",
-    "n_blocked",
     "amplitude_relations",
 ]
 
@@ -197,20 +196,21 @@ def fourier_model(p: BeatingParameters, schedule: "ScanSchedule") -> HarmonicDec
     )
 
 
-def _cross_pol(p: BeatingParameters, diff_phase):
-    """Gain-squared interference of the idler's two polarization paths."""
+def n_highgain(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):
+    """Detected photon number to all orders in the gain (equal pumping).
+
+    The V^2 cross term is the gain-squared interference of the idler's two
+    polarization paths.  With the signal arm blocked (``signal_mag`` 0) it is
+    the only fringe: the record is V plus that term, and ``signal_phase``
+    changes no bit of it.
+    """
+    v = p.mean_photons
+    half = p.half_diff_phase + 0.5 * diff_phase
     # np.square rounds a scalar as an array element; a numpy scalar's ** 2
     # goes through pow, which can differ in the last bit
-    half = p.half_diff_phase + 0.5 * diff_phase
-    return (0.25 * p.diff_trans**2 * np.square(np.cos(half))
-            + p.mean_trans**2 * np.square(np.sin(half)))
-
-
-def n_highgain(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):
-    """Detected photon number to all orders in the gain (equal pumping)."""
-    v = p.mean_photons
-    low = n_lowgain(p, signal_phase, diff_phase)
-    return low * (1.0 + v) - v**2 + v**2 * _cross_pol(p, diff_phase)
+    cross_pol = (0.25 * p.diff_trans**2 * np.square(np.cos(half))
+                 + p.mean_trans**2 * np.square(np.sin(half)))
+    return n_lowgain(p, signal_phase, diff_phase) * (1.0 + v) - v**2 + v**2 * cross_pol
 
 
 def highgain_visibility(p: BeatingParameters) -> float:
@@ -224,17 +224,6 @@ def highgain_visibility(p: BeatingParameters) -> float:
     return 2.0 * s * (1.0 + v) * p.mean_trans / (
         1.0 + s**2 * (1.0 + v) + p.mean_trans**2 * v
     )
-
-
-def n_blocked(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):
-    """Detected photon number with the signal arm blocked.
-
-    Only the idler's two polarization paths interfere; the fringe amplitude
-    scales with the square of the gain.  ``signal_phase`` does not enter, so
-    the result broadcasts over ``diff_phase`` alone.
-    """
-    v = p.mean_photons
-    return v + v**2 * _cross_pol(p, diff_phase)
 
 
 def amplitude_relations(mean_trans: float, diff_trans: float, retardance: float

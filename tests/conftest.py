@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from nli_polarimetry import (
+    BeatingParameters,
     CrystalGain,
     InterferometerConfig,
     SampleAxes,
     SignalControl,
-    WaveplateSetting,
+    TimeSeries,
     beating_parameters,
     n_lowgain,
     quarter_wave,
+    waveplate,
 )
 
 
@@ -34,11 +36,28 @@ def random_config(rng: np.random.Generator, *, equal_gains: bool = False,
         signal=SignalControl(
             rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, two_pi))
         ),
-        waveplate1=WaveplateSetting(rng.uniform(0.0, two_pi), rng.uniform(0.0, two_pi)),
-        waveplate2=WaveplateSetting(rng.uniform(0.0, two_pi), rng.uniform(0.0, two_pi)),
+        waveplate1=waveplate(rng.uniform(0.0, two_pi), rng.uniform(0.0, two_pi)),
+        waveplate2=waveplate(rng.uniform(0.0, two_pi), rng.uniform(0.0, two_pi)),
         sample=sample,
         rotation=rng.uniform(0.0, two_pi) if rotation else 0.0,
     )
+
+
+def blocked_arm(p: BeatingParameters) -> BeatingParameters:
+    """Beating parameters of the same configuration with the signal arm
+    blocked, as ``beating_parameters`` reduces it: ``signal_mag`` 0 and no
+    control phase."""
+    return dataclasses.replace(p, signal_mag=0.0, control_phase=0.0)
+
+
+# counts this large are finite and fit in a CSV, but their squares overflow
+HUGE = 2.0**996
+
+
+def scaled_counts(series: TimeSeries, factor: float) -> TimeSeries:
+    """The record with its counts and expected photon numbers times ``factor``."""
+    return dataclasses.replace(series, expected_n=factor * series.expected_n,
+                               counts=factor * series.counts)
 
 
 def with_scan_phases(cfg: InterferometerConfig, signal_phase: float,

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import analyzer_config, random_config, two_setting_points
+from conftest import analyzer_config, blocked_arm, random_config, two_setting_points
 from nli_polarimetry import (
     CrystalGain,
     InterferometerConfig,
@@ -32,7 +32,6 @@ from nli_polarimetry import (
     harmonic_regress,
     highgain_visibility,
     lossless_sample,
-    n_blocked,
     n_highgain,
     n_lowgain,
     photon_number_exact,
@@ -84,7 +83,7 @@ def test_acceptance_02_oracle_equivalence():
             worst_rel, abs(n_exact - n_highgain(p)) / max(n_exact, 1e-9)
         )
         v = p.mean_photons
-        combined = n_lowgain(p) * (1.0 + v) + n_blocked(p) - v * (v + 1.0)
+        combined = n_lowgain(p) * (1.0 + v) + n_highgain(blocked_arm(p)) - v * (v + 1.0)
         worst_identity = max(
             worst_identity, abs(n_exact - combined) / max(n_exact, 1.0)
         )
@@ -168,7 +167,7 @@ def test_acceptance_06_blocked_arm_signal():
                 v=v, ts=0.0,
             )
             exact = photon_number_exact(cfg)
-            formula = n_blocked(beating_parameters(cfg))
+            formula = n_highgain(beating_parameters(cfg))
             worst = max(worst, abs(exact - formula))
     assert worst < 1e-12
 

@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nli_polarimetry
-from conftest import MALFORMED_SERIES
-from nli_polarimetry import BeatingParameters, TimeSeries, amplitude_relations, cli, n_blocked
+from conftest import HUGE, MALFORMED_SERIES, scaled_counts
+from nli_polarimetry import BeatingParameters, TimeSeries, amplitude_relations, cli, n_highgain
 from nli_polarimetry.angles import axis_distance
 from nli_polarimetry.cli import main
 from nli_polarimetry.scan import write_csv
@@ -66,6 +66,27 @@ def write_config(tmp_path, doc, name="config.json"):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def scaled_csv(path, factor):
+    """A copy of a series CSV with its counts and expected photon numbers
+    times ``factor``."""
+    out = path.with_name(f"scaled_{path.name}")
+    scaled_counts(TimeSeries.from_csv(path), factor).to_csv(out)
+    return out
+
+
+def strict_json(path):
+    """Parse a JSON file, refusing the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def assert_same_estimate(got, want):
+    for key in ("t_perp", "t_par", "tbar", "dt", "phibar", "dphi", "psi"):
+        assert got[key] == (None if want[key] is None else pytest.approx(want[key], abs=1e-12))
+    assert got["flags"] == want["flags"]
 
 
 def reference_grid_csv(path, header, columns):
@@ -315,6 +336,23 @@ class TestCalibrateAndEstimate:
         assert "'counts'" in err and "data row 7" in err
         assert not est_path.exists()
 
+    def test_huge_counts_write_standard_json(self, tmp_path):
+        # counts scaled by 2**996 are finite cells whose squares overflow
+        scans = self.make_scans(tmp_path)
+        calib = tmp_path / "calib.json"
+        assert run("calibrate", "--signal-scan", scans["sig"],
+                   "--idler-scan", scans["idl"], "--out", calib) == 0
+        cfg = write_config(tmp_path, base_config(**{"noise.mode": "poisson"}), name="main.json")
+        data = tmp_path / "main.csv"
+        assert run("simulate", "--config", cfg, "--out", data) == 0
+        estimates = []
+        for series in (data, scaled_csv(data, HUGE)):
+            est_path = tmp_path / f"est_{series.stem}.json"
+            assert run("estimate", "--pipeline", "fourier", "--data", series,
+                       "--calibration", calib, "--out", est_path) == 0
+            estimates.append(strict_json(est_path))
+        assert_same_estimate(estimates[1], estimates[0])
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_SERIES))
     def test_malformed_series_exits_2(self, tmp_path, capsys, case):
         mutate, message = MALFORMED_SERIES[case]
@@ -392,6 +430,18 @@ class TestRotatedPipelines:
         est = json.loads(est_path.read_text())
         assert axis_distance(est["psi"], 1.8) < 1e-6
         assert est["residuals"]["conic_rms"] < 1e-10
+
+    @pytest.mark.parametrize("pipeline", ["rotated", "ellipse"])
+    def test_huge_counts_write_standard_json(self, tmp_path, pipeline):
+        # counts scaled by 2**996 are finite cells whose squares overflow
+        paths = self.simulate_settings(tmp_path, **{"noise.mode": "poisson"})
+        estimates = []
+        for s1, s2 in (paths, [scaled_csv(path, HUGE) for path in paths]):
+            est_path = tmp_path / f"est_{s1.stem}.json"
+            assert run("estimate", "--pipeline", pipeline, "--data", s1, "--data", s2,
+                       "--out", est_path) == 0
+            estimates.append(strict_json(est_path))
+        assert_same_estimate(estimates[1], estimates[0])
 
     def test_ellipse_pipeline_degenerate_line(self, tmp_path, capsys):
         # no fringe in setting 1: the joint record collapses onto a line
@@ -506,13 +556,13 @@ class TestFigures:
         for tag in ("v0p5", "v1", "v2"):
             assert (tmp_path / f"fig5b_{tag}.csv").exists()
 
-    def test_fig5b_matches_inline_oracle_and_n_blocked(self, tmp_path):
+    def test_fig5b_matches_inline_oracle_and_n_highgain(self, tmp_path):
         assert run("figures", "--id", "fig5b", "--out-dir", tmp_path) == 0
         diff_phase = np.linspace(0.0, 2.0 * math.pi, 201)
         for v, tag in ((0.5, "v0p5"), (1.0, "v1"), (2.0, "v2")):
             grid = np.loadtxt(tmp_path / f"fig5b_{tag}.csv", delimiter=",", skiprows=1)
-            # oracle: the grid's formula as written out before it called
-            # blocked_intensity, in the same operation order
+            # oracle: the grid's blocked-arm formula as written out before it
+            # called blocked_intensity; n_highgain at signal_mag 0 keeps its bits
             half = 0.5 * (diff_phase - math.pi)
             want = v + v**2 * (0.25 * 0.1**2 * np.cos(half) ** 2
                                + 0.85**2 * np.sin(half) ** 2)
@@ -525,7 +575,7 @@ class TestFigures:
                     retardance=phase - math.pi, setup_phase_offset=0.0,
                     diff_setup_phase=0.0,
                 )
-                assert abs(n - n_blocked(p)) <= 1e-15 * n
+                assert abs(n - n_highgain(p)) <= 1e-15 * n
 
     def test_fig6_files(self, tmp_path):
         assert run("figures", "--id", "fig6", "--out-dir", tmp_path) == 0

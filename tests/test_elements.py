@@ -11,12 +11,11 @@ from nli_polarimetry import (
     SampleAxes,
     SignalControl,
     WaveplateCoeffs,
-    WaveplateSetting,
     beating_parameters,
     half_wave,
     quarter_wave,
     rotated_waveplate_coeffs,
-    waveplate_coeffs,
+    waveplate,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -25,6 +24,18 @@ SQ2 = math.sqrt(2.0)
 def rotation_matrix(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def reference_waveplate_coeffs(g, th):
+    """Oracle: ``(tau, rho)`` of a plate at axis ``g`` with retardance ``th``,
+    as the plate-to-pair conversion computed it before ``waveplate``."""
+    tau = math.cos(g) ** 2 * cmath.exp(-0.5j * th) + math.sin(g) ** 2 * cmath.exp(0.5j * th)
+    rho = 1j * math.sin(2.0 * g) * math.sin(0.5 * th)
+    return tau, rho
+
+
+def pair(plate):
+    return plate.tau, plate.rho
 
 
 def waveplate_matrix(tau, rho):
@@ -49,17 +60,17 @@ class TestCrystalGain:
 
 class TestWaveplateCoeffs:
     def test_unrotated_quarter_wave_is_pure_phase(self):
-        tau, rho = waveplate_coeffs(WaveplateSetting(0.0, math.pi / 2))
+        tau, rho = pair(waveplate(0.0, math.pi / 2))
         assert tau == pytest.approx(cmath.exp(-0.25j * math.pi), abs=1e-15)
         assert rho == pytest.approx(0.0, abs=1e-15)
 
     def test_diagonal_quarter_wave(self):
-        tau, rho = waveplate_coeffs(quarter_wave(math.pi / 4))
+        tau, rho = pair(quarter_wave(math.pi / 4))
         assert tau == pytest.approx(1.0 / SQ2, abs=1e-15)
         assert rho == pytest.approx(1j / SQ2, abs=1e-15)
 
     def test_diagonal_half_wave_swaps_polarizations(self):
-        tau, rho = waveplate_coeffs(half_wave(math.pi / 4))
+        tau, rho = pair(half_wave(math.pi / 4))
         assert tau == pytest.approx(0.0, abs=1e-15)
         assert rho == pytest.approx(1j, abs=1e-15)
 
@@ -68,20 +79,32 @@ class TestWaveplateCoeffs:
         rets = np.linspace(0.0, 2.0 * math.pi, 37)
         for g in angles:
             for th in rets:
-                tau, rho = waveplate_coeffs(WaveplateSetting(g, th))
+                tau, rho = pair(waveplate(g, th))
                 assert abs(tau) ** 2 + abs(rho) ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_matrix_is_unitary(self, rng):
         for _ in range(50):
-            tau, rho = waveplate_coeffs(
-                WaveplateSetting(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-            )
+            tau, rho = pair(waveplate(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
             m = waveplate_matrix(tau, rho)
             np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-13)
 
-    def test_raw_coeffs_pass_through(self):
-        pair = WaveplateCoeffs(tau=0.6, rho=0.8j)
-        assert waveplate_coeffs(pair) == (0.6, 0.8j)
+    def test_matches_previous_formula_bitwise(self, rng):
+        # a dense grid with the quarter- and half-wave retardances, then random plates
+        grid = [(g, th) for g in np.linspace(0.0, 2.0 * math.pi, 41)
+                for th in (*np.linspace(0.0, 2.0 * math.pi, 37), math.pi / 2, math.pi)]
+        draws = rng.uniform(-10.0, 10.0, (2000, 2))
+        for g, th in [*grid, *draws]:
+            got = pair(waveplate(float(g), float(th)))
+            want = reference_waveplate_coeffs(float(g), float(th))
+            assert [v.hex() for z in got for v in (z.real, z.imag)] == [
+                v.hex() for z in want for v in (z.real, z.imag)], (g, th)
+        assert pair(quarter_wave(0.3)) == pair(waveplate(0.3, math.pi / 2))
+        assert pair(half_wave(0.3)) == pair(waveplate(0.3, math.pi))
+
+    @pytest.mark.parametrize("g, th", [(math.nan, 1.0), (0.5, math.inf), (-math.inf, 0.0)])
+    def test_angles_must_be_finite(self, g, th):
+        with pytest.raises(ValueError, match="^waveplate angles must be finite$"):
+            waveplate(g, th)
 
     def test_raw_coeffs_validated(self):
         with pytest.raises(ValueError):
@@ -97,11 +120,9 @@ class TestWaveplateCoeffs:
 
 class TestRotatedWaveplates:
     def test_zero_rotation_is_identity(self):
-        wp1 = WaveplateSetting(0.3, 1.2)
-        wp2 = WaveplateSetting(1.7, 0.4)
-        t1, r1 = waveplate_coeffs(wp1)
-        t2, r2 = waveplate_coeffs(wp2)
-        assert rotated_waveplate_coeffs(wp1, wp2, 0.0) == (t1, r1, t2, r2)
+        wp1 = waveplate(0.3, 1.2)
+        wp2 = waveplate(1.7, 0.4)
+        assert rotated_waveplate_coeffs(wp1, wp2, 0.0) == (*pair(wp1), *pair(wp2))
 
     def test_diagonal_quarter_wave_picks_up_pure_phase(self, rng):
         # circular polarization after the plate: rotation becomes a phase only
@@ -115,12 +136,12 @@ class TestRotatedWaveplates:
     def test_matches_explicit_matrix_products(self, rng):
         # oracle: R(psi) M1 and M2 R(-psi) in the SU(2) matrix representation
         for _ in range(100):
-            wp1 = WaveplateSetting(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-            wp2 = WaveplateSetting(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+            wp1 = waveplate(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+            wp2 = waveplate(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
             psi = rng.uniform(0.0, 2.0 * math.pi)
             t1r, r1r, t2r, r2r = rotated_waveplate_coeffs(wp1, wp2, psi)
-            m1 = rotation_matrix(psi) @ waveplate_matrix(*waveplate_coeffs(wp1))
-            m2 = waveplate_matrix(*waveplate_coeffs(wp2)) @ rotation_matrix(-psi)
+            m1 = rotation_matrix(psi) @ waveplate_matrix(*pair(wp1))
+            m2 = waveplate_matrix(*pair(wp2)) @ rotation_matrix(-psi)
             assert t1r == pytest.approx(m1[0, 0], abs=1e-13)
             assert r1r == pytest.approx(m1[0, 1], abs=1e-13)
             assert t2r == pytest.approx(m2[0, 0], abs=1e-13)
@@ -129,16 +150,14 @@ class TestRotatedWaveplates:
                 assert abs(tau) ** 2 + abs(rho) ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_rotation_composes_with_its_inverse(self, rng):
-        wp1 = WaveplateSetting(0.9, 2.1)
-        wp2 = WaveplateSetting(2.8, 0.7)
+        wp1 = waveplate(0.9, 2.1)
+        wp2 = waveplate(2.8, 0.7)
         psi = 1.3
         t1r, r1r, t2r, r2r = rotated_waveplate_coeffs(wp1, wp2, psi)
         t1b, r1b, t2b, r2b = rotated_waveplate_coeffs(
             WaveplateCoeffs(t1r, r1r), WaveplateCoeffs(t2r, r2r), -psi
         )
-        t1, r1 = waveplate_coeffs(wp1)
-        t2, r2 = waveplate_coeffs(wp2)
-        for got, want in ((t1b, t1), (r1b, r1), (t2b, t2), (r2b, r2)):
+        for got, want in zip((t1b, r1b, t2b, r2b), (*pair(wp1), *pair(wp2))):
             assert got == pytest.approx(want, abs=1e-13)
 
 
@@ -196,8 +215,8 @@ class TestSampleSummary:
         assert s.diff_trans == pytest.approx(0.0, abs=1e-12)
 
     def test_global_sample_phase_shifts_only_mean_phase(self, rng):
-        plate1 = WaveplateSetting(0.4, 1.1)
-        plate2 = WaveplateSetting(1.9, 2.3)
+        plate1 = waveplate(0.4, 1.1)
+        plate2 = waveplate(1.9, 2.3)
         base = SampleAxes(0.8 * cmath.exp(0.2j), 0.5 * cmath.exp(-0.7j))
         shift = 0.9
         shifted = SampleAxes(

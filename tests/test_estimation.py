@@ -4,11 +4,12 @@ import dataclasses
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import analyzer_config, angles_close, two_setting_points
+from conftest import HUGE, analyzer_config, angles_close, scaled_counts, two_setting_points
 from nli_polarimetry import (
     CrystalGain,
     EstimationError,
@@ -464,6 +465,49 @@ class TestEstimateRotated:
         assert axis_distance(est.psi, 1.8) < 1e-6
 
 
+# residuals in counts; the others are relative to the fringe amplitudes
+COUNT_RESIDUALS = ("harmonic_rms", "fit_rms_setting1", "fit_rms_setting2")
+
+
+def poisson(seed):
+    return NoiseModel(KAPPA, seed=seed, mode="poisson")
+
+
+def fourier_route(series, sched):
+    decomp = harmonic_regress(series, sched.signal_rate)
+    return extract_sample_fourier(decomp, 2.0 * decomp.dc, 0.23, -0.61)
+
+
+class TestHugeCounts:
+    """Records scaled by 2**996: the fits rescale by a power of two before
+    they square, so the estimates and flags equal the unscaled ones, the
+    residuals in counts scale by 2**996 and nothing warns."""
+
+    @pytest.mark.parametrize("route", ["fourier", "rotated", "ellipse"])
+    def test_estimates_scale_out(self, route):
+        if route == "fourier":
+            series, sched = fourier_scan(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j),
+                                         xi_bar=0.23, delta_xi=-0.61, noise=poisson(3))
+            records = (series,)
+            estimate = partial(fourier_route, sched=sched)
+        else:
+            records = tuple(setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting, noise=poisson(setting))
+                            for setting in (1, 2))
+            estimate = estimate_rotated if route == "rotated" else estimate_ellipse
+        small = estimate(*records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = estimate(*(scaled_counts(r, HUGE) for r in records))
+        for name in ("t_perp", "t_par", "tbar", "dt", "phibar", "dphi", "psi"):
+            want = getattr(small, name)
+            assert getattr(big, name) == (None if want is None else pytest.approx(want, abs=1e-12))
+        assert big.flags == small.flags
+        assert big.residuals.keys() == small.residuals.keys()
+        for key, value in small.residuals.items():
+            want = HUGE * value if key in COUNT_RESIDUALS else value
+            assert big.residuals[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
+
+
 def ellipse_points(tbar, dt, dphi, psi, phibar=0.4, n=73, v=0.5, phase_start=0.0):
     phi0 = phase_start + np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     return two_setting_points(tbar, dt, phibar, dphi, psi, phi0, v=v)
@@ -486,7 +530,18 @@ class TestFitEllipse:
         assert fit.amp_y == pytest.approx(0.3 * KAPPA, rel=1e-9)
         angles_close(fit.rel_phase, -2.0 * 1.8, atol=1e-9)
         assert fit.center == pytest.approx((KAPPA, KAPPA), rel=1e-9)
-        assert fit.flags == []
+
+    def test_power_of_two_scaling_is_exact_up_to_the_float_maximum(self):
+        # counts near 2**1022: a plain sum of the points for their centroid
+        # would overflow, the rescaled one scales every count by 2**1008
+        points = KAPPA * ellipse_points(0.6, 0.6, 0.0, 1.8)
+        small = fit_ellipse(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = fit_ellipse(2.0**1008 * points)
+        assert (big.amp_x, big.amp_y) == (2.0**1008 * small.amp_x, 2.0**1008 * small.amp_y)
+        assert big.center == (2.0**1008 * small.center[0], 2.0**1008 * small.center[1])
+        assert (big.rel_phase, big.residual) == (small.rel_phase, small.residual)
 
     def test_invariants_of_a_retarder(self):
         # dt = 0: both fringes are tbar/sqrt(2) at dphi = pi/2, and the
@@ -520,11 +575,17 @@ class TestFitEllipse:
         assert fit_a.amp_y == pytest.approx(fit_b.amp_y, abs=1e-9)
         assert fit_a.rel_phase == pytest.approx(fit_b.rel_phase, abs=1e-9)
 
-    def test_circle_flagged(self):
-        # equal amplitudes in quadrature trace a circle; its orientation
-        # carries no rotation information
-        fit = fit_ellipse(ellipse_points(0.4, 0.8, 0.0, math.pi / 4))
-        assert "psi_unidentifiable_circle" in fit.flags
+    def test_circle_identifies_psi(self):
+        # a polariser's two fringes are equal, and at psi = pi/4 or 3pi/4 in
+        # quadrature: the Lissajous curve is a circle.  psi comes from the
+        # phase lag and the traversal direction, not from the tilt, so both
+        # are recovered unflagged, as the rotated route recovers them
+        for psi in (0.25 * math.pi, 0.75 * math.pi):
+            s1, s2 = (setting_scan(0.4, 0.8, 0.4, 0.0, psi, setting) for setting in (1, 2))
+            est = estimate_ellipse(s1, s2)
+            assert est.psi == pytest.approx(psi, abs=1e-9)
+            assert est.psi == pytest.approx(estimate_rotated(s1, s2).psi, abs=1e-9)
+            assert est.flags == []
 
     def test_collinear_points_rejected(self):
         phi0 = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
@@ -699,7 +760,6 @@ def reference_estimate_ellipse(series_setting1, series_setting2,
     fit = fit_ellipse(points)
     b1, c1, b2, c2, psi = reference_ellipse_mapping(fit, assume)
     tbar, dt, dphi, residual, rec_flags = _recover_rotated_params(b1, c1, b2, c2)
-    flags = list(fit.flags) + rec_flags
     return SampleEstimate(
         t_perp=tbar + 0.5 * dt,
         t_par=tbar - 0.5 * dt,
@@ -712,7 +772,7 @@ def reference_estimate_ellipse(series_setting1, series_setting2,
             "conic_rms": fit.residual,
             "amplitude_consistency": residual,
         },
-        flags=flags,
+        flags=rec_flags,
     )
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_config, with_scan_phases
+from conftest import blocked_arm, random_config, with_scan_phases
 from nli_polarimetry import (
     CrystalGain,
     InterferometerConfig,
@@ -16,24 +16,23 @@ from nli_polarimetry import (
     ScanSchedule,
     SignalControl,
     WaveplateCoeffs,
-    WaveplateSetting,
     beating_parameters,
     blocked_signal,
     detected_mode,
     lossless_sample,
-    n_blocked,
     n_highgain,
     n_lowgain,
     photon_number_exact,
     quarter_wave,
     simulate_scan,
     three_path_decomposition,
+    waveplate,
 )
 from nli_polarimetry.mode_algebra import commutator_defect, vacuum_photon_number
 
 
 def identity_plate():
-    return WaveplateSetting(axis_angle=0.0, retardance=0.0)
+    return waveplate(axis_angle=0.0, retardance=0.0)
 
 
 def simple_config(**overrides):
@@ -213,8 +212,8 @@ class TestPhotonNumber:
                 crystal1=CrystalGain(v),
                 crystal2=CrystalGain(v),
                 signal=SignalControl(0.9 * cmath.exp(0.7j)),
-                waveplate1=WaveplateSetting(0.5, 1.3),
-                waveplate2=WaveplateSetting(2.0, 0.8),
+                waveplate1=waveplate(0.5, 1.3),
+                waveplate2=waveplate(2.0, 0.8),
                 sample=SampleAxes(0.8 * cmath.exp(0.3j), 0.6 * cmath.exp(-0.2j)),
             )
             gap = abs(photon_number_exact(cfg) - n_lowgain(beating_parameters(cfg)))
@@ -244,7 +243,7 @@ class TestPhotonNumber:
             cfg = random_config(rng, equal_gains=True, rotation=False)
             p = beating_parameters(cfg)
             v = p.mean_photons
-            combined = n_lowgain(p) * (1.0 + v) + n_blocked(p) - v * (v + 1.0)
+            combined = n_lowgain(p) * (1.0 + v) + n_highgain(blocked_arm(p)) - v * (v + 1.0)
             n_exact = photon_number_exact(cfg)
             assert abs(n_exact - combined) < 1e-10 * max(n_exact, 1.0)
 

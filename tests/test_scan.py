@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_SERIES, random_config, with_scan_phases
+from conftest import HUGE, MALFORMED_SERIES, random_config, scaled_counts, with_scan_phases
 from nli_polarimetry import (
     CalibrationError,
     CrystalGain,
@@ -543,6 +543,22 @@ class TestCalibrate:
                 max(abs(result.signal_offset - 0.7), abs(result.diff_offset - 1.1))
             )
         assert np.quantile(errors, 0.95) < 0.02
+
+    def test_huge_counts_scale_out(self):
+        # the fits rescale before they square, so counts scaled by 2**996
+        # keep the offsets and scale every count-valued diagnostic, unwarned
+        scans = [signal_arm_scan(0.7, 1.1, noise=NoiseModel(KAPPA, seed=5, mode="poisson")),
+                 idler_arm_scan(0.7, 1.1, noise=NoiseModel(KAPPA, seed=6, mode="poisson"))]
+        small = calibrate(*scans)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = calibrate(*(scaled_counts(scan, HUGE) for scan in scans))
+        assert big.signal_offset == pytest.approx(small.signal_offset, abs=1e-12)
+        assert big.diff_offset == pytest.approx(small.diff_offset, abs=1e-12)
+        assert big.flux_scale == pytest.approx(HUGE * small.flux_scale, rel=1e-12)
+        assert big.diagnostics.keys() == small.diagnostics.keys()
+        for key, value in small.diagnostics.items():
+            assert big.diagnostics[key] == pytest.approx(HUGE * value, rel=1e-12), key
 
     def test_rejects_flat_fringe(self):
         # differential offset at half turn kills the signal-arm fringe

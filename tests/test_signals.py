@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import analyzer_config, angles_close, random_config, two_setting_points
+from conftest import (
+    analyzer_config,
+    angles_close,
+    blocked_arm,
+    random_config,
+    two_setting_points,
+)
 from nli_polarimetry import (
     BeatingParameters,
     CrystalGain,
@@ -24,14 +30,12 @@ from nli_polarimetry import (
     fourier_model,
     half_wave,
     highgain_visibility,
-    n_blocked,
     n_highgain,
     n_lowgain,
     photon_number_exact,
     quarter_wave,
     rotated_waveplate_coeffs,
     simulate_scan,
-    waveplate_coeffs,
 )
 
 
@@ -56,8 +60,8 @@ def reference_beating_parameters(cfg):
     waveplate-sample-waveplate sandwich copied into the beating parameters,
     with the unrotated plates' coefficients taken directly."""
     if cfg.rotation == 0.0:
-        tau1, rho1 = waveplate_coeffs(cfg.waveplate1)
-        tau2, rho2 = waveplate_coeffs(cfg.waveplate2)
+        tau1, rho1 = cfg.waveplate1.tau, cfg.waveplate1.rho
+        tau2, rho2 = cfg.waveplate2.tau, cfg.waveplate2.rho
     else:
         tau1, rho1, tau2, rho2 = rotated_waveplate_coeffs(
             cfg.waveplate1, cfg.waveplate2, cfg.rotation
@@ -118,21 +122,20 @@ def reference_highgain_intensity(mean_photons, signal_mag, mean_trans, diff_tran
 
 
 def reference_blocked_intensity(mean_photons, mean_trans, diff_trans, half_diff_phase):
-    """Oracle: the blocked-arm kernel that ``n_blocked`` replaced."""
+    """Oracle: the blocked-arm kernel, ``V + V^2 cross_pol``, that
+    ``n_highgain`` at ``signal_mag`` 0 replaced; equal to rounding."""
     v = mean_photons
     return v + v**2 * reference_cross_pol(mean_trans, diff_trans, half_diff_phase)
 
 
 def reference_intensities(p, half_diff_phase, mean_phase):
-    """The three oracle kernels at the given total phases, in the order
-    low-gain, all-orders, blocked."""
+    """The two oracle kernels at the given total phases, in the order
+    low-gain, all-orders."""
     return (
         reference_beating_intensity(p.amplitude, p.diff_visibility, p.mean_visibility,
                                     half_diff_phase, mean_phase),
         reference_highgain_intensity(p.mean_photons, p.signal_mag, p.mean_trans,
                                      p.diff_trans, half_diff_phase, mean_phase),
-        reference_blocked_intensity(p.mean_photons, p.mean_trans, p.diff_trans,
-                                    half_diff_phase),
     )
 
 
@@ -207,35 +210,52 @@ class TestBeatingParameters:
 
 
 class TestForwardModels:
-    MODELS = (n_lowgain, n_highgain, n_blocked)
+    MODELS = (n_lowgain, n_highgain)
 
     def test_match_raw_kernels_bitwise(self, rng):
         # array calls over random scan phases, each element against its own
         # scalar call, and the zero-phase scalar call against a one-element
         # array (the raw kernels squared a numpy scalar with pow, which can
-        # differ from an array's square in the last bit)
+        # differ from an array's square in the last bit); every draw also
+        # runs with the signal arm blocked, where the all-orders record
+        # agrees with the old blocked-arm kernel to rounding
         for _ in range(200):
-            p = beating_parameters(random_config(rng, equal_gains=True))
+            open_arm = beating_parameters(random_config(rng, equal_gains=True))
+            blocked = blocked_arm(open_arm)
             signal_phase, diff_phase = rng.uniform(-10.0, 10.0, (2, 32))
-            half = p.half_diff_phase + 0.5 * diff_phase
-            mean = p.mean_total_phase + signal_phase
-            for model, want in zip(self.MODELS, reference_intensities(p, half, mean)):
-                got = model(p, signal_phase, diff_phase)
-                assert got.tobytes() == want.tobytes(), (model, p)
-                for k in range(len(got)):
-                    one = model(p, signal_phase[k], diff_phase[k])
-                    assert float.hex(one) == float.hex(got[k]), (model, p, k)
-            want = reference_intensities(
-                p, np.array([p.half_diff_phase]), np.array([p.mean_total_phase])
+            for p in (open_arm, blocked):
+                half = p.half_diff_phase + 0.5 * diff_phase
+                mean = p.mean_total_phase + signal_phase
+                for model, want in zip(self.MODELS, reference_intensities(p, half, mean)):
+                    got = model(p, signal_phase, diff_phase)
+                    assert got.tobytes() == want.tobytes(), (model, p)
+                    for k in range(len(got)):
+                        one = model(p, signal_phase[k], diff_phase[k])
+                        assert float.hex(one) == float.hex(got[k]), (model, p, k)
+                want = reference_intensities(
+                    p, np.array([p.half_diff_phase]), np.array([p.mean_total_phase])
+                )
+                for model, value in zip(self.MODELS, want):
+                    assert float.hex(model(p)) == float.hex(value[0]), (model, p)
+            half = blocked.half_diff_phase + 0.5 * diff_phase
+            np.testing.assert_allclose(
+                n_highgain(blocked, signal_phase, diff_phase),
+                reference_blocked_intensity(blocked.mean_photons, blocked.mean_trans,
+                                            blocked.diff_trans, half),
+                rtol=2e-15, atol=0.0,
             )
-            for model, value in zip(self.MODELS, want):
-                assert float.hex(model(p)) == float.hex(value[0]), (model, p)
 
-    def test_blocked_ignores_signal_phase(self):
-        p = params(mean_photons=1.0, mean_trans=0.85, diff_trans=0.1)
-        diff_phase = np.linspace(0.0, 2.0 * math.pi, 17)
-        want = n_blocked(p, 0.0, diff_phase)
-        assert n_blocked(p, 1.3, diff_phase).tobytes() == want.tobytes()
+    def test_blocked_ignores_signal_phase(self, rng):
+        # at signal_mag 0 the low-gain fringe terms are signed zeros, so the
+        # signal phase changes no bit of the all-orders record
+        for _ in range(300):
+            p = blocked_arm(beating_parameters(random_config(rng, equal_gains=True)))
+            signal_phase, diff_phase = rng.uniform(-10.0, 10.0, (2, 32))
+            want = n_highgain(p, 0.0, diff_phase)
+            assert n_highgain(p, signal_phase, diff_phase).tobytes() == want.tobytes(), p
+            for k in range(len(want)):
+                one = n_highgain(p, signal_phase[k], diff_phase[k])
+                assert float.hex(one) == float.hex(want[k]), (p, k)
 
 
 class TestLowGain:
@@ -394,10 +414,10 @@ class TestHighGain:
                     assert highgain_visibility(p) >= p.mean_visibility - 1e-12
 
     def test_blocked_frozen_value(self):
-        p = params(mean_photons=1.0, mean_trans=0.85, diff_trans=0.1,
+        p = params(mean_photons=1.0, signal_mag=0.0, mean_trans=0.85, diff_trans=0.1,
                    retardance=0.0)
         # half diff phase at -pi/2: the mean-transmission term saturates
-        assert n_blocked(p) == pytest.approx(1.7225, abs=1e-12)
+        assert n_highgain(p) == pytest.approx(1.7225, abs=1e-12)
 
     def test_blocked_matches_exact_composer(self, rng):
         for _ in range(100):
@@ -405,20 +425,21 @@ class TestHighGain:
                 random_config(rng, equal_gains=True), signal=blocked_signal()
             )
             p = beating_parameters(cfg)
-            assert n_blocked(p) == pytest.approx(
+            assert p.signal_mag == 0.0
+            assert n_highgain(p) == pytest.approx(
                 photon_number_exact(cfg), rel=1e-11, abs=1e-12
             )
 
     def test_blocked_scales_linearly_at_low_gain(self):
         for v in (1e-3, 1e-5):
-            p = params(mean_photons=v)
-            assert n_blocked(p) / v == pytest.approx(1.0, abs=10 * v)
+            p = params(mean_photons=v, signal_mag=0.0)
+            assert n_highgain(p) / v == pytest.approx(1.0, abs=10 * v)
 
     def test_blocked_fringe_grows_with_gain_squared(self):
         def fringe(v):
             values = [
-                n_blocked(params(mean_photons=v, retardance=x, mean_trans=0.85,
-                                 diff_trans=0.1))
+                n_highgain(params(mean_photons=v, signal_mag=0.0, retardance=x,
+                                  mean_trans=0.85, diff_trans=0.1))
                 for x in np.linspace(0.0, 2.0 * math.pi, 257)
             ]
             return np.ptp(values)
@@ -440,7 +461,8 @@ class TestHighGain:
             )
             v = p.mean_photons
             assert n_highgain(p) == pytest.approx(
-                n_lowgain(p) * (1.0 + v) + n_blocked(p) - v * (v + 1.0), abs=1e-10
+                n_lowgain(p) * (1.0 + v) + n_highgain(blocked_arm(p)) - v * (v + 1.0),
+                abs=1e-10
             )
 
 

@@ -5,10 +5,15 @@
 #
 # Prints the net change in src/ lines against BASE_REF, the names that
 # src/nli_polarimetry/__init__.py re-exports at BASE_REF and in the working
-# tree (with the names added and removed), and the size of every module's
-# __all__ that changed.  Sources are read as text and parsed with ast;
-# nothing is imported or run.  Untracked files under src/ count, ignored
-# ones (such as __pycache__) do not.
+# tree (with the names added and removed), the size of every module's
+# __all__ that changed, and the count of independently settable values with
+# the names whose count changed.  The settable values are the parameters of
+# every re-exported function, the dataclass fields (or else the __init__
+# parameters, inherited within the module) of every re-exported class, and
+# nlipol's command-line options (its add_argument calls) and config keys
+# (the keys its _check_keys calls accept).  Sources are read as text and
+# parsed with ast; nothing is imported or run.  Untracked files under src/
+# count, ignored ones (such as __pycache__) do not.
 #
 # Exit status: 0 on success, 2 on a usage error.  Set PYTHON to choose the
 # interpreter (default: python3).
@@ -59,6 +64,72 @@ def reexports(source):
     return names
 
 
+def n_params(args, skip=0):
+    named = args.posonlyargs + args.args + args.kwonlyargs
+    return len(named) - skip + (args.vararg is not None) + (args.kwarg is not None)
+
+
+def is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def class_settable(node, classes):
+    """Dataclass fields, else __init__ parameters (self excluded), following
+    base classes defined in the same module."""
+    if is_dataclass(node):
+        return sum(isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                   and "ClassVar" not in ast.unparse(item.annotation) for item in node.body)
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            return n_params(item.args, skip=1)
+    for base in node.bases:
+        if isinstance(base, ast.Name) and base.id in classes:
+            return class_settable(classes[base.id], classes)
+    return 0
+
+
+def settable_values(files):
+    """Settable-value count per name: re-exports, CLI options, config keys."""
+    counts = {}
+    for node in ast.parse(files[f"{package}/__init__.py"]).body:
+        if not (isinstance(node, ast.ImportFrom) and node.level > 0):
+            continue
+        tree = ast.parse(files[f"{package}/{node.module}.py"])
+        defs = {d.name: d for d in tree.body
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+        classes = {k: d for k, d in defs.items() if isinstance(d, ast.ClassDef)}
+        for alias in node.names:
+            d = defs.get(alias.name)
+            if isinstance(d, ast.FunctionDef):
+                counts[alias.name] = n_params(d.args)
+            elif isinstance(d, ast.ClassDef):
+                counts[alias.name] = class_settable(d, classes)
+    cli = ast.parse(files[f"{package}/cli.py"])
+    commands = {}
+    for node in ast.walk(cli):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr", None) == "add_parser"):
+            commands[node.targets[0].id] = node.value.args[0].value
+    for node in ast.walk(cli):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "attr", None) == "add_argument":
+            owner = commands.get(getattr(func.value, "id", None), "")
+            name = " ".join(filter(None, ["nlipol", owner, node.args[0].value]))
+            counts[name] = counts.get(name, 0) + 1
+        elif getattr(func, "id", None) == "_check_keys":
+            for arg in node.args[2:]:
+                for key in getattr(arg, "elts", []):
+                    name = f"config key {key.value}"
+                    counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
 def module_all(source):
     for node in ast.parse(source).body:
         if (isinstance(node, ast.Assign)
@@ -96,4 +167,12 @@ for name in sorted(set(old) | set(new)):
     after = module_all(new[name]) if name in new else None
     if before != after:
         print(f"  {Path(name).stem}.__all__: {before} -> {after}")
+
+old_counts, new_counts = settable_values(old), settable_values(new)
+before, after = sum(old_counts.values()), sum(new_counts.values())
+print(f"settable values: {before} at {tag}, {after} in the working tree, net {after - before:+d}")
+changed = [f"{name} {old_counts.get(name, 0)} -> {new_counts.get(name, 0)}"
+           for name in sorted(set(old_counts) | set(new_counts))
+           if old_counts.get(name, 0) != new_counts.get(name, 0)]
+print("  changed: " + (", ".join(changed) or "none"))
 EOF
