@@ -81,45 +81,41 @@ def detected_mode(
     ``t_par`` times ``exp(-i diff_phase/2)``, leaving the mean idler phase
     unchanged.  Array phases broadcast against each other and give an
     expansion whose batch axes follow them, so a whole scan is composed in
-    one pass.
+    one pass.  The phase-free paths are composed once, unbatched; the scan
+    phases enter only the coefficients of the last combination.
     """
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v
+    tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
+    sample = cfg.sample
+    a_sig, a_idl_dag = pure_mode(Mode.SIGNAL), adjoint(pure_mode(Mode.IDLER))
+    pol_dag = adjoint(pure_mode(Mode.IDLER_POL))
+
+    # first crystal; the first waveplate splits the idler onto the sample
+    # axes, composed as adjoints, which is how they seed the second crystal
+    gen_sig = linear_combine([(u1, a_sig), (v1, a_idl_dag)])
+    gen_idl_dag = linear_combine([(u1, a_idl_dag), (np.conj(v1), a_sig)])
+    comp_perp_dag = linear_combine([(np.conj(tau1), gen_idl_dag), (np.conj(rho1), pol_dag)])
+    comp_par_dag = linear_combine([(-rho1, gen_idl_dag), (tau1, pol_dag)])
+
+    # vacua of the control beam splitter's open port and the sample's loss ports
+    vacua = linear_combine([
+        (u2 * cfg.signal.reflection, pure_mode(Mode.SIGNAL_TAP)),
+        (v2 * np.conj(tau2 * sample.r_perp), adjoint(pure_mode(Mode.SAMPLE_PERP))),
+        (v2 * np.conj(rho2 * sample.r_par), adjoint(pure_mode(Mode.SAMPLE_PAR))),
+    ])
+
+    # second crystal: only these coefficients carry the scan phases, and the
+    # unbatched vacua go first, so one fewer sum runs at the batch shape.
     # np.multiply rounds a scalar phase as an array element, so scalar and
     # array phases give the same bits (complex * numpy scalar would not)
-    ts = np.multiply(complex(cfg.signal.transmission),
-                     np.exp(1j * np.asarray(signal_phase)))
-    rs = cfg.signal.reflection
-    tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
     half_diff = np.exp(0.5j * np.asarray(diff_phase))
-    t_perp = np.multiply(cfg.sample.t_perp, half_diff)
-    t_par = np.multiply(cfg.sample.t_par, np.conj(half_diff))
-    r_perp, r_par = cfg.sample.r_perp, cfg.sample.r_par
-
-    a_sig = pure_mode(Mode.SIGNAL)
-    a_idl = pure_mode(Mode.IDLER)
-
-    # first crystal
-    gen_sig = linear_combine([(u1, a_sig), (v1, adjoint(a_idl))])
-    gen_idl = linear_combine([(u1, a_idl), (v1, adjoint(a_sig))])
-
-    # signal arm: control beam splitter
-    ctrl_sig = linear_combine([(ts, gen_sig), (rs, pure_mode(Mode.SIGNAL_TAP))])
-
-    # idler arm: first waveplate splits into the two sample axes
-    pol_vac = pure_mode(Mode.IDLER_POL)
-    comp_perp = linear_combine([(tau1, gen_idl), (rho1, pol_vac)])
-    comp_par = linear_combine([(-np.conj(rho1), gen_idl), (np.conj(tau1), pol_vac)])
-
-    # sample axes act as independent lossy beam splitters
-    out_perp = linear_combine([(t_perp, comp_perp), (r_perp, pure_mode(Mode.SAMPLE_PERP))])
-    out_par = linear_combine([(t_par, comp_par), (r_par, pure_mode(Mode.SAMPLE_PAR))])
-
-    # second waveplate recombines onto the original idler polarization
-    seed_idl = linear_combine([(tau2, out_perp), (rho2, out_par)])
-
-    # second crystal mixes the seeded signal and idler
-    return linear_combine([(u2, ctrl_sig), (v2, adjoint(seed_idl))])
+    signal_coeff = np.multiply(u2 * complex(cfg.signal.transmission),
+                               np.exp(1j * np.asarray(signal_phase)))
+    perp_coeff = np.multiply(v2 * np.conj(tau2 * sample.t_perp), np.conj(half_diff))
+    par_coeff = np.multiply(v2 * np.conj(rho2 * sample.t_par), half_diff)
+    return linear_combine([(1.0, vacua), (signal_coeff, gen_sig),
+                           (perp_coeff, comp_perp_dag), (par_coeff, comp_par_dag)])
 
 
 def photon_number_exact(

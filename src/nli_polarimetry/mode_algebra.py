@@ -8,7 +8,8 @@ expectation values of photon numbers.
 
 Amplitude arrays may carry trailing batch axes, shape ``(N_MODES, *batch)``,
 so that one composition evaluates a whole family of configurations (for
-example every step of a phase scan) at once.
+example every step of a phase scan) at once.  Each operation is one numpy
+call over an expansion's stacked amplitude pair.
 """
 
 from __future__ import annotations
@@ -41,38 +42,41 @@ class OperatorExpansion:
     ``cre[m]`` the amplitude of its creation operator.  A canonical output
     mode satisfies sum|ann|^2 - sum|cre|^2 = 1.  Both arrays have shape
     ``(N_MODES, *batch)``; each batch index is an independent expansion.
+    They are read-only views of one private copy of what the caller passed,
+    stacked as ``(2, N_MODES, *batch)``.
     """
 
     ann: np.ndarray
     cre: np.ndarray
 
     def __post_init__(self):
-        ann = np.asarray(self.ann, dtype=complex).copy()
-        cre = np.asarray(self.cre, dtype=complex).copy()
+        ann, cre = np.asarray(self.ann), np.asarray(self.cre)
         if ann.shape[:1] != (N_MODES,) or cre.shape != ann.shape:
             raise ValueError(f"amplitude arrays must have equal shape ({N_MODES}, *batch)")
-        if not (np.isfinite(ann).all() and np.isfinite(cre).all()):
+        amps = np.array((ann, cre), dtype=complex)
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        ann.flags.writeable = False
-        cre.flags.writeable = False
-        object.__setattr__(self, "ann", ann)
-        object.__setattr__(self, "cre", cre)
+        amps.flags.writeable = False
+        object.__setattr__(self, "_amps", amps)
+        object.__setattr__(self, "ann", amps[0])
+        object.__setattr__(self, "cre", amps[1])
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
         return self.ann.shape[1:]
 
 
+_PURE_MODES = tuple(OperatorExpansion(np.eye(N_MODES)[m], np.zeros(N_MODES)) for m in Mode)
+
+
 def pure_mode(mode: Mode) -> OperatorExpansion:
-    """Annihilation operator of a single input mode."""
-    ann = np.zeros(N_MODES, dtype=complex)
-    ann[int(mode)] = 1.0
-    return OperatorExpansion(ann, np.zeros(N_MODES, dtype=complex))
+    """Annihilation operator of a single input mode (one shared instance per mode)."""
+    return _PURE_MODES[mode]
 
 
 def adjoint(x: OperatorExpansion) -> OperatorExpansion:
     """Hermitian adjoint: swaps annihilation and creation parts and conjugates."""
-    return OperatorExpansion(np.conj(x.cre), np.conj(x.ann))
+    return OperatorExpansion(*np.conj(x._amps[::-1]))
 
 
 def linear_combine(
@@ -87,13 +91,12 @@ def linear_combine(
         raise ValueError("linear_combine needs at least one term")
     coeffs = [np.asarray(c) for c, _ in terms]
     ndim = max(*(c.ndim for c in coeffs), *(len(x.batch_shape) for _, x in terms))
-    ann = cre = 0.0
+    amps = 0.0
     for coeff, (_, x) in zip(coeffs, terms):
-        # unit axes after the mode axis align x's batch axes with the coefficients'
-        lift = (N_MODES,) + (1,) * (ndim - len(x.batch_shape)) + x.batch_shape
-        ann = ann + coeff * x.ann.reshape(lift)
-        cre = cre + coeff * x.cre.reshape(lift)
-    return OperatorExpansion(ann, cre)
+        # unit axes after the part and mode axes align x's batch with the coefficients'
+        lift = (2, N_MODES) + (1,) * (ndim - len(x.batch_shape)) + x.batch_shape
+        amps = amps + coeff * x._amps.reshape(lift)
+    return OperatorExpansion(*amps)
 
 
 def _per_expansion(total: np.ndarray) -> float | np.ndarray:

@@ -205,11 +205,12 @@ def write_csv(path: str | Path, header, columns, n_int: int = 0) -> None:
     value cast to a Python float, the shortest string that reads back to the
     same double.
     """
-    cells = [np.asarray(c).tolist() for c in columns[:n_int]]
-    cells += [np.asarray(c, dtype=float).tolist() for c in columns[n_int:]]
-    row = ",".join(["%d"] * n_int + ["%r"] * (len(cells) - n_int)) + "\r\n"
+    # per-column formatters (%d writes a float step as "3"), consumed row by row
+    cells = [map("%d".__mod__, np.asarray(c).tolist()) for c in columns[:n_int]]
+    cells += [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns[n_int:]]
+    lines = [",".join(header), *map(",".join, zip(*cells)), ""]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + "".join(map(row.__mod__, zip(*cells))))
+        fh.write("\r\n".join(lines))
 
 
 def read_csv(path: str | Path, header) -> np.ndarray:

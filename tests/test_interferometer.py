@@ -28,7 +28,42 @@ from nli_polarimetry import (
     three_path_decomposition,
     waveplate,
 )
-from nli_polarimetry.mode_algebra import commutator_defect, vacuum_photon_number
+from nli_polarimetry.mode_algebra import (
+    adjoint,
+    commutator_defect,
+    linear_combine,
+    pure_mode,
+    vacuum_photon_number,
+)
+
+
+def tree_ordered_mode(cfg, signal_phase, diff_phase):
+    """Reference for ``detected_mode``: the chain composed element by element
+    in the order light meets them, with the scan phases applied where they
+    arise (the control beam splitter and the sample's axes), so every
+    combination after them runs at the phases' batch shape."""
+    u1, v1 = cfg.crystal1.u, cfg.crystal1.v
+    u2, v2 = cfg.crystal2.u, cfg.crystal2.v
+    ts = np.multiply(complex(cfg.signal.transmission), np.exp(1j * np.asarray(signal_phase)))
+    rs = cfg.signal.reflection
+    tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
+    half_diff = np.exp(0.5j * np.asarray(diff_phase))
+    t_perp = np.multiply(cfg.sample.t_perp, half_diff)
+    t_par = np.multiply(cfg.sample.t_par, np.conj(half_diff))
+    r_perp, r_par = cfg.sample.r_perp, cfg.sample.r_par
+
+    a_sig = pure_mode(Mode.SIGNAL)
+    a_idl = pure_mode(Mode.IDLER)
+    gen_sig = linear_combine([(u1, a_sig), (v1, adjoint(a_idl))])
+    gen_idl = linear_combine([(u1, a_idl), (v1, adjoint(a_sig))])
+    ctrl_sig = linear_combine([(ts, gen_sig), (rs, pure_mode(Mode.SIGNAL_TAP))])
+    pol_vac = pure_mode(Mode.IDLER_POL)
+    comp_perp = linear_combine([(tau1, gen_idl), (rho1, pol_vac)])
+    comp_par = linear_combine([(-np.conj(rho1), gen_idl), (np.conj(tau1), pol_vac)])
+    out_perp = linear_combine([(t_perp, comp_perp), (r_perp, pure_mode(Mode.SAMPLE_PERP))])
+    out_par = linear_combine([(t_par, comp_par), (r_par, pure_mode(Mode.SAMPLE_PAR))])
+    seed_idl = linear_combine([(tau2, out_perp), (rho2, out_par)])
+    return linear_combine([(u2, ctrl_sig), (v2, adjoint(seed_idl))])
 
 
 def identity_plate():
@@ -350,6 +385,18 @@ class TestBatchedComposer:
             scale = np.maximum(np.abs(ref_ann).max(axis=0), np.abs(ref_cre).max(axis=0))
             assert np.all(np.abs(batched.ann - ref_ann) <= 1e-13 * scale)
             assert np.all(np.abs(batched.cre - ref_cre) <= 1e-13 * scale)
+
+    def test_matches_tree_ordered_reference(self, rng):
+        # the phase-free paths are composed once and the scan phases enter
+        # the last combination: the same expansion, rounded differently
+        for cfg in self.configs(rng, 2000):
+            sp, dp = self.phase_grid(rng)
+            got, ref = detected_mode(cfg, sp, dp), tree_ordered_mode(cfg, sp, dp)
+            scale = np.maximum(np.abs(ref.ann).max(axis=0), np.abs(ref.cre).max(axis=0))
+            assert np.all(np.abs(got.ann - ref.ann) <= 4e-15 * scale)
+            assert np.all(np.abs(got.cre - ref.cre) <= 4e-15 * scale)
+            np.testing.assert_allclose(vacuum_photon_number(got), vacuum_photon_number(ref),
+                                       rtol=1e-14, atol=0.0)
 
     def test_commutator_defect_per_column(self, rng):
         for cfg in self.configs(rng, 200):

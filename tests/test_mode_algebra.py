@@ -178,3 +178,54 @@ def test_batched_linear_combine_matches_columns(batch, y):
         np.testing.assert_allclose(combined.cre[:, j], col.cre, rtol=1e-14, atol=1e-12)
         assert photons[j] == pytest.approx(vacuum_photon_number(col), rel=1e-12, abs=1e-12)
         assert defects[j] == pytest.approx(commutator_defect(col), rel=1e-12, abs=1e-9)
+
+
+def _results(x):
+    """Every operation's result on ``x``: the expansion itself, its adjoint
+    and combinations with ``x`` alone, with a pure mode and with a batch."""
+    return [
+        x,
+        adjoint(x),
+        linear_combine([(1.0, x)]),
+        linear_combine([(0.5 - 2j, x), (1.5, pure_mode(Mode.IDLER))]),
+        linear_combine([(np.array([1.0, -2.0, 0.25j]), x)]),
+    ]
+
+
+def test_construction_copies_caller_arrays():
+    ann = np.arange(N_MODES, dtype=complex)
+    cre = 1j * np.arange(N_MODES, dtype=complex)
+    x = OperatorExpansion(ann, cre)
+    ann[:] = 7.0
+    cre[:] = np.nan
+    np.testing.assert_array_equal(x.ann, np.arange(N_MODES))
+    np.testing.assert_array_equal(x.cre, 1j * np.arange(N_MODES))
+    for arr in (ann, cre):
+        assert not np.shares_memory(x.ann, arr) and not np.shares_memory(x.cre, arr)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_results_are_read_only(mode):
+    x = OperatorExpansion(np.ones((N_MODES, 3)), np.zeros((N_MODES, 3)))
+    for result in _results(pure_mode(mode)) + _results(x):
+        for arr in (result.ann, result.cre):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_results_share_no_memory_with_inputs(mode):
+    a = pure_mode(mode)
+    y = linear_combine([(0.3 + 0.4j, a), (2.0, adjoint(pure_mode(Mode.SIGNAL)))])
+    inputs = [y] + [pure_mode(m) for m in Mode]
+    for x in (a, y):
+        for result in _results(x)[1:]:
+            for out in (result.ann, result.cre):
+                assert not any(np.shares_memory(out, arr) for z in inputs for arr in (z.ann, z.cre))
+                # a view of a read-only array cannot be made writeable
+                with pytest.raises(ValueError):
+                    out.flags.writeable = True
+    assert pure_mode(mode) is a
+    np.testing.assert_array_equal(a.ann, np.eye(N_MODES)[mode])
+    np.testing.assert_array_equal(a.cre, np.zeros(N_MODES))

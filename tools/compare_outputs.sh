@@ -14,7 +14,8 @@
 #
 # For each .csv file that differs, it also prints how far the file moved:
 # the number of cells that differ and the largest absolute difference
-# between them (nan when a differing cell is not a number).  For each .json
+# between them (nan when a differing cell is not a number), in total and
+# for each column that moved, named by its header cell.  For each .json
 # file that differs, it prints the leaf keys that differ (dotted paths, list
 # items by index) and the largest absolute difference between them.
 #
@@ -134,18 +135,25 @@ new, old = ([row for row in csv.reader(open(path, newline=""))] for path in sys.
 if len(new) != len(old) or any(len(a) != len(b) for a, b in zip(new, old)):
     print(f"  cells: the shapes differ ({len(new)} against {len(old)} rows)")
     sys.exit()
-cells = differ = 0
-largest = 0.0
+# per column index: [cells that differ, largest |difference|]
+moved = {}
 for row_new, row_old in zip(new, old):
-    for a, b in zip(row_new, row_old):
-        cells += 1
+    for col, (a, b) in enumerate(zip(row_new, row_old)):
         if a != b:
-            differ += 1
+            entry = moved.setdefault(col, [0, 0.0])
+            entry[0] += 1
             try:
-                largest = max(largest, abs(float(a) - float(b)))
+                entry[1] = max(entry[1], abs(float(a) - float(b)))
             except ValueError:
-                largest = float("nan")
-print(f"  cells: {differ} of {cells} differ, largest |difference| {largest!r}")
+                entry[1] = float("nan")
+differ = sum(n for n, _ in moved.values())
+deltas = [d for _, d in moved.values()]
+largest = float("nan") if any(d != d for d in deltas) else max(deltas, default=0.0)
+print(f"  cells: {differ} of {sum(map(len, new))} differ, largest |difference| {largest!r}")
+header = new[0] if new else []
+for col, (n, d) in sorted(moved.items()):
+    name = header[col] if col < len(header) else f"column {col + 1}"
+    print(f"    {name}: {n} of {len(new)} cells differ, largest |difference| {d!r}")
 PY
 }
 
