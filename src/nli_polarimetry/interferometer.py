@@ -23,10 +23,12 @@ from .elements import (
 from .mode_algebra import (
     Mode,
     OperatorExpansion,
-    adjoint,
-    linear_combine,
+    _adjoint,
+    _photon_number,
+    _require_finite,
+    _weighted_sum,
+    _wrap,
     pure_mode,
-    vacuum_photon_number,
 )
 
 __all__ = [
@@ -68,6 +70,51 @@ class InterferometerConfig:
         return rotated_waveplate_coeffs(self.waveplate1, self.waveplate2, self.rotation)
 
 
+def _detected_terms(
+    cfg: InterferometerConfig,
+    signal_phase: float | np.ndarray,
+    diff_phase: float | np.ndarray,
+) -> list[tuple[complex | np.ndarray, np.ndarray]]:
+    """The last combination of ``detected_mode`` as (coefficient, stacked
+    amplitude array) terms.  The phase-free paths are composed unbatched, as
+    raw arrays; only the coefficients carry the scan phases."""
+    u1, v1 = cfg.crystal1.u, cfg.crystal1.v
+    u2, v2 = cfg.crystal2.u, cfg.crystal2.v
+    tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
+    sample = cfg.sample
+    a_sig = pure_mode(Mode.SIGNAL)._amps
+    a_idl_dag, pol_dag, perp_dag, par_dag = (
+        _adjoint(pure_mode(m)._amps)
+        for m in (Mode.IDLER, Mode.IDLER_POL, Mode.SAMPLE_PERP, Mode.SAMPLE_PAR)
+    )
+
+    # first crystal; the first waveplate splits the idler onto the sample
+    # axes, composed as adjoints, which is how they seed the second crystal
+    gen_sig = _weighted_sum([(u1, a_sig), (v1, a_idl_dag)])
+    gen_idl_dag = _weighted_sum([(u1, a_idl_dag), (np.conj(v1), a_sig)])
+    comp_perp_dag = _weighted_sum([(np.conj(tau1), gen_idl_dag), (np.conj(rho1), pol_dag)])
+    comp_par_dag = _weighted_sum([(-rho1, gen_idl_dag), (tau1, pol_dag)])
+
+    # vacua of the control beam splitter's open port and the sample's loss ports
+    vacua = _weighted_sum([
+        (u2 * cfg.signal.reflection, pure_mode(Mode.SIGNAL_TAP)._amps),
+        (v2 * np.conj(tau2 * sample.r_perp), perp_dag),
+        (v2 * np.conj(rho2 * sample.r_par), par_dag),
+    ])
+
+    # second crystal: only these coefficients carry the scan phases, and the
+    # unbatched vacua go first, so one fewer sum runs at the batch shape.
+    # np.multiply rounds a scalar phase as an array element, so scalar and
+    # array phases give the same bits (complex * numpy scalar would not)
+    half_diff = np.exp(0.5j * np.asarray(diff_phase))
+    signal_coeff = np.multiply(u2 * complex(cfg.signal.transmission),
+                               np.exp(1j * np.asarray(signal_phase)))
+    perp_coeff = np.multiply(v2 * np.conj(tau2 * sample.t_perp), np.conj(half_diff))
+    par_coeff = np.multiply(v2 * np.conj(rho2 * sample.t_par), half_diff)
+    return [(1.0, vacua), (signal_coeff, gen_sig),
+            (perp_coeff, comp_perp_dag), (par_coeff, comp_par_dag)]
+
+
 def detected_mode(
     cfg: InterferometerConfig,
     signal_phase: float | np.ndarray = 0.0,
@@ -82,40 +129,12 @@ def detected_mode(
     unchanged.  Array phases broadcast against each other and give an
     expansion whose batch axes follow them, so a whole scan is composed in
     one pass.  The phase-free paths are composed once, unbatched; the scan
-    phases enter only the coefficients of the last combination.
+    phases enter only the coefficients of the last combination, whose result
+    is the one expansion the call builds.
     """
-    u1, v1 = cfg.crystal1.u, cfg.crystal1.v
-    u2, v2 = cfg.crystal2.u, cfg.crystal2.v
-    tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
-    sample = cfg.sample
-    a_sig, a_idl_dag = pure_mode(Mode.SIGNAL), adjoint(pure_mode(Mode.IDLER))
-    pol_dag = adjoint(pure_mode(Mode.IDLER_POL))
-
-    # first crystal; the first waveplate splits the idler onto the sample
-    # axes, composed as adjoints, which is how they seed the second crystal
-    gen_sig = linear_combine([(u1, a_sig), (v1, a_idl_dag)])
-    gen_idl_dag = linear_combine([(u1, a_idl_dag), (np.conj(v1), a_sig)])
-    comp_perp_dag = linear_combine([(np.conj(tau1), gen_idl_dag), (np.conj(rho1), pol_dag)])
-    comp_par_dag = linear_combine([(-rho1, gen_idl_dag), (tau1, pol_dag)])
-
-    # vacua of the control beam splitter's open port and the sample's loss ports
-    vacua = linear_combine([
-        (u2 * cfg.signal.reflection, pure_mode(Mode.SIGNAL_TAP)),
-        (v2 * np.conj(tau2 * sample.r_perp), adjoint(pure_mode(Mode.SAMPLE_PERP))),
-        (v2 * np.conj(rho2 * sample.r_par), adjoint(pure_mode(Mode.SAMPLE_PAR))),
-    ])
-
-    # second crystal: only these coefficients carry the scan phases, and the
-    # unbatched vacua go first, so one fewer sum runs at the batch shape.
-    # np.multiply rounds a scalar phase as an array element, so scalar and
-    # array phases give the same bits (complex * numpy scalar would not)
-    half_diff = np.exp(0.5j * np.asarray(diff_phase))
-    signal_coeff = np.multiply(u2 * complex(cfg.signal.transmission),
-                               np.exp(1j * np.asarray(signal_phase)))
-    perp_coeff = np.multiply(v2 * np.conj(tau2 * sample.t_perp), np.conj(half_diff))
-    par_coeff = np.multiply(v2 * np.conj(rho2 * sample.t_par), half_diff)
-    return linear_combine([(1.0, vacua), (signal_coeff, gen_sig),
-                           (perp_coeff, comp_perp_dag), (par_coeff, comp_par_dag)])
+    # one finiteness check, on the result, is enough: c*inf, 0*inf and
+    # inf-inf are all non-finite, so a non-finite intermediate reaches it
+    return _wrap(_weighted_sum(_detected_terms(cfg, signal_phase, diff_phase)))
 
 
 def photon_number_exact(
@@ -124,11 +143,15 @@ def photon_number_exact(
     diff_phase: float | np.ndarray = 0.0,
 ) -> float | np.ndarray:
     """Detected photon number, exact at any gain, with the scan phases of
-    ``detected_mode``.  A photon number, or any amplitude composed on the way
-    to it, that overflows a double raises ``OverflowError``."""
+    ``detected_mode``: the bits of ``vacuum_photon_number(detected_mode(...))``.
+    A photon number, or any amplitude composed on the way to it, that
+    overflows a double raises ``OverflowError``."""
     try:
         with np.errstate(over="raise"):
-            return vacuum_photon_number(detected_mode(cfg, signal_phase, diff_phase))
+            # the photon number reads only the creation half, so the last
+            # combination forms that half alone at the batch shape
+            terms = [(c, amps[1:]) for c, amps in _detected_terms(cfg, signal_phase, diff_phase)]
+            return _photon_number(_require_finite(_weighted_sum(terms)[0]))
     except FloatingPointError:
         raise OverflowError("detected photon number overflows at this gain") from None
 

@@ -8,8 +8,10 @@ expectation values of photon numbers.
 
 Amplitude arrays may carry trailing batch axes, shape ``(N_MODES, *batch)``,
 so that one composition evaluates a whole family of configurations (for
-example every step of a phase scan) at once.  Each operation is one numpy
-call over an expansion's stacked amplitude pair.
+example every step of a phase scan) at once.  The operations work on the
+stacked ``(2, N_MODES, *batch)`` amplitude arrays; the public ones wrap
+their freshly computed result once, so a composer can chain the private
+array functions and wrap only its final result.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ class OperatorExpansion:
     ``cre[m]`` the amplitude of its creation operator.  A canonical output
     mode satisfies sum|ann|^2 - sum|cre|^2 = 1.  Both arrays have shape
     ``(N_MODES, *batch)``; each batch index is an independent expansion.
-    They are read-only views of one private copy of what the caller passed,
-    stacked as ``(2, N_MODES, *batch)``.
+    They are read-only views of one private ``(2, N_MODES, *batch)`` array:
+    a copy of what the caller passed, or the result of an operation, wrapped
+    without a second copy.
     """
 
     ann: np.ndarray
@@ -53,17 +56,33 @@ class OperatorExpansion:
         ann, cre = np.asarray(self.ann), np.asarray(self.cre)
         if ann.shape[:1] != (N_MODES,) or cre.shape != ann.shape:
             raise ValueError(f"amplitude arrays must have equal shape ({N_MODES}, *batch)")
-        amps = np.array((ann, cre), dtype=complex)
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        amps.flags.writeable = False
+        self._adopt(np.array((ann, cre), dtype=complex))
+
+    def _adopt(self, amps: np.ndarray) -> OperatorExpansion:
+        """Check, freeze and hold ``amps``, a stacked amplitude array that no
+        one else holds; every construction ends here."""
+        _require_finite(amps).flags.writeable = False
         object.__setattr__(self, "_amps", amps)
         object.__setattr__(self, "ann", amps[0])
         object.__setattr__(self, "cre", amps[1])
+        return self
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
         return self.ann.shape[1:]
+
+
+def _require_finite(amps: np.ndarray) -> np.ndarray:
+    """``amps`` itself, once every amplitude in it is checked finite."""
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    return amps
+
+
+def _wrap(amps: np.ndarray) -> OperatorExpansion:
+    """An expansion around a freshly computed ``(2, N_MODES, *batch)`` array,
+    which is not copied: the caller must keep no other reference to it."""
+    return object.__new__(OperatorExpansion)._adopt(np.asarray(amps, dtype=complex))
 
 
 _PURE_MODES = tuple(OperatorExpansion(np.eye(N_MODES)[m], np.zeros(N_MODES)) for m in Mode)
@@ -74,9 +93,29 @@ def pure_mode(mode: Mode) -> OperatorExpansion:
     return _PURE_MODES[mode]
 
 
+def _adjoint(amps: np.ndarray) -> np.ndarray:
+    """Adjoint of a stacked amplitude array: the parts swapped and conjugated."""
+    return np.conj(amps[::-1])
+
+
+def _weighted_sum(terms: list[tuple[complex | np.ndarray, np.ndarray]]) -> np.ndarray:
+    """``linear_combine`` over stacked amplitude arrays ``a_k`` of shape
+    ``(parts, N_MODES, *batch)``, with the same batch lift."""
+    if not terms:
+        raise ValueError("linear_combine needs at least one term")
+    coeffs = [np.asarray(c) for c, _ in terms]
+    ndim = max(*(c.ndim for c in coeffs), *(a.ndim - 2 for _, a in terms))
+    total = 0.0
+    for coeff, (_, a) in zip(coeffs, terms):
+        # unit axes after the part and mode axes align a's batch with the coefficients'
+        lift = a.shape[:2] + (1,) * (ndim + 2 - a.ndim) + a.shape[2:]
+        total = total + coeff * a.reshape(lift)
+    return total
+
+
 def adjoint(x: OperatorExpansion) -> OperatorExpansion:
     """Hermitian adjoint: swaps annihilation and creation parts and conjugates."""
-    return OperatorExpansion(*np.conj(x._amps[::-1]))
+    return _wrap(_adjoint(x._amps))
 
 
 def linear_combine(
@@ -87,16 +126,7 @@ def linear_combine(
     Coefficients may be arrays; they broadcast against the expansions' batch
     shapes, both aligned on their trailing axes.
     """
-    if not terms:
-        raise ValueError("linear_combine needs at least one term")
-    coeffs = [np.asarray(c) for c, _ in terms]
-    ndim = max(*(c.ndim for c in coeffs), *(len(x.batch_shape) for _, x in terms))
-    amps = 0.0
-    for coeff, (_, x) in zip(coeffs, terms):
-        # unit axes after the part and mode axes align x's batch with the coefficients'
-        lift = (2, N_MODES) + (1,) * (ndim - len(x.batch_shape)) + x.batch_shape
-        amps = amps + coeff * x._amps.reshape(lift)
-    return OperatorExpansion(*amps)
+    return _wrap(_weighted_sum([(c, x._amps) for c, x in terms]))
 
 
 def _per_expansion(total: np.ndarray) -> float | np.ndarray:
@@ -104,9 +134,14 @@ def _per_expansion(total: np.ndarray) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
+def _photon_number(cre: np.ndarray) -> float | np.ndarray:
+    """sum_m |cre[m]|^2 over a creation half of shape ``(N_MODES, *batch)``."""
+    return _per_expansion(np.sum(np.abs(cre) ** 2, axis=0))
+
+
 def vacuum_photon_number(x: OperatorExpansion) -> float | np.ndarray:
     """Vacuum expectation value <0| x^dagger x |0> = sum_m |cre[m]|^2."""
-    return _per_expansion(np.sum(np.abs(x.cre) ** 2, axis=0))
+    return _photon_number(x.cre)
 
 
 def commutator_defect(x: OperatorExpansion) -> float | np.ndarray:

@@ -12,6 +12,7 @@ from nli_polarimetry import (
     InterferometerConfig,
     Mode,
     NoiseModel,
+    OperatorExpansion,
     SampleAxes,
     ScanSchedule,
     SignalControl,
@@ -201,6 +202,28 @@ class TestPhotonNumber:
                 warnings.simplefilter("error")
                 with pytest.raises(OverflowError, match="^detected photon number overflows"):
                     photon_number_exact(cfg)
+
+    def test_composer_checks_amplitudes_once(self):
+        # crossed quarter-wave pair, sample removed, with floating-point
+        # errors ignored: the one check on the composed result still
+        # refuses an amplitude that overflowed on the way, and lets a large
+        # finite one through
+        for v, overflows in ((1.7e308, True), (1e200, False)):
+            cfg = InterferometerConfig(
+                crystal1=CrystalGain(v),
+                crystal2=CrystalGain(v),
+                signal=SignalControl(1.0),
+                waveplate1=quarter_wave(math.pi / 4),
+                waveplate2=quarter_wave(3 * math.pi / 4),
+                sample=lossless_sample(),
+            )
+            with np.errstate(all="ignore"):
+                if overflows:
+                    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                        detected_mode(cfg)
+                else:
+                    d = detected_mode(cfg)
+                    assert np.isfinite(d.ann).all() and np.isfinite(d.cre).all()
 
     def test_no_pump_no_photons(self):
         cfg = simple_config(crystal1=CrystalGain(0.0), crystal2=CrystalGain(0.0))
@@ -397,6 +420,36 @@ class TestBatchedComposer:
             assert np.all(np.abs(got.cre - ref.cre) <= 4e-15 * scale)
             np.testing.assert_allclose(vacuum_photon_number(got), vacuum_photon_number(ref),
                                        rtol=1e-14, atol=0.0)
+
+    def test_photon_number_is_detected_modes_bitwise(self, rng):
+        # photon_number_exact combines only the creation half, from the same
+        # terms as detected_mode: the same bits at every phase shape
+        for cfg in self.configs(rng, 2000):
+            sp, dp = self.phase_grid(rng)
+            for phases in ((float(sp[0, 0]), float(dp[0, 0])), (sp[:, 0], dp[0]), (sp, dp)):
+                got = photon_number_exact(cfg, *phases)
+                want = vacuum_photon_number(detected_mode(cfg, *phases))
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_builds_one_expansion_per_call(self, rng, monkeypatch):
+        # every construction, public or private, ends in _adopt
+        built = []
+        adopt = OperatorExpansion._adopt
+
+        def counting_adopt(self, amps):
+            built.append(amps.shape)
+            return adopt(self, amps)
+
+        monkeypatch.setattr(OperatorExpansion, "_adopt", counting_adopt)
+        for cfg in self.configs(rng, 8):
+            for phases in ((0.3, -1.2), (np.linspace(0.0, 1.0, 5), 0.7), self.phase_grid(rng)):
+                built.clear()
+                d = detected_mode(cfg, *phases)
+                assert built == [(2, 6) + d.batch_shape]
+                built.clear()
+                photon_number_exact(cfg, *phases)
+                assert built == []
 
     def test_commutator_defect_per_column(self, rng):
         for cfg in self.configs(rng, 200):

@@ -180,6 +180,22 @@ def test_batched_linear_combine_matches_columns(batch, y):
         assert defects[j] == pytest.approx(commutator_defect(col), rel=1e-12, abs=1e-9)
 
 
+@pytest.mark.parametrize("batch", [(1,), (3,), (3, 4)])
+def test_unbatched_term_lifts_onto_expansion_batch(batch):
+    # the batch comes from an expansion, not from a coefficient: the
+    # unbatched term is lifted onto its trailing axes, column by column
+    y = linear_combine([(0.2 - 0.7j, pure_mode(Mode.IDLER)), (1.5, adjoint(pure_mode(Mode.SIGNAL)))])
+    rng = np.random.default_rng(4)
+    ann, cre = rng.normal(size=(2, N_MODES, *batch)) + 1j * rng.normal(size=(2, N_MODES, *batch))
+    combined = linear_combine([(2.0, y), (1.0, OperatorExpansion(ann, cre))])
+    assert combined.batch_shape == batch
+    for idx in np.ndindex(batch):
+        col = (slice(None),) + idx
+        want = linear_combine([(2.0, y), (1.0, OperatorExpansion(ann[col], cre[col]))])
+        np.testing.assert_array_equal(combined.ann[col], want.ann)
+        np.testing.assert_array_equal(combined.cre[col], want.cre)
+
+
 def _results(x):
     """Every operation's result on ``x``: the expansion itself, its adjoint
     and combinations with ``x`` alone, with a pure mode and with a batch."""

@@ -7,10 +7,13 @@
 # nlipol commands with the working tree's src/ and with BASE_REF's src/, and
 # compares every file they write (output files, stdout, stderr and exit
 # codes) with cmp.  The commands cover every figure id, `simulate` in both
-# regimes with Poisson noise, an exact `simulate` whose photon number
-# overflows (V = 1e200, expected to exit 3), `calibrate`, and `estimate` for
-# the fourier pipeline and for every assumption of the rotated and ellipse
-# pipelines (the general mode with --phibar).
+# regimes with Poisson noise, three more exact `simulate` runs that reach
+# every branch of the exact composer (unequal gains with a pump phase, the
+# rotated sample of the first analyzer setting, a blocked signal arm), an
+# exact `simulate` whose photon number overflows (V = 1e200, expected to
+# exit 3), `calibrate`, and `estimate` for the fourier pipeline and for
+# every assumption of the rotated and ellipse pipelines (the general mode
+# with --phibar).
 #
 # For each .csv file that differs, it also prints how far the file moved:
 # the number of cells that differ and the largest absolute difference
@@ -41,9 +44,10 @@ mkdir "$work/base" "$work/configs"
 git -C "$root" archive "$base_sha" | tar -x -C "$work/base"
 
 # The configs: the README's example sample (V = 0.5, crossed quarter-wave
-# pair) scanned at equal rates, the same at V = 1e200 in the exact regime,
-# two sample-removed calibration scans, and the two analyzer settings of a
-# sample rotated by psi = 1.8.
+# pair) scanned at equal rates, the same in the exact regime at V = 1e200,
+# at unequal gains with a pump phase and with the signal arm blocked, two
+# sample-removed calibration scans, and the two analyzer settings of a
+# sample rotated by psi = 1.8 (the first also in the exact regime).
 "$python" - "$work/configs" <<'EOF'
 import copy, json, math, sys
 
@@ -77,6 +81,9 @@ def config(name, interferometer=None, schedule=None, noise=None, regime="lowgain
 config("lowgain")
 config("exact", regime="exact")
 config("exact_overflow", {"gain1": {"V": 1e200}, "gain2": {"V": 1e200}}, regime="exact")
+config("exact_unequal", {"gain1": {"V": 0.3, "pump_phase": 0.7}, "gain2": {"V": 1.2}},
+       noise={"seed": 10}, regime="exact")
+config("exact_blocked", {"signal": {"ts_mag": 0.0}}, noise={"seed": 11}, regime="exact")
 config("cal_signal", {"sample": empty},
        {"rate_phi0": 2 * math.pi / 100, "rate_delta": 0.0}, {"seed": 6})
 config("cal_idler", {"sample": empty},
@@ -86,6 +93,7 @@ rotated = {"sample": {"t_perp_mag": 0.9, "t_par_mag": 0.3,
 schedule = {"xi_bar": 0.0, "delta_xi": 0.0, "rate_phi0": 2 * math.pi / 72,
             "rate_delta": 0.0, "n_samples": 72}
 config("setting1", rotated, schedule, {"seed": 8})
+config("exact_rotated", rotated, schedule, {"seed": 12}, regime="exact")
 config("setting2", dict(rotated, wp2={"axis_angle": diag, "retardance": qwp}),
        schedule, {"seed": 9})
 EOF
@@ -107,7 +115,8 @@ run_all() {
     for id in fig3a fig3b fig4a fig4b fig5b fig6; do
         nlipol "figures_$id" figures --id "$id" --out-dir figures
     done
-    for name in lowgain exact exact_overflow cal_signal cal_idler setting1 setting2; do
+    for name in lowgain exact exact_unequal exact_rotated exact_blocked exact_overflow \
+            cal_signal cal_idler setting1 setting2; do
         nlipol "simulate_$name" simulate --config "$cfg/$name.json" --out "$name.csv"
     done
     nlipol calibrate calibrate --signal-scan cal_signal.csv --idler-scan cal_idler.csv \
