@@ -5,22 +5,17 @@ from .elements import (
     SampleAxes,
     SignalControl,
     WaveplateCoeffs,
-    blocked_signal,
-    half_wave,
-    lossless_sample,
     quarter_wave,
     rotated_waveplate_coeffs,
     waveplate,
 )
 from .estimation import (
-    EllipseFit,
     EstimationError,
     SampleEstimate,
     UnidentifiableError,
     estimate_ellipse,
     estimate_rotated,
     extract_sample_fourier,
-    fit_ellipse,
     harmonic_regress,
 )
 from .interferometer import (

@@ -20,9 +20,3 @@ def wrap_half_pi(x):
 def wrap_axis(x):
     """Wrap an axis orientation to [0, pi)."""
     return np.asarray(x) % np.pi
-
-
-def axis_distance(a, b) -> float:
-    """Smallest distance between two axis orientations (angles mod pi)."""
-    d = (float(a) - float(b)) % np.pi
-    return float(min(d, np.pi - d))

@@ -45,8 +45,8 @@ class CrystalGain:
 class WaveplateCoeffs:
     """A waveplate as its SU(2) coefficient pair (tau, rho); |tau|^2 + |rho|^2 must be 1.
 
-    ``waveplate``, ``quarter_wave`` and ``half_wave`` build the pair of a
-    plate from its fast-axis angle and retardance.
+    ``waveplate`` and ``quarter_wave`` build the pair of a plate from its
+    fast-axis angle and retardance.
     """
 
     tau: complex
@@ -76,10 +76,6 @@ def waveplate(axis_angle: float, retardance: float) -> WaveplateCoeffs:
 
 def quarter_wave(axis_angle: float) -> WaveplateCoeffs:
     return waveplate(axis_angle, math.pi / 2)
-
-
-def half_wave(axis_angle: float) -> WaveplateCoeffs:
-    return waveplate(axis_angle, math.pi)
 
 
 def rotated_waveplate_coeffs(
@@ -146,11 +142,6 @@ class SampleAxes:
         return cmath.phase(self.t_par)
 
 
-def lossless_sample() -> SampleAxes:
-    """Sample removed: unit transmission and zero phase on both axes."""
-    return SampleAxes(t_perp=1.0 + 0.0j, t_par=1.0 + 0.0j)
-
-
 @dataclass(frozen=True)
 class SignalControl:
     """Signal-arm beam splitter; ``transmission`` carries the control phase."""
@@ -167,7 +158,3 @@ class SignalControl:
     @property
     def reflection(self) -> float:
         return math.sqrt(max(0.0, 1.0 - abs(self.transmission) ** 2))
-
-
-def blocked_signal() -> SignalControl:
-    return SignalControl(transmission=0.0)

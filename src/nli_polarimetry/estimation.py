@@ -26,11 +26,9 @@ __all__ = [
     "EstimationError",
     "UnidentifiableError",
     "SampleEstimate",
-    "EllipseFit",
     "harmonic_regress",
     "extract_sample_fourier",
     "estimate_rotated",
-    "fit_ellipse",
     "estimate_ellipse",
 ]
 
@@ -399,27 +397,12 @@ def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> Sa
     )
 
 
-@dataclass(frozen=True)
-class EllipseFit:
-    """Direct conic fit of the Lissajous curve traced by the two settings.
-
-    ``amp_x``/``amp_y`` are the harmonic magnitudes of the two coordinates in
-    counts, ``center`` their dc levels (the ellipse's centre) and
-    ``rel_phase`` the signed phase lag of the second coordinate.
-    """
-
-    amp_x: float
-    amp_y: float
-    rel_phase: float
-    center: tuple[float, float]
-    residual: float
-
-
 def _direct_ellipse_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ellipse-constrained direct least-squares conic fit.
 
     Solves the quadratic-constraint eigenproblem on the scatter matrices
-    (numerically stable block formulation); returns (a, b, c, d, e, f).
+    (numerically stable block formulation); returns (a, b, c, d, e, f),
+    scaled to 4ac - b^2 = 1.
     """
     d1 = np.column_stack([x * x, x * y, y * y])
     d2 = np.column_stack([x, y, np.ones_like(x)])
@@ -447,8 +430,8 @@ def _direct_ellipse_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([best, t @ best])
 
 
-def fit_ellipse(points: np.ndarray) -> EllipseFit:
-    """Fit the parametric fringe ellipse and return its Lissajous invariants.
+def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, float], float]:
+    """Direct conic fit of the Lissajous curve traced by the two settings.
 
     Parameters
     ----------
@@ -460,7 +443,10 @@ def fit_ellipse(points: np.ndarray) -> EllipseFit:
 
     Returns
     -------
-    EllipseFit
+    (amp_x, amp_y, rel_phase, center, residual)
+        The harmonic magnitudes of the two coordinates in counts, the signed
+        phase lag of the second coordinate, the ellipse's centre (the two dc
+        levels, in counts) and the scale-free conic residual.
 
     Raises
     ------
@@ -493,9 +479,7 @@ def fit_ellipse(points: np.ndarray) -> EllipseFit:
 
     conic = _direct_ellipse_fit(norm[:, 0], norm[:, 1])
     a, b, c, d, e, f = conic
-    disc = b * b - 4.0 * a * c
-    if disc >= 0.0:
-        raise UnidentifiableError("fitted conic is not an ellipse", flag="degenerate_conic")
+    disc = b * b - 4.0 * a * c  # -1 by the fit's scaling
     design = np.column_stack(
         [norm[:, 0] ** 2, norm[:, 0] * norm[:, 1], norm[:, 1] ** 2,
          norm[:, 0], norm[:, 1], np.ones(len(norm))]
@@ -530,13 +514,8 @@ def fit_ellipse(points: np.ndarray) -> EllipseFit:
     amp_x = spread * math.sqrt(big_f / (a * sin_sq))
     amp_y = spread * math.sqrt(big_f / (c * sin_sq))
 
-    return EllipseFit(
-        amp_x=float(amp_x),
-        amp_y=float(amp_y),
-        rel_phase=float(rel_phase),
-        center=(float(center[0]), float(center[1])),
-        residual=residual,
-    )
+    return (float(amp_x), float(amp_y), float(rel_phase),
+            (float(center[0]), float(center[1])), residual)
 
 
 def estimate_ellipse(
@@ -563,7 +542,7 @@ def estimate_ellipse(
         raise EstimationError(f"unsupported ellipse assumption {assume!r}",
                               flag="bad_assumption")
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
-    fit = fit_ellipse(points)
-    amp_x, amp_y = fit.amp_x / fit.center[0], fit.amp_y / fit.center[1]
-    amps, psi, flags = _structural_amplitudes(assume, amp_x, amp_y, fit.rel_phase)
-    return _two_setting_estimate(amps, psi, None, {"conic_rms": fit.residual}, flags)
+    amp_x, amp_y, rel_phase, center, residual = _fit_ellipse(points)
+    amps, psi, flags = _structural_amplitudes(
+        assume, amp_x / center[0], amp_y / center[1], rel_phase)
+    return _two_setting_estimate(amps, psi, None, {"conic_rms": residual}, flags)

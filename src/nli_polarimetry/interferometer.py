@@ -27,7 +27,6 @@ from .mode_algebra import (
     _photon_number,
     _require_finite,
     _weighted_sum,
-    _wrap,
     pure_mode,
 )
 
@@ -128,13 +127,13 @@ def detected_mode(
     ``t_par`` times ``exp(-i diff_phase/2)``, leaving the mean idler phase
     unchanged.  Array phases broadcast against each other and give an
     expansion whose batch axes follow them, so a whole scan is composed in
-    one pass.  The phase-free paths are composed once, unbatched; the scan
-    phases enter only the coefficients of the last combination, whose result
-    is the one expansion the call builds.
+    one pass.  The phase-free paths are composed once, unbatched, as raw
+    amplitude arrays; the scan phases enter only the coefficients of the last
+    combination, and only its result becomes an ``OperatorExpansion``.
     """
     # one finiteness check, on the result, is enough: c*inf, 0*inf and
     # inf-inf are all non-finite, so a non-finite intermediate reaches it
-    return _wrap(_weighted_sum(_detected_terms(cfg, signal_phase, diff_phase)))
+    return OperatorExpansion(*_weighted_sum(_detected_terms(cfg, signal_phase, diff_phase)))
 
 
 def photon_number_exact(

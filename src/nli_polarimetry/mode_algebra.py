@@ -9,9 +9,9 @@ expectation values of photon numbers.
 Amplitude arrays may carry trailing batch axes, shape ``(N_MODES, *batch)``,
 so that one composition evaluates a whole family of configurations (for
 example every step of a phase scan) at once.  The operations work on the
-stacked ``(2, N_MODES, *batch)`` amplitude arrays; the public ones wrap
-their freshly computed result once, so a composer can chain the private
-array functions and wrap only its final result.
+stacked ``(2, N_MODES, *batch)`` amplitude arrays; the public ones build
+one ``OperatorExpansion`` from their result, so a composer can chain the
+private array functions and build only its final expansion.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ class OperatorExpansion:
     ``cre[m]`` the amplitude of its creation operator.  A canonical output
     mode satisfies sum|ann|^2 - sum|cre|^2 = 1.  Both arrays have shape
     ``(N_MODES, *batch)``; each batch index is an independent expansion.
-    They are read-only views of one private ``(2, N_MODES, *batch)`` array:
-    a copy of what the caller passed, or the result of an operation, wrapped
-    without a second copy.
+    They are read-only views of one private ``(2, N_MODES, *batch)`` array,
+    a copy of what the caller passed, so no caller's array aliases them.
     """
 
     ann: np.ndarray
@@ -56,16 +55,11 @@ class OperatorExpansion:
         ann, cre = np.asarray(self.ann), np.asarray(self.cre)
         if ann.shape[:1] != (N_MODES,) or cre.shape != ann.shape:
             raise ValueError(f"amplitude arrays must have equal shape ({N_MODES}, *batch)")
-        self._adopt(np.array((ann, cre), dtype=complex))
-
-    def _adopt(self, amps: np.ndarray) -> OperatorExpansion:
-        """Check, freeze and hold ``amps``, a stacked amplitude array that no
-        one else holds; every construction ends here."""
+        amps = np.array((ann, cre), dtype=complex)
         _require_finite(amps).flags.writeable = False
         object.__setattr__(self, "_amps", amps)
         object.__setattr__(self, "ann", amps[0])
         object.__setattr__(self, "cre", amps[1])
-        return self
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -77,12 +71,6 @@ def _require_finite(amps: np.ndarray) -> np.ndarray:
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
     return amps
-
-
-def _wrap(amps: np.ndarray) -> OperatorExpansion:
-    """An expansion around a freshly computed ``(2, N_MODES, *batch)`` array,
-    which is not copied: the caller must keep no other reference to it."""
-    return object.__new__(OperatorExpansion)._adopt(np.asarray(amps, dtype=complex))
 
 
 _PURE_MODES = tuple(OperatorExpansion(np.eye(N_MODES)[m], np.zeros(N_MODES)) for m in Mode)
@@ -105,17 +93,17 @@ def _weighted_sum(terms: list[tuple[complex | np.ndarray, np.ndarray]]) -> np.nd
         raise ValueError("linear_combine needs at least one term")
     coeffs = [np.asarray(c) for c, _ in terms]
     ndim = max(*(c.ndim for c in coeffs), *(a.ndim - 2 for _, a in terms))
-    total = 0.0
+    parts = []
     for coeff, (_, a) in zip(coeffs, terms):
         # unit axes after the part and mode axes align a's batch with the coefficients'
         lift = a.shape[:2] + (1,) * (ndim + 2 - a.ndim) + a.shape[2:]
-        total = total + coeff * a.reshape(lift)
-    return total
+        parts.append(coeff * a.reshape(lift))
+    return sum(parts[1:], parts[0])
 
 
 def adjoint(x: OperatorExpansion) -> OperatorExpansion:
     """Hermitian adjoint: swaps annihilation and creation parts and conjugates."""
-    return _wrap(_adjoint(x._amps))
+    return OperatorExpansion(*_adjoint(x._amps))
 
 
 def linear_combine(
@@ -126,7 +114,7 @@ def linear_combine(
     Coefficients may be arrays; they broadcast against the expansions' batch
     shapes, both aligned on their trailing axes.
     """
-    return _wrap(_weighted_sum([(c, x._amps) for c, x in terms]))
+    return OperatorExpansion(*_weighted_sum([(c, x._amps) for c, x in terms]))
 
 
 def _per_expansion(total: np.ndarray) -> float | np.ndarray:

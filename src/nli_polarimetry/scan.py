@@ -60,7 +60,7 @@ class ScanSchedule:
         for name in ("signal_offset", "diff_offset", "signal_rate", "diff_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not isinstance(self.n_samples, numbers.Integral):
+        if isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral):
             raise ValueError("n_samples must be an integer")
         if self.n_samples < 8:
             raise ValueError("n_samples must be >= 8")
@@ -108,7 +108,7 @@ class NoiseModel:
             raise ValueError("counts_per_unit must be positive")
         if self.mode not in ("noiseless", "poisson"):
             raise ValueError("mode must be 'noiseless' or 'poisson'")
-        if not isinstance(self.seed, numbers.Integral):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

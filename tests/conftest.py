@@ -107,6 +107,12 @@ def angles_close(a, b, atol=1e-12):
     np.testing.assert_allclose(diff, 0.0, atol=atol)
 
 
+def axis_distance(a, b) -> float:
+    """Smallest distance between two axis orientations (angles mod pi)."""
+    d = (float(a) - float(b)) % np.pi
+    return float(min(d, np.pi - d))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240831)

@@ -12,7 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import analyzer_config, blocked_arm, random_config, two_setting_points
+from conftest import (
+    analyzer_config,
+    axis_distance,
+    blocked_arm,
+    random_config,
+    two_setting_points,
+)
 from nli_polarimetry import (
     CrystalGain,
     InterferometerConfig,
@@ -31,14 +37,13 @@ from nli_polarimetry import (
     fourier_protocol_schedule,
     harmonic_regress,
     highgain_visibility,
-    lossless_sample,
     n_highgain,
     n_lowgain,
     photon_number_exact,
     quarter_wave,
     simulate_scan,
 )
-from nli_polarimetry.angles import axis_distance, wrap_half_pi, wrap_pi
+from nli_polarimetry.angles import wrap_half_pi, wrap_pi
 from nli_polarimetry.cli import main as cli_main
 
 DIAG = math.pi / 4
@@ -131,7 +136,7 @@ def test_acceptance_04_quantum_erasure_null():
             signal=SignalControl(cmath.exp(1j * phi0)),
             waveplate1=quarter_wave(DIAG),
             waveplate2=quarter_wave(DIAG),
-            sample=lossless_sample(),
+            sample=SampleAxes(1.0 + 0.0j, 1.0 + 0.0j),
         )
         values.append(photon_number_exact(cfg))
     values = np.array(values)

@@ -14,9 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nli_polarimetry
-from conftest import HUGE, MALFORMED_SERIES, scaled_counts
+from conftest import HUGE, MALFORMED_SERIES, axis_distance, scaled_counts
 from nli_polarimetry import BeatingParameters, TimeSeries, amplitude_relations, cli, n_highgain
-from nli_polarimetry.angles import axis_distance
 from nli_polarimetry.cli import main
 from nli_polarimetry.scan import write_csv
 

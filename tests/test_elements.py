@@ -12,7 +12,6 @@ from nli_polarimetry import (
     SignalControl,
     WaveplateCoeffs,
     beating_parameters,
-    half_wave,
     quarter_wave,
     rotated_waveplate_coeffs,
     waveplate,
@@ -70,7 +69,7 @@ class TestWaveplateCoeffs:
         assert rho == pytest.approx(1j / SQ2, abs=1e-15)
 
     def test_diagonal_half_wave_swaps_polarizations(self):
-        tau, rho = pair(half_wave(math.pi / 4))
+        tau, rho = pair(waveplate(math.pi / 4, math.pi))
         assert tau == pytest.approx(0.0, abs=1e-15)
         assert rho == pytest.approx(1j, abs=1e-15)
 
@@ -99,7 +98,6 @@ class TestWaveplateCoeffs:
             assert [v.hex() for z in got for v in (z.real, z.imag)] == [
                 v.hex() for z in want for v in (z.real, z.imag)], (g, th)
         assert pair(quarter_wave(0.3)) == pair(waveplate(0.3, math.pi / 2))
-        assert pair(half_wave(0.3)) == pair(waveplate(0.3, math.pi))
 
     @pytest.mark.parametrize("g, th", [(math.nan, 1.0), (0.5, math.inf), (-math.inf, 0.0)])
     def test_angles_must_be_finite(self, g, th):

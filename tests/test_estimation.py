@@ -9,7 +9,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import HUGE, analyzer_config, angles_close, scaled_counts, two_setting_points
+from conftest import (
+    HUGE,
+    analyzer_config,
+    angles_close,
+    axis_distance,
+    scaled_counts,
+    two_setting_points,
+)
 from nli_polarimetry import (
     CrystalGain,
     EstimationError,
@@ -25,14 +32,13 @@ from nli_polarimetry import (
     estimate_ellipse,
     estimate_rotated,
     extract_sample_fourier,
-    fit_ellipse,
     fourier_protocol_schedule,
     harmonic_regress,
     quarter_wave,
     simulate_scan,
 )
 from nli_polarimetry import estimation
-from nli_polarimetry.angles import axis_distance, wrap_axis, wrap_pi
+from nli_polarimetry.angles import wrap_axis, wrap_pi
 from nli_polarimetry.estimation import (
     ROTATED_ASSUMPTIONS,
     _fit_fringe,
@@ -40,6 +46,13 @@ from nli_polarimetry.estimation import (
 )
 
 KAPPA = 1.0e4
+
+EllipseFit = collections.namedtuple("EllipseFit", "amp_x amp_y rel_phase center residual")
+
+
+def fit_ellipse(points):
+    """``estimation._fit_ellipse`` with the fields of its result named."""
+    return EllipseFit(*estimation._fit_ellipse(points))
 
 
 def qwp_pair_config(t_perp, t_par, v=0.5):
@@ -606,6 +619,35 @@ class TestFitEllipse:
         with pytest.raises(EstimationError) as err:
             fit_ellipse(points)
         assert err.value.flag == "nonfinite_points"
+
+    def test_direct_fit_scales_to_unit_ellipse_constraint(self, rng):
+        # the conic comes back scaled to 4ac - b^2 = 1, so the centre's
+        # denominator b^2 - 4ac is -1 and never marks a non-ellipse; checked
+        # on noisy ellipses, random clouds and noisy hyperbolas, centred and
+        # scaled to unit rms radius as _fit_ellipse does
+        fitted = 0
+        for k in range(3000):
+            n = int(rng.integers(6, 80))
+            if k % 3 == 0:
+                t = rng.uniform(0.0, 2.0 * math.pi, n)
+                ax, ay, lag = *rng.uniform(0.05, 3.0, 2), rng.uniform(0.0, 2.0 * math.pi)
+                pts = np.column_stack([ax * np.cos(t), ay * np.cos(t + lag)])
+                pts += rng.normal(scale=rng.uniform(0.0, 0.3), size=pts.shape)
+            elif k % 3 == 1:
+                pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, 2)
+            else:
+                s, branch = rng.uniform(-2.0, 2.0, n), rng.choice([-1.0, 1.0], n)
+                pts = np.column_stack([branch * np.cosh(s), np.sinh(s)]) * rng.uniform(0.2, 5.0, 2)
+                pts += rng.normal(scale=0.01, size=pts.shape)
+            pts = pts - pts.mean(axis=0)
+            pts /= math.sqrt(np.mean(np.sum(pts**2, axis=1)))
+            try:
+                a, b, c = estimation._direct_ellipse_fit(pts[:, 0], pts[:, 1])[:3]
+            except UnidentifiableError:
+                continue
+            fitted += 1
+            assert abs(4.0 * a * c - b * b - 1.0) <= 1e-12, k
+        assert fitted >= 2900
 
     def test_estimate_ellipse_rejects_unknown_assumption(self):
         s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)

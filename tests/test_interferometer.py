@@ -18,9 +18,7 @@ from nli_polarimetry import (
     SignalControl,
     WaveplateCoeffs,
     beating_parameters,
-    blocked_signal,
     detected_mode,
-    lossless_sample,
     n_highgain,
     n_lowgain,
     photon_number_exact,
@@ -78,7 +76,7 @@ def simple_config(**overrides):
         signal=SignalControl(1.0),
         waveplate1=identity_plate(),
         waveplate2=identity_plate(),
-        sample=lossless_sample(),
+        sample=SampleAxes(1.0 + 0.0j, 1.0 + 0.0j),
     )
     base.update(overrides)
     return InterferometerConfig(**base)
@@ -149,7 +147,7 @@ class TestOutputCoefficients:
             assert d.cre[mode] == pytest.approx(0.0, abs=1e-14)
 
     def test_blocked_arm_tap_is_full(self):
-        cfg = simple_config(signal=blocked_signal())
+        cfg = simple_config(signal=SignalControl(0.0))
         d = detected_mode(cfg)
         assert d.ann[Mode.SIGNAL_TAP] == pytest.approx(cfg.crystal2.u, abs=1e-14)
         # the interfering amplitude keeps only the idler-loop terms
@@ -196,7 +194,7 @@ class TestPhotonNumber:
                 signal=SignalControl(1.0),
                 waveplate1=quarter_wave(math.pi / 4),
                 waveplate2=quarter_wave(3 * math.pi / 4),
-                sample=lossless_sample(),
+                sample=SampleAxes(1.0 + 0.0j, 1.0 + 0.0j),
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -215,7 +213,7 @@ class TestPhotonNumber:
                 signal=SignalControl(1.0),
                 waveplate1=quarter_wave(math.pi / 4),
                 waveplate2=quarter_wave(3 * math.pi / 4),
-                sample=lossless_sample(),
+                sample=SampleAxes(1.0 + 0.0j, 1.0 + 0.0j),
             )
             with np.errstate(all="ignore"):
                 if overflows:
@@ -235,7 +233,7 @@ class TestPhotonNumber:
         cfg = InterferometerConfig(
             crystal1=CrystalGain(1.0),
             crystal2=CrystalGain(1.0),
-            signal=blocked_signal(),
+            signal=SignalControl(0.0),
             waveplate1=quarter_wave(math.pi / 4),
             waveplate2=quarter_wave(3 * math.pi / 4),
             sample=SampleAxes(0.9, 0.8),
@@ -316,7 +314,7 @@ class TestPhotonNumber:
                 signal=SignalControl(cmath.exp(1j * phi0)),
                 waveplate1=quarter_wave(math.pi / 4),
                 waveplate2=quarter_wave(math.pi / 4),
-                sample=lossless_sample(),
+                sample=SampleAxes(1.0 + 0.0j, 1.0 + 0.0j),
             )
             values.append(photon_number_exact(cfg))
         assert np.ptp(values) < 1e-12 * np.mean(values)
@@ -341,7 +339,7 @@ class TestPhotonNumber:
 
 class TestThreePathDecomposition:
     def test_blocked_arm_kills_signal_path(self, rng):
-        cfg = dataclasses.replace(random_config(rng), signal=blocked_signal())
+        cfg = dataclasses.replace(random_config(rng), signal=SignalControl(0.0))
         signal_path, _, _ = three_path_decomposition(cfg)
         assert signal_path == 0.0
 
@@ -394,7 +392,7 @@ class TestBatchedComposer:
     def configs(self, rng, n):
         for k in range(n):
             cfg = random_config(rng)
-            yield dataclasses.replace(cfg, signal=blocked_signal()) if k % 4 == 0 else cfg
+            yield dataclasses.replace(cfg, signal=SignalControl(0.0)) if k % 4 == 0 else cfg
 
     def test_matches_per_step_composition(self, rng):
         for cfg in self.configs(rng, 200):
@@ -433,15 +431,15 @@ class TestBatchedComposer:
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_builds_one_expansion_per_call(self, rng, monkeypatch):
-        # every construction, public or private, ends in _adopt
+        # every construction runs __post_init__
         built = []
-        adopt = OperatorExpansion._adopt
+        post_init = OperatorExpansion.__post_init__
 
-        def counting_adopt(self, amps):
-            built.append(amps.shape)
-            return adopt(self, amps)
+        def counting_post_init(self):
+            post_init(self)
+            built.append(self._amps.shape)
 
-        monkeypatch.setattr(OperatorExpansion, "_adopt", counting_adopt)
+        monkeypatch.setattr(OperatorExpansion, "__post_init__", counting_post_init)
         for cfg in self.configs(rng, 8):
             for phases in ((0.3, -1.2), (np.linspace(0.0, 1.0, 5), 0.7), self.phase_grid(rng)):
                 built.clear()

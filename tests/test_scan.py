@@ -25,7 +25,6 @@ from nli_polarimetry import (
     calibrate,
     fourier_protocol_schedule,
     harmonic_regress,
-    lossless_sample,
     photon_number_exact,
     quarter_wave,
     simulate_scan,
@@ -43,7 +42,7 @@ def calibration_config(v=0.5, sample=None):
         signal=SignalControl(1.0),
         waveplate1=quarter_wave(math.pi / 4),
         waveplate2=quarter_wave(3 * math.pi / 4),
-        sample=sample if sample is not None else lossless_sample(),
+        sample=sample if sample is not None else SampleAxes(1.0 + 0.0j, 1.0 + 0.0j),
     )
 
 
@@ -76,6 +75,12 @@ class TestSchedule:
             ScanSchedule(n_samples=8.5)
         assert len(ScanSchedule(n_samples=np.int64(8)).steps) == 8
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_boolean_sample_count(self, flag):
+        # as the CLI refuses a JSON boolean for schedule.n_samples
+        with pytest.raises(ValueError, match="^n_samples must be an integer$"):
+            ScanSchedule(n_samples=flag)
+
     def test_fourier_protocol_spans_whole_periods(self):
         sched = fourier_protocol_schedule(4, 100)
         assert sched.n_samples == 400
@@ -101,6 +106,12 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="^seed must be an integer$"):
             NoiseModel(counts_per_unit=1.0, seed=1.5)
         assert NoiseModel(counts_per_unit=1.0, seed=np.uint32(3)).seed == 3
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_boolean_seed(self, flag):
+        # as the CLI refuses a JSON boolean for noise.seed
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            NoiseModel(counts_per_unit=1.0, seed=flag)
 
 
 class TestSimulateScan:

@@ -25,10 +25,8 @@ from nli_polarimetry import (
     WaveplateCoeffs,
     amplitude_relations,
     beating_parameters,
-    blocked_signal,
     extract_sample_fourier,
     fourier_model,
-    half_wave,
     highgain_visibility,
     n_highgain,
     n_lowgain,
@@ -36,6 +34,7 @@ from nli_polarimetry import (
     quarter_wave,
     rotated_waveplate_coeffs,
     simulate_scan,
+    waveplate,
 )
 
 
@@ -191,8 +190,8 @@ class TestBeatingParameters:
         configs = [random_config(rng, equal_gains=True, rotation=k % 2 == 0)
                    for k in range(2000)]
         plates = [WaveplateCoeffs(1.0 + 0j, 0j)]
-        plates += [make(k * math.pi / 8) for make in (quarter_wave, half_wave)
-                   for k in range(16)]
+        plates += [waveplate(k * math.pi / 8, retardance)
+                   for retardance in (math.pi / 2, math.pi) for k in range(16)]
         samples = [SampleAxes(0.9, 0.0), SampleAxes(0j, 0.5j), SampleAxes(1.0, 1.0),
                    SampleAxes(0.8 * cmath.exp(2.1j), 0.4 * cmath.exp(-0.3j))]
         base = random_config(rng, equal_gains=True, rotation=False)
@@ -422,7 +421,7 @@ class TestHighGain:
     def test_blocked_matches_exact_composer(self, rng):
         for _ in range(100):
             cfg = dataclasses.replace(
-                random_config(rng, equal_gains=True), signal=blocked_signal()
+                random_config(rng, equal_gains=True), signal=SignalControl(0.0)
             )
             p = beating_parameters(cfg)
             assert p.signal_mag == 0.0

@@ -11,9 +11,13 @@
 # every re-exported function, the dataclass fields (or else the __init__
 # parameters, inherited within the module) of every re-exported class, and
 # nlipol's command-line options (its add_argument calls) and config keys
-# (the keys its _check_keys calls accept).  Sources are read as text and
-# parsed with ast; nothing is imported or run.  Untracked files under src/
-# count, ignored ones (such as __pycache__) do not.
+# (the keys its _check_keys calls accept).  It also lists, at BASE_REF and
+# in the working tree, the re-exported names that no src/ module other than
+# __init__.py and no perfbench/*.py file references (as a name, an attribute
+# or an imported name): what only tests and outside callers use.  Sources
+# are read as text and parsed with ast; nothing is imported or run.
+# Untracked files under src/ and perfbench/ count, ignored ones (such as
+# __pycache__) do not.
 #
 # Exit status: 0 on success, 2 on a usage error.  Set PYTHON to choose the
 # interpreter (default: python3).
@@ -45,13 +49,13 @@ def git(*args):
                           text=True).stdout
 
 
-def base_files():
-    names = git("ls-tree", "-r", "--name-only", base, "--", "src").split()
+def base_files(path):
+    names = git("ls-tree", "-r", "--name-only", base, "--", path).split()
     return {name: git("show", f"{base}:{name}") for name in names}
 
 
-def tree_files():
-    names = git("ls-files", "--cached", "--others", "--exclude-standard", "--", "src").split()
+def tree_files(path):
+    names = git("ls-files", "--cached", "--others", "--exclude-standard", "--", path).split()
     return {name: Path(name).read_text() for name in names if Path(name).is_file()}
 
 
@@ -130,6 +134,25 @@ def settable_values(files):
     return counts
 
 
+def unreferenced(files, bench):
+    """Re-exported names that no src/ module but __init__ and no
+    perfbench/*.py file names, in source order."""
+    init = f"{package}/__init__.py"
+    sources = [text for name, text in files.items() if name.endswith(".py") and name != init]
+    sources += [text for name, text in bench.items()
+                if name.endswith(".py") and Path(name).parent == Path("perfbench")]
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [name for name in reexports(files[init]) if name not in used]
+
+
 def module_all(source):
     for node in ast.parse(source).body:
         if (isinstance(node, ast.Assign)
@@ -138,7 +161,7 @@ def module_all(source):
     return None
 
 
-old, new = base_files(), tree_files()
+old, new = base_files("src"), tree_files("src")
 lines = {k: sum(len(text.splitlines()) for text in files.values())
          for k, files in (("old", old), ("new", new))}
 # tracked files from git's line diff; untracked files are all additions
@@ -175,4 +198,11 @@ changed = [f"{name} {old_counts.get(name, 0)} -> {new_counts.get(name, 0)}"
            for name in sorted(set(old_counts) | set(new_counts))
            if old_counts.get(name, 0) != new_counts.get(name, 0)]
 print("  changed: " + (", ".join(changed) or "none"))
+
+old_unused = unreferenced(old, base_files("perfbench"))
+new_unused = unreferenced(new, tree_files("perfbench"))
+print(f"re-exports no other src/ module or perfbench/*.py references: "
+      f"{len(old_unused)} at {tag}, {len(new_unused)} in the working tree")
+print(f"  at {tag}: " + (", ".join(old_unused) or "none"))
+print("  in the working tree: " + (", ".join(new_unused) or "none"))
 EOF
