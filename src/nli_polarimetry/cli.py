@@ -29,7 +29,6 @@ from .estimation import (
     ROTATED_ASSUMPTIONS,
     EstimationError,
     UnidentifiableError,
-    _column_rate,
     estimate_ellipse,
     estimate_rotated,
     extract_sample_fourier,
@@ -264,8 +263,8 @@ def cmd_estimate(args) -> int:
         if not args.calibration:
             raise ConfigError("fourier pipeline requires --calibration")
         xi_bar, delta_xi = _load_calibration(args.calibration)
-        rate = _column_rate(series[0].phi0, "phi0")
-        decomp = harmonic_regress(series[0], rate)
+        steps = np.diff(series[0].phi0)  # none: refused before the rate is read
+        decomp = harmonic_regress(series[0], float(np.median(steps)) if steps.size else 0.0)
         estimate = extract_sample_fourier(decomp, 2.0 * decomp.dc, xi_bar, delta_xi)
     else:
         if len(series) != 2:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import TimeSeries, _fit_harmonics, _pow2_scale
+from .scan import TimeSeries, _fit_harmonics, _pow2_scale, _ramp_rate, _scan_phase
 from .signals import HarmonicDecomposition, amplitude_relations
 
 __all__ = [
@@ -82,16 +82,6 @@ class SampleEstimate:
         return asdict(self)
 
 
-def _column_rate(values: np.ndarray, name: str) -> float:
-    steps = np.diff(values)
-    if len(steps) == 0:
-        raise EstimationError(f"{name} column too short", flag="series_too_short")
-    rate = float(np.median(steps))
-    if np.max(np.abs(steps - rate)) > 1e-9 * max(1.0, abs(rate)):
-        raise EstimationError(f"{name} column is not a uniform ramp", flag="nonuniform_scan")
-    return rate
-
-
 def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposition:
     """Fit dc plus the half- and three-half-rate harmonics to a scan record.
 
@@ -112,21 +102,29 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     Raises
     ------
     EstimationError
-        If ``omega_scan`` is not positive and finite, the scan rates are
-        unequal, the record covers less than one beat period
-        (``4*pi/omega_scan`` steps), or the design is rank deficient.
+        If a phase column is not a uniform ramp (checked first),
+        ``omega_scan`` is not positive and finite, the scan rates are
+        unequal, a phase column is not ``omega_scan * step``
+        (``phase_step_mismatch``), the record covers less than one beat
+        period (``4*pi/omega_scan`` steps), or the design is rank deficient.
     """
+    rate_signal = _ramp_rate(series.phi0, "phi0", EstimationError)
+    rate_diff = _ramp_rate(series.delta_phase, "delta_phase", EstimationError)
     if not (math.isfinite(omega_scan) and omega_scan > 0.0):
         raise EstimationError("omega_scan must be positive and finite",
                               flag="bad_scan_rate")
-    rate_signal = _column_rate(series.phi0, "phi0")
-    rate_diff = _column_rate(series.delta_phase, "delta_phase")
     tol = 1e-9 * max(1.0, omega_scan)
     if abs(rate_signal - rate_diff) > tol or abs(rate_signal - omega_scan) > tol:
         raise EstimationError(
             "harmonic regression requires equal signal and differential scan rates",
             flag="unequal_scan_rates",
         )
+    t = series.step.astype(float)
+    ramp = omega_scan * t
+    if (np.max(np.abs([series.phi0 - ramp, series.delta_phase - ramp]))
+            > 1e-9 * max(1.0, np.max(np.abs(ramp)))):
+        raise EstimationError("phase columns are not omega_scan * step",
+                              flag="phase_step_mismatch")
     n = len(series)
     beat_period = 4.0 * math.pi / omega_scan
     if n < beat_period * 0.999:
@@ -138,9 +136,7 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     error = EstimationError("harmonic design matrix is rank deficient",
                             flag="rank_deficient")
     rates = (0.5 * omega_scan, 1.5 * omega_scan)
-    dc, (amp_half, amp_threehalf), rms = _fit_harmonics(
-        series.step.astype(float), series.counts, rates, error
-    )
+    dc, (amp_half, amp_threehalf), rms = _fit_harmonics(t, series.counts, rates, error)
     return HarmonicDecomposition(dc=dc, amp_half=amp_half, amp_threehalf=amp_threehalf,
                                  residual_rms=rms)
 
@@ -211,27 +207,14 @@ def extract_sample_fourier(
 def _fit_fringe(series: TimeSeries) -> tuple[float, complex, float]:
     """Fit ``counts ~ dc + Re[z e^{i phi0}]`` to a control-phase scan.
 
-    The scan must ramp only ``phi0`` and cover at least one period with >= 8
-    points per period.  Returns the raw ``(dc, z, residual_rms)`` in counts;
-    a nonpositive dc raises ``EstimationError`` (flag ``bad_amplitude``).
+    The record must pass ``scan._scan_phase`` for ``phi0`` at harmonic 1.
+    Returns the raw ``(dc, z, residual_rms)`` in counts; a nonpositive dc
+    raises ``EstimationError`` (flag ``bad_amplitude``).
     """
-    if np.ptp(series.delta_phase) > 1e-12:
-        raise EstimationError("sinusoid fit expects a pure control-phase scan",
-                              flag="mixed_scan")
-    rate = _column_rate(series.phi0, "phi0")
-    if abs(rate) <= 0.0:
-        raise EstimationError("control phase does not ramp", flag="bad_scan_rate")
-    points_per_period = 2.0 * math.pi / abs(rate)
-    if points_per_period < 8.0 - 1e-9:
-        raise EstimationError("fewer than 8 points per fringe period",
-                              flag="undersampled")
-    if len(series) * abs(rate) < 2.0 * math.pi * 0.999:
-        raise EstimationError("scan must cover at least one fringe period",
-                              flag="series_too_short")
-
+    phi0 = _scan_phase(series, "phi0", 1.0, EstimationError)
     error = EstimationError("sinusoid design matrix is rank deficient",
                             flag="rank_deficient")
-    dc, (z,), rms = _fit_harmonics(series.phi0, series.counts, (1.0,), error)
+    dc, (z,), rms = _fit_harmonics(phi0, series.counts, (1.0,), error)
     if dc <= 0.0:
         raise EstimationError("nonpositive mean count level", flag="bad_amplitude")
     return dc, z, rms
@@ -529,7 +512,8 @@ def estimate_ellipse(
     structural assumption ``"isotropic_phase"`` (no birefringence) or
     ``"isotropic_attenuation"`` (no diattenuation), as in ``estimate_rotated``.
     The counts are paired by index, so the two records must share their
-    ``phi0`` and ``delta_phase`` columns (flag ``phase_mismatch``).
+    ``phi0`` and ``delta_phase`` columns (flag ``phase_mismatch``), which
+    must pass the rotated route's record rule.
     """
     if len(series_setting1) != len(series_setting2):
         raise EstimationError("the two series must have matching samples",
@@ -541,6 +525,7 @@ def estimate_ellipse(
     if assume not in _PSI_UNIDENTIFIED:
         raise EstimationError(f"unsupported ellipse assumption {assume!r}",
                               flag="bad_assumption")
+    _scan_phase(series_setting1, "phi0", 1.0, EstimationError)
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     amp_x, amp_y, rel_phase, center, residual = _fit_ellipse(points)
     amps, psi, flags = _structural_amplitudes(

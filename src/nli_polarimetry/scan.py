@@ -355,6 +355,41 @@ def _pow2_scale(values) -> float:
     return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values))))[1] - 1)
 
 
+def _ramp_rate(values, name: str, error) -> float:
+    """Mean step of a ramp, each step within 1e-9*max(1, |rate|) of it; else
+    ``error(message, flag)``."""
+    if len(values) < 2:
+        raise error(f"{name} column too short", "series_too_short")
+    rate = float(values[-1] - values[0]) / (len(values) - 1)
+    if np.max(np.abs(np.diff(values) - rate)) > 1e-9 * max(1.0, abs(rate)):
+        raise error(f"{name} column is not a uniform ramp", "nonuniform_scan")
+    return rate
+
+
+def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np.ndarray:
+    """The record rule of every fit of one ramped phase; returns ``column``.
+
+    Flags: the other phase column varies by over 1e-12 (``mixed_scan``);
+    ``column`` is not a uniform ramp (``_ramp_rate``) or does not ramp
+    (``bad_scan_rate``); a period of ``harmonic`` holds under 8 points
+    (``undersampled``) or n*|rate| under 0.999 of it (``series_too_short``).
+    """
+    other, arm = ((series.delta_phase, "the signal arm") if column == "phi0"
+                  else (series.phi0, "the differential phase"))
+    if np.ptp(other) > 1e-12:
+        raise error(f"{label} must ramp only {arm}", "mixed_scan")
+    values = getattr(series, column)
+    rate = abs(_ramp_rate(values, f"{label} {column}", error))
+    if rate == 0.0:
+        raise error(f"{label} does not ramp {arm}", "bad_scan_rate")
+    period = 2.0 * math.pi / harmonic
+    if period / rate < 8.0 - 1e-9:
+        raise error(f"{label} has fewer than 8 points per period", "undersampled")
+    if len(values) * rate < period * 0.999:
+        raise error(f"{label} must span at least one period", "series_too_short")
+    return values
+
+
 def _fit_harmonics(t, counts, rates, rank_error: Exception):
     """Least-squares fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]``.
 
@@ -382,8 +417,9 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     """Recover the signal-arm and differential phase offsets.
 
     Expects two scans taken with the sample removed and the crossed
-    quarter-wave analyzer pair: one ramping only the signal arm, one ramping
-    only the idler differential phase.  The empty-interferometer signal is
+    quarter-wave analyzer pair, one ramping only the signal arm and one only
+    the idler differential phase, that pass ``_scan_phase`` at their fringe
+    harmonics 1 and 1/2 (else ``CalibrationError``).  The empty-interferometer signal is
     ``2V[1 + cos((diff_offset + d)/2) cos(signal_offset + s)]`` where ``s``
     and ``d`` are the commanded ramps, so each scan exposes one offset as a
     fringe phase and the other through its amplitude.
@@ -393,19 +429,13 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     nonnegative half-angle cosine is returned, which places the differential
     offset in [-pi, pi] and the signal offset in (-pi, pi].
     """
-    if np.ptp(signal_scan.delta_phase) > 1e-12 or np.ptp(signal_scan.phi0) < 1e-12:
-        raise CalibrationError("first scan must ramp only the signal arm")
-    if np.ptp(idler_scan.phi0) > 1e-12 or np.ptp(idler_scan.delta_phase) < 1e-12:
-        raise CalibrationError("second scan must ramp only the differential phase")
-    if np.ptp(signal_scan.phi0) < 2.0 * math.pi * 0.999:
-        raise CalibrationError("signal scan must span at least one fringe period")
-    if np.ptp(idler_scan.delta_phase) < 4.0 * math.pi * 0.999:
-        raise CalibrationError("idler scan must span at least one half-angle period")
-
+    def refuse(message, flag):  # a CalibrationError carries no flag
+        return CalibrationError(message)
+    phi0 = _scan_phase(signal_scan, "phi0", 1.0, refuse, "first scan")
+    delta = _scan_phase(idler_scan, "delta_phase", 0.5, refuse, "second scan")
     error = CalibrationError("harmonic fit is rank deficient; scan span too small")
-    dc1, (z1,), resid1 = _fit_harmonics(signal_scan.phi0, signal_scan.counts, (1.0,), error)
-    dc2, (z2,), resid2 = _fit_harmonics(idler_scan.delta_phase, idler_scan.counts, (0.5,),
-                                        error)
+    dc1, (z1,), resid1 = _fit_harmonics(phi0, signal_scan.counts, (1.0,), error)
+    dc2, (z2,), resid2 = _fit_harmonics(delta, idler_scan.counts, (0.5,), error)
     flux = 0.5 * (dc1 + dc2)
     if flux <= 0.0:
         raise CalibrationError("nonpositive mean count level")

@@ -299,6 +299,24 @@ class TestCalibrateAndEstimate:
         assert err.startswith("error: series_too_short: ") and err.count("\n") == 1
         assert not est_path.exists()
 
+    def test_phase_columns_off_the_step_base_exit_3(self, tmp_path, capsys):
+        # a 1-based step column under unchanged phase columns
+        cfg = write_config(tmp_path, base_config(**{"interferometer.gain1.V": 0.01,
+                                                    "interferometer.gain2.V": 0.01}))
+        data = tmp_path / "main.csv"
+        assert run("simulate", "--config", cfg, "--out", data) == 0
+        series = TimeSeries.from_csv(data)
+        series.step += 1
+        series.to_csv(data)
+        calib = tmp_path / "calib.json"
+        calib.write_text('{"xi_bar": 0.23, "delta_xi": -0.61}')
+        est_path = tmp_path / "e.json"
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "fourier", "--data", data,
+                   "--calibration", calib, "--out", est_path) == 3
+        assert capsys.readouterr().err.startswith("error: phase_step_mismatch: ")
+        assert not est_path.exists()
+
     def test_swapped_calibration_scans_exit_3(self, tmp_path, capsys):
         scans = self.make_scans(tmp_path)
         capsys.readouterr()
@@ -468,6 +486,21 @@ class TestRotatedPipelines:
         assert run("estimate", "--pipeline", "ellipse", "--data", paths[0],
                    "--data", paths[1], "--out", est_path) == 3
         assert capsys.readouterr().err.startswith("error: phase_mismatch: ")
+        assert not est_path.exists()
+
+    def test_ellipse_pipeline_mixed_scan_exits_3(self, tmp_path, capsys):
+        # both settings also ramp the differential phase, which the rotated
+        # route's record rule refuses for the ellipse route as well
+        s1, s2 = self.simulate_settings(
+            tmp_path,
+            **{"interferometer.gain1.V": 0.01, "interferometer.gain2.V": 0.01,
+               "schedule.rate_delta": 0.7 * 2 * math.pi / 72},
+        )
+        est_path = tmp_path / "e.json"
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "ellipse", "--data", s1,
+                   "--data", s2, "--out", est_path) == 3
+        assert capsys.readouterr().err.startswith("error: mixed_scan: ")
         assert not est_path.exists()
 
     @pytest.mark.parametrize("options, message", [

@@ -141,6 +141,16 @@ class TestHarmonicRegress:
         with pytest.raises(EstimationError):
             harmonic_regress(short, sched.signal_rate)
 
+    def test_rejects_phase_columns_off_the_step_base(self):
+        # a 1-based step column under unchanged phase columns would shift
+        # every fitted phase by half and three halves of the rate
+        series, sched = fourier_scan(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j), v=0.01)
+        harmonic_regress(series, sched.signal_rate)
+        shifted = dataclasses.replace(series, step=series.step + 1)
+        with pytest.raises(EstimationError) as err:
+            harmonic_regress(shifted, sched.signal_rate)
+        assert err.value.flag == "phase_step_mismatch"
+
     def test_poisson_amplitudes_within_standard_errors(self):
         sched = fourier_protocol_schedule(4, 100)
         cfg = qwp_pair_config(0.9, 0.2)
@@ -489,6 +499,37 @@ def poisson(seed):
 def fourier_route(series, sched):
     decomp = harmonic_regress(series, sched.signal_rate)
     return extract_sample_fourier(decomp, 2.0 * decomp.dc, 0.23, -0.61)
+
+
+def malformed_settings(case, v=0.01):
+    """The two analyzer-setting records of the rotated sample (tbar = dt =
+    0.6, psi = 1.8) at low gain, scanned so that the record rule refuses
+    them with flag ``case``."""
+    rate = 2.0 * math.pi / 72
+    sched = {
+        "mixed_scan": ScanSchedule(signal_rate=rate, diff_rate=0.7 * rate, n_samples=72),
+        "undersampled": ScanSchedule(signal_rate=2.0 * math.pi / 4, n_samples=72),
+        "series_too_short": ScanSchedule(signal_rate=rate, n_samples=71),
+    }.get(case, ScanSchedule(signal_rate=rate, n_samples=72))
+    pair = [simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting, v=v), sched,
+                          NoiseModel(KAPPA), regime="lowgain") for setting in (1, 2)]
+    if case == "nonuniform_scan":
+        # the ramp's step grows by 0.1% per period
+        pair = [dataclasses.replace(s, phi0=s.phi0 * (1.0 + 1e-3 * s.step / 72)) for s in pair]
+    return pair
+
+
+class TestRecordRule:
+    """The two-setting routes refuse a malformed scan alike."""
+
+    @pytest.mark.parametrize("case", ["mixed_scan", "nonuniform_scan", "undersampled",
+                                      "series_too_short"])
+    @pytest.mark.parametrize("route", [estimate_rotated, estimate_ellipse],
+                             ids=["rotated", "ellipse"])
+    def test_routes_raise_the_same_flag(self, route, case):
+        with pytest.raises(EstimationError) as err:
+            route(*malformed_settings(case))
+        assert err.value.flag == case
 
 
 class TestHugeCounts:

@@ -582,12 +582,26 @@ class TestCalibrate:
         with pytest.raises(CalibrationError):
             calibrate(idler_arm_scan(0.0, 0.0), signal_arm_scan(0.0, 0.0))
 
+    @pytest.mark.parametrize("n", [64, 400])
+    def test_scans_of_exactly_one_period_calibrate(self, n):
+        # n*|rate| is one fringe period (2*pi, and 4*pi for the half-angle
+        # fringe of the idler scan), the span the rotated route's fit takes
+        scans = [
+            simulate_scan(calibration_config(), ScanSchedule(0.7, 1.1, rates[0], rates[1], n),
+                          NoiseModel(KAPPA), regime="lowgain")
+            for rates in ((2.0 * math.pi / n, 0.0), (0.0, 4.0 * math.pi / n))
+        ]
+        result = calibrate(*scans)
+        assert result.signal_offset == pytest.approx(0.7, abs=1e-9)
+        assert result.diff_offset == pytest.approx(1.1, abs=1e-9)
+
     def test_rejects_short_span(self):
+        # 15 of the 16 steps of one fringe period
         short = signal_arm_scan(0.5, 0.5, n=64)
         trimmed = TimeSeries(
-            step=short.step[:16], phi0=short.phi0[:16],
-            delta_phase=short.delta_phase[:16], expected_n=short.expected_n[:16],
-            counts=short.counts[:16],
+            step=short.step[:15], phi0=short.phi0[:15],
+            delta_phase=short.delta_phase[:15], expected_n=short.expected_n[:15],
+            counts=short.counts[:15],
         )
         with pytest.raises(CalibrationError):
             calibrate(trimmed, idler_arm_scan(0.5, 0.5))
@@ -674,6 +688,7 @@ class TestFitHarmonics:
         with pytest.raises(EstimationError) as info:
             harmonic_regress(series, 2.0 * math.pi)
         assert info.value.flag == "rank_deficient"
+        # calibration's record rule refuses one point per period first
         flat = TimeSeries(steps, ramp, np.zeros(16), np.ones(16), np.ones(16))
-        with pytest.raises(CalibrationError, match="rank deficient"):
+        with pytest.raises(CalibrationError, match="fewer than 8 points per period"):
             calibrate(flat, idler_arm_scan(0.5, 0.5))

@@ -14,7 +14,10 @@
 # (the keys its _check_keys calls accept).  It also lists, at BASE_REF and
 # in the working tree, the re-exported names that no src/ module other than
 # __init__.py and no perfbench/*.py file references (as a name, an attribute
-# or an imported name): what only tests and outside callers use.  Sources
+# or an imported name): what only tests and outside callers use.  Last, it
+# lists, at BASE_REF and in the working tree, each private name (leading
+# underscore) that one src/ module imports from a sibling, as
+# "module <- sibling._name": a decision that two modules know.  Sources
 # are read as text and parsed with ast; nothing is imported or run.
 # Untracked files under src/ and perfbench/ count, ignored ones (such as
 # __pycache__) do not.
@@ -153,6 +156,20 @@ def unreferenced(files, bench):
     return [name for name in reexports(files[init]) if name not in used]
 
 
+def private_imports(files):
+    """'module <- sibling._name' for each private name a src/ module imports
+    from a sibling, by file name and then source order."""
+    found = []
+    for name in sorted(files):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(ast.parse(files[name])):
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module:
+                found += [f"{Path(name).stem} <- {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
 def module_all(source):
     for node in ast.parse(source).body:
         if (isinstance(node, ast.Assign)
@@ -205,4 +222,10 @@ print(f"re-exports no other src/ module or perfbench/*.py references: "
       f"{len(old_unused)} at {tag}, {len(new_unused)} in the working tree")
 print(f"  at {tag}: " + (", ".join(old_unused) or "none"))
 print("  in the working tree: " + (", ".join(new_unused) or "none"))
+
+old_private, new_private = private_imports(old), private_imports(new)
+print(f"private names a src/ module imports from a sibling: "
+      f"{len(old_private)} at {tag}, {len(new_private)} in the working tree")
+print(f"  at {tag}: " + (", ".join(old_private) or "none"))
+print("  in the working tree: " + (", ".join(new_private) or "none"))
 EOF
