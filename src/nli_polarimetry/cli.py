@@ -263,8 +263,10 @@ def cmd_estimate(args) -> int:
         if not args.calibration:
             raise ConfigError("fourier pipeline requires --calibration")
         xi_bar, delta_xi = _load_calibration(args.calibration)
-        steps = np.diff(series[0].phi0)  # none: refused before the rate is read
-        decomp = harmonic_regress(series[0], float(np.median(steps)) if steps.size else 0.0)
+        # per unit step, so a decimated record keeps its rate; halved (exact),
+        # so a step past the largest double does not overflow; none for one row
+        half = np.diff(0.5 * series[0].phi0) / np.diff(series[0].step)
+        decomp = harmonic_regress(series[0], 2.0 * float(np.median(half)) if half.size else 0.0)
         estimate = extract_sample_fourier(decomp, 2.0 * decomp.dc, xi_bar, delta_xi)
     else:
         if len(series) != 2:

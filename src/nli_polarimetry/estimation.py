@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import TimeSeries, _fit_harmonics, _pow2_scale, _ramp_rate, _scan_phase
+from .scan import TimeSeries, _fit_harmonics, _fit_ramp, _pow2_scale, _scan_phase
 from .signals import HarmonicDecomposition, amplitude_relations
 
 __all__ = [
@@ -88,10 +88,10 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     Parameters
     ----------
     series : TimeSeries
-        Record of an equal-rate dual scan; both phase columns must ramp at
-        ``omega_scan`` rad/step.
+        Record of an equal-rate dual scan; both phase columns must be
+        ``omega_scan * step``.
     omega_scan : float
-        Common scan rate.
+        Common scan rate in rad per unit of ``step``.
 
     Returns
     -------
@@ -102,41 +102,25 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     Raises
     ------
     EstimationError
-        If a phase column is not a uniform ramp (checked first),
-        ``omega_scan`` is not positive and finite, the scan rates are
-        unequal, a phase column is not ``omega_scan * step``
-        (``phase_step_mismatch``), the record covers less than one beat
-        period (``4*pi/omega_scan`` steps), or the design is rank deficient.
+        If the record fails the dual-scan record rule ``scan._scan_phase``
+        (checked first, per row, so a decimated record passes), ``omega_scan``
+        is not positive and finite (``bad_scan_rate``), a phase column is not
+        ``omega_scan * step`` (``phase_step_mismatch``), or the design is rank
+        deficient.
     """
-    rate_signal = _ramp_rate(series.phi0, "phi0", EstimationError)
-    rate_diff = _ramp_rate(series.delta_phase, "delta_phase", EstimationError)
+    _scan_phase(series, "both", 0.5, EstimationError)
     if not (math.isfinite(omega_scan) and omega_scan > 0.0):
         raise EstimationError("omega_scan must be positive and finite",
                               flag="bad_scan_rate")
-    tol = 1e-9 * max(1.0, omega_scan)
-    if abs(rate_signal - rate_diff) > tol or abs(rate_signal - omega_scan) > tol:
-        raise EstimationError(
-            "harmonic regression requires equal signal and differential scan rates",
-            flag="unequal_scan_rates",
-        )
     t = series.step.astype(float)
     ramp = omega_scan * t
     if (np.max(np.abs([series.phi0 - ramp, series.delta_phase - ramp]))
             > 1e-9 * max(1.0, np.max(np.abs(ramp)))):
         raise EstimationError("phase columns are not omega_scan * step",
                               flag="phase_step_mismatch")
-    n = len(series)
-    beat_period = 4.0 * math.pi / omega_scan
-    if n < beat_period * 0.999:
-        raise EstimationError(
-            f"series covers {n} steps but one beat period needs {beat_period:.1f}",
-            flag="series_too_short",
-        )
-
-    error = EstimationError("harmonic design matrix is rank deficient",
-                            flag="rank_deficient")
     rates = (0.5 * omega_scan, 1.5 * omega_scan)
-    dc, (amp_half, amp_threehalf), rms = _fit_harmonics(t, series.counts, rates, error)
+    dc, (amp_half, amp_threehalf), rms = _fit_harmonics(t, series.counts, rates,
+                                                        EstimationError)
     return HarmonicDecomposition(dc=dc, amp_half=amp_half, amp_threehalf=amp_threehalf,
                                  residual_rms=rms)
 
@@ -202,22 +186,6 @@ def extract_sample_fourier(
         residuals={"harmonic_rms": decomp.residual_rms},
         flags=flags,
     )
-
-
-def _fit_fringe(series: TimeSeries) -> tuple[float, complex, float]:
-    """Fit ``counts ~ dc + Re[z e^{i phi0}]`` to a control-phase scan.
-
-    The record must pass ``scan._scan_phase`` for ``phi0`` at harmonic 1.
-    Returns the raw ``(dc, z, residual_rms)`` in counts; a nonpositive dc
-    raises ``EstimationError`` (flag ``bad_amplitude``).
-    """
-    phi0 = _scan_phase(series, "phi0", 1.0, EstimationError)
-    error = EstimationError("sinusoid design matrix is rank deficient",
-                            flag="rank_deficient")
-    dc, (z,), rms = _fit_harmonics(phi0, series.counts, (1.0,), error)
-    if dc <= 0.0:
-        raise EstimationError("nonpositive mean count level", flag="bad_amplitude")
-    return dc, z, rms
 
 
 def _recover_rotated_params(b1: float, c1: float, b2: float, c2: float):
@@ -294,8 +262,8 @@ def estimate_rotated(
     if phibar is not None and assume != "general":
         raise EstimationError(f"phibar is used only by the general mode, not {assume!r}",
                               flag="phibar_unused")
-    dc1, fringe1, rms1 = _fit_fringe(series_setting1)
-    dc2, fringe2, rms2 = _fit_fringe(series_setting2)
+    dc1, fringe1, rms1 = _fit_ramp(series_setting1, "phi0", 1.0, EstimationError)
+    dc2, fringe2, rms2 = _fit_ramp(series_setting2, "phi0", 1.0, EstimationError)
     w1, w2 = fringe1 / dc1, fringe2 / dc2
 
     if assume == "general":

@@ -360,26 +360,37 @@ def _ramp_rate(values, name: str, error) -> float:
     ``error(message, flag)``."""
     if len(values) < 2:
         raise error(f"{name} column too short", "series_too_short")
-    rate = float(values[-1] - values[0]) / (len(values) - 1)
-    if np.max(np.abs(np.diff(values) - rate)) > 1e-9 * max(1.0, abs(rate)):
+    half = 0.5 * np.asarray(values)  # exact, and a span past the largest double fits
+    half_rate = float(half[-1] - half[0]) / (len(values) - 1)
+    if np.max(np.abs(np.diff(half) - half_rate)) > 0.5e-9 * max(1.0, 2.0 * abs(half_rate)):
         raise error(f"{name} column is not a uniform ramp", "nonuniform_scan")
-    return rate
+    return 2.0 * half_rate
 
 
 def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np.ndarray:
-    """The record rule of every fit of one ramped phase; returns ``column``.
+    """The record rule of every fit; returns ``column`` (``phi0`` for "both").
 
-    Flags: the other phase column varies by over 1e-12 (``mixed_scan``);
-    ``column`` is not a uniform ramp (``_ramp_rate``) or does not ramp
-    (``bad_scan_rate``); a period of ``harmonic`` holds under 8 points
-    (``undersampled``) or n*|rate| under 0.999 of it (``series_too_short``).
+    A scan of ``column`` alone must hold the other phase column within 1e-12
+    (``mixed_scan``); the dual scan ("both") must ramp both at one rate
+    (``unequal_scan_rates``).  The ramp must be uniform (``_ramp_rate``) and
+    nonzero (``bad_scan_rate``), with 8 points per period of ``harmonic``
+    (``undersampled``) and n*|rate| >= 0.999 period (``series_too_short``).
     """
-    other, arm = ((series.delta_phase, "the signal arm") if column == "phi0"
-                  else (series.phi0, "the differential phase"))
-    if np.ptp(other) > 1e-12:
-        raise error(f"{label} must ramp only {arm}", "mixed_scan")
-    values = getattr(series, column)
-    rate = abs(_ramp_rate(values, f"{label} {column}", error))
+    if column == "both":
+        values, arm = series.phi0, "its phases"
+        rate = _ramp_rate(values, f"{label} phi0", error)
+        diff_rate = _ramp_rate(series.delta_phase, f"{label} delta_phase", error)
+        if abs(rate - diff_rate) > 1e-9 * max(1.0, abs(rate)):
+            raise error("harmonic regression requires equal signal and differential "
+                        "scan rates", "unequal_scan_rates")
+    else:
+        other, arm = ((series.delta_phase, "the signal arm") if column == "phi0"
+                      else (series.phi0, "the differential phase"))
+        if np.ptp(0.5 * other) > 0.5e-12:  # halved, as in _ramp_rate: cannot overflow
+            raise error(f"{label} must ramp only {arm}", "mixed_scan")
+        values = getattr(series, column)
+        rate = _ramp_rate(values, f"{label} {column}", error)
+    rate = abs(rate)
     if rate == 0.0:
         raise error(f"{label} does not ramp {arm}", "bad_scan_rate")
     period = 2.0 * math.pi / harmonic
@@ -390,14 +401,14 @@ def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np
     return values
 
 
-def _fit_harmonics(t, counts, rates, rank_error: Exception):
+def _fit_harmonics(t, counts, rates, error):
     """Least-squares fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]``.
 
     Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention; the
     residual is rescaled by ``_pow2_scale`` before it is squared.  Rank
-    rule: raises ``rank_error`` unless the design has at least as many rows
-    as columns and the smallest singular value ``lstsq`` returns is at least
-    1e-10 of the largest.
+    rule: raises ``error(message, "rank_deficient")`` unless the design has
+    at least as many rows as columns and the smallest singular value
+    ``lstsq`` returns is at least 1e-10 of the largest.
     """
     t = np.asarray(t)
     design = np.column_stack(
@@ -405,7 +416,7 @@ def _fit_harmonics(t, counts, rates, rank_error: Exception):
     )
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
     if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
-        raise rank_error
+        raise error("harmonic design matrix is rank deficient", "rank_deficient")
     resid = counts - design @ coef
     scale = _pow2_scale(resid)
     rms = scale * float(np.sqrt(np.mean((resid / scale) ** 2)))
@@ -413,13 +424,24 @@ def _fit_harmonics(t, counts, rates, rank_error: Exception):
     return float(coef[0]), amps, rms
 
 
+def _fit_ramp(series, column: str, harmonic: float, error, label="scan"):
+    """``(dc, z, residual_rms)`` in counts of ``counts ~ dc + Re[z exp(i harmonic x)]``
+    over the ``column`` x that ``_scan_phase`` passes; dc <= 0 is ``bad_amplitude``."""
+    values = _scan_phase(series, column, harmonic, error, label)
+    dc, (z,), rms = _fit_harmonics(values, series.counts, (harmonic,), error)
+    if dc <= 0.0:
+        raise error("nonpositive mean count level", "bad_amplitude")
+    return dc, z, rms
+
+
 def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     """Recover the signal-arm and differential phase offsets.
 
     Expects two scans taken with the sample removed and the crossed
     quarter-wave analyzer pair, one ramping only the signal arm and one only
-    the idler differential phase, that pass ``_scan_phase`` at their fringe
-    harmonics 1 and 1/2 (else ``CalibrationError``).  The empty-interferometer signal is
+    the idler differential phase, each fitted by ``_fit_ramp`` at harmonic 1
+    and 1/2 (a record rule or dc <= 0 refusal raises ``CalibrationError``,
+    without a flag).  The empty-interferometer signal is
     ``2V[1 + cos((diff_offset + d)/2) cos(signal_offset + s)]`` where ``s``
     and ``d`` are the commanded ramps, so each scan exposes one offset as a
     fringe phase and the other through its amplitude.
@@ -431,14 +453,9 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     """
     def refuse(message, flag):  # a CalibrationError carries no flag
         return CalibrationError(message)
-    phi0 = _scan_phase(signal_scan, "phi0", 1.0, refuse, "first scan")
-    delta = _scan_phase(idler_scan, "delta_phase", 0.5, refuse, "second scan")
-    error = CalibrationError("harmonic fit is rank deficient; scan span too small")
-    dc1, (z1,), resid1 = _fit_harmonics(phi0, signal_scan.counts, (1.0,), error)
-    dc2, (z2,), resid2 = _fit_harmonics(delta, idler_scan.counts, (0.5,), error)
+    dc1, z1, resid1 = _fit_ramp(signal_scan, "phi0", 1.0, refuse, "first scan")
+    dc2, z2, resid2 = _fit_ramp(idler_scan, "delta_phase", 0.5, refuse, "second scan")
     flux = 0.5 * (dc1 + dc2)
-    if flux <= 0.0:
-        raise CalibrationError("nonpositive mean count level")
 
     for amp, resid, n, label in (
         (abs(z1), resid1, len(signal_scan), "signal"),

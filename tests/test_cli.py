@@ -317,6 +317,53 @@ class TestCalibrateAndEstimate:
         assert capsys.readouterr().err.startswith("error: phase_step_mismatch: ")
         assert not est_path.exists()
 
+    def test_record_sampled_every_other_step(self, tmp_path):
+        # the rate is read per step, so a decimated record keeps its rate
+        cfg = write_config(tmp_path, base_config(**{"interferometer.gain1.V": 0.01,
+                                                    "interferometer.gain2.V": 0.01}))
+        data = tmp_path / "main.csv"
+        assert run("simulate", "--config", cfg, "--out", data) == 0
+        series = TimeSeries.from_csv(data)
+        kept = slice(None, None, 2)
+        TimeSeries(series.step[kept], series.phi0[kept], series.delta_phase[kept],
+                   series.expected_n[kept], series.counts[kept]).to_csv(data)
+        calib = tmp_path / "calib.json"
+        calib.write_text('{"xi_bar": 0.23, "delta_xi": -0.61}')
+        est_path = tmp_path / "e.json"
+        assert run("estimate", "--pipeline", "fourier", "--data", data,
+                   "--calibration", calib, "--out", est_path) == 0
+        est = json.loads(est_path.read_text())
+        for key, truth in (("t_perp", 0.9), ("t_par", 0.2), ("phibar", 0.4), ("dphi", 0.9)):
+            assert est[key] == pytest.approx(truth, abs=1e-12), key
+
+    @pytest.mark.parametrize("command", ["fourier", "fourier_two_rows", "calibrate"])
+    def test_ramp_beyond_the_largest_double_exits_3(self, tmp_path, capsys, command):
+        # 16 finite rows whose phi0 span (15 steps of 1.3e307) overflows a
+        # double, or two rows whose one step does: one error line, no
+        # overflow warning
+        n = 2 if command == "fourier_two_rows" else 16
+        step = np.arange(n)
+        ramp = np.array([-1e308, 1e308]) if n == 2 else (step - 7.5) * 1.3e307
+        data = tmp_path / "huge.csv"
+        TimeSeries(step, ramp, ramp if command.startswith("fourier") else np.zeros(n),
+                   np.ones(n), np.full(n, 5.0)).to_csv(data)
+        calib = tmp_path / "calib.json"
+        calib.write_text('{"xi_bar": 0.23, "delta_xi": -0.61}')
+        if command == "calibrate":
+            argv = ("calibrate", "--signal-scan", data, "--idler-scan", data)
+        else:
+            argv = ("estimate", "--pipeline", "fourier", "--data", data,
+                    "--calibration", calib)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        flag = "calibration: first scan" if command == "calibrate" else "undersampled: scan"
+        assert err == f"error: {flag} has fewer than 8 points per period\n"
+        assert not out.exists()
+
     def test_swapped_calibration_scans_exit_3(self, tmp_path, capsys):
         scans = self.make_scans(tmp_path)
         capsys.readouterr()

@@ -18,6 +18,7 @@ from conftest import (
     two_setting_points,
 )
 from nli_polarimetry import (
+    CalibrationError,
     CrystalGain,
     EstimationError,
     InterferometerConfig,
@@ -29,6 +30,7 @@ from nli_polarimetry import (
     TimeSeries,
     UnidentifiableError,
     amplitude_relations,
+    calibrate,
     estimate_ellipse,
     estimate_rotated,
     extract_sample_fourier,
@@ -39,11 +41,8 @@ from nli_polarimetry import (
 )
 from nli_polarimetry import estimation
 from nli_polarimetry.angles import wrap_axis, wrap_pi
-from nli_polarimetry.estimation import (
-    ROTATED_ASSUMPTIONS,
-    _fit_fringe,
-    _recover_rotated_params,
-)
+from nli_polarimetry.estimation import ROTATED_ASSUMPTIONS, _recover_rotated_params
+from nli_polarimetry.scan import _fit_ramp
 
 KAPPA = 1.0e4
 
@@ -150,6 +149,21 @@ class TestHarmonicRegress:
         with pytest.raises(EstimationError) as err:
             harmonic_regress(shifted, sched.signal_rate)
         assert err.value.flag == "phase_step_mismatch"
+
+    def test_accepts_a_record_sampled_every_other_step(self):
+        # the rule reads the rate per row (2 omega) and the fit runs on step
+        series, sched = fourier_scan(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j),
+                                     xi_bar=0.23, delta_xi=-0.61, v=0.01)
+        kept = slice(None, None, 2)
+        decimated = TimeSeries(series.step[kept], series.phi0[kept],
+                               series.delta_phase[kept], series.expected_n[kept],
+                               series.counts[kept])
+        decomp = harmonic_regress(decimated, sched.signal_rate)
+        est = extract_sample_fourier(decomp, 2.0 * decomp.dc, 0.23, -0.61)
+        assert est.t_perp == pytest.approx(0.9, abs=1e-12)
+        assert est.t_par == pytest.approx(0.2, abs=1e-12)
+        assert est.dphi == pytest.approx(0.9, abs=1e-12)
+        assert est.phibar == pytest.approx(0.4, abs=1e-12)
 
     def test_poisson_amplitudes_within_standard_errors(self):
         sched = fourier_protocol_schedule(4, 100)
@@ -271,19 +285,24 @@ class TestExtractSampleFourier:
             assert expected / 1.5 < ratio < expected * 1.5
 
 
+def fit_fringe(series):
+    """The rotated route's fringe fit: ``_fit_ramp`` over ``phi0`` at harmonic 1."""
+    return _fit_ramp(series, "phi0", 1.0, EstimationError)
+
+
 class TestFitSinusoid:
     """The rotated route's fringe fit, which reports counts."""
 
     def test_recovers_gauge_fixed_amplitudes(self):
         series = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
-        dc, z, _ = _fit_fringe(series)
+        dc, z, _ = fit_fringe(series)
         assert dc == pytest.approx(KAPPA, rel=1e-12)
         assert abs(z) == pytest.approx(0.6 * KAPPA, rel=1e-9)
         assert cmath.phase(z) == pytest.approx(0.4, abs=1e-9)
 
     def test_setting2_amplitude(self):
         series = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
-        dc, z, _ = _fit_fringe(series)
+        dc, z, _ = fit_fringe(series)
         assert abs(z / dc) == pytest.approx(0.3, abs=1e-9)
 
     def test_constant_series(self):
@@ -292,7 +311,7 @@ class TestFitSinusoid:
             step=series.step, phi0=series.phi0, delta_phase=series.delta_phase,
             expected_n=series.expected_n, counts=np.full(len(series), 5.0),
         )
-        dc, z, rms = _fit_fringe(flat)
+        dc, z, rms = fit_fringe(flat)
         assert dc == pytest.approx(5.0, rel=1e-12)
         assert abs(z / dc) == pytest.approx(0.0, abs=1e-12)
         assert rms == pytest.approx(0.0, abs=1e-12)
@@ -302,7 +321,7 @@ class TestFitSinusoid:
         sched = ScanSchedule(signal_rate=2.0 * math.pi / 6, n_samples=12)
         series = simulate_scan(cfg, sched, NoiseModel(1.0), regime="lowgain")
         with pytest.raises(EstimationError):
-            _fit_fringe(series)
+            fit_fringe(series)
 
     def test_rejects_nonpositive_dc(self):
         series = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
@@ -312,7 +331,7 @@ class TestFitSinusoid:
                 expected_n=series.expected_n, counts=np.full(len(series), level),
             )
             with pytest.raises(EstimationError) as err:
-                _fit_fringe(flat)
+                fit_fringe(flat)
             assert err.value.flag == "bad_amplitude"
 
 
@@ -519,17 +538,72 @@ def malformed_settings(case, v=0.01):
     return pair
 
 
-class TestRecordRule:
-    """The two-setting routes refuse a malformed scan alike."""
+def malformed_fourier(case, v=0.01):
+    """A dual-rate record of the crossed pair (t_perp 0.9, t_par 0.2) at low
+    gain and its schedule, scanned so that the record rule refuses it with
+    flag ``case``."""
+    rate = 4.0 * math.pi / 100
+    sched = {
+        "undersampled": ScanSchedule(signal_rate=math.pi, diff_rate=math.pi, n_samples=72),
+        "series_too_short": ScanSchedule(signal_rate=rate, diff_rate=rate, n_samples=99),
+    }.get(case, fourier_protocol_schedule(4, 100))
+    series = simulate_scan(qwp_pair_config(0.9, 0.2, v=v), sched, NoiseModel(KAPPA),
+                           regime="lowgain")
+    if case == "nonuniform_scan":
+        # the ramps' step grows by 0.1% per beat period
+        grow = 1.0 + 1e-3 * series.step / 100
+        series = dataclasses.replace(series, phi0=series.phi0 * grow,
+                                     delta_phase=series.delta_phase * grow)
+    return series, sched
 
-    @pytest.mark.parametrize("case", ["mixed_scan", "nonuniform_scan", "undersampled",
-                                      "series_too_short"])
-    @pytest.mark.parametrize("route", [estimate_rotated, estimate_ellipse],
-                             ids=["rotated", "ellipse"])
+
+# each route with the maker of its malformed records
+RULE_ROUTES = {
+    "rotated": (estimate_rotated, malformed_settings),
+    "ellipse": (estimate_ellipse, malformed_settings),
+    "fourier": (fourier_route, malformed_fourier),
+}
+RULE_CASES = [(route, case) for route in ("ellipse", "rotated")
+              for case in ("mixed_scan", "nonuniform_scan", "undersampled", "series_too_short")]
+RULE_CASES += [("fourier", case) for case in ("nonuniform_scan", "undersampled",
+                                              "series_too_short")]
+
+
+def overflowing_ramp(both):
+    """16 finite rows whose phi0 ramp (and delta_phase too if ``both``) spans
+    more than the largest double."""
+    step = np.arange(16)
+    ramp = (step - 7.5) * 1.3e307
+    other = ramp if both else np.zeros(16)
+    return TimeSeries(step, ramp, other, np.ones(16), np.full(16, 5.0))
+
+
+class TestRecordRule:
+    """The routes refuse a malformed scan alike."""
+
+    @pytest.mark.parametrize("route, case", RULE_CASES,
+                             ids=[f"{route}-{case}" for route, case in RULE_CASES])
     def test_routes_raise_the_same_flag(self, route, case):
+        estimate, malformed = RULE_ROUTES[route]
         with pytest.raises(EstimationError) as err:
-            route(*malformed_settings(case))
+            estimate(*malformed(case))
         assert err.value.flag == case
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("route", ["fourier", "rotated", "ellipse", "calibrate"])
+    def test_ramp_beyond_the_largest_double_is_undersampled(self, route):
+        # the span (15 steps of 1.3e307) overflows a double, the steps do not
+        record = overflowing_ramp(both=route == "fourier")
+        if route == "calibrate":
+            with pytest.raises(CalibrationError, match="^first scan has fewer than 8 points"):
+                calibrate(record, record)
+            return
+        estimate = {"fourier": lambda s: harmonic_regress(s, 1.3e307),
+                    "rotated": lambda s: estimate_rotated(s, s),
+                    "ellipse": lambda s: estimate_ellipse(s, s)}[route]
+        with pytest.raises(EstimationError) as err:
+            estimate(record)
+        assert err.value.flag == "undersampled"
 
 
 class TestHugeCounts:
@@ -743,8 +817,8 @@ def reference_estimate_rotated(series_setting1, series_setting2,
                                assume="isotropic_phase", phibar=None):
     if assume not in ("isotropic_phase", "isotropic_attenuation", "general"):
         raise EstimationError(f"unknown assumption {assume!r}", flag="bad_assumption")
-    dc1, fringe1, rms1 = estimation._fit_fringe(series_setting1)
-    dc2, fringe2, rms2 = estimation._fit_fringe(series_setting2)
+    dc1, fringe1, rms1 = estimation._fit_ramp(series_setting1, "phi0", 1.0, EstimationError)
+    dc2, fringe2, rms2 = estimation._fit_ramp(series_setting2, "phi0", 1.0, EstimationError)
     w1, w2 = fringe1 / dc1, fringe2 / dc2
     flags = []
 
@@ -918,7 +992,7 @@ class TestTwoSettingOracle:
         # reach of simulated records, so the fringe fits are drawn directly
         rng = np.random.default_rng(1018)
         fits = {}
-        monkeypatch.setattr(estimation, "_fit_fringe", lambda series: fits[id(series)])
+        monkeypatch.setattr(estimation, "_fit_ramp", lambda series, *rule: fits[id(series)])
         s1, s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 1), setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2)
         seen = collections.Counter()
         for k in range(300):
@@ -942,7 +1016,7 @@ class TestTwoSettingOracle:
         # relative fringes below, at and just above the 1e-12 floor, drawn
         # directly as fringe fits
         fits = {}
-        monkeypatch.setattr(estimation, "_fit_fringe", lambda series: fits[id(series)])
+        monkeypatch.setattr(estimation, "_fit_ramp", lambda series, *rule: fits[id(series)])
         s1, s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 1), setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2)
         levels = (0.0, 3e-13, 1e-12, 1.001e-12, 5e-12, 0.4)
         seen = collections.Counter()

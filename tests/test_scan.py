@@ -664,7 +664,7 @@ class TestFitHarmonics:
     def test_matches_previous_designs_bitwise(self, n, rate, offset, scale, poisson, seed):
         rng = np.random.default_rng(seed)
         counts = rng.poisson(scale, n).astype(float) if poisson else rng.uniform(0, scale, n)
-        err = RuntimeError("rank deficient")
+        err = EstimationError
         x = offset + rate * np.arange(n)
         single = fit_bits(_fit_harmonics(x, counts, (1.0,), err))
         assert single == fit_bits(single_rate_oracle(x, counts))
@@ -676,18 +676,22 @@ class TestFitHarmonics:
         assert fit_bits(dual) == fit_bits(dual_rate_oracle(t, counts, rate))
 
     def test_rank_rule_raises_each_callers_error(self):
-        err = RuntimeError("rank deficient")
-        # fewer rows than columns
-        with pytest.raises(RuntimeError) as info:
-            _fit_harmonics(np.arange(2.0), np.ones(2), (1.0,), err)
-        assert info.value is err
-        # a half-turn per step leaves the half-rate sine column at rounding level
+        # fewer rows than columns: the kernel raises what the caller's
+        # error(message, flag) factory builds
+        with pytest.raises(EstimationError, match="rank deficient") as info:
+            _fit_harmonics(np.arange(2.0), np.ones(2), (1.0,), EstimationError)
+        assert info.value.flag == "rank_deficient"
+        with pytest.raises(CalibrationError, match="rank deficient"):
+            _fit_harmonics(np.arange(2.0), np.ones(2), (1.0,),
+                           lambda message, flag: CalibrationError(message))
+        # a half-turn per step: the record rule refuses it before the kernel
+        # would find the half-rate sine column at rounding level
         steps = np.arange(16)
         ramp = 2.0 * math.pi * steps
         series = TimeSeries(steps, ramp, ramp, np.ones(16), np.ones(16))
         with pytest.raises(EstimationError) as info:
             harmonic_regress(series, 2.0 * math.pi)
-        assert info.value.flag == "rank_deficient"
+        assert info.value.flag == "undersampled"
         # calibration's record rule refuses one point per period first
         flat = TimeSeries(steps, ramp, np.zeros(16), np.ones(16), np.ones(16))
         with pytest.raises(CalibrationError, match="fewer than 8 points per period"):

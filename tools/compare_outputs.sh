@@ -13,7 +13,11 @@
 # exact `simulate` whose photon number overflows (V = 1e200, expected to
 # exit 3), `calibrate`, and `estimate` for the fourier pipeline and for
 # every assumption of the rotated and ellipse pipelines (the general mode
-# with --phibar).
+# with --phibar).  Five refusals pin their stderr and exit code 3 too:
+# `calibrate` with the two scans swapped, the fourier pipeline on a scan
+# that ramps one phase only (unequal rates), the rotated pipeline on a
+# setting pair at 4 points per period, and the ellipse pipeline on two
+# records of different lengths.
 #
 # For each .csv file that differs, it also prints how far the file moved:
 # the number of cells that differ and the largest absolute difference
@@ -47,7 +51,8 @@ git -C "$root" archive "$base_sha" | tar -x -C "$work/base"
 # pair) scanned at equal rates, the same in the exact regime at V = 1e200,
 # at unequal gains with a pump phase and with the signal arm blocked, two
 # sample-removed calibration scans, and the two analyzer settings of a
-# sample rotated by psi = 1.8 (the first also in the exact regime).
+# sample rotated by psi = 1.8 (the first also in the exact regime, both also
+# at 4 points per period).
 "$python" - "$work/configs" <<'EOF'
 import copy, json, math, sys
 
@@ -96,6 +101,10 @@ config("setting1", rotated, schedule, {"seed": 8})
 config("exact_rotated", rotated, schedule, {"seed": 12}, regime="exact")
 config("setting2", dict(rotated, wp2={"axis_angle": diag, "retardance": qwp}),
        schedule, {"seed": 9})
+coarse = dict(schedule, rate_phi0=2 * math.pi / 4)
+config("coarse1", rotated, coarse, {"seed": 13})
+config("coarse2", dict(rotated, wp2={"axis_angle": diag, "retardance": qwp}),
+       coarse, {"seed": 14})
 EOF
 
 # run_all SRC OUT: run the command list with SRC on PYTHONPATH, in OUT.
@@ -116,7 +125,7 @@ run_all() {
         nlipol "figures_$id" figures --id "$id" --out-dir figures
     done
     for name in lowgain exact exact_unequal exact_rotated exact_blocked exact_overflow \
-            cal_signal cal_idler setting1 setting2; do
+            cal_signal cal_idler setting1 setting2 coarse1 coarse2; do
         nlipol "simulate_$name" simulate --config "$cfg/$name.json" --out "$name.csv"
     done
     nlipol calibrate calibrate --signal-scan cal_signal.csv --idler-scan cal_idler.csv \
@@ -133,6 +142,15 @@ run_all() {
     nlipol estimate_rotated_general estimate --pipeline rotated \
         --data setting1.csv --data setting2.csv --assume general --phibar 0.4 \
         --out estimate_rotated_general.json
+    # refusals
+    nlipol calibrate_swapped calibrate --signal-scan cal_idler.csv \
+        --idler-scan cal_signal.csv --out calibration_swapped.json
+    nlipol estimate_fourier_unequal estimate --pipeline fourier --data setting1.csv \
+        --calibration calibration.json --out estimate_fourier_unequal.json
+    nlipol estimate_rotated_undersampled estimate --pipeline rotated \
+        --data coarse1.csv --data coarse2.csv --out estimate_rotated_undersampled.json
+    nlipol estimate_ellipse_lengths estimate --pipeline ellipse \
+        --data setting1.csv --data lowgain.csv --out estimate_ellipse_lengths.json
 }
 
 # csv_delta NEW OLD: how far a CSV file moved, cell by cell
@@ -209,7 +227,9 @@ PY
 }
 
 # commands expected to fail, with their exit code; every other one exits 0
-declare -A expected_exit=([simulate_exact_overflow]=3)
+declare -A expected_exit=([simulate_exact_overflow]=3 [calibrate_swapped]=3
+    [estimate_fourier_unequal]=3 [estimate_rotated_undersampled]=3
+    [estimate_ellipse_lengths]=3)
 
 run_all "$root/src" "$work/head"
 run_all "$work/base/src" "$work/base_out"
