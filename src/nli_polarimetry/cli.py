@@ -246,6 +246,17 @@ def _load_calibration(path: str | Path) -> tuple[float, float]:
     return _number(doc, "calibration", "xi_bar"), _number(doc, "calibration", "delta_xi")
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty NaN-free 1-D float array, bit for bit: the
+    ``np.mean`` of the middle element, or of the two middle ones, of a
+    partition.  It leaves out the NaN check, and so the ``numpy.ma`` import
+    that ``np.median``'s first call costs a fresh process."""
+    mid = len(values) // 2
+    if len(values) % 2:
+        return float(np.mean(np.partition(values, mid)[mid:mid + 1]))
+    return float(np.mean(np.partition(values, (mid - 1, mid))[mid - 1:mid + 1]))
+
+
 def cmd_estimate(args) -> int:
     if args.calibration is not None and args.pipeline != "fourier":
         raise ConfigError("--calibration is used only by --pipeline fourier")
@@ -266,7 +277,7 @@ def cmd_estimate(args) -> int:
         # per unit step, so a decimated record keeps its rate; halved (exact),
         # so a step past the largest double does not overflow; none for one row
         half = np.diff(0.5 * series[0].phi0) / np.diff(series[0].step)
-        decomp = harmonic_regress(series[0], 2.0 * float(np.median(half)) if half.size else 0.0)
+        decomp = harmonic_regress(series[0], 2.0 * _median(half) if half.size else 0.0)
         estimate = extract_sample_fourier(decomp, 2.0 * decomp.dc, xi_bar, delta_xi)
     else:
         if len(series) != 2:

@@ -9,6 +9,7 @@ only through calibration.
 from __future__ import annotations
 
 import cmath
+import functools
 import io
 import math
 import numbers
@@ -35,10 +36,22 @@ __all__ = [
 CSV_COLUMNS = ("step", "phi0", "delta_phase", "expected_N", "counts")
 # the forward models ``simulate_scan`` can run
 REGIMES = ("exact", "lowgain")
+# distinct phase layouts kept by each memo of the record rule and the fits
+# (every record on one schedule shares one entry), and the most rows a kept
+# layout has: a verdict holds 16 bytes per row and a design at most 56, so
+# the memos hold at most 2.4 MB; a longer record is checked and gets its
+# design afresh
+_MEMO_SIZE = 16
+_MEMO_ROWS = 2048
 
 
 class CalibrationError(RuntimeError):
-    """Raised when the calibration scans cannot pin the phase offsets."""
+    """Raised when the calibration scans cannot pin the phase offsets;
+    ``flag`` names the failure mode, as ``EstimationError``'s does."""
+
+    def __init__(self, message: str, flag: str = "calibration_failed"):
+        super().__init__(message)
+        self.flag = flag
 
 
 @dataclass(frozen=True)
@@ -355,16 +368,75 @@ def _pow2_scale(values) -> float:
     return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values))))[1] - 1)
 
 
-def _ramp_rate(values, name: str, error) -> float:
+def _bits(values) -> tuple:
+    """Memo key of an array: its dtype, shape and bytes, equal only for equal bits."""
+    values = np.asarray(values)
+    return values.dtype.str, values.shape, values.tobytes()
+
+
+def _from_bits(key) -> np.ndarray:
+    """The read-only array a ``_bits`` key was taken of."""
+    dtype, shape, data = key
+    return np.frombuffer(data, dtype).reshape(shape)
+
+
+def _memo(function, n_rows: int):
+    """The memoised ``function`` for a layout of ``n_rows`` rows, or above
+    ``_MEMO_ROWS`` the same function unkept."""
+    return function if n_rows <= _MEMO_ROWS else function.__wrapped__
+
+
+class _Refusal(Exception):
+    """A record rule refusal, ``(message, flag)``, before the caller's label
+    and error type are put in."""
+
+
+def _ramp_rate(values, name: str) -> float:
     """Mean step of a ramp, each step within 1e-9*max(1, |rate|) of it; else
-    ``error(message, flag)``."""
+    a ``_Refusal``."""
     if len(values) < 2:
-        raise error(f"{name} column too short", "series_too_short")
-    half = 0.5 * np.asarray(values)  # exact, and a span past the largest double fits
+        raise _Refusal(f"{name} column too short", "series_too_short")
+    half = 0.5 * values  # exact, and a span past the largest double fits
     half_rate = float(half[-1] - half[0]) / (len(values) - 1)
     if np.max(np.abs(np.diff(half) - half_rate)) > 0.5e-9 * max(1.0, 2.0 * abs(half_rate)):
-        raise error(f"{name} column is not a uniform ramp", "nonuniform_scan")
+        raise _Refusal(f"{name} column is not a uniform ramp", "nonuniform_scan")
     return 2.0 * half_rate
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _phase_verdict(phi0, delta_phase, column: str, harmonic: float):
+    """The record rule's verdict on the ``_bits`` keys of a record's phase
+    columns: None for a pass, else ``(message, flag)`` with ``{label}`` in
+    the message where the caller's label goes.  ``_scan_phase`` states the
+    rule.  Memoised: a record on a kept layout (columns bit-identical, same
+    ``column`` and ``harmonic``) is not checked again."""
+    phi0, delta_phase = _from_bits(phi0), _from_bits(delta_phase)
+    try:
+        if column == "both":
+            values, arm = phi0, "its phases"
+            rate = _ramp_rate(values, "{label} phi0")
+            diff_rate = _ramp_rate(delta_phase, "{label} delta_phase")
+            if abs(rate - diff_rate) > 1e-9 * max(1.0, abs(rate)):
+                raise _Refusal("harmonic regression requires equal signal and "
+                               "differential scan rates", "unequal_scan_rates")
+        else:
+            other, arm = ((delta_phase, "the signal arm") if column == "phi0"
+                          else (phi0, "the differential phase"))
+            if np.ptp(0.5 * other) > 0.5e-12:  # halved, as in _ramp_rate: cannot overflow
+                raise _Refusal(f"{{label}} must ramp only {arm}", "mixed_scan")
+            values = phi0 if column == "phi0" else delta_phase
+            rate = _ramp_rate(values, f"{{label}} {column}")
+        rate = abs(rate)
+        if rate == 0.0:
+            raise _Refusal(f"{{label}} does not ramp {arm}", "bad_scan_rate")
+        period = 2.0 * math.pi / harmonic
+        if period / rate < 8.0 - 1e-9:
+            raise _Refusal("{label} has fewer than 8 points per period", "undersampled")
+        if len(values) * rate < period * 0.999:
+            raise _Refusal("{label} must span at least one period", "series_too_short")
+    except _Refusal as refusal:
+        return refusal.args
+    return None
 
 
 def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np.ndarray:
@@ -375,30 +447,33 @@ def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np
     (``unequal_scan_rates``).  The ramp must be uniform (``_ramp_rate``) and
     nonzero (``bad_scan_rate``), with 8 points per period of ``harmonic``
     (``undersampled``) and n*|rate| >= 0.999 period (``series_too_short``).
+    A refusal raises ``error(message, flag)``, the message opening with
+    ``label``.
+
+    The verdict is memoised (``_phase_verdict``), keyed by the dtype, shape
+    and exact bytes of ``phi0`` and ``delta_phase`` plus ``column`` and
+    ``harmonic``, for the last ``_MEMO_SIZE`` layouts of at most
+    ``_MEMO_ROWS`` rows; a record whose columns differ from every kept layout
+    by one bit, or were edited in place since, is checked afresh.
     """
-    if column == "both":
-        values, arm = series.phi0, "its phases"
-        rate = _ramp_rate(values, f"{label} phi0", error)
-        diff_rate = _ramp_rate(series.delta_phase, f"{label} delta_phase", error)
-        if abs(rate - diff_rate) > 1e-9 * max(1.0, abs(rate)):
-            raise error("harmonic regression requires equal signal and differential "
-                        "scan rates", "unequal_scan_rates")
-    else:
-        other, arm = ((series.delta_phase, "the signal arm") if column == "phi0"
-                      else (series.phi0, "the differential phase"))
-        if np.ptp(0.5 * other) > 0.5e-12:  # halved, as in _ramp_rate: cannot overflow
-            raise error(f"{label} must ramp only {arm}", "mixed_scan")
-        values = getattr(series, column)
-        rate = _ramp_rate(values, f"{label} {column}", error)
-    rate = abs(rate)
-    if rate == 0.0:
-        raise error(f"{label} does not ramp {arm}", "bad_scan_rate")
-    period = 2.0 * math.pi / harmonic
-    if period / rate < 8.0 - 1e-9:
-        raise error(f"{label} has fewer than 8 points per period", "undersampled")
-    if len(values) * rate < period * 0.999:
-        raise error(f"{label} must span at least one period", "series_too_short")
-    return values
+    verdict = _memo(_phase_verdict, len(series.phi0))(
+        _bits(series.phi0), _bits(series.delta_phase), column, harmonic)
+    if verdict is not None:
+        message, flag = verdict
+        raise error(message.format(label=label), flag)
+    return series.phi0 if column == "both" else getattr(series, column)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _design(t, rates: tuple) -> np.ndarray:
+    """Read-only design matrix ``[1, cos(r t), sin(r t) for r in rates]``
+    of the ``_bits`` key ``t``; memoised."""
+    t = _from_bits(t)
+    design = np.column_stack(
+        [np.ones_like(t)] + [f(r * t) for r in rates for f in (np.cos, np.sin)]
+    )
+    design.flags.writeable = False
+    return design
 
 
 def _fit_harmonics(t, counts, rates, error):
@@ -409,11 +484,13 @@ def _fit_harmonics(t, counts, rates, error):
     rule: raises ``error(message, "rank_deficient")`` unless the design has
     at least as many rows as columns and the smallest singular value
     ``lstsq`` returns is at least 1e-10 of the largest.
+
+    The design matrix is memoised (``_design``), keyed by the dtype, shape
+    and exact bytes of ``t`` plus ``rates``, for the last ``_MEMO_SIZE``
+    designs of at most ``_MEMO_ROWS`` rows, and kept read-only; ``lstsq``,
+    the rank rule and the residual run for every call.
     """
-    t = np.asarray(t)
-    design = np.column_stack(
-        [np.ones_like(t)] + [f(r * t) for r in rates for f in (np.cos, np.sin)]
-    )
+    design = _memo(_design, len(t))(_bits(t), tuple(rates))
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
     if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
         raise error("harmonic design matrix is rank deficient", "rank_deficient")
@@ -440,8 +517,9 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     Expects two scans taken with the sample removed and the crossed
     quarter-wave analyzer pair, one ramping only the signal arm and one only
     the idler differential phase, each fitted by ``_fit_ramp`` at harmonic 1
-    and 1/2 (a record rule or dc <= 0 refusal raises ``CalibrationError``,
-    without a flag).  The empty-interferometer signal is
+    and 1/2 (a record rule or dc <= 0 refusal raises ``CalibrationError``
+    with the flag the rotated route raises, a fringe below 5x its noise
+    floor ``fringe_below_noise_floor``).  The empty-interferometer signal is
     ``2V[1 + cos((diff_offset + d)/2) cos(signal_offset + s)]`` where ``s``
     and ``d`` are the commanded ramps, so each scan exposes one offset as a
     fringe phase and the other through its amplitude.
@@ -451,10 +529,9 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     nonnegative half-angle cosine is returned, which places the differential
     offset in [-pi, pi] and the signal offset in (-pi, pi].
     """
-    def refuse(message, flag):  # a CalibrationError carries no flag
-        return CalibrationError(message)
-    dc1, z1, resid1 = _fit_ramp(signal_scan, "phi0", 1.0, refuse, "first scan")
-    dc2, z2, resid2 = _fit_ramp(idler_scan, "delta_phase", 0.5, refuse, "second scan")
+    dc1, z1, resid1 = _fit_ramp(signal_scan, "phi0", 1.0, CalibrationError, "first scan")
+    dc2, z2, resid2 = _fit_ramp(idler_scan, "delta_phase", 0.5, CalibrationError,
+                                "second scan")
     flux = 0.5 * (dc1 + dc2)
 
     for amp, resid, n, label in (
@@ -465,7 +542,8 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
         if amp < 5.0 * floor:
             raise CalibrationError(
                 f"{label} scan fringe amplitude {amp:.3g} is below 5x the noise "
-                f"floor {floor:.3g}; offsets are uncalibratable"
+                f"floor {floor:.3g}; offsets are uncalibratable",
+                "fringe_below_noise_floor",
             )
 
     # Z1 = flux*cos(diff/2)*exp(i*signal), Z2 = flux*cos(signal)*exp(i*diff/2).

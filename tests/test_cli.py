@@ -256,6 +256,27 @@ class TestCalibrateAndEstimate:
         assert est["phibar"] == pytest.approx(0.4, abs=1e-9)
         assert est["dphi"] == pytest.approx(0.9, abs=1e-9)
 
+    def test_fourier_estimate_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma on its first call, about 24 ms of a
+        # fresh process; the estimate takes its median without it
+        scans = self.make_scans(tmp_path)
+        calib = tmp_path / "calib.json"
+        assert run("calibrate", "--signal-scan", scans["sig"],
+                   "--idler-scan", scans["idl"], "--out", calib) == 0
+        data = tmp_path / "main.csv"
+        assert run("simulate", "--config", write_config(tmp_path, base_config()),
+                   "--out", data) == 0
+        code = ("import sys; from nli_polarimetry.cli import main; "
+                "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
+        src = Path(nli_polarimetry.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "estimate", "--pipeline", "fourier", "--data",
+             str(data), "--calibration", str(calib), "--out", str(tmp_path / "est.json")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+
     def test_fourier_requires_calibration(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         data = tmp_path / "main.csv"
@@ -725,6 +746,27 @@ class TestFigures:
         write_csv(new, header, columns)
         reference_grid_csv(ref, header, columns)
         assert new.read_bytes() == ref.read_bytes()
+
+
+class TestMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=1, max_size=40))
+    def test_matches_numpy_median_bitwise(self, values):
+        values = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # both overflow alike
+            assert cli._median(values).hex() == float(np.median(values)).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 29, 30, 399, 400])
+    def test_matches_numpy_median_on_random_arrays(self, n):
+        # phase steps of a noisy ramp, and draws with both signed zeros,
+        # whose middle -0.0 np.median returns as +0.0
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            for values in (rng.normal(0.1, rng.uniform(0.0, 1e-6), n),
+                           rng.choice([-0.0, 0.0, -1.0, 1.0], n)):
+                assert cli._median(values).hex() == float(np.median(values)).hex()
 
 
 class TestModuleEntryPoint:

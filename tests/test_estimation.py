@@ -39,7 +39,7 @@ from nli_polarimetry import (
     quarter_wave,
     simulate_scan,
 )
-from nli_polarimetry import estimation
+from nli_polarimetry import estimation, scan
 from nli_polarimetry.angles import wrap_axis, wrap_pi
 from nli_polarimetry.estimation import ROTATED_ASSUMPTIONS, _recover_rotated_params
 from nli_polarimetry.scan import _fit_ramp
@@ -604,6 +604,152 @@ class TestRecordRule:
         with pytest.raises(EstimationError) as err:
             estimate(record)
         assert err.value.flag == "undersampled"
+
+    @pytest.mark.parametrize("case", ["mixed_scan", "nonuniform_scan", "undersampled",
+                                      "series_too_short", "bad_amplitude"])
+    def test_calibration_raises_the_rotated_routes_flag(self, case):
+        # the same bad record as calibration's first scan and as setting 1
+        if case == "bad_amplitude":
+            pair = [dataclasses.replace(s, counts=-s.counts) for s in malformed_settings("ok")]
+        else:
+            pair = malformed_settings(case)
+        with pytest.raises(EstimationError) as rotated:
+            estimate_rotated(*pair)
+        with pytest.raises(CalibrationError) as calibration:
+            calibrate(*pair)
+        assert calibration.value.flag == rotated.value.flag == case
+
+
+def round_trip_records(regime, v, seed=11, xi_bar=0.23, delta_xi=-0.61):
+    """The five Poisson records of a calibrate -> Fourier -> rotated ->
+    ellipse round trip at gain ``v``, about 1e4 counts per step: the two
+    calibration scans (400 steps), the dual-rate scan (four beat periods of
+    100 steps) and the two analyzer settings of the rotated sample (72 steps)."""
+    def record(cfg, sched, k):
+        noise = NoiseModel(5.0e3 / v, seed=seed + k, mode="poisson")
+        return simulate_scan(cfg, sched, noise, regime=regime)
+    empty = qwp_pair_config(1.0, 1.0, v=v)
+    loaded = qwp_pair_config(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j), v=v)
+    sched = fourier_protocol_schedule(4, 100, xi_bar, delta_xi)
+    setting_sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
+    return (
+        record(empty, ScanSchedule(xi_bar, delta_xi, 2.0 * math.pi / 100, 0.0, 400), 0),
+        record(empty, ScanSchedule(xi_bar, delta_xi, 0.0, 4.0 * math.pi / 160, 400), 1),
+        (record(loaded, sched, 2), sched),
+        *(record(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting, v=v), setting_sched, 2 + setting)
+          for setting in (1, 2)),
+    )
+
+
+def hex_fields(result):
+    """``float.hex`` of every float of a ``Calibration`` or ``SampleEstimate``."""
+    def walk(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, dict):
+            return {key: walk(item) for key, item in value.items()}
+        return value
+    return walk(dataclasses.asdict(result))
+
+
+def clear_memos():
+    scan._phase_verdict.cache_clear()
+    scan._design.cache_clear()
+
+
+ROUND_TRIPS = [("lowgain", 0.5)] + [("exact", v) for v in (0.01, 0.1, 0.5, 1.0, 2.0)]
+
+
+class TestPhaseLayoutMemo:
+    """The record rule's verdict and the harmonic design are memoised by the
+    exact bits of a record's phase columns; a hit changes no result."""
+
+    @pytest.mark.parametrize("regime, v", ROUND_TRIPS, ids=[f"{r}-{v}" for r, v in ROUND_TRIPS])
+    def test_cold_and_warm_memos_give_the_same_bits(self, regime, v):
+        sig, idl, (series, sched), s1, s2 = round_trip_records(regime, v)
+        stages = {
+            "calibration": lambda: calibrate(sig, idl),
+            "fourier": lambda: fourier_route(series, sched),
+            "rotated": lambda: estimate_rotated(s1, s2),
+            "ellipse": lambda: estimate_ellipse(s1, s2),
+        }
+        cold = {}
+        for name, stage in stages.items():
+            clear_memos()
+            cold[name] = hex_fields(stage())
+        for stage in stages.values():
+            stage()
+        verdicts, designs = scan._phase_verdict.cache_info(), scan._design.cache_info()
+        warm = {name: hex_fields(stage()) for name, stage in stages.items()}
+        assert warm == cold
+        # every rule and design lookup of the warm pass hit: 6 rule checks
+        # (the ellipse route checks one record), 5 designs
+        assert scan._phase_verdict.cache_info().hits - verdicts.hits == 6
+        assert scan._design.cache_info().hits - designs.hits == 5
+
+    def test_lstsq_runs_for_every_record(self, monkeypatch):
+        sig, idl, (series, sched), s1, s2 = round_trip_records("lowgain", 0.5)
+        calibrate(sig, idl)
+        fourier_route(series, sched)
+        estimate_rotated(s1, s2)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        calibrate(sig, idl)
+        fourier_route(series, sched)
+        estimate_rotated(s1, s2)
+        assert len(calls) == 5
+
+    def test_perturbed_delta_phase_is_still_mixed(self):
+        s1, s2 = malformed_settings("ok")
+        estimate_rotated(s1, s2)
+        delta_phase = s1.delta_phase.copy()
+        delta_phase[40] += 1e-9
+        mixed = dataclasses.replace(s1, delta_phase=delta_phase)
+        np.testing.assert_array_equal(mixed.phi0, s1.phi0)
+        with pytest.raises(EstimationError) as err:
+            estimate_rotated(mixed, s2)
+        assert err.value.flag == "mixed_scan"
+
+    def test_column_edited_in_place_is_seen(self):
+        s1, s2 = malformed_settings("ok")
+        before = estimate_rotated(s1, s2)
+        s1.phi0[40] += 1e-3
+        with pytest.raises(EstimationError) as err:
+            estimate_rotated(s1, s2)
+        assert err.value.flag == "nonuniform_scan"
+        # the same ramp shifted by a constant passes again, on a new design
+        s1.phi0[40] -= 1e-3
+        s1.phi0 += 0.5
+        shifted = estimate_rotated(s1, s2)
+        assert shifted.psi != before.psi
+        clear_memos()
+        assert hex_fields(estimate_rotated(s1, s2)) == hex_fields(shifted)
+
+    def test_records_longer_than_the_row_bound_are_not_kept(self):
+        sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=scan._MEMO_ROWS + 1)
+        s1, s2 = (simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting), sched,
+                                poisson(setting), regime="lowgain") for setting in (1, 2))
+        clear_memos()
+        first = estimate_rotated(s1, s2)
+        assert scan._phase_verdict.cache_info().currsize == 0
+        assert scan._design.cache_info().currsize == 0
+        assert hex_fields(estimate_rotated(s1, s2)) == hex_fields(first)
+        mixed = dataclasses.replace(s1, delta_phase=s1.delta_phase + 1e-9 * s1.step)
+        with pytest.raises(EstimationError) as err:
+            estimate_rotated(mixed, s2)
+        assert err.value.flag == "mixed_scan"
+
+    def test_memos_stay_within_their_bound(self):
+        for n in range(72, 72 + scan._MEMO_SIZE + 5):
+            sched = ScanSchedule(signal_rate=2.0 * math.pi / n, n_samples=n)
+            record = simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1), sched,
+                                   NoiseModel(KAPPA), regime="lowgain")
+            estimate_rotated(record, record)
+            for memo in (scan._phase_verdict, scan._design):
+                assert memo.cache_info().currsize <= scan._MEMO_SIZE
+        for memo in (scan._phase_verdict, scan._design):
+            assert memo.cache_info().currsize == scan._MEMO_SIZE
 
 
 class TestHugeCounts:
