@@ -8,6 +8,7 @@ or open signal arm, and for arbitrary sample rotation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,12 @@ class InterferometerConfig:
         if not math.isfinite(self.rotation):
             raise ValueError("rotation must be finite")
 
+    def __getstate__(self):
+        # a copy or an unpickled configuration composes its own phase-free
+        # paths (``_phase_free_terms``), so its kept arrays are its own and
+        # read-only
+        return {k: v for k, v in self.__dict__.items() if k != "_phase_free"}
+
     @property
     def has_equal_gains(self) -> bool:
         g1 = self.crystal1.mean_photons
@@ -69,14 +76,22 @@ class InterferometerConfig:
         return rotated_waveplate_coeffs(self.waveplate1, self.waveplate2, self.rotation)
 
 
-def _detected_terms(
-    cfg: InterferometerConfig,
-    signal_phase: float | np.ndarray,
-    diff_phase: float | np.ndarray,
-) -> list[tuple[complex | np.ndarray, np.ndarray]]:
-    """The last combination of ``detected_mode`` as (coefficient, stacked
-    amplitude array) terms.  The phase-free paths are composed unbatched, as
-    raw arrays; only the coefficients carry the scan phases."""
+def _phase_free_terms(cfg: InterferometerConfig) -> tuple:
+    """``detected_mode``'s last combination with the scan phases left out:
+    (coefficient, stacked amplitude array) pairs of the vacua (coefficient
+    1), the signal path and the two sample-axis paths, each coefficient the
+    phase-free factor that a scan phase multiplies.
+
+    Composed once per configuration object and kept on it, read-only, when
+    every value is finite; a composition that overflowed is recomposed on
+    each call, so it raises or warns as the first call did.  The memo is per
+    instance, not keyed by value: equal configurations can differ in a
+    zero's sign, which moves a phase by 2*pi (``cmath.phase(-1-0j)`` is -pi,
+    ``cmath.phase(-1+0j)`` is +pi).
+    """
+    kept = cfg.__dict__.get("_phase_free")
+    if kept is not None:
+        return kept
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v
     tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
@@ -100,18 +115,33 @@ def _detected_terms(
         (v2 * np.conj(tau2 * sample.r_perp), perp_dag),
         (v2 * np.conj(rho2 * sample.r_par), par_dag),
     ])
+    terms = ((1.0, vacua),
+             (u2 * complex(cfg.signal.transmission), gen_sig),
+             (v2 * np.conj(tau2 * sample.t_perp), comp_perp_dag),
+             (v2 * np.conj(rho2 * sample.t_par), comp_par_dag))
+    # an overflow leaves an inf or a NaN in what it fed, so a finite
+    # composition raised no overflow under any np.errstate
+    if all(cmath.isfinite(c) and np.isfinite(a).all() for c, a in terms):
+        for _, a in terms:
+            a.flags.writeable = False
+        object.__setattr__(cfg, "_phase_free", terms)
+    return terms
 
-    # second crystal: only these coefficients carry the scan phases, and the
-    # unbatched vacua go first, so one fewer sum runs at the batch shape.
+
+def _detected_terms(
+    cfg: InterferometerConfig,
+    signal_phase: float | np.ndarray,
+    diff_phase: float | np.ndarray,
+) -> list[tuple[complex | np.ndarray, np.ndarray]]:
+    """The last combination of ``detected_mode`` as (coefficient, stacked
+    amplitude array) terms: ``_phase_free_terms`` with the scan phases on
+    their coefficients."""
+    # the unbatched vacua go first, so one fewer sum runs at the batch shape.
     # np.multiply rounds a scalar phase as an array element, so scalar and
     # array phases give the same bits (complex * numpy scalar would not)
     half_diff = np.exp(0.5j * np.asarray(diff_phase))
-    signal_coeff = np.multiply(u2 * complex(cfg.signal.transmission),
-                               np.exp(1j * np.asarray(signal_phase)))
-    perp_coeff = np.multiply(v2 * np.conj(tau2 * sample.t_perp), np.conj(half_diff))
-    par_coeff = np.multiply(v2 * np.conj(rho2 * sample.t_par), half_diff)
-    return [(1.0, vacua), (signal_coeff, gen_sig),
-            (perp_coeff, comp_perp_dag), (par_coeff, comp_par_dag)]
+    phases = (1.0, np.exp(1j * np.asarray(signal_phase)), np.conj(half_diff), half_diff)
+    return [(np.multiply(c, phase), a) for (c, a), phase in zip(_phase_free_terms(cfg), phases)]
 
 
 def detected_mode(
@@ -127,9 +157,10 @@ def detected_mode(
     ``t_par`` times ``exp(-i diff_phase/2)``, leaving the mean idler phase
     unchanged.  Array phases broadcast against each other and give an
     expansion whose batch axes follow them, so a whole scan is composed in
-    one pass.  The phase-free paths are composed once, unbatched, as raw
-    amplitude arrays; the scan phases enter only the coefficients of the last
-    combination, and only its result becomes an ``OperatorExpansion``.
+    one pass.  The phase-free paths are composed once per configuration
+    object, unbatched, as raw amplitude arrays, and kept on it; the scan
+    phases enter only the coefficients of the last combination, and only its
+    result becomes an ``OperatorExpansion``.
     """
     # one finiteness check, on the result, is enough: c*inf, 0*inf and
     # inf-inf are all non-finite, so a non-finite intermediate reaches it

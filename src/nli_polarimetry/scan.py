@@ -36,6 +36,9 @@ __all__ = [
 CSV_COLUMNS = ("step", "phi0", "delta_phase", "expected_N", "counts")
 # the forward models ``simulate_scan`` can run
 REGIMES = ("exact", "lowgain")
+# rows ``write_csv`` formats per write call: it holds one block's text, not
+# the file's
+_CSV_BLOCK = 4096
 # distinct phase layouts kept by each memo of the record rule and the fits
 # (every record on one schedule shares one entry), and the most rows a kept
 # layout has: a verdict holds 16 bytes per row and a design at most 56, so
@@ -133,8 +136,9 @@ class TimeSeries:
 
     ``phi0`` and ``delta_phase`` hold the commanded ramps (offsets excluded);
     ``expected_n`` is the model photon number and ``counts`` the detector
-    record in count units.  A NaN or infinite value raises ``ValueError``
-    naming its column and row, as ``read_csv`` does.
+    record in count units.  A NaN or infinite value, a step that does not
+    exceed the one before it, or a negative ``expected_n`` raises
+    ``ValueError`` naming the value and its data row, as ``read_csv`` does.
     """
 
     step: np.ndarray
@@ -154,10 +158,17 @@ class TimeSeries:
                 row = int(np.argmin(finite))
                 raise ValueError(f"non-finite value '{column[row]}' in column "
                                  f"'{name}' of data row {row + 1}")
-        if np.any(np.diff(self.step) <= 0):
-            raise ValueError("step index must be strictly increasing")
-        if np.any(np.asarray(self.expected_n) < 0):
-            raise ValueError("expected_n must be nonnegative")
+        stalled = np.flatnonzero(np.diff(self.step) <= 0)
+        if stalled.size:
+            row = int(stalled[0]) + 1
+            raise ValueError(f"step index must be strictly increasing: step "
+                             f"'{self.step[row]}' of data row {row + 1} follows "
+                             f"step '{self.step[row - 1]}'")
+        negative = np.flatnonzero(np.asarray(self.expected_n) < 0)
+        if negative.size:
+            row = int(negative[0])
+            raise ValueError(f"expected_n must be nonnegative: value "
+                             f"'{self.expected_n[row]}' in data row {row + 1}")
 
     def __len__(self) -> int:
         return len(self.step)
@@ -211,19 +222,26 @@ def _check_steps(step) -> None:
 
 
 def write_csv(path: str | Path, header, columns, n_int: int = 0) -> None:
-    """Write equal-length columns as CSV with one ``write`` call.
+    """Write equal-length columns as CSV, ``_CSV_BLOCK`` rows per ``write`` call.
 
     The header row and every data row end in ``\\r\\n``.  The first ``n_int``
     columns are written as integers; every other cell is ``repr`` of the
     value cast to a Python float, the shortest string that reads back to the
-    same double.
+    same double.  Only one block's text is held at a time.  A non-finite
+    value in an integer column raises after the blocks before its own are
+    written.
     """
-    # per-column formatters (%d writes a float step as "3"), consumed row by row
-    cells = [map("%d".__mod__, np.asarray(c).tolist()) for c in columns[:n_int]]
-    cells += [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns[n_int:]]
-    lines = [",".join(header), *map(",".join, zip(*cells)), ""]
+    columns = ([np.asarray(c) for c in columns[:n_int]]
+               + [np.asarray(c, dtype=float) for c in columns[n_int:]])
+    n_rows = min(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _CSV_BLOCK):
+            block = [c[start:start + _CSV_BLOCK].tolist() for c in columns]
+            # per-column formatters (%d writes a float step as "3"), consumed row by row
+            cells = [map("%d".__mod__, c) for c in block[:n_int]]
+            cells += [map(repr, c) for c in block[n_int:]]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def read_csv(path: str | Path, header) -> np.ndarray:

@@ -130,8 +130,8 @@ def _drop_last_field(row: str) -> str:
 
 # Corruptions of a series CSV given as its lines (header first), each with the
 # message ``TimeSeries.from_csv`` must raise (a regular expression searched
-# for in it).  The two step cases keep the steps strictly increasing, so only
-# the file-boundary step check can catch them.
+# for in it).  The fractional and negative step cases keep the steps strictly
+# increasing, so only the file-boundary step check can catch them.
 MALFORMED_SERIES = {
     "four_columns": (
         lambda lines: lines[:1] + [_drop_last_field(r) for r in lines[1:]],
@@ -158,4 +158,13 @@ MALFORMED_SERIES = {
         r"step 1e\+19 of data row \d+ is not an integer in \[0, 2\*\*63\)",
     ),
     "header_only": (lambda lines: lines[:1], "empty time series"),
+    "repeated_step": (
+        lambda lines: lines[:4] + [_with_field(lines[4], 0, "2")] + lines[5:],
+        "step index must be strictly increasing: step '2' of data row 4 follows "
+        "step '2'$",
+    ),
+    "negative_expected_n": (
+        lambda lines: lines[:5] + [_with_field(lines[5], 3, "-0.5")] + lines[6:],
+        "expected_n must be nonnegative: value '-0.5' in data row 5$",
+    ),
 }

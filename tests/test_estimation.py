@@ -620,24 +620,31 @@ class TestRecordRule:
         assert calibration.value.flag == rotated.value.flag == case
 
 
-def round_trip_records(regime, v, seed=11, xi_bar=0.23, delta_xi=-0.61):
+def round_trip_configs(v):
+    """The four configurations of ``round_trip_records`` at gain ``v``: the
+    empty and loaded crossed pair, and the rotated sample's two settings."""
+    return (qwp_pair_config(1.0, 1.0, v=v),
+            qwp_pair_config(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j), v=v),
+            *(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting, v=v) for setting in (1, 2)))
+
+
+def round_trip_records(regime, v, seed=11, xi_bar=0.23, delta_xi=-0.61, configs=None):
     """The five Poisson records of a calibrate -> Fourier -> rotated ->
     ellipse round trip at gain ``v``, about 1e4 counts per step: the two
     calibration scans (400 steps), the dual-rate scan (four beat periods of
-    100 steps) and the two analyzer settings of the rotated sample (72 steps)."""
+    100 steps) and the two analyzer settings of the rotated sample (72 steps),
+    simulated on ``configs`` (new ``round_trip_configs`` by default)."""
     def record(cfg, sched, k):
         noise = NoiseModel(5.0e3 / v, seed=seed + k, mode="poisson")
         return simulate_scan(cfg, sched, noise, regime=regime)
-    empty = qwp_pair_config(1.0, 1.0, v=v)
-    loaded = qwp_pair_config(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j), v=v)
+    empty, loaded, *settings = configs or round_trip_configs(v)
     sched = fourier_protocol_schedule(4, 100, xi_bar, delta_xi)
     setting_sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
     return (
         record(empty, ScanSchedule(xi_bar, delta_xi, 2.0 * math.pi / 100, 0.0, 400), 0),
         record(empty, ScanSchedule(xi_bar, delta_xi, 0.0, 4.0 * math.pi / 160, 400), 1),
         (record(loaded, sched, 2), sched),
-        *(record(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting, v=v), setting_sched, 2 + setting)
-          for setting in (1, 2)),
+        *(record(cfg, setting_sched, 3 + k) for k, cfg in enumerate(settings)),
     )
 
 
@@ -657,7 +664,9 @@ def clear_memos():
     scan._design.cache_clear()
 
 
-ROUND_TRIPS = [("lowgain", 0.5)] + [("exact", v) for v in (0.01, 0.1, 0.5, 1.0, 2.0)]
+# the gains of the exact benchmark workload
+GAIN_SWEEP = (0.01, 0.1, 0.5, 1.0, 2.0)
+ROUND_TRIPS = [("lowgain", 0.5)] + [("exact", v) for v in GAIN_SWEEP]
 
 
 class TestPhaseLayoutMemo:
@@ -750,6 +759,29 @@ class TestPhaseLayoutMemo:
                 assert memo.cache_info().currsize <= scan._MEMO_SIZE
         for memo in (scan._phase_verdict, scan._design):
             assert memo.cache_info().currsize == scan._MEMO_SIZE
+
+
+class TestConfigurationMemo:
+    @pytest.mark.parametrize("v", GAIN_SWEEP)
+    def test_reused_configurations_give_fresh_bits(self, v):
+        # exact round trips on configurations that kept their phase-free
+        # paths and on fresh ones: every record and every estimate keeps its bits
+        configs = round_trip_configs(v)
+        round_trip_records("exact", v, seed=3, configs=configs)
+        assert all("_phase_free" in cfg.__dict__ for cfg in configs)
+        results = []
+        for records in (round_trip_records("exact", v, configs=configs),
+                        round_trip_records("exact", v)):
+            sig, idl, (series, sched), s1, s2 = records
+            results.append((
+                [r.expected_n.tobytes() + r.counts.tobytes() for r in (sig, idl, series, s1, s2)],
+                hex_fields(calibrate(sig, idl)),
+                hex_fields(fourier_route(series, sched)),
+                hex_fields(estimate_rotated(s1, s2)),
+                hex_fields(estimate_ellipse(s1, s2)),
+            ))
+        warm, cold = results
+        assert warm == cold
 
 
 class TestHugeCounts:

@@ -1,6 +1,8 @@
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -27,6 +29,8 @@ from nli_polarimetry import (
     three_path_decomposition,
     waveplate,
 )
+from nli_polarimetry import interferometer
+from nli_polarimetry.interferometer import _phase_free_terms
 from nli_polarimetry.mode_algebra import (
     adjoint,
     commutator_defect,
@@ -464,3 +468,130 @@ class TestBatchedComposer:
     def test_nonfinite_phase_rejected(self, rng):
         with pytest.raises(ValueError):
             detected_mode(random_config(rng), np.array([0.0, np.nan]), 0.0)
+
+
+def kept_bits(terms):
+    """The bytes of ``_phase_free_terms``' coefficients and arrays."""
+    return [np.asarray(c).tobytes() + a.tobytes() for c, a in terms]
+
+
+def crossed_pair_config(v):
+    """Crossed quarter-wave pair, sample removed, at gain ``v``."""
+    return InterferometerConfig(
+        crystal1=CrystalGain(v),
+        crystal2=CrystalGain(v),
+        signal=SignalControl(1.0),
+        waveplate1=quarter_wave(math.pi / 4),
+        waveplate2=quarter_wave(3 * math.pi / 4),
+        sample=SampleAxes(1.0 + 0.0j, 1.0 + 0.0j),
+    )
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` did: its result's bits or its exception's type
+    and message, and every warning it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(*args)
+            done = ("bits", np.asarray(getattr(result, "_amps", result)).tobytes())
+        except Exception as exc:
+            done = (type(exc), str(exc))
+    return done, [(w.category, str(w.message)) for w in caught]
+
+
+class TestPhaseFreeMemo:
+    """Each configuration object composes its phase-free paths once and
+    keeps them; a reused configuration gives the bits of a fresh one."""
+
+    def test_reused_configuration_gives_fresh_bits(self, rng):
+        composer = TestBatchedComposer()
+        for cfg in composer.configs(rng, 200):
+            sp, dp = composer.phase_grid(rng)
+            detected_mode(cfg, 1.0, 2.0)
+            assert "_phase_free" in cfg.__dict__
+            for phases in ((), (float(sp[0, 0]), float(dp[0, 0])), (sp[:, 0], dp[0]), (sp, dp)):
+                # dataclasses.replace builds an equal configuration that composes afresh
+                for call in (detected_mode, photon_number_exact):
+                    assert outcome(call, cfg, *phases) == outcome(
+                        call, dataclasses.replace(cfg), *phases)
+
+    def test_reused_configuration_composes_nothing(self, rng, monkeypatch):
+        calls = []
+        weighted_sum = interferometer._weighted_sum
+        monkeypatch.setattr(interferometer, "_weighted_sum",
+                            lambda terms: calls.append(1) or weighted_sum(terms))
+        cfg = random_config(rng)
+        photon_number_exact(cfg, np.linspace(0.0, 1.0, 5), 0.3)
+        assert len(calls) == 6  # five paths, then the last combination
+        calls.clear()
+        photon_number_exact(cfg, np.linspace(0.0, 1.0, 5), 0.3)
+        detected_mode(cfg, 0.2, 0.1)
+        assert len(calls) == 2
+
+    def test_copies_and_signed_zero_rotations_compose_their_own(self):
+        # equal configurations whose phase-free paths differ in a zero's
+        # sign: at rotation -0.0 the perpendicular coefficient is
+        # -0.636+0j, at 0.0 it is -0.636-0j, whose phases are +pi and -pi
+        plate1 = WaveplateCoeffs(1.0 + 0.0j, 0.0j)
+        plate2 = WaveplateCoeffs(complex(-1.0, -0.0), complex(-0.0, -0.0))
+        pos = InterferometerConfig(CrystalGain(0.5), CrystalGain(0.5), SignalControl(1.0),
+                                   plate1, plate2, SampleAxes(0.9 + 0.0j, 0.2 + 0.0j), 0.0)
+        neg = dataclasses.replace(pos, rotation=-0.0)
+        assert pos == neg and hash(pos) == hash(neg)
+        (perp_pos, _), (perp_neg, _) = (_phase_free_terms(c)[2] for c in (pos, neg))
+        assert cmath.phase(perp_pos) == -math.pi and cmath.phase(perp_neg) == math.pi
+        for cfg in (pos, neg):
+            detected_mode(cfg)
+            again = dataclasses.replace(cfg)
+            assert "_phase_free" not in again.__dict__
+            assert kept_bits(_phase_free_terms(cfg)) == kept_bits(_phase_free_terms(again))
+            assert cfg._phase_free[0][1] is not again._phase_free[0][1]
+
+    @pytest.mark.parametrize("errors", ["default", "ignore"])
+    @pytest.mark.parametrize("first", [detected_mode, photon_number_exact],
+                             ids=["detected_mode_first", "photon_number_first"])
+    @pytest.mark.parametrize("v", [1e200, 1.7e308])
+    def test_overflow_repeats_as_on_a_fresh_configuration(self, v, first, errors):
+        second = photon_number_exact if first is detected_mode else detected_mode
+        with np.errstate(**({"all": "ignore"} if errors == "ignore" else {})):
+            fresh = [outcome(call, crossed_pair_config(v)) for call in (first, second)]
+            cfg = crossed_pair_config(v)
+            reused = [outcome(call, cfg) for call in (first, second, first, second)]
+        assert reused == fresh + fresh
+        # the photon number overflows at both gains; the amplitudes only at
+        # 1.7e308, where numpy's overflow warning shows unless ignored
+        for call, (done, caught) in zip((first, second), fresh):
+            if call is photon_number_exact:
+                assert done == (OverflowError, "detected photon number overflows at this gain")
+            elif v == 1e200:
+                assert done[0] == "bits"
+            else:
+                assert done == (ValueError, "amplitudes must be finite")
+            warns = call is detected_mode and v == 1.7e308 and errors == "default"
+            assert caught == ([(RuntimeWarning, "overflow encountered in add")] if warns else [])
+
+    def test_nonfinite_composition_is_not_kept(self):
+        # validated elements keep every phase-free amplitude below 3e154; an
+        # infinite gain forced past validation composes non-finite paths,
+        # which refuse on every call and are never kept
+        cfg = crossed_pair_config(0.5)
+        object.__setattr__(cfg.crystal1, "mean_photons", math.inf)
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                    detected_mode(cfg)
+                assert "_phase_free" not in cfg.__dict__
+
+    def test_kept_arrays_are_read_only(self, rng):
+        cfg = random_config(rng)
+        photon_number_exact(cfg)
+        for _, array in cfg._phase_free:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        # a copy or an unpickled configuration keeps no memo of its source's
+        for other in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert other == cfg and "_phase_free" not in other.__dict__
+            assert kept_bits(_phase_free_terms(other)) == kept_bits(cfg._phase_free)
+            assert not other._phase_free[0][1].flags.writeable

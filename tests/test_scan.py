@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from nli_polarimetry import (
     quarter_wave,
     simulate_scan,
 )
+from nli_polarimetry import scan
 from nli_polarimetry.scan import CSV_COLUMNS, _fit_harmonics, read_csv, write_csv
 
 KAPPA = 1.0e4
@@ -333,6 +335,25 @@ class TestTimeSeries:
             TimeSeries(**fields)
 
 
+    @pytest.mark.parametrize("steps, shown", [
+        ([0, 1, 2, 2, 3, 4], "step '2' of data row 4 follows step '2'"),
+        ([0.0, 1.0, 2.0, 1.5, 3.0, 4.0], "step '1.5' of data row 4 follows step '2.0'"),
+        ([5, 1, 2, 3, 4, 6], "step '1' of data row 2 follows step '5'"),
+    ])
+    def test_rejects_non_increasing_step(self, steps, shown):
+        ones = np.ones(6)
+        with pytest.raises(ValueError, match=f"^step index must be strictly increasing: "
+                                             f"{re.escape(shown)}$"):
+            TimeSeries(np.array(steps), ones, ones, ones, ones)
+
+    def test_rejects_negative_expected_n(self):
+        ones = np.ones(6)
+        expected = np.array([0.0, 1.0, 0.0, -2.5e-17, -3.0, 1.0])
+        with pytest.raises(ValueError, match="^expected_n must be nonnegative: value "
+                                             "'-2.5e-17' in data row 4$"):
+            TimeSeries(np.arange(6), ones, ones, expected, ones)
+
+
 class TestTimeSeriesCsv:
     def test_round_trip_lossless(self, tmp_path):
         series = signal_arm_scan(0.31, 0.77, n=64)
@@ -453,6 +474,42 @@ class TestTimeSeriesCsv:
             data.draw(value_column(n)),
         ]
         assert_writer_matches_reference(tmp_path, columns)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @csv_file_settings
+    @given(data=st.data())
+    def test_writer_blocks_match_reference(self, tmp_path, monkeypatch, block, data):
+        # empty files, whole blocks and remainders write the reference's bytes
+        monkeypatch.setattr(scan, "_CSV_BLOCK", block)
+        n = data.draw(st.integers(0, 4 * block + 2))
+        columns = [
+            data.draw(step_column(n)),
+            data.draw(value_column(n)),
+            data.draw(value_column(n)),
+            np.abs(data.draw(value_column(n))),
+            data.draw(value_column(n)),
+        ]
+        assert_writer_matches_reference(tmp_path, columns)
+
+    def test_writer_holds_one_block(self, tmp_path):
+        # the 40 000-row record of the CLI benchmark: the whole file's text
+        # peaked at about 15 MB, a 4096-row block at about 1.5 MB
+        sched = fourier_protocol_schedule(400, 100, 0.23, -0.61)
+        series = simulate_scan(calibration_config(), sched,
+                               NoiseModel(KAPPA, seed=5, mode="poisson"), regime="lowgain")
+        path = tmp_path / "scan.csv"
+        tracemalloc.start()
+        try:
+            series.to_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert path.stat().st_size > 1.5e6
+        ref = tmp_path / "ref.csv"
+        reference_to_csv([series.step, series.phi0, series.delta_phase, series.expected_n,
+                          series.counts], ref)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_writer_edge_values_match_reference(self, tmp_path):
         n = len(EDGE_FLOATS)

@@ -11,7 +11,9 @@
 # every branch of the exact composer (unequal gains with a pump phase, the
 # rotated sample of the first analyzer setting, a blocked signal arm), an
 # exact `simulate` whose photon number overflows (V = 1e200, expected to
-# exit 3), `calibrate`, and `estimate` for the fourier pipeline and for
+# exit 3), a 10 000-row low-gain `simulate` (the CSV writer's 4096-row
+# blocks, two whole and a remainder, with the integer step column),
+# `calibrate`, and `estimate` for the fourier pipeline and for
 # every assumption of the rotated and ellipse pipelines (the general mode
 # with --phibar).  Five refusals pin their stderr and exit code 3 too:
 # `calibrate` with the two scans swapped, the fourier pipeline on a scan
@@ -48,9 +50,9 @@ mkdir "$work/base" "$work/configs"
 git -C "$root" archive "$base_sha" | tar -x -C "$work/base"
 
 # The configs: the README's example sample (V = 0.5, crossed quarter-wave
-# pair) scanned at equal rates, the same in the exact regime at V = 1e200,
-# at unequal gains with a pump phase and with the signal arm blocked, two
-# sample-removed calibration scans, and the two analyzer settings of a
+# pair) scanned at equal rates, the same over 10 000 steps, the same in the
+# exact regime at V = 1e200, at unequal gains with a pump phase and with the
+# signal arm blocked, two sample-removed calibration scans, and the two analyzer settings of a
 # sample rotated by psi = 1.8 (the first also in the exact regime, both also
 # at 4 points per period).
 "$python" - "$work/configs" <<'EOF'
@@ -84,6 +86,7 @@ def config(name, interferometer=None, schedule=None, noise=None, regime="lowgain
 
 
 config("lowgain")
+config("lowgain_long", schedule={"n_samples": 10_000}, noise={"seed": 15})
 config("exact", regime="exact")
 config("exact_overflow", {"gain1": {"V": 1e200}, "gain2": {"V": 1e200}}, regime="exact")
 config("exact_unequal", {"gain1": {"V": 0.3, "pump_phase": 0.7}, "gain2": {"V": 1.2}},
@@ -124,7 +127,7 @@ run_all() {
     for id in fig3a fig3b fig4a fig4b fig5b fig6; do
         nlipol "figures_$id" figures --id "$id" --out-dir figures
     done
-    for name in lowgain exact exact_unequal exact_rotated exact_blocked exact_overflow \
+    for name in lowgain lowgain_long exact exact_unequal exact_rotated exact_blocked exact_overflow \
             cal_signal cal_idler setting1 setting2 coarse1 coarse2; do
         nlipol "simulate_$name" simulate --config "$cfg/$name.json" --out "$name.csv"
     done
