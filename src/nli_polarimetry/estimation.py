@@ -457,9 +457,11 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
     cos_rel = -b / (2.0 * math.sqrt(a * c))
     cos_rel = float(np.clip(cos_rel, -1.0, 1.0))
     sin_rel_mag = math.sqrt(max(0.0, 1.0 - cos_rel * cos_rel))
-    # traversal direction from the polygon's signed area
+    # traversal direction from the polygon's signed area, each vertex against
+    # the next (the last against the first)
     x0, y0 = norm[:, 0] - cx, norm[:, 1] - cy
-    area = 0.5 * float(np.sum(x0 * np.roll(y0, -1) - np.roll(x0, -1) * y0))
+    x1, y1 = (np.concatenate((v[1:], v[:1])) for v in (x0, y0))
+    area = 0.5 * float(np.sum(x0 * y1 - x1 * y0))
     rel_phase = math.atan2(-math.copysign(sin_rel_mag, area), cos_rel)
     sin_sq = max(sin_rel_mag**2, 1e-300)
     amp_x = spread * math.sqrt(big_f / (a * sin_sq))

@@ -60,10 +60,11 @@ class InterferometerConfig:
             raise ValueError("rotation must be finite")
 
     def __getstate__(self):
-        # a copy or an unpickled configuration composes its own phase-free
-        # paths (``_phase_free_terms``), so its kept arrays are its own and
-        # read-only
-        return {k: v for k, v in self.__dict__.items() if k != "_phase_free"}
+        # the fields; a copy or an unpickled configuration composes its own
+        # phase-free paths (``_phase_free_terms``) and reduces its own beating
+        # parameters (``signals.beating_parameters``), so what it keeps is its
+        # own and the kept arrays read-only
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     @property
     def has_equal_gains(self) -> bool:
@@ -175,9 +176,10 @@ def photon_number_exact(
     """Detected photon number, exact at any gain, with the scan phases of
     ``detected_mode``: the bits of ``vacuum_photon_number(detected_mode(...))``.
     A photon number, or any amplitude composed on the way to it, that
-    overflows a double raises ``OverflowError``."""
+    overflows a double raises ``OverflowError``; an underflow, to a subnormal
+    or to zero, is no error, whatever the caller's ``np.errstate``."""
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", under="ignore"):
             # the photon number reads only the creation half, so the last
             # combination forms that half alone at the batch shape
             terms = [(c, amps[1:]) for c, amps in _detected_terms(cfg, signal_phase, diff_phase)]

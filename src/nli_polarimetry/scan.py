@@ -36,8 +36,8 @@ __all__ = [
 CSV_COLUMNS = ("step", "phi0", "delta_phase", "expected_N", "counts")
 # the forward models ``simulate_scan`` can run
 REGIMES = ("exact", "lowgain")
-# rows ``write_csv`` formats per write call: it holds one block's text, not
-# the file's
+# rows ``write_csv`` formats per write call, and ``TimeSeries`` checks per
+# ``np.isfinite`` call: each holds one block of rows, not the record's
 _CSV_BLOCK = 4096
 # distinct phase layouts kept by each memo of the record rule and the fits
 # (every record on one schedule shares one entry), and the most rows a kept
@@ -148,27 +148,15 @@ class TimeSeries:
     counts: np.ndarray
 
     def __post_init__(self):
-        n = len(self.step)
-        for name in ("step", "phi0", "delta_phase", "expected_n", "counts"):
-            column = getattr(self, name)
-            if len(column) != n:
-                raise ValueError("all columns must have equal length")
-            finite = np.isfinite(column)
-            if not finite.all():
-                row = int(np.argmin(finite))
-                raise ValueError(f"non-finite value '{column[row]}' in column "
-                                 f"'{name}' of data row {row + 1}")
-        stalled = np.flatnonzero(np.diff(self.step) <= 0)
-        if stalled.size:
-            row = int(stalled[0]) + 1
-            raise ValueError(f"step index must be strictly increasing: step "
-                             f"'{self.step[row]}' of data row {row + 1} follows "
-                             f"step '{self.step[row - 1]}'")
-        negative = np.flatnonzero(np.asarray(self.expected_n) < 0)
-        if negative.size:
-            row = int(negative[0])
-            raise ValueError(f"expected_n must be nonnegative: value "
-                             f"'{self.expected_n[row]}' in data row {row + 1}")
+        columns = [getattr(self, name) for name in _SERIES_FIELDS]
+        try:
+            passed = _series_passes(columns)
+        except (TypeError, ValueError, LookupError):
+            # a record the pass cannot read (empty, 2-D, non-numeric or
+            # mixed): the per-column checks decide, as for any failure
+            passed = False
+        if not passed:
+            _name_series_fault(columns)
 
     def __len__(self) -> int:
         return len(self.step)
@@ -209,6 +197,54 @@ class TimeSeries:
             expected_n=data[:, 3],
             counts=data[:, 4],
         )
+
+
+# ``TimeSeries``'s columns, in the order its checks name a fault
+_SERIES_FIELDS = ("step", "phi0", "delta_phase", "expected_n", "counts")
+
+
+def _series_passes(columns) -> bool:
+    """True when every check of ``_name_series_fault`` passes, decided in one
+    vectorised pass, with one ``np.isfinite`` per ``_CSV_BLOCK`` rows of all
+    columns (no copy of the whole record).  False, or a ``TypeError``,
+    ``ValueError`` or ``LookupError`` on a record it cannot read, leaves the
+    verdict to ``_name_series_fault``.  The step test is ``np.diff``'s
+    subtraction, so steps wrap, and floating-point errors raise, as there.
+    """
+    step, n = np.asarray(columns[0]), len(columns[0])
+    return (all(len(c) == n for c in columns)
+            and all(np.isfinite(np.concatenate([c[start:start + _CSV_BLOCK] for c in columns]))
+                    .all() for start in range(0, n, _CSV_BLOCK))
+            and step.ndim == 1 and (step[1:] - step[:-1] > 0).all()
+            and np.minimum.reduce(columns[3], axis=None) >= 0)
+
+
+def _name_series_fault(columns) -> None:
+    """``TimeSeries``'s checks, column by column: raise ``ValueError`` naming
+    the first fault (unequal lengths or a non-finite value, in column order,
+    then a step that does not increase, then a negative ``expected_n``), by
+    its value and data row."""
+    step, expected_n = columns[0], columns[3]
+    n = len(step)
+    for name, column in zip(_SERIES_FIELDS, columns):
+        if len(column) != n:
+            raise ValueError("all columns must have equal length")
+        finite = np.isfinite(column)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"non-finite value '{column[row]}' in column "
+                             f"'{name}' of data row {row + 1}")
+    stalled = np.flatnonzero(np.diff(step) <= 0)
+    if stalled.size:
+        row = int(stalled[0]) + 1
+        raise ValueError(f"step index must be strictly increasing: step "
+                         f"'{step[row]}' of data row {row + 1} follows "
+                         f"step '{step[row - 1]}'")
+    negative = np.flatnonzero(np.asarray(expected_n) < 0)
+    if negative.size:
+        row = int(negative[0])
+        raise ValueError(f"expected_n must be nonnegative: value "
+                         f"'{expected_n[row]}' in data row {row + 1}")
 
 
 def _check_steps(step) -> None:
@@ -323,7 +359,8 @@ def simulate_scan(
     ``"poisson"`` mode with a per-scan generator seeded from the noise model.
     A photon number or a count rate that overflows a double, in either
     regime, raises ``OverflowError``, as does a Poisson mean too large for
-    numpy's draw.
+    numpy's draw; one that underflows is kept, whatever the caller's
+    ``np.errstate``.
     """
     if regime not in REGIMES:
         raise ValueError("regime must be 'exact' or 'lowgain'")
@@ -332,8 +369,9 @@ def simulate_scan(
     diff_phase = schedule.diff_offset + schedule.diff_rate * t
 
     # the low-gain amplitude is a Python float, which overflows to inf
-    # without raising, hence the finiteness test next to numpy's flags
-    with np.errstate(over="raise", invalid="raise"):
+    # without raising, hence the finiteness test next to numpy's flags; an
+    # underflow (a subnormal photon number) is no error
+    with np.errstate(over="raise", invalid="raise", under="ignore"):
         try:
             if regime == "exact":
                 expected = photon_number_exact(cfg, signal_phase, diff_phase)

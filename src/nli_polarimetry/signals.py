@@ -112,7 +112,15 @@ def beating_parameters(cfg: "InterferometerConfig") -> BeatingParameters:
     stay continuous.  The interferometer phase uses the gauge with real
     positive squeezing coefficients, so it collects the pump phase difference
     and the control-splitter phase.
+
+    Reduced once per configuration object and kept on it, as
+    ``interferometer._phase_free_terms`` keeps the phase-free paths: the
+    memo is per instance, a configuration that raises keeps nothing, and a
+    copy, a pickle or ``dataclasses.replace`` reduces afresh.
     """
+    kept = cfg.__dict__.get("_beating")
+    if kept is not None:
+        return kept
     if not cfg.has_equal_gains:
         raise ValueError("closed-form signals require equal crystal gains")
     tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
@@ -128,7 +136,7 @@ def beating_parameters(cfg: "InterferometerConfig") -> BeatingParameters:
         control_phase = cfg.crystal1.pump_phase - cfg.crystal2.pump_phase + cmath.phase(ts)
     else:
         control_phase = 0.0
-    return BeatingParameters(
+    params = BeatingParameters(
         mean_photons=cfg.crystal1.mean_photons,
         signal_mag=abs(ts),
         control_phase=control_phase,
@@ -139,6 +147,8 @@ def beating_parameters(cfg: "InterferometerConfig") -> BeatingParameters:
         setup_phase_offset=0.5 * (phase_tau + phase_rho),
         diff_setup_phase=phase_tau - phase_rho,
     )
+    object.__setattr__(cfg, "_beating", params)
+    return params
 
 
 def n_lowgain(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):

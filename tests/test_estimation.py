@@ -762,16 +762,16 @@ class TestPhaseLayoutMemo:
 
 
 class TestConfigurationMemo:
-    @pytest.mark.parametrize("v", GAIN_SWEEP)
-    def test_reused_configurations_give_fresh_bits(self, v):
-        # exact round trips on configurations that kept their phase-free
-        # paths and on fresh ones: every record and every estimate keeps its bits
+    @staticmethod
+    def warm_and_cold(regime, v, kept):
+        """The records and estimates of a round trip on configurations that
+        kept ``kept`` from an earlier round trip, and of one on fresh ones."""
         configs = round_trip_configs(v)
-        round_trip_records("exact", v, seed=3, configs=configs)
-        assert all("_phase_free" in cfg.__dict__ for cfg in configs)
+        round_trip_records(regime, v, seed=3, configs=configs)
+        assert all(kept in cfg.__dict__ for cfg in configs)
         results = []
-        for records in (round_trip_records("exact", v, configs=configs),
-                        round_trip_records("exact", v)):
+        for records in (round_trip_records(regime, v, configs=configs),
+                        round_trip_records(regime, v)):
             sig, idl, (series, sched), s1, s2 = records
             results.append((
                 [r.expected_n.tobytes() + r.counts.tobytes() for r in (sig, idl, series, s1, s2)],
@@ -780,7 +780,20 @@ class TestConfigurationMemo:
                 hex_fields(estimate_rotated(s1, s2)),
                 hex_fields(estimate_ellipse(s1, s2)),
             ))
-        warm, cold = results
+        return results
+
+    @pytest.mark.parametrize("v", GAIN_SWEEP)
+    def test_reused_configurations_give_fresh_bits(self, v):
+        # exact round trips on configurations that kept their phase-free
+        # paths and on fresh ones: every record and every estimate keeps its bits
+        warm, cold = self.warm_and_cold("exact", v, "_phase_free")
+        assert warm == cold
+
+    @pytest.mark.parametrize("v", GAIN_SWEEP)
+    def test_reused_lowgain_configurations_give_fresh_bits(self, v):
+        # low-gain round trips on configurations that kept their beating
+        # parameters and on fresh ones
+        warm, cold = self.warm_and_cold("lowgain", v, "_beating")
         assert warm == cold
 
 

@@ -205,6 +205,20 @@ class TestPhotonNumber:
                 with pytest.raises(OverflowError, match="^detected photon number overflows"):
                     photon_number_exact(cfg)
 
+    def test_subnormal_photon_number_is_no_overflow(self):
+        # at 1e-320 the photon number (4e-320) is a subnormal: under a
+        # caller's np.errstate(under="raise") it keeps its bits, and an
+        # overflow at 1e200 still raises
+        phases = (np.linspace(0.0, 2.0 * math.pi, 16), 0.3)
+        for call_phases in ((), phases):
+            plain = photon_number_exact(crossed_pair_config(1e-320), *call_phases)
+            assert 0.0 < np.min(plain) < 1e-300
+            with np.errstate(under="raise"):
+                strict = photon_number_exact(crossed_pair_config(1e-320), *call_phases)
+                with pytest.raises(OverflowError, match="^detected photon number overflows"):
+                    photon_number_exact(crossed_pair_config(1e200), *call_phases)
+            assert np.asarray(strict).tobytes() == np.asarray(plain).tobytes()
+
     def test_composer_checks_amplitudes_once(self):
         # crossed quarter-wave pair, sample removed, with floating-point
         # errors ignored: the one check on the composed result still

@@ -245,6 +245,25 @@ class TestSimulateScan:
                     simulate_scan(calibration_config(v=v), ScanSchedule(n_samples=8),
                                   NoiseModel(kappa, mode=mode), regime=regime)
 
+    @pytest.mark.parametrize("mode", ["noiseless", "poisson"])
+    @pytest.mark.parametrize("regime", ["exact", "lowgain"])
+    def test_subnormal_photon_number_is_kept_under_raising_underflow(self, regime, mode):
+        # at 1e-320 the photon number (about 4e-320) is a subnormal: an
+        # underflow on the way to it is no overflow, whatever the caller's
+        # np.errstate; an overflow still raises (the exact photon number at
+        # 1e200, the low-gain amplitude at 1e308)
+        huge = 1e200 if regime == "exact" else 1e308
+        sched = ScanSchedule(0.2, 0.1, 2.0 * math.pi / 64, 0.0, 64)
+        noise = NoiseModel(KAPPA, seed=3, mode=mode)
+        plain = simulate_scan(calibration_config(v=1e-320), sched, noise, regime=regime)
+        assert 0.0 < plain.expected_n.min() and plain.expected_n.max() < 1e-300
+        with np.errstate(under="raise"):
+            strict = simulate_scan(calibration_config(v=1e-320), sched, noise, regime=regime)
+            with pytest.raises(OverflowError):
+                simulate_scan(calibration_config(v=huge), sched, noise, regime=regime)
+        for name in ("step", "phi0", "delta_phase", "expected_n", "counts"):
+            assert getattr(strict, name).tobytes() == getattr(plain, name).tobytes()
+
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError):
             simulate_scan(calibration_config(), ScanSchedule(n_samples=8),
@@ -352,6 +371,149 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="^expected_n must be nonnegative: value "
                                              "'-2.5e-17' in data row 4$"):
             TimeSeries(np.arange(6), ones, ones, expected, ones)
+
+
+def reference_series_check(step, phi0, delta_phase, expected_n, counts):
+    """The per-column checks ``TimeSeries`` ran on every record before its
+    one-pass check, verbatim: the reference for every refusal message."""
+    columns = {"step": step, "phi0": phi0, "delta_phase": delta_phase,
+               "expected_n": expected_n, "counts": counts}
+    n = len(step)
+    for name, column in columns.items():
+        if len(column) != n:
+            raise ValueError("all columns must have equal length")
+        finite = np.isfinite(column)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"non-finite value '{column[row]}' in column "
+                             f"'{name}' of data row {row + 1}")
+    stalled = np.flatnonzero(np.diff(step) <= 0)
+    if stalled.size:
+        row = int(stalled[0]) + 1
+        raise ValueError(f"step index must be strictly increasing: step "
+                         f"'{step[row]}' of data row {row + 1} follows "
+                         f"step '{step[row - 1]}'")
+    negative = np.flatnonzero(np.asarray(expected_n) < 0)
+    if negative.size:
+        row = int(negative[0])
+        raise ValueError(f"expected_n must be nonnegative: value "
+                         f"'{expected_n[row]}' in data row {row + 1}")
+
+
+def check_outcome(check, columns):
+    """``None`` when ``check(*columns)`` passes, else its exception's type
+    and message."""
+    try:
+        check(*columns)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+FAULTS = ("nonfinite", "stalled_step", "decreasing_step", "negative_expected_n",
+          "short_column")
+
+
+def faulty_columns(rng, n, faults):
+    """A record of ``n`` rows with each named fault put in at a random
+    column and row (the first, the last or any): integer steps, as
+    ``simulate_scan`` makes them, or float ones, as a CSV record reads back
+    before its cast, which can hold a non-finite value too."""
+    float_steps = bool(rng.integers(2))
+    step = np.arange(n) + int(rng.integers(0, 100))
+    columns = [step.astype(float) if float_steps else step,
+               *rng.uniform(-10.0, 10.0, (2, n)), *rng.uniform(0.0, 1e4, (2, n))]
+    for fault in sorted(faults, key=lambda f: f == "short_column"):  # rows first
+        row = int(rng.choice([0, n - 1, rng.integers(0, n)]))
+        if fault == "nonfinite":
+            col = int(rng.integers(0 if float_steps else 1, 5))
+            columns[col][row] = rng.choice([math.nan, math.inf, -math.inf])
+        elif fault == "stalled_step":
+            row = max(row, 1)
+            columns[0][row] = columns[0][row - 1]
+        elif fault == "decreasing_step":
+            row = max(row, 1)
+            columns[0][row] = columns[0][row - 1] - int(rng.integers(1, 5))
+        elif fault == "negative_expected_n":
+            columns[3][row] = -rng.uniform(1e-17, 1.0)
+        else:
+            col = int(rng.integers(0, 5))
+            columns[col] = columns[col][:-int(rng.integers(1, 3))]
+    return columns
+
+
+class TestSeriesCheck:
+    """``TimeSeries`` passes a record in one vectorised pass and names a
+    fault with the per-column checks, so every refusal keeps the message
+    and the precedence of ``reference_series_check``."""
+
+    @pytest.mark.parametrize("container", ["array", "list"])
+    @pytest.mark.parametrize("n", [8, 400, 40_000])
+    def test_matches_reference_checks(self, n, container):
+        rng = np.random.default_rng([n, container == "list"])
+        cases = [()] + [(fault,) for fault in FAULTS for _ in range(4)]
+        cases += [tuple(rng.choice(FAULTS, size=int(rng.integers(2, 5))))
+                  for _ in range(12)]
+        for faults in cases:
+            columns = faulty_columns(rng, n, faults)
+            if container == "list":
+                columns = [c.tolist() for c in columns]
+            want = check_outcome(reference_series_check, columns)
+            assert check_outcome(TimeSeries, columns) == want, faults
+            assert (want is None) == (faults == ())
+
+    def test_faults_show_their_precedence(self):
+        # an earlier column's length or finiteness fault comes first, then
+        # the steps, then expected_n; within a column the first row
+        nan, ones = math.nan, np.ones(8)
+        steps = np.array([0, 1, 2, 2, 1, 5, 6, 7])
+        expected = np.array([1.0, -1.0, 1.0, 1.0, -2.0, 1.0, 1.0, 1.0])
+        with_nan = np.array([1.0, 1.0, 1.0, 1.0, nan, nan, 1.0, 1.0])
+        cases = [
+            ([steps, ones, with_nan, expected, ones[:7]], "non-finite value 'nan' in column "
+             "'delta_phase' of data row 5"),
+            ([steps, ones[:7], with_nan, expected, ones], "all columns must have equal length"),
+            ([steps, ones, ones, expected, ones], "step index must be strictly increasing: "
+             "step '2' of data row 4 follows step '2'"),
+            ([np.arange(8), ones, ones, expected, ones], "expected_n must be nonnegative: "
+             "value '-1.0' in data row 2"),
+            # an infinite last step still exceeds the one before it
+            ([np.array([0.0, 1, 2, 3, 4, 5, 6, math.inf]), ones, ones, ones, ones],
+             "non-finite value 'inf' in column 'step' of data row 8"),
+        ]
+        for columns, message in cases:
+            assert check_outcome(reference_series_check, columns) == (ValueError, message)
+            assert check_outcome(TimeSeries, columns) == (ValueError, message)
+
+    def test_odd_records_are_decided_by_the_reference(self):
+        # records the one-pass check does not decide itself: empty, 2-D,
+        # boolean steps, wrapping int64 steps and non-numeric cells
+        big = np.array([-2**62 - 2**61, 2**62 + 2**61])
+        grid = np.ones((4, 2))
+        for columns in (
+            [np.arange(0), *np.ones((4, 0))],
+            [grid, grid, grid, grid, grid],
+            [np.arange(4)[:, None] * np.ones((4, 2)), grid, grid, grid, grid],
+            [np.array([False, True]), *np.ones((4, 2))],
+            [big, *np.ones((4, 2))],
+            [[0, 1], [1.0, "x"], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+            [[0, 1], [1.0, None], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+        ):
+            want = check_outcome(reference_series_check, columns)
+            assert check_outcome(TimeSeries, columns) == want
+
+    def test_check_holds_no_copy_of_the_record(self):
+        # the 40 000-row record of the CLI benchmark: five float64 columns
+        # hold 1.6 MB; the check's largest temporary is the steps' difference
+        n = 40_000
+        columns = [np.arange(n), *np.ones((4, n))]
+        tracemalloc.start()
+        try:
+            TimeSeries(*columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 400_000
 
 
 class TestTimeSeriesCsv:

@@ -1,7 +1,9 @@
 import cmath
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -206,6 +208,69 @@ class TestBeatingParameters:
             for name in names:
                 assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), (
                     name, cfg)
+
+
+def hex_params(p):
+    """``float.hex`` of every field of a ``BeatingParameters``."""
+    return [float.hex(getattr(p, f.name)) for f in dataclasses.fields(BeatingParameters)]
+
+
+class TestBeatingMemo:
+    """Each configuration object reduces to beating parameters once and
+    keeps them; a kept reduction has the bits of a fresh one."""
+
+    def test_kept_reduction_gives_fresh_bits(self, rng):
+        for k in range(300):
+            cfg = random_config(rng, equal_gains=True, rotation=k % 2 == 0)
+            first = beating_parameters(cfg)
+            assert cfg.__dict__["_beating"] is first and beating_parameters(cfg) is first
+            assert hex_params(first) == hex_params(reference_beating_parameters(cfg))
+            assert hex_params(first) == hex_params(beating_parameters(dataclasses.replace(cfg)))
+
+    def test_kept_configuration_reduces_once(self, rng, monkeypatch):
+        calls = []
+        effective = InterferometerConfig.effective_waveplates
+        monkeypatch.setattr(InterferometerConfig, "effective_waveplates",
+                            lambda cfg: calls.append(1) or effective(cfg))
+        cfg = random_config(rng, equal_gains=True)
+        for _ in range(3):
+            beating_parameters(cfg)
+        sched = ScanSchedule(signal_rate=0.1, n_samples=8)
+        simulate_scan(cfg, sched, NoiseModel(1.0), regime="lowgain")
+        assert len(calls) == 1
+
+    def test_unequal_gains_raise_on_every_call_and_keep_nothing(self, rng):
+        cfg = random_config(rng, v_low=0.1)
+        assert not cfg.has_equal_gains
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^closed-form signals require equal crystal "
+                                                 "gains$"):
+                beating_parameters(cfg)
+            assert "_beating" not in cfg.__dict__
+
+    def test_copies_reduce_their_own(self, rng):
+        cfg = random_config(rng, equal_gains=True)
+        kept = beating_parameters(cfg)
+        photon_number_exact(cfg)  # the phase-free paths are kept too
+        for other in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg)),
+                      dataclasses.replace(cfg)):
+            assert other == cfg
+            assert "_beating" not in other.__dict__ and "_phase_free" not in other.__dict__
+            assert hex_params(beating_parameters(other)) == hex_params(kept)
+            assert other.__dict__["_beating"] is not kept
+
+    def test_signed_zero_rotations_keep_their_own(self):
+        # equal configurations whose plate coefficients differ in a zero's
+        # sign reduce to setup phases of +-pi/2 and +-pi; the memo is per
+        # instance, so each keeps its own
+        plate1 = WaveplateCoeffs(1.0 + 0.0j, 0.0j)
+        plate2 = WaveplateCoeffs(complex(-1.0, -0.0), complex(-0.0, -0.0))
+        pos = InterferometerConfig(CrystalGain(0.5), CrystalGain(0.5), SignalControl(1.0),
+                                   plate1, plate2, SampleAxes(0.9 + 0.0j, 0.2 + 0.0j), 0.0)
+        neg = dataclasses.replace(pos, rotation=-0.0)
+        assert pos == neg
+        for cfg, sign in ((pos, 1.0), (neg, -1.0), (pos, 1.0), (neg, -1.0)):
+            assert beating_parameters(cfg).diff_setup_phase == sign * math.pi
 
 
 class TestForwardModels:
