@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import TimeSeries, _fit_harmonics, _fit_ramp, _pow2_scale, _scan_phase
+from .scan import (TimeSeries, _fit_ramp, _fit_record, _layout_of, _per_layout, _pow2_scale,
+                   _scan_phase)
 from .signals import HarmonicDecomposition, amplitude_relations
 
 __all__ = [
@@ -112,17 +113,21 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     if not (math.isfinite(omega_scan) and omega_scan > 0.0):
         raise EstimationError("omega_scan must be positive and finite",
                               flag="bad_scan_rate")
-    t = series.step.astype(float)
-    ramp = omega_scan * t
-    if (np.max(np.abs([series.phi0 - ramp, series.delta_phase - ramp]))
-            > 1e-9 * max(1.0, np.max(np.abs(ramp)))):
+    if _per_layout(series, ("off_ramp", omega_scan), lambda c: _off_ramp(c, omega_scan)):
         raise EstimationError("phase columns are not omega_scan * step",
                               flag="phase_step_mismatch")
     rates = (0.5 * omega_scan, 1.5 * omega_scan)
-    dc, (amp_half, amp_threehalf), rms = _fit_harmonics(t, series.counts, rates,
-                                                        EstimationError)
+    dc, (amp_half, amp_threehalf), rms = _fit_record(series, "step", rates, EstimationError)
     return HarmonicDecomposition(dc=dc, amp_half=amp_half, amp_threehalf=amp_threehalf,
                                  residual_rms=rms)
+
+
+def _off_ramp(columns, omega_scan: float) -> bool:
+    """Whether a phase column of ``columns`` strays from ``omega_scan * step``
+    by more than 1e-9 of the ramp's largest |value| (at least 1)."""
+    ramp = omega_scan * columns.step.astype(float)
+    return bool(np.max(np.abs([columns.phi0 - ramp, columns.delta_phase - ramp]))
+                > 1e-9 * max(1.0, np.max(np.abs(ramp))))
 
 
 def extract_sample_fourier(
@@ -488,8 +493,11 @@ def estimate_ellipse(
     if len(series_setting1) != len(series_setting2):
         raise EstimationError("the two series must have matching samples",
                               flag="length_mismatch")
-    if not (np.array_equal(series_setting1.phi0, series_setting2.phi0)
-            and np.array_equal(series_setting1.delta_phase, series_setting2.delta_phase)):
+    # records that hold one live layout's columns share them by construction
+    layout = _layout_of(series_setting1)
+    if not ((layout is not None and _layout_of(series_setting2) is layout)
+            or (np.array_equal(series_setting1.phi0, series_setting2.phi0)
+                and np.array_equal(series_setting1.delta_phase, series_setting2.delta_phase))):
         raise EstimationError("the two series must share their phase columns",
                               flag="phase_mismatch")
     if assume not in _PSI_UNIDENTIFIED:

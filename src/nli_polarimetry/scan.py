@@ -9,10 +9,10 @@ only through calibration.
 from __future__ import annotations
 
 import cmath
-import functools
 import io
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,13 +39,6 @@ REGIMES = ("exact", "lowgain")
 # rows ``write_csv`` formats per write call, and ``TimeSeries`` checks per
 # ``np.isfinite`` call: each holds one block of rows, not the record's
 _CSV_BLOCK = 4096
-# distinct phase layouts kept by each memo of the record rule and the fits
-# (every record on one schedule shares one entry), and the most rows a kept
-# layout has: a verdict holds 16 bytes per row and a design at most 56, so
-# the memos hold at most 2.4 MB; a longer record is checked and gets its
-# design afresh
-_MEMO_SIZE = 16
-_MEMO_ROWS = 2048
 
 
 class CalibrationError(RuntimeError):
@@ -71,6 +64,8 @@ class ScanSchedule:
     signal_rate: float = 0.0
     diff_rate: float = 0.0
     n_samples: int = 64
+    # the ``_Layout`` of the ramp shape, held from the first ``simulate_scan``
+    _layout = None
 
     def __post_init__(self):
         for name in ("signal_offset", "diff_offset", "signal_rate", "diff_rate"):
@@ -80,6 +75,9 @@ class ScanSchedule:
             raise ValueError("n_samples must be an integer")
         if self.n_samples < 8:
             raise ValueError("n_samples must be >= 8")
+
+    def __getstate__(self):
+        return _without_layout(self)
 
     @property
     def steps(self) -> np.ndarray:
@@ -139,6 +137,10 @@ class TimeSeries:
     record in count units.  A NaN or infinite value, a step that does not
     exceed the one before it, or a negative ``expected_n`` raises
     ``ValueError`` naming the value and its data row, as ``read_csv`` does.
+
+    A record from ``simulate_scan`` shares its ``step``, ``phi0`` and
+    ``delta_phase`` columns, read-only, with every record simulated on the
+    same ramp shape; its ``expected_n`` and ``counts`` are its own.
     """
 
     step: np.ndarray
@@ -146,6 +148,11 @@ class TimeSeries:
     delta_phase: np.ndarray
     expected_n: np.ndarray
     counts: np.ndarray
+    # a weak reference to the ``_Layout`` whose columns ``simulate_scan`` put in
+    _layout = None
+
+    def __getstate__(self):
+        return _without_layout(self)
 
     def __post_init__(self):
         columns = [getattr(self, name) for name in _SERIES_FIELDS]
@@ -201,6 +208,14 @@ class TimeSeries:
 
 # ``TimeSeries``'s columns, in the order its checks name a fault
 _SERIES_FIELDS = ("step", "phi0", "delta_phase", "expected_n", "counts")
+
+
+def _without_layout(obj) -> dict:
+    """The pickled and copied state of a schedule or a record: its fields.
+    A copy holds no layout (a weak reference cannot be pickled), so a copied
+    record is checked afresh by every fit and a copied schedule interns its
+    layout on its own first ``simulate_scan``."""
+    return {k: v for k, v in obj.__dict__.items() if k != "_layout"}
 
 
 def _series_passes(columns) -> bool:
@@ -364,9 +379,9 @@ def simulate_scan(
     """
     if regime not in REGIMES:
         raise ValueError("regime must be 'exact' or 'lowgain'")
-    t = schedule.steps.astype(float)
-    signal_phase = schedule.signal_offset + schedule.signal_rate * t
-    diff_phase = schedule.diff_offset + schedule.diff_rate * t
+    layout = _schedule_layout(schedule)
+    signal_phase = schedule.signal_offset + layout.phi0
+    diff_phase = schedule.diff_offset + layout.delta_phase
 
     # the low-gain amplitude is a Python float, which overflows to inf
     # without raising, hence the finiteness test next to numpy's flags; an
@@ -395,13 +410,18 @@ def simulate_scan(
     else:
         counts = mean_counts
 
-    return TimeSeries(
-        step=schedule.steps,
-        phi0=schedule.signal_rate * t,
-        delta_phase=schedule.diff_rate * t,
-        expected_n=expected,
-        counts=counts,
-    )
+    columns = dict(step=layout.step, phi0=layout.phi0, delta_phase=layout.delta_phase,
+                   expected_n=expected, counts=counts)
+    if not layout.finite:
+        return TimeSeries(**columns)
+    # every check of ``TimeSeries`` holds by construction: the steps are
+    # ``arange(n >= 8)``, the ramps are finite, the finite mean counts make
+    # ``expected_n`` finite (``counts_per_unit`` is positive and finite) and
+    # so the counts, and ``expected_n`` is clipped at zero (low gain) or a
+    # sum of squared moduli (exact)
+    series = object.__new__(TimeSeries)
+    series.__dict__.update(columns, _layout=weakref.ref(layout))
+    return series
 
 
 @dataclass(frozen=True)
@@ -424,24 +444,6 @@ def _pow2_scale(values) -> float:
     return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values))))[1] - 1)
 
 
-def _bits(values) -> tuple:
-    """Memo key of an array: its dtype, shape and bytes, equal only for equal bits."""
-    values = np.asarray(values)
-    return values.dtype.str, values.shape, values.tobytes()
-
-
-def _from_bits(key) -> np.ndarray:
-    """The read-only array a ``_bits`` key was taken of."""
-    dtype, shape, data = key
-    return np.frombuffer(data, dtype).reshape(shape)
-
-
-def _memo(function, n_rows: int):
-    """The memoised ``function`` for a layout of ``n_rows`` rows, or above
-    ``_MEMO_ROWS`` the same function unkept."""
-    return function if n_rows <= _MEMO_ROWS else function.__wrapped__
-
-
 class _Refusal(Exception):
     """A record rule refusal, ``(message, flag)``, before the caller's label
     and error type are put in."""
@@ -459,14 +461,11 @@ def _ramp_rate(values, name: str) -> float:
     return 2.0 * half_rate
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _phase_verdict(phi0, delta_phase, column: str, harmonic: float):
-    """The record rule's verdict on the ``_bits`` keys of a record's phase
-    columns: None for a pass, else ``(message, flag)`` with ``{label}`` in
-    the message where the caller's label goes.  ``_scan_phase`` states the
-    rule.  Memoised: a record on a kept layout (columns bit-identical, same
-    ``column`` and ``harmonic``) is not checked again."""
-    phi0, delta_phase = _from_bits(phi0), _from_bits(delta_phase)
+    """The record rule's verdict on a record's phase columns: None for a
+    pass, else ``(message, flag)`` with ``{label}`` in the message where the
+    caller's label goes.  ``_scan_phase`` states the rule."""
+    phi0, delta_phase = np.asarray(phi0), np.asarray(delta_phase)
     try:
         if column == "both":
             values, arm = phi0, "its phases"
@@ -506,47 +505,27 @@ def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np
     A refusal raises ``error(message, flag)``, the message opening with
     ``label``.
 
-    The verdict is memoised (``_phase_verdict``), keyed by the dtype, shape
-    and exact bytes of ``phi0`` and ``delta_phase`` plus ``column`` and
-    ``harmonic``, for the last ``_MEMO_SIZE`` layouts of at most
-    ``_MEMO_ROWS`` rows; a record whose columns differ from every kept layout
-    by one bit, or were edited in place since, is checked afresh.
+    The verdict is kept per layout (``_per_layout``).
     """
-    verdict = _memo(_phase_verdict, len(series.phi0))(
-        _bits(series.phi0), _bits(series.delta_phase), column, harmonic)
+    verdict = _per_layout(series, ("verdict", column, harmonic),
+                          lambda c: _phase_verdict(c.phi0, c.delta_phase, column, harmonic))
     if verdict is not None:
         message, flag = verdict
         raise error(message.format(label=label), flag)
     return series.phi0 if column == "both" else getattr(series, column)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _design(t, rates: tuple) -> np.ndarray:
-    """Read-only design matrix ``[1, cos(r t), sin(r t) for r in rates]``
-    of the ``_bits`` key ``t``; memoised."""
-    t = _from_bits(t)
-    design = np.column_stack(
+def _design(t, rates) -> np.ndarray:
+    """Design matrix ``[1, cos(r t), sin(r t) for r in rates]``."""
+    t = np.asarray(t)
+    return np.column_stack(
         [np.ones_like(t)] + [f(r * t) for r in rates for f in (np.cos, np.sin)]
     )
-    design.flags.writeable = False
-    return design
 
 
-def _fit_harmonics(t, counts, rates, error):
-    """Least-squares fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]``.
-
-    Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention; the
-    residual is rescaled by ``_pow2_scale`` before it is squared.  Rank
-    rule: raises ``error(message, "rank_deficient")`` unless the design has
-    at least as many rows as columns and the smallest singular value
-    ``lstsq`` returns is at least 1e-10 of the largest.
-
-    The design matrix is memoised (``_design``), keyed by the dtype, shape
-    and exact bytes of ``t`` plus ``rates``, for the last ``_MEMO_SIZE``
-    designs of at most ``_MEMO_ROWS`` rows, and kept read-only; ``lstsq``,
-    the rank rule and the residual run for every call.
-    """
-    design = _memo(_design, len(t))(_bits(t), tuple(rates))
+def _fit_design(design, counts, error):
+    """``_fit_harmonics`` on a built design: one ``lstsq``, the rank rule and
+    the residual."""
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
     if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
         raise error("harmonic design matrix is rank deficient", "rank_deficient")
@@ -557,14 +536,116 @@ def _fit_harmonics(t, counts, rates, error):
     return float(coef[0]), amps, rms
 
 
+def _fit_harmonics(t, counts, rates, error):
+    """Least-squares fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]``.
+
+    Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention; the
+    residual is rescaled by ``_pow2_scale`` before it is squared.  Rank
+    rule: raises ``error(message, "rank_deficient")`` unless the design has
+    at least as many rows as columns and the smallest singular value
+    ``lstsq`` returns is at least 1e-10 of the largest.
+    """
+    return _fit_design(_design(t, rates), counts, error)
+
+
+def _fit_record(series, column: str, rates, error):
+    """``_fit_harmonics`` of ``series.counts`` over its ``column`` (``step``,
+    as floats, ``phi0`` or ``delta_phase``), on a design kept per layout
+    (``_per_layout``); ``lstsq``, the rank rule and the residual run for
+    every record."""
+    def build(columns):
+        values = getattr(columns, column)
+        return _design(values.astype(float) if column == "step" else values, rates)
+
+    design = _per_layout(series, ("design", column, tuple(rates)), build)
+    return _fit_design(design, series.counts, error)
+
+
 def _fit_ramp(series, column: str, harmonic: float, error, label="scan"):
     """``(dc, z, residual_rms)`` in counts of ``counts ~ dc + Re[z exp(i harmonic x)]``
     over the ``column`` x that ``_scan_phase`` passes; dc <= 0 is ``bad_amplitude``."""
-    values = _scan_phase(series, column, harmonic, error, label)
-    dc, (z,), rms = _fit_harmonics(values, series.counts, (harmonic,), error)
+    _scan_phase(series, column, harmonic, error, label)
+    dc, (z,), rms = _fit_record(series, column, (harmonic,), error)
     if dc <= 0.0:
         raise error("nonpositive mean count level", "bad_amplitude")
     return dc, z, rms
+
+
+class _Layout:
+    """What one ramp shape (the bits of ``signal_rate`` and ``diff_rate``,
+    and ``n_samples``) fixes for every record simulated on it.
+
+    ``step``, ``phi0`` and ``delta_phase`` are the record columns, each a
+    read-only view of a private read-only array, so neither can be written
+    nor made writeable; ``simulate_scan`` hands every record these very
+    objects.  ``finite`` says whether both ramps are finite.  ``kept`` holds
+    what ``_per_layout`` built of the columns.
+    """
+
+    def __init__(self, schedule: ScanSchedule):
+        step = np.arange(schedule.n_samples)
+        t = step.astype(float)
+        # a ramp past the largest double is no error here: its record
+        # overflows in the forward model, which raises ``OverflowError``
+        with np.errstate(over="ignore"):
+            ramps = schedule.signal_rate * t, schedule.diff_rate * t
+        self.step, self.phi0, self.delta_phase = map(_read_only, (step, *ramps))
+        self.finite = bool(np.isfinite(self.phi0).all() and np.isfinite(self.delta_phase).all())
+        self.kept: dict = {}
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A read-only view of ``values``, itself made read-only."""
+    values.flags.writeable = False
+    return values[...]
+
+
+# the live layouts by ramp shape; a layout lives while a schedule holds it
+_LAYOUTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _schedule_layout(schedule: ScanSchedule) -> _Layout:
+    """The schedule's layout: interned by ramp shape on first use, so ±0.0
+    rates get different layouts, then held by the schedule."""
+    layout = schedule._layout
+    if layout is None:
+        key = (float(schedule.signal_rate).hex(), float(schedule.diff_rate).hex(),
+               schedule.n_samples)
+        layout = _LAYOUTS.get(key)
+        if layout is None:
+            layout = _LAYOUTS[key] = _Layout(schedule)
+        object.__setattr__(schedule, "_layout", layout)
+    return layout
+
+
+def _layout_of(series) -> _Layout | None:
+    """The live layout whose very ``step``, ``phi0`` and ``delta_phase``
+    objects ``series`` holds, else None."""
+    ref = series._layout
+    layout = ref() if ref is not None else None
+    if (layout is not None and series.phi0 is layout.phi0
+            and series.delta_phase is layout.delta_phase and series.step is layout.step):
+        return layout
+    return None
+
+
+def _per_layout(series, key: tuple, build):
+    """``build`` of the record's columns (any object with ``step``, ``phi0``
+    and ``delta_phase``), built once per layout.
+
+    A record that holds the very column objects of a live ``_Layout`` gets
+    the result kept on the layout under ``key`` (built on first use of the
+    key, of those same columns, and made read-only if an array); any other
+    record gets ``build(series)`` afresh, and nothing is kept.  ``key``
+    must tell apart every argument that changes the result.
+    """
+    layout = _layout_of(series)
+    if layout is None:
+        return build(series)
+    if key not in layout.kept:
+        value = build(layout)
+        layout.kept[key] = _read_only(value) if isinstance(value, np.ndarray) else value
+    return layout.kept[key]
 
 
 def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:

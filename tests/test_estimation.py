@@ -1,13 +1,18 @@
 import cmath
 import collections
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import warnings
+import weakref
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     HUGE,
@@ -628,21 +633,32 @@ def round_trip_configs(v):
             *(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting, v=v) for setting in (1, 2)))
 
 
-def round_trip_records(regime, v, seed=11, xi_bar=0.23, delta_xi=-0.61, configs=None):
+def round_trip_schedules(xi_bar=0.23, delta_xi=-0.61):
+    """The four schedules of ``round_trip_records``: the two calibration
+    scans (400 steps), the dual-rate scan (four beat periods of 100 steps)
+    and the analyzer settings' scan (72 steps)."""
+    return (ScanSchedule(xi_bar, delta_xi, 2.0 * math.pi / 100, 0.0, 400),
+            ScanSchedule(xi_bar, delta_xi, 0.0, 4.0 * math.pi / 160, 400),
+            fourier_protocol_schedule(4, 100, xi_bar, delta_xi),
+            ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72))
+
+
+def round_trip_records(regime, v, seed=11, xi_bar=0.23, delta_xi=-0.61, configs=None,
+                       schedules=None):
     """The five Poisson records of a calibrate -> Fourier -> rotated ->
-    ellipse round trip at gain ``v``, about 1e4 counts per step: the two
-    calibration scans (400 steps), the dual-rate scan (four beat periods of
-    100 steps) and the two analyzer settings of the rotated sample (72 steps),
-    simulated on ``configs`` (new ``round_trip_configs`` by default)."""
+    ellipse round trip at gain ``v``, about 1e4 counts per step, simulated
+    on ``configs`` (new ``round_trip_configs`` by default) and ``schedules``
+    (new ``round_trip_schedules`` by default, which die on return, and with
+    them their layouts)."""
     def record(cfg, sched, k):
         noise = NoiseModel(5.0e3 / v, seed=seed + k, mode="poisson")
         return simulate_scan(cfg, sched, noise, regime=regime)
     empty, loaded, *settings = configs or round_trip_configs(v)
-    sched = fourier_protocol_schedule(4, 100, xi_bar, delta_xi)
-    setting_sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
+    sig_sched, idl_sched, sched, setting_sched = (schedules
+                                                  or round_trip_schedules(xi_bar, delta_xi))
     return (
-        record(empty, ScanSchedule(xi_bar, delta_xi, 2.0 * math.pi / 100, 0.0, 400), 0),
-        record(empty, ScanSchedule(xi_bar, delta_xi, 0.0, 4.0 * math.pi / 160, 400), 1),
+        record(empty, sig_sched, 0),
+        record(empty, idl_sched, 1),
         (record(loaded, sched, 2), sched),
         *(record(cfg, setting_sched, 3 + k) for k, cfg in enumerate(settings)),
     )
@@ -659,45 +675,105 @@ def hex_fields(result):
     return walk(dataclasses.asdict(result))
 
 
-def clear_memos():
-    scan._phase_verdict.cache_clear()
-    scan._design.cache_clear()
+def round_trip_stages(records):
+    """The four estimation stages of a round trip on ``round_trip_records``."""
+    sig, idl, (series, sched), s1, s2 = records
+    return {
+        "calibration": lambda: calibrate(sig, idl),
+        "fourier": lambda: fourier_route(series, sched),
+        "rotated": lambda: estimate_rotated(s1, s2),
+        "ellipse": lambda: estimate_ellipse(s1, s2),
+    }
+
+
+def flat_records(records):
+    sig, idl, (series, _), s1, s2 = records
+    return sig, idl, series, s1, s2
+
+
+def hand_built(record):
+    """A record with the same column objects and no layout."""
+    return TimeSeries(**{f.name: getattr(record, f.name) for f in dataclasses.fields(record)})
 
 
 # the gains of the exact benchmark workload
 GAIN_SWEEP = (0.01, 0.1, 0.5, 1.0, 2.0)
-ROUND_TRIPS = [("lowgain", 0.5)] + [("exact", v) for v in GAIN_SWEEP]
+ROUND_TRIPS = [(regime, v) for regime in ("lowgain", "exact") for v in GAIN_SWEEP]
+# scan rates: phase-like ones, and any finite double, whose ramp may overflow
+RATES = st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the record rule's verdicts, the harmonic designs and the
+    Fourier route's step checks built, while the test runs."""
+    counts = collections.Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    counting(scan, "_phase_verdict")
+    counting(scan, "_design")
+    counting(estimation, "_off_ramp")
+    return counts
 
 
 class TestPhaseLayoutMemo:
-    """The record rule's verdict and the harmonic design are memoised by the
-    exact bits of a record's phase columns; a hit changes no result."""
+    """Every record ``simulate_scan`` builds on one ramp shape holds that
+    shape's ``scan._Layout`` columns; the record rule's verdict, the
+    harmonic designs and the Fourier route's step check are built once per
+    layout, and a kept result changes no bit."""
 
     @pytest.mark.parametrize("regime, v", ROUND_TRIPS, ids=[f"{r}-{v}" for r, v in ROUND_TRIPS])
-    def test_cold_and_warm_memos_give_the_same_bits(self, regime, v):
-        sig, idl, (series, sched), s1, s2 = round_trip_records(regime, v)
-        stages = {
-            "calibration": lambda: calibrate(sig, idl),
-            "fourier": lambda: fourier_route(series, sched),
-            "rotated": lambda: estimate_rotated(s1, s2),
-            "ellipse": lambda: estimate_ellipse(s1, s2),
-        }
+    def test_cold_and_warm_memos_give_the_same_bits(self, regime, v, builds):
+        schedules = round_trip_schedules()
+        records = round_trip_records(regime, v, schedules=schedules)
+        layouts = {scan._layout_of(r) for r in flat_records(records)}
+        assert None not in layouts and len(layouts) == 4
+        stages = round_trip_stages(records)
         cold = {}
         for name, stage in stages.items():
-            clear_memos()
+            for layout in layouts:
+                layout.kept.clear()
             cold[name] = hex_fields(stage())
         for stage in stages.values():
             stage()
-        verdicts, designs = scan._phase_verdict.cache_info(), scan._design.cache_info()
+        built = collections.Counter(builds)
         warm = {name: hex_fields(stage()) for name, stage in stages.items()}
-        assert warm == cold
-        # every rule and design lookup of the warm pass hit: 6 rule checks
-        # (the ellipse route checks one record), 5 designs
-        assert scan._phase_verdict.cache_info().hits - verdicts.hits == 6
-        assert scan._design.cache_info().hits - designs.hits == 5
+        assert builds == built  # the warm pass built nothing
+        # records without a layout are checked, and get their designs, on every call
+        sig, idl, (series, sched), s1, s2 = records
+        fresh_records = (hand_built(sig), hand_built(idl), (hand_built(series), sched),
+                         hand_built(s1), hand_built(s2))
+        fresh = {name: hex_fields(stage())
+                 for name, stage in round_trip_stages(fresh_records).items()}
+        assert builds - built == {"_phase_verdict": 6, "_design": 5, "_off_ramp": 1}
+        assert warm == cold == fresh
+
+    def test_each_verdict_and_design_is_built_once_per_layout(self, builds):
+        # four layouts: each keeps one verdict and one design, and the
+        # Fourier layout one step check; later round trips on new Poisson
+        # records of the same schedules build nothing
+        schedules = round_trip_schedules()
+        records = round_trip_records("lowgain", 0.5, schedules=schedules)
+        for layout in {scan._layout_of(r) for r in flat_records(records)}:
+            layout.kept.clear()
+        for stage in round_trip_stages(records).values():
+            stage()
+        assert builds == {"_phase_verdict": 4, "_design": 4, "_off_ramp": 1}
+        for seed in (12, 13, 14):
+            records = round_trip_records("lowgain", 0.5, seed=seed, schedules=schedules)
+            for stage in round_trip_stages(records).values():
+                stage()
+        assert builds == {"_phase_verdict": 4, "_design": 4, "_off_ramp": 1}
 
     def test_lstsq_runs_for_every_record(self, monkeypatch):
-        sig, idl, (series, sched), s1, s2 = round_trip_records("lowgain", 0.5)
+        schedules = round_trip_schedules()
+        sig, idl, (series, sched), s1, s2 = round_trip_records("lowgain", 0.5, schedules=schedules)
         calibrate(sig, idl)
         fourier_route(series, sched)
         estimate_rotated(s1, s2)
@@ -721,44 +797,201 @@ class TestPhaseLayoutMemo:
         assert err.value.flag == "mixed_scan"
 
     def test_column_edited_in_place_is_seen(self):
-        s1, s2 = malformed_settings("ok")
+        sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
+        s1, s2 = (simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting, v=0.01),
+                                sched, NoiseModel(KAPPA), regime="lowgain") for setting in (1, 2))
         before = estimate_rotated(s1, s2)
-        s1.phi0[40] += 1e-3
+        # the shared columns cannot be edited, nor made writeable
+        for column in (s1.step, s1.phi0, s1.delta_phase):
+            with pytest.raises(ValueError):
+                column[40] += 1
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+        assert hex_fields(estimate_rotated(s1, s2)) == hex_fields(before)
+        # an edited copy is refused
+        phi0 = s1.phi0.copy()
+        phi0[40] += 1e-3
         with pytest.raises(EstimationError) as err:
-            estimate_rotated(s1, s2)
+            estimate_rotated(dataclasses.replace(s1, phi0=phi0), s2)
         assert err.value.flag == "nonuniform_scan"
-        # the same ramp shifted by a constant passes again, on a new design
-        s1.phi0[40] -= 1e-3
-        s1.phi0 += 0.5
-        shifted = estimate_rotated(s1, s2)
+        # the same ramp shifted by a constant passes, with the bits of a
+        # record built by hand from fresh arrays
+        shifted = estimate_rotated(dataclasses.replace(s1, phi0=s1.phi0 + 0.5), s2)
         assert shifted.psi != before.psi
-        clear_memos()
-        assert hex_fields(estimate_rotated(s1, s2)) == hex_fields(shifted)
+        by_hand = TimeSeries(np.arange(72), s1.phi0 + 0.5, np.zeros(72), s1.expected_n.copy(),
+                             s1.counts.copy())
+        assert hex_fields(estimate_rotated(by_hand, s2)) == hex_fields(shifted)
 
-    def test_records_longer_than_the_row_bound_are_not_kept(self):
-        sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=scan._MEMO_ROWS + 1)
+    def test_kept_results_are_told_apart_by_their_arguments(self):
+        # one layout asked with other harmonics, columns and rates answers
+        # each as a record without a layout does
+        sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
+        record = simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1), sched,
+                               poisson(1), regime="lowgain")
+        fresh = hand_built(record)
+
+        def outcomes(series):
+            found = []
+            for call in (lambda: _fit_ramp(series, "phi0", 1.0, EstimationError),
+                         lambda: _fit_ramp(series, "phi0", 2.0, EstimationError),
+                         lambda: _fit_ramp(series, "phi0", 10.0, EstimationError),
+                         lambda: _fit_ramp(series, "delta_phase", 1.0, EstimationError),
+                         lambda: _fit_ramp(series, "phi0", 1.0, EstimationError)):
+                try:
+                    dc, z, rms = call()
+                    found.append((dc.hex(), z.real.hex(), z.imag.hex(), rms.hex()))
+                except EstimationError as err:
+                    found.append(err.flag)
+            return found
+        got = outcomes(record)
+        assert got == outcomes(fresh)
+        assert got[2:4] == ["undersampled", "mixed_scan"] and got[0] != got[1]
+        series, fourier = fourier_scan(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j),
+                                       noise=poisson(2))
+        rate = fourier.signal_rate
+        for omega in (rate, 1.5 * rate, rate):
+            results = []
+            for candidate in (series, hand_built(series)):
+                try:
+                    results.append(hex_fields(harmonic_regress(candidate, omega)))
+                except EstimationError as err:
+                    results.append(err.flag)
+            assert results[0] == results[1]
+            assert (results[0] == "phase_step_mismatch") == (omega != rate)
+
+    def test_ellipse_skips_the_phase_comparison_only_within_one_layout(self):
+        rate = 2.0 * math.pi / 72
+        schedules = [ScanSchedule(signal_rate=r, n_samples=72) for r in (rate, 2.0 * rate)]
+        s1, s2, other = (simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting), sched,
+                                       NoiseModel(KAPPA), regime="lowgain")
+                         for setting, sched in ((1, schedules[0]), (2, schedules[0]),
+                                                (2, schedules[1])))
+        assert (hex_fields(estimate_ellipse(s1, s2))
+                == hex_fields(estimate_ellipse(hand_built(s1), hand_built(s2))))
+        for partner in (other, dataclasses.replace(s2, phi0=s2.phi0 + 0.5)):
+            for pair in ((s1, partner), (partner, s1)):
+                with pytest.raises(EstimationError) as err:
+                    estimate_ellipse(*pair)
+                assert err.value.flag == "phase_mismatch"
+
+    def test_long_records_are_kept_too(self, builds):
+        # no row bound: a 5000-row pair builds one verdict and one design
+        sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=5000)
         s1, s2 = (simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting), sched,
                                 poisson(setting), regime="lowgain") for setting in (1, 2))
-        clear_memos()
         first = estimate_rotated(s1, s2)
-        assert scan._phase_verdict.cache_info().currsize == 0
-        assert scan._design.cache_info().currsize == 0
         assert hex_fields(estimate_rotated(s1, s2)) == hex_fields(first)
-        mixed = dataclasses.replace(s1, delta_phase=s1.delta_phase + 1e-9 * s1.step)
-        with pytest.raises(EstimationError) as err:
-            estimate_rotated(mixed, s2)
-        assert err.value.flag == "mixed_scan"
+        assert (hex_fields(estimate_rotated(hand_built(s1), hand_built(s2)))
+                == hex_fields(first))
+        assert builds == {"_phase_verdict": 1 + 2, "_design": 1 + 2}
 
-    def test_memos_stay_within_their_bound(self):
-        for n in range(72, 72 + scan._MEMO_SIZE + 5):
-            sched = ScanSchedule(signal_rate=2.0 * math.pi / n, n_samples=n)
+    def test_schedules_of_one_ramp_shape_share_a_layout_that_dies_with_the_last(self):
+        rate = 2.0 * math.pi / 71  # a ramp shape no other live schedule has
+        cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1)
+        schedules = [ScanSchedule(0.001 * k, -0.002 * k, rate, 0.0, 71) for k in range(1000)]
+        assert all(s._layout is None for s in schedules)  # nothing built at construction
+        records = [simulate_scan(cfg, s, NoiseModel(KAPPA), regime="lowgain") for s in schedules]
+        layout = weakref.ref(schedules[0]._layout)
+        assert all(s._layout is layout() for s in schedules)
+        assert all(scan._layout_of(r) is layout() for r in records)
+        assert all(r.phi0 is records[0].phi0 for r in records)
+        assert len({id(r.counts) for r in records}) == len(records)  # counts stay per record
+        alive = estimate_rotated(records[0], records[0])
+        del schedules[:-1]
+        assert layout() is not None
+        del schedules
+        assert layout() is None
+        assert (rate.hex(), 0.0.hex(), 71) not in scan._LAYOUTS
+        # the records keep their columns and are now checked afresh
+        assert scan._layout_of(records[0]) is None
+        assert hex_fields(estimate_rotated(records[0], records[0])) == hex_fields(alive)
+
+    def test_signed_zero_rates_get_different_layouts(self):
+        rate = 2.0 * math.pi / 72
+        cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1)
+        positive, negative = (ScanSchedule(signal_rate=rate, diff_rate=zero, n_samples=72)
+                              for zero in (0.0, -0.0))
+        records = [simulate_scan(cfg, s, NoiseModel(KAPPA), regime="lowgain")
+                   for s in (positive, negative)]
+        assert positive._layout is not negative._layout
+        assert not np.signbit(records[0].delta_phase[1:]).any()
+        assert np.signbit(records[1].delta_phase[1:]).all()
+        # each kept verdict and design is the one of a fresh record
+        for record in records:
+            assert (hex_fields(estimate_rotated(record, record))
+                    == hex_fields(estimate_rotated(hand_built(record), hand_built(record))))
+
+    @pytest.mark.parametrize("kind", ["hand_built", "replaced", "deep_copy", "reversed_view",
+                                      "reassigned"])
+    def test_records_off_the_layout_are_checked_afresh(self, kind, builds):
+        sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
+        s1, s2 = (simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting), sched,
+                                NoiseModel(KAPPA), regime="lowgain") for setting in (1, 2))
+        estimate_rotated(s1, s2)
+        kept = dict(sched._layout.kept)
+        if kind == "hand_built":
+            # the layout's very columns, but no layout: checked and passed
+            record, flag = hand_built(s1), None
+        elif kind == "replaced":
+            record, flag = dataclasses.replace(s1, phi0=s1.phi0 * (1.0 + 1e-3 * s1.step / 72)), \
+                "nonuniform_scan"
+        elif kind == "deep_copy":
+            record, flag = copy.deepcopy(s1), "nonuniform_scan"
+            record.phi0[40] += 1e-3
+        elif kind == "reversed_view":
+            record, flag = dataclasses.replace(s1, delta_phase=s1.phi0[::-1]), "mixed_scan"
+        else:
+            # a simulated record, still pointing at its layout, given a new column
             record = simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1), sched,
                                    NoiseModel(KAPPA), regime="lowgain")
-            estimate_rotated(record, record)
-            for memo in (scan._phase_verdict, scan._design):
-                assert memo.cache_info().currsize <= scan._MEMO_SIZE
-        for memo in (scan._phase_verdict, scan._design):
-            assert memo.cache_info().currsize == scan._MEMO_SIZE
+            record.delta_phase, flag = record.phi0[::-1], "mixed_scan"
+        assert scan._layout_of(record) is None
+        for _ in range(2):
+            verdicts = builds["_phase_verdict"]
+            if flag is None:
+                estimate_rotated(record, s2)
+            else:
+                with pytest.raises(EstimationError) as err:
+                    estimate_rotated(record, s2)
+                assert err.value.flag == flag
+            assert builds["_phase_verdict"] == verdicts + 1
+        assert sched._layout.kept == kept
+
+    @settings(max_examples=60, deadline=None)
+    @given(signal_rate=RATES, diff_rate=RATES, n=st.integers(8, 80),
+           regime=st.sampled_from(["exact", "lowgain"]),
+           mode=st.sampled_from(["noiseless", "poisson"]))
+    def test_simulated_records_pass_the_record_check(self, signal_rate, diff_rate, n, regime,
+                                                     mode):
+        sched = ScanSchedule(0.23, -0.61, signal_rate, diff_rate, n)
+        cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1)
+        try:
+            record = simulate_scan(cfg, sched, NoiseModel(KAPPA, 3, mode), regime=regime)
+        except OverflowError:
+            # only a ramp past the largest double overflows here
+            assert not sched._layout.finite
+            return
+        assert sched._layout.finite
+        assert scan._layout_of(record) is sched._layout
+        assert scan._series_passes([getattr(record, name) for name in scan._SERIES_FIELDS])
+
+    @pytest.mark.parametrize("clone", ["copy", "deepcopy", "pickle"])
+    def test_schedules_and_records_copy_and_pickle_without_their_layout(self, clone):
+        clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                 "pickle": lambda x: pickle.loads(pickle.dumps(x))}[clone]
+        sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
+        cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1)
+        record = simulate_scan(cfg, sched, NoiseModel(KAPPA), regime="lowgain")
+        sched_copy, record_copy = clone(sched), clone(record)
+        assert sched_copy == sched and "_layout" not in vars(sched_copy)
+        assert "_layout" not in vars(record_copy) and scan._layout_of(record_copy) is None
+        for name in scan._SERIES_FIELDS:
+            np.testing.assert_array_equal(getattr(record_copy, name), getattr(record, name))
+        assert (hex_fields(estimate_rotated(record_copy, record_copy))
+                == hex_fields(estimate_rotated(record, record)))
+        # the copied schedule interns the same layout on its first simulation
+        again = simulate_scan(cfg, sched_copy, NoiseModel(KAPPA), regime="lowgain")
+        assert sched_copy._layout is sched._layout and again.phi0 is record.phi0
 
 
 class TestConfigurationMemo:
