@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import (TimeSeries, _fit_ramp, _fit_record, _layout_of, _per_layout, _pow2_scale,
+from .scan import (TimeSeries, _check_step_ramp, _fit_ramp, _fit_record, _pow2_scale,
                    _scan_phase)
 from .signals import HarmonicDecomposition, amplitude_relations
 
@@ -106,28 +106,18 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
         If the record fails the dual-scan record rule ``scan._scan_phase``
         (checked first, per row, so a decimated record passes), ``omega_scan``
         is not positive and finite (``bad_scan_rate``), a phase column is not
-        ``omega_scan * step`` (``phase_step_mismatch``), or the design is rank
-        deficient.
+        ``omega_scan * step`` (``phase_step_mismatch``), the design is rank
+        deficient, or the counts are not finite (``nonfinite_counts``).
     """
     _scan_phase(series, "both", 0.5, EstimationError)
     if not (math.isfinite(omega_scan) and omega_scan > 0.0):
         raise EstimationError("omega_scan must be positive and finite",
                               flag="bad_scan_rate")
-    if _per_layout(series, ("off_ramp", omega_scan), lambda c: _off_ramp(c, omega_scan)):
-        raise EstimationError("phase columns are not omega_scan * step",
-                              flag="phase_step_mismatch")
+    _check_step_ramp(series, omega_scan, EstimationError)
     rates = (0.5 * omega_scan, 1.5 * omega_scan)
     dc, (amp_half, amp_threehalf), rms = _fit_record(series, "step", rates, EstimationError)
     return HarmonicDecomposition(dc=dc, amp_half=amp_half, amp_threehalf=amp_threehalf,
                                  residual_rms=rms)
-
-
-def _off_ramp(columns, omega_scan: float) -> bool:
-    """Whether a phase column of ``columns`` strays from ``omega_scan * step``
-    by more than 1e-9 of the ramp's largest |value| (at least 1)."""
-    ramp = omega_scan * columns.step.astype(float)
-    return bool(np.max(np.abs([columns.phi0 - ramp, columns.delta_phase - ramp]))
-                > 1e-9 * max(1.0, np.max(np.abs(ramp))))
 
 
 def extract_sample_fourier(
@@ -488,16 +478,15 @@ def estimate_ellipse(
     ``"isotropic_attenuation"`` (no diattenuation), as in ``estimate_rotated``.
     The counts are paired by index, so the two records must share their
     ``phi0`` and ``delta_phase`` columns (flag ``phase_mismatch``), which
-    must pass the rotated route's record rule.
+    must pass the rotated route's record rule.  A column both records hold
+    as one object (as records simulated on one schedule do) is not compared.
     """
     if len(series_setting1) != len(series_setting2):
         raise EstimationError("the two series must have matching samples",
                               flag="length_mismatch")
-    # records that hold one live layout's columns share them by construction
-    layout = _layout_of(series_setting1)
-    if not ((layout is not None and _layout_of(series_setting2) is layout)
-            or (np.array_equal(series_setting1.phi0, series_setting2.phi0)
-                and np.array_equal(series_setting1.delta_phase, series_setting2.delta_phase))):
+    if not all(a is b or np.array_equal(a, b)
+               for a, b in ((series_setting1.phi0, series_setting2.phi0),
+                            (series_setting1.delta_phase, series_setting2.delta_phase))):
         raise EstimationError("the two series must share their phase columns",
                               flag="phase_mismatch")
     if assume not in _PSI_UNIDENTIFIED:

@@ -36,8 +36,8 @@ __all__ = [
 CSV_COLUMNS = ("step", "phi0", "delta_phase", "expected_N", "counts")
 # the forward models ``simulate_scan`` can run
 REGIMES = ("exact", "lowgain")
-# rows ``write_csv`` formats per write call, and ``TimeSeries`` checks per
-# ``np.isfinite`` call: each holds one block of rows, not the record's
+# rows ``write_csv`` formats per write call, so it holds one block's text,
+# not the record's
 _CSV_BLOCK = 4096
 
 
@@ -78,10 +78,6 @@ class ScanSchedule:
 
     def __getstate__(self):
         return _without_layout(self)
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.arange(self.n_samples)
 
 
 def fourier_protocol_schedule(
@@ -136,7 +132,8 @@ class TimeSeries:
     ``expected_n`` is the model photon number and ``counts`` the detector
     record in count units.  A NaN or infinite value, a step that does not
     exceed the one before it, or a negative ``expected_n`` raises
-    ``ValueError`` naming the value and its data row, as ``read_csv`` does.
+    ``ValueError`` naming the value and its data row, as ``read_csv`` does,
+    at construction only (``_name_series_fault``; the fits flag one edited in).
 
     A record from ``simulate_scan`` shares its ``step``, ``phi0`` and
     ``delta_phase`` columns, read-only, with every record simulated on the
@@ -155,15 +152,7 @@ class TimeSeries:
         return _without_layout(self)
 
     def __post_init__(self):
-        columns = [getattr(self, name) for name in _SERIES_FIELDS]
-        try:
-            passed = _series_passes(columns)
-        except (TypeError, ValueError, LookupError):
-            # a record the pass cannot read (empty, 2-D, non-numeric or
-            # mixed): the per-column checks decide, as for any failure
-            passed = False
-        if not passed:
-            _name_series_fault(columns)
+        _name_series_fault([getattr(self, name) for name in _SERIES_FIELDS])
 
     def __len__(self) -> int:
         return len(self.step)
@@ -218,27 +207,11 @@ def _without_layout(obj) -> dict:
     return {k: v for k, v in obj.__dict__.items() if k != "_layout"}
 
 
-def _series_passes(columns) -> bool:
-    """True when every check of ``_name_series_fault`` passes, decided in one
-    vectorised pass, with one ``np.isfinite`` per ``_CSV_BLOCK`` rows of all
-    columns (no copy of the whole record).  False, or a ``TypeError``,
-    ``ValueError`` or ``LookupError`` on a record it cannot read, leaves the
-    verdict to ``_name_series_fault``.  The step test is ``np.diff``'s
-    subtraction, so steps wrap, and floating-point errors raise, as there.
-    """
-    step, n = np.asarray(columns[0]), len(columns[0])
-    return (all(len(c) == n for c in columns)
-            and all(np.isfinite(np.concatenate([c[start:start + _CSV_BLOCK] for c in columns]))
-                    .all() for start in range(0, n, _CSV_BLOCK))
-            and step.ndim == 1 and (step[1:] - step[:-1] > 0).all()
-            and np.minimum.reduce(columns[3], axis=None) >= 0)
-
-
 def _name_series_fault(columns) -> None:
-    """``TimeSeries``'s checks, column by column: raise ``ValueError`` naming
+    """``TimeSeries``'s check, column by column: raise ``ValueError`` naming
     the first fault (unequal lengths or a non-finite value, in column order,
     then a step that does not increase, then a negative ``expected_n``), by
-    its value and data row."""
+    its value and data row.  Its largest temporary is one column's size."""
     step, expected_n = columns[0], columns[3]
     n = len(step)
     for name, column in zip(_SERIES_FIELDS, columns):
@@ -410,17 +383,14 @@ def simulate_scan(
     else:
         counts = mean_counts
 
-    columns = dict(step=layout.step, phi0=layout.phi0, delta_phase=layout.delta_phase,
-                   expected_n=expected, counts=counts)
-    if not layout.finite:
-        return TimeSeries(**columns)
     # every check of ``TimeSeries`` holds by construction: the steps are
-    # ``arange(n >= 8)``, the ramps are finite, the finite mean counts make
-    # ``expected_n`` finite (``counts_per_unit`` is positive and finite) and
-    # so the counts, and ``expected_n`` is clipped at zero (low gain) or a
-    # sum of squared moduli (exact)
+    # ``arange(n >= 8)``, the ramps are finite (or the model raised), the
+    # finite mean counts make ``expected_n`` finite (``counts_per_unit`` is
+    # positive and finite) and so the counts, and ``expected_n`` is clipped
+    # at zero (low gain) or a sum of squared moduli (exact)
     series = object.__new__(TimeSeries)
-    series.__dict__.update(columns, _layout=weakref.ref(layout))
+    series.__dict__.update(step=layout.step, phi0=layout.phi0, delta_phase=layout.delta_phase,
+                           expected_n=expected, counts=counts, _layout=weakref.ref(layout))
     return series
 
 
@@ -451,12 +421,12 @@ class _Refusal(Exception):
 
 def _ramp_rate(values, name: str) -> float:
     """Mean step of a ramp, each step within 1e-9*max(1, |rate|) of it; else
-    a ``_Refusal``."""
+    a ``_Refusal``.  A NaN fails this and every comparison of the rule."""
     if len(values) < 2:
         raise _Refusal(f"{name} column too short", "series_too_short")
     half = 0.5 * values  # exact, and a span past the largest double fits
     half_rate = float(half[-1] - half[0]) / (len(values) - 1)
-    if np.max(np.abs(np.diff(half) - half_rate)) > 0.5e-9 * max(1.0, 2.0 * abs(half_rate)):
+    if not np.max(np.abs(np.diff(half) - half_rate)) <= 0.5e-9 * max(1.0, 2.0 * abs(half_rate)):
         raise _Refusal(f"{name} column is not a uniform ramp", "nonuniform_scan")
     return 2.0 * half_rate
 
@@ -477,7 +447,7 @@ def _phase_verdict(phi0, delta_phase, column: str, harmonic: float):
         else:
             other, arm = ((delta_phase, "the signal arm") if column == "phi0"
                           else (phi0, "the differential phase"))
-            if np.ptp(0.5 * other) > 0.5e-12:  # halved, as in _ramp_rate: cannot overflow
+            if not np.ptp(0.5 * other) <= 0.5e-12:  # halved, as in _ramp_rate: cannot overflow
                 raise _Refusal(f"{{label}} must ramp only {arm}", "mixed_scan")
             values = phi0 if column == "phi0" else delta_phase
             rate = _ramp_rate(values, f"{{label}} {column}")
@@ -503,9 +473,7 @@ def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np
     nonzero (``bad_scan_rate``), with 8 points per period of ``harmonic``
     (``undersampled``) and n*|rate| >= 0.999 period (``series_too_short``).
     A refusal raises ``error(message, flag)``, the message opening with
-    ``label``.
-
-    The verdict is kept per layout (``_per_layout``).
+    ``label``.  The verdict is kept per layout (``_per_layout``).
     """
     verdict = _per_layout(series, ("verdict", column, harmonic),
                           lambda c: _phase_verdict(c.phi0, c.delta_phase, column, harmonic))
@@ -513,6 +481,21 @@ def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np
         message, flag = verdict
         raise error(message.format(label=label), flag)
     return series.phi0 if column == "both" else getattr(series, column)
+
+
+def _check_step_ramp(series, omega_scan: float, error) -> None:
+    """Raise flag ``phase_step_mismatch`` if ``_off_ramp`` (kept per layout)."""
+    if _per_layout(series, ("off_ramp", omega_scan), lambda c: _off_ramp(c, omega_scan)):
+        raise error("phase columns are not omega_scan * step", "phase_step_mismatch")
+
+
+def _off_ramp(columns, omega_scan: float) -> bool:
+    """Whether a phase column of ``columns`` strays from ``omega_scan * step``
+    by more than 1e-9 of the ramp's largest |value| (at least 1), or is NaN,
+    or the ramp is not finite."""
+    ramp = omega_scan * columns.step.astype(float)
+    tol = 1e-9 * max(1.0, np.max(np.abs(ramp)))
+    return not np.max(np.abs([columns.phi0 - ramp, columns.delta_phase - ramp])) <= tol < math.inf
 
 
 def _design(t, rates) -> np.ndarray:
@@ -524,35 +507,32 @@ def _design(t, rates) -> np.ndarray:
 
 
 def _fit_design(design, counts, error):
-    """``_fit_harmonics`` on a built design: one ``lstsq``, the rank rule and
-    the residual."""
+    """One-``lstsq`` fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]`` on
+    ``design = _design(t, rates)``.
+
+    Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention; the
+    residual is rescaled by ``_pow2_scale`` before it is squared.  Rank
+    rule: raises ``error(message, "rank_deficient")`` unless the design has
+    at least as many rows as columns and the smallest singular value
+    ``lstsq`` returns is at least 1e-10 of the largest.  A residual RMS that
+    is not finite (NaN or infinite counts) raises flag ``nonfinite_counts``.
+    """
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
     if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
         raise error("harmonic design matrix is rank deficient", "rank_deficient")
     resid = counts - design @ coef
     scale = _pow2_scale(resid)
     rms = scale * float(np.sqrt(np.mean((resid / scale) ** 2)))
+    if not math.isfinite(rms):
+        raise error("counts or their fit residual are not finite", "nonfinite_counts")
     amps = [complex(coef[k] - 1j * coef[k + 1]) for k in range(1, len(coef), 2)]
     return float(coef[0]), amps, rms
 
 
-def _fit_harmonics(t, counts, rates, error):
-    """Least-squares fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]``.
-
-    Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention; the
-    residual is rescaled by ``_pow2_scale`` before it is squared.  Rank
-    rule: raises ``error(message, "rank_deficient")`` unless the design has
-    at least as many rows as columns and the smallest singular value
-    ``lstsq`` returns is at least 1e-10 of the largest.
-    """
-    return _fit_design(_design(t, rates), counts, error)
-
-
 def _fit_record(series, column: str, rates, error):
-    """``_fit_harmonics`` of ``series.counts`` over its ``column`` (``step``,
-    as floats, ``phi0`` or ``delta_phase``), on a design kept per layout
-    (``_per_layout``); ``lstsq``, the rank rule and the residual run for
-    every record."""
+    """``_fit_design`` of ``series.counts`` over ``column`` (``step`` as floats,
+    ``phi0`` or ``delta_phase``) on a design kept per layout (``_per_layout``);
+    ``lstsq``, the rank rule and the residual check run for every record."""
     def build(columns):
         values = getattr(columns, column)
         return _design(values.astype(float) if column == "step" else values, rates)
@@ -576,10 +556,9 @@ class _Layout:
     and ``n_samples``) fixes for every record simulated on it.
 
     ``step``, ``phi0`` and ``delta_phase`` are the record columns, each a
-    read-only view of a private read-only array, so neither can be written
-    nor made writeable; ``simulate_scan`` hands every record these very
-    objects.  ``finite`` says whether both ramps are finite.  ``kept`` holds
-    what ``_per_layout`` built of the columns.
+    read-only view of a private read-only array; ``simulate_scan`` hands
+    every record these very objects.  ``kept`` holds what ``_per_layout``
+    built of them (verdicts, designs, step checks).  Only ``scan`` reads it.
     """
 
     def __init__(self, schedule: ScanSchedule):
@@ -590,7 +569,6 @@ class _Layout:
         with np.errstate(over="ignore"):
             ramps = schedule.signal_rate * t, schedule.diff_rate * t
         self.step, self.phi0, self.delta_phase = map(_read_only, (step, *ramps))
-        self.finite = bool(np.isfinite(self.phi0).all() and np.isfinite(self.delta_phase).all())
         self.kept: dict = {}
 
 

@@ -97,6 +97,18 @@ def reference_grid_csv(path, header, columns):
             writer.writerow([repr(float(v)) for v in row])
 
 
+def edit_after_reading(monkeypatch, column, value, row=40):
+    """Make ``TimeSeries.from_csv`` write ``value`` into ``column`` at ``row``
+    of every record it returns, after the record's check has passed."""
+    read = TimeSeries.from_csv.__func__
+
+    def edited(cls, path):
+        series = read(cls, path)
+        getattr(series, column)[row] = value
+        return series
+    monkeypatch.setattr(TimeSeries, "from_csv", classmethod(edited))
+
+
 class TestSimulate:
     def test_writes_series_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
@@ -393,6 +405,19 @@ class TestCalibrateAndEstimate:
         err = capsys.readouterr().err
         assert err == "error: calibration: first scan must ramp only the signal arm\n"
 
+    @pytest.mark.parametrize("column, message", [
+        ("phi0", "first scan phi0 column is not a uniform ramp"),
+        ("counts", "counts or their fit residual are not finite"),
+    ])
+    def test_scan_edited_after_its_check_exits_3(self, tmp_path, capfd, monkeypatch, column,
+                                                 message):
+        scans = self.make_scans(tmp_path)
+        edit_after_reading(monkeypatch, column, math.nan)
+        capfd.readouterr()
+        assert run("calibrate", "--signal-scan", scans["sig"],
+                   "--idler-scan", scans["idl"], "--out", tmp_path / "c.json") == 3
+        assert capfd.readouterr().err == f"error: calibration: {message}\n"
+
     def test_schema_mismatch_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("foo,bar\n1,2\n")
@@ -569,6 +594,24 @@ class TestRotatedPipelines:
         assert run("estimate", "--pipeline", "ellipse", "--data", s1,
                    "--data", s2, "--out", est_path) == 3
         assert capsys.readouterr().err.startswith("error: mixed_scan: ")
+        assert not est_path.exists()
+
+    @pytest.mark.parametrize("pipeline", ["rotated", "ellipse"])
+    @pytest.mark.parametrize("column, value", [("phi0", math.nan), ("delta_phase", math.nan),
+                                               ("counts", math.nan), ("counts", math.inf)])
+    def test_record_edited_after_its_check_exits_3(self, tmp_path, capfd, monkeypatch,
+                                                   pipeline, column, value):
+        s1, s2 = self.simulate_settings(tmp_path)
+        edit_after_reading(monkeypatch, column, value)
+        flag = {"phi0": "nonuniform_scan", "delta_phase": "mixed_scan",
+                "counts": "nonfinite_counts"}[column]
+        if pipeline == "ellipse":
+            flag = "nonfinite_points" if column == "counts" else "phase_mismatch"
+        est_path = tmp_path / "e.json"
+        capfd.readouterr()
+        assert run("estimate", "--pipeline", pipeline, "--data", s1, "--data", s2,
+                   "--out", est_path) == 3
+        assert capfd.readouterr().err.startswith(f"error: {flag}: ")
         assert not est_path.exists()
 
     @pytest.mark.parametrize("options, message", [

@@ -625,6 +625,60 @@ class TestRecordRule:
         assert calibration.value.flag == rotated.value.flag == case
 
 
+def edited_record(record, column, value, row=40):
+    """A writeable copy of ``record`` with ``value`` written into ``column``
+    at ``row`` after construction, where ``TimeSeries``'s check cannot see it."""
+    copied = copy.deepcopy(record)
+    getattr(copied, column)[row] = value
+    return copied
+
+
+# values edited into a record, each with the flag of the rotated route
+# (either setting) and of calibration's first scan
+EDITS = {
+    "phi0-nan": ("phi0", math.nan, "nonuniform_scan"),
+    "phi0-inf": ("phi0", math.inf, "nonuniform_scan"),
+    "delta_phase-nan": ("delta_phase", math.nan, "mixed_scan"),
+    "counts-nan": ("counts", math.nan, "nonfinite_counts"),
+    "counts-inf": ("counts", math.inf, "nonfinite_counts"),
+    "counts-minus-inf": ("counts", -math.inf, "nonfinite_counts"),
+}
+
+
+class TestEditedRecords:
+    """A NaN or infinite value edited into a record after its check is
+    refused with a flag by every route, and nothing reaches stderr: no
+    LAPACK message, no warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edit", list(EDITS))
+    def test_every_route_flags_the_edit(self, edit, capfd):
+        column, value, flag = EDITS[edit]
+        s1, s2 = malformed_settings("ok")
+        sig, idl = round_trip_records("lowgain", 0.5)[:2]
+        series, sched = malformed_fourier("ok")
+        # the idler scan ramps delta_phase, the Fourier scan both columns
+        idler_flag = {"phi0": "mixed_scan", "delta_phase": "nonuniform_scan"}.get(column, flag)
+        fourier_flag = "nonfinite_counts" if column == "counts" else "nonuniform_scan"
+        ellipse_flag = "nonfinite_points" if column == "counts" else "phase_mismatch"
+        bad = edited_record(s1, column, value)
+        for call, error, want in (
+            (lambda: estimate_rotated(bad, s2), EstimationError, flag),
+            (lambda: estimate_rotated(s2, edited_record(s2, column, value)), EstimationError,
+             flag),
+            (lambda: estimate_ellipse(bad, s2), EstimationError, ellipse_flag),
+            (lambda: calibrate(edited_record(sig, column, value), idl), CalibrationError, flag),
+            (lambda: calibrate(sig, edited_record(idl, column, value)), CalibrationError,
+             idler_flag),
+            (lambda: fourier_route(edited_record(series, column, value), sched),
+             EstimationError, fourier_flag),
+        ):
+            with pytest.raises(error) as err:
+                call()
+            assert err.value.flag == want
+        assert capfd.readouterr().err == ""
+
+
 def round_trip_configs(v):
     """The four configurations of ``round_trip_records`` at gain ``v``: the
     empty and loaded crossed pair, and the rotated sample's two settings."""
@@ -718,7 +772,7 @@ def builds(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
     counting(scan, "_phase_verdict")
     counting(scan, "_design")
-    counting(estimation, "_off_ramp")
+    counting(scan, "_off_ramp")
     return counts
 
 
@@ -860,6 +914,8 @@ class TestPhaseLayoutMemo:
             assert (results[0] == "phase_step_mismatch") == (omega != rate)
 
     def test_ellipse_skips_the_phase_comparison_only_within_one_layout(self):
+        # the skip goes by column objects, which records of one layout
+        # share; records of two layouts, or a shifted copy, are compared
         rate = 2.0 * math.pi / 72
         schedules = [ScanSchedule(signal_rate=r, n_samples=72) for r in (rate, 2.0 * rate)]
         s1, s2, other = (simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting), sched,
@@ -873,6 +929,53 @@ class TestPhaseLayoutMemo:
                 with pytest.raises(EstimationError) as err:
                     estimate_ellipse(*pair)
                 assert err.value.flag == "phase_mismatch"
+
+    def test_ellipse_pairs_shared_column_objects_uncompared(self, monkeypatch):
+        # hand-built records that hold s1's very phase-column objects give
+        # the bits of fresh copies, and compare nothing
+        s1, s2 = malformed_settings("ok")
+        shared = [TimeSeries(s1.step, s1.phi0, s1.delta_phase, s.expected_n, s.counts)
+                  for s in (s1, s2)]
+        copies = [TimeSeries(*(getattr(s, name).copy() for name in scan._SERIES_FIELDS))
+                  for s in (s1, s2)]
+        want = hex_fields(estimate_ellipse(*copies))
+        assert hex_fields(estimate_ellipse(s1, s2)) == want
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal",
+                            lambda a, b: compared.append(1) or array_equal(a, b))
+        assert hex_fields(estimate_ellipse(*shared)) == want
+        assert compared == []
+
+    @pytest.mark.parametrize("copied", ["phi0", "delta_phase"])
+    def test_ellipse_compares_a_copied_column_next_to_a_shared_one(self, copied):
+        s1, s2 = malformed_settings("ok")
+        want = hex_fields(estimate_ellipse(s1, s2))
+        column = getattr(s1, copied).copy()
+        partner = dataclasses.replace(s2, **{copied: column})
+        assert getattr(partner, copied) is not getattr(s1, copied)
+        assert hex_fields(estimate_ellipse(s1, partner)) == want
+        column[40] += 1e-3
+        for pair in ((s1, partner), (partner, s1)):
+            with pytest.raises(EstimationError) as err:
+                estimate_ellipse(*pair)
+            assert err.value.flag == "phase_mismatch"
+
+    @pytest.mark.parametrize("column, flag", [("phi0", "nonuniform_scan"),
+                                              ("delta_phase", "mixed_scan")])
+    def test_shared_column_edited_to_nan_is_refused_by_the_rule(self, column, flag, capfd):
+        # both records hold one writeable column; a NaN written into it is
+        # in both, so the pair is not compared, and the record rule refuses it
+        s1, s2 = malformed_settings("ok")
+        values = getattr(s1, column).copy()
+        pair = [dataclasses.replace(s, **{column: values}) for s in (s1, s2)]
+        want = hex_fields(estimate_ellipse(s1, s2))
+        assert hex_fields(estimate_ellipse(*pair)) == want
+        values[40] = math.nan
+        with pytest.raises(EstimationError) as err:
+            estimate_ellipse(*pair)
+        assert err.value.flag == flag
+        assert capfd.readouterr().err == ""
 
     def test_long_records_are_kept_too(self, builds):
         # no row bound: a 5000-row pair builds one verdict and one design
@@ -969,11 +1072,13 @@ class TestPhaseLayoutMemo:
             record = simulate_scan(cfg, sched, NoiseModel(KAPPA, 3, mode), regime=regime)
         except OverflowError:
             # only a ramp past the largest double overflows here
-            assert not sched._layout.finite
+            layout = sched._layout
+            assert not (np.isfinite(layout.phi0).all() and np.isfinite(layout.delta_phase).all())
             return
-        assert sched._layout.finite
+        assert np.isfinite(record.phi0).all() and np.isfinite(record.delta_phase).all()
         assert scan._layout_of(record) is sched._layout
-        assert scan._series_passes([getattr(record, name) for name in scan._SERIES_FIELDS])
+        # the record skipped the check that TimeSeries runs, and passes it
+        scan._name_series_fault([getattr(record, name) for name in scan._SERIES_FIELDS])
 
     @pytest.mark.parametrize("clone", ["copy", "deepcopy", "pickle"])
     def test_schedules_and_records_copy_and_pickle_without_their_layout(self, clone):

@@ -31,7 +31,7 @@ from nli_polarimetry import (
     simulate_scan,
 )
 from nli_polarimetry import scan
-from nli_polarimetry.scan import CSV_COLUMNS, _fit_harmonics, read_csv, write_csv
+from nli_polarimetry.scan import CSV_COLUMNS, _design, _fit_design, read_csv, write_csv
 
 KAPPA = 1.0e4
 
@@ -75,7 +75,8 @@ class TestSchedule:
         # np.arange(8.5) would make a 9-step scan
         with pytest.raises(ValueError, match="^n_samples must be an integer$"):
             ScanSchedule(n_samples=8.5)
-        assert len(ScanSchedule(n_samples=np.int64(8)).steps) == 8
+        assert len(simulate_scan(calibration_config(), ScanSchedule(n_samples=np.int64(8)),
+                                 NoiseModel(KAPPA), regime="lowgain")) == 8
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_rejects_boolean_sample_count(self, flag):
@@ -145,7 +146,7 @@ class TestSimulateScan:
             sched = ScanSchedule(*rng.uniform(-3.0, 3.0, 4), n_samples=64)
             series = simulate_scan(cfg, sched, NoiseModel(1.0), regime="lowgain")
             p = beating_parameters(cfg)
-            t = sched.steps.astype(float)
+            t = np.arange(sched.n_samples, dtype=float)
             mean = p.mean_total_phase + (sched.signal_offset + sched.signal_rate * t)
             half_diff = p.half_diff_phase + 0.5 * (sched.diff_offset + sched.diff_rate * t)
             want = 0.5 * p.amplitude * (
@@ -221,7 +222,7 @@ class TestSimulateScan:
         for _ in range(10):
             cfg = random_config(rng)
             series = simulate_scan(cfg, sched, NoiseModel(1.0), regime="exact")
-            t = sched.steps.astype(float)
+            t = np.arange(sched.n_samples, dtype=float)
             want = [
                 photon_number_exact(with_scan_phases(cfg, 0.4 + 0.37 * k, -1.1 - 0.23 * k))
                 for k in t
@@ -443,9 +444,8 @@ def faulty_columns(rng, n, faults):
 
 
 class TestSeriesCheck:
-    """``TimeSeries`` passes a record in one vectorised pass and names a
-    fault with the per-column checks, so every refusal keeps the message
-    and the precedence of ``reference_series_check``."""
+    """``TimeSeries`` checks a record column by column and names its first
+    fault, with the message and the precedence of ``reference_series_check``."""
 
     @pytest.mark.parametrize("container", ["array", "list"])
     @pytest.mark.parametrize("n", [8, 400, 40_000])
@@ -486,8 +486,8 @@ class TestSeriesCheck:
             assert check_outcome(TimeSeries, columns) == (ValueError, message)
 
     def test_odd_records_are_decided_by_the_reference(self):
-        # records the one-pass check does not decide itself: empty, 2-D,
-        # boolean steps, wrapping int64 steps and non-numeric cells
+        # odd records: empty, 2-D, boolean steps, wrapping int64 steps and
+        # non-numeric cells
         big = np.array([-2**62 - 2**61, 2**62 + 2**61])
         grid = np.ones((4, 2))
         for columns in (
@@ -827,7 +827,7 @@ class TestCalibrate:
 
 
 def single_rate_oracle(x, counts):
-    """``scan._single_harmonic``'s fit before ``_fit_harmonics`` replaced it."""
+    """``scan._single_harmonic``'s fit before the shared kernel replaced it."""
     design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
     coef, _, _, _ = np.linalg.lstsq(design, counts, rcond=None)
     resid = counts - design @ coef
@@ -836,7 +836,7 @@ def single_rate_oracle(x, counts):
 
 
 def sinusoid_oracle(x, counts):
-    """The rotated route's fringe fit before ``_fit_harmonics`` replaced it."""
+    """The rotated route's fringe fit before the shared kernel replaced it."""
     design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
     coef, _, _, _ = np.linalg.lstsq(design, counts, rcond=None)
     resid = counts - design @ coef
@@ -845,7 +845,7 @@ def sinusoid_oracle(x, counts):
 
 
 def dual_rate_oracle(t, counts, omega_scan):
-    """``harmonic_regress``'s fit before ``_fit_harmonics`` replaced it."""
+    """``harmonic_regress``'s fit before the shared kernel replaced it."""
     design = np.column_stack(
         [
             np.ones_like(t),
@@ -885,24 +885,24 @@ class TestFitHarmonics:
         counts = rng.poisson(scale, n).astype(float) if poisson else rng.uniform(0, scale, n)
         err = EstimationError
         x = offset + rate * np.arange(n)
-        single = fit_bits(_fit_harmonics(x, counts, (1.0,), err))
+        single = fit_bits(_fit_design(_design(x, (1.0,)), counts, err))
         assert single == fit_bits(single_rate_oracle(x, counts))
         assert single == fit_bits(sinusoid_oracle(x, counts))
-        half = fit_bits(_fit_harmonics(x, counts, (0.5,), err))
+        half = fit_bits(_fit_design(_design(x, (0.5,)), counts, err))
         assert half == fit_bits(single_rate_oracle(0.5 * x, counts))
         t = np.arange(n, dtype=float)
-        dual = _fit_harmonics(t, counts, (0.5 * rate, 1.5 * rate), err)
+        dual = _fit_design(_design(t, (0.5 * rate, 1.5 * rate)), counts, err)
         assert fit_bits(dual) == fit_bits(dual_rate_oracle(t, counts, rate))
 
     def test_rank_rule_raises_each_callers_error(self):
         # fewer rows than columns: the kernel raises what the caller's
         # error(message, flag) factory builds
+        design = _design(np.arange(2.0), (1.0,))
         with pytest.raises(EstimationError, match="rank deficient") as info:
-            _fit_harmonics(np.arange(2.0), np.ones(2), (1.0,), EstimationError)
+            _fit_design(design, np.ones(2), EstimationError)
         assert info.value.flag == "rank_deficient"
         with pytest.raises(CalibrationError, match="rank deficient"):
-            _fit_harmonics(np.arange(2.0), np.ones(2), (1.0,),
-                           lambda message, flag: CalibrationError(message))
+            _fit_design(design, np.ones(2), lambda message, flag: CalibrationError(message))
         # a half-turn per step: the record rule refuses it before the kernel
         # would find the half-rate sine column at rounding level
         steps = np.arange(16)

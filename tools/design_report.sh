@@ -13,12 +13,16 @@
 # nlipol's command-line options (its add_argument calls) and config keys
 # (the keys its _check_keys calls accept).  It also lists, at BASE_REF and
 # in the working tree, the re-exported names that no src/ module other than
-# __init__.py and no perfbench/*.py file references (as a name, an attribute
-# or an imported name): what only tests and outside callers use.  Last, it
-# lists, at BASE_REF and in the working tree, each private name (leading
-# underscore) that one src/ module imports from a sibling, as
-# "module <- sibling._name": a decision that two modules know.  Sources
-# are read as text and parsed with ast; nothing is imported or run.
+# __init__.py and no perfbench/*.py file references (as a name read, an
+# attribute or an imported name; a definition is no reference): what only
+# tests and outside callers use.  Then it lists, at BASE_REF and in the
+# working tree, each private name (leading underscore) that one src/ module
+# imports from a sibling, as "module <- sibling._name": a decision that two
+# modules know.  Last, it lists, at BASE_REF and in the working tree, each
+# private top-level name of a src/ module (a function, class or assigned
+# name) that no src/ module and no perfbench/*.py file references, as
+# "module._name": code that only tests, or nothing, use.  Sources are read
+# as text and parsed with ast; nothing is imported or run.
 # Untracked files under src/ and perfbench/ count, ignored ones (such as
 # __pycache__) do not.
 #
@@ -137,23 +141,56 @@ def settable_values(files):
     return counts
 
 
-def unreferenced(files, bench):
-    """Re-exported names that no src/ module but __init__ and no
-    perfbench/*.py file names, in source order."""
-    init = f"{package}/__init__.py"
-    sources = [text for name, text in files.items() if name.endswith(".py") and name != init]
-    sources += [text for name, text in bench.items()
-                if name.endswith(".py") and Path(name).parent == Path("perfbench")]
+def referenced(sources):
+    """Every name the sources reference: as a name read (not one assigned),
+    as an attribute, or as an imported name."""
     used = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+    return used
+
+
+def bench_sources(bench):
+    return [text for name, text in bench.items()
+            if name.endswith(".py") and Path(name).parent == Path("perfbench")]
+
+
+def unreferenced(files, bench):
+    """Re-exported names that no src/ module but __init__ and no
+    perfbench/*.py file names, in source order."""
+    init = f"{package}/__init__.py"
+    sources = [text for name, text in files.items() if name.endswith(".py") and name != init]
+    used = referenced(sources + bench_sources(bench))
     return [name for name in reexports(files[init]) if name not in used]
+
+
+def unreferenced_private(files, bench):
+    """'module._name' for each private top-level name of a src/ module that
+    no src/ module and no perfbench/*.py file references, by file name and
+    then source order."""
+    sources = [text for name, text in files.items() if name.endswith(".py")]
+    used = referenced(sources + bench_sources(bench))
+    found = []
+    for name in sorted(files):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.parse(files[name]).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{Path(name).stem}.{d}" for d in defined
+                      if d.startswith("_") and not d.startswith("__") and d not in used]
+    return found
 
 
 def private_imports(files):
@@ -228,4 +265,11 @@ print(f"private names a src/ module imports from a sibling: "
       f"{len(old_private)} at {tag}, {len(new_private)} in the working tree")
 print(f"  at {tag}: " + (", ".join(old_private) or "none"))
 print("  in the working tree: " + (", ".join(new_private) or "none"))
+
+old_orphans = unreferenced_private(old, base_files("perfbench"))
+new_orphans = unreferenced_private(new, tree_files("perfbench"))
+print(f"private top-level src/ names no src/ module or perfbench/*.py references: "
+      f"{len(old_orphans)} at {tag}, {len(new_orphans)} in the working tree")
+print(f"  at {tag}: " + (", ".join(old_orphans) or "none"))
+print("  in the working tree: " + (", ".join(new_orphans) or "none"))
 EOF
