@@ -77,7 +77,8 @@ class ScanSchedule:
             raise ValueError("n_samples must be >= 8")
 
     def __getstate__(self):
-        return _without_layout(self)
+        # the fields: a copy interns its layout on its own first ``simulate_scan``
+        return {k: v for k, v in self.__dict__.items() if k != "_layout"}
 
 
 def fourier_protocol_schedule(
@@ -130,14 +131,15 @@ class TimeSeries:
 
     ``phi0`` and ``delta_phase`` hold the commanded ramps (offsets excluded);
     ``expected_n`` is the model photon number and ``counts`` the detector
-    record in count units.  A NaN or infinite value, a step that does not
+    record in count units; each is stored as an array (``np.asarray``: an
+    array is not copied).  A NaN or infinite value, a step that does not
     exceed the one before it, or a negative ``expected_n`` raises
     ``ValueError`` naming the value and its data row, as ``read_csv`` does,
     at construction only (``_name_series_fault``; the fits flag one edited in).
 
-    A record from ``simulate_scan`` shares its ``step``, ``phi0`` and
-    ``delta_phase`` columns, read-only, with every record simulated on the
-    same ramp shape; its ``expected_n`` and ``counts`` are its own.
+    A record that holds a ramp shape's read-only ``step``, ``phi0`` and
+    ``delta_phase`` objects, as ``simulate_scan``'s do, however it was made,
+    shares that shape's kept checks and designs (``_per_layout``).
     """
 
     step: np.ndarray
@@ -145,14 +147,11 @@ class TimeSeries:
     delta_phase: np.ndarray
     expected_n: np.ndarray
     counts: np.ndarray
-    # a weak reference to the ``_Layout`` whose columns ``simulate_scan`` put in
-    _layout = None
-
-    def __getstate__(self):
-        return _without_layout(self)
 
     def __post_init__(self):
-        _name_series_fault([getattr(self, name) for name in _SERIES_FIELDS])
+        self.step, self.phi0, self.delta_phase, self.expected_n, self.counts = columns = [
+            np.asarray(getattr(self, name)) for name in _SERIES_FIELDS]
+        _name_series_fault(columns)
 
     def __len__(self) -> int:
         return len(self.step)
@@ -199,14 +198,6 @@ class TimeSeries:
 _SERIES_FIELDS = ("step", "phi0", "delta_phase", "expected_n", "counts")
 
 
-def _without_layout(obj) -> dict:
-    """The pickled and copied state of a schedule or a record: its fields.
-    A copy holds no layout (a weak reference cannot be pickled), so a copied
-    record is checked afresh by every fit and a copied schedule interns its
-    layout on its own first ``simulate_scan``."""
-    return {k: v for k, v in obj.__dict__.items() if k != "_layout"}
-
-
 def _name_series_fault(columns) -> None:
     """``TimeSeries``'s check, column by column: raise ``ValueError`` naming
     the first fault (unequal lengths or a non-finite value, in column order,
@@ -228,7 +219,7 @@ def _name_series_fault(columns) -> None:
         raise ValueError(f"step index must be strictly increasing: step "
                          f"'{step[row]}' of data row {row + 1} follows "
                          f"step '{step[row - 1]}'")
-    negative = np.flatnonzero(np.asarray(expected_n) < 0)
+    negative = np.flatnonzero(expected_n < 0)
     if negative.size:
         row = int(negative[0])
         raise ValueError(f"expected_n must be nonnegative: value "
@@ -390,7 +381,7 @@ def simulate_scan(
     # at zero (low gain) or a sum of squared moduli (exact)
     series = object.__new__(TimeSeries)
     series.__dict__.update(step=layout.step, phi0=layout.phi0, delta_phase=layout.delta_phase,
-                           expected_n=expected, counts=counts, _layout=weakref.ref(layout))
+                           expected_n=expected, counts=counts)
     return series
 
 
@@ -435,7 +426,6 @@ def _phase_verdict(phi0, delta_phase, column: str, harmonic: float):
     """The record rule's verdict on a record's phase columns: None for a
     pass, else ``(message, flag)`` with ``{label}`` in the message where the
     caller's label goes.  ``_scan_phase`` states the rule."""
-    phi0, delta_phase = np.asarray(phi0), np.asarray(delta_phase)
     try:
         if column == "both":
             values, arm = phi0, "its phases"
@@ -464,8 +454,8 @@ def _phase_verdict(phi0, delta_phase, column: str, harmonic: float):
     return None
 
 
-def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np.ndarray:
-    """The record rule of every fit; returns ``column`` (``phi0`` for "both").
+def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> None:
+    """The record rule of every fit.
 
     A scan of ``column`` alone must hold the other phase column within 1e-12
     (``mixed_scan``); the dual scan ("both") must ramp both at one rate
@@ -480,7 +470,6 @@ def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> np
     if verdict is not None:
         message, flag = verdict
         raise error(message.format(label=label), flag)
-    return series.phi0 if column == "both" else getattr(series, column)
 
 
 def _check_step_ramp(series, omega_scan: float, error) -> None:
@@ -500,7 +489,6 @@ def _off_ramp(columns, omega_scan: float) -> bool:
 
 def _design(t, rates) -> np.ndarray:
     """Design matrix ``[1, cos(r t), sin(r t) for r in rates]``."""
-    t = np.asarray(t)
     return np.column_stack(
         [np.ones_like(t)] + [f(r * t) for r in rates for f in (np.cos, np.sin)]
     )
@@ -553,7 +541,7 @@ def _fit_ramp(series, column: str, harmonic: float, error, label="scan"):
 
 class _Layout:
     """What one ramp shape (the bits of ``signal_rate`` and ``diff_rate``,
-    and ``n_samples``) fixes for every record simulated on it.
+    and ``n_samples``) fixes for every record that holds its columns.
 
     ``step``, ``phi0`` and ``delta_phase`` are the record columns, each a
     read-only view of a private read-only array; ``simulate_scan`` hands
@@ -578,8 +566,10 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values[...]
 
 
-# the live layouts by ramp shape; a layout lives while a schedule holds it
+# the live layouts by ramp shape and by ``id`` of their ``phi0`` (unique while
+# the entry lives, as the layout holds it); a layout lives while a schedule holds it
 _LAYOUTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_BY_PHI0: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _schedule_layout(schedule: ScanSchedule) -> _Layout:
@@ -592,15 +582,15 @@ def _schedule_layout(schedule: ScanSchedule) -> _Layout:
         layout = _LAYOUTS.get(key)
         if layout is None:
             layout = _LAYOUTS[key] = _Layout(schedule)
+            _BY_PHI0[id(layout.phi0)] = layout
         object.__setattr__(schedule, "_layout", layout)
     return layout
 
 
 def _layout_of(series) -> _Layout | None:
     """The live layout whose very ``step``, ``phi0`` and ``delta_phase``
-    objects ``series`` holds, else None."""
-    ref = series._layout
-    layout = ref() if ref is not None else None
+    objects ``series`` holds, else None: the one rule for sharing."""
+    layout = _BY_PHI0.get(id(series.phi0))
     if (layout is not None and series.phi0 is layout.phi0
             and series.delta_phase is layout.delta_phase and series.step is layout.step):
         return layout
@@ -611,7 +601,7 @@ def _per_layout(series, key: tuple, build):
     """``build`` of the record's columns (any object with ``step``, ``phi0``
     and ``delta_phase``), built once per layout.
 
-    A record that holds the very column objects of a live ``_Layout`` gets
+    A record holding a live ``_Layout``'s very columns (``_layout_of``) gets
     the result kept on the layout under ``key`` (built on first use of the
     key, of those same columns, and made read-only if an array); any other
     record gets ``build(series)`` afresh, and nothing is kept.  ``key``

@@ -2,6 +2,7 @@ import cmath
 import collections
 import copy
 import dataclasses
+import gc
 import json
 import math
 import pickle
@@ -719,10 +720,13 @@ def round_trip_records(regime, v, seed=11, xi_bar=0.23, delta_xi=-0.61, configs=
 
 
 def hex_fields(result):
-    """``float.hex`` of every float of a ``Calibration`` or ``SampleEstimate``."""
+    """``float.hex`` of every float (and of both parts of every complex) of a
+    ``Calibration``, ``SampleEstimate`` or ``HarmonicDecomposition``."""
     def walk(value):
         if isinstance(value, float):
             return value.hex()
+        if isinstance(value, complex):
+            return value.real.hex(), value.imag.hex()
         if isinstance(value, dict):
             return {key: walk(item) for key, item in value.items()}
         return value
@@ -746,8 +750,14 @@ def flat_records(records):
 
 
 def hand_built(record):
-    """A record with the same column objects and no layout."""
-    return TimeSeries(**{f.name: getattr(record, f.name) for f in dataclasses.fields(record)})
+    """A record built by hand from copies of the columns: on no layout."""
+    return TimeSeries(*(getattr(record, name).copy() for name in scan._SERIES_FIELDS))
+
+
+def map_records(records, make):
+    """``round_trip_records`` with ``make`` of each record."""
+    sig, idl, (series, sched), s1, s2 = records
+    return make(sig), make(idl), (make(series), sched), make(s1), make(s2)
 
 
 # the gains of the exact benchmark workload
@@ -800,11 +810,8 @@ class TestPhaseLayoutMemo:
         warm = {name: hex_fields(stage()) for name, stage in stages.items()}
         assert builds == built  # the warm pass built nothing
         # records without a layout are checked, and get their designs, on every call
-        sig, idl, (series, sched), s1, s2 = records
-        fresh_records = (hand_built(sig), hand_built(idl), (hand_built(series), sched),
-                         hand_built(s1), hand_built(s2))
         fresh = {name: hex_fields(stage())
-                 for name, stage in round_trip_stages(fresh_records).items()}
+                 for name, stage in round_trip_stages(map_records(records, hand_built)).items()}
         assert builds - built == {"_phase_verdict": 6, "_design": 5, "_off_ramp": 1}
         assert warm == cold == fresh
 
@@ -1033,7 +1040,7 @@ class TestPhaseLayoutMemo:
         estimate_rotated(s1, s2)
         kept = dict(sched._layout.kept)
         if kind == "hand_built":
-            # the layout's very columns, but no layout: checked and passed
+            # copies of the layout's columns: checked and passed
             record, flag = hand_built(s1), None
         elif kind == "replaced":
             record, flag = dataclasses.replace(s1, phi0=s1.phi0 * (1.0 + 1e-3 * s1.step / 72)), \
@@ -1044,7 +1051,7 @@ class TestPhaseLayoutMemo:
         elif kind == "reversed_view":
             record, flag = dataclasses.replace(s1, delta_phase=s1.phi0[::-1]), "mixed_scan"
         else:
-            # a simulated record, still pointing at its layout, given a new column
+            # a simulated record given a new column
             record = simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1), sched,
                                    NoiseModel(KAPPA), regime="lowgain")
             record.delta_phase, flag = record.phi0[::-1], "mixed_scan"
@@ -1059,6 +1066,59 @@ class TestPhaseLayoutMemo:
                 assert err.value.flag == flag
             assert builds["_phase_verdict"] == verdicts + 1
         assert sched._layout.kept == kept
+
+    @pytest.mark.parametrize("kind", ["copy", "replaced_counts", "hand_built_shared"])
+    def test_records_holding_the_layout_columns_share_its_results(self, kind, builds):
+        # column identity is the one rule: a copy, a replace of other columns
+        # and a hand-built record on the same column objects build nothing
+        make = {
+            "copy": copy.copy,
+            "replaced_counts": lambda r: dataclasses.replace(r, counts=r.counts.copy()),
+            "hand_built_shared": lambda r: TimeSeries(r.step, r.phi0, r.delta_phase,
+                                                      r.expected_n.copy(), r.counts.copy()),
+        }[kind]
+        schedules = round_trip_schedules()
+        records = round_trip_records("lowgain", 0.5, schedules=schedules)
+        want = {name: hex_fields(stage()) for name, stage in round_trip_stages(records).items()}
+        shared = map_records(records, make)
+        for clone, record in zip(flat_records(shared), flat_records(records)):
+            assert clone is not record
+            assert scan._layout_of(clone) is scan._layout_of(record) is not None
+        built = collections.Counter(builds)
+        got = {name: hex_fields(stage()) for name, stage in round_trip_stages(shared).items()}
+        assert builds == built
+        fresh = {name: hex_fields(stage())
+                 for name, stage in round_trip_stages(map_records(records, hand_built)).items()}
+        assert builds != built
+        assert got == want == fresh
+
+    @pytest.mark.parametrize("kind", ["deep_copy", "pickle", "replaced_column",
+                                      "reversed_column", "schedule_collected"])
+    def test_records_off_the_layout_columns_are_checked_again(self, kind, builds):
+        # equal values in other objects share nothing: each call checks the
+        # record and builds its design, with the bits of the shared record
+        sched = ScanSchedule(signal_rate=2.0 * math.pi / 73, n_samples=73)
+        record = simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1), sched,
+                               poisson(1), regime="lowgain")
+        want = hex_fields(estimate_rotated(record, record))
+        layout = weakref.ref(sched._layout)
+        if kind == "deep_copy":
+            record = copy.deepcopy(record)
+        elif kind == "pickle":
+            record = pickle.loads(pickle.dumps(record))
+        elif kind == "replaced_column":
+            record = dataclasses.replace(record, phi0=record.phi0.copy())
+        elif kind == "reversed_column":
+            # the zero delta_phase column, reversed: equal values, a new view
+            record = dataclasses.replace(record, delta_phase=record.delta_phase[::-1])
+        else:
+            del sched
+            gc.collect()
+            assert layout() is None
+        assert scan._layout_of(record) is None
+        for calls in (1, 2):
+            assert hex_fields(estimate_rotated(record, record)) == want
+            assert builds == {"_phase_verdict": 1 + 2 * calls, "_design": 1 + 2 * calls}
 
     @settings(max_examples=60, deadline=None)
     @given(signal_rate=RATES, diff_rate=RATES, n=st.integers(8, 80),
@@ -1081,7 +1141,8 @@ class TestPhaseLayoutMemo:
         scan._name_series_fault([getattr(record, name) for name in scan._SERIES_FIELDS])
 
     @pytest.mark.parametrize("clone", ["copy", "deepcopy", "pickle"])
-    def test_schedules_and_records_copy_and_pickle_without_their_layout(self, clone):
+    def test_schedules_copy_and_pickle_without_their_layout(self, clone):
+        shallow = clone == "copy"
         clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                  "pickle": lambda x: pickle.loads(pickle.dumps(x))}[clone]
         sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
@@ -1089,7 +1150,10 @@ class TestPhaseLayoutMemo:
         record = simulate_scan(cfg, sched, NoiseModel(KAPPA), regime="lowgain")
         sched_copy, record_copy = clone(sched), clone(record)
         assert sched_copy == sched and "_layout" not in vars(sched_copy)
-        assert "_layout" not in vars(record_copy) and scan._layout_of(record_copy) is None
+        # a record is plain data: a shallow copy holds the very columns, and
+        # so the layout; a deep copy or a pickle holds new arrays
+        assert vars(record_copy).keys() == set(scan._SERIES_FIELDS)
+        assert scan._layout_of(record_copy) is (sched._layout if shallow else None)
         for name in scan._SERIES_FIELDS:
             np.testing.assert_array_equal(getattr(record_copy, name), getattr(record, name))
         assert (hex_fields(estimate_rotated(record_copy, record_copy))
@@ -1097,6 +1161,33 @@ class TestPhaseLayoutMemo:
         # the copied schedule interns the same layout on its first simulation
         again = simulate_scan(cfg, sched_copy, NoiseModel(KAPPA), regime="lowgain")
         assert sched_copy._layout is sched._layout and again.phi0 is record.phi0
+
+
+class TestSequenceColumns:
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_records_built_from_sequences_give_the_bits_of_arrays(self, container, tmp_path):
+        # a record's columns are stored as arrays, so every route and the
+        # CSV writer take a record built from lists or tuples
+        schedules = round_trip_schedules()
+        records = round_trip_records("lowgain", 0.5, schedules=schedules)
+        rebuilt = map_records(records, lambda r: TimeSeries(
+            *(container(getattr(r, name).tolist()) for name in scan._SERIES_FIELDS)))
+
+        def results(records):
+            sig, idl, (series, sched), s1, s2 = records
+            return (hex_fields(harmonic_regress(series, sched.signal_rate)),
+                    hex_fields(calibrate(sig, idl)),
+                    hex_fields(estimate_rotated(s1, s2)),
+                    hex_fields(estimate_ellipse(s1, s2)))
+        assert results(rebuilt) == results(records)
+        for arrays, sequences in zip(flat_records(records), flat_records(rebuilt)):
+            arrays.to_csv(tmp_path / "arrays.csv")
+            sequences.to_csv(tmp_path / "sequences.csv")
+            assert ((tmp_path / "sequences.csv").read_bytes()
+                    == (tmp_path / "arrays.csv").read_bytes())
+            for name in scan._SERIES_FIELDS:
+                column = getattr(sequences, name)
+                assert type(column) is np.ndarray and column.dtype == getattr(arrays, name).dtype
 
 
 class TestConfigurationMemo:

@@ -21,8 +21,13 @@
 # modules know.  Last, it lists, at BASE_REF and in the working tree, each
 # private top-level name of a src/ module (a function, class or assigned
 # name) that no src/ module and no perfbench/*.py file references, as
-# "module._name": code that only tests, or nothing, use.  Sources are read
-# as text and parsed with ast; nothing is imported or run.
+# "module._name": code that only tests, or nothing, use.  Last, it lists
+# the hidden state set on objects, at BASE_REF and in the working tree: the
+# src/ classes that define __getstate__, as "module.Class", and each write
+# of a private attribute onto an object other than self, through
+# object.__setattr__(obj, "_x", ...) or obj.__dict__.update(_x=...), as
+# "module.function: obj._x".  Sources are read as text and parsed with ast;
+# nothing is imported or run.
 # Untracked files under src/ and perfbench/ count, ignored ones (such as
 # __pycache__) do not.
 #
@@ -207,6 +212,42 @@ def private_imports(files):
     return found
 
 
+def hidden_state(files):
+    """The classes that define __getstate__ ('module.Class'), and the writes
+    of a private attribute onto an object other than self
+    ('module.function: obj._x'), by file name and then source order."""
+    classes, writes = [], []
+    for name in sorted(files):
+        if not name.endswith(".py"):
+            continue
+        stem = Path(name).stem
+
+        def visit(node, scope):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__getstate__"
+                    for item in node.body):
+                classes.append(f"{stem}.{node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            target, attrs = None, []
+            if isinstance(node, ast.Call):
+                func, args = node.func, node.args
+                if (ast.unparse(func) == "object.__setattr__" and len(args) >= 2
+                        and isinstance(args[1], ast.Constant)):
+                    target, attrs = args[0], [str(args[1].value)]
+                elif (isinstance(func, ast.Attribute) and func.attr == "update"
+                        and isinstance(func.value, ast.Attribute)
+                        and func.value.attr == "__dict__"):
+                    target, attrs = func.value.value, [k.arg for k in node.keywords if k.arg]
+            if target is not None and ast.unparse(target) != "self":
+                writes.extend(f"{stem}.{scope}: {ast.unparse(target)}.{attr}"
+                              for attr in attrs if attr.startswith("_"))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+        visit(ast.parse(files[name]), "<module>")
+    return classes, writes
+
+
 def module_all(source):
     for node in ast.parse(source).body:
         if (isinstance(node, ast.Assign)
@@ -272,4 +313,14 @@ print(f"private top-level src/ names no src/ module or perfbench/*.py references
       f"{len(old_orphans)} at {tag}, {len(new_orphans)} in the working tree")
 print(f"  at {tag}: " + (", ".join(old_orphans) or "none"))
 print("  in the working tree: " + (", ".join(new_orphans) or "none"))
+
+(old_classes, old_writes), (new_classes, new_writes) = hidden_state(old), hidden_state(new)
+print(f"src/ classes that define __getstate__: "
+      f"{len(old_classes)} at {tag}, {len(new_classes)} in the working tree")
+print(f"  at {tag}: " + (", ".join(old_classes) or "none"))
+print("  in the working tree: " + (", ".join(new_classes) or "none"))
+print(f"private attributes src/ stores on another object: "
+      f"{len(old_writes)} at {tag}, {len(new_writes)} in the working tree")
+print(f"  at {tag}: " + (", ".join(old_writes) or "none"))
+print("  in the working tree: " + (", ".join(new_writes) or "none"))
 EOF
