@@ -159,8 +159,10 @@ def extract_sample_fourier(
     for name, value in (("t_par", t_par), ("t_perp", t_perp)):
         if value > 1.05:
             flags.append(f"{name}_exceeds_unity")
-    t_par_c = float(np.clip(t_par, 0.0, 1.0))
-    t_perp_c = float(np.clip(t_perp, 0.0, 1.0))
+    # ``np.clip``'s bits: both are +0.0 or more (``abs`` over a positive
+    # amplitude), the range where ``min(max(...))`` agrees with the clip
+    t_par_c = float(min(max(t_par, 0.0), 1.0))
+    t_perp_c = float(min(max(t_perp, 0.0), 1.0))
 
     weak = 1e-12 * amplitude
     if abs(decomp.amp_half) < weak or abs(decomp.amp_threehalf) < weak:
@@ -343,6 +345,10 @@ def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> Sa
     )
 
 
+# the inverse of the ellipse constraint matrix (4ac - b^2 as a quadratic form)
+_C1_INV = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
+
+
 def _direct_ellipse_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ellipse-constrained direct least-squares conic fit.
 
@@ -361,14 +367,15 @@ def _direct_ellipse_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise UnidentifiableError("degenerate point configuration",
                                   flag="degenerate_conic") from exc
     m = s1 + s2 @ t
-    c1inv = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
-    vals, vecs = np.linalg.eig(c1inv @ m)
+    vals, vecs = np.linalg.eig(_C1_INV @ m)
+    vecs = vecs.real
     best = None
-    for k in range(3):
-        if abs(vals[k].imag) > 1e-8 * (1.0 + abs(vals[k].real)):
+    for k, val in enumerate(vals.tolist()):
+        if abs(val.imag) > 1e-8 * (1.0 + abs(val.real)):
             continue
-        v = np.real(vecs[:, k])
-        constraint = 4.0 * v[0] * v[2] - v[1] ** 2
+        v = vecs[:, k]
+        v0, v1, v2 = v.tolist()
+        constraint = 4.0 * v0 * v2 - v1 ** 2
         if constraint > 0.0:
             best = v / math.sqrt(constraint)
     if best is None:
@@ -400,7 +407,13 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
         For fewer than 6 points (flag ``too_few_points``) or a NaN or
         infinite one (``nonfinite_points``); as ``UnidentifiableError`` with
         flag ``degenerate_conic`` for collinear points or a non-elliptical
-        conic.
+        conic (among them one whose invariants divide by zero).
+
+    The means are ``np.add.reduce`` divided by the point count and the
+    scalar roots ``math.sqrt``, as in ``scan._fit_design``, and the conic's
+    invariants are taken in Python float arithmetic, the IEEE arithmetic of
+    numpy's scalars: the result has the bits of the ``np.mean``,
+    ``np.sqrt`` and numpy-scalar forms.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 6:
@@ -412,58 +425,65 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
     # normalize: isotropic scaling keeps the conic fit well conditioned and
     # makes the residual scale-free; the exact power-of-two scale keeps the
     # centroid's sum and the spread's squares from overflowing
+    n = len(pts)
     scale = _pow2_scale(pts)
-    centroid = scale * (pts / scale).mean(axis=0)
+    centroid = scale * (np.add.reduce(pts / scale, axis=0) / n)
     offsets = pts - centroid
-    spread = scale * np.sqrt(np.mean(np.sum((offsets / scale) ** 2, axis=1)))
+    spread = scale * math.sqrt(
+        float(np.add.reduce(np.add.reduce((offsets / scale) ** 2, axis=1))) / n)
     if spread <= 0.0:
         raise UnidentifiableError("all points coincide", flag="degenerate_conic")
     norm = offsets / spread
-    sv = np.linalg.svd(norm - norm.mean(axis=0), compute_uv=False)
+    sv = np.linalg.svd(norm - np.add.reduce(norm, axis=0) / n, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
         raise UnidentifiableError("points are collinear", flag="degenerate_conic")
 
     conic = _direct_ellipse_fit(norm[:, 0], norm[:, 1])
-    a, b, c, d, e, f = conic
-    disc = b * b - 4.0 * a * c  # -1 by the fit's scaling
     design = np.column_stack(
         [norm[:, 0] ** 2, norm[:, 0] * norm[:, 1], norm[:, 1] ** 2,
          norm[:, 0], norm[:, 1], np.ones(len(norm))]
     )
-    theta = conic / np.linalg.norm(conic)
-    residual = float(np.sqrt(np.mean((design @ theta) ** 2)))
+    theta = conic / math.sqrt(conic.dot(conic))  # np.linalg.norm's formula
+    residual = math.sqrt(float(np.add.reduce((design @ theta) ** 2)) / n)
+    a, b, c, d, e, f = conic.tolist()
+    x_mean, y_mean = centroid.tolist()
+    # a Python float division by zero raises: the conic is no ellipse
+    try:
+        disc = b * b - 4.0 * a * c  # -1 by the fit's scaling
 
-    # center in normalized then original coordinates
-    cx = (2.0 * c * d - b * e) / disc
-    cy = (2.0 * a * e - b * d) / disc
-    center = (centroid[0] + spread * cx, centroid[1] + spread * cy)
-    if center[0] <= 0.0 or center[1] <= 0.0:
-        raise EstimationError("fringe center must be positive", flag="bad_center")
+        # center in normalized then original coordinates
+        cx = (2.0 * c * d - b * e) / disc
+        cy = (2.0 * a * e - b * d) / disc
+        center = (x_mean + spread * cx, y_mean + spread * cy)
+        if center[0] <= 0.0 or center[1] <= 0.0:
+            raise EstimationError("fringe center must be positive", flag="bad_center")
 
-    # central form A X^2 + B XY + C Y^2 = F
-    big_f = -(a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f)
-    if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
-        a, b, c, big_f = -a, -b, -c, -big_f
-    if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
+        # central form A X^2 + B XY + C Y^2 = F
+        big_f = -(a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f)
+        if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
+            a, b, c, big_f = -a, -b, -c, -big_f
+        if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
+            raise UnidentifiableError("fitted conic is not a real ellipse",
+                                      flag="degenerate_conic")
+
+        # harmonic invariants of the Lissajous parametrization
+        cos_rel = -b / (2.0 * math.sqrt(a * c))
+        cos_rel = min(max(cos_rel, -1.0), 1.0)  # np.clip's bits, a NaN kept
+        sin_rel_mag = math.sqrt(max(0.0, 1.0 - cos_rel * cos_rel))
+        # traversal direction from the polygon's signed area, each vertex
+        # against the next (the last against the first)
+        x0, y0 = norm[:, 0] - cx, norm[:, 1] - cy
+        x1, y1 = (np.concatenate((v[1:], v[:1])) for v in (x0, y0))
+        area = 0.5 * float(np.add.reduce(x0 * y1 - x1 * y0))
+        rel_phase = math.atan2(-math.copysign(sin_rel_mag, area), cos_rel)
+        sin_sq = max(sin_rel_mag**2, 1e-300)
+        amp_x = spread * math.sqrt(big_f / (a * sin_sq))
+        amp_y = spread * math.sqrt(big_f / (c * sin_sq))
+    except ZeroDivisionError:
         raise UnidentifiableError("fitted conic is not a real ellipse",
-                                  flag="degenerate_conic")
+                                  flag="degenerate_conic") from None
 
-    # harmonic invariants of the Lissajous parametrization
-    cos_rel = -b / (2.0 * math.sqrt(a * c))
-    cos_rel = float(np.clip(cos_rel, -1.0, 1.0))
-    sin_rel_mag = math.sqrt(max(0.0, 1.0 - cos_rel * cos_rel))
-    # traversal direction from the polygon's signed area, each vertex against
-    # the next (the last against the first)
-    x0, y0 = norm[:, 0] - cx, norm[:, 1] - cy
-    x1, y1 = (np.concatenate((v[1:], v[:1])) for v in (x0, y0))
-    area = 0.5 * float(np.sum(x0 * y1 - x1 * y0))
-    rel_phase = math.atan2(-math.copysign(sin_rel_mag, area), cos_rel)
-    sin_sq = max(sin_rel_mag**2, 1e-300)
-    amp_x = spread * math.sqrt(big_f / (a * sin_sq))
-    amp_y = spread * math.sqrt(big_f / (c * sin_sq))
-
-    return (float(amp_x), float(amp_y), float(rel_phase),
-            (float(center[0]), float(center[1])), residual)
+    return amp_x, amp_y, rel_phase, center, residual
 
 
 def estimate_ellipse(

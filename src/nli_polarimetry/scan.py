@@ -132,7 +132,8 @@ class TimeSeries:
     ``phi0`` and ``delta_phase`` hold the commanded ramps (offsets excluded);
     ``expected_n`` is the model photon number and ``counts`` the detector
     record in count units; each is stored as an array (``np.asarray``: an
-    array is not copied).  A NaN or infinite value, a step that does not
+    array is not copied).  A column that is not one-dimensional raises
+    ``ValueError`` naming it; a NaN or infinite value, a step that does not
     exceed the one before it, or a negative ``expected_n`` raises
     ``ValueError`` naming the value and its data row, as ``read_csv`` does,
     at construction only (``_name_series_fault``; the fits flag one edited in).
@@ -200,9 +201,14 @@ _SERIES_FIELDS = ("step", "phi0", "delta_phase", "expected_n", "counts")
 
 def _name_series_fault(columns) -> None:
     """``TimeSeries``'s check, column by column: raise ``ValueError`` naming
-    the first fault (unequal lengths or a non-finite value, in column order,
-    then a step that does not increase, then a negative ``expected_n``), by
-    its value and data row.  Its largest temporary is one column's size."""
+    the first fault (a column that is not one-dimensional, by its name and
+    shape; then unequal lengths or a non-finite value, in column order, then
+    a step that does not increase, then a negative ``expected_n``, by its
+    value and data row).  Its largest temporary is one column's size."""
+    for name, column in zip(_SERIES_FIELDS, columns):
+        if column.ndim != 1:
+            raise ValueError(f"column '{name}' must be one-dimensional, not of "
+                             f"shape {column.shape}")
     step, expected_n = columns[0], columns[3]
     n = len(step)
     for name, column in zip(_SERIES_FIELDS, columns):
@@ -402,7 +408,7 @@ def _pow2_scale(values) -> float:
     overflow, and dividing by a power of two is exact: a mean or root mean
     square taken of them and multiplied back by the scale keeps every bit.
     """
-    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values))))[1] - 1)
+    return math.ldexp(1.0, math.frexp(np.abs(values).max())[1] - 1)
 
 
 class _Refusal(Exception):
@@ -504,17 +510,27 @@ def _fit_design(design, counts, error):
     at least as many rows as columns and the smallest singular value
     ``lstsq`` returns is at least 1e-10 of the largest.  A residual RMS that
     is not finite (NaN or infinite counts) raises flag ``nonfinite_counts``.
+
+    The mean of the squares is ``np.add.reduce`` divided by the row count,
+    which is what ``np.mean`` runs on a float array (the same pairwise sum,
+    then one IEEE division), and the square root of that one double is
+    ``math.sqrt``, correctly rounded as ``np.sqrt`` is: the RMS keeps the
+    bits of ``np.sqrt(np.mean(...))``.  The coefficients are unpacked as
+    Python floats, whose arithmetic is the same IEEE arithmetic as numpy's
+    scalars'; ``complex(a - 1j * b)`` keeps that form, as
+    ``complex(a, -b)`` would flip the sign of a zero part.
     """
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
     if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
         raise error("harmonic design matrix is rank deficient", "rank_deficient")
     resid = counts - design @ coef
     scale = _pow2_scale(resid)
-    rms = scale * float(np.sqrt(np.mean((resid / scale) ** 2)))
+    rms = scale * math.sqrt(float(np.add.reduce((resid / scale) ** 2)) / resid.size)
     if not math.isfinite(rms):
         raise error("counts or their fit residual are not finite", "nonfinite_counts")
-    amps = [complex(coef[k] - 1j * coef[k + 1]) for k in range(1, len(coef), 2)]
-    return float(coef[0]), amps, rms
+    c = coef.tolist()
+    amps = [complex(c[k] - 1j * c[k + 1]) for k in range(1, len(c), 2)]
+    return c[0], amps, rms
 
 
 def _fit_record(series, column: str, rates, error):

@@ -54,6 +54,12 @@ def blocked_arm(p: BeatingParameters) -> BeatingParameters:
 HUGE = 2.0**996
 
 
+def previous_pow2_scale(values):
+    """``scan._pow2_scale`` before its reduction became ``np.abs(v).max()``:
+    the reference of the fits' bit tests."""
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values))))[1] - 1)
+
+
 def scaled_counts(series: TimeSeries, factor: float) -> TimeSeries:
     """The record with its counts and expected photon numbers times ``factor``."""
     return dataclasses.replace(series, expected_n=factor * series.expected_n,

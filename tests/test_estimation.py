@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,6 +20,7 @@ from conftest import (
     analyzer_config,
     angles_close,
     axis_distance,
+    previous_pow2_scale,
     scaled_counts,
     two_setting_points,
 )
@@ -1431,6 +1432,188 @@ class TestFitEllipse:
 # absent, as the estimators do; both references call the estimators'
 # inversion ``_recover_rotated_params`` and so share its 1e-12 floor on the
 # largest relative amplitude.
+
+
+def previous_direct_ellipse_fit(x, y):
+    """``estimation._direct_ellipse_fit`` before its scalars left numpy, verbatim."""
+    d1 = np.column_stack([x * x, x * y, y * y])
+    d2 = np.column_stack([x, y, np.ones_like(x)])
+    s1 = d1.T @ d1
+    s2 = d1.T @ d2
+    s3 = d2.T @ d2
+    try:
+        t = -np.linalg.solve(s3, s2.T)
+    except np.linalg.LinAlgError as exc:
+        raise UnidentifiableError("degenerate point configuration",
+                                  flag="degenerate_conic") from exc
+    m = s1 + s2 @ t
+    c1inv = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
+    vals, vecs = np.linalg.eig(c1inv @ m)
+    best = None
+    for k in range(3):
+        if abs(vals[k].imag) > 1e-8 * (1.0 + abs(vals[k].real)):
+            continue
+        v = np.real(vecs[:, k])
+        constraint = 4.0 * v[0] * v[2] - v[1] ** 2
+        if constraint > 0.0:
+            best = v / math.sqrt(constraint)
+    if best is None:
+        raise UnidentifiableError("no ellipse solution found", flag="degenerate_conic")
+    return np.concatenate([best, t @ best])
+
+
+def previous_fit_ellipse(points):
+    """``estimation._fit_ellipse`` before its means, roots, clamp and conic
+    invariants left numpy's wrappers and scalars, verbatim: the reference for
+    the bits of every fit."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 6:
+        raise EstimationError("need at least 6 (N1, N2) points",
+                              flag="too_few_points")
+    if not np.isfinite(pts).all():
+        raise EstimationError("points must be finite", flag="nonfinite_points")
+
+    scale = previous_pow2_scale(pts)
+    centroid = scale * (pts / scale).mean(axis=0)
+    offsets = pts - centroid
+    spread = scale * np.sqrt(np.mean(np.sum((offsets / scale) ** 2, axis=1)))
+    if spread <= 0.0:
+        raise UnidentifiableError("all points coincide", flag="degenerate_conic")
+    norm = offsets / spread
+    sv = np.linalg.svd(norm - norm.mean(axis=0), compute_uv=False)
+    if sv[-1] < 1e-10 * sv[0]:
+        raise UnidentifiableError("points are collinear", flag="degenerate_conic")
+
+    conic = previous_direct_ellipse_fit(norm[:, 0], norm[:, 1])
+    a, b, c, d, e, f = conic
+    disc = b * b - 4.0 * a * c  # -1 by the fit's scaling
+    design = np.column_stack(
+        [norm[:, 0] ** 2, norm[:, 0] * norm[:, 1], norm[:, 1] ** 2,
+         norm[:, 0], norm[:, 1], np.ones(len(norm))]
+    )
+    theta = conic / np.linalg.norm(conic)
+    residual = float(np.sqrt(np.mean((design @ theta) ** 2)))
+
+    # center in normalized then original coordinates
+    cx = (2.0 * c * d - b * e) / disc
+    cy = (2.0 * a * e - b * d) / disc
+    center = (centroid[0] + spread * cx, centroid[1] + spread * cy)
+    if center[0] <= 0.0 or center[1] <= 0.0:
+        raise EstimationError("fringe center must be positive", flag="bad_center")
+
+    # central form A X^2 + B XY + C Y^2 = F
+    big_f = -(a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f)
+    if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
+        a, b, c, big_f = -a, -b, -c, -big_f
+    if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
+        raise UnidentifiableError("fitted conic is not a real ellipse",
+                                  flag="degenerate_conic")
+
+    # harmonic invariants of the Lissajous parametrization
+    cos_rel = -b / (2.0 * math.sqrt(a * c))
+    cos_rel = float(np.clip(cos_rel, -1.0, 1.0))
+    sin_rel_mag = math.sqrt(max(0.0, 1.0 - cos_rel * cos_rel))
+    # traversal direction from the polygon's signed area, each vertex against
+    # the next (the last against the first)
+    x0, y0 = norm[:, 0] - cx, norm[:, 1] - cy
+    x1, y1 = (np.concatenate((v[1:], v[:1])) for v in (x0, y0))
+    area = 0.5 * float(np.sum(x0 * y1 - x1 * y0))
+    rel_phase = math.atan2(-math.copysign(sin_rel_mag, area), cos_rel)
+    sin_sq = max(sin_rel_mag**2, 1e-300)
+    amp_x = spread * math.sqrt(big_f / (a * sin_sq))
+    amp_y = spread * math.sqrt(big_f / (c * sin_sq))
+
+    return (float(amp_x), float(amp_y), float(rel_phase),
+            (float(center[0]), float(center[1])), residual)
+
+
+# what the fit raises where the previous one divided a numpy scalar by zero
+NO_REAL_ELLIPSE = (UnidentifiableError, "degenerate_conic", "fitted conic is not a real ellipse")
+
+
+def ellipse_fit_bits(fit, points):
+    """``float.hex`` of every number ``fit(points)`` returns, or the type,
+    flag and message of what it raises.  Numpy's scalars give the IEEE
+    results of an overflow or an invalid operation, as Python floats do,
+    without a warning; a division by zero raises ``FloatingPointError``."""
+    try:
+        with np.errstate(divide="raise", over="ignore", invalid="ignore", under="ignore"):
+            amp_x, amp_y, rel_phase, (cx, cy), residual = fit(points)
+    except Exception as exc:
+        return type(exc), getattr(exc, "flag", None), str(exc)
+    values = (amp_x, amp_y, rel_phase, cx, cy, residual)
+    assert all(type(value) is float for value in values)
+    return [value.hex() for value in values]
+
+
+def previous_fit_outcome(points):
+    """``ellipse_fit_bits`` of ``previous_fit_ellipse``, with its divisions
+    by zero replaced by the refusal the fit now raises for them."""
+    want = ellipse_fit_bits(previous_fit_ellipse, points)
+    if isinstance(want, tuple) and want[0] is FloatingPointError:
+        return NO_REAL_ELLIPSE
+    return want
+
+
+class TestFitEllipseOracle:
+    """``_fit_ellipse`` keeps the bits of ``previous_fit_ellipse``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t_perp=st.floats(0.0, 1.0),
+        t_par=st.floats(0.0, 1.0),
+        phibar=st.floats(-math.pi, math.pi),
+        dphi=st.floats(-math.pi, math.pi),
+        psi=st.floats(0.0, math.pi),
+        n=st.integers(6, 200),
+        phase_start=st.floats(-10.0, 10.0),
+        v=st.sampled_from((0.01, 0.5, 2.0)),
+        kappa=st.floats(1.0, 1e4),
+        poisson=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        reverse=st.booleans(),
+        huge=st.booleans(),
+    )
+    def test_matches_the_previous_fit_bitwise(self, t_perp, t_par, phibar, dphi, psi, n,
+                                              phase_start, v, kappa, poisson, seed,
+                                              reverse, huge):
+        # low-gain records of the two analyzer settings over one period or
+        # more, Poisson-drawn or not, either traversal direction, and counts
+        # scaled by 2**1008 where they stay finite (past 1e307 for the largest)
+        phi0 = phase_start + np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        tbar, dt = 0.5 * (t_perp + t_par), t_perp - t_par
+        points = kappa * two_setting_points(tbar, dt, phibar, dphi, psi, phi0, v=v)
+        if poisson:
+            points = np.random.default_rng(seed).poisson(points).astype(float)
+        if reverse:
+            points = points[::-1]
+        if huge:
+            with np.errstate(over="ignore"):
+                points = 2.0**1008 * points
+            assume(np.isfinite(points).all())
+        want = previous_fit_outcome(points)
+        assert ellipse_fit_bits(estimation._fit_ellipse, points) == want
+
+    def test_refusals_match_the_previous_fit(self):
+        # each refusal of the previous fit, with its type, flag and message
+        ring = ellipse_points(0.6, 0.6, 0.0, 1.8)
+        line = np.column_stack([np.arange(8.0), 2.0 * np.arange(8.0) + 1.0])
+        cases = [ring[:5], np.ones((8, 2)), line, -ring, np.where(ring > 0.9, np.nan, ring)]
+        for points in cases:
+            want = previous_fit_outcome(points)
+            assert isinstance(want, tuple)
+            assert ellipse_fit_bits(estimation._fit_ellipse, points) == want
+
+    def test_a_conic_whose_invariants_divide_by_zero_is_degenerate(self, monkeypatch):
+        # a parabola (b^2 = 4ac): the previous fit divided numpy's scalars by
+        # its zero discriminant; the fit refuses it as no ellipse
+        def parabola(x, y):
+            return np.array([1.0, 2.0, 1.0, 1.0, 0.0, -1.0])
+        monkeypatch.setattr(estimation, "_direct_ellipse_fit", parabola)
+        monkeypatch.setitem(globals(), "previous_direct_ellipse_fit", parabola)
+        points = ellipse_points(0.6, 0.6, 0.0, 1.8)
+        assert ellipse_fit_bits(previous_fit_ellipse, points)[0] is FloatingPointError
+        assert ellipse_fit_bits(estimation._fit_ellipse, points) == NO_REAL_ELLIPSE
 
 
 def reference_estimate_rotated(series_setting1, series_setting2,

@@ -376,9 +376,14 @@ class TestTimeSeries:
 
 def reference_series_check(step, phi0, delta_phase, expected_n, counts):
     """The per-column checks ``TimeSeries`` ran on every record before its
-    one-pass check, verbatim: the reference for every refusal message."""
+    one-pass check, verbatim, after a first rule that every column is
+    one-dimensional: the reference for every refusal message."""
     columns = {"step": step, "phi0": phi0, "delta_phase": delta_phase,
                "expected_n": expected_n, "counts": counts}
+    for name, column in columns.items():
+        if np.ndim(column) != 1:
+            raise ValueError(f"column '{name}' must be one-dimensional, not of "
+                             f"shape {np.shape(column)}")
     n = len(step)
     for name, column in columns.items():
         if len(column) != n:
@@ -501,6 +506,21 @@ class TestSeriesCheck:
         ):
             want = check_outcome(reference_series_check, columns)
             assert check_outcome(TimeSeries, columns) == want
+
+    def test_columns_that_are_not_one_dimensional_are_refused(self):
+        # a (72, 2) record whose steps increase along the last axis passed
+        # every other rule, and each fit then raised a bare TypeError
+        grid = np.ones((72, 2))
+        with pytest.raises(ValueError, match=r"^column 'step' must be one-dimensional, "
+                                             r"not of shape \(72, 2\)$"):
+            TimeSeries(step=np.arange(144).reshape(72, 2), phi0=grid,
+                       delta_phase=grid, expected_n=grid, counts=grid)
+        # the first column that is not one-dimensional is named, before any
+        # length or value fault of an earlier column
+        ones = np.ones(8)
+        with pytest.raises(ValueError, match=r"^column 'counts' must be one-dimensional, "
+                                             r"not of shape \(\)$"):
+            TimeSeries(np.arange(8), ones[:4], [math.nan] * 8, ones, 1.0)
 
     def test_check_holds_no_copy_of_the_record(self):
         # the 40 000-row record of the CLI benchmark: five float64 columns

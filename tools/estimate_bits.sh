@@ -1,0 +1,105 @@
+#!/usr/bin/env bash
+# Bit-identity check of the round-trip estimates against another commit.
+#
+#   tools/estimate_bits.sh BASE_REF [SEED]
+#
+# Exports BASE_REF's src/ into a temporary directory, then runs
+# perfbench/workloads.py's run_round_trip over every pool entry of the
+# mc_lowgain and exact_gain_sweep workloads (pool seed SEED, default 1, as
+# the benchmark's runs use), once with BASE_REF's src/ and once with the
+# working tree's.  Both sides import the working tree's perfbench/ (read
+# only: no bytecode is written), so they fit the same records.  For every
+# entry it takes the Fourier, rotated and ellipse estimates and compares
+# float.hex() of each of their float fields and residuals (signed zeros and
+# NaN payloads included), their flags and their None fields; a trial that
+# raises is compared by its exception type, flag and message.
+#
+# Prints each field that differs, as "workload entry route.field: base
+# VALUE, tree VALUE", then one summary line.  Exit status: 0 when every
+# field matches, 1 when one differs, 2 on a usage error.  Set PYTHON to
+# choose the interpreter (default: python3).
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 BASE_REF [SEED]" >&2
+    exit 2
+fi
+root=$(git rev-parse --show-toplevel)
+base_sha=$(git -C "$root" rev-parse --verify --quiet "$1^{commit}") || {
+    echo "error: unknown commit '$1'" >&2
+    exit 2
+}
+seed=${2:-1}
+case $seed in
+    '' | *[!0-9]*) echo "error: SEED must be a nonnegative integer" >&2; exit 2 ;;
+esac
+python=${PYTHON:-python3}
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+git -C "$root" archive "$base_sha" src | tar -x -C "$work"
+
+# estimates SRC OUT: the estimates of every pool entry, as JSON, with SRC's package
+estimates() {
+    PYTHONPATH="$1:$root/perfbench" PYTHONDONTWRITEBYTECODE=1 "$python" - "$seed" "$2" <<'EOF'
+import dataclasses, json, sys, tempfile
+from pathlib import Path
+
+import workloads
+
+
+def bits(value):
+    """float.hex of a float (a dict's floats by key); anything else as repr."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: bits(item) for key, item in value.items()}
+    return repr(value)
+
+
+seed, out = int(sys.argv[1]), sys.argv[2]
+fields = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name in ("mc_lowgain", "exact_gain_sweep"):
+        wl = workloads.make(name, Path(tmp))
+        wl.setup(seed, Path(tmp))
+        for j, entry in enumerate(wl.pool):
+            key = f"{name} {j}"
+            try:
+                result = workloads.run_round_trip(entry)
+            except Exception as exc:
+                fields[f"{key} raised"] = repr((type(exc).__name__,
+                                                getattr(exc, "flag", None), str(exc)))
+                continue
+            for route, est in zip(("fourier", "rotated", "ellipse"), result):
+                for field, value in dataclasses.asdict(est).items():
+                    value = bits(value)
+                    if isinstance(value, dict):
+                        for sub, item in value.items():
+                            fields[f"{key} {route}.{field}.{sub}"] = item
+                    else:
+                        fields[f"{key} {route}.{field}"] = value
+Path(out).write_text(json.dumps(fields))
+EOF
+}
+
+estimates "$work/src" "$work/base.json"
+estimates "$root/src" "$work/tree.json"
+
+"$python" - "$work/base.json" "$work/tree.json" "${base_sha:0:12}" <<'EOF'
+import json, sys
+
+base, tree = (json.load(open(path)) for path in sys.argv[1:3])
+missing = object()
+differ = [key for key in sorted(base.keys() | tree.keys(),
+                                key=lambda k: (k.split()[0], int(k.split()[1]), k))
+          if base.get(key, missing) != tree.get(key, missing)]
+for key in differ:
+    print(f"{key}: base {base.get(key, '(absent)')}, tree {tree.get(key, '(absent)')}")
+entries = len({" ".join(key.split()[:2]) for key in base})
+if differ:
+    print(f"DIFFERENT: {len(differ)} of {len(base.keys() | tree.keys())} fields "
+          f"over {entries} pool entries against {sys.argv[3]}")
+    sys.exit(1)
+print(f"identical: {len(base)} fields over {entries} pool entries against {sys.argv[3]}")
+EOF
