@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -345,6 +346,9 @@ def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> Sa
     )
 
 
+# the spacing of doubles at 1
+_EPS = sys.float_info.epsilon
+
 # the inverse of the ellipse constraint matrix (4ac - b^2 as a quadratic form)
 _C1_INV = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
 
@@ -406,8 +410,12 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
     EstimationError
         For fewer than 6 points (flag ``too_few_points``) or a NaN or
         infinite one (``nonfinite_points``); as ``UnidentifiableError`` with
-        flag ``degenerate_conic`` for collinear points or a non-elliptical
-        conic (among them one whose invariants divide by zero).
+        flag ``degenerate_conic`` for collinear points, points too close to
+        collinear for the fit to resolve their minor axis (a relative phase
+        within its rounding of 0 or pi, or one setting's fringe that much
+        smaller than the other's), a fitted relative phase within rounding
+        of 0 or pi, or a non-elliptical conic (among them one whose
+        invariants divide by zero).
 
     The means are ``np.add.reduce`` divided by the point count and the
     scalar roots ``math.sqrt``, as in ``scan._fit_design``, and the conic's
@@ -437,6 +445,13 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
     sv = np.linalg.svd(norm - np.add.reduce(norm, axis=0) / n, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
         raise UnidentifiableError("points are collinear", flag="degenerate_conic")
+    # the conic fit works on the scatter of the quadratic terms, fourth
+    # moments of the points, in which a minor axis r times the major one
+    # weighs r**4 against 1: at r**4 <= eps rounding has lost it, and with
+    # it the relative phase's distance from 0 or pi
+    if (sv[-1] / sv[0]) ** 4 <= _EPS:
+        raise UnidentifiableError("points are too close to collinear for a conic fit",
+                                  flag="degenerate_conic")
 
     conic = _direct_ellipse_fit(norm[:, 0], norm[:, 1])
     design = np.column_stack(
@@ -476,7 +491,12 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
         x1, y1 = (np.concatenate((v[1:], v[:1])) for v in (x0, y0))
         area = 0.5 * float(np.add.reduce(x0 * y1 - x1 * y0))
         rel_phase = math.atan2(-math.copysign(sin_rel_mag, area), cos_rel)
-        sin_sq = max(sin_rel_mag**2, 1e-300)
+        # rounding the cosine (2.5 units of roundoff) and its square leaves
+        # up to 3 eps in 1 - cos**2, so a square this small measures nothing
+        sin_sq = sin_rel_mag**2
+        if sin_sq <= 4.0 * _EPS:
+            raise UnidentifiableError("relative phase is within rounding of 0 or pi",
+                                      flag="degenerate_conic")
         amp_x = spread * math.sqrt(big_f / (a * sin_sq))
         amp_y = spread * math.sqrt(big_f / (c * sin_sq))
     except ZeroDivisionError:

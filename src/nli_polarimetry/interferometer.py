@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .mode_algebra import (
     Mode,
     OperatorExpansion,
     _adjoint,
-    _photon_number,
+    _per_expansion,
     _require_finite,
     _weighted_sum,
     pure_mode,
@@ -77,11 +78,57 @@ class InterferometerConfig:
         return rotated_waveplate_coeffs(self.waveplate1, self.waveplate2, self.rotation)
 
 
-def _phase_free_terms(cfg: InterferometerConfig) -> tuple:
+# The creation rows each phase-free term reaches, in term order: the vacua
+# reach the sample's loss ports, the signal path the idler, and the two
+# sample-axis paths the idler and its orthogonal polarization; the signal and
+# the tap enter as annihilators only.  This is the chain's structure, not a
+# test of values: at zero first-crystal gain the signal path's amplitude is
+# 0, yet its phase still sets the photon number's batch shape and a NaN in
+# it still refuses.
+_CREATION_ROWS = (
+    (Mode.SAMPLE_PERP, Mode.SAMPLE_PAR),
+    (Mode.IDLER,),
+    (Mode.IDLER, Mode.IDLER_POL),
+    (Mode.IDLER, Mode.IDLER_POL),
+)
+
+
+class _PhaseFree(tuple):
+    """The (coefficient, amplitude array) terms of ``_phase_free_terms``,
+    and as ``plan`` the photon number's plan of their creation rows: per row
+    that a term reaches, in ascending row order, the (term index, 0-d
+    amplitude array) pairs of the terms that reach it, or the row's squared
+    modulus when only the vacua (coefficient 1) reach it and that square is
+    finite (one that overflowed is summed on each call instead, so it raises
+    there as the dense sum did).  Rows no term reaches hold zeros, which add
+    nothing."""
+
+    def __init__(self, terms):
+        plan = []
+        for m in sorted(set().union(*_CREATION_ROWS)):
+            reach = tuple((k, a[1, m, ...]) for k, ((_, a), rows) in
+                          enumerate(zip(terms, _CREATION_ROWS)) if m in rows)
+            if [k for k, _ in reach] == [0]:
+                # in array loops, as the scan's own rows: numpy's scalar
+                # arithmetic and Python's round some of these differently
+                with np.errstate(over="ignore", under="ignore"):
+                    square = np.square(np.abs(reach[0][1]))
+                if np.isfinite(square):
+                    reach = square
+            plan.append(reach)
+        self.plan = tuple(plan)
+
+
+def _phase_free_terms(cfg: InterferometerConfig) -> _PhaseFree:
     """``detected_mode``'s last combination with the scan phases left out:
     (coefficient, stacked amplitude array) pairs of the vacua (coefficient
     1), the signal path and the two sample-axis paths, each coefficient the
-    phase-free factor that a scan phase multiplies.
+    phase-free factor that a scan phase multiplies.  Beside them, as
+    ``plan``, ``photon_number_exact``'s plan of the creation rows
+    (``_PhaseFree``): the rows no term reaches (the signal's and the tap's)
+    are left out, and the loss ports' rows, which only the phase-free vacua
+    reach, keep their squared modulus, so only the idler's two rows are
+    summed at the scan's batch shape.
 
     Composed once per configuration object and kept on it, read-only, when
     every value is finite; a composition that overflowed is recomposed on
@@ -120,29 +167,28 @@ def _phase_free_terms(cfg: InterferometerConfig) -> tuple:
              (u2 * complex(cfg.signal.transmission), gen_sig),
              (v2 * np.conj(tau2 * sample.t_perp), comp_perp_dag),
              (v2 * np.conj(rho2 * sample.t_par), comp_par_dag))
+    for _, a in terms:
+        a.flags.writeable = False
+    terms = _PhaseFree(terms)
     # an overflow leaves an inf or a NaN in what it fed, so a finite
     # composition raised no overflow under any np.errstate
     if all(cmath.isfinite(c) and np.isfinite(a).all() for c, a in terms):
-        for _, a in terms:
-            a.flags.writeable = False
         object.__setattr__(cfg, "_phase_free", terms)
     return terms
 
 
-def _detected_terms(
-    cfg: InterferometerConfig,
+def _scan_coefficients(
+    terms: _PhaseFree,
     signal_phase: float | np.ndarray,
     diff_phase: float | np.ndarray,
-) -> list[tuple[complex | np.ndarray, np.ndarray]]:
-    """The last combination of ``detected_mode`` as (coefficient, stacked
-    amplitude array) terms: ``_phase_free_terms`` with the scan phases on
-    their coefficients."""
-    # the unbatched vacua go first, so one fewer sum runs at the batch shape.
+) -> list[complex | np.ndarray]:
+    """The coefficients of ``detected_mode``'s last combination: those of
+    ``_phase_free_terms`` with the scan phases on."""
     # np.multiply rounds a scalar phase as an array element, so scalar and
     # array phases give the same bits (complex * numpy scalar would not)
     half_diff = np.exp(0.5j * np.asarray(diff_phase))
     phases = (1.0, np.exp(1j * np.asarray(signal_phase)), np.conj(half_diff), half_diff)
-    return [(np.multiply(c, phase), a) for (c, a), phase in zip(_phase_free_terms(cfg), phases)]
+    return [np.multiply(c, phase) for (c, _), phase in zip(terms, phases)]
 
 
 def detected_mode(
@@ -163,9 +209,12 @@ def detected_mode(
     phases enter only the coefficients of the last combination, and only its
     result becomes an ``OperatorExpansion``.
     """
-    # one finiteness check, on the result, is enough: c*inf, 0*inf and
-    # inf-inf are all non-finite, so a non-finite intermediate reaches it
-    return OperatorExpansion(*_weighted_sum(_detected_terms(cfg, signal_phase, diff_phase)))
+    # the unbatched vacua go first, so one fewer sum runs at the batch
+    # shape; one finiteness check, on the result, is enough: c*inf, 0*inf
+    # and inf-inf are all non-finite, so a non-finite intermediate reaches it
+    terms = _phase_free_terms(cfg)
+    coeffs = _scan_coefficients(terms, signal_phase, diff_phase)
+    return OperatorExpansion(*_weighted_sum([(c, a) for c, (_, a) in zip(coeffs, terms)]))
 
 
 def photon_number_exact(
@@ -177,13 +226,32 @@ def photon_number_exact(
     ``detected_mode``: the bits of ``vacuum_photon_number(detected_mode(...))``.
     A photon number, or any amplitude composed on the way to it, that
     overflows a double raises ``OverflowError``; an underflow, to a subnormal
-    or to zero, is no error, whatever the caller's ``np.errstate``."""
+    or to zero, is no error, whatever the caller's ``np.errstate``.
+
+    Only the creation rows that a term reaches are summed (the plan of
+    ``_phase_free_terms``): each row from the terms that reach it, in term
+    order, the loss ports' rows from their kept squares, and the rows'
+    squared moduli in ascending row order.  A left-out term or row adds
+    exact zeros, so these are the dense combination's bits.  Every product,
+    sum, modulus and square runs in numpy's array loops, 0-d amplitudes
+    included: numpy's scalar arithmetic and Python's round some complex
+    products and moduli differently.
+    """
     try:
         with np.errstate(over="raise", under="ignore"):
-            # the photon number reads only the creation half, so the last
-            # combination forms that half alone at the batch shape
-            terms = [(c, amps[1:]) for c, amps in _detected_terms(cfg, signal_phase, diff_phase)]
-            return _photon_number(_require_finite(_weighted_sum(terms)[0]))
+            terms = _phase_free_terms(cfg)
+            coeffs = _scan_coefficients(terms, signal_phase, diff_phase)
+            # a row's (term index, amplitude) pairs are summed at the batch
+            # shape, a kept square stands for its row; every sum is checked
+            # before any is squared, as in the dense combination
+            sums = [reduce(np.add, [np.multiply(coeffs[k], a) for k, a in entry])
+                    if isinstance(entry, tuple) else None for entry in terms.plan]
+            for row in sums:
+                if row is not None:
+                    _require_finite(row)
+            squares = [entry if row is None else np.square(np.abs(row))
+                       for entry, row in zip(terms.plan, sums)]
+            return _per_expansion(reduce(np.add, squares))
     except FloatingPointError:
         raise OverflowError("detected photon number overflows at this gain") from None
 

@@ -122,14 +122,9 @@ def _per_expansion(total: np.ndarray) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def _photon_number(cre: np.ndarray) -> float | np.ndarray:
-    """sum_m |cre[m]|^2 over a creation half of shape ``(N_MODES, *batch)``."""
-    return _per_expansion(np.sum(np.abs(cre) ** 2, axis=0))
-
-
 def vacuum_photon_number(x: OperatorExpansion) -> float | np.ndarray:
     """Vacuum expectation value <0| x^dagger x |0> = sum_m |cre[m]|^2."""
-    return _photon_number(x.cre)
+    return _per_expansion(np.sum(np.abs(x.cre) ** 2, axis=0))
 
 
 def commutator_defect(x: OperatorExpansion) -> float | np.ndarray:

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import pickle
+import sys
 import warnings
 import weakref
 from functools import partial
@@ -1343,6 +1344,42 @@ class TestFitEllipse:
             fit_ellipse(line)
         assert err.value.flag == "degenerate_conic"
 
+    @pytest.mark.parametrize("dt", [0.70098, -0.70098])
+    def test_near_collinear_records_refused(self, dt):
+        # one axis opaque and the sample turned by 1e-8: the two fringes lag
+        # by about 1e-8, a minor axis the conic fit's fourth moments lose to
+        # rounding.  The fit used to give t_perp 213.6 or 448.7 unflagged,
+        # where the rotated route recovers 0.70098
+        s1, s2 = (setting_scan(0.35049, dt, 0.18, 0.0, 1e-8, setting, n=179)
+                  for setting in (1, 2))
+        with pytest.raises(UnidentifiableError,
+                           match="^points are too close to collinear for a conic fit$") as err:
+            estimate_ellipse(s1, s2)
+        assert err.value.flag == "degenerate_conic"
+        est = estimate_rotated(s1, s2)
+        assert max(est.t_perp, est.t_par) == pytest.approx(0.70098, abs=1e-12)
+
+    def test_minor_axis_kept_above_the_rounding_floor(self):
+        # a lag of 2e-3 (minor axis 1e-3 of the major, 4.5e3 eps to the
+        # fourth power) is still fitted, and well
+        s1, s2 = (setting_scan(0.35049, 0.70098, 0.18, 0.0, 1e-3, setting, n=179)
+                  for setting in (1, 2))
+        est = estimate_ellipse(s1, s2)
+        assert est.t_perp == pytest.approx(0.70098, rel=1e-3)
+
+    def test_relative_phase_within_rounding_refused(self, monkeypatch):
+        # a conic with 4ac - b^2 = 1 (exactly, a = c = 2**25) whose cosine
+        # is 1 - 2**-53, so 1 - cos^2 is 2**-52, within the cosine's
+        # rounding of 0: the fit used to take that sine at face value and
+        # return amplitudes about 1.2e4 times the points' spread
+        def thin(x, y):
+            return np.array([2.0**25, -(2.0**26 - 2.0**-27), 2.0**25, 0.0, 0.0, -1.0])
+        monkeypatch.setattr(estimation, "_direct_ellipse_fit", thin)
+        with pytest.raises(UnidentifiableError,
+                           match="^relative phase is within rounding of 0 or pi$") as err:
+            fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8))
+        assert err.value.flag == "degenerate_conic"
+
     def test_too_few_points_rejected(self):
         with pytest.raises(EstimationError):
             fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8)[:5])
@@ -1464,8 +1501,10 @@ def previous_direct_ellipse_fit(x, y):
 
 def previous_fit_ellipse(points):
     """``estimation._fit_ellipse`` before its means, roots, clamp and conic
-    invariants left numpy's wrappers and scalars, verbatim: the reference for
-    the bits of every fit."""
+    invariants left numpy's wrappers and scalars, verbatim but for the two
+    refusals added since (points too close to collinear for the fit, and a
+    relative phase within rounding of 0 or pi): the reference for the bits
+    of every fit."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 6:
         raise EstimationError("need at least 6 (N1, N2) points",
@@ -1483,6 +1522,9 @@ def previous_fit_ellipse(points):
     sv = np.linalg.svd(norm - norm.mean(axis=0), compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
         raise UnidentifiableError("points are collinear", flag="degenerate_conic")
+    if (sv[-1] / sv[0]) ** 4 <= sys.float_info.epsilon:  # added since
+        raise UnidentifiableError("points are too close to collinear for a conic fit",
+                                  flag="degenerate_conic")
 
     conic = previous_direct_ellipse_fit(norm[:, 0], norm[:, 1])
     a, b, c, d, e, f = conic
@@ -1519,6 +1561,9 @@ def previous_fit_ellipse(points):
     x1, y1 = (np.concatenate((v[1:], v[:1])) for v in (x0, y0))
     area = 0.5 * float(np.sum(x0 * y1 - x1 * y0))
     rel_phase = math.atan2(-math.copysign(sin_rel_mag, area), cos_rel)
+    if sin_rel_mag**2 <= 4.0 * sys.float_info.epsilon:  # added since
+        raise UnidentifiableError("relative phase is within rounding of 0 or pi",
+                                  flag="degenerate_conic")
     sin_sq = max(sin_rel_mag**2, 1e-300)
     amp_x = spread * math.sqrt(big_f / (a * sin_sq))
     amp_y = spread * math.sqrt(big_f / (c * sin_sq))

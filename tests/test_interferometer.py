@@ -3,10 +3,13 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import blocked_arm, random_config, with_scan_phases
 from nli_polarimetry import (
@@ -32,6 +35,8 @@ from nli_polarimetry import (
 from nli_polarimetry import interferometer
 from nli_polarimetry.interferometer import _phase_free_terms
 from nli_polarimetry.mode_algebra import (
+    _require_finite,
+    _weighted_sum,
     adjoint,
     commutator_defect,
     linear_combine,
@@ -501,6 +506,15 @@ def crossed_pair_config(v):
     )
 
 
+def loss_port_overflow_config():
+    """The largest gain, a second plate whose |tau| is 1 + 4e-10 (within
+    validation) and an opaque sample: only the squared modulus of the
+    perpendicular loss port overflows."""
+    return InterferometerConfig(
+        CrystalGain(0.0), CrystalGain(sys.float_info.max), SignalControl(0.0),
+        WaveplateCoeffs(1.0, 0.0), WaveplateCoeffs(1.0 + 4e-10, 0.0), SampleAxes(0.0, 0.0))
+
+
 def outcome(call, *args):
     """What ``call(*args)`` did: its result's bits or its exception's type
     and message, and every warning it gave, in order."""
@@ -537,11 +551,11 @@ class TestPhaseFreeMemo:
                             lambda terms: calls.append(1) or weighted_sum(terms))
         cfg = random_config(rng)
         photon_number_exact(cfg, np.linspace(0.0, 1.0, 5), 0.3)
-        assert len(calls) == 6  # five paths, then the last combination
+        assert len(calls) == 5  # five paths; the photon number sums its rows itself
         calls.clear()
         photon_number_exact(cfg, np.linspace(0.0, 1.0, 5), 0.3)
         detected_mode(cfg, 0.2, 0.1)
-        assert len(calls) == 2
+        assert len(calls) == 1  # detected_mode's last combination
 
     def test_copies_and_signed_zero_rotations_compose_their_own(self):
         # equal configurations whose phase-free paths differ in a zero's
@@ -609,3 +623,101 @@ class TestPhaseFreeMemo:
             assert other == cfg and "_phase_free" not in other.__dict__
             assert kept_bits(_phase_free_terms(other)) == kept_bits(cfg._phase_free)
             assert not other._phase_free[0][1].flags.writeable
+
+
+def dense_photon_number(cfg, signal_phase=0.0, diff_phase=0.0):
+    """``photon_number_exact`` as it was when it combined the whole creation
+    half at the batch shape, verbatim, with the two helpers it called
+    (``_detected_terms`` and ``_photon_number``) written out: the reference
+    for the bits of every photon number."""
+    try:
+        with np.errstate(over="raise", under="ignore"):
+            # the photon number reads only the creation half, so the last
+            # combination forms that half alone at the batch shape
+            half_diff = np.exp(0.5j * np.asarray(diff_phase))
+            phases = (1.0, np.exp(1j * np.asarray(signal_phase)), np.conj(half_diff), half_diff)
+            detected = [(np.multiply(c, phase), a)
+                        for (c, a), phase in zip(_phase_free_terms(cfg), phases)]
+            terms = [(c, amps[1:]) for c, amps in detected]
+            cre = _require_finite(_weighted_sum(terms)[0])
+            total = np.sum(np.abs(cre) ** 2, axis=0)
+            return float(total) if total.ndim == 0 else total
+    except FloatingPointError:
+        raise OverflowError("detected photon number overflows at this gain") from None
+
+
+def photon_number_bits(call, cfg, *phases):
+    """The type, shape and bytes of ``call(cfg, *phases)``, or its
+    exception's type and message, and every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(cfg, *phases)
+            done = (type(result), np.shape(result), np.asarray(result).tobytes())
+        except Exception as exc:
+            done = (type(exc), str(exc))
+    return done, [(w.category, str(w.message)) for w in caught]
+
+
+def phase_shapes(rng):
+    """Scan phases of every shape a caller passes: none, floats, 0-d, 1-D
+    (both, and against a float) and a 2-D broadcast."""
+    sp, dp = rng.uniform(-20.0, 20.0, size=(2, 7))
+    return [(), (float(sp[0]), float(dp[0])), (np.array(sp[1]), np.float64(dp[1])),
+            (sp, dp), (sp[:1], float(dp[2])), (float(sp[3]), dp),
+            (sp[:, None], dp[None, :4])]
+
+
+angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+gains = st.one_of(st.sampled_from([0.0, 1e-320]), st.floats(0.0, 5.0))
+# blocked, lossless and partly open arms and sample axes
+magnitudes = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def configurations(draw):
+    def transmission():
+        return draw(magnitudes) * cmath.exp(1j * draw(angles))
+
+    return InterferometerConfig(
+        crystal1=CrystalGain(draw(gains), draw(st.one_of(st.just(0.0), angles))),
+        crystal2=CrystalGain(draw(gains), draw(st.one_of(st.just(0.0), angles))),
+        signal=SignalControl(transmission()),
+        waveplate1=waveplate(draw(angles), draw(angles)),
+        waveplate2=waveplate(draw(angles), draw(angles)),
+        sample=SampleAxes(transmission(), transmission()),
+        rotation=draw(st.one_of(st.sampled_from([0.0, -0.0]), angles)),
+    )
+
+
+class TestPhotonNumberOracle:
+    """``photon_number_exact`` sums only the creation rows a term reaches,
+    and keeps the bits of ``dense_photon_number``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cfg=configurations(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_sum_bitwise(self, cfg, seed):
+        for phases in phase_shapes(np.random.default_rng(seed)):
+            assert photon_number_bits(photon_number_exact, cfg, *phases) == \
+                photon_number_bits(dense_photon_number, cfg, *phases)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=configurations())
+    def test_terms_reach_only_their_creation_rows(self, cfg):
+        # the plan leaves out each term's other creation rows: they are zero
+        for (_, amps), rows in zip(_phase_free_terms(cfg), interferometer._CREATION_ROWS):
+            assert not np.delete(amps[1], rows, axis=0).any()
+
+    @pytest.mark.parametrize("make", [lambda: crossed_pair_config(1e200),
+                                      lambda: crossed_pair_config(1.7e308),
+                                      lambda: loss_port_overflow_config()],
+                             ids=["1e200", "1.7e308", "loss_port"])
+    def test_overflow_raises_as_the_dense_sum(self, make, rng):
+        overflow = ((OverflowError, "detected photon number overflows at this gain"), [])
+        reused = make()
+        for phases in phase_shapes(rng):
+            got = photon_number_bits(photon_number_exact, make(), *phases)
+            assert got == photon_number_bits(dense_photon_number, make(), *phases)
+            assert got == photon_number_bits(photon_number_exact, reused, *phases) == overflow
+        # the composition itself is finite, so it is kept
+        assert "_phase_free" in reused.__dict__

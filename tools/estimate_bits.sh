@@ -8,14 +8,18 @@
 # mc_lowgain and exact_gain_sweep workloads (pool seed SEED, default 1, as
 # the benchmark's runs use), once with BASE_REF's src/ and once with the
 # working tree's.  Both sides import the working tree's perfbench/ (read
-# only: no bytecode is written), so they fit the same records.  For every
-# entry it takes the Fourier, rotated and ellipse estimates and compares
+# only: no bytecode is written).  For every entry it compares the bytes
+# (.tobytes()) of the expected_n and counts columns of the five records the
+# round trip simulates (a Poisson draw absorbs most last-bit changes of its
+# mean, so the counts alone would not show a change of the forward model),
+# and it takes the Fourier, rotated and ellipse estimates and compares
 # float.hex() of each of their float fields and residuals (signed zeros and
 # NaN payloads included), their flags and their None fields; a trial that
 # raises is compared by its exception type, flag and message.
 #
 # Prints each field that differs, as "workload entry route.field: base
-# VALUE, tree VALUE", then one summary line.  Exit status: 0 when every
+# VALUE, tree VALUE" (for a record column: how many values differ and the
+# largest |difference|), then one summary line.  Exit status: 0 when every
 # field matches, 1 when one differs, 2 on a usage error.  Set PYTHON to
 # choose the interpreter (default: python3).
 set -euo pipefail
@@ -57,6 +61,12 @@ def bits(value):
     return repr(value)
 
 
+# the records of a round trip, as it simulates them, in order
+RECORDS = ("signal_scan", "idler_scan", "measurement", "setting1", "setting2")
+simulated = []
+simulate_scan = workloads.scan.simulate_scan
+workloads.scan.simulate_scan = lambda *a, **k: simulated.append(simulate_scan(*a, **k)) or simulated[-1]
+
 seed, out = int(sys.argv[1]), sys.argv[2]
 fields = {}
 with tempfile.TemporaryDirectory() as tmp:
@@ -65,12 +75,16 @@ with tempfile.TemporaryDirectory() as tmp:
         wl.setup(seed, Path(tmp))
         for j, entry in enumerate(wl.pool):
             key = f"{name} {j}"
+            simulated.clear()
             try:
                 result = workloads.run_round_trip(entry)
             except Exception as exc:
                 fields[f"{key} raised"] = repr((type(exc).__name__,
                                                 getattr(exc, "flag", None), str(exc)))
-                continue
+                result = ()
+            for record, series in zip(RECORDS, simulated):
+                for column in ("expected_n", "counts"):
+                    fields[f"{key} {record}.{column}"] = getattr(series, column).tobytes().hex()
             for route, est in zip(("fourier", "rotated", "ellipse"), result):
                 for field, value in dataclasses.asdict(est).items():
                     value = bits(value)
@@ -89,12 +103,23 @@ estimates "$root/src" "$work/tree.json"
 "$python" - "$work/base.json" "$work/tree.json" "${base_sha:0:12}" <<'EOF'
 import json, sys
 
+import numpy as np
+
 base, tree = (json.load(open(path)) for path in sys.argv[1:3])
 missing = object()
 differ = [key for key in sorted(base.keys() | tree.keys(),
                                 key=lambda k: (k.split()[0], int(k.split()[1]), k))
           if base.get(key, missing) != tree.get(key, missing)]
 for key in differ:
+    if key.endswith((".expected_n", ".counts")) and key in base and key in tree:
+        old, new = (np.frombuffer(bytes.fromhex(side[key])) for side in (base, tree))
+        if old.shape != new.shape:
+            print(f"{key}: base {old.size} values, tree {new.size}")
+            continue
+        moved = old.view(np.uint64) != new.view(np.uint64)
+        print(f"{key}: {int(moved.sum())} of {old.size} values differ, largest "
+              f"|difference| {float(np.abs(new[moved] - old[moved]).max())!r}")
+        continue
     print(f"{key}: base {base.get(key, '(absent)')}, tree {tree.get(key, '(absent)')}")
 entries = len({" ".join(key.split()[:2]) for key in base})
 if differ:
