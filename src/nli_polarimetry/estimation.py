@@ -410,8 +410,8 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
     EstimationError
         For fewer than 6 points (flag ``too_few_points``) or a NaN or
         infinite one (``nonfinite_points``); as ``UnidentifiableError`` with
-        flag ``degenerate_conic`` for collinear points, points too close to
-        collinear for the fit to resolve their minor axis (a relative phase
+        flag ``degenerate_conic`` for points too close to collinear for the
+        fit to resolve their minor axis (collinear points, a relative phase
         within its rounding of 0 or pi, or one setting's fringe that much
         smaller than the other's), a fitted relative phase within rounding
         of 0 or pi, or a non-elliptical conic (among them one whose
@@ -443,12 +443,11 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
         raise UnidentifiableError("all points coincide", flag="degenerate_conic")
     norm = offsets / spread
     sv = np.linalg.svd(norm - np.add.reduce(norm, axis=0) / n, compute_uv=False)
-    if sv[-1] < 1e-10 * sv[0]:
-        raise UnidentifiableError("points are collinear", flag="degenerate_conic")
     # the conic fit works on the scatter of the quadratic terms, fourth
     # moments of the points, in which a minor axis r times the major one
     # weighs r**4 against 1: at r**4 <= eps rounding has lost it, and with
-    # it the relative phase's distance from 0 or pi
+    # it the relative phase's distance from 0 or pi (collinear points have
+    # r = 0, or r at rounding level)
     if (sv[-1] / sv[0]) ** 4 <= _EPS:
         raise UnidentifiableError("points are too close to collinear for a conic fit",
                                   flag="degenerate_conic")

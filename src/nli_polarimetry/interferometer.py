@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .mode_algebra import (
     OperatorExpansion,
     _adjoint,
     _per_expansion,
-    _require_finite,
     _weighted_sum,
     pure_mode,
 )
@@ -61,10 +59,9 @@ class InterferometerConfig:
             raise ValueError("rotation must be finite")
 
     def __getstate__(self):
-        # the fields; a copy or an unpickled configuration composes its own
-        # phase-free paths (``_phase_free_terms``) and reduces its own beating
-        # parameters (``signals.beating_parameters``), so what it keeps is its
-        # own and the kept arrays read-only
+        # the fields; a copy or an unpickled configuration reduces its own
+        # photon-number fringes (``_fringes``) and beating parameters
+        # (``signals.beating_parameters``), so what it keeps is its own
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     @property
@@ -78,68 +75,24 @@ class InterferometerConfig:
         return rotated_waveplate_coeffs(self.waveplate1, self.waveplate2, self.rotation)
 
 
-# The creation rows each phase-free term reaches, in term order: the vacua
-# reach the sample's loss ports, the signal path the idler, and the two
-# sample-axis paths the idler and its orthogonal polarization; the signal and
-# the tap enter as annihilators only.  This is the chain's structure, not a
-# test of values: at zero first-crystal gain the signal path's amplitude is
-# 0, yet its phase still sets the photon number's batch shape and a NaN in
-# it still refuses.
-_CREATION_ROWS = (
-    (Mode.SAMPLE_PERP, Mode.SAMPLE_PAR),
-    (Mode.IDLER,),
-    (Mode.IDLER, Mode.IDLER_POL),
-    (Mode.IDLER, Mode.IDLER_POL),
-)
+def detected_mode(
+    cfg: InterferometerConfig,
+    signal_phase: float | np.ndarray = 0.0,
+    diff_phase: float | np.ndarray = 0.0,
+) -> OperatorExpansion:
+    """Detected signal mode as an operator expansion over the vacuum inputs.
 
-
-class _PhaseFree(tuple):
-    """The (coefficient, amplitude array) terms of ``_phase_free_terms``,
-    and as ``plan`` the photon number's plan of their creation rows: per row
-    that a term reaches, in ascending row order, the (term index, 0-d
-    amplitude array) pairs of the terms that reach it, or the row's squared
-    modulus when only the vacua (coefficient 1) reach it and that square is
-    finite (one that overflowed is summed on each call instead, so it raises
-    there as the dense sum did).  Rows no term reaches hold zeros, which add
-    nothing."""
-
-    def __init__(self, terms):
-        plan = []
-        for m in sorted(set().union(*_CREATION_ROWS)):
-            reach = tuple((k, a[1, m, ...]) for k, ((_, a), rows) in
-                          enumerate(zip(terms, _CREATION_ROWS)) if m in rows)
-            if [k for k, _ in reach] == [0]:
-                # in array loops, as the scan's own rows: numpy's scalar
-                # arithmetic and Python's round some of these differently
-                with np.errstate(over="ignore", under="ignore"):
-                    square = np.square(np.abs(reach[0][1]))
-                if np.isfinite(square):
-                    reach = square
-            plan.append(reach)
-        self.plan = tuple(plan)
-
-
-def _phase_free_terms(cfg: InterferometerConfig) -> _PhaseFree:
-    """``detected_mode``'s last combination with the scan phases left out:
-    (coefficient, stacked amplitude array) pairs of the vacua (coefficient
-    1), the signal path and the two sample-axis paths, each coefficient the
-    phase-free factor that a scan phase multiplies.  Beside them, as
-    ``plan``, ``photon_number_exact``'s plan of the creation rows
-    (``_PhaseFree``): the rows no term reaches (the signal's and the tap's)
-    are left out, and the loss ports' rows, which only the phase-free vacua
-    reach, keep their squared modulus, so only the idler's two rows are
-    summed at the scan's batch shape.
-
-    Composed once per configuration object and kept on it, read-only, when
-    every value is finite; a composition that overflowed is recomposed on
-    each call, so it raises or warns as the first call did.  The memo is per
-    instance, not keyed by value: equal configurations can differ in a
-    zero's sign, which moves a phase by 2*pi (``cmath.phase(-1-0j)`` is -pi,
-    ``cmath.phase(-1+0j)`` is +pi).
+    ``signal_phase`` multiplies the control beam splitter's transmission by
+    ``exp(i signal_phase)``; ``diff_phase`` is imprinted antisymmetrically
+    between the sample's axes, ``t_perp`` times ``exp(+i diff_phase/2)`` and
+    ``t_par`` times ``exp(-i diff_phase/2)``, leaving the mean idler phase
+    unchanged.  Array phases broadcast against each other and give an
+    expansion whose batch axes follow them, so a whole scan is composed in
+    one pass.  The phase-free paths are composed unbatched, as raw amplitude
+    arrays; the scan phases enter only the coefficients of the last
+    combination, and only its result becomes an ``OperatorExpansion``.
+    Every call composes afresh and keeps nothing on the configuration.
     """
-    kept = cfg.__dict__.get("_phase_free")
-    if kept is not None:
-        return kept
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v
     tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
@@ -163,58 +116,73 @@ def _phase_free_terms(cfg: InterferometerConfig) -> _PhaseFree:
         (v2 * np.conj(tau2 * sample.r_perp), perp_dag),
         (v2 * np.conj(rho2 * sample.r_par), par_dag),
     ])
-    terms = ((1.0, vacua),
-             (u2 * complex(cfg.signal.transmission), gen_sig),
-             (v2 * np.conj(tau2 * sample.t_perp), comp_perp_dag),
-             (v2 * np.conj(rho2 * sample.t_par), comp_par_dag))
-    for _, a in terms:
-        a.flags.writeable = False
-    terms = _PhaseFree(terms)
-    # an overflow leaves an inf or a NaN in what it fed, so a finite
-    # composition raised no overflow under any np.errstate
-    if all(cmath.isfinite(c) and np.isfinite(a).all() for c, a in terms):
-        object.__setattr__(cfg, "_phase_free", terms)
-    return terms
-
-
-def _scan_coefficients(
-    terms: _PhaseFree,
-    signal_phase: float | np.ndarray,
-    diff_phase: float | np.ndarray,
-) -> list[complex | np.ndarray]:
-    """The coefficients of ``detected_mode``'s last combination: those of
-    ``_phase_free_terms`` with the scan phases on."""
-    # np.multiply rounds a scalar phase as an array element, so scalar and
-    # array phases give the same bits (complex * numpy scalar would not)
-    half_diff = np.exp(0.5j * np.asarray(diff_phase))
-    phases = (1.0, np.exp(1j * np.asarray(signal_phase)), np.conj(half_diff), half_diff)
-    return [np.multiply(c, phase) for (c, _), phase in zip(terms, phases)]
-
-
-def detected_mode(
-    cfg: InterferometerConfig,
-    signal_phase: float | np.ndarray = 0.0,
-    diff_phase: float | np.ndarray = 0.0,
-) -> OperatorExpansion:
-    """Detected signal mode as an operator expansion over the vacuum inputs.
-
-    ``signal_phase`` multiplies the control beam splitter's transmission by
-    ``exp(i signal_phase)``; ``diff_phase`` is imprinted antisymmetrically
-    between the sample's axes, ``t_perp`` times ``exp(+i diff_phase/2)`` and
-    ``t_par`` times ``exp(-i diff_phase/2)``, leaving the mean idler phase
-    unchanged.  Array phases broadcast against each other and give an
-    expansion whose batch axes follow them, so a whole scan is composed in
-    one pass.  The phase-free paths are composed once per configuration
-    object, unbatched, as raw amplitude arrays, and kept on it; the scan
-    phases enter only the coefficients of the last combination, and only its
-    result becomes an ``OperatorExpansion``.
-    """
     # the unbatched vacua go first, so one fewer sum runs at the batch
     # shape; one finiteness check, on the result, is enough: c*inf, 0*inf
     # and inf-inf are all non-finite, so a non-finite intermediate reaches it
-    terms = _phase_free_terms(cfg)
-    coeffs = _scan_coefficients(terms, signal_phase, diff_phase)
-    return OperatorExpansion(*_weighted_sum([(c, a) for c, (_, a) in zip(coeffs, terms)]))
+    half_diff = np.exp(0.5j * np.asarray(diff_phase))
+    signal = np.exp(1j * np.asarray(signal_phase))
+    return OperatorExpansion(*_weighted_sum([
+        (1.0, vacua),
+        (u2 * complex(cfg.signal.transmission) * signal, gen_sig),
+        (v2 * np.conj(tau2 * sample.t_perp) * np.conj(half_diff), comp_perp_dag),
+        (v2 * np.conj(rho2 * sample.t_par) * half_diff, comp_par_dag),
+    ]))
+
+
+def _square(z: complex) -> float:
+    """|z|**2, inf (not an error) where it overflows."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _fringe(z: complex) -> tuple[float, float]:
+    """(2|z|, arg z): the amplitude and phase of the fringe 2 Re(z e^{ix})."""
+    return 2.0 * math.hypot(z.real, z.imag), cmath.phase(z)
+
+
+def _fringes(cfg: InterferometerConfig) -> tuple[float, ...]:
+    """The photon number's real form ``(c0, m1, a1, m2, a2, m3, a3)``:
+
+        n = c0 + m1 cos(s + d/2 + a1) + m2 cos(s - d/2 + a2) + m3 cos(a3 - d)
+
+    at signal phase ``s`` and differential phase ``d``.  The detected
+    creation amplitude has two rows that the scan phases reach, the idler's
+    ``S e^{is} + P e^{-id/2} + Q e^{id/2}`` (the paper's three paths,
+    ``three_path_decomposition``) and its orthogonal polarization's
+    ``P' e^{-id/2} + Q' e^{id/2}``, and the sample's loss ports add the
+    constant ``L``:
+
+        P' = v2 conj(tau2 t_perp) conj(rho1),  Q' = v2 conj(rho2 t_par) tau1,
+        L  = |v2|^2 (|tau2|^2 r_perp^2 + |rho2|^2 r_par^2),
+
+    so ``c0`` is the sum of the five squared moduli and ``L``, and the
+    fringes are ``2 S conj(P)``, ``2 S conj(Q)`` and
+    ``2 (P conj(Q) + P' conj(Q'))``.
+
+    Reduced once per configuration object and kept on it.  A reduction that
+    overflows leaves ``c0`` infinite (every fringe is at most ``c0``), is
+    kept too, and makes every photon number raise.  The memo is per
+    instance, not keyed by value: equal configurations can differ in a
+    zero's sign, which moves a phase by 2*pi (``cmath.phase(-1-0j)`` is
+    -pi, ``cmath.phase(-1+0j)`` is +pi).
+    """
+    kept = cfg.__dict__.get("_fringes")
+    if kept is not None:
+        return kept
+    # the paths' numpy-scalar products warn where they overflow; an
+    # overflow shows as an infinite c0 instead
+    with np.errstate(all="ignore"):
+        s, p, q = three_path_decomposition(cfg)
+        tau1, rho1, tau2, rho2 = (complex(c) for c in cfg.effective_waveplates())
+    v2, sample = complex(cfg.crystal2.v), cfg.sample
+    p_pol = v2 * (tau2 * complex(sample.t_perp)).conjugate() * rho1.conjugate()
+    q_pol = v2 * (rho2 * complex(sample.t_par)).conjugate() * tau1
+    loss = _square(v2) * (_square(tau2) * sample.r_perp * sample.r_perp
+                          + _square(rho2) * sample.r_par * sample.r_par)
+    c0 = _square(s) + _square(p) + _square(q) + _square(p_pol) + _square(q_pol) + loss
+    fringes = (c0, *_fringe(s * p.conjugate()), *_fringe(s * q.conjugate()),
+               *_fringe(p * q.conjugate() + p_pol * q_pol.conjugate()))
+    object.__setattr__(cfg, "_fringes", fringes)
+    return fringes
 
 
 def photon_number_exact(
@@ -223,37 +191,31 @@ def photon_number_exact(
     diff_phase: float | np.ndarray = 0.0,
 ) -> float | np.ndarray:
     """Detected photon number, exact at any gain, with the scan phases of
-    ``detected_mode``: the bits of ``vacuum_photon_number(detected_mode(...))``.
-    A photon number, or any amplitude composed on the way to it, that
-    overflows a double raises ``OverflowError``; an underflow, to a subnormal
-    or to zero, is no error, whatever the caller's ``np.errstate``.
-
-    Only the creation rows that a term reaches are summed (the plan of
-    ``_phase_free_terms``): each row from the terms that reach it, in term
-    order, the loss ports' rows from their kept squares, and the rows'
-    squared moduli in ascending row order.  A left-out term or row adds
-    exact zeros, so these are the dense combination's bits.  Every product,
-    sum, modulus and square runs in numpy's array loops, 0-d amplitudes
-    included: numpy's scalar arithmetic and Python's round some complex
-    products and moduli differently.
+    ``detected_mode``: ``vacuum_photon_number(detected_mode(...))`` to within
+    rounding, evaluated as the real form of ``_fringes``, three cosines per
+    step.  Rounding can take that sum a few ulps below zero on a dark
+    fringe, so it is clipped at 0.0.  A photon number that overflows a
+    double raises ``OverflowError``, a nonfinite phase ``ValueError`` (after
+    what the caller's ``np.errstate`` makes of the cosine of an infinity:
+    ``simulate_scan``'s turns it into ``OverflowError``); an underflow, to a
+    subnormal or to zero, is no error, whatever the caller's
+    ``np.errstate``.  Scalar and array phases give the same bits.
     """
+    c0, m1, a1, m2, a2, m3, a3 = _fringes(cfg)
     try:
+        if not math.isfinite(c0):
+            raise FloatingPointError
         with np.errstate(over="raise", under="ignore"):
-            terms = _phase_free_terms(cfg)
-            coeffs = _scan_coefficients(terms, signal_phase, diff_phase)
-            # a row's (term index, amplitude) pairs are summed at the batch
-            # shape, a kept square stands for its row; every sum is checked
-            # before any is squared, as in the dense combination
-            sums = [reduce(np.add, [np.multiply(coeffs[k], a) for k, a in entry])
-                    if isinstance(entry, tuple) else None for entry in terms.plan]
-            for row in sums:
-                if row is not None:
-                    _require_finite(row)
-            squares = [entry if row is None else np.square(np.abs(row))
-                       for entry, row in zip(terms.plan, sums)]
-            return _per_expansion(reduce(np.add, squares))
+            sigma, diff = np.asarray(signal_phase), np.asarray(diff_phase)
+            half = 0.5 * diff
+            n = (c0 + m1 * np.cos(sigma + half + a1) + m2 * np.cos(sigma - half + a2)
+                 + m3 * np.cos(a3 - diff))
     except FloatingPointError:
         raise OverflowError("detected photon number overflows at this gain") from None
+    # c0 and the fringes are finite, so only a nonfinite phase leaves a NaN
+    if not np.isfinite(n).all():
+        raise ValueError("scan phases must be finite")
+    return _per_expansion(np.maximum(n, 0.0))
 
 
 def three_path_decomposition(cfg: InterferometerConfig) -> tuple[complex, complex, complex]:
@@ -263,7 +225,9 @@ def three_path_decomposition(cfg: InterferometerConfig) -> tuple[complex, comple
     The photon-carrying idler amplitude is a superposition of three paths:
     the signal photon seeding the second crystal directly, and the idler
     probing the perpendicular or the parallel sample axis.  Their sum equals
-    ``detected_mode(cfg).cre[Mode.IDLER]``.
+    ``detected_mode(cfg).cre[Mode.IDLER]``.  They are the first of the
+    photon number's two phase-dependent rows (``_fringes``); the second is
+    the idler's orthogonal polarization.
     """
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v

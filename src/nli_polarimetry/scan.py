@@ -339,9 +339,10 @@ def simulate_scan(
 
     ``regime`` selects the forward model, one of ``REGIMES``: ``"exact"`` is
     ``photon_number_exact`` over all steps in one vectorised pass (any
-    gain), ``"lowgain"`` is ``n_lowgain`` clipped at zero (requires equal
-    gains).  Counts are ``expected_n * counts_per_unit``, Poisson-sampled in
-    ``"poisson"`` mode with a per-scan generator seeded from the noise model.
+    gain; its rounding on a dark fringe is clipped at zero), ``"lowgain"``
+    is ``n_lowgain`` clipped at zero (requires equal gains).  Counts are
+    ``expected_n * counts_per_unit``, Poisson-sampled in ``"poisson"`` mode
+    with a per-scan generator seeded from the noise model.
     A photon number or a count rate that overflows a double, in either
     regime, raises ``OverflowError``, as does a Poisson mean too large for
     numpy's draw; one that underflows is kept, whatever the caller's
@@ -384,7 +385,7 @@ def simulate_scan(
     # ``arange(n >= 8)``, the ramps are finite (or the model raised), the
     # finite mean counts make ``expected_n`` finite (``counts_per_unit`` is
     # positive and finite) and so the counts, and ``expected_n`` is clipped
-    # at zero (low gain) or a sum of squared moduli (exact)
+    # at zero in either regime
     series = object.__new__(TimeSeries)
     series.__dict__.update(step=layout.step, phi0=layout.phi0, delta_phase=layout.delta_phase,
                            expected_n=expected, counts=counts)

@@ -1,8 +1,9 @@
 """Closed-form signal models of the interferometer output.
 
-These formulas are implemented independently of the exact operator
-composition so that agreement between the two is a genuine cross-check.
-They also serve as the forward models of the estimation stage.
+These formulas are implemented independently of the operator composer
+(``interferometer.detected_mode``), so agreement between the two is a
+genuine cross-check.  They also serve as the forward models of the
+estimation stage.
 
 The low-gain and all-orders photon numbers share one signature with the
 exact model ``photon_number_exact(cfg, signal_phase, diff_phase)``:
@@ -114,9 +115,9 @@ def beating_parameters(cfg: "InterferometerConfig") -> BeatingParameters:
     and the control-splitter phase.
 
     Reduced once per configuration object and kept on it, as
-    ``interferometer._phase_free_terms`` keeps the phase-free paths: the
-    memo is per instance, a configuration that raises keeps nothing, and a
-    copy, a pickle or ``dataclasses.replace`` reduces afresh.
+    ``photon_number_exact`` keeps its fringes: the memo is per instance, a
+    configuration that raises keeps nothing, and a copy, a pickle or
+    ``dataclasses.replace`` reduces afresh.
     """
     kept = cfg.__dict__.get("_beating")
     if kept is not None:

@@ -1215,9 +1215,10 @@ class TestConfigurationMemo:
 
     @pytest.mark.parametrize("v", GAIN_SWEEP)
     def test_reused_configurations_give_fresh_bits(self, v):
-        # exact round trips on configurations that kept their phase-free
-        # paths and on fresh ones: every record and every estimate keeps its bits
-        warm, cold = self.warm_and_cold("exact", v, "_phase_free")
+        # exact round trips on configurations that kept their photon
+        # number's fringes and on fresh ones: every record and every
+        # estimate keeps its bits
+        warm, cold = self.warm_and_cold("exact", v, "_fringes")
         assert warm == cold
 
     @pytest.mark.parametrize("v", GAIN_SWEEP)
@@ -1338,9 +1339,12 @@ class TestFitEllipse:
             assert est.flags == []
 
     def test_collinear_points_rejected(self):
+        # one refusal covers collinear points and points too close to
+        # collinear for the conic fit
         phi0 = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
         line = np.column_stack([1.0 + 0.3 * np.cos(phi0), np.full_like(phi0, 1.0)])
-        with pytest.raises(UnidentifiableError) as err:
+        with pytest.raises(UnidentifiableError,
+                           match="^points are too close to collinear for a conic fit$") as err:
             fit_ellipse(line)
         assert err.value.flag == "degenerate_conic"
 
@@ -1501,10 +1505,11 @@ def previous_direct_ellipse_fit(x, y):
 
 def previous_fit_ellipse(points):
     """``estimation._fit_ellipse`` before its means, roots, clamp and conic
-    invariants left numpy's wrappers and scalars, verbatim but for the two
-    refusals added since (points too close to collinear for the fit, and a
-    relative phase within rounding of 0 or pi): the reference for the bits
-    of every fit."""
+    invariants left numpy's wrappers and scalars, verbatim but for its
+    collinearity refusal, changed since (one rule for points too close to
+    collinear for the fit, which the old "points are collinear" rule
+    implied), and the refusal added since (a relative phase within rounding
+    of 0 or pi): the reference for the bits of every fit."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 6:
         raise EstimationError("need at least 6 (N1, N2) points",
@@ -1520,9 +1525,7 @@ def previous_fit_ellipse(points):
         raise UnidentifiableError("all points coincide", flag="degenerate_conic")
     norm = offsets / spread
     sv = np.linalg.svd(norm - norm.mean(axis=0), compute_uv=False)
-    if sv[-1] < 1e-10 * sv[0]:
-        raise UnidentifiableError("points are collinear", flag="degenerate_conic")
-    if (sv[-1] / sv[0]) ** 4 <= sys.float_info.epsilon:  # added since
+    if (sv[-1] / sv[0]) ** 4 <= sys.float_info.epsilon:  # changed since
         raise UnidentifiableError("points are too close to collinear for a conic fit",
                                   flag="degenerate_conic")
 

@@ -33,7 +33,6 @@ from nli_polarimetry import (
     waveplate,
 )
 from nli_polarimetry import interferometer
-from nli_polarimetry.interferometer import _phase_free_terms
 from nli_polarimetry.mode_algebra import (
     _require_finite,
     _weighted_sum,
@@ -431,7 +430,7 @@ class TestBatchedComposer:
             assert np.all(np.abs(batched.cre - ref_cre) <= 1e-13 * scale)
 
     def test_matches_tree_ordered_reference(self, rng):
-        # the phase-free paths are composed once and the scan phases enter
+        # the phase-free paths are composed unbatched and the scan phases enter
         # the last combination: the same expansion, rounded differently
         for cfg in self.configs(rng, 2000):
             sp, dp = self.phase_grid(rng)
@@ -442,16 +441,17 @@ class TestBatchedComposer:
             np.testing.assert_allclose(vacuum_photon_number(got), vacuum_photon_number(ref),
                                        rtol=1e-14, atol=0.0)
 
-    def test_photon_number_is_detected_modes_bitwise(self, rng):
-        # photon_number_exact combines only the creation half, from the same
-        # terms as detected_mode: the same bits at every phase shape
+    def test_photon_number_matches_detected_modes(self, rng):
+        # photon_number_exact evaluates the composer's photon number in its
+        # real form: the same type and shape at every phase shape, and the
+        # same value to within the oracle tolerance
         for cfg in self.configs(rng, 2000):
             sp, dp = self.phase_grid(rng)
             for phases in ((float(sp[0, 0]), float(dp[0, 0])), (sp[:, 0], dp[0]), (sp, dp)):
                 got = photon_number_exact(cfg, *phases)
                 want = vacuum_photon_number(detected_mode(cfg, *phases))
-                assert type(got) is type(want)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.all(np.abs(got - want) <= oracle_tol(cfg))
 
     def test_builds_one_expansion_per_call(self, rng, monkeypatch):
         # every construction runs __post_init__
@@ -487,11 +487,19 @@ class TestBatchedComposer:
     def test_nonfinite_phase_rejected(self, rng):
         with pytest.raises(ValueError):
             detected_mode(random_config(rng), np.array([0.0, np.nan]), 0.0)
-
-
-def kept_bits(terms):
-    """The bytes of ``_phase_free_terms``' coefficients and arrays."""
-    return [np.asarray(c).tobytes() + a.tobytes() for c, a in terms]
+        cfg, refused = random_config(rng), "^scan phases must be finite$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=refused):
+                photon_number_exact(cfg, np.array([0.0, np.nan]), 0.0)
+            # the cosine of an infinity is numpy's invalid value
+            with np.errstate(invalid="ignore"):
+                for phases in ((0.3, math.inf), (-math.inf, 0.1)):
+                    with pytest.raises(ValueError, match=refused):
+                        photon_number_exact(cfg, *phases)
+            with np.errstate(invalid="raise"), pytest.raises(
+                    OverflowError, match="^detected photon number overflows at this gain$"):
+                photon_number_exact(cfg, 0.3, math.inf)
 
 
 def crossed_pair_config(v):
@@ -528,53 +536,64 @@ def outcome(call, *args):
     return done, [(w.category, str(w.message)) for w in caught]
 
 
-class TestPhaseFreeMemo:
-    """Each configuration object composes its phase-free paths once and
-    keeps them; a reused configuration gives the bits of a fresh one."""
+def fringe_bits(cfg):
+    """float.hex of each value of ``cfg``'s photon-number real form."""
+    return [x.hex() for x in interferometer._fringes(cfg)]
+
+
+class TestFringeMemo:
+    """Each configuration object reduces its photon number's real form once
+    and keeps it; a reused configuration gives the bits of a fresh one.  The
+    composer keeps nothing."""
 
     def test_reused_configuration_gives_fresh_bits(self, rng):
         composer = TestBatchedComposer()
         for cfg in composer.configs(rng, 200):
             sp, dp = composer.phase_grid(rng)
-            detected_mode(cfg, 1.0, 2.0)
-            assert "_phase_free" in cfg.__dict__
+            photon_number_exact(cfg, 1.0, 2.0)
+            assert "_fringes" in cfg.__dict__
             for phases in ((), (float(sp[0, 0]), float(dp[0, 0])), (sp[:, 0], dp[0]), (sp, dp)):
-                # dataclasses.replace builds an equal configuration that composes afresh
+                # dataclasses.replace builds an equal configuration that reduces afresh
                 for call in (detected_mode, photon_number_exact):
                     assert outcome(call, cfg, *phases) == outcome(
                         call, dataclasses.replace(cfg), *phases)
 
-    def test_reused_configuration_composes_nothing(self, rng, monkeypatch):
-        calls = []
+    def test_reused_configuration_reduces_nothing(self, rng, monkeypatch):
+        reductions, sums = [], []
+        decompose = interferometer.three_path_decomposition
         weighted_sum = interferometer._weighted_sum
+        monkeypatch.setattr(interferometer, "three_path_decomposition",
+                            lambda cfg: reductions.append(1) or decompose(cfg))
         monkeypatch.setattr(interferometer, "_weighted_sum",
-                            lambda terms: calls.append(1) or weighted_sum(terms))
+                            lambda terms: sums.append(1) or weighted_sum(terms))
         cfg = random_config(rng)
-        photon_number_exact(cfg, np.linspace(0.0, 1.0, 5), 0.3)
-        assert len(calls) == 5  # five paths; the photon number sums its rows itself
-        calls.clear()
-        photon_number_exact(cfg, np.linspace(0.0, 1.0, 5), 0.3)
-        detected_mode(cfg, 0.2, 0.1)
-        assert len(calls) == 1  # detected_mode's last combination
+        for _ in range(3):
+            photon_number_exact(cfg, np.linspace(0.0, 1.0, 5), 0.3)
+        assert reductions == [1] and sums == []  # the photon number composes nothing
+        for _ in range(2):
+            detected_mode(cfg, 0.2, 0.1)
+        # five paths and the last combination, on every call
+        assert reductions == [1] and len(sums) == 12
 
-    def test_copies_and_signed_zero_rotations_compose_their_own(self):
-        # equal configurations whose phase-free paths differ in a zero's
-        # sign: at rotation -0.0 the perpendicular coefficient is
-        # -0.636+0j, at 0.0 it is -0.636-0j, whose phases are +pi and -pi
+    def test_copies_and_signed_zero_rotations_reduce_their_own(self):
+        # equal configurations whose fringes differ in a zero's sign: at
+        # rotation -0.0 the perpendicular path's coefficient is -0.636+0j,
+        # at 0.0 it is -0.636-0j, so the signal-perpendicular fringe's phase
+        # is +pi or -pi
         plate1 = WaveplateCoeffs(1.0 + 0.0j, 0.0j)
         plate2 = WaveplateCoeffs(complex(-1.0, -0.0), complex(-0.0, -0.0))
         pos = InterferometerConfig(CrystalGain(0.5), CrystalGain(0.5), SignalControl(1.0),
                                    plate1, plate2, SampleAxes(0.9 + 0.0j, 0.2 + 0.0j), 0.0)
         neg = dataclasses.replace(pos, rotation=-0.0)
         assert pos == neg and hash(pos) == hash(neg)
-        (perp_pos, _), (perp_neg, _) = (_phase_free_terms(c)[2] for c in (pos, neg))
-        assert cmath.phase(perp_pos) == -math.pi and cmath.phase(perp_neg) == math.pi
+        a1_pos, a1_neg = (interferometer._fringes(c)[2] for c in (pos, neg))
+        assert (a1_pos, a1_neg) == (math.pi, -math.pi)
         for cfg in (pos, neg):
-            detected_mode(cfg)
             again = dataclasses.replace(cfg)
-            assert "_phase_free" not in again.__dict__
-            assert kept_bits(_phase_free_terms(cfg)) == kept_bits(_phase_free_terms(again))
-            assert cfg._phase_free[0][1] is not again._phase_free[0][1]
+            assert "_fringes" not in again.__dict__
+            assert fringe_bits(again) == fringe_bits(cfg)
+            assert outcome(photon_number_exact, again, 0.4, 1.1) == outcome(
+                photon_number_exact, cfg, 0.4, 1.1)
 
     @pytest.mark.parametrize("errors", ["default", "ignore"])
     @pytest.mark.parametrize("first", [detected_mode, photon_number_exact],
@@ -599,51 +618,47 @@ class TestPhaseFreeMemo:
             warns = call is detected_mode and v == 1.7e308 and errors == "default"
             assert caught == ([(RuntimeWarning, "overflow encountered in add")] if warns else [])
 
-    def test_nonfinite_composition_is_not_kept(self):
+    def test_composer_keeps_nothing(self, rng):
         # validated elements keep every phase-free amplitude below 3e154; an
         # infinite gain forced past validation composes non-finite paths,
-        # which refuse on every call and are never kept
+        # which refuse on every call
+        cfg = random_config(rng)
+        fields = dict(cfg.__dict__)
+        detected_mode(cfg, np.linspace(0.0, 1.0, 5), 0.3)
+        assert cfg.__dict__ == fields
         cfg = crossed_pair_config(0.5)
         object.__setattr__(cfg.crystal1, "mean_photons", math.inf)
         with np.errstate(all="ignore"):
             for _ in range(2):
                 with pytest.raises(ValueError, match="^amplitudes must be finite$"):
                     detected_mode(cfg)
-                assert "_phase_free" not in cfg.__dict__
+                assert not [k for k in cfg.__dict__ if k.startswith("_")]
 
-    def test_kept_arrays_are_read_only(self, rng):
+    def test_copies_keep_no_memo(self, rng):
         cfg = random_config(rng)
         photon_number_exact(cfg)
-        for _, array in cfg._phase_free:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
+        # the memo is a tuple of floats, which nothing can change in place
+        assert type(cfg._fringes) is tuple and {type(x) for x in cfg._fringes} == {float}
         # a copy or an unpickled configuration keeps no memo of its source's
         for other in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
-            assert other == cfg and "_phase_free" not in other.__dict__
-            assert kept_bits(_phase_free_terms(other)) == kept_bits(cfg._phase_free)
-            assert not other._phase_free[0][1].flags.writeable
+            assert other == cfg and "_fringes" not in other.__dict__
+            assert fringe_bits(other) == fringe_bits(cfg)
 
 
-def dense_photon_number(cfg, signal_phase=0.0, diff_phase=0.0):
-    """``photon_number_exact`` as it was when it combined the whole creation
-    half at the batch shape, verbatim, with the two helpers it called
-    (``_detected_terms`` and ``_photon_number``) written out: the reference
-    for the bits of every photon number."""
-    try:
-        with np.errstate(over="raise", under="ignore"):
-            # the photon number reads only the creation half, so the last
-            # combination forms that half alone at the batch shape
-            half_diff = np.exp(0.5j * np.asarray(diff_phase))
-            phases = (1.0, np.exp(1j * np.asarray(signal_phase)), np.conj(half_diff), half_diff)
-            detected = [(np.multiply(c, phase), a)
-                        for (c, a), phase in zip(_phase_free_terms(cfg), phases)]
-            terms = [(c, amps[1:]) for c, amps in detected]
-            cre = _require_finite(_weighted_sum(terms)[0])
-            total = np.sum(np.abs(cre) ** 2, axis=0)
-            return float(total) if total.ndim == 0 else total
-    except FloatingPointError:
-        raise OverflowError("detected photon number overflows at this gain") from None
+def oracle_tol(cfg):
+    """How far ``photon_number_exact`` may lie from the composer's photon
+    number: 64 eps times its phase average c0.  Below the smallest normal
+    double rounding is absolute, one subnormal step, so a subnormal c0
+    counts as the smallest normal (64 subnormal steps).
+
+    c0 is the composer's mean over four signal phases a quarter turn apart
+    and two differential phases half a turn apart: the grid cancels each
+    fringe, whose phases turn at the (signal, differential) rates (1, 1/2),
+    (1, -1/2) and (0, 1)."""
+    sp = np.arange(4.0)[:, None] * (0.5 * math.pi)
+    dp = np.array([[0.0, math.pi]])
+    c0 = float(np.mean(vacuum_photon_number(detected_mode(cfg, sp, dp))))
+    return 64 * sys.float_info.epsilon * max(c0, sys.float_info.min)
 
 
 def photon_number_bits(call, cfg, *phases):
@@ -675,13 +690,15 @@ magnitudes = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
-def configurations(draw):
+def configurations(draw, equal_gains=False):
     def transmission():
         return draw(magnitudes) * cmath.exp(1j * draw(angles))
 
+    v1 = draw(gains)
     return InterferometerConfig(
-        crystal1=CrystalGain(draw(gains), draw(st.one_of(st.just(0.0), angles))),
-        crystal2=CrystalGain(draw(gains), draw(st.one_of(st.just(0.0), angles))),
+        crystal1=CrystalGain(v1, draw(st.one_of(st.just(0.0), angles))),
+        crystal2=CrystalGain(v1 if equal_gains else draw(gains),
+                             draw(st.one_of(st.just(0.0), angles))),
         signal=SignalControl(transmission()),
         waveplate1=waveplate(draw(angles), draw(angles)),
         waveplate2=waveplate(draw(angles), draw(angles)),
@@ -691,33 +708,83 @@ def configurations(draw):
 
 
 class TestPhotonNumberOracle:
-    """``photon_number_exact`` sums only the creation rows a term reaches,
-    and keeps the bits of ``dense_photon_number``."""
+    """``photon_number_exact`` evaluates the five-path form, which is the
+    composer's photon number to within ``oracle_tol``."""
 
     @settings(max_examples=400, deadline=None)
     @given(cfg=configurations(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_dense_sum_bitwise(self, cfg, seed):
+    def test_matches_the_composer(self, cfg, seed):
+        tol = oracle_tol(cfg)
         for phases in phase_shapes(np.random.default_rng(seed)):
-            assert photon_number_bits(photon_number_exact, cfg, *phases) == \
-                photon_number_bits(dense_photon_number, cfg, *phases)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = photon_number_exact(cfg, *phases)
+            want = vacuum_photon_number(detected_mode(cfg, *phases))
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.all(np.abs(got - want) <= tol)
 
     @settings(max_examples=200, deadline=None)
-    @given(cfg=configurations())
-    def test_terms_reach_only_their_creation_rows(self, cfg):
-        # the plan leaves out each term's other creation rows: they are zero
-        for (_, amps), rows in zip(_phase_free_terms(cfg), interferometer._CREATION_ROWS):
-            assert not np.delete(amps[1], rows, axis=0).any()
+    @given(cfg=configurations(), seed=st.integers(0, 2**32 - 1))
+    def test_five_paths_are_the_composers_creation_rows(self, cfg, seed):
+        # the idler's row is the three paths, its orthogonal polarization's
+        # the two paths P' and Q', the loss ports' rows carry |v2|^2 times
+        # the sample's losses, and no path reaches the signal or the tap
+        s, p, q = three_path_decomposition(cfg)
+        tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
+        v2, sample = cfg.crystal2.v, cfg.sample
+        p_pol = v2 * np.conj(tau2 * sample.t_perp) * np.conj(rho1)
+        q_pol = v2 * np.conj(rho2 * sample.t_par) * tau1
+        loss = abs(v2) ** 2 * (abs(tau2) ** 2 * sample.r_perp ** 2
+                               + abs(rho2) ** 2 * sample.r_par ** 2)
+        sp, dp = np.random.default_rng(seed).uniform(-20.0, 20.0, size=(2, 7))
+        cre = detected_mode(cfg, sp, dp).cre
+        half = np.exp(0.5j * dp)
+        tol = 1e-14 * (1.0 + cfg.crystal1.mean_photons + cfg.crystal2.mean_photons)
+        assert np.all(np.abs(cre[Mode.IDLER] - (s * np.exp(1j * sp) + p / half + q * half))
+                      <= tol)
+        assert np.all(np.abs(cre[Mode.IDLER_POL] - (p_pol / half + q_pol * half)) <= tol)
+        losses = np.abs(cre[Mode.SAMPLE_PERP]) ** 2 + np.abs(cre[Mode.SAMPLE_PAR]) ** 2
+        assert np.all(np.abs(losses - loss) <= tol * (1.0 + loss))
+        assert not cre[[Mode.SIGNAL, Mode.SIGNAL_TAP]].any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=configurations(equal_gains=True), seed=st.integers(0, 2**32 - 1))
+    def test_equal_gains_match_n_highgain(self, cfg, seed):
+        # the all-orders beating formula is the five-path form at equal gains
+        p = beating_parameters(cfg)
+        tol = oracle_tol(cfg)
+        for phases in phase_shapes(np.random.default_rng(seed)):
+            got, want = photon_number_exact(cfg, *phases), n_highgain(p, *phases)
+            assert np.all(np.abs(got - want) <= tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=gains, pump=angles, perp_phase=angles, diff=angles, t_par=magnitudes)
+    def test_dark_fringes_are_nonnegative(self, v, pump, perp_phase, diff, t_par):
+        # plates that leave the idler's polarization alone and a lossless
+        # perpendicular axis: the signal and perpendicular paths carry equal
+        # amplitudes at equal gains, so the fringe between them goes dark,
+        # where rounding can take the real form below zero, and the record
+        # is clipped there
+        cfg = InterferometerConfig(
+            CrystalGain(v, pump), CrystalGain(v), SignalControl(1.0),
+            WaveplateCoeffs(1.0, 0.0), WaveplateCoeffs(1.0, 0.0),
+            SampleAxes(cmath.exp(1j * perp_phase), t_par))
+        s, p, _ = three_path_decomposition(cfg)
+        dark = math.pi - cmath.phase(s * p.conjugate()) - 0.5 * diff
+        schedule = ScanSchedule(dark, diff, 1e-9, 0.0, 8)
+        expected_n = simulate_scan(cfg, schedule, NoiseModel(1.0)).expected_n
+        assert np.all(expected_n >= 0.0)
+        assert np.all(expected_n <= oracle_tol(cfg))
 
     @pytest.mark.parametrize("make", [lambda: crossed_pair_config(1e200),
                                       lambda: crossed_pair_config(1.7e308),
                                       lambda: loss_port_overflow_config()],
                              ids=["1e200", "1.7e308", "loss_port"])
-    def test_overflow_raises_as_the_dense_sum(self, make, rng):
+    def test_overflow_raises_on_fresh_and_reused_configurations(self, make, rng):
         overflow = ((OverflowError, "detected photon number overflows at this gain"), [])
         reused = make()
         for phases in phase_shapes(rng):
-            got = photon_number_bits(photon_number_exact, make(), *phases)
-            assert got == photon_number_bits(dense_photon_number, make(), *phases)
-            assert got == photon_number_bits(photon_number_exact, reused, *phases) == overflow
-        # the composition itself is finite, so it is kept
-        assert "_phase_free" in reused.__dict__
+            assert photon_number_bits(photon_number_exact, make(), *phases) == overflow
+            assert photon_number_bits(photon_number_exact, reused, *phases) == overflow
+        # the overflowed reduction is kept, and raises on every call
+        assert "_fringes" in reused.__dict__

@@ -251,11 +251,11 @@ class TestBeatingMemo:
     def test_copies_reduce_their_own(self, rng):
         cfg = random_config(rng, equal_gains=True)
         kept = beating_parameters(cfg)
-        photon_number_exact(cfg)  # the phase-free paths are kept too
+        photon_number_exact(cfg)  # the photon number's fringes are kept too
         for other in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg)),
                       dataclasses.replace(cfg)):
             assert other == cfg
-            assert "_beating" not in other.__dict__ and "_phase_free" not in other.__dict__
+            assert "_beating" not in other.__dict__ and "_fringes" not in other.__dict__
             assert hex_params(beating_parameters(other)) == hex_params(kept)
             assert other.__dict__["_beating"] is not kept
 
