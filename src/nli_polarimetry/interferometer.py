@@ -24,9 +24,9 @@ from .elements import (
 from .mode_algebra import (
     Mode,
     OperatorExpansion,
-    _adjoint,
     _per_expansion,
-    _weighted_sum,
+    adjoint,
+    linear_combine,
     pure_mode,
 )
 
@@ -58,12 +58,6 @@ class InterferometerConfig:
         if not math.isfinite(self.rotation):
             raise ValueError("rotation must be finite")
 
-    def __getstate__(self):
-        # the fields; a copy or an unpickled configuration reduces its own
-        # photon-number fringes (``_fringes``) and beating parameters
-        # (``signals.beating_parameters``), so what it keeps is its own
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-
     @property
     def has_equal_gains(self) -> bool:
         g1 = self.crystal1.mean_photons
@@ -80,53 +74,44 @@ def detected_mode(
     signal_phase: float | np.ndarray = 0.0,
     diff_phase: float | np.ndarray = 0.0,
 ) -> OperatorExpansion:
-    """Detected signal mode as an operator expansion over the vacuum inputs.
+    """Detected signal mode as an operator expansion over the vacuum inputs,
+    composed element by element in the order light meets the chain, each
+    element a ``linear_combine`` of the modes before it.
 
     ``signal_phase`` multiplies the control beam splitter's transmission by
     ``exp(i signal_phase)``; ``diff_phase`` is imprinted antisymmetrically
     between the sample's axes, ``t_perp`` times ``exp(+i diff_phase/2)`` and
     ``t_par`` times ``exp(-i diff_phase/2)``, leaving the mean idler phase
     unchanged.  Array phases broadcast against each other and give an
-    expansion whose batch axes follow them, so a whole scan is composed in
-    one pass.  The phase-free paths are composed unbatched, as raw amplitude
-    arrays; the scan phases enter only the coefficients of the last
-    combination, and only its result becomes an ``OperatorExpansion``.
-    Every call composes afresh and keeps nothing on the configuration.
+    expansion whose batch axes follow them; each enters where it arises.
+    Every combination checks its amplitudes finite (``ValueError``).
+    Nothing is kept on the configuration.
     """
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v
     tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
     sample = cfg.sample
-    a_sig = pure_mode(Mode.SIGNAL)._amps
-    a_idl_dag, pol_dag, perp_dag, par_dag = (
-        _adjoint(pure_mode(m)._amps)
-        for m in (Mode.IDLER, Mode.IDLER_POL, Mode.SAMPLE_PERP, Mode.SAMPLE_PAR)
-    )
-
-    # first crystal; the first waveplate splits the idler onto the sample
-    # axes, composed as adjoints, which is how they seed the second crystal
-    gen_sig = _weighted_sum([(u1, a_sig), (v1, a_idl_dag)])
-    gen_idl_dag = _weighted_sum([(u1, a_idl_dag), (np.conj(v1), a_sig)])
-    comp_perp_dag = _weighted_sum([(np.conj(tau1), gen_idl_dag), (np.conj(rho1), pol_dag)])
-    comp_par_dag = _weighted_sum([(-rho1, gen_idl_dag), (tau1, pol_dag)])
-
-    # vacua of the control beam splitter's open port and the sample's loss ports
-    vacua = _weighted_sum([
-        (u2 * cfg.signal.reflection, pure_mode(Mode.SIGNAL_TAP)._amps),
-        (v2 * np.conj(tau2 * sample.r_perp), perp_dag),
-        (v2 * np.conj(rho2 * sample.r_par), par_dag),
-    ])
-    # the unbatched vacua go first, so one fewer sum runs at the batch
-    # shape; one finiteness check, on the result, is enough: c*inf, 0*inf
-    # and inf-inf are all non-finite, so a non-finite intermediate reaches it
+    ts = np.multiply(complex(cfg.signal.transmission), np.exp(1j * np.asarray(signal_phase)))
     half_diff = np.exp(0.5j * np.asarray(diff_phase))
-    signal = np.exp(1j * np.asarray(signal_phase))
-    return OperatorExpansion(*_weighted_sum([
-        (1.0, vacua),
-        (u2 * complex(cfg.signal.transmission) * signal, gen_sig),
-        (v2 * np.conj(tau2 * sample.t_perp) * np.conj(half_diff), comp_perp_dag),
-        (v2 * np.conj(rho2 * sample.t_par) * half_diff, comp_par_dag),
-    ]))
+    t_perp = np.multiply(sample.t_perp, half_diff)
+    t_par = np.multiply(sample.t_par, np.conj(half_diff))
+
+    # the six vacuum inputs, in ``Mode``'s order
+    a_sig, a_idl, tap, pol, perp_loss, par_loss = map(pure_mode, Mode)
+    # first crystal
+    gen_sig = linear_combine([(u1, a_sig), (v1, adjoint(a_idl))])
+    gen_idl = linear_combine([(u1, a_idl), (v1, adjoint(a_sig))])
+    # the control beam splitter on the signal arm; the first waveplate splits
+    # the idler and its orthogonal polarization onto the sample's axes
+    ctrl_sig = linear_combine([(ts, gen_sig), (cfg.signal.reflection, tap)])
+    comp_perp = linear_combine([(tau1, gen_idl), (rho1, pol)])
+    comp_par = linear_combine([(-np.conj(rho1), gen_idl), (np.conj(tau1), pol)])
+    # the sample's axes, each with its loss port
+    out_perp = linear_combine([(t_perp, comp_perp), (sample.r_perp, perp_loss)])
+    out_par = linear_combine([(t_par, comp_par), (sample.r_par, par_loss)])
+    # the second waveplate back onto the idler polarization, then the second crystal
+    seed_idl = linear_combine([(tau2, out_perp), (rho2, out_par)])
+    return linear_combine([(u2, ctrl_sig), (v2, adjoint(seed_idl))])
 
 
 def _square(z: complex) -> float:
@@ -139,6 +124,37 @@ def _fringe(z: complex) -> tuple[float, float]:
     return 2.0 * math.hypot(z.real, z.imag), cmath.phase(z)
 
 
+def _paths(cfg: InterferometerConfig) -> tuple[complex, complex, complex, complex, complex, float]:
+    """The photon number's five path amplitudes and loss constant
+    ``(S, P, Q, P', Q', L)`` (``_fringes``), reduced in Python ``complex``
+    arithmetic, which overflows to inf or NaN without a warning:
+
+        S  = u2 t_s v1,                     P  = v2 conj(tau2 t_perp tau1) u1,
+        Q  = -v2 conj(rho2 t_par) rho1 u1,  P' = v2 conj(tau2 t_perp) conj(rho1),
+        Q' = v2 conj(rho2 t_par) tau1,
+        L  = |v2|^2 (|tau2|^2 r_perp^2 + |rho2|^2 r_par^2).
+    """
+    u1, v1 = cfg.crystal1.u, cfg.crystal1.v
+    u2, v2 = cfg.crystal2.u, cfg.crystal2.v
+    sample = cfg.sample
+    # numpy scalars become Python numbers of the same bits; S, P and Q keep a
+    # real factor real, P' and Q' make it complex (its conjugate has a -0.0
+    # imaginary part): the two rules differ in a zero's sign, so a phase of
+    # +-pi, and the tests pin both
+    tau1, rho1, tau2, rho2, t_perp, t_par = (
+        z.item() if isinstance(z, np.generic) else z
+        for z in (*cfg.effective_waveplates(), sample.t_perp, sample.t_par))
+    return (
+        u2 * complex(cfg.signal.transmission) * v1,
+        v2 * (tau2 * t_perp * tau1).conjugate() * u1,
+        -v2 * (rho2 * t_par).conjugate() * rho1 * u1,
+        v2 * (complex(tau2) * complex(t_perp)).conjugate() * complex(rho1).conjugate(),
+        v2 * (complex(rho2) * complex(t_par)).conjugate() * complex(tau1),
+        _square(v2) * (_square(tau2) * sample.r_perp * sample.r_perp
+                       + _square(rho2) * sample.r_par * sample.r_par),
+    )
+
+
 def _fringes(cfg: InterferometerConfig) -> tuple[float, ...]:
     """The photon number's real form ``(c0, m1, a1, m2, a2, m3, a3)``:
 
@@ -149,35 +165,22 @@ def _fringes(cfg: InterferometerConfig) -> tuple[float, ...]:
     ``S e^{is} + P e^{-id/2} + Q e^{id/2}`` (the paper's three paths,
     ``three_path_decomposition``) and its orthogonal polarization's
     ``P' e^{-id/2} + Q' e^{id/2}``, and the sample's loss ports add the
-    constant ``L``:
+    constant ``L`` (``_paths``), so ``c0`` is the sum of the five squared
+    moduli and ``L``, and the fringes are ``2 S conj(P)``, ``2 S conj(Q)``
+    and ``2 (P conj(Q) + P' conj(Q'))``.
 
-        P' = v2 conj(tau2 t_perp) conj(rho1),  Q' = v2 conj(rho2 t_par) tau1,
-        L  = |v2|^2 (|tau2|^2 r_perp^2 + |rho2|^2 r_par^2),
-
-    so ``c0`` is the sum of the five squared moduli and ``L``, and the
-    fringes are ``2 S conj(P)``, ``2 S conj(Q)`` and
-    ``2 (P conj(Q) + P' conj(Q'))``.
-
-    Reduced once per configuration object and kept on it.  A reduction that
-    overflows leaves ``c0`` infinite (every fringe is at most ``c0``), is
-    kept too, and makes every photon number raise.  The memo is per
-    instance, not keyed by value: equal configurations can differ in a
-    zero's sign, which moves a phase by 2*pi (``cmath.phase(-1-0j)`` is
-    -pi, ``cmath.phase(-1+0j)`` is +pi).
+    Reduced once per configuration object and kept on it, as a tuple of
+    floats that depends only on the bits of the fields, so a copy or a
+    pickle may carry it.  A reduction that overflows leaves ``c0`` infinite
+    (every fringe is at most ``c0``), is kept too, and makes every photon
+    number raise.  The memo is per instance, not keyed by value: equal
+    configurations can differ in a zero's sign, which moves a phase by 2*pi
+    (``cmath.phase(-1-0j)`` is -pi, ``cmath.phase(-1+0j)`` is +pi).
     """
     kept = cfg.__dict__.get("_fringes")
     if kept is not None:
         return kept
-    # the paths' numpy-scalar products warn where they overflow; an
-    # overflow shows as an infinite c0 instead
-    with np.errstate(all="ignore"):
-        s, p, q = three_path_decomposition(cfg)
-        tau1, rho1, tau2, rho2 = (complex(c) for c in cfg.effective_waveplates())
-    v2, sample = complex(cfg.crystal2.v), cfg.sample
-    p_pol = v2 * (tau2 * complex(sample.t_perp)).conjugate() * rho1.conjugate()
-    q_pol = v2 * (rho2 * complex(sample.t_par)).conjugate() * tau1
-    loss = _square(v2) * (_square(tau2) * sample.r_perp * sample.r_perp
-                          + _square(rho2) * sample.r_par * sample.r_par)
+    s, p, q, p_pol, q_pol, loss = _paths(cfg)
     c0 = _square(s) + _square(p) + _square(q) + _square(p_pol) + _square(q_pol) + loss
     fringes = (c0, *_fringe(s * p.conjugate()), *_fringe(s * q.conjugate()),
                *_fringe(p * q.conjugate() + p_pol * q_pol.conjugate()))
@@ -196,10 +199,9 @@ def photon_number_exact(
     step.  Rounding can take that sum a few ulps below zero on a dark
     fringe, so it is clipped at 0.0.  A photon number that overflows a
     double raises ``OverflowError``, a nonfinite phase ``ValueError`` (after
-    what the caller's ``np.errstate`` makes of the cosine of an infinity:
-    ``simulate_scan``'s turns it into ``OverflowError``); an underflow, to a
-    subnormal or to zero, is no error, whatever the caller's
-    ``np.errstate``.  Scalar and array phases give the same bits.
+    what the caller's ``np.errstate`` makes of the cosine of an infinity);
+    an underflow, to a subnormal or to zero, is no error, whatever the
+    caller's ``np.errstate``.  Scalar and array phases give the same bits.
     """
     c0, m1, a1, m2, a2, m3, a3 = _fringes(cfg)
     try:
@@ -225,17 +227,8 @@ def three_path_decomposition(cfg: InterferometerConfig) -> tuple[complex, comple
     The photon-carrying idler amplitude is a superposition of three paths:
     the signal photon seeding the second crystal directly, and the idler
     probing the perpendicular or the parallel sample axis.  Their sum equals
-    ``detected_mode(cfg).cre[Mode.IDLER]``.  They are the first of the
-    photon number's two phase-dependent rows (``_fringes``); the second is
-    the idler's orthogonal polarization.
+    ``detected_mode(cfg).cre[Mode.IDLER]``.  They are the first three of the
+    photon number's five paths (``_paths``); the other two are the idler's
+    orthogonal polarization.
     """
-    u1, v1 = cfg.crystal1.u, cfg.crystal1.v
-    u2, v2 = cfg.crystal2.u, cfg.crystal2.v
-    ts = complex(cfg.signal.transmission)
-    tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
-
-    signal_path = u2 * ts * v1
-    perp_path = v2 * np.conj(tau2 * cfg.sample.t_perp * tau1) * u1
-    par_path = -v2 * np.conj(rho2 * cfg.sample.t_par) * rho1 * u1
-    return complex(signal_path), complex(perp_path), complex(par_path)
-
+    return _paths(cfg)[:3]

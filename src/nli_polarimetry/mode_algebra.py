@@ -8,10 +8,8 @@ expectation values of photon numbers.
 
 Amplitude arrays may carry trailing batch axes, shape ``(N_MODES, *batch)``,
 so that one composition evaluates a whole family of configurations (for
-example every step of a phase scan) at once.  The operations work on the
-stacked ``(2, N_MODES, *batch)`` amplitude arrays; the public ones build
-one ``OperatorExpansion`` from their result, so a composer can chain the
-private array functions and build only its final expansion.
+example every step of a phase scan) at once.  Each operation builds a new
+``OperatorExpansion``, and so checks every amplitude it composed finite.
 """
 
 from __future__ import annotations
@@ -56,7 +54,9 @@ class OperatorExpansion:
         if ann.shape[:1] != (N_MODES,) or cre.shape != ann.shape:
             raise ValueError(f"amplitude arrays must have equal shape ({N_MODES}, *batch)")
         amps = np.array((ann, cre), dtype=complex)
-        _require_finite(amps).flags.writeable = False
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
+        amps.flags.writeable = False
         object.__setattr__(self, "_amps", amps)
         object.__setattr__(self, "ann", amps[0])
         object.__setattr__(self, "cre", amps[1])
@@ -64,13 +64,6 @@ class OperatorExpansion:
     @property
     def batch_shape(self) -> tuple[int, ...]:
         return self.ann.shape[1:]
-
-
-def _require_finite(amps: np.ndarray) -> np.ndarray:
-    """``amps`` itself, once every amplitude in it is checked finite."""
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitudes must be finite")
-    return amps
 
 
 _PURE_MODES = tuple(OperatorExpansion(np.eye(N_MODES)[m], np.zeros(N_MODES)) for m in Mode)
@@ -81,29 +74,9 @@ def pure_mode(mode: Mode) -> OperatorExpansion:
     return _PURE_MODES[mode]
 
 
-def _adjoint(amps: np.ndarray) -> np.ndarray:
-    """Adjoint of a stacked amplitude array: the parts swapped and conjugated."""
-    return np.conj(amps[::-1])
-
-
-def _weighted_sum(terms: list[tuple[complex | np.ndarray, np.ndarray]]) -> np.ndarray:
-    """``linear_combine`` over stacked amplitude arrays ``a_k`` of shape
-    ``(parts, N_MODES, *batch)``, with the same batch lift."""
-    if not terms:
-        raise ValueError("linear_combine needs at least one term")
-    coeffs = [np.asarray(c) for c, _ in terms]
-    ndim = max(*(c.ndim for c in coeffs), *(a.ndim - 2 for _, a in terms))
-    parts = []
-    for coeff, (_, a) in zip(coeffs, terms):
-        # unit axes after the part and mode axes align a's batch with the coefficients'
-        lift = a.shape[:2] + (1,) * (ndim + 2 - a.ndim) + a.shape[2:]
-        parts.append(coeff * a.reshape(lift))
-    return sum(parts[1:], parts[0])
-
-
 def adjoint(x: OperatorExpansion) -> OperatorExpansion:
     """Hermitian adjoint: swaps annihilation and creation parts and conjugates."""
-    return OperatorExpansion(*_adjoint(x._amps))
+    return OperatorExpansion(*np.conj(x._amps[::-1]))
 
 
 def linear_combine(
@@ -114,7 +87,16 @@ def linear_combine(
     Coefficients may be arrays; they broadcast against the expansions' batch
     shapes, both aligned on their trailing axes.
     """
-    return OperatorExpansion(*_weighted_sum([(c, x._amps) for c, x in terms]))
+    if not terms:
+        raise ValueError("linear_combine needs at least one term")
+    ndim = max(max(np.ndim(c), len(x.batch_shape)) for c, x in terms)
+    parts = []
+    for c, x in terms:
+        # unit axes after the part and mode axes align x's batch with the coefficients'
+        a = x._amps
+        lift = a.shape[:2] + (1,) * (ndim + 2 - a.ndim) + a.shape[2:]
+        parts.append(np.asarray(c) * a.reshape(lift))
+    return OperatorExpansion(*sum(parts[1:], parts[0]))
 
 
 def _per_expansion(total: np.ndarray) -> float | np.ndarray:

@@ -248,13 +248,18 @@ def write_csv(path: str | Path, header, columns, n_int: int = 0) -> None:
     The header row and every data row end in ``\\r\\n``.  The first ``n_int``
     columns are written as integers; every other cell is ``repr`` of the
     value cast to a Python float, the shortest string that reads back to the
-    same double.  Only one block's text is held at a time.  A non-finite
-    value in an integer column raises after the blocks before its own are
-    written.
+    same double.  Only one block's text is held at a time.  Columns of
+    unequal length, or a column count other than the header's, raise
+    ``ValueError`` and write nothing; a non-finite value in an integer
+    column raises after the blocks before its own are written.
     """
     columns = ([np.asarray(c) for c in columns[:n_int]]
                + [np.asarray(c, dtype=float) for c in columns[n_int:]])
-    n_rows = min(map(len, columns), default=0)
+    lengths = [len(c) for c in columns]
+    if len(lengths) != len(header) or len(set(lengths)) > 1:
+        raise ValueError(f"expected {len(header)} columns of equal length, found "
+                         f"lengths {lengths}")
+    n_rows = lengths[0] if lengths else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, _CSV_BLOCK):
@@ -343,14 +348,21 @@ def simulate_scan(
     is ``n_lowgain`` clipped at zero (requires equal gains).  Counts are
     ``expected_n * counts_per_unit``, Poisson-sampled in ``"poisson"`` mode
     with a per-scan generator seeded from the noise model.
-    A photon number or a count rate that overflows a double, in either
-    regime, raises ``OverflowError``, as does a Poisson mean too large for
-    numpy's draw; one that underflows is kept, whatever the caller's
-    ``np.errstate``.
+    Scan phases (offset plus ramp) that overflow a double raise
+    ``OverflowError("scan phases overflow a double")`` before either model
+    runs.  A photon number or a count rate that overflows a double, in
+    either regime, raises ``OverflowError``, as does a Poisson mean too
+    large for numpy's draw; one that underflows is kept, whatever the
+    caller's ``np.errstate``.
     """
     if regime not in REGIMES:
         raise ValueError("regime must be 'exact' or 'lowgain'")
     layout = _schedule_layout(schedule)
+    # offset + rate * step is monotone in the step, so finite at every step
+    # if at the last; a Python float overflows to inf without a warning
+    if not (math.isfinite(schedule.signal_offset + float(layout.phi0[-1]))
+            and math.isfinite(schedule.diff_offset + float(layout.delta_phase[-1]))):
+        raise OverflowError("scan phases overflow a double")
     signal_phase = schedule.signal_offset + layout.phi0
     diff_phase = schedule.diff_offset + layout.delta_phase
 
@@ -561,16 +573,17 @@ class _Layout:
     and ``n_samples``) fixes for every record that holds its columns.
 
     ``step``, ``phi0`` and ``delta_phase`` are the record columns, each a
-    read-only view of a private read-only array; ``simulate_scan`` hands
-    every record these very objects.  ``kept`` holds what ``_per_layout``
+    read-only view of a private read-only array, a ramp past the largest
+    double infinite; ``simulate_scan`` refuses such a ramp and hands every
+    record it makes these very objects.  ``kept`` holds what ``_per_layout``
     built of them (verdicts, designs, step checks).  Only ``scan`` reads it.
     """
 
     def __init__(self, schedule: ScanSchedule):
         step = np.arange(schedule.n_samples)
         t = step.astype(float)
-        # a ramp past the largest double is no error here: its record
-        # overflows in the forward model, which raises ``OverflowError``
+        # a ramp past the largest double is no error here: ``simulate_scan``
+        # refuses its phases before the forward model runs
         with np.errstate(over="ignore"):
             ramps = schedule.signal_rate * t, schedule.diff_rate * t
         self.step, self.phi0, self.delta_phase = map(_read_only, (step, *ramps))

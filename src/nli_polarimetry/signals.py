@@ -116,7 +116,8 @@ def beating_parameters(cfg: "InterferometerConfig") -> BeatingParameters:
 
     Reduced once per configuration object and kept on it, as
     ``photon_number_exact`` keeps its fringes: the memo is per instance, a
-    configuration that raises keeps nothing, and a copy, a pickle or
+    configuration that raises keeps nothing, a copy or a pickle may carry
+    the frozen result (it depends only on the bits of the fields), and
     ``dataclasses.replace`` reduces afresh.
     """
     kept = cfg.__dict__.get("_beating")

@@ -60,6 +60,44 @@ def previous_pow2_scale(values):
     return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values))))[1] - 1)
 
 
+def previous_three_path_decomposition(cfg: InterferometerConfig):
+    """``interferometer.three_path_decomposition`` before it took the first
+    three of ``_paths``: the paths as numpy-scalar products.  The reference
+    of the paths' bit tests; it warns where a product overflows."""
+    u1, v1 = cfg.crystal1.u, cfg.crystal1.v
+    u2, v2 = cfg.crystal2.u, cfg.crystal2.v
+    ts = complex(cfg.signal.transmission)
+    tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
+    signal_path = u2 * ts * v1
+    perp_path = v2 * np.conj(tau2 * cfg.sample.t_perp * tau1) * u1
+    par_path = -v2 * np.conj(rho2 * cfg.sample.t_par) * rho1 * u1
+    return complex(signal_path), complex(perp_path), complex(par_path)
+
+
+def previous_fringes(cfg: InterferometerConfig) -> tuple[float, ...]:
+    """``interferometer._fringes`` before it reduced ``_paths``: the three
+    paths of ``previous_three_path_decomposition`` (under ``np.errstate``,
+    so an overflow shows as an infinite c0 only), the two orthogonal
+    polarization paths and the loss constant recomputed, and nothing kept."""
+    def square(z):
+        return z.real * z.real + z.imag * z.imag
+
+    def fringe(z):
+        return 2.0 * math.hypot(z.real, z.imag), cmath.phase(z)
+
+    with np.errstate(all="ignore"):
+        s, p, q = previous_three_path_decomposition(cfg)
+        tau1, rho1, tau2, rho2 = (complex(c) for c in cfg.effective_waveplates())
+    v2, sample = complex(cfg.crystal2.v), cfg.sample
+    p_pol = v2 * (tau2 * complex(sample.t_perp)).conjugate() * rho1.conjugate()
+    q_pol = v2 * (rho2 * complex(sample.t_par)).conjugate() * tau1
+    loss = square(v2) * (square(tau2) * sample.r_perp * sample.r_perp
+                         + square(rho2) * sample.r_par * sample.r_par)
+    c0 = square(s) + square(p) + square(q) + square(p_pol) + square(q_pol) + loss
+    return (c0, *fringe(s * p.conjugate()), *fringe(s * q.conjugate()),
+            *fringe(p * q.conjugate() + p_pol * q_pol.conjugate()))
+
+
 def scaled_counts(series: TimeSeries, factor: float) -> TimeSeries:
     """The record with its counts and expected photon numbers times ``factor``."""
     return dataclasses.replace(series, expected_n=factor * series.expected_n,

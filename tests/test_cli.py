@@ -168,6 +168,18 @@ class TestSimulate:
             assert err.count("\n") == 1
             assert not out.exists()
 
+    @pytest.mark.parametrize("regime", ["exact", "lowgain"])
+    def test_overflowing_scan_phases_exit_3(self, tmp_path, capsys, regime):
+        doc = base_config(**{"regime": regime, "schedule.xi_bar": 1.7e308,
+                             "schedule.rate_phi0": 1.5e307, "schedule.n_samples": 8})
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("simulate", "--config", write_config(tmp_path, doc), "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err == "error: numeric failure: scan phases overflow a double\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["noiseless", "poisson"])
     @pytest.mark.parametrize("options, overrides, message", [
         ((), {"noise.seed": -3}, "noise.seed: must be >= 0"),

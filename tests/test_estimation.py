@@ -1132,8 +1132,9 @@ class TestPhaseLayoutMemo:
         cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1)
         try:
             record = simulate_scan(cfg, sched, NoiseModel(KAPPA, 3, mode), regime=regime)
-        except OverflowError:
+        except OverflowError as exc:
             # only a ramp past the largest double overflows here
+            assert str(exc) == "scan phases overflow a double"
             layout = sched._layout
             assert not (np.isfinite(layout.phi0).all() and np.isfinite(layout.delta_phase).all())
             return

@@ -1,6 +1,7 @@
 import cmath
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import sys
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blocked_arm, random_config, with_scan_phases
+from conftest import (blocked_arm, previous_fringes, previous_three_path_decomposition,
+                      random_config, with_scan_phases)
 from nli_polarimetry import (
     CrystalGain,
     InterferometerConfig,
@@ -33,44 +35,7 @@ from nli_polarimetry import (
     waveplate,
 )
 from nli_polarimetry import interferometer
-from nli_polarimetry.mode_algebra import (
-    _require_finite,
-    _weighted_sum,
-    adjoint,
-    commutator_defect,
-    linear_combine,
-    pure_mode,
-    vacuum_photon_number,
-)
-
-
-def tree_ordered_mode(cfg, signal_phase, diff_phase):
-    """Reference for ``detected_mode``: the chain composed element by element
-    in the order light meets them, with the scan phases applied where they
-    arise (the control beam splitter and the sample's axes), so every
-    combination after them runs at the phases' batch shape."""
-    u1, v1 = cfg.crystal1.u, cfg.crystal1.v
-    u2, v2 = cfg.crystal2.u, cfg.crystal2.v
-    ts = np.multiply(complex(cfg.signal.transmission), np.exp(1j * np.asarray(signal_phase)))
-    rs = cfg.signal.reflection
-    tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
-    half_diff = np.exp(0.5j * np.asarray(diff_phase))
-    t_perp = np.multiply(cfg.sample.t_perp, half_diff)
-    t_par = np.multiply(cfg.sample.t_par, np.conj(half_diff))
-    r_perp, r_par = cfg.sample.r_perp, cfg.sample.r_par
-
-    a_sig = pure_mode(Mode.SIGNAL)
-    a_idl = pure_mode(Mode.IDLER)
-    gen_sig = linear_combine([(u1, a_sig), (v1, adjoint(a_idl))])
-    gen_idl = linear_combine([(u1, a_idl), (v1, adjoint(a_sig))])
-    ctrl_sig = linear_combine([(ts, gen_sig), (rs, pure_mode(Mode.SIGNAL_TAP))])
-    pol_vac = pure_mode(Mode.IDLER_POL)
-    comp_perp = linear_combine([(tau1, gen_idl), (rho1, pol_vac)])
-    comp_par = linear_combine([(-np.conj(rho1), gen_idl), (np.conj(tau1), pol_vac)])
-    out_perp = linear_combine([(t_perp, comp_perp), (r_perp, pure_mode(Mode.SAMPLE_PERP))])
-    out_par = linear_combine([(t_par, comp_par), (r_par, pure_mode(Mode.SAMPLE_PAR))])
-    seed_idl = linear_combine([(tau2, out_perp), (rho2, out_par)])
-    return linear_combine([(u2, ctrl_sig), (v2, adjoint(seed_idl))])
+from nli_polarimetry.mode_algebra import commutator_defect, vacuum_photon_number
 
 
 def identity_plate():
@@ -223,11 +188,11 @@ class TestPhotonNumber:
                     photon_number_exact(crossed_pair_config(1e200), *call_phases)
             assert np.asarray(strict).tobytes() == np.asarray(plain).tobytes()
 
-    def test_composer_checks_amplitudes_once(self):
+    def test_composer_checks_each_combination(self):
         # crossed quarter-wave pair, sample removed, with floating-point
-        # errors ignored: the one check on the composed result still
-        # refuses an amplitude that overflowed on the way, and lets a large
-        # finite one through
+        # errors ignored: each combination of the chain checks the
+        # amplitudes it composed, so one that overflowed on the way is
+        # refused, and a large finite one goes through
         for v, overflows in ((1.7e308, True), (1e200, False)):
             cfg = InterferometerConfig(
                 crystal1=CrystalGain(v),
@@ -379,6 +344,43 @@ class TestThreePathDecomposition:
             assert total == pytest.approx(detected_mode(cfg).cre[Mode.IDLER], abs=1e-14)
 
 
+def real_typed_configs():
+    """Configurations built of Python floats where a plate, the sample or
+    the control splitter is real, some with signed zeros: there a real
+    factor of a path has no imaginary part to conjugate."""
+    plates = [WaveplateCoeffs(a, b) for a, b in ((1.0, 0.0), (-0.0, -1.0), (0.6, -0.8),
+                                                 (0.8, 0.6j))]
+    samples = [SampleAxes(a, b) for a, b in ((0.9, -0.8), (-0.0, 0.3), (0.9j, -0.2))]
+    for plate1, plate2, sample, rotation, ts in itertools.product(
+            plates, plates, samples, (0.0, -0.0, math.pi / 2), (0.0, -0.7)):
+        yield InterferometerConfig(CrystalGain(2.0), CrystalGain(2.0, math.pi),
+                                   SignalControl(ts), plate1, plate2, sample, rotation)
+
+
+def complex_bits(values):
+    """``float.hex`` of the real and imaginary part of each value."""
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+class TestPathBits:
+    """The paths and the photon number's real form are reduced in Python
+    arithmetic, with the bits of their numpy-scalar forms."""
+
+    def test_paths_and_fringes_keep_the_numpy_scalar_bits(self, rng):
+        configs = [random_config(rng, rotation=k % 2 == 0) for k in range(2000)]
+        configs += [crossed_pair_config(1e200), crossed_pair_config(1.7e308),
+                    loss_port_overflow_config(), *signed_zero_pair(), *real_typed_configs()]
+        for cfg in configs:
+            # an overflow shows as an infinite c0, without a warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                paths, fringes = three_path_decomposition(cfg), fringe_bits(cfg)
+            with np.errstate(all="ignore"):
+                want = previous_three_path_decomposition(cfg)
+            assert complex_bits(paths) == complex_bits(want)
+            assert fringes == [x.hex() for x in previous_fringes(cfg)]
+
+
 class TestScanPhases:
     def test_signal_phase_adds_to_control(self):
         cfg = simple_config(signal=SignalControl(0.7))
@@ -429,18 +431,6 @@ class TestBatchedComposer:
             assert np.all(np.abs(batched.ann - ref_ann) <= 1e-13 * scale)
             assert np.all(np.abs(batched.cre - ref_cre) <= 1e-13 * scale)
 
-    def test_matches_tree_ordered_reference(self, rng):
-        # the phase-free paths are composed unbatched and the scan phases enter
-        # the last combination: the same expansion, rounded differently
-        for cfg in self.configs(rng, 2000):
-            sp, dp = self.phase_grid(rng)
-            got, ref = detected_mode(cfg, sp, dp), tree_ordered_mode(cfg, sp, dp)
-            scale = np.maximum(np.abs(ref.ann).max(axis=0), np.abs(ref.cre).max(axis=0))
-            assert np.all(np.abs(got.ann - ref.ann) <= 4e-15 * scale)
-            assert np.all(np.abs(got.cre - ref.cre) <= 4e-15 * scale)
-            np.testing.assert_allclose(vacuum_photon_number(got), vacuum_photon_number(ref),
-                                       rtol=1e-14, atol=0.0)
-
     def test_photon_number_matches_detected_modes(self, rng):
         # photon_number_exact evaluates the composer's photon number in its
         # real form: the same type and shape at every phase shape, and the
@@ -452,25 +442,6 @@ class TestBatchedComposer:
                 want = vacuum_photon_number(detected_mode(cfg, *phases))
                 assert type(got) is type(want) and np.shape(got) == np.shape(want)
                 assert np.all(np.abs(got - want) <= oracle_tol(cfg))
-
-    def test_builds_one_expansion_per_call(self, rng, monkeypatch):
-        # every construction runs __post_init__
-        built = []
-        post_init = OperatorExpansion.__post_init__
-
-        def counting_post_init(self):
-            post_init(self)
-            built.append(self._amps.shape)
-
-        monkeypatch.setattr(OperatorExpansion, "__post_init__", counting_post_init)
-        for cfg in self.configs(rng, 8):
-            for phases in ((0.3, -1.2), (np.linspace(0.0, 1.0, 5), 0.7), self.phase_grid(rng)):
-                built.clear()
-                d = detected_mode(cfg, *phases)
-                assert built == [(2, 6) + d.batch_shape]
-                built.clear()
-                photon_number_exact(cfg, *phases)
-                assert built == []
 
     def test_commutator_defect_per_column(self, rng):
         for cfg in self.configs(rng, 200):
@@ -523,6 +494,18 @@ def loss_port_overflow_config():
         WaveplateCoeffs(1.0, 0.0), WaveplateCoeffs(1.0 + 4e-10, 0.0), SampleAxes(0.0, 0.0))
 
 
+def signed_zero_pair():
+    """Equal configurations whose fringes differ in a zero's sign: at
+    rotation 0.0 the perpendicular path's coefficient is -0.636-0j, at -0.0
+    it is -0.636+0j, so the signal-perpendicular fringe's phase is +pi or
+    -pi."""
+    plate1 = WaveplateCoeffs(1.0 + 0.0j, 0.0j)
+    plate2 = WaveplateCoeffs(complex(-1.0, -0.0), complex(-0.0, -0.0))
+    pos = InterferometerConfig(CrystalGain(0.5), CrystalGain(0.5), SignalControl(1.0),
+                               plate1, plate2, SampleAxes(0.9 + 0.0j, 0.2 + 0.0j), 0.0)
+    return [pos, dataclasses.replace(pos, rotation=-0.0)]
+
+
 def outcome(call, *args):
     """What ``call(*args)`` did: its result's bits or its exception's type
     and message, and every warning it gave, in order."""
@@ -559,32 +542,26 @@ class TestFringeMemo:
                         call, dataclasses.replace(cfg), *phases)
 
     def test_reused_configuration_reduces_nothing(self, rng, monkeypatch):
-        reductions, sums = [], []
-        decompose = interferometer.three_path_decomposition
-        weighted_sum = interferometer._weighted_sum
-        monkeypatch.setattr(interferometer, "three_path_decomposition",
-                            lambda cfg: reductions.append(1) or decompose(cfg))
-        monkeypatch.setattr(interferometer, "_weighted_sum",
-                            lambda terms: sums.append(1) or weighted_sum(terms))
+        # the photon number reduces the paths once and composes no
+        # expansion; the composer builds its chain on every call and
+        # reduces no paths
+        reductions, built = [], []
+        paths, post_init = interferometer._paths, OperatorExpansion.__post_init__
+        monkeypatch.setattr(interferometer, "_paths",
+                            lambda cfg: reductions.append(1) or paths(cfg))
+        monkeypatch.setattr(OperatorExpansion, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
         cfg = random_config(rng)
         for _ in range(3):
             photon_number_exact(cfg, np.linspace(0.0, 1.0, 5), 0.3)
-        assert reductions == [1] and sums == []  # the photon number composes nothing
-        for _ in range(2):
-            detected_mode(cfg, 0.2, 0.1)
-        # five paths and the last combination, on every call
-        assert reductions == [1] and len(sums) == 12
+        assert reductions == [1] and built == []
+        detected_mode(cfg, 0.2, 0.1)
+        per_call = len(built)
+        detected_mode(cfg, 0.2, 0.1)
+        assert reductions == [1] and per_call > 0 and len(built) == 2 * per_call
 
     def test_copies_and_signed_zero_rotations_reduce_their_own(self):
-        # equal configurations whose fringes differ in a zero's sign: at
-        # rotation -0.0 the perpendicular path's coefficient is -0.636+0j,
-        # at 0.0 it is -0.636-0j, so the signal-perpendicular fringe's phase
-        # is +pi or -pi
-        plate1 = WaveplateCoeffs(1.0 + 0.0j, 0.0j)
-        plate2 = WaveplateCoeffs(complex(-1.0, -0.0), complex(-0.0, -0.0))
-        pos = InterferometerConfig(CrystalGain(0.5), CrystalGain(0.5), SignalControl(1.0),
-                                   plate1, plate2, SampleAxes(0.9 + 0.0j, 0.2 + 0.0j), 0.0)
-        neg = dataclasses.replace(pos, rotation=-0.0)
+        pos, neg = signed_zero_pair()
         assert pos == neg and hash(pos) == hash(neg)
         a1_pos, a1_neg = (interferometer._fringes(c)[2] for c in (pos, neg))
         assert (a1_pos, a1_neg) == (math.pi, -math.pi)
@@ -634,15 +611,26 @@ class TestFringeMemo:
                     detected_mode(cfg)
                 assert not [k for k in cfg.__dict__ if k.startswith("_")]
 
-    def test_copies_keep_no_memo(self, rng):
-        cfg = random_config(rng)
-        photon_number_exact(cfg)
-        # the memo is a tuple of floats, which nothing can change in place
-        assert type(cfg._fringes) is tuple and {type(x) for x in cfg._fringes} == {float}
-        # a copy or an unpickled configuration keeps no memo of its source's
-        for other in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
-            assert other == cfg and "_fringes" not in other.__dict__
-            assert fringe_bits(other) == fringe_bits(cfg)
+    def test_copies_give_the_source_bits(self, rng):
+        # the memos, a tuple of floats and a frozen BeatingParameters, depend
+        # only on the bits of the fields, which a copy and a pickle keep: a
+        # configuration copied before or after its reductions, or rebuilt by
+        # dataclasses.replace, gives the source's bits
+        clones = (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)),
+                  dataclasses.replace)
+        sp, dp = rng.uniform(-20.0, 20.0, size=(2, 7))
+
+        def bits(cfg):
+            p = beating_parameters(cfg)
+            return (fringe_bits(cfg), [getattr(p, f.name).hex() for f in dataclasses.fields(p)],
+                    photon_number_exact(cfg, sp, dp).tobytes())
+
+        for cfg in [random_config(rng, equal_gains=True) for _ in range(20)] + signed_zero_pair():
+            before = [clone(cfg) for clone in clones]
+            want = bits(cfg)
+            assert type(cfg._fringes) is tuple and {type(x) for x in cfg._fringes} == {float}
+            for other in before + [clone(cfg) for clone in clones]:
+                assert other == cfg and bits(other) == want
 
 
 def oracle_tol(cfg):

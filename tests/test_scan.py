@@ -230,9 +230,9 @@ class TestSimulateScan:
             np.testing.assert_allclose(series.expected_n, want, rtol=1e-13, atol=1e-13)
 
     def test_exact_overflow_raises(self):
-        # exact at 1e200: the amplitudes stay finite but their squares do
-        # not; at 1.7e308 an amplitude itself overflows while the mode is
-        # composed; low-gain at 1e308: the beating amplitude overflows; a
+        # exact at 1e200: the path amplitudes stay finite but their squares
+        # do not; at 1.7e308 a path amplitude itself overflows; low-gain at
+        # 1e308: the beating amplitude overflows; a
         # finite photon number at 1e308 counts per unit: the counts overflow;
         # finite counts of 1e300 per unit: too large for the Poisson draw
         for regime, v, kappa, mode in (
@@ -245,6 +245,27 @@ class TestSimulateScan:
                 with pytest.raises(OverflowError):
                     simulate_scan(calibration_config(v=v), ScanSchedule(n_samples=8),
                                   NoiseModel(kappa, mode=mode), regime=regime)
+
+    @pytest.mark.parametrize("regime", ["exact", "lowgain"])
+    @pytest.mark.parametrize("offsets, rates", [
+        ((0.23, -0.61), (0.0, 2.6e307)),  # the differential ramp overflows
+        ((1.7e308, 0.0), (1.5e307, 0.0)),  # finite ramp, offset plus ramp overflows
+        ((-1.7e308, 0.0), (-1.5e307, 0.0)),
+    ], ids=["ramp", "offset_plus_ramp", "negative"])
+    def test_overflowing_scan_phases_raise_without_warning(self, regime, offsets, rates):
+        # the phases are checked before either forward model runs, so the
+        # error names them, not the photon number or the counts
+        sched = ScanSchedule(*offsets, *rates, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^scan phases overflow a double$"):
+                simulate_scan(calibration_config(), sched, NoiseModel(1.0), regime=regime)
+
+    def test_largest_finite_scan_phases_pass(self):
+        # offset plus ramp near the largest double, finite at every step
+        sched = ScanSchedule(1e308, 0.0, 1e307, 0.0, 8)
+        series = simulate_scan(calibration_config(), sched, NoiseModel(1.0), regime="lowgain")
+        assert np.isfinite(sched.signal_offset + series.phi0).all()
 
     @pytest.mark.parametrize("mode", ["noiseless", "poisson"])
     @pytest.mark.parametrize("regime", ["exact", "lowgain"])
@@ -609,6 +630,31 @@ class TestTimeSeriesCsv:
         path.write_text("a,b\n" + body)
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             read_csv(path, ("a", "b"))
+
+    @pytest.mark.parametrize("cut", [0, 4, 15])
+    def test_writer_rejects_ragged_columns(self, tmp_path, cut):
+        # a column cut after the record was made: no row is dropped in
+        # silence, and nothing is written
+        series = signal_arm_scan(0.31, 0.77, n=16)
+        series.counts = series.counts[:cut]
+        columns = [getattr(series, name) for name in scan._SERIES_FIELDS]
+        message = "^" + re.escape(f"expected 5 columns of equal length, found lengths "
+                                  f"{[16, 16, 16, 16, cut]}") + "$"
+        for write in (lambda path: series.to_csv(path),
+                      lambda path: write_csv(path, CSV_COLUMNS, columns, n_int=1)):
+            path = tmp_path / "ragged.csv"
+            with pytest.raises(ValueError, match=message):
+                write(path)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("n_columns", [0, 4, 6])
+    def test_writer_rejects_a_column_count_other_than_the_header(self, tmp_path, n_columns):
+        path = tmp_path / "wide.csv"
+        message = "^" + re.escape(f"expected 5 columns of equal length, found lengths "
+                                  f"{[3] * n_columns}") + "$"
+        with pytest.raises(ValueError, match=message):
+            write_csv(path, CSV_COLUMNS, [np.arange(3.0)] * n_columns)
+        assert not path.exists()
 
     @pytest.mark.parametrize("step, shown", [(1.5, "1.5"), (math.nan, "nan"),
                                              (math.inf, "inf")])

@@ -248,17 +248,6 @@ class TestBeatingMemo:
                 beating_parameters(cfg)
             assert "_beating" not in cfg.__dict__
 
-    def test_copies_reduce_their_own(self, rng):
-        cfg = random_config(rng, equal_gains=True)
-        kept = beating_parameters(cfg)
-        photon_number_exact(cfg)  # the photon number's fringes are kept too
-        for other in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg)),
-                      dataclasses.replace(cfg)):
-            assert other == cfg
-            assert "_beating" not in other.__dict__ and "_fringes" not in other.__dict__
-            assert hex_params(beating_parameters(other)) == hex_params(kept)
-            assert other.__dict__["_beating"] is not kept
-
     def test_signed_zero_rotations_keep_their_own(self):
         # equal configurations whose plate coefficients differ in a zero's
         # sign reduce to setup phases of +-pi/2 and +-pi; the memo is per

@@ -24,9 +24,10 @@
 # For each .csv file that differs, it also prints how far the file moved:
 # the number of cells that differ and the largest absolute difference
 # between them (nan when a differing cell is not a number), in total and
-# for each column that moved, named by its header cell.  For each .json
-# file that differs, it prints the leaf keys that differ (dotted paths, list
-# items by index) and the largest absolute difference between them.
+# for each column that moved, named by its header cell.  For each .json or
+# .stdout file that differs (`simulate` prints its summary as JSON), it
+# prints the leaf keys that differ (dotted paths, list items by index) and
+# the largest absolute difference between them.
 #
 # Exit status: 0 when every file matches and every command exits as
 # expected (0, or the code listed in expected_exit), 1 otherwise, 2 on a
@@ -251,7 +252,7 @@ for f in $files; do
         echo "DIFFERENT ${f#./}" >&2
         case $f in
             *.csv) csv_delta "$work/head/$f" "$work/base_out/$f" >&2 ;;
-            *.json) json_delta "$work/head/$f" "$work/base_out/$f" >&2 ;;
+            *.json | *.stdout) json_delta "$work/head/$f" "$work/base_out/$f" >&2 ;;
         esac
         status=1
     fi
