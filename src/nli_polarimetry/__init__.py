@@ -21,8 +21,8 @@ from .estimation import (
 from .interferometer import (
     InterferometerConfig,
     detected_mode,
+    path_amplitudes,
     photon_number_exact,
-    three_path_decomposition,
 )
 from .mode_algebra import (
     Mode,

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["CrystalGain", "SampleAxes", "SignalControl", "WaveplateCoeffs", "quarter_wave",
+           "rotated_waveplate_coeffs", "waveplate"]
+
 
 @dataclass(frozen=True)
 class CrystalGain:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from .mode_algebra import (
 __all__ = [
     "InterferometerConfig",
     "detected_mode",
+    "path_amplitudes",
     "photon_number_exact",
-    "three_path_decomposition",
 ]
 
 
@@ -67,6 +68,26 @@ class InterferometerConfig:
     def effective_waveplates(self) -> tuple[complex, complex, complex, complex]:
         """(tau1, rho1, tau2, rho2) with the sample rotation folded in."""
         return rotated_waveplate_coeffs(self.waveplate1, self.waveplate2, self.rotation)
+
+    @cached_property
+    def _fringes(self) -> tuple[float, ...]:
+        """The photon number's real form ``(c0, m1, a1, m2, a2, m3, a3)``,
+
+            n = c0 + m1 cos(s + d/2 + a1) + m2 cos(s - d/2 + a2) + m3 cos(a3 - d)
+
+        at signal phase ``s`` and differential phase ``d``: ``c0`` is ``L``
+        plus the five squared moduli of ``path_amplitudes``, the fringes are
+        ``2 S conj(P)``, ``2 S conj(Q)`` and ``2 (P conj(Q) + P' conj(Q'))``.
+        A tuple of floats that depends only on the bits of the fields, so a
+        copy or a pickle may carry it; an overflow leaves ``c0`` infinite,
+        is kept too, and makes every photon number raise.  Kept per
+        instance, not by value: equal configurations can differ in a zero's
+        sign, which moves a phase by 2*pi (``cmath.phase(-1-0j)`` is -pi).
+        """
+        s, p, q, p_pol, q_pol, loss = path_amplitudes(self)
+        c0 = _square(s) + _square(p) + _square(q) + _square(p_pol) + _square(q_pol) + loss
+        return (c0, *_fringe(s * p.conjugate()), *_fringe(s * q.conjugate()),
+                *_fringe(p * q.conjugate() + p_pol * q_pol.conjugate()))
 
 
 def detected_mode(
@@ -124,15 +145,23 @@ def _fringe(z: complex) -> tuple[float, float]:
     return 2.0 * math.hypot(z.real, z.imag), cmath.phase(z)
 
 
-def _paths(cfg: InterferometerConfig) -> tuple[complex, complex, complex, complex, complex, float]:
+def path_amplitudes(
+    cfg: InterferometerConfig,
+) -> tuple[complex, complex, complex, complex, complex, float]:
     """The photon number's five path amplitudes and loss constant
-    ``(S, P, Q, P', Q', L)`` (``_fringes``), reduced in Python ``complex``
-    arithmetic, which overflows to inf or NaN without a warning:
+    ``(S, P, Q, P', Q', L)``, with (tau1, rho1, tau2, rho2) the
+    ``effective_waveplates``:
 
         S  = u2 t_s v1,                     P  = v2 conj(tau2 t_perp tau1) u1,
         Q  = -v2 conj(rho2 t_par) rho1 u1,  P' = v2 conj(tau2 t_perp) conj(rho1),
-        Q' = v2 conj(rho2 t_par) tau1,
-        L  = |v2|^2 (|tau2|^2 r_perp^2 + |rho2|^2 r_par^2).
+        Q' = v2 conj(rho2 t_par) tau1,      L  = |v2|^2 (|tau2|^2 r_perp^2 + |rho2|^2 r_par^2).
+
+    The detected creation amplitude's idler row is the paper's three paths,
+    ``S e^{is} + P e^{-id/2} + Q e^{id/2}`` (the signal photon seeding the
+    second crystal, the idler probing the perpendicular or the parallel
+    axis), its orthogonal polarization's row ``P' e^{-id/2} + Q' e^{id/2}``,
+    and the loss ports add ``L``.  Reduced in Python ``complex``
+    arithmetic, which overflows to inf or NaN without a warning.
     """
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v
@@ -155,39 +184,6 @@ def _paths(cfg: InterferometerConfig) -> tuple[complex, complex, complex, comple
     )
 
 
-def _fringes(cfg: InterferometerConfig) -> tuple[float, ...]:
-    """The photon number's real form ``(c0, m1, a1, m2, a2, m3, a3)``:
-
-        n = c0 + m1 cos(s + d/2 + a1) + m2 cos(s - d/2 + a2) + m3 cos(a3 - d)
-
-    at signal phase ``s`` and differential phase ``d``.  The detected
-    creation amplitude has two rows that the scan phases reach, the idler's
-    ``S e^{is} + P e^{-id/2} + Q e^{id/2}`` (the paper's three paths,
-    ``three_path_decomposition``) and its orthogonal polarization's
-    ``P' e^{-id/2} + Q' e^{id/2}``, and the sample's loss ports add the
-    constant ``L`` (``_paths``), so ``c0`` is the sum of the five squared
-    moduli and ``L``, and the fringes are ``2 S conj(P)``, ``2 S conj(Q)``
-    and ``2 (P conj(Q) + P' conj(Q'))``.
-
-    Reduced once per configuration object and kept on it, as a tuple of
-    floats that depends only on the bits of the fields, so a copy or a
-    pickle may carry it.  A reduction that overflows leaves ``c0`` infinite
-    (every fringe is at most ``c0``), is kept too, and makes every photon
-    number raise.  The memo is per instance, not keyed by value: equal
-    configurations can differ in a zero's sign, which moves a phase by 2*pi
-    (``cmath.phase(-1-0j)`` is -pi, ``cmath.phase(-1+0j)`` is +pi).
-    """
-    kept = cfg.__dict__.get("_fringes")
-    if kept is not None:
-        return kept
-    s, p, q, p_pol, q_pol, loss = _paths(cfg)
-    c0 = _square(s) + _square(p) + _square(q) + _square(p_pol) + _square(q_pol) + loss
-    fringes = (c0, *_fringe(s * p.conjugate()), *_fringe(s * q.conjugate()),
-               *_fringe(p * q.conjugate() + p_pol * q_pol.conjugate()))
-    object.__setattr__(cfg, "_fringes", fringes)
-    return fringes
-
-
 def photon_number_exact(
     cfg: InterferometerConfig,
     signal_phase: float | np.ndarray = 0.0,
@@ -195,7 +191,7 @@ def photon_number_exact(
 ) -> float | np.ndarray:
     """Detected photon number, exact at any gain, with the scan phases of
     ``detected_mode``: ``vacuum_photon_number(detected_mode(...))`` to within
-    rounding, evaluated as the real form of ``_fringes``, three cosines per
+    rounding, evaluated as the real form ``cfg._fringes``, three cosines per
     step.  Rounding can take that sum a few ulps below zero on a dark
     fringe, so it is clipped at 0.0.  A photon number that overflows a
     double raises ``OverflowError``, a nonfinite phase ``ValueError`` (after
@@ -203,7 +199,7 @@ def photon_number_exact(
     an underflow, to a subnormal or to zero, is no error, whatever the
     caller's ``np.errstate``.  Scalar and array phases give the same bits.
     """
-    c0, m1, a1, m2, a2, m3, a3 = _fringes(cfg)
+    c0, m1, a1, m2, a2, m3, a3 = cfg._fringes
     try:
         if not math.isfinite(c0):
             raise FloatingPointError
@@ -218,17 +214,3 @@ def photon_number_exact(
     if not np.isfinite(n).all():
         raise ValueError("scan phases must be finite")
     return _per_expansion(np.maximum(n, 0.0))
-
-
-def three_path_decomposition(cfg: InterferometerConfig) -> tuple[complex, complex, complex]:
-    """Additive contributions to the interfering amplitude (the paper's
-    three-path formula).
-
-    The photon-carrying idler amplitude is a superposition of three paths:
-    the signal photon seeding the second crystal directly, and the idler
-    probing the perpendicular or the parallel sample axis.  Their sum equals
-    ``detected_mode(cfg).cre[Mode.IDLER]``.  They are the first three of the
-    photon number's five paths (``_paths``); the other two are the idler's
-    orthogonal polarization.
-    """
-    return _paths(cfg)[:3]

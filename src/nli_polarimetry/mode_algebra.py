@@ -19,6 +19,9 @@ from enum import IntEnum
 
 import numpy as np
 
+__all__ = ["Mode", "OperatorExpansion", "adjoint", "commutator_defect", "linear_combine",
+           "pure_mode", "vacuum_photon_number"]
+
 
 class Mode(IntEnum):
     """The six vacuum input modes feeding the interferometer."""

@@ -14,6 +14,7 @@ import math
 import numbers
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,8 @@ REGIMES = ("exact", "lowgain")
 # rows ``write_csv`` formats per write call, so it holds one block's text,
 # not the record's
 _CSV_BLOCK = 4096
+# the largest step of a series CSV: every integer up to it is a double
+_MAX_STEP = 2**53
 
 
 class CalibrationError(RuntimeError):
@@ -64,8 +67,6 @@ class ScanSchedule:
     signal_rate: float = 0.0
     diff_rate: float = 0.0
     n_samples: int = 64
-    # the ``_Layout`` of the ramp shape, held from the first ``simulate_scan``
-    _layout = None
 
     def __post_init__(self):
         for name in ("signal_offset", "diff_offset", "signal_rate", "diff_rate"):
@@ -76,9 +77,11 @@ class ScanSchedule:
         if self.n_samples < 8:
             raise ValueError("n_samples must be >= 8")
 
-    def __getstate__(self):
-        # the fields: a copy interns its layout on its own first ``simulate_scan``
-        return {k: v for k, v in self.__dict__.items() if k != "_layout"}
+    @cached_property
+    def _layout(self) -> _Layout:
+        """The ramp shape's ``_Layout``, interned on first use, then held."""
+        return _intern((float(self.signal_rate).hex(), float(self.diff_rate).hex(),
+                        self.n_samples))
 
 
 def fourier_protocol_schedule(
@@ -93,6 +96,9 @@ def fourier_protocol_schedule(
     ``4*pi*n_periods/n_samples``; this makes the harmonic set {0, rate/2,
     3*rate/2} exactly orthogonal on the sampled grid.
     """
+    for name, count in (("n_periods", n_periods), ("samples_per_period", samples_per_period)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
     if n_periods < 1 or samples_per_period < 8:
         raise ValueError("need n_periods >= 1 and samples_per_period >= 8")
     n = n_periods * samples_per_period
@@ -161,15 +167,10 @@ class TimeSeries:
         """Write the series with ``write_csv``, ``step`` as the integer column.
 
         Raises ``ValueError``, and writes nothing, for a ``step`` that is not
-        an integer in [0, 2**63) (named by value and data row).
+        an integer in [0, 2**53] (``_check_steps``).
         """
         _check_steps(self.step)
-        write_csv(
-            path,
-            CSV_COLUMNS,
-            [self.step, self.phi0, self.delta_phase, self.expected_n, self.counts],
-            n_int=1,
-        )
+        write_csv(path, CSV_COLUMNS, [getattr(self, name) for name in _SERIES_FIELDS], n_int=1)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TimeSeries":
@@ -177,7 +178,7 @@ class TimeSeries:
 
         Raises ``ValueError`` for a wrong header, an empty body, a row without
         exactly five columns, a non-numeric or non-finite cell (named by column
-        and data row), or a ``step`` that is not an integer in [0, 2**63).
+        and data row), or a ``step`` that is not an integer in [0, 2**53].
         Empty lines are skipped and do not count as data rows; a line of
         spaces is a malformed data row.
         """
@@ -186,13 +187,16 @@ class TimeSeries:
             raise ValueError("empty time series")
         step = data[:, 0]
         _check_steps(step)
-        return cls(
-            step=step.astype(int),
-            phi0=data[:, 1],
-            delta_phase=data[:, 2],
-            expected_n=data[:, 3],
-            counts=data[:, 4],
-        )
+        if step[-1] == _MAX_STEP:
+            # 2**53 + 1 parses to 2**53 too: the last row's text decides, read
+            # exactly (fractions is imported here only, off every other read)
+            from fractions import Fraction
+            with open(path) as fh:
+                cell = fh.read().rstrip("\n").rsplit("\n", 1)[-1].split(",", 1)[0]
+            if Fraction(cell) != _MAX_STEP:
+                raise ValueError(f"step {cell.strip()} of data row {len(step)} is not an integer "
+                                 "in [0, 2**53]")
+        return cls(step.astype(int), *data[:, 1:].T)
 
 
 # ``TimeSeries``'s columns, in the order its checks name a fault
@@ -233,13 +237,16 @@ def _name_series_fault(columns) -> None:
 
 
 def _check_steps(step) -> None:
-    step = np.asarray(step, dtype=float)
-    bad = np.flatnonzero(~((step >= 0) & (step < 2.0**63) & (step == np.floor(step))))
+    """Raise ``ValueError`` naming the first step (value and data row) not an
+    integer in [0, 2**53]; an integer column is compared as integers."""
+    step = np.asarray(step)
+    ok = (step >= 0) & (step <= _MAX_STEP)
+    if step.dtype.kind not in "iu":
+        ok &= step == np.floor(step)
+    bad = np.flatnonzero(~ok)
     if bad.size:
-        raise ValueError(
-            f"step {float(step[bad[0]])!r} of data row {bad[0] + 1} "
-            "is not an integer in [0, 2**63)"
-        )
+        raise ValueError(f"step {step[bad[0]].item()!r} of data row {bad[0] + 1} "
+                         "is not an integer in [0, 2**53]")
 
 
 def write_csv(path: str | Path, header, columns, n_int: int = 0) -> None:
@@ -357,7 +364,7 @@ def simulate_scan(
     """
     if regime not in REGIMES:
         raise ValueError("regime must be 'exact' or 'lowgain'")
-    layout = _schedule_layout(schedule)
+    layout = schedule._layout
     # offset + rate * step is monotone in the step, so finite at every step
     # if at the last; a Python float overflows to inf without a warning
     if not (math.isfinite(schedule.signal_offset + float(layout.phi0[-1]))
@@ -569,25 +576,30 @@ def _fit_ramp(series, column: str, harmonic: float, error, label="scan"):
 
 
 class _Layout:
-    """What one ramp shape (the bits of ``signal_rate`` and ``diff_rate``,
-    and ``n_samples``) fixes for every record that holds its columns.
+    """What one ramp shape, ``key`` = (signal_rate.hex(), diff_rate.hex(),
+    n_samples), fixes for every record that holds its columns.
 
     ``step``, ``phi0`` and ``delta_phase`` are the record columns, each a
     read-only view of a private read-only array, a ramp past the largest
     double infinite; ``simulate_scan`` refuses such a ramp and hands every
     record it makes these very objects.  ``kept`` holds what ``_per_layout``
-    built of them (verdicts, designs, step checks).  Only ``scan`` reads it.
+    built of them (verdicts, designs, step checks).  Only ``scan`` reads it;
+    a copy or a pickle is the live layout of its key (``_intern``).
     """
 
-    def __init__(self, schedule: ScanSchedule):
-        step = np.arange(schedule.n_samples)
+    def __init__(self, key: tuple[str, str, int]):
+        self.key = key
+        step = np.arange(key[2])
         t = step.astype(float)
         # a ramp past the largest double is no error here: ``simulate_scan``
         # refuses its phases before the forward model runs
         with np.errstate(over="ignore"):
-            ramps = schedule.signal_rate * t, schedule.diff_rate * t
+            ramps = float.fromhex(key[0]) * t, float.fromhex(key[1]) * t
         self.step, self.phi0, self.delta_phase = map(_read_only, (step, *ramps))
         self.kept: dict = {}
+
+    def __reduce__(self):
+        return _intern, (self.key,)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -602,18 +614,12 @@ _LAYOUTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _BY_PHI0: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _schedule_layout(schedule: ScanSchedule) -> _Layout:
-    """The schedule's layout: interned by ramp shape on first use, so ±0.0
-    rates get different layouts, then held by the schedule."""
-    layout = schedule._layout
+def _intern(key: tuple[str, str, int]) -> _Layout:
+    """The live layout of the ramp shape ``key``, built if there is none."""
+    layout = _LAYOUTS.get(key)
     if layout is None:
-        key = (float(schedule.signal_rate).hex(), float(schedule.diff_rate).hex(),
-               schedule.n_samples)
-        layout = _LAYOUTS.get(key)
-        if layout is None:
-            layout = _LAYOUTS[key] = _Layout(schedule)
-            _BY_PHI0[id(layout.phi0)] = layout
-        object.__setattr__(schedule, "_layout", layout)
+        layout = _LAYOUTS[key] = _Layout(key)
+        _BY_PHI0[id(layout.phi0)] = layout
     return layout
 
 

@@ -61,9 +61,10 @@ def previous_pow2_scale(values):
 
 
 def previous_three_path_decomposition(cfg: InterferometerConfig):
-    """``interferometer.three_path_decomposition`` before it took the first
-    three of ``_paths``: the paths as numpy-scalar products.  The reference
-    of the paths' bit tests; it warns where a product overflows."""
+    """The paper's three paths, ``path_amplitudes(cfg)[:3]``, in the form
+    they had before the Python ``complex`` reduction: numpy-scalar products.
+    The reference of the paths' bit tests; it warns where a product
+    overflows."""
     u1, v1 = cfg.crystal1.u, cfg.crystal1.v
     u2, v2 = cfg.crystal2.u, cfg.crystal2.v
     ts = complex(cfg.signal.transmission)
@@ -75,10 +76,11 @@ def previous_three_path_decomposition(cfg: InterferometerConfig):
 
 
 def previous_fringes(cfg: InterferometerConfig) -> tuple[float, ...]:
-    """``interferometer._fringes`` before it reduced ``_paths``: the three
-    paths of ``previous_three_path_decomposition`` (under ``np.errstate``,
-    so an overflow shows as an infinite c0 only), the two orthogonal
-    polarization paths and the loss constant recomputed, and nothing kept."""
+    """``InterferometerConfig._fringes`` before it reduced
+    ``path_amplitudes``: the three paths of
+    ``previous_three_path_decomposition`` (under ``np.errstate``, so an
+    overflow shows as an infinite c0 only), the two orthogonal polarization
+    paths and the loss constant recomputed, and nothing kept."""
     def square(z):
         return z.real * z.real + z.imag * z.imag
 
@@ -191,15 +193,15 @@ MALFORMED_SERIES = {
     ),
     "fractional_step": (
         lambda lines: lines[:2] + [_with_field(lines[2], 0, "1.5")] + lines[3:],
-        r"step 1\.5 of data row 2 is not an integer in \[0, 2\*\*63\)",
+        r"step 1\.5 of data row 2 is not an integer in \[0, 2\*\*53\]",
     ),
     "negative_step": (
         lambda lines: [lines[0], _with_field(lines[1], 0, "-1")] + lines[2:],
-        r"step -1\.0 of data row 1 is not an integer in \[0, 2\*\*63\)",
+        r"step -1\.0 of data row 1 is not an integer in \[0, 2\*\*53\]",
     ),
     "step_beyond_int64": (
         lambda lines: lines[:-1] + [_with_field(lines[-1], 0, "1e19")],
-        r"step 1e\+19 of data row \d+ is not an integer in \[0, 2\*\*63\)",
+        r"step 1e\+19 of data row \d+ is not an integer in \[0, 2\*\*53\]",
     ),
     "header_only": (lambda lines: lines[:1], "empty time series"),
     "repeated_step": (

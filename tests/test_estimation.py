@@ -1001,7 +1001,7 @@ class TestPhaseLayoutMemo:
         rate = 2.0 * math.pi / 71  # a ramp shape no other live schedule has
         cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1)
         schedules = [ScanSchedule(0.001 * k, -0.002 * k, rate, 0.0, 71) for k in range(1000)]
-        assert all(s._layout is None for s in schedules)  # nothing built at construction
+        assert all("_layout" not in vars(s) for s in schedules)  # nothing built at construction
         records = [simulate_scan(cfg, s, NoiseModel(KAPPA), regime="lowgain") for s in schedules]
         layout = weakref.ref(schedules[0]._layout)
         assert all(s._layout is layout() for s in schedules)
@@ -1144,7 +1144,7 @@ class TestPhaseLayoutMemo:
         scan._name_series_fault([getattr(record, name) for name in scan._SERIES_FIELDS])
 
     @pytest.mark.parametrize("clone", ["copy", "deepcopy", "pickle"])
-    def test_schedules_copy_and_pickle_without_their_layout(self, clone):
+    def test_schedules_copy_and_pickle_hold_the_live_layout(self, clone):
         shallow = clone == "copy"
         clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                  "pickle": lambda x: pickle.loads(pickle.dumps(x))}[clone]
@@ -1152,7 +1152,8 @@ class TestPhaseLayoutMemo:
         cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1)
         record = simulate_scan(cfg, sched, NoiseModel(KAPPA), regime="lowgain")
         sched_copy, record_copy = clone(sched), clone(record)
-        assert sched_copy == sched and "_layout" not in vars(sched_copy)
+        # the layout copies as the live layout of its ramp shape
+        assert sched_copy == sched and vars(sched_copy)["_layout"] is sched._layout
         # a record is plain data: a shallow copy holds the very columns, and
         # so the layout; a deep copy or a pickle holds new arrays
         assert vars(record_copy).keys() == set(scan._SERIES_FIELDS)
@@ -1161,9 +1162,27 @@ class TestPhaseLayoutMemo:
             np.testing.assert_array_equal(getattr(record_copy, name), getattr(record, name))
         assert (hex_fields(estimate_rotated(record_copy, record_copy))
                 == hex_fields(estimate_rotated(record, record)))
-        # the copied schedule interns the same layout on its first simulation
+        # the copied schedule's records hold the layout's columns, with the bits
         again = simulate_scan(cfg, sched_copy, NoiseModel(KAPPA), regime="lowgain")
         assert sched_copy._layout is sched._layout and again.phi0 is record.phi0
+        assert (again.expected_n.tobytes(), again.counts.tobytes()) == (
+            record.expected_n.tobytes(), record.counts.tobytes())
+
+    def test_a_schedule_unpickled_after_its_layout_died_builds_it_anew(self):
+        rate = 2.0 * math.pi / 74  # a ramp shape no other live schedule has
+        cfg = analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1)
+        sched = ScanSchedule(signal_rate=rate, n_samples=74)
+        record = simulate_scan(cfg, sched, NoiseModel(KAPPA), regime="lowgain")
+        data, layout = pickle.dumps(sched), weakref.ref(sched._layout)
+        del sched
+        gc.collect()
+        assert layout() is None and (rate.hex(), 0.0.hex(), 74) not in scan._LAYOUTS
+        again = pickle.loads(data)
+        assert vars(again)["_layout"] is scan._LAYOUTS[(rate.hex(), 0.0.hex(), 74)]
+        fresh = simulate_scan(cfg, again, NoiseModel(KAPPA), regime="lowgain")
+        assert scan._layout_of(fresh) is again._layout
+        for name in scan._SERIES_FIELDS:
+            assert getattr(fresh, name).tobytes() == getattr(record, name).tobytes()
 
 
 class TestSequenceColumns:

@@ -28,10 +28,10 @@ from nli_polarimetry import (
     detected_mode,
     n_highgain,
     n_lowgain,
+    path_amplitudes,
     photon_number_exact,
     quarter_wave,
     simulate_scan,
-    three_path_decomposition,
     waveplate,
 )
 from nli_polarimetry import interferometer
@@ -327,20 +327,20 @@ class TestPhotonNumber:
 class TestThreePathDecomposition:
     def test_blocked_arm_kills_signal_path(self, rng):
         cfg = dataclasses.replace(random_config(rng), signal=SignalControl(0.0))
-        signal_path, _, _ = three_path_decomposition(cfg)
+        signal_path = path_amplitudes(cfg)[0]
         assert signal_path == 0.0
 
     def test_unconverted_plate_kills_parallel_path(self, rng):
         cfg = dataclasses.replace(
             random_config(rng, rotation=False), waveplate1=identity_plate()
         )
-        _, _, par_path = three_path_decomposition(cfg)
+        par_path = path_amplitudes(cfg)[2]
         assert par_path == pytest.approx(0.0, abs=1e-15)
 
     def test_paths_sum_to_interfering_amplitude(self, rng):
         for _ in range(200):
             cfg = random_config(rng)
-            total = sum(three_path_decomposition(cfg))
+            total = sum(path_amplitudes(cfg)[:3])
             assert total == pytest.approx(detected_mode(cfg).cre[Mode.IDLER], abs=1e-14)
 
 
@@ -374,7 +374,7 @@ class TestPathBits:
             # an overflow shows as an infinite c0, without a warning
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                paths, fringes = three_path_decomposition(cfg), fringe_bits(cfg)
+                paths, fringes = path_amplitudes(cfg)[:3], fringe_bits(cfg)
             with np.errstate(all="ignore"):
                 want = previous_three_path_decomposition(cfg)
             assert complex_bits(paths) == complex_bits(want)
@@ -521,7 +521,7 @@ def outcome(call, *args):
 
 def fringe_bits(cfg):
     """float.hex of each value of ``cfg``'s photon-number real form."""
-    return [x.hex() for x in interferometer._fringes(cfg)]
+    return [x.hex() for x in cfg._fringes]
 
 
 class TestFringeMemo:
@@ -546,8 +546,8 @@ class TestFringeMemo:
         # expansion; the composer builds its chain on every call and
         # reduces no paths
         reductions, built = [], []
-        paths, post_init = interferometer._paths, OperatorExpansion.__post_init__
-        monkeypatch.setattr(interferometer, "_paths",
+        paths, post_init = interferometer.path_amplitudes, OperatorExpansion.__post_init__
+        monkeypatch.setattr(interferometer, "path_amplitudes",
                             lambda cfg: reductions.append(1) or paths(cfg))
         monkeypatch.setattr(OperatorExpansion, "__post_init__",
                             lambda self: built.append(1) or post_init(self))
@@ -563,7 +563,7 @@ class TestFringeMemo:
     def test_copies_and_signed_zero_rotations_reduce_their_own(self):
         pos, neg = signed_zero_pair()
         assert pos == neg and hash(pos) == hash(neg)
-        a1_pos, a1_neg = (interferometer._fringes(c)[2] for c in (pos, neg))
+        a1_pos, a1_neg = (c._fringes[2] for c in (pos, neg))
         assert (a1_pos, a1_neg) == (math.pi, -math.pi)
         for cfg in (pos, neg):
             again = dataclasses.replace(cfg)
@@ -715,15 +715,9 @@ class TestPhotonNumberOracle:
     @given(cfg=configurations(), seed=st.integers(0, 2**32 - 1))
     def test_five_paths_are_the_composers_creation_rows(self, cfg, seed):
         # the idler's row is the three paths, its orthogonal polarization's
-        # the two paths P' and Q', the loss ports' rows carry |v2|^2 times
-        # the sample's losses, and no path reaches the signal or the tap
-        s, p, q = three_path_decomposition(cfg)
-        tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
-        v2, sample = cfg.crystal2.v, cfg.sample
-        p_pol = v2 * np.conj(tau2 * sample.t_perp) * np.conj(rho1)
-        q_pol = v2 * np.conj(rho2 * sample.t_par) * tau1
-        loss = abs(v2) ** 2 * (abs(tau2) ** 2 * sample.r_perp ** 2
-                               + abs(rho2) ** 2 * sample.r_par ** 2)
+        # the two paths P' and Q', the loss ports' rows carry the constant
+        # L, and no path reaches the signal or the tap
+        s, p, q, p_pol, q_pol, loss = path_amplitudes(cfg)
         sp, dp = np.random.default_rng(seed).uniform(-20.0, 20.0, size=(2, 7))
         cre = detected_mode(cfg, sp, dp).cre
         half = np.exp(0.5j * dp)
@@ -757,7 +751,7 @@ class TestPhotonNumberOracle:
             CrystalGain(v, pump), CrystalGain(v), SignalControl(1.0),
             WaveplateCoeffs(1.0, 0.0), WaveplateCoeffs(1.0, 0.0),
             SampleAxes(cmath.exp(1j * perp_phase), t_par))
-        s, p, _ = three_path_decomposition(cfg)
+        s, p = path_amplitudes(cfg)[:2]
         dark = math.pi - cmath.phase(s * p.conjugate()) - 0.5 * diff
         schedule = ScanSchedule(dark, diff, 1e-9, 0.0, 8)
         expected_n = simulate_scan(cfg, schedule, NoiseModel(1.0)).expected_n

@@ -91,6 +91,17 @@ class TestSchedule:
         # rate * n is a whole number of beat periods (4*pi each)
         assert (sched.signal_rate * sched.n_samples) / (4.0 * math.pi) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("counts, name", [
+        ((True, 100), "n_periods"), ((1.5, 100), "n_periods"), ((2.0, 100), "n_periods"),
+        ((2, 8.5), "samples_per_period"), ((2, False), "samples_per_period"),
+    ])
+    def test_fourier_protocol_counts_are_integers_named_as_passed(self, counts, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            fourier_protocol_schedule(*counts)
+        # numpy integers are integers
+        assert (fourier_protocol_schedule(np.int64(2), np.int32(50))
+                == fourier_protocol_schedule(2, 50))
+
 
 class TestNoiseModel:
     def test_rejects_nonpositive_scale(self):
@@ -667,13 +678,53 @@ class TestTimeSeriesCsv:
         path = tmp_path / "scan.csv"
         if math.isfinite(step):
             with pytest.raises(ValueError, match=rf"^step {shown} of data row 3 is not "
-                                                 r"an integer in \[0, 2\*\*63\)$"):
+                                                 r"an integer in \[0, 2\*\*53\]$"):
                 TimeSeries(steps, zeros, zeros, zeros, zeros).to_csv(path)
         else:
             with pytest.raises(ValueError, match=f"^non-finite value '{shown}' in column "
                                                  "'step' of data row 3$"):
                 TimeSeries(steps, zeros, zeros, zeros, zeros)
         assert not path.exists()
+
+    def test_last_step_of_2_to_the_53_round_trips(self, tmp_path):
+        # the bound is closed: a last step of 2**53 reads back, and writes
+        # back, bit for bit, and reads the same in another spelling
+        series = signal_arm_scan(0.31, 0.77, n=16)
+        series.step = series.step + (2**53 - 15)
+        path, again = tmp_path / "scan.csv", tmp_path / "again.csv"
+        series.to_csv(path)
+        back = TimeSeries.from_csv(path)
+        assert back.step[-1] == 2**53 and back.step.tobytes() == series.step.tobytes()
+        back.to_csv(again)
+        assert again.read_bytes() == path.read_bytes()
+        lines = path.read_text().splitlines()
+        write_lines(again, lines[:-1] + ["9.007199254740992e15" + lines[-1][16:]])
+        assert TimeSeries.from_csv(again).step.tobytes() == series.step.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint64"])
+    def test_writer_refuses_an_integer_step_past_2_to_the_53(self, tmp_path, dtype):
+        # compared as an integer: a cast to float would make it 2**53
+        zeros = np.zeros(3)
+        steps = np.array([2**53 - 1, 2**53, 2**53 + 1], dtype=dtype)
+        path = tmp_path / "scan.csv"
+        with pytest.raises(ValueError, match=r"^step 9007199254740993 of data row 3 is not "
+                                             r"an integer in \[0, 2\*\*53\]$"):
+            TimeSeries(steps, zeros, zeros, zeros, zeros).to_csv(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("cell, shown", [("18014398509481985", "1.8014398509481984e+16"),
+                                             ("9007199254740993", "9007199254740993"),
+                                             ("9.007199254740993e15", "9.007199254740993e15")])
+    def test_reader_refuses_a_step_past_2_to_the_53(self, tmp_path, cell, shown):
+        # each parses to a double at or above 2**53; 2**53 + 1 parses to
+        # 2**53 itself and is told apart by its text
+        path = tmp_path / "scan.csv"
+        signal_arm_scan(0.31, 0.77, n=16).to_csv(path)
+        lines = path.read_text().splitlines()
+        write_lines(path, lines[:-1] + [cell + "," + lines[-1].split(",", 1)[1]])
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"step {shown} of data row 16 is not an integer in [0, 2**53]") + "$"):
+            TimeSeries.from_csv(path)
 
     def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
         series = signal_arm_scan(0.31, 0.77, n=16)

@@ -26,8 +26,9 @@
 # src/ classes that define __getstate__, as "module.Class", and each write
 # of a private attribute onto an object other than self, through
 # object.__setattr__(obj, "_x", ...) or obj.__dict__.update(_x=...), as
-# "module.function: obj._x".  Sources are read as text and parsed with ast;
-# nothing is imported or run.
+# "module.function: obj._x", and the memos declared on their own class: the
+# src/ class members decorated with cached_property, as "module.Class.name".
+# Sources are read as text and parsed with ast; nothing is imported or run.
 # Untracked files under src/ and perfbench/ count, ignored ones (such as
 # __pycache__) do not.
 #
@@ -248,6 +249,23 @@ def hidden_state(files):
     return classes, writes
 
 
+def cached_properties(files):
+    """'module.Class.name' for each src/ class member decorated with
+    cached_property (or functools.cached_property), by file name and then
+    source order."""
+    found = []
+    for name in sorted(files):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(ast.parse(files[name])):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{Path(name).stem}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and any(ast.unparse(d).split(".")[-1] == "cached_property"
+                                  for d in item.decorator_list)]
+    return found
+
+
 def module_all(source):
     for node in ast.parse(source).body:
         if (isinstance(node, ast.Assign)
@@ -323,4 +341,9 @@ print(f"private attributes src/ stores on another object: "
       f"{len(old_writes)} at {tag}, {len(new_writes)} in the working tree")
 print(f"  at {tag}: " + (", ".join(old_writes) or "none"))
 print("  in the working tree: " + (", ".join(new_writes) or "none"))
+old_memos, new_memos = cached_properties(old), cached_properties(new)
+print(f"src/ class members declared as cached_property: "
+      f"{len(old_memos)} at {tag}, {len(new_memos)} in the working tree")
+print(f"  at {tag}: " + (", ".join(old_memos) or "none"))
+print("  in the working tree: " + (", ".join(new_memos) or "none"))
 EOF
