@@ -466,11 +466,11 @@ def main(argv: list[str] | None = None) -> int:
     except UnidentifiableError as exc:
         print(f"error: unidentifiable: {exc.flag}: {exc}", file=sys.stderr)
         return EXIT_UNIDENTIFIABLE
-    except EstimationError as exc:
-        print(f"error: {exc.flag}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except CalibrationError as exc:
         print(f"error: calibration: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except EstimationError as exc:
+        print(f"error: {exc.flag}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import (TimeSeries, _check_step_ramp, _fit_ramp, _fit_record, _pow2_scale,
-                   _scan_phase)
+from .scan import (EstimationError, TimeSeries, _check_step_ramp, _fit_ramp, _fit_record,
+                   _pow2_scale, _scan_phase)
 from .signals import HarmonicDecomposition, amplitude_relations
 
 __all__ = [
@@ -44,14 +44,6 @@ ROTATED_ASSUMPTIONS = (*_PSI_UNIDENTIFIED, "general")
 # a relative fringe amplitude (a fraction of the dc level) at or below this
 # is rounding noise and counts as no fringe
 _FRINGE_FLOOR = 1e-12
-
-
-class EstimationError(RuntimeError):
-    """Estimator failure; ``flag`` names the failure mode."""
-
-    def __init__(self, message: str, flag: str = "estimation_failed"):
-        super().__init__(message)
-        self.flag = flag
 
 
 class UnidentifiableError(EstimationError):
@@ -106,17 +98,18 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     EstimationError
         If the record fails the dual-scan record rule ``scan._scan_phase``
         (checked first, per row, so a decimated record passes), ``omega_scan``
-        is not positive and finite (``bad_scan_rate``), a phase column is not
+        is zero or not finite (``bad_scan_rate``; a downward scan fits as an
+        upward one does), a phase column is not
         ``omega_scan * step`` (``phase_step_mismatch``), the design is rank
         deficient, or the counts are not finite (``nonfinite_counts``).
     """
-    _scan_phase(series, "both", 0.5, EstimationError)
-    if not (math.isfinite(omega_scan) and omega_scan > 0.0):
-        raise EstimationError("omega_scan must be positive and finite",
+    _scan_phase(series, "both", 0.5)
+    if not (math.isfinite(omega_scan) and omega_scan != 0.0):
+        raise EstimationError("omega_scan must be nonzero and finite",
                               flag="bad_scan_rate")
-    _check_step_ramp(series, omega_scan, EstimationError)
+    _check_step_ramp(series, omega_scan)
     rates = (0.5 * omega_scan, 1.5 * omega_scan)
-    dc, (amp_half, amp_threehalf), rms = _fit_record(series, "step", rates, EstimationError)
+    dc, (amp_half, amp_threehalf), rms = _fit_record(series, "step", rates)
     return HarmonicDecomposition(dc=dc, amp_half=amp_half, amp_threehalf=amp_threehalf,
                                  residual_rms=rms)
 
@@ -260,8 +253,8 @@ def estimate_rotated(
     if phibar is not None and assume != "general":
         raise EstimationError(f"phibar is used only by the general mode, not {assume!r}",
                               flag="phibar_unused")
-    dc1, fringe1, rms1 = _fit_ramp(series_setting1, "phi0", 1.0, EstimationError)
-    dc2, fringe2, rms2 = _fit_ramp(series_setting2, "phi0", 1.0, EstimationError)
+    dc1, fringe1, rms1 = _fit_ramp(series_setting1, "phi0", 1.0)
+    dc2, fringe2, rms2 = _fit_ramp(series_setting2, "phi0", 1.0)
     w1, w2 = fringe1 / dc1, fringe2 / dc2
 
     if assume == "general":
@@ -531,9 +524,11 @@ def estimate_ellipse(
     if assume not in _PSI_UNIDENTIFIED:
         raise EstimationError(f"unsupported ellipse assumption {assume!r}",
                               flag="bad_assumption")
-    _scan_phase(series_setting1, "phi0", 1.0, EstimationError)
+    _scan_phase(series_setting1, "phi0", 1.0)
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     amp_x, amp_y, rel_phase, center, residual = _fit_ellipse(points)
+    if series_setting1.phi0[-1] < series_setting1.phi0[0]:
+        rel_phase = -rel_phase  # a downward scan traverses the ellipse backwards
     amps, psi, flags = _structural_amplitudes(
         assume, amp_x / center[0], amp_y / center[1], rel_phase)
     return _two_setting_estimate(amps, psi, None, {"conic_rms": residual}, flags)

@@ -79,13 +79,15 @@ class InterferometerConfig:
         plus the five squared moduli of ``path_amplitudes``, the fringes are
         ``2 S conj(P)``, ``2 S conj(Q)`` and ``2 (P conj(Q) + P' conj(Q'))``.
         A tuple of floats that depends only on the bits of the fields, so a
-        copy or a pickle may carry it; an overflow leaves ``c0`` infinite,
-        is kept too, and makes every photon number raise.  Kept per
-        instance, not by value: equal configurations can differ in a zero's
-        sign, which moves a phase by 2*pi (``cmath.phase(-1-0j)`` is -pi).
+        copy or a pickle may carry it; an overflowing ``c0`` raises
+        ``OverflowError`` and keeps nothing.  Kept per instance, not by
+        value: equal configurations can differ in a zero's sign, which
+        moves a phase by 2*pi (``cmath.phase(-1-0j)`` is -pi).
         """
         s, p, q, p_pol, q_pol, loss = path_amplitudes(self)
         c0 = _square(s) + _square(p) + _square(q) + _square(p_pol) + _square(q_pol) + loss
+        if not math.isfinite(c0):
+            raise OverflowError("detected photon number overflows at this gain")
         return (c0, *_fringe(s * p.conjugate()), *_fringe(s * q.conjugate()),
                 *_fringe(p * q.conjugate() + p_pol * q_pol.conjugate()))
 
@@ -201,8 +203,6 @@ def photon_number_exact(
     """
     c0, m1, a1, m2, a2, m3, a3 = cfg._fringes
     try:
-        if not math.isfinite(c0):
-            raise FloatingPointError
         with np.errstate(over="raise", under="ignore"):
             sigma, diff = np.asarray(signal_phase), np.asarray(diff_phase)
             half = 0.5 * diff

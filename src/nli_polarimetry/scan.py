@@ -44,13 +44,17 @@ _CSV_BLOCK = 4096
 _MAX_STEP = 2**53
 
 
-class CalibrationError(RuntimeError):
-    """Raised when the calibration scans cannot pin the phase offsets;
-    ``flag`` names the failure mode, as ``EstimationError``'s does."""
+class EstimationError(RuntimeError):
+    """Estimator failure; ``flag`` names the failure mode.  The record rule
+    and the fit kernel raise it where they find the fault."""
 
-    def __init__(self, message: str, flag: str = "calibration_failed"):
+    def __init__(self, message: str, flag: str = "estimation_failed"):
         super().__init__(message)
         self.flag = flag
+
+
+class CalibrationError(EstimationError):
+    """Raised when the calibration scans cannot pin the phase offsets."""
 
 
 @dataclass(frozen=True)
@@ -431,56 +435,47 @@ def _pow2_scale(values) -> float:
     return math.ldexp(1.0, math.frexp(np.abs(values).max())[1] - 1)
 
 
-class _Refusal(Exception):
-    """A record rule refusal, ``(message, flag)``, before the caller's label
-    and error type are put in."""
-
-
 def _ramp_rate(values, name: str) -> float:
     """Mean step of a ramp, each step within 1e-9*max(1, |rate|) of it; else
-    a ``_Refusal``.  A NaN fails this and every comparison of the rule."""
+    ``EstimationError``.  A NaN fails this and every comparison of the rule."""
     if len(values) < 2:
-        raise _Refusal(f"{name} column too short", "series_too_short")
+        raise EstimationError(f"{name} column too short", "series_too_short")
     half = 0.5 * values  # exact, and a span past the largest double fits
     half_rate = float(half[-1] - half[0]) / (len(values) - 1)
     if not np.max(np.abs(np.diff(half) - half_rate)) <= 0.5e-9 * max(1.0, 2.0 * abs(half_rate)):
-        raise _Refusal(f"{name} column is not a uniform ramp", "nonuniform_scan")
+        raise EstimationError(f"{name} column is not a uniform ramp", "nonuniform_scan")
     return 2.0 * half_rate
 
 
-def _phase_verdict(phi0, delta_phase, column: str, harmonic: float):
-    """The record rule's verdict on a record's phase columns: None for a
-    pass, else ``(message, flag)`` with ``{label}`` in the message where the
-    caller's label goes.  ``_scan_phase`` states the rule."""
-    try:
-        if column == "both":
-            values, arm = phi0, "its phases"
-            rate = _ramp_rate(values, "{label} phi0")
-            diff_rate = _ramp_rate(delta_phase, "{label} delta_phase")
-            if abs(rate - diff_rate) > 1e-9 * max(1.0, abs(rate)):
-                raise _Refusal("harmonic regression requires equal signal and "
-                               "differential scan rates", "unequal_scan_rates")
-        else:
-            other, arm = ((delta_phase, "the signal arm") if column == "phi0"
-                          else (phi0, "the differential phase"))
-            if not np.ptp(0.5 * other) <= 0.5e-12:  # halved, as in _ramp_rate: cannot overflow
-                raise _Refusal(f"{{label}} must ramp only {arm}", "mixed_scan")
-            values = phi0 if column == "phi0" else delta_phase
-            rate = _ramp_rate(values, f"{{label}} {column}")
-        rate = abs(rate)
-        if rate == 0.0:
-            raise _Refusal(f"{{label}} does not ramp {arm}", "bad_scan_rate")
-        period = 2.0 * math.pi / harmonic
-        if period / rate < 8.0 - 1e-9:
-            raise _Refusal("{label} has fewer than 8 points per period", "undersampled")
-        if len(values) * rate < period * 0.999:
-            raise _Refusal("{label} must span at least one period", "series_too_short")
-    except _Refusal as refusal:
-        return refusal.args
-    return None
+def _phase_verdict(phi0, delta_phase, column: str, harmonic: float, label: str) -> None:
+    """The record rule on a record's phase columns: returns None for a pass,
+    raises ``EstimationError`` opening with ``label`` for a refusal.
+    ``_scan_phase`` states the rule."""
+    if column == "both":
+        values, arm = phi0, "its phases"
+        rate = _ramp_rate(values, f"{label} phi0")
+        diff_rate = _ramp_rate(delta_phase, f"{label} delta_phase")
+        if abs(rate - diff_rate) > 1e-9 * max(1.0, abs(rate)):
+            raise EstimationError("harmonic regression requires equal signal and "
+                                  "differential scan rates", "unequal_scan_rates")
+    else:
+        other, arm = ((delta_phase, "the signal arm") if column == "phi0"
+                      else (phi0, "the differential phase"))
+        if not np.ptp(0.5 * other) <= 0.5e-12:  # halved, as in _ramp_rate: cannot overflow
+            raise EstimationError(f"{label} must ramp only {arm}", "mixed_scan")
+        values = phi0 if column == "phi0" else delta_phase
+        rate = _ramp_rate(values, f"{label} {column}")
+    rate = abs(rate)
+    if rate == 0.0:
+        raise EstimationError(f"{label} does not ramp {arm}", "bad_scan_rate")
+    period = 2.0 * math.pi / harmonic
+    if period / rate < 8.0 - 1e-9:
+        raise EstimationError(f"{label} has fewer than 8 points per period", "undersampled")
+    if len(values) * rate < period * 0.999:
+        raise EstimationError(f"{label} must span at least one period", "series_too_short")
 
 
-def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> None:
+def _scan_phase(series, column: str, harmonic: float, label="scan") -> None:
     """The record rule of every fit.
 
     A scan of ``column`` alone must hold the other phase column within 1e-12
@@ -488,29 +483,27 @@ def _scan_phase(series, column: str, harmonic: float, error, label="scan") -> No
     (``unequal_scan_rates``).  The ramp must be uniform (``_ramp_rate``) and
     nonzero (``bad_scan_rate``), with 8 points per period of ``harmonic``
     (``undersampled``) and n*|rate| >= 0.999 period (``series_too_short``).
-    A refusal raises ``error(message, flag)``, the message opening with
-    ``label``.  The verdict is kept per layout (``_per_layout``).
+    A refusal raises ``EstimationError(message, flag)``, the message opening
+    with ``label``.  A pass is kept per layout (``_per_layout``).
     """
-    verdict = _per_layout(series, ("verdict", column, harmonic),
-                          lambda c: _phase_verdict(c.phi0, c.delta_phase, column, harmonic))
-    if verdict is not None:
-        message, flag = verdict
-        raise error(message.format(label=label), flag)
+    _per_layout(series, ("verdict", column, harmonic),
+                lambda c: _phase_verdict(c.phi0, c.delta_phase, column, harmonic, label))
 
 
-def _check_step_ramp(series, omega_scan: float, error) -> None:
-    """Raise flag ``phase_step_mismatch`` if ``_off_ramp`` (kept per layout)."""
-    if _per_layout(series, ("off_ramp", omega_scan), lambda c: _off_ramp(c, omega_scan)):
-        raise error("phase columns are not omega_scan * step", "phase_step_mismatch")
+def _check_step_ramp(series, omega_scan: float) -> None:
+    """``_off_ramp`` of the record, a pass kept per layout (``_per_layout``)."""
+    _per_layout(series, ("off_ramp", omega_scan), lambda c: _off_ramp(c, omega_scan))
 
 
-def _off_ramp(columns, omega_scan: float) -> bool:
-    """Whether a phase column of ``columns`` strays from ``omega_scan * step``
-    by more than 1e-9 of the ramp's largest |value| (at least 1), or is NaN,
-    or the ramp is not finite."""
+def _off_ramp(columns, omega_scan: float) -> None:
+    """Raise ``EstimationError`` with flag ``phase_step_mismatch`` if a phase
+    column of ``columns`` strays from ``omega_scan * step`` by more than 1e-9
+    of the ramp's largest |value| (at least 1), or is NaN, or the ramp is
+    not finite."""
     ramp = omega_scan * columns.step.astype(float)
     tol = 1e-9 * max(1.0, np.max(np.abs(ramp)))
-    return not np.max(np.abs([columns.phi0 - ramp, columns.delta_phase - ramp])) <= tol < math.inf
+    if not np.max(np.abs([columns.phi0 - ramp, columns.delta_phase - ramp])) <= tol < math.inf:
+        raise EstimationError("phase columns are not omega_scan * step", "phase_step_mismatch")
 
 
 def _design(t, rates) -> np.ndarray:
@@ -520,14 +513,14 @@ def _design(t, rates) -> np.ndarray:
     )
 
 
-def _fit_design(design, counts, error):
+def _fit_design(design, counts):
     """One-``lstsq`` fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]`` on
     ``design = _design(t, rates)``.
 
     Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention; the
     residual is rescaled by ``_pow2_scale`` before it is squared.  Rank
-    rule: raises ``error(message, "rank_deficient")`` unless the design has
-    at least as many rows as columns and the smallest singular value
+    rule: raises ``EstimationError`` (flag ``rank_deficient``) unless the
+    design has at least as many rows as columns and the smallest singular value
     ``lstsq`` returns is at least 1e-10 of the largest.  A residual RMS that
     is not finite (NaN or infinite counts) raises flag ``nonfinite_counts``.
 
@@ -542,18 +535,18 @@ def _fit_design(design, counts, error):
     """
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
     if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
-        raise error("harmonic design matrix is rank deficient", "rank_deficient")
+        raise EstimationError("harmonic design matrix is rank deficient", "rank_deficient")
     resid = counts - design @ coef
     scale = _pow2_scale(resid)
     rms = scale * math.sqrt(float(np.add.reduce((resid / scale) ** 2)) / resid.size)
     if not math.isfinite(rms):
-        raise error("counts or their fit residual are not finite", "nonfinite_counts")
+        raise EstimationError("counts or their fit residual are not finite", "nonfinite_counts")
     c = coef.tolist()
     amps = [complex(c[k] - 1j * c[k + 1]) for k in range(1, len(c), 2)]
     return c[0], amps, rms
 
 
-def _fit_record(series, column: str, rates, error):
+def _fit_record(series, column: str, rates):
     """``_fit_design`` of ``series.counts`` over ``column`` (``step`` as floats,
     ``phi0`` or ``delta_phase``) on a design kept per layout (``_per_layout``);
     ``lstsq``, the rank rule and the residual check run for every record."""
@@ -562,16 +555,16 @@ def _fit_record(series, column: str, rates, error):
         return _design(values.astype(float) if column == "step" else values, rates)
 
     design = _per_layout(series, ("design", column, tuple(rates)), build)
-    return _fit_design(design, series.counts, error)
+    return _fit_design(design, series.counts)
 
 
-def _fit_ramp(series, column: str, harmonic: float, error, label="scan"):
+def _fit_ramp(series, column: str, harmonic: float, label="scan"):
     """``(dc, z, residual_rms)`` in counts of ``counts ~ dc + Re[z exp(i harmonic x)]``
     over the ``column`` x that ``_scan_phase`` passes; dc <= 0 is ``bad_amplitude``."""
-    _scan_phase(series, column, harmonic, error, label)
-    dc, (z,), rms = _fit_record(series, column, (harmonic,), error)
+    _scan_phase(series, column, harmonic, label)
+    dc, (z,), rms = _fit_record(series, column, (harmonic,))
     if dc <= 0.0:
-        raise error("nonpositive mean count level", "bad_amplitude")
+        raise EstimationError("nonpositive mean count level", "bad_amplitude")
     return dc, z, rms
 
 
@@ -583,8 +576,9 @@ class _Layout:
     read-only view of a private read-only array, a ramp past the largest
     double infinite; ``simulate_scan`` refuses such a ramp and hands every
     record it makes these very objects.  ``kept`` holds what ``_per_layout``
-    built of them (verdicts, designs, step checks).  Only ``scan`` reads it;
-    a copy or a pickle is the live layout of its key (``_intern``).
+    built of them (designs, and passes of the rule and the step check).
+    Only ``scan`` reads it; a copy or a pickle is the live layout of its key
+    (``_intern``).
     """
 
     def __init__(self, key: tuple[str, str, int]):
@@ -640,8 +634,9 @@ def _per_layout(series, key: tuple, build):
     A record holding a live ``_Layout``'s very columns (``_layout_of``) gets
     the result kept on the layout under ``key`` (built on first use of the
     key, of those same columns, and made read-only if an array); any other
-    record gets ``build(series)`` afresh, and nothing is kept.  ``key``
-    must tell apart every argument that changes the result.
+    record gets ``build(series)`` afresh, and nothing is kept.  A build that
+    raises keeps nothing, as with ``cached_property``.  ``key`` must tell
+    apart every argument that changes the result.
     """
     layout = _layout_of(series)
     if layout is None:
@@ -658,9 +653,9 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     Expects two scans taken with the sample removed and the crossed
     quarter-wave analyzer pair, one ramping only the signal arm and one only
     the idler differential phase, each fitted by ``_fit_ramp`` at harmonic 1
-    and 1/2 (a record rule or dc <= 0 refusal raises ``CalibrationError``
-    with the flag the rotated route raises, a fringe below 5x its noise
-    floor ``fringe_below_noise_floor``).  The empty-interferometer signal is
+    and 1/2 (a refusal raises ``CalibrationError`` with the message and flag
+    the rotated route's fit raises, a fringe below 5x its noise floor
+    ``fringe_below_noise_floor``).  The empty-interferometer signal is
     ``2V[1 + cos((diff_offset + d)/2) cos(signal_offset + s)]`` where ``s``
     and ``d`` are the commanded ramps, so each scan exposes one offset as a
     fringe phase and the other through its amplitude.
@@ -670,9 +665,11 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     nonnegative half-angle cosine is returned, which places the differential
     offset in [-pi, pi] and the signal offset in (-pi, pi].
     """
-    dc1, z1, resid1 = _fit_ramp(signal_scan, "phi0", 1.0, CalibrationError, "first scan")
-    dc2, z2, resid2 = _fit_ramp(idler_scan, "delta_phase", 0.5, CalibrationError,
-                                "second scan")
+    try:
+        dc1, z1, resid1 = _fit_ramp(signal_scan, "phi0", 1.0, "first scan")
+        dc2, z2, resid2 = _fit_ramp(idler_scan, "delta_phase", 0.5, "second scan")
+    except EstimationError as exc:
+        raise CalibrationError(str(exc), exc.flag) from None
     flux = 0.5 * (dc1 + dc2)
 
     for amp, resid, n, label in (

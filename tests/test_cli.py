@@ -280,6 +280,29 @@ class TestCalibrateAndEstimate:
         assert est["phibar"] == pytest.approx(0.4, abs=1e-9)
         assert est["dphi"] == pytest.approx(0.9, abs=1e-9)
 
+    def test_downward_fourier_pipeline_matches_the_upward_one(self, tmp_path):
+        # the estimate reads a negative scan rate off a downward record
+        scans = self.make_scans(tmp_path)
+        calib = tmp_path / "calib.json"
+        assert run("calibrate", "--signal-scan", scans["sig"],
+                   "--idler-scan", scans["idl"], "--out", calib) == 0
+        estimates = []
+        for sign in (1, -1):
+            rate = sign * 16 * math.pi / 400
+            doc = base_config(**{"schedule.rate_phi0": rate, "schedule.rate_delta": rate})
+            cfg = write_config(tmp_path, doc, name=f"main{sign}.json")
+            data = tmp_path / f"main{sign}.csv"
+            assert run("simulate", "--config", cfg, "--out", data) == 0
+            est_path = tmp_path / f"est{sign}.json"
+            assert run("estimate", "--pipeline", "fourier", "--data", data,
+                       "--calibration", calib, "--out", est_path) == 0
+            estimates.append(json.loads(est_path.read_text()))
+        up, down = estimates
+        for key in ("t_perp", "t_par", "phibar", "dphi"):
+            assert down[key] == pytest.approx(up[key], abs=1e-9), key
+        assert up["t_perp"] == pytest.approx(0.9, abs=1e-9)
+        assert down["flags"] == up["flags"]
+
     def test_fourier_estimate_leaves_numpy_ma_unimported(self, tmp_path):
         # np.median imports numpy.ma on its first call, about 24 ms of a
         # fresh process; the estimate takes its median without it
@@ -552,6 +575,28 @@ class TestRotatedPipelines:
         est = json.loads(est_path.read_text())
         assert axis_distance(est["psi"], 1.8) < 1e-6
         assert est["residuals"]["conic_rms"] < 1e-10
+
+    @pytest.mark.parametrize("pipeline", ["rotated", "ellipse"])
+    def test_downward_settings_give_the_upward_estimate(self, tmp_path, pipeline):
+        # both settings scanned at -2 pi / 72 at V = 0.01: the ellipse is
+        # traversed the other way round, and psi stays 1.8, not pi - 1.8
+        estimates = []
+        for sign in (1, -1):
+            folder = tmp_path / f"rate{sign}"
+            folder.mkdir()
+            s1, s2 = self.simulate_settings(folder, **{
+                "interferometer.gain1.V": 0.01, "interferometer.gain2.V": 0.01,
+                "schedule.rate_phi0": sign * 2 * math.pi / 72})
+            est_path = folder / "est.json"
+            assert run("estimate", "--pipeline", pipeline, "--data", s1, "--data", s2,
+                       "--out", est_path) == 0
+            estimates.append(json.loads(est_path.read_text()))
+        up, down = estimates
+        assert axis_distance(up["psi"], 1.8) < 1e-6
+        assert axis_distance(down["psi"], up["psi"]) < 1e-9
+        for key in ("t_perp", "t_par", "tbar", "dt", "dphi"):
+            assert down[key] == pytest.approx(up[key], abs=1e-9), key
+        assert down["flags"] == up["flags"]
 
     @pytest.mark.parametrize("pipeline", ["rotated", "ellipse"])
     def test_huge_counts_write_standard_json(self, tmp_path, pipeline):

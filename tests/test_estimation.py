@@ -130,12 +130,17 @@ class TestHarmonicRegress:
 
     def test_rejects_bad_scan_rate(self, capfd):
         series, sched = fourier_scan(0.9, 0.2)
-        for omega in (0.0, -sched.signal_rate, math.nan, math.inf, -math.inf):
+        for omega in (0.0, math.nan, math.inf, -math.inf):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(EstimationError) as err:
                     harmonic_regress(series, omega)
             assert err.value.flag == "bad_scan_rate", omega
+            assert str(err.value) == "omega_scan must be nonzero and finite"
+        # a rate whose sign the upward record does not have is off its ramp
+        with pytest.raises(EstimationError) as err:
+            harmonic_regress(series, -sched.signal_rate)
+        assert err.value.flag == "phase_step_mismatch"
         assert capfd.readouterr().err == ""
 
     def test_rejects_short_series(self):
@@ -295,7 +300,7 @@ class TestExtractSampleFourier:
 
 def fit_fringe(series):
     """The rotated route's fringe fit: ``_fit_ramp`` over ``phi0`` at harmonic 1."""
-    return _fit_ramp(series, "phi0", 1.0, EstimationError)
+    return _fit_ramp(series, "phi0", 1.0)
 
 
 class TestFitSinusoid:
@@ -627,6 +632,74 @@ class TestRecordRule:
             calibrate(*pair)
         assert calibration.value.flag == rotated.value.flag == case
 
+    @pytest.mark.parametrize("case", ["mixed_scan", "undersampled", "bad_amplitude",
+                                      "nonfinite_counts"])
+    def test_calibration_refuses_with_the_rotated_routes_error_under_its_label(self, case):
+        # one error family: calibration's refusal is the rotated route's
+        # flag and message, a message that names the scan naming the first
+        assert issubclass(CalibrationError, EstimationError)
+        pair = malformed_settings(case if case in ("mixed_scan", "undersampled") else "ok")
+        if case == "bad_amplitude":
+            pair = [dataclasses.replace(s, counts=-s.counts) for s in pair]
+        elif case == "nonfinite_counts":
+            pair = [edited_record(s, "counts", math.nan) for s in pair]
+        with pytest.raises(EstimationError) as rotated:
+            estimate_rotated(*pair)
+        with pytest.raises(CalibrationError) as calibration:
+            calibrate(*pair)
+        assert type(rotated.value) is EstimationError
+        assert calibration.value.flag == rotated.value.flag == case
+        named = case in ("mixed_scan", "undersampled")
+        assert str(rotated.value).startswith("scan ") is named
+        prefix = "first " if named else ""
+        assert str(calibration.value) == prefix + str(rotated.value)
+
+
+# each structural assumption with a sample it holds for: (tbar, dt, dphi)
+DOWNWARD_SAMPLES = {"isotropic_phase": (0.6, 0.6, 0.0),
+                    "isotropic_attenuation": (0.6, 0.0, 0.7)}
+
+
+class TestDownwardScans:
+    """A record scanned downward (a negative rate) gives the estimate of the
+    same record scanned upward: the record rule reads |rate|, and each route
+    reads the ramp's direction from the record."""
+
+    @pytest.mark.parametrize("assume", list(DOWNWARD_SAMPLES))
+    def test_ellipse_reads_a_downward_pair_as_the_upward_one(self, assume):
+        tbar, dt, dphi = DOWNWARD_SAMPLES[assume]
+        estimates = {}
+        for sign in (1.0, -1.0):
+            sched = ScanSchedule(signal_rate=sign * 2.0 * math.pi / 72, n_samples=72)
+            pair = [simulate_scan(analyzer_config(tbar, dt, 0.4, dphi, 1.8, setting, v=0.01),
+                                  sched, NoiseModel(KAPPA), regime="lowgain")
+                    for setting in (1, 2)]
+            estimates[sign] = estimate_ellipse(*pair, assume=assume)
+            rotated = estimate_rotated(*pair, assume=assume)
+            assert axis_distance(rotated.psi, 1.8) < 1e-9
+        up, down = estimates[1.0], estimates[-1.0]
+        assert axis_distance(up.psi, 1.8) < 1e-6
+        assert axis_distance(down.psi, up.psi) < 1e-9
+        for name in ("t_perp", "t_par", "tbar", "dt", "dphi"):
+            assert getattr(down, name) == pytest.approx(getattr(up, name), abs=1e-9), name
+        assert down.phibar is up.phibar is None
+        assert down.flags == up.flags
+
+    def test_fourier_reads_a_downward_dual_scan_as_the_upward_one(self):
+        cfg = qwp_pair_config(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j), v=0.01)
+        up = fourier_protocol_schedule(4, 100, 0.23, -0.61)
+        down = ScanSchedule(0.23, -0.61, -up.signal_rate, -up.diff_rate, up.n_samples)
+        estimates = []
+        for sched in (up, down):
+            series = simulate_scan(cfg, sched, NoiseModel(KAPPA), regime="lowgain")
+            decomp = harmonic_regress(series, sched.signal_rate)
+            estimates.append(extract_sample_fourier(decomp, 2.0 * decomp.dc, 0.23, -0.61))
+        for name, truth in (("t_perp", 0.9), ("t_par", 0.2), ("dphi", 0.9), ("phibar", 0.4)):
+            got_up, got_down = getattr(estimates[0], name), getattr(estimates[1], name)
+            assert got_down == pytest.approx(got_up, abs=1e-9), name
+            assert got_up == pytest.approx(truth, abs=1e-2), name
+        assert estimates[1].flags == estimates[0].flags
+
 
 def edited_record(record, column, value, row=40):
     """A writeable copy of ``record`` with ``value`` written into ``column``
@@ -834,6 +907,32 @@ class TestPhaseLayoutMemo:
                 stage()
         assert builds == {"_phase_verdict": 4, "_design": 4, "_off_ramp": 1}
 
+    def test_a_refused_layout_keeps_nothing_and_a_passed_one_keeps_its_verdict(self, builds):
+        # 4 points per period: each fit judges the layout's records again and
+        # refuses them with one message and flag, and the layout keeps no key
+        refused = ScanSchedule(signal_rate=2.0 * math.pi / 4, n_samples=72)
+        passed = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
+        pairs = [[simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, setting), sched,
+                                NoiseModel(KAPPA), regime="lowgain") for setting in (1, 2)]
+                 for sched in (refused, passed)]
+        for sched in (refused, passed):
+            sched._layout.kept.clear()
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(EstimationError) as err:
+                estimate_rotated(*pairs[0])
+            outcomes.append((type(err.value), str(err.value), err.value.flag))
+        assert outcomes == [(EstimationError, "scan has fewer than 8 points per period",
+                             "undersampled")] * 2
+        assert refused._layout.kept == {}
+        assert builds["_phase_verdict"] == 2
+        # both settings of the passed layout, on two fits: one verdict built
+        for _ in range(2):
+            estimate_rotated(*pairs[1])
+        assert builds["_phase_verdict"] == 3
+        assert list(passed._layout.kept) == [("verdict", "phi0", 1.0), ("design", "phi0", (1.0,))]
+        assert passed._layout.kept[("verdict", "phi0", 1.0)] is None
+
     def test_lstsq_runs_for_every_record(self, monkeypatch):
         schedules = round_trip_schedules()
         sig, idl, (series, sched), s1, s2 = round_trip_records("lowgain", 0.5, schedules=schedules)
@@ -895,11 +994,11 @@ class TestPhaseLayoutMemo:
 
         def outcomes(series):
             found = []
-            for call in (lambda: _fit_ramp(series, "phi0", 1.0, EstimationError),
-                         lambda: _fit_ramp(series, "phi0", 2.0, EstimationError),
-                         lambda: _fit_ramp(series, "phi0", 10.0, EstimationError),
-                         lambda: _fit_ramp(series, "delta_phase", 1.0, EstimationError),
-                         lambda: _fit_ramp(series, "phi0", 1.0, EstimationError)):
+            for call in (lambda: _fit_ramp(series, "phi0", 1.0),
+                         lambda: _fit_ramp(series, "phi0", 2.0),
+                         lambda: _fit_ramp(series, "phi0", 10.0),
+                         lambda: _fit_ramp(series, "delta_phase", 1.0),
+                         lambda: _fit_ramp(series, "phi0", 1.0)):
                 try:
                     dc, z, rms = call()
                     found.append((dc.hex(), z.real.hex(), z.imag.hex(), rms.hex()))
@@ -1688,8 +1787,8 @@ def reference_estimate_rotated(series_setting1, series_setting2,
                                assume="isotropic_phase", phibar=None):
     if assume not in ("isotropic_phase", "isotropic_attenuation", "general"):
         raise EstimationError(f"unknown assumption {assume!r}", flag="bad_assumption")
-    dc1, fringe1, rms1 = estimation._fit_ramp(series_setting1, "phi0", 1.0, EstimationError)
-    dc2, fringe2, rms2 = estimation._fit_ramp(series_setting2, "phi0", 1.0, EstimationError)
+    dc1, fringe1, rms1 = estimation._fit_ramp(series_setting1, "phi0", 1.0)
+    dc2, fringe2, rms2 = estimation._fit_ramp(series_setting2, "phi0", 1.0)
     w1, w2 = fringe1 / dc1, fringe2 / dc2
     flags = []
 

@@ -1000,26 +1000,32 @@ class TestFitHarmonics:
     def test_matches_previous_designs_bitwise(self, n, rate, offset, scale, poisson, seed):
         rng = np.random.default_rng(seed)
         counts = rng.poisson(scale, n).astype(float) if poisson else rng.uniform(0, scale, n)
-        err = EstimationError
         x = offset + rate * np.arange(n)
-        single = fit_bits(_fit_design(_design(x, (1.0,)), counts, err))
+        single = fit_bits(_fit_design(_design(x, (1.0,)), counts))
         assert single == fit_bits(single_rate_oracle(x, counts))
         assert single == fit_bits(sinusoid_oracle(x, counts))
-        half = fit_bits(_fit_design(_design(x, (0.5,)), counts, err))
+        half = fit_bits(_fit_design(_design(x, (0.5,)), counts))
         assert half == fit_bits(single_rate_oracle(0.5 * x, counts))
         t = np.arange(n, dtype=float)
-        dual = _fit_design(_design(t, (0.5 * rate, 1.5 * rate)), counts, err)
+        dual = _fit_design(_design(t, (0.5 * rate, 1.5 * rate)), counts)
         assert fit_bits(dual) == fit_bits(dual_rate_oracle(t, counts, rate))
 
-    def test_rank_rule_raises_each_callers_error(self):
-        # fewer rows than columns: the kernel raises what the caller's
-        # error(message, flag) factory builds
+    def test_rank_rule_raises_estimation_error_and_calibrate_relabels_it(self, monkeypatch):
+        # fewer rows than columns: the kernel raises EstimationError, and
+        # calibrate raises it again as a CalibrationError with its message and flag
         design = _design(np.arange(2.0), (1.0,))
         with pytest.raises(EstimationError, match="rank deficient") as info:
-            _fit_design(design, np.ones(2), EstimationError)
+            _fit_design(design, np.ones(2))
+        assert type(info.value) is EstimationError and info.value.flag == "rank_deficient"
+        # copies hold no layout, so the rank-one design is built per fit, not kept
+        scans = [TimeSeries(*(getattr(s, name).copy() for name in scan._SERIES_FIELDS))
+                 for s in (signal_arm_scan(0.5, 0.5), idler_arm_scan(0.5, 0.5))]
+        monkeypatch.setattr(scan, "_design", lambda t, rates: np.ones((len(t), 3)))
+        with pytest.raises(CalibrationError) as info:
+            calibrate(*scans)
+        assert str(info.value) == "harmonic design matrix is rank deficient"
         assert info.value.flag == "rank_deficient"
-        with pytest.raises(CalibrationError, match="rank deficient"):
-            _fit_design(design, np.ones(2), lambda message, flag: CalibrationError(message))
+        monkeypatch.undo()
         # a half-turn per step: the record rule refuses it before the kernel
         # would find the half-rate sine column at rounding level
         steps = np.arange(16)

@@ -9,7 +9,9 @@
 # __all__ that changed, and the count of independently settable values with
 # the names whose count changed.  The settable values are the parameters of
 # every re-exported function, the dataclass fields (or else the __init__
-# parameters, inherited within the module) of every re-exported class, and
+# parameters, inherited from a base class in any src/ module) of every
+# re-exported class, each followed through sibling imports to the module
+# that defines it, and
 # nlipol's command-line options (its add_argument calls) and config keys
 # (the keys its _check_keys calls accept).  It also lists, at BASE_REF and
 # in the working tree, the re-exported names that no src/ module other than
@@ -94,9 +96,24 @@ def is_dataclass(node):
     return False
 
 
-def class_settable(node, classes):
+def definition(trees, module, name):
+    """``(module, node)`` of the function or class ``name`` as the src/
+    module ``module`` sees it: defined there, or imported from a sibling
+    (followed to the module that defines it); node None if neither."""
+    for node in trees[module].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return module, node
+    for node in trees[module].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    return definition(trees, node.module, alias.name)
+    return module, None
+
+
+def class_settable(trees, module, node):
     """Dataclass fields, else __init__ parameters (self excluded), following
-    base classes defined in the same module."""
+    base classes defined in any src/ module."""
     if is_dataclass(node):
         return sum(isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                    and "ClassVar" not in ast.unparse(item.annotation) for item in node.body)
@@ -104,27 +121,27 @@ def class_settable(node, classes):
         if isinstance(item, ast.FunctionDef) and item.name == "__init__":
             return n_params(item.args, skip=1)
     for base in node.bases:
-        if isinstance(base, ast.Name) and base.id in classes:
-            return class_settable(classes[base.id], classes)
+        if isinstance(base, ast.Name):
+            base_module, base_node = definition(trees, module, base.id)
+            if isinstance(base_node, ast.ClassDef):
+                return class_settable(trees, base_module, base_node)
     return 0
 
 
 def settable_values(files):
     """Settable-value count per name: re-exports, CLI options, config keys."""
+    trees = {Path(name).stem: ast.parse(text) for name, text in files.items()
+             if Path(name).parent == Path(package) and name.endswith(".py")}
     counts = {}
-    for node in ast.parse(files[f"{package}/__init__.py"]).body:
+    for node in trees["__init__"].body:
         if not (isinstance(node, ast.ImportFrom) and node.level > 0):
             continue
-        tree = ast.parse(files[f"{package}/{node.module}.py"])
-        defs = {d.name: d for d in tree.body
-                if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
-        classes = {k: d for k, d in defs.items() if isinstance(d, ast.ClassDef)}
         for alias in node.names:
-            d = defs.get(alias.name)
+            module, d = definition(trees, node.module, alias.name)
             if isinstance(d, ast.FunctionDef):
                 counts[alias.name] = n_params(d.args)
             elif isinstance(d, ast.ClassDef):
-                counts[alias.name] = class_settable(d, classes)
+                counts[alias.name] = class_settable(trees, module, d)
     cli = ast.parse(files[f"{package}/cli.py"])
     commands = {}
     for node in ast.walk(cli):
