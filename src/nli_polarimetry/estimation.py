@@ -20,8 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import (EstimationError, TimeSeries, _check_step_ramp, _fit_ramp, _fit_record,
-                   _pow2_scale, _scan_phase)
+from .scan import EstimationError, TimeSeries, _fit_ramp, _fit_record, _pow2_scale, _scan_phase
 from .signals import HarmonicDecomposition, amplitude_relations
 
 __all__ = [
@@ -96,18 +95,15 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     Raises
     ------
     EstimationError
-        If the record fails the dual-scan record rule ``scan._scan_phase``
-        (checked first, per row, so a decimated record passes), ``omega_scan``
-        is zero or not finite (``bad_scan_rate``; a downward scan fits as an
-        upward one does), a phase column is not
-        ``omega_scan * step`` (``phase_step_mismatch``), the design is rank
-        deficient, or the counts are not finite (``nonfinite_counts``).
+        If the record fails the dual-scan record rule ``scan._scan_phase``:
+        its ramps, per row, so a decimated record passes, then
+        ``omega_scan`` nonzero and finite (``bad_scan_rate``; a downward
+        scan fits as an upward one does) and each phase column
+        ``omega_scan * step`` (``phase_step_mismatch``).  Also if the
+        design is rank deficient or the counts are not finite
+        (``nonfinite_counts``).
     """
-    _scan_phase(series, "both", 0.5)
-    if not (math.isfinite(omega_scan) and omega_scan != 0.0):
-        raise EstimationError("omega_scan must be nonzero and finite",
-                              flag="bad_scan_rate")
-    _check_step_ramp(series, omega_scan)
+    _scan_phase(series, "both", 0.5, omega_scan)
     rates = (0.5 * omega_scan, 1.5 * omega_scan)
     dc, (amp_half, amp_threehalf), rms = _fit_record(series, "step", rates)
     return HarmonicDecomposition(dc=dc, amp_half=amp_half, amp_threehalf=amp_threehalf,
@@ -387,9 +383,10 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
     ----------
     points : array, shape (n, 2)
         Joint samples (N1, N2) of the two analyzer-setting signals, ordered
-        along the control-phase scan and covering at least one period.  The
-        ordering only sets the traversal direction (the sign of the relative
-        phase); the fit itself is invariant under phase shifts of the scan.
+        along the control-phase scan and covering at least one period, n >= 8
+        (unchecked: ``estimate_ellipse``'s records pass the record rule).
+        The ordering only sets the traversal direction (the sign of the
+        relative phase); the fit is invariant under phase shifts of the scan.
 
     Returns
     -------
@@ -401,14 +398,14 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
     Raises
     ------
     EstimationError
-        For fewer than 6 points (flag ``too_few_points``) or a NaN or
-        infinite one (``nonfinite_points``); as ``UnidentifiableError`` with
-        flag ``degenerate_conic`` for points too close to collinear for the
-        fit to resolve their minor axis (collinear points, a relative phase
-        within its rounding of 0 or pi, or one setting's fringe that much
-        smaller than the other's), a fitted relative phase within rounding
-        of 0 or pi, or a non-elliptical conic (among them one whose
-        invariants divide by zero).
+        For a NaN or infinite point (flag ``nonfinite_points``); as
+        ``UnidentifiableError`` with flag ``degenerate_conic`` for points
+        too close to collinear for the fit to resolve their minor axis
+        (collinear points, a relative phase within its rounding of 0 or pi,
+        or one setting's fringe that much smaller than the other's), a
+        fitted relative phase within rounding of 0 or pi, or a
+        non-elliptical conic (among them one whose invariants divide by
+        zero).
 
     The means are ``np.add.reduce`` divided by the point count and the
     scalar roots ``math.sqrt``, as in ``scan._fit_design``, and the conic's
@@ -417,9 +414,6 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
     ``np.sqrt`` and numpy-scalar forms.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 6:
-        raise EstimationError("need at least 6 (N1, N2) points",
-                              flag="too_few_points")
     if not np.isfinite(pts).all():
         raise EstimationError("points must be finite", flag="nonfinite_points")
 

@@ -30,6 +30,7 @@ from .mode_algebra import (
     linear_combine,
     pure_mode,
 )
+from .signals import BeatingParameters
 
 __all__ = [
     "InterferometerConfig",
@@ -90,6 +91,36 @@ class InterferometerConfig:
             raise OverflowError("detected photon number overflows at this gain")
         return (c0, *_fringe(s * p.conjugate()), *_fringe(s * q.conjugate()),
                 *_fringe(p * q.conjugate() + p_pol * q_pol.conjugate()))
+
+    @cached_property
+    def _beating(self) -> BeatingParameters:
+        """``signals.beating_parameters``, reduced on first use, then held."""
+        if not self.has_equal_gains:
+            raise ValueError("closed-form signals require equal crystal gains")
+        tau1, rho1, tau2, rho2 = self.effective_waveplates()
+        sample = self.sample
+        perp_amp = abs(tau2) * abs(sample.t_perp) * abs(tau1)
+        par_amp = abs(rho2) * abs(sample.t_par) * abs(rho1)
+        tau_prod = tau2 * tau1
+        rho_prod = rho2 * np.conj(rho1)
+        phase_tau = 0.0 if tau_prod == 0.0 else cmath.phase(tau_prod)
+        phase_rho = 0.0 if rho_prod == 0.0 else cmath.phase(rho_prod)
+        ts = complex(self.signal.transmission)
+        control_phase = 0.0
+        if abs(ts) > 0.0:
+            control_phase = (self.crystal1.pump_phase - self.crystal2.pump_phase
+                             + cmath.phase(ts))
+        return BeatingParameters(
+            mean_photons=self.crystal1.mean_photons,
+            signal_mag=abs(ts),
+            control_phase=control_phase,
+            mean_trans=perp_amp + par_amp,
+            diff_trans=2.0 * (perp_amp - par_amp),
+            mean_sample_phase=0.5 * (sample.phase_perp + sample.phase_par),
+            retardance=sample.phase_perp - sample.phase_par,
+            setup_phase_offset=0.5 * (phase_tau + phase_rho),
+            diff_setup_phase=phase_tau - phase_rho,
+        )
 
 
 def detected_mode(

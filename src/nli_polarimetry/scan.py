@@ -12,6 +12,7 @@ import cmath
 import io
 import math
 import numbers
+import re
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,6 +43,8 @@ REGIMES = ("exact", "lowgain")
 _CSV_BLOCK = 4096
 # the largest step of a series CSV: every integer up to it is a double
 _MAX_STEP = 2**53
+# a step cell spelled with '.', 'e' or 'E' (``to_csv`` writes none), from its row's '\n'
+_SPELLED_STEP = re.compile(r"\n[^,\n.eE]*+[.eE]")
 
 
 class EstimationError(RuntimeError):
@@ -182,24 +185,29 @@ class TimeSeries:
 
         Raises ``ValueError`` for a wrong header, an empty body, a row without
         exactly five columns, a non-numeric or non-finite cell (named by column
-        and data row), or a ``step`` that is not an integer in [0, 2**53].
-        Empty lines are skipped and do not count as data rows; a line of
-        spaces is a malformed data row.
+        and data row), or a ``step`` cell that is not an integer in [0, 2**53]
+        ("2.0" and "1e3" are): first one whose double is not (named by the
+        double), then one whose text is not, such as "2.0000000000000001"
+        or 2**53 + 1, though its double is (named by the text).  Empty lines
+        are skipped and do not count as data rows; a line of spaces is a
+        malformed data row.
         """
-        data = read_csv(path, CSV_COLUMNS)
+        body, data = read_csv(path, CSV_COLUMNS)
         if not len(data):
             raise ValueError("empty time series")
         step = data[:, 0]
         _check_steps(step)
-        if step[-1] == _MAX_STEP:
-            # 2**53 + 1 parses to 2**53 too: the last row's text decides, read
-            # exactly (fractions is imported here only, off every other read)
-            from fractions import Fraction
-            with open(path) as fh:
-                cell = fh.read().rstrip("\n").rsplit("\n", 1)[-1].split(",", 1)[0]
-            if Fraction(cell) != _MAX_STEP:
-                raise ValueError(f"step {cell.strip()} of data row {len(step)} is not an integer "
-                                 "in [0, 2**53]")
+        if step[-1] == _MAX_STEP or _SPELLED_STEP.search("\n" + body):
+            # only these cells can hide a fraction or 2**53 + 1 in their double
+            # (the steps increase); as the doubles passed, a text is an integer
+            # in range iff it equals its double exactly (decimal imported here only)
+            from decimal import Decimal
+            rows = zip(filter(None, body.split("\n")), step.tolist())
+            for n, (line, value) in enumerate(rows, 1):
+                cell = line.split(",", 1)[0]
+                if Decimal(cell) != value:
+                    raise ValueError(f"step {cell.strip()} of data row {n} is not an integer "
+                                     "in [0, 2**53]")
         return cls(step.astype(int), *data[:, 1:].T)
 
 
@@ -281,8 +289,9 @@ def write_csv(path: str | Path, header, columns, n_int: int = 0) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def read_csv(path: str | Path, header) -> np.ndarray:
-    """Read a CSV written by ``write_csv`` into a float array, one row per data row.
+def read_csv(path: str | Path, header) -> tuple[str, np.ndarray]:
+    """Read a CSV written by ``write_csv``: the text after its header line,
+    and a float array of that text, one row per data row.
 
     Raises ``ValueError`` when the first line is not ``header``, when a cell
     is not a number (naming its column and data row), when a row does not
@@ -297,7 +306,7 @@ def read_csv(path: str | Path, header) -> np.ndarray:
     if found != tuple(header):
         raise ValueError(f"unexpected CSV header {found!r}; expected {tuple(header)!r}")
     if not body.lstrip("\n"):
-        return np.empty((0, len(header)))
+        return body, np.empty((0, len(header)))
     try:
         data = _loadtxt(io.StringIO(body))
     except ValueError:
@@ -312,7 +321,7 @@ def read_csv(path: str | Path, header) -> np.ndarray:
             f"non-finite value '{data[row, col]}' in column "
             f"'{header[col]}' of data row {row + 1}"
         )
-    return data
+    return body, data
 
 
 def _loadtxt(lines, **kwargs) -> np.ndarray:
@@ -377,21 +386,17 @@ def simulate_scan(
     signal_phase = schedule.signal_offset + layout.phi0
     diff_phase = schedule.diff_offset + layout.delta_phase
 
-    # the low-gain amplitude is a Python float, which overflows to inf
-    # without raising, hence the finiteness test next to numpy's flags; an
+    # an overflow, of numpy's or of the low-gain amplitude's Python float,
+    # leaves an inf or a NaN in the mean counts, which one test finds; an
     # underflow (a subnormal photon number) is no error
-    with np.errstate(over="raise", invalid="raise", under="ignore"):
-        try:
-            if regime == "exact":
-                expected = photon_number_exact(cfg, signal_phase, diff_phase)
-            else:
-                p = beating_parameters(cfg)
-                expected = np.maximum(n_lowgain(p, signal_phase, diff_phase), 0.0)
-            mean_counts = expected * noise.counts_per_unit
-            finite = np.isfinite(mean_counts).all()
-        except FloatingPointError:
-            finite = False
-    if not finite:
+    with np.errstate(all="ignore"):
+        if regime == "exact":
+            expected = photon_number_exact(cfg, signal_phase, diff_phase)
+        else:
+            p = beating_parameters(cfg)
+            expected = np.maximum(n_lowgain(p, signal_phase, diff_phase), 0.0)
+        mean_counts = expected * noise.counts_per_unit
+    if not np.isfinite(mean_counts).all():
         raise OverflowError("expected photon number or counts overflow a double")
 
     if noise.mode == "poisson":
@@ -447,14 +452,14 @@ def _ramp_rate(values, name: str) -> float:
     return 2.0 * half_rate
 
 
-def _phase_verdict(phi0, delta_phase, column: str, harmonic: float, label: str) -> None:
-    """The record rule on a record's phase columns: returns None for a pass,
-    raises ``EstimationError`` opening with ``label`` for a refusal.
-    ``_scan_phase`` states the rule."""
+def _phase_verdict(columns, column: str, harmonic: float, omega_scan: float | None) -> None:
+    """The record rule on a record's columns: returns None for a pass,
+    raises ``EstimationError`` for a refusal.  ``_scan_phase`` states the rule."""
+    phi0, delta_phase = columns.phi0, columns.delta_phase
     if column == "both":
         values, arm = phi0, "its phases"
-        rate = _ramp_rate(values, f"{label} phi0")
-        diff_rate = _ramp_rate(delta_phase, f"{label} delta_phase")
+        rate = _ramp_rate(values, "scan phi0")
+        diff_rate = _ramp_rate(delta_phase, "scan delta_phase")
         if abs(rate - diff_rate) > 1e-9 * max(1.0, abs(rate)):
             raise EstimationError("harmonic regression requires equal signal and "
                                   "differential scan rates", "unequal_scan_rates")
@@ -462,20 +467,28 @@ def _phase_verdict(phi0, delta_phase, column: str, harmonic: float, label: str) 
         other, arm = ((delta_phase, "the signal arm") if column == "phi0"
                       else (phi0, "the differential phase"))
         if not np.ptp(0.5 * other) <= 0.5e-12:  # halved, as in _ramp_rate: cannot overflow
-            raise EstimationError(f"{label} must ramp only {arm}", "mixed_scan")
+            raise EstimationError(f"scan must ramp only {arm}", "mixed_scan")
         values = phi0 if column == "phi0" else delta_phase
-        rate = _ramp_rate(values, f"{label} {column}")
+        rate = _ramp_rate(values, f"scan {column}")
     rate = abs(rate)
     if rate == 0.0:
-        raise EstimationError(f"{label} does not ramp {arm}", "bad_scan_rate")
+        raise EstimationError(f"scan does not ramp {arm}", "bad_scan_rate")
     period = 2.0 * math.pi / harmonic
     if period / rate < 8.0 - 1e-9:
-        raise EstimationError(f"{label} has fewer than 8 points per period", "undersampled")
+        raise EstimationError("scan has fewer than 8 points per period", "undersampled")
     if len(values) * rate < period * 0.999:
-        raise EstimationError(f"{label} must span at least one period", "series_too_short")
+        raise EstimationError("scan must span at least one period", "series_too_short")
+    if column == "both":
+        if not (math.isfinite(omega_scan) and omega_scan != 0.0):
+            raise EstimationError("omega_scan must be nonzero and finite", "bad_scan_rate")
+        ramp = omega_scan * columns.step.astype(float)
+        tol = 1e-9 * max(1.0, np.max(np.abs(ramp)))
+        if not np.max(np.abs([phi0 - ramp, delta_phase - ramp])) <= tol < math.inf:
+            raise EstimationError("phase columns are not omega_scan * step",
+                                  "phase_step_mismatch")
 
 
-def _scan_phase(series, column: str, harmonic: float, label="scan") -> None:
+def _scan_phase(series, column: str, harmonic: float, omega_scan: float | None = None) -> None:
     """The record rule of every fit.
 
     A scan of ``column`` alone must hold the other phase column within 1e-12
@@ -483,27 +496,14 @@ def _scan_phase(series, column: str, harmonic: float, label="scan") -> None:
     (``unequal_scan_rates``).  The ramp must be uniform (``_ramp_rate``) and
     nonzero (``bad_scan_rate``), with 8 points per period of ``harmonic``
     (``undersampled``) and n*|rate| >= 0.999 period (``series_too_short``).
-    A refusal raises ``EstimationError(message, flag)``, the message opening
-    with ``label``.  A pass is kept per layout (``_per_layout``).
+    The dual scan's ``omega_scan`` must then be nonzero and finite
+    (``bad_scan_rate``), its ramp ``omega_scan * step`` finite and within
+    1e-9 of its largest |value| (at least 1) of both columns
+    (``phase_step_mismatch``).  A refusal raises ``EstimationError(message,
+    flag)``; a pass is kept per layout (``_per_layout``).
     """
-    _per_layout(series, ("verdict", column, harmonic),
-                lambda c: _phase_verdict(c.phi0, c.delta_phase, column, harmonic, label))
-
-
-def _check_step_ramp(series, omega_scan: float) -> None:
-    """``_off_ramp`` of the record, a pass kept per layout (``_per_layout``)."""
-    _per_layout(series, ("off_ramp", omega_scan), lambda c: _off_ramp(c, omega_scan))
-
-
-def _off_ramp(columns, omega_scan: float) -> None:
-    """Raise ``EstimationError`` with flag ``phase_step_mismatch`` if a phase
-    column of ``columns`` strays from ``omega_scan * step`` by more than 1e-9
-    of the ramp's largest |value| (at least 1), or is NaN, or the ramp is
-    not finite."""
-    ramp = omega_scan * columns.step.astype(float)
-    tol = 1e-9 * max(1.0, np.max(np.abs(ramp)))
-    if not np.max(np.abs([columns.phi0 - ramp, columns.delta_phase - ramp])) <= tol < math.inf:
-        raise EstimationError("phase columns are not omega_scan * step", "phase_step_mismatch")
+    key = ("verdict", column, harmonic) + ((omega_scan,) if column == "both" else ())
+    _per_layout(series, key, lambda c: _phase_verdict(c, column, harmonic, omega_scan))
 
 
 def _design(t, rates) -> np.ndarray:
@@ -535,12 +535,13 @@ def _fit_design(design, counts):
     """
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
     if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
-        raise EstimationError("harmonic design matrix is rank deficient", "rank_deficient")
+        raise EstimationError("scan design matrix is rank deficient", "rank_deficient")
     resid = counts - design @ coef
     scale = _pow2_scale(resid)
     rms = scale * math.sqrt(float(np.add.reduce((resid / scale) ** 2)) / resid.size)
     if not math.isfinite(rms):
-        raise EstimationError("counts or their fit residual are not finite", "nonfinite_counts")
+        raise EstimationError("scan counts or their fit residual are not finite",
+                              "nonfinite_counts")
     c = coef.tolist()
     amps = [complex(c[k] - 1j * c[k + 1]) for k in range(1, len(c), 2)]
     return c[0], amps, rms
@@ -558,13 +559,13 @@ def _fit_record(series, column: str, rates):
     return _fit_design(design, series.counts)
 
 
-def _fit_ramp(series, column: str, harmonic: float, label="scan"):
+def _fit_ramp(series, column: str, harmonic: float):
     """``(dc, z, residual_rms)`` in counts of ``counts ~ dc + Re[z exp(i harmonic x)]``
     over the ``column`` x that ``_scan_phase`` passes; dc <= 0 is ``bad_amplitude``."""
-    _scan_phase(series, column, harmonic, label)
+    _scan_phase(series, column, harmonic)
     dc, (z,), rms = _fit_record(series, column, (harmonic,))
     if dc <= 0.0:
-        raise EstimationError("nonpositive mean count level", "bad_amplitude")
+        raise EstimationError("scan has a nonpositive mean count level", "bad_amplitude")
     return dc, z, rms
 
 
@@ -576,7 +577,7 @@ class _Layout:
     read-only view of a private read-only array, a ramp past the largest
     double infinite; ``simulate_scan`` refuses such a ramp and hands every
     record it makes these very objects.  ``kept`` holds what ``_per_layout``
-    built of them (designs, and passes of the rule and the step check).
+    built of them (designs, and passes of the rule).
     Only ``scan`` reads it; a copy or a pickle is the live layout of its key
     (``_intern``).
     """
@@ -653,9 +654,9 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     Expects two scans taken with the sample removed and the crossed
     quarter-wave analyzer pair, one ramping only the signal arm and one only
     the idler differential phase, each fitted by ``_fit_ramp`` at harmonic 1
-    and 1/2 (a refusal raises ``CalibrationError`` with the message and flag
-    the rotated route's fit raises, a fringe below 5x its noise floor
-    ``fringe_below_noise_floor``).  The empty-interferometer signal is
+    and 1/2 (a refusal raises ``CalibrationError``: the rotated route's flag
+    and message, after "first" or "second", or for a fringe below 5x its
+    noise floor ``fringe_below_noise_floor``).  The empty-interferometer signal is
     ``2V[1 + cos((diff_offset + d)/2) cos(signal_offset + s)]`` where ``s``
     and ``d`` are the commanded ramps, so each scan exposes one offset as a
     fringe phase and the other through its amplitude.
@@ -665,11 +666,13 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     nonnegative half-angle cosine is returned, which places the differential
     offset in [-pi, pi] and the signal offset in (-pi, pi].
     """
+    order = "first"  # the scan a refusal names
     try:
-        dc1, z1, resid1 = _fit_ramp(signal_scan, "phi0", 1.0, "first scan")
-        dc2, z2, resid2 = _fit_ramp(idler_scan, "delta_phase", 0.5, "second scan")
+        dc1, z1, resid1 = _fit_ramp(signal_scan, "phi0", 1.0)
+        order = "second"
+        dc2, z2, resid2 = _fit_ramp(idler_scan, "delta_phase", 0.5)
     except EstimationError as exc:
-        raise CalibrationError(str(exc), exc.flag) from None
+        raise CalibrationError(f"{order} {exc}", exc.flag) from None
     flux = 0.5 * (dc1 + dc2)
 
     for amp, resid, n, label in (

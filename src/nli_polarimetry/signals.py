@@ -114,43 +114,13 @@ def beating_parameters(cfg: "InterferometerConfig") -> BeatingParameters:
     positive squeezing coefficients, so it collects the pump phase difference
     and the control-splitter phase.
 
-    Reduced once per configuration object and kept on it, as
-    ``photon_number_exact`` keeps its fringes: the memo is per instance, a
-    configuration that raises keeps nothing, a copy or a pickle may carry
-    the frozen result (it depends only on the bits of the fields), and
-    ``dataclasses.replace`` reduces afresh.
+    Reduced once per configuration object and kept on it
+    (``InterferometerConfig._beating``), as ``photon_number_exact`` keeps
+    its fringes: the memo is per instance, a configuration that raises keeps
+    nothing, a copy or a pickle may carry the frozen result (it depends only
+    on the bits of the fields), and ``dataclasses.replace`` reduces afresh.
     """
-    kept = cfg.__dict__.get("_beating")
-    if kept is not None:
-        return kept
-    if not cfg.has_equal_gains:
-        raise ValueError("closed-form signals require equal crystal gains")
-    tau1, rho1, tau2, rho2 = cfg.effective_waveplates()
-    sample = cfg.sample
-    perp_amp = abs(tau2) * abs(sample.t_perp) * abs(tau1)
-    par_amp = abs(rho2) * abs(sample.t_par) * abs(rho1)
-    tau_prod = tau2 * tau1
-    rho_prod = rho2 * np.conj(rho1)
-    phase_tau = 0.0 if tau_prod == 0.0 else cmath.phase(tau_prod)
-    phase_rho = 0.0 if rho_prod == 0.0 else cmath.phase(rho_prod)
-    ts = complex(cfg.signal.transmission)
-    if abs(ts) > 0.0:
-        control_phase = cfg.crystal1.pump_phase - cfg.crystal2.pump_phase + cmath.phase(ts)
-    else:
-        control_phase = 0.0
-    params = BeatingParameters(
-        mean_photons=cfg.crystal1.mean_photons,
-        signal_mag=abs(ts),
-        control_phase=control_phase,
-        mean_trans=perp_amp + par_amp,
-        diff_trans=2.0 * (perp_amp - par_amp),
-        mean_sample_phase=0.5 * (sample.phase_perp + sample.phase_par),
-        retardance=sample.phase_perp - sample.phase_par,
-        setup_phase_offset=0.5 * (phase_tau + phase_rho),
-        diff_setup_phase=phase_tau - phase_rho,
-    )
-    object.__setattr__(cfg, "_beating", params)
-    return params
+    return cfg._beating
 
 
 def n_lowgain(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):

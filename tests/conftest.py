@@ -177,7 +177,9 @@ def _drop_last_field(row: str) -> str:
 # Corruptions of a series CSV given as its lines (header first), each with the
 # message ``TimeSeries.from_csv`` must raise (a regular expression searched
 # for in it).  The fractional and negative step cases keep the steps strictly
-# increasing, so only the file-boundary step check can catch them.
+# increasing, so only the file-boundary step check can catch them; the
+# fractional texts whose double is an integer (1.0000000000000001 is 1.0,
+# 1e-400 is 0.0 and 4503599627370496.3 is 2**52) are named by their text.
 MALFORMED_SERIES = {
     "four_columns": (
         lambda lines: lines[:1] + [_drop_last_field(r) for r in lines[1:]],
@@ -194,6 +196,18 @@ MALFORMED_SERIES = {
     "fractional_step": (
         lambda lines: lines[:2] + [_with_field(lines[2], 0, "1.5")] + lines[3:],
         r"step 1\.5 of data row 2 is not an integer in \[0, 2\*\*53\]",
+    ),
+    "fractional_step_text": (
+        lambda lines: lines[:2] + [_with_field(lines[2], 0, "1.0000000000000001")] + lines[3:],
+        r"step 1\.0000000000000001 of data row 2 is not an integer in \[0, 2\*\*53\]$",
+    ),
+    "tiny_fractional_step_text": (
+        lambda lines: [lines[0], _with_field(lines[1], 0, "1e-400")] + lines[2:],
+        r"step 1e-400 of data row 1 is not an integer in \[0, 2\*\*53\]$",
+    ),
+    "fractional_step_text_past_2_to_the_52": (
+        lambda lines: lines[:-1] + [_with_field(lines[-1], 0, "4503599627370496.3")],
+        r"step 4503599627370496\.3 of data row \d+ is not an integer in \[0, 2\*\*53\]$",
     ),
     "negative_step": (
         lambda lines: [lines[0], _with_field(lines[1], 0, "-1")] + lines[2:],

@@ -442,7 +442,7 @@ class TestCalibrateAndEstimate:
 
     @pytest.mark.parametrize("column, message", [
         ("phi0", "first scan phi0 column is not a uniform ramp"),
-        ("counts", "counts or their fit residual are not finite"),
+        ("counts", "first scan counts or their fit residual are not finite"),
     ])
     def test_scan_edited_after_its_check_exits_3(self, tmp_path, capfd, monkeypatch, column,
                                                  message):

@@ -636,7 +636,7 @@ class TestRecordRule:
                                       "nonfinite_counts"])
     def test_calibration_refuses_with_the_rotated_routes_error_under_its_label(self, case):
         # one error family: calibration's refusal is the rotated route's
-        # flag and message, a message that names the scan naming the first
+        # flag and message, which opens with "scan", naming the first scan
         assert issubclass(CalibrationError, EstimationError)
         pair = malformed_settings(case if case in ("mixed_scan", "undersampled") else "ok")
         if case == "bad_amplitude":
@@ -649,10 +649,34 @@ class TestRecordRule:
             calibrate(*pair)
         assert type(rotated.value) is EstimationError
         assert calibration.value.flag == rotated.value.flag == case
-        named = case in ("mixed_scan", "undersampled")
-        assert str(rotated.value).startswith("scan ") is named
-        prefix = "first " if named else ""
-        assert str(calibration.value) == prefix + str(rotated.value)
+        assert str(rotated.value).startswith("scan ")
+        assert str(calibration.value) == "first " + str(rotated.value)
+
+    @pytest.mark.parametrize("order", ["first", "second"])
+    @pytest.mark.parametrize("flag, message", [
+        ("bad_amplitude", "scan has a nonpositive mean count level"),
+        ("nonfinite_counts", "scan counts or their fit residual are not finite"),
+        ("rank_deficient", "scan design matrix is rank deficient"),
+    ])
+    def test_calibration_names_the_scan_the_kernel_refuses(self, monkeypatch, order, flag,
+                                                           message):
+        # the kernel's refusals open with "scan" too, so calibration names
+        # the refused scan for them as for the rule's; copies hold no layout
+        sig, idl = map(hand_built, round_trip_records("lowgain", 0.5)[:2])
+        bad, harmonic = (sig, 1.0) if order == "first" else (idl, 0.5)
+        if flag == "bad_amplitude":
+            bad.counts = -bad.counts
+        elif flag == "nonfinite_counts":
+            bad.counts[40] = math.nan
+        else:
+            # a rank-one design for the refused scan's harmonic only
+            design = scan._design
+            monkeypatch.setattr(scan, "_design", lambda t, rates: (
+                np.ones((len(t), 3)) if rates == (harmonic,) else design(t, rates)))
+        with pytest.raises(CalibrationError) as err:
+            calibrate(sig, idl)
+        assert err.value.flag == flag
+        assert str(err.value) == f"{order} {message}"
 
 
 # each structural assumption with a sample it holds for: (tbar, dt, dphi)
@@ -844,8 +868,8 @@ RATES = st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of the record rule's verdicts, the harmonic designs and the
-    Fourier route's step checks built, while the test runs."""
+    """Counts of the record rule's verdicts (the Fourier route's step check
+    among them) and the harmonic designs built, while the test runs."""
     counts = collections.Counter()
 
     def counting(module, name):
@@ -857,15 +881,14 @@ def builds(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
     counting(scan, "_phase_verdict")
     counting(scan, "_design")
-    counting(scan, "_off_ramp")
     return counts
 
 
 class TestPhaseLayoutMemo:
     """Every record ``simulate_scan`` builds on one ramp shape holds that
-    shape's ``scan._Layout`` columns; the record rule's verdict, the
-    harmonic designs and the Fourier route's step check are built once per
-    layout, and a kept result changes no bit."""
+    shape's ``scan._Layout`` columns; the record rule's verdict (the
+    Fourier route's step check within it) and the harmonic designs are
+    built once per layout, and a kept result changes no bit."""
 
     @pytest.mark.parametrize("regime, v", ROUND_TRIPS, ids=[f"{r}-{v}" for r, v in ROUND_TRIPS])
     def test_cold_and_warm_memos_give_the_same_bits(self, regime, v, builds):
@@ -887,12 +910,12 @@ class TestPhaseLayoutMemo:
         # records without a layout are checked, and get their designs, on every call
         fresh = {name: hex_fields(stage())
                  for name, stage in round_trip_stages(map_records(records, hand_built)).items()}
-        assert builds - built == {"_phase_verdict": 6, "_design": 5, "_off_ramp": 1}
+        assert builds - built == {"_phase_verdict": 6, "_design": 5}
         assert warm == cold == fresh
 
     def test_each_verdict_and_design_is_built_once_per_layout(self, builds):
-        # four layouts: each keeps one verdict and one design, and the
-        # Fourier layout one step check; later round trips on new Poisson
+        # four layouts: each keeps one verdict, the Fourier layout's with
+        # its step check, and one design; later round trips on new Poisson
         # records of the same schedules build nothing
         schedules = round_trip_schedules()
         records = round_trip_records("lowgain", 0.5, schedules=schedules)
@@ -900,12 +923,12 @@ class TestPhaseLayoutMemo:
             layout.kept.clear()
         for stage in round_trip_stages(records).values():
             stage()
-        assert builds == {"_phase_verdict": 4, "_design": 4, "_off_ramp": 1}
+        assert builds == {"_phase_verdict": 4, "_design": 4}
         for seed in (12, 13, 14):
             records = round_trip_records("lowgain", 0.5, seed=seed, schedules=schedules)
             for stage in round_trip_stages(records).values():
                 stage()
-        assert builds == {"_phase_verdict": 4, "_design": 4, "_off_ramp": 1}
+        assert builds == {"_phase_verdict": 4, "_design": 4}
 
     def test_a_refused_layout_keeps_nothing_and_a_passed_one_keeps_its_verdict(self, builds):
         # 4 points per period: each fit judges the layout's records again and
@@ -1503,10 +1526,6 @@ class TestFitEllipse:
             fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8))
         assert err.value.flag == "degenerate_conic"
 
-    def test_too_few_points_rejected(self):
-        with pytest.raises(EstimationError):
-            fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8)[:5])
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", [0, 1])
     def test_nonfinite_points_rejected(self, value, column):
@@ -1765,7 +1784,7 @@ class TestFitEllipseOracle:
         # each refusal of the previous fit, with its type, flag and message
         ring = ellipse_points(0.6, 0.6, 0.0, 1.8)
         line = np.column_stack([np.arange(8.0), 2.0 * np.arange(8.0) + 1.0])
-        cases = [ring[:5], np.ones((8, 2)), line, -ring, np.where(ring > 0.9, np.nan, ring)]
+        cases = [np.ones((8, 2)), line, -ring, np.where(ring > 0.9, np.nan, ring)]
         for points in cases:
             want = previous_fit_outcome(points)
             assert isinstance(want, tuple)

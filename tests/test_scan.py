@@ -701,6 +701,23 @@ class TestTimeSeriesCsv:
         write_lines(again, lines[:-1] + ["9.007199254740992e15" + lines[-1][16:]])
         assert TimeSeries.from_csv(again).step.tobytes() == series.step.tobytes()
 
+    def test_integer_step_spellings_read_as_their_integers(self, tmp_path):
+        # a cell whose text is an integer reads, whatever its spelling; only
+        # such cells are read exactly, and each gives the step to_csv wrote
+        series = signal_arm_scan(0.31, 0.77, n=16)
+        path = tmp_path / "scan.csv"
+        series.to_csv(path)
+        lines = path.read_text().splitlines()
+        spelled = ["0.0", "1.", "2e0", "3.0000000000000000000", " 4 ", "+5", "0.6e1", "7E0"]
+        lines[1:9] = [cell + "," + line.split(",", 1)[1]
+                      for cell, line in zip(spelled, lines[1:9])]
+        write_lines(path, lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = TimeSeries.from_csv(path)
+        assert back.step.tobytes() == series.step.tobytes()
+        np.testing.assert_array_equal(back.counts, series.counts)
+
     @pytest.mark.parametrize("dtype", ["int64", "uint64"])
     def test_writer_refuses_an_integer_step_past_2_to_the_53(self, tmp_path, dtype):
         # compared as an integer: a cast to float would make it 2**53
@@ -1012,7 +1029,8 @@ class TestFitHarmonics:
 
     def test_rank_rule_raises_estimation_error_and_calibrate_relabels_it(self, monkeypatch):
         # fewer rows than columns: the kernel raises EstimationError, and
-        # calibrate raises it again as a CalibrationError with its message and flag
+        # calibrate raises it again as a CalibrationError with its flag and
+        # its message after the scan's order
         design = _design(np.arange(2.0), (1.0,))
         with pytest.raises(EstimationError, match="rank deficient") as info:
             _fit_design(design, np.ones(2))
@@ -1023,7 +1041,7 @@ class TestFitHarmonics:
         monkeypatch.setattr(scan, "_design", lambda t, rates: np.ones((len(t), 3)))
         with pytest.raises(CalibrationError) as info:
             calibrate(*scans)
-        assert str(info.value) == "harmonic design matrix is rank deficient"
+        assert str(info.value) == "first scan design matrix is rank deficient"
         assert info.value.flag == "rank_deficient"
         monkeypatch.undo()
         # a half-turn per step: the record rule refuses it before the kernel

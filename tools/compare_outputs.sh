@@ -15,8 +15,10 @@
 # blocks, two whole and a remainder, with the integer step column),
 # `calibrate`, and `estimate` for the fourier pipeline and for
 # every assumption of the rotated and ellipse pipelines (the general mode
-# with --phibar).  Five refusals pin their stderr and exit code 3 too:
-# `calibrate` with the two scans swapped, the fourier pipeline on a scan
+# with --phibar).  Six refusals pin their stderr and exit code 3 too:
+# `calibrate` with the two scans swapped, `calibrate` with the idler scan's
+# counts negated (whose stderr must also read "error: calibration: second
+# scan has a nonpositive mean count level"), the fourier pipeline on a scan
 # that ramps one phase only (unequal rates), the rotated pipeline on a
 # setting pair at 4 points per period, and the ellipse pipeline on two
 # records of different lengths.
@@ -149,6 +151,17 @@ run_all() {
     # refusals
     nlipol calibrate_swapped calibrate --signal-scan cal_idler.csv \
         --idler-scan cal_signal.csv --out calibration_swapped.json
+    "$python" - "$out/cal_idler.csv" "$out/cal_idler_negated.csv" <<'PY'
+import sys
+
+with open(sys.argv[1], newline="") as src, open(sys.argv[2], "w", newline="") as dst:
+    dst.write(next(src))
+    for line in src:
+        *cells, counts = line.rstrip("\r\n").split(",")
+        dst.write(",".join([*cells, repr(-float(counts))]) + "\r\n")
+PY
+    nlipol calibrate_negated calibrate --signal-scan cal_signal.csv \
+        --idler-scan cal_idler_negated.csv --out calibration_negated.json
     nlipol estimate_fourier_unequal estimate --pipeline fourier --data setting1.csv \
         --calibration calibration.json --out estimate_fourier_unequal.json
     nlipol estimate_rotated_undersampled estimate --pipeline rotated \
@@ -232,8 +245,11 @@ PY
 
 # commands expected to fail, with their exit code; every other one exits 0
 declare -A expected_exit=([simulate_exact_overflow]=3 [calibrate_swapped]=3
-    [estimate_fourier_unequal]=3 [estimate_rotated_undersampled]=3
+    [calibrate_negated]=3 [estimate_fourier_unequal]=3 [estimate_rotated_undersampled]=3
     [estimate_ellipse_lengths]=3)
+# commands whose stderr is pinned too, without its final newline
+declare -A expected_stderr=(
+    [calibrate_negated]="error: calibration: second scan has a nonpositive mean count level")
 
 run_all "$root/src" "$work/head"
 run_all "$work/base/src" "$work/base_out"
@@ -263,6 +279,13 @@ for f in $(cd "$work/head" && find . -name '*.exit' | sort); do
     if [ "$(cat "$work/head/$f")" != "$want" ]; then
         echo "FAILED ${f#./} exited $(cat "$work/head/$f"), expected $want:" >&2
         cat "$work/head/${f%.exit}.stderr" >&2
+        status=1
+    fi
+done
+for name in "${!expected_stderr[@]}"; do
+    if [ "$(cat "$work/head/$name.stderr")" != "${expected_stderr[$name]}" ]; then
+        echo "FAILED $name.stderr reads, expected \"${expected_stderr[$name]}\":" >&2
+        cat "$work/head/$name.stderr" >&2
         status=1
     fi
 done
