@@ -44,7 +44,7 @@ _CSV_BLOCK = 4096
 # the largest step of a series CSV: every integer up to it is a double
 _MAX_STEP = 2**53
 # a step cell spelled with '.', 'e' or 'E' (``to_csv`` writes none), from its row's '\n'
-_SPELLED_STEP = re.compile(r"\n[^,\n.eE]*+[.eE]")
+_SPELLED_STEP = re.compile(r"\n[^,\n.eE]*[.eE]")
 
 
 class EstimationError(RuntimeError):
