@@ -49,8 +49,6 @@ from .signals import (
     amplitude_relations,
     beating_parameters,
     fourier_model,
-    highgain_visibility,
-    n_highgain,
     n_lowgain,
 )
 

@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .estimation import (
     extract_sample_fourier,
     harmonic_regress,
 )
-from .interferometer import InterferometerConfig
+from .interferometer import InterferometerConfig, photon_number_exact
 from .scan import (
     REGIMES,
     CalibrationError,
@@ -45,7 +46,7 @@ from .scan import (
     simulate_scan,
     write_csv,
 )
-from .signals import BeatingParameters, beating_parameters, n_highgain, n_lowgain
+from .signals import beating_parameters, n_lowgain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -297,22 +298,14 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _grid_parameters(mean_photons, signal_mag, mean_trans, diff_trans) -> BeatingParameters:
-    """Beating parameters with every phase zero: a grid's phases are the total phases."""
-    return BeatingParameters(
-        mean_photons=mean_photons, signal_mag=signal_mag, control_phase=0.0,
-        mean_trans=mean_trans, diff_trans=diff_trans, mean_sample_phase=0.0,
-        retardance=0.0, setup_phase_offset=0.0, diff_setup_phase=0.0,
-    )
-
-
 def _figure_fig3(out_dir: Path, t_par_mag: float, name: str) -> list[Path]:
     # unit gain, lossless signal arm, axis moduli 0.9 / t_par_mag through the
-    # crossed quarter-wave pair
+    # aligned quarter-wave pair: its setup phases round to at most 3.2e-16 rad
+    # (the crossed pair's are -pi/2 and pi), so the grid's phases are total
     phase = np.linspace(0.0, 2.0 * math.pi, 201)
-    p = _grid_parameters(1.0, 1.0, 0.5 * (0.9 + t_par_mag), 0.9 - t_par_mag)
+    cfg = _analyzer_config(2, 0.5 * (0.9 + t_par_mag), 0.9 - t_par_mag, 0.0, 0.0)
     mm, dd = np.meshgrid(phase, phase, indexing="ij")
-    n = n_lowgain(p, mm, dd)
+    n = n_lowgain(beating_parameters(cfg), mm, dd)
     path = out_dir / f"{name}.csv"
     write_csv(
         path,
@@ -324,14 +317,16 @@ def _figure_fig3(out_dir: Path, t_par_mag: float, name: str) -> list[Path]:
 
 def _figure_fig4(out_dir: Path, name: str) -> list[Path]:
     # mean transmission 0.85, diattenuation 0.1 (axis moduli 0.9 / 0.8
-    # through the crossed quarter-wave pair), lossless signal arm
+    # through the aligned quarter-wave pair, as in fig3), lossless signal arm
     gains = (1e-6, 0.5, 1.0, 2.0)
     phase = np.linspace(0.0, 2.0 * math.pi, 401)
     # fig4a scans the mean phase at differential phase pi, fig4b the reverse
     scan = (phase, math.pi) if name == "fig4a" else (math.pi, phase)
+    cfg = _analyzer_config(2, 0.85, 0.1, 0.0, 0.0)
     rows_v, rows_phase, rows_n = [], [], []
     for v in gains:
-        n = n_highgain(_grid_parameters(v, 1.0, 0.85, 0.1), *scan)
+        gain = CrystalGain(v)
+        n = photon_number_exact(replace(cfg, crystal1=gain, crystal2=gain), *scan)
         rows_v.append(np.full_like(phase, v))
         rows_phase.append(phase)
         rows_n.append(n)
@@ -346,11 +341,15 @@ def _figure_fig4(out_dir: Path, name: str) -> list[Path]:
 
 
 def _figure_fig5b(out_dir: Path) -> list[Path]:
-    # blocked signal arm; oscillation amplitude grows with the gain squared
+    # fig4's configuration with the signal arm blocked; the oscillation
+    # amplitude grows with the gain squared
     diff_phase = np.linspace(0.0, 2.0 * math.pi, 201)
+    blocked = replace(_analyzer_config(2, 0.85, 0.1, 0.0, 0.0), signal=SignalControl(0.0))
     paths = []
     for v, tag in ((0.5, "v0p5"), (1.0, "v1"), (2.0, "v2")):
-        n = n_highgain(_grid_parameters(v, 0.0, 0.85, 0.1), 0.0, diff_phase - math.pi)
+        gain = CrystalGain(v)
+        n = photon_number_exact(replace(blocked, crystal1=gain, crystal2=gain),
+                                0.0, diff_phase - math.pi)
         path = out_dir / f"fig5b_{tag}.csv"
         write_csv(path, ["diff_phase", "n"], [diff_phase, n])
         paths.append(path)

@@ -1,17 +1,18 @@
 """Closed-form signal models of the interferometer output.
 
-These formulas are implemented independently of the operator composer
-(``interferometer.detected_mode``), so agreement between the two is a
-genuine cross-check.  They also serve as the forward models of the
-estimation stage.
+``n_lowgain`` is the paper's first-order photon number; ``fourier_model``
+and ``amplitude_relations`` are the stated models that the Fourier and
+two-setting routes invert.  They are implemented independently of the
+operator composer (``interferometer.detected_mode``), so agreement between
+the two is a genuine cross-check.  The all-orders photon number is the
+exact model ``photon_number_exact``, shared by the simulator and the figures.
 
-The low-gain and all-orders photon numbers share one signature with the
-exact model ``photon_number_exact(cfg, signal_phase, diff_phase)``:
-``f(p, signal_phase=0.0, diff_phase=0.0)`` for the ``BeatingParameters`` ``p``
-of one configuration.  The scan phases are imprinted as in ``detected_mode``:
-the fringe phase is ``p.mean_total_phase + signal_phase`` and the half
-differential phase ``p.half_diff_phase + 0.5 * diff_phase``.  Array phases
-broadcast against each other, so one call evaluates a whole scan.
+``n_lowgain(p, signal_phase=0.0, diff_phase=0.0)`` takes the exact model's
+scan phases, for the ``BeatingParameters`` ``p`` of one configuration.  They
+are imprinted as in ``detected_mode``: the fringe phase is
+``p.mean_total_phase + signal_phase`` and the half differential phase
+``p.half_diff_phase + 0.5 * diff_phase``.  Array phases broadcast against
+each other, so one call evaluates a whole scan.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "beating_parameters",
     "n_lowgain",
     "fourier_model",
-    "n_highgain",
-    "highgain_visibility",
     "amplitude_relations",
 ]
 
@@ -178,36 +177,6 @@ def fourier_model(p: BeatingParameters, schedule: "ScanSchedule") -> HarmonicDec
     )
 
 
-def n_highgain(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):
-    """Detected photon number to all orders in the gain (equal pumping).
-
-    The V^2 cross term is the gain-squared interference of the idler's two
-    polarization paths.  With the signal arm blocked (``signal_mag`` 0) it is
-    the only fringe: the record is V plus that term, and ``signal_phase``
-    changes no bit of it.
-    """
-    v = p.mean_photons
-    half = p.half_diff_phase + 0.5 * diff_phase
-    # np.square rounds a scalar as an array element; a numpy scalar's ** 2
-    # goes through pow, which can differ in the last bit
-    cross_pol = (0.25 * p.diff_trans**2 * np.square(np.cos(half))
-                 + p.mean_trans**2 * np.square(np.sin(half)))
-    return n_lowgain(p, signal_phase, diff_phase) * (1.0 + v) - v**2 + v**2 * cross_pol
-
-
-def highgain_visibility(p: BeatingParameters) -> float:
-    """Fringe visibility of a mean-phase scan at fixed differential phase pi.
-
-    Reduces to the low-gain mean visibility at zero gain and never drops
-    below it.
-    """
-    v = p.mean_photons
-    s = p.signal_mag
-    return 2.0 * s * (1.0 + v) * p.mean_trans / (
-        1.0 + s**2 * (1.0 + v) + p.mean_trans**2 * v
-    )
-
-
 def amplitude_relations(mean_trans: float, diff_trans: float, retardance: float
                         ) -> tuple[float, float, float, float]:
     """Fringe amplitudes of the two analyzer settings for a rotated sample.
@@ -221,7 +190,7 @@ def amplitude_relations(mean_trans: float, diff_trans: float, retardance: float
     The estimators' model: with a lossless signal arm, a setting's low-gain
     record is ``2V(1 + b sin(x) + c cos(x))``, ``x = phibar + phi0`` for
     setting 1 and ``phibar + phi0 - 2 psi`` for setting 2.  At any gain it is
-    ``n_highgain(beating_parameters(cfg))`` of the setting's configuration.
+    ``photon_number_exact`` of the setting's configuration.
     """
     half = 0.5 * retardance
     b1 = -0.5 * diff_trans * math.sin(half)

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from nli_polarimetry import (
     SignalControl,
     TimeSeries,
     beating_parameters,
+    detected_mode,
     n_lowgain,
     quarter_wave,
+    vacuum_photon_number,
     waveplate,
 )
 
@@ -48,6 +51,47 @@ def blocked_arm(p: BeatingParameters) -> BeatingParameters:
     blocked, as ``beating_parameters`` reduces it: ``signal_mag`` 0 and no
     control phase."""
     return dataclasses.replace(p, signal_mag=0.0, control_phase=0.0)
+
+
+def n_highgain(p: BeatingParameters, signal_phase=0.0, diff_phase=0.0):
+    """The paper's detected photon number to all orders in the gain (equal
+    pumping), with ``n_lowgain``'s scan phases: the low-gain record times
+    1 + V, less V^2, plus V^2 times the interference of the idler's two
+    polarization paths.  With the signal arm blocked (``signal_mag`` 0)
+    that cross term is the only fringe.  At equal gains it is
+    ``photon_number_exact`` to within ``oracle_tol``."""
+    v = p.mean_photons
+    half = p.half_diff_phase + 0.5 * diff_phase
+    cross_pol = (0.25 * p.diff_trans**2 * np.cos(half) ** 2
+                 + p.mean_trans**2 * np.sin(half) ** 2)
+    return n_lowgain(p, signal_phase, diff_phase) * (1.0 + v) - v**2 + v**2 * cross_pol
+
+
+def highgain_visibility(p: BeatingParameters) -> float:
+    """The paper's fringe visibility of a mean-phase scan at differential
+    phase pi, to all orders in the gain: the low-gain mean visibility at
+    zero gain, and never below it."""
+    v = p.mean_photons
+    s = p.signal_mag
+    return 2.0 * s * (1.0 + v) * p.mean_trans / (
+        1.0 + s**2 * (1.0 + v) + p.mean_trans**2 * v
+    )
+
+
+def oracle_tol(cfg):
+    """How far ``photon_number_exact`` may lie from the composer's photon
+    number: 64 eps times its phase average c0.  Below the smallest normal
+    double rounding is absolute, one subnormal step, so a subnormal c0
+    counts as the smallest normal (64 subnormal steps).
+
+    c0 is the composer's mean over four signal phases a quarter turn apart
+    and two differential phases half a turn apart: the grid cancels each
+    fringe, whose phases turn at the (signal, differential) rates (1, 1/2),
+    (1, -1/2) and (0, 1)."""
+    sp = np.arange(4.0)[:, None] * (0.5 * math.pi)
+    dp = np.array([[0.0, math.pi]])
+    c0 = float(np.mean(vacuum_photon_number(detected_mode(cfg, sp, dp))))
+    return 64 * sys.float_info.epsilon * max(c0, sys.float_info.min)
 
 
 # counts this large are finite and fit in a CSV, but their squares overflow

@@ -16,6 +16,8 @@ from conftest import (
     analyzer_config,
     axis_distance,
     blocked_arm,
+    highgain_visibility,
+    n_highgain,
     random_config,
     two_setting_points,
 )
@@ -36,8 +38,6 @@ from nli_polarimetry import (
     extract_sample_fourier,
     fourier_protocol_schedule,
     harmonic_regress,
-    highgain_visibility,
-    n_highgain,
     n_lowgain,
     photon_number_exact,
     quarter_wave,
@@ -147,6 +147,14 @@ def test_acceptance_04_quantum_erasure_null():
 
 
 def test_acceptance_05_highgain_visibility_bound():
+    def simulated_visibility(cfg, p):
+        # the exact record over the total mean phase at total differential
+        # phase pi, on a grid that holds both extrema (pi/2 and 3pi/2)
+        grid = np.linspace(0.0, 2.0 * math.pi, 4 * 64 + 1)
+        values = photon_number_exact(cfg, grid - p.mean_total_phase,
+                                     math.pi - 2.0 * p.half_diff_phase)
+        return (values.max() - values.min()) / (values.max() + values.min())
+
     worst_gap = 0.0
     for v in (0.0, 0.1, 1.0, 3.0, 10.0):
         for tbar in (0.2, 0.85):
@@ -154,13 +162,20 @@ def test_acceptance_05_highgain_visibility_bound():
                 p = beating_parameters(qwp_pair(tbar, tbar, v=v, ts=ts))
                 assert p.mean_trans == pytest.approx(tbar, abs=1e-12)
                 hg = highgain_visibility(p)
+                # the exact record holds no photons at V = 0, so the
+                # simulator's zero-gain visibility is its limit, at V = 1e-14
+                sim = simulated_visibility(qwp_pair(tbar, tbar, v=v or 1e-14, ts=ts), p)
                 assert hg >= p.mean_visibility - 1e-12
+                assert sim >= p.mean_visibility - 1e-12
+                assert abs(sim - hg) < 1e-12
                 if v == 0.0:
                     assert abs(hg - p.mean_visibility) < 1e-12
-                worst_gap = min(worst_gap, hg - p.mean_visibility)
+                    assert abs(sim - p.mean_visibility) < 1e-12
+                worst_gap = min(worst_gap, hg - p.mean_visibility, sim - p.mean_visibility)
     assert worst_gap > -1e-12
     print("\nACCEPTANCE 5: PASS - high-gain visibility >= low-gain visibility "
-          "on the full grid, equality at zero gain")
+          "on the full grid, equality at zero gain, for the closed form and "
+          "the simulated exact record")
 
 
 def test_acceptance_06_blocked_arm_signal():

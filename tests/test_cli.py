@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,8 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nli_polarimetry
-from conftest import HUGE, MALFORMED_SERIES, axis_distance, scaled_counts
-from nli_polarimetry import BeatingParameters, TimeSeries, amplitude_relations, cli, n_highgain
+from conftest import (HUGE, MALFORMED_SERIES, analyzer_config, axis_distance, n_highgain,
+                      oracle_tol, scaled_counts)
+from nli_polarimetry import (BeatingParameters, SignalControl, TimeSeries, amplitude_relations,
+                             cli)
 from nli_polarimetry.cli import main
 from nli_polarimetry.scan import write_csv
 
@@ -95,6 +98,24 @@ def reference_grid_csv(path, header, columns):
         writer.writerow(header)
         for row in zip(*columns):
             writer.writerow([repr(float(v)) for v in row])
+
+
+def figure_parameters(v, signal_mag):
+    """The beating parameters of fig4 (``signal_mag`` 1) and fig5b (0):
+    gain ``v``, mean transmission 0.85, diattenuation 0.1 and every phase
+    zero, so a grid's phases are the total phases."""
+    return BeatingParameters(
+        mean_photons=v, signal_mag=signal_mag, control_phase=0.0, mean_trans=0.85,
+        diff_trans=0.1, mean_sample_phase=0.0, retardance=0.0, setup_phase_offset=0.0,
+        diff_setup_phase=0.0,
+    )
+
+
+def figure_config(v, signal_mag):
+    """The configuration behind ``figure_parameters``: axis moduli 0.9 / 0.8
+    through the aligned quarter-wave pair."""
+    cfg = analyzer_config(0.85, 0.1, 0.0, 0.0, 0.0, 2, v)
+    return dataclasses.replace(cfg, signal=SignalControl(signal_mag))
 
 
 def edit_after_reading(monkeypatch, column, value, row=40):
@@ -756,26 +777,35 @@ class TestFigures:
         for tag in ("v0p5", "v1", "v2"):
             assert (tmp_path / f"fig5b_{tag}.csv").exists()
 
+    @pytest.mark.parametrize("fig_id", ["fig4a", "fig4b"])
+    def test_fig4_rows_match_the_all_orders_formula(self, tmp_path, fig_id):
+        # every gain's row, to the exact model's oracle bound
+        assert run("figures", "--id", fig_id, "--out-dir", tmp_path) == 0
+        data = np.loadtxt(tmp_path / f"{fig_id}.csv", delimiter=",", skiprows=1)
+        gains = (1e-6, 0.5, 1.0, 2.0)
+        phase = np.linspace(0.0, 2.0 * math.pi, 401)
+        scan = (phase, math.pi) if fig_id == "fig4a" else (math.pi, phase)
+        assert data[:, 0].tobytes() == np.repeat(gains, len(phase)).tobytes()
+        for v, rows in zip(gains, np.split(data, len(gains))):
+            assert rows[:, 1].tobytes() == phase.tobytes()
+            want = n_highgain(figure_parameters(v, 1.0), *scan)
+            assert np.all(np.abs(rows[:, 2] - want) <= oracle_tol(figure_config(v, 1.0)))
+
     def test_fig5b_matches_inline_oracle_and_n_highgain(self, tmp_path):
         assert run("figures", "--id", "fig5b", "--out-dir", tmp_path) == 0
         diff_phase = np.linspace(0.0, 2.0 * math.pi, 201)
         for v, tag in ((0.5, "v0p5"), (1.0, "v1"), (2.0, "v2")):
             grid = np.loadtxt(tmp_path / f"fig5b_{tag}.csv", delimiter=",", skiprows=1)
-            # oracle: the grid's blocked-arm formula as written out before it
-            # called blocked_intensity; n_highgain at signal_mag 0 keeps its bits
-            half = 0.5 * (diff_phase - math.pi)
-            want = v + v**2 * (0.25 * 0.1**2 * np.cos(half) ** 2
-                               + 0.85**2 * np.sin(half) ** 2)
             assert grid[:, 0].tobytes() == diff_phase.tobytes()
-            assert grid[:, 1].tobytes() == want.tobytes()
-            for phase, n in grid:
-                p = BeatingParameters(
-                    mean_photons=v, signal_mag=0.0, control_phase=0.0,
-                    mean_trans=0.85, diff_trans=0.1, mean_sample_phase=0.0,
-                    retardance=phase - math.pi, setup_phase_offset=0.0,
-                    diff_setup_phase=0.0,
-                )
-                assert abs(n - n_highgain(p)) <= 1e-15 * n
+            # oracles: the paper's blocked-arm formula, and the all-orders
+            # one at signal_mag 0, each to the exact model's oracle bound
+            half = 0.5 * (diff_phase - math.pi)
+            inline = v + v**2 * (0.25 * 0.1**2 * np.cos(half) ** 2
+                                 + 0.85**2 * np.sin(half) ** 2)
+            formula = n_highgain(figure_parameters(v, 0.0), 0.0, diff_phase - math.pi)
+            tol = oracle_tol(figure_config(v, 0.0))
+            assert np.all(np.abs(grid[:, 1] - inline) <= tol)
+            assert np.all(np.abs(grid[:, 1] - formula) <= tol)
 
     def test_fig6_files(self, tmp_path):
         assert run("figures", "--id", "fig6", "--out-dir", tmp_path) == 0

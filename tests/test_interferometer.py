@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (blocked_arm, previous_fringes, previous_three_path_decomposition,
-                      random_config, with_scan_phases)
+from conftest import (blocked_arm, n_highgain, oracle_tol, previous_fringes,
+                      previous_three_path_decomposition, random_config, with_scan_phases)
 from nli_polarimetry import (
     CrystalGain,
     InterferometerConfig,
@@ -26,7 +26,6 @@ from nli_polarimetry import (
     WaveplateCoeffs,
     beating_parameters,
     detected_mode,
-    n_highgain,
     n_lowgain,
     path_amplitudes,
     photon_number_exact,
@@ -637,22 +636,6 @@ class TestFringeMemo:
             assert type(cfg._fringes) is tuple and {type(x) for x in cfg._fringes} == {float}
             for other in before + [clone(cfg) for clone in clones]:
                 assert other == cfg and bits(other) == want
-
-
-def oracle_tol(cfg):
-    """How far ``photon_number_exact`` may lie from the composer's photon
-    number: 64 eps times its phase average c0.  Below the smallest normal
-    double rounding is absolute, one subnormal step, so a subnormal c0
-    counts as the smallest normal (64 subnormal steps).
-
-    c0 is the composer's mean over four signal phases a quarter turn apart
-    and two differential phases half a turn apart: the grid cancels each
-    fringe, whose phases turn at the (signal, differential) rates (1, 1/2),
-    (1, -1/2) and (0, 1)."""
-    sp = np.arange(4.0)[:, None] * (0.5 * math.pi)
-    dp = np.array([[0.0, math.pi]])
-    c0 = float(np.mean(vacuum_photon_number(detected_mode(cfg, sp, dp))))
-    return 64 * sys.float_info.epsilon * max(c0, sys.float_info.min)
 
 
 def photon_number_bits(call, cfg, *phases):

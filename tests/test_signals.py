@@ -12,6 +12,8 @@ from conftest import (
     analyzer_config,
     angles_close,
     blocked_arm,
+    highgain_visibility,
+    n_highgain,
     random_config,
     two_setting_points,
 )
@@ -29,8 +31,6 @@ from nli_polarimetry import (
     beating_parameters,
     extract_sample_fourier,
     fourier_model,
-    highgain_visibility,
-    n_highgain,
     n_lowgain,
     photon_number_exact,
     quarter_wave,
@@ -98,45 +98,6 @@ def reference_beating_intensity(amplitude, diff_vis, mean_vis, half_diff_phase, 
         1.0
         + diff_vis * np.cos(half_diff_phase) * np.cos(mean_phase)
         - mean_vis * np.sin(half_diff_phase) * np.sin(mean_phase)
-    )
-
-
-def reference_cross_pol(mean_trans, diff_trans, half_diff_phase):
-    return (0.25 * diff_trans**2 * np.cos(half_diff_phase) ** 2
-            + mean_trans**2 * np.sin(half_diff_phase) ** 2)
-
-
-def reference_highgain_intensity(mean_photons, signal_mag, mean_trans, diff_trans,
-                                 half_diff_phase, mean_phase):
-    """Oracle: the all-orders kernel that ``n_highgain`` replaced, which
-    re-derived the amplitude and both visibilities."""
-    v = mean_photons
-    low = reference_beating_intensity(
-        2.0 * v * (signal_mag**2 + 1.0),
-        signal_mag * diff_trans / (signal_mag**2 + 1.0),
-        2.0 * signal_mag * mean_trans / (signal_mag**2 + 1.0),
-        half_diff_phase,
-        mean_phase,
-    )
-    cross_pol = reference_cross_pol(mean_trans, diff_trans, half_diff_phase)
-    return low * (1.0 + v) - v**2 + v**2 * cross_pol
-
-
-def reference_blocked_intensity(mean_photons, mean_trans, diff_trans, half_diff_phase):
-    """Oracle: the blocked-arm kernel, ``V + V^2 cross_pol``, that
-    ``n_highgain`` at ``signal_mag`` 0 replaced; equal to rounding."""
-    v = mean_photons
-    return v + v**2 * reference_cross_pol(mean_trans, diff_trans, half_diff_phase)
-
-
-def reference_intensities(p, half_diff_phase, mean_phase):
-    """The two oracle kernels at the given total phases, in the order
-    low-gain, all-orders."""
-    return (
-        reference_beating_intensity(p.amplitude, p.diff_visibility, p.mean_visibility,
-                                    half_diff_phase, mean_phase),
-        reference_highgain_intensity(p.mean_photons, p.signal_mag, p.mean_trans,
-                                     p.diff_trans, half_diff_phase, mean_phase),
     )
 
 
@@ -263,52 +224,27 @@ class TestBeatingMemo:
 
 
 class TestForwardModels:
-    MODELS = (n_lowgain, n_highgain)
-
     def test_match_raw_kernels_bitwise(self, rng):
         # array calls over random scan phases, each element against its own
         # scalar call, and the zero-phase scalar call against a one-element
-        # array (the raw kernels squared a numpy scalar with pow, which can
-        # differ from an array's square in the last bit); every draw also
-        # runs with the signal arm blocked, where the all-orders record
-        # agrees with the old blocked-arm kernel to rounding
+        # array; every draw also runs with the signal arm blocked
         for _ in range(200):
             open_arm = beating_parameters(random_config(rng, equal_gains=True))
-            blocked = blocked_arm(open_arm)
             signal_phase, diff_phase = rng.uniform(-10.0, 10.0, (2, 32))
-            for p in (open_arm, blocked):
+            for p in (open_arm, blocked_arm(open_arm)):
                 half = p.half_diff_phase + 0.5 * diff_phase
                 mean = p.mean_total_phase + signal_phase
-                for model, want in zip(self.MODELS, reference_intensities(p, half, mean)):
-                    got = model(p, signal_phase, diff_phase)
-                    assert got.tobytes() == want.tobytes(), (model, p)
-                    for k in range(len(got)):
-                        one = model(p, signal_phase[k], diff_phase[k])
-                        assert float.hex(one) == float.hex(got[k]), (model, p, k)
-                want = reference_intensities(
-                    p, np.array([p.half_diff_phase]), np.array([p.mean_total_phase])
-                )
-                for model, value in zip(self.MODELS, want):
-                    assert float.hex(model(p)) == float.hex(value[0]), (model, p)
-            half = blocked.half_diff_phase + 0.5 * diff_phase
-            np.testing.assert_allclose(
-                n_highgain(blocked, signal_phase, diff_phase),
-                reference_blocked_intensity(blocked.mean_photons, blocked.mean_trans,
-                                            blocked.diff_trans, half),
-                rtol=2e-15, atol=0.0,
-            )
-
-    def test_blocked_ignores_signal_phase(self, rng):
-        # at signal_mag 0 the low-gain fringe terms are signed zeros, so the
-        # signal phase changes no bit of the all-orders record
-        for _ in range(300):
-            p = blocked_arm(beating_parameters(random_config(rng, equal_gains=True)))
-            signal_phase, diff_phase = rng.uniform(-10.0, 10.0, (2, 32))
-            want = n_highgain(p, 0.0, diff_phase)
-            assert n_highgain(p, signal_phase, diff_phase).tobytes() == want.tobytes(), p
-            for k in range(len(want)):
-                one = n_highgain(p, signal_phase[k], diff_phase[k])
-                assert float.hex(one) == float.hex(want[k]), (p, k)
+                want = reference_beating_intensity(p.amplitude, p.diff_visibility,
+                                                   p.mean_visibility, half, mean)
+                got = n_lowgain(p, signal_phase, diff_phase)
+                assert got.tobytes() == want.tobytes(), p
+                for k in range(len(got)):
+                    one = n_lowgain(p, signal_phase[k], diff_phase[k])
+                    assert float.hex(one) == float.hex(got[k]), (p, k)
+                want = reference_beating_intensity(
+                    p.amplitude, p.diff_visibility, p.mean_visibility,
+                    np.array([p.half_diff_phase]), np.array([p.mean_total_phase]))
+                assert float.hex(n_lowgain(p)) == float.hex(want[0]), p
 
 
 class TestLowGain:
