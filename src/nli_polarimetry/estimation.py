@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import EstimationError, TimeSeries, _fit_ramp, _fit_record, _pow2_scale, _scan_phase
-from .signals import HarmonicDecomposition, amplitude_relations
+from .scan import EstimationError, TimeSeries, _fit_design, _fit_ramp, _kept_design, _pow2_scale
+from .signals import HarmonicDecomposition
 
 __all__ = [
     "EstimationError",
@@ -95,7 +95,7 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     Raises
     ------
     EstimationError
-        If the record fails the dual-scan record rule ``scan._scan_phase``:
+        If the record fails the dual-scan record rule ``scan._kept_design``:
         its ramps, per row, so a decimated record passes, then
         ``omega_scan`` nonzero and finite (``bad_scan_rate``; a downward
         scan fits as an upward one does) and each phase column
@@ -103,9 +103,9 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
         design is rank deficient or the counts are not finite
         (``nonfinite_counts``).
     """
-    _scan_phase(series, "both", 0.5, omega_scan)
     rates = (0.5 * omega_scan, 1.5 * omega_scan)
-    dc, (amp_half, amp_threehalf), rms = _fit_record(series, "step", rates)
+    dc, (amp_half, amp_threehalf), rms = _fit_design(
+        _kept_design(series, "both", 0.5, rates, omega_scan), series.counts)
     return HarmonicDecomposition(dc=dc, amp_half=amp_half, amp_threehalf=amp_threehalf,
                                  residual_rms=rms)
 
@@ -178,13 +178,11 @@ def extract_sample_fourier(
 def _recover_rotated_params(b1: float, c1: float, b2: float, c2: float):
     """Invert the two-setting amplitude relations.
 
-    Returns ``(tbar, dt, dphi, residual, flags)``.  The amplitudes are
-    relative to the flux; when none exceeds 1e-12 (``_FRINGE_FLOOR``) the
-    mean transmission is unidentifiable.  Applies the flip
-    ``(c1, c2) -> (-c1, -c2)`` when ``c1 < 0`` (the mean transmission must be
-    positive; the retardance is then only known up to a full turn).  The
-    residual compares the inputs against the amplitudes regenerated from the
-    recovered parameters.
+    Returns ``(tbar, dt, dphi, flags)``.  The amplitudes are relative to the
+    flux; when none exceeds 1e-12 (``_FRINGE_FLOOR``) the mean transmission is
+    unidentifiable.  Applies the flip ``(c1, c2) -> (-c1, -c2)`` when
+    ``c1 < 0`` (the mean transmission must be positive; the retardance is
+    then only known up to a full turn).
     """
     flags: list[str] = []
     scale = max(abs(b1), abs(c1), abs(b2), abs(c2))
@@ -209,10 +207,7 @@ def _recover_rotated_params(b1: float, c1: float, b2: float, c2: float):
             flags.append("dt_sign_unidentified_at_half_turn")
     else:
         dt = 2.0 * math.copysign(math.hypot(b1, c2), c2)
-
-    pred = amplitude_relations(tbar, dt, dphi)
-    residual = max(abs(p - q) for p, q in zip(pred, (b1, c1, b2, c2)))
-    return tbar, dt, dphi, residual, flags
+    return tbar, dt, dphi, flags
 
 
 def estimate_rotated(
@@ -314,10 +309,10 @@ def _structural_amplitudes(assume: str, mag1: float, mag2: float, lag: float):
 def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> SampleEstimate:
     """Invert the amplitudes ``(b1, c1, b2, c2)`` and assemble the estimate.
 
-    ``phibar`` is None when the route does not measure it; ``residuals`` and
-    ``flags`` are extended by those of the inversion.
+    ``phibar`` is None when the route does not measure it; ``residuals`` are
+    the route's fit residuals, and ``flags`` are extended by the inversion's.
     """
-    tbar, dt, dphi, residual, rec_flags = _recover_rotated_params(*amps)
+    tbar, dt, dphi, rec_flags = _recover_rotated_params(*amps)
     if "c1_flipped_retardance_mod_2pi" in rec_flags and psi is not None:
         # the flip re-gauges the fringe reference by a half turn, which the
         # setting-2 phase absorbs as a quarter-turn of the sample orientation
@@ -330,7 +325,7 @@ def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> Sa
         phibar=None if phibar is None else float(wrap_pi(phibar)),
         dphi=float(wrap_pi(dphi)),
         psi=psi,
-        residuals={**residuals, "amplitude_consistency": residual},
+        residuals=residuals,
         flags=flags + rec_flags,
     )
 
@@ -518,7 +513,7 @@ def estimate_ellipse(
     if assume not in _PSI_UNIDENTIFIED:
         raise EstimationError(f"unsupported ellipse assumption {assume!r}",
                               flag="bad_assumption")
-    _scan_phase(series_setting1, "phi0", 1.0)
+    _kept_design(series_setting1, "phi0", 1.0, (1.0,))  # the rule, as the rotated route keeps it
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     amp_x, amp_y, rel_phase, center, residual = _fit_ellipse(points)
     if series_setting1.phi0[-1] < series_setting1.phi0[0]:

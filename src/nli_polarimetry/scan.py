@@ -153,7 +153,8 @@ class TimeSeries:
 
     A record that holds a ramp shape's read-only ``step``, ``phi0`` and
     ``delta_phase`` objects, as ``simulate_scan``'s do, however it was made,
-    shares that shape's kept checks and designs (``_per_layout``).
+    shares that shape's kept designs, each built after the record rule
+    passed (``_kept_design``).
     """
 
     step: np.ndarray
@@ -454,7 +455,7 @@ def _ramp_rate(values, name: str) -> float:
 
 def _phase_verdict(columns, column: str, harmonic: float, omega_scan: float | None) -> None:
     """The record rule on a record's columns: returns None for a pass,
-    raises ``EstimationError`` for a refusal.  ``_scan_phase`` states the rule."""
+    raises ``EstimationError`` for a refusal.  ``_kept_design`` states the rule."""
     phi0, delta_phase = columns.phi0, columns.delta_phase
     if column == "both":
         values, arm = phi0, "its phases"
@@ -486,24 +487,6 @@ def _phase_verdict(columns, column: str, harmonic: float, omega_scan: float | No
         if not np.max(np.abs([phi0 - ramp, delta_phase - ramp])) <= tol < math.inf:
             raise EstimationError("phase columns are not omega_scan * step",
                                   "phase_step_mismatch")
-
-
-def _scan_phase(series, column: str, harmonic: float, omega_scan: float | None = None) -> None:
-    """The record rule of every fit.
-
-    A scan of ``column`` alone must hold the other phase column within 1e-12
-    (``mixed_scan``); the dual scan ("both") must ramp both at one rate
-    (``unequal_scan_rates``).  The ramp must be uniform (``_ramp_rate``) and
-    nonzero (``bad_scan_rate``), with 8 points per period of ``harmonic``
-    (``undersampled``) and n*|rate| >= 0.999 period (``series_too_short``).
-    The dual scan's ``omega_scan`` must then be nonzero and finite
-    (``bad_scan_rate``), its ramp ``omega_scan * step`` finite and within
-    1e-9 of its largest |value| (at least 1) of both columns
-    (``phase_step_mismatch``).  A refusal raises ``EstimationError(message,
-    flag)``; a pass is kept per layout (``_per_layout``).
-    """
-    key = ("verdict", column, harmonic) + ((omega_scan,) if column == "both" else ())
-    _per_layout(series, key, lambda c: _phase_verdict(c, column, harmonic, omega_scan))
 
 
 def _design(t, rates) -> np.ndarray:
@@ -547,23 +530,34 @@ def _fit_design(design, counts):
     return c[0], amps, rms
 
 
-def _fit_record(series, column: str, rates):
-    """``_fit_design`` of ``series.counts`` over ``column`` (``step`` as floats,
-    ``phi0`` or ``delta_phase``) on a design kept per layout (``_per_layout``);
-    ``lstsq``, the rank rule and the residual check run for every record."""
-    def build(columns):
-        values = getattr(columns, column)
-        return _design(values.astype(float) if column == "step" else values, rates)
+def _kept_design(series, column: str, harmonic: float, rates, omega_scan=None) -> np.ndarray:
+    """The record rule of every fit, then the design it fits on.
 
-    design = _per_layout(series, ("design", column, tuple(rates)), build)
-    return _fit_design(design, series.counts)
+    A scan of ``column`` alone must hold the other phase column within 1e-12
+    (``mixed_scan``); the dual scan ("both") must ramp both at one rate
+    (``unequal_scan_rates``).  The ramp must be uniform (``_ramp_rate``) and
+    nonzero (``bad_scan_rate``), with 8 points per period of ``harmonic``
+    (``undersampled``) and n*|rate| >= 0.999 period (``series_too_short``).
+    The dual scan's ``omega_scan`` must then be nonzero and finite
+    (``bad_scan_rate``), its ramp ``omega_scan * step`` finite and within
+    1e-9 of its largest |value| (at least 1) of both columns
+    (``phase_step_mismatch``).  A refusal raises ``EstimationError(message,
+    flag)``; a pass returns ``_design`` at ``rates`` over ``column`` (``step``
+    as floats for "both"), built once per layout (``_per_layout``).
+    """
+    def build(columns):
+        _phase_verdict(columns, column, harmonic, omega_scan)
+        values = columns.step.astype(float) if column == "both" else getattr(columns, column)
+        return _design(values, rates)
+
+    return _per_layout(series, (column, harmonic, tuple(rates), omega_scan), build)
 
 
 def _fit_ramp(series, column: str, harmonic: float):
     """``(dc, z, residual_rms)`` in counts of ``counts ~ dc + Re[z exp(i harmonic x)]``
-    over the ``column`` x that ``_scan_phase`` passes; dc <= 0 is ``bad_amplitude``."""
-    _scan_phase(series, column, harmonic)
-    dc, (z,), rms = _fit_record(series, column, (harmonic,))
+    over the ``column`` x that ``_kept_design`` passes; dc <= 0 is ``bad_amplitude``."""
+    dc, (z,), rms = _fit_design(_kept_design(series, column, harmonic, (harmonic,)),
+                                series.counts)
     if dc <= 0.0:
         raise EstimationError("scan has a nonpositive mean count level", "bad_amplitude")
     return dc, z, rms
@@ -577,7 +571,7 @@ class _Layout:
     read-only view of a private read-only array, a ramp past the largest
     double infinite; ``simulate_scan`` refuses such a ramp and hands every
     record it makes these very objects.  ``kept`` holds what ``_per_layout``
-    built of them (designs, and passes of the rule).
+    built of them (each fit's design, built after the record rule passed).
     Only ``scan`` reads it; a copy or a pickle is the live layout of its key
     (``_intern``).
     """

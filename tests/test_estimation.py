@@ -349,18 +349,17 @@ class TestFitSinusoid:
 
 
 class TestRecoverRotatedParams:
-    """The two-setting inversion, ``(tbar, dt, dphi, residual, flags)``."""
+    """The two-setting inversion, ``(tbar, dt, dphi, flags)``."""
 
     def test_isotropic_phase_case(self):
-        tbar, dt, dphi, residual, _ = _recover_rotated_params(0.0, 0.6, 0.0, 0.3)
+        tbar, dt, dphi, _ = _recover_rotated_params(0.0, 0.6, 0.0, 0.3)
         assert dphi == pytest.approx(0.0, abs=1e-12)
         assert tbar == pytest.approx(0.6, abs=1e-12)
         assert dt == pytest.approx(0.6, abs=1e-12)
-        assert residual < 1e-12
 
     def test_pure_retarder_quarter_turn(self):
         b1, c1, b2, c2 = amplitude_relations(1.0, 0.0, 0.5 * math.pi)
-        tbar, dt, dphi, _, _ = _recover_rotated_params(b1, c1, b2, c2)
+        tbar, dt, dphi, _ = _recover_rotated_params(b1, c1, b2, c2)
         assert dphi == pytest.approx(0.5 * math.pi, abs=1e-12)
         assert tbar == pytest.approx(1.0, abs=1e-12)
         assert dt == pytest.approx(0.0, abs=1e-12)
@@ -370,40 +369,18 @@ class TestRecoverRotatedParams:
             tbar = rng.uniform(0.05, 1.0)
             dt = rng.uniform(-1.0, 1.0) * min(2.0 * tbar, 2.0 - 2.0 * tbar + 1e-12)
             dphi = rng.uniform(-math.pi + 0.1, math.pi - 0.1)
-            got_tbar, got_dt, got_dphi, residual, _ = _recover_rotated_params(
+            got_tbar, got_dt, got_dphi, _ = _recover_rotated_params(
                 *amplitude_relations(tbar, dt, dphi))
             assert got_tbar == pytest.approx(tbar, abs=1e-12)
             assert got_dt == pytest.approx(dt, abs=1e-12)
             assert got_dphi == pytest.approx(dphi, abs=1e-12)
-            assert residual < 1e-12
-
-    def test_residual_matches_inline_oracle(self, rng):
-        # oracle: the residual as the inversion wrote out its predicted
-        # amplitudes before it called amplitude_relations
-        for _ in range(2000):
-            amps = rng.normal(size=4) * (rng.uniform(size=4) > 0.2)
-            if not np.any(amps[[1, 2]]):
-                continue
-            tbar, dt, dphi, residual, _ = _recover_rotated_params(*amps)
-            b1, c1, b2, c2 = (float(a) for a in amps)
-            if c1 < 0.0:
-                c1, c2 = -c1, -c2
-            half = 0.5 * dphi
-            pred = (
-                -0.5 * dt * math.sin(half),
-                tbar * math.cos(half),
-                -tbar * math.sin(half),
-                0.5 * dt * math.cos(half),
-            )
-            want = max(abs(p - q) for p, q in zip(pred, (b1, c1, b2, c2)))
-            assert residual.hex() == want.hex()
 
     def test_negative_c1_flip_rule(self):
         # retardance beyond a half turn flips the fitted cosine amplitudes
         tbar, dt, dphi = 0.7, 0.3, 2.5
         b1, c1, b2, c2 = amplitude_relations(tbar, dt, dphi + 2.0 * math.pi)
         assert c1 < 0
-        got_tbar, _, _, _, flags = _recover_rotated_params(b1, c1, b2, c2)
+        got_tbar, _, _, flags = _recover_rotated_params(b1, c1, b2, c2)
         assert "c1_flipped_retardance_mod_2pi" in flags
         assert got_tbar == pytest.approx(tbar, abs=1e-12)
 
@@ -413,7 +390,7 @@ class TestRecoverRotatedParams:
 
     def test_half_turn_dt_flagged(self):
         b1, c1, b2, c2 = amplitude_relations(0.6, 0.4, math.pi)
-        _, dt, _, _, flags = _recover_rotated_params(b1, c1, b2, c2)
+        _, dt, _, flags = _recover_rotated_params(b1, c1, b2, c2)
         assert "dt_sign_unidentified_at_half_turn" in flags
         assert dt == pytest.approx(0.4, abs=1e-12)
 
@@ -438,6 +415,13 @@ class TestEstimateRotated:
         assert est.dphi == pytest.approx(0.5 * math.pi, abs=1e-6)
         assert axis_distance(est.psi, 1.8) < 1e-6
 
+    def test_residuals_are_the_fit_residuals_only(self):
+        # each two-setting route reports its own fit's residuals, nothing more
+        s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=k) for k in (1, 2))
+        assert ((estimate_rotated(s1, s2).residuals.keys(),
+                 estimate_ellipse(s1, s2).residuals.keys())
+                == ({"fit_rms_setting1", "fit_rms_setting2"}, {"conic_rms"}))
+
     def test_general_mode_exact_branch(self):
         # even with the mean phase known, the two-setting data admits two
         # exactly-consistent parameter sets; the estimator returns one,
@@ -447,7 +431,6 @@ class TestEstimateRotated:
         s2 = setting_scan(tbar, dt, phibar, dphi, psi, setting=2)
         est = estimate_rotated(s1, s2, assume="general", phibar=phibar)
         assert "general_mode_root_choice" in est.flags
-        assert est.residuals["amplitude_consistency"] < 1e-9
         # the recovered set must reproduce both fringe harmonics
         b1, c1, b2, c2 = amplitude_relations(est.tbar, est.dt, est.dphi)
         b1_true, c1_true, b2_true, c2_true = amplitude_relations(tbar, dt, dphi)
@@ -907,16 +890,17 @@ class TestPhaseLayoutMemo:
         built = collections.Counter(builds)
         warm = {name: hex_fields(stage()) for name, stage in stages.items()}
         assert builds == built  # the warm pass built nothing
-        # records without a layout are checked, and get their designs, on every call
+        # records without a layout are checked, and get their designs, on
+        # every call: six fits, the ellipse route's check of setting 1 among them
         fresh = {name: hex_fields(stage())
                  for name, stage in round_trip_stages(map_records(records, hand_built)).items()}
-        assert builds - built == {"_phase_verdict": 6, "_design": 5}
+        assert builds - built == {"_phase_verdict": 6, "_design": 6}
         assert warm == cold == fresh
 
     def test_each_verdict_and_design_is_built_once_per_layout(self, builds):
-        # four layouts: each keeps one verdict, the Fourier layout's with
-        # its step check, and one design; later round trips on new Poisson
-        # records of the same schedules build nothing
+        # four layouts: each keeps one build, a verdict (the Fourier
+        # layout's with its step check) and its design; later round trips on
+        # new Poisson records of the same schedules build nothing
         schedules = round_trip_schedules()
         records = round_trip_records("lowgain", 0.5, schedules=schedules)
         for layout in {scan._layout_of(r) for r in flat_records(records)}:
@@ -948,13 +932,13 @@ class TestPhaseLayoutMemo:
         assert outcomes == [(EstimationError, "scan has fewer than 8 points per period",
                              "undersampled")] * 2
         assert refused._layout.kept == {}
-        assert builds["_phase_verdict"] == 2
-        # both settings of the passed layout, on two fits: one verdict built
+        assert builds == {"_phase_verdict": 2}  # no design for a refused record
+        # both settings of the passed layout, on two fits: one verdict and
+        # its design built, kept as one entry
         for _ in range(2):
             estimate_rotated(*pairs[1])
-        assert builds["_phase_verdict"] == 3
-        assert list(passed._layout.kept) == [("verdict", "phi0", 1.0), ("design", "phi0", (1.0,))]
-        assert passed._layout.kept[("verdict", "phi0", 1.0)] is None
+        assert builds == {"_phase_verdict": 3, "_design": 1}
+        assert list(passed._layout.kept) == [("phi0", 1.0, (1.0,), None)]
 
     def test_lstsq_runs_for_every_record(self, monkeypatch):
         schedules = round_trip_schedules()
@@ -1860,7 +1844,7 @@ def reference_estimate_rotated(series_setting1, series_setting2,
             if abs(w2) <= 1e-12:
                 flags.append("psi_unidentified_no_retardance_fringe")
 
-    tbar, dt, dphi, residual, rec_flags = _recover_rotated_params(b1, c1, b2, c2)
+    tbar, dt, dphi, rec_flags = _recover_rotated_params(b1, c1, b2, c2)
     flags.extend(rec_flags)
     if "c1_flipped_retardance_mod_2pi" in rec_flags and psi is not None:
         psi = float(wrap_axis(psi + 0.5 * math.pi))
@@ -1874,11 +1858,7 @@ def reference_estimate_rotated(series_setting1, series_setting2,
         phibar=float(wrap_pi(phib)),
         dphi=float(wrap_pi(dphi)),
         psi=psi,
-        residuals={
-            "fit_rms_setting1": rms1,
-            "fit_rms_setting2": rms2,
-            "amplitude_consistency": residual,
-        },
+        residuals={"fit_rms_setting1": rms1, "fit_rms_setting2": rms2},
         flags=flags,
     )
 
@@ -1905,7 +1885,7 @@ def reference_estimate_ellipse(series_setting1, series_setting2,
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     fit = fit_ellipse(points)
     b1, c1, b2, c2, psi = reference_ellipse_mapping(fit, assume)
-    tbar, dt, dphi, residual, rec_flags = _recover_rotated_params(b1, c1, b2, c2)
+    tbar, dt, dphi, rec_flags = _recover_rotated_params(b1, c1, b2, c2)
     return SampleEstimate(
         t_perp=tbar + 0.5 * dt,
         t_par=tbar - 0.5 * dt,
@@ -1914,10 +1894,7 @@ def reference_estimate_ellipse(series_setting1, series_setting2,
         phibar=None,
         dphi=float(wrap_pi(dphi)),
         psi=psi,
-        residuals={
-            "conic_rms": fit.residual,
-            "amplitude_consistency": residual,
-        },
+        residuals={"conic_rms": fit.residual},
         flags=rec_flags,
     )
 

@@ -17,7 +17,12 @@
 # Prints every run's end-to-end metrics, as each run reports them, then for
 # each metric each side's median and quartiles over the pairs, the change of
 # the median, and in how many pairs the working tree was better, worse or
-# equal, "better" being the direction BENCHMARK.json gives the metric.
+# equal, "better" being the direction BENCHMARK.json gives the metric.  Each
+# metric with a bound in BENCHMARK.json also gets a verdict against it, the
+# bound being a fraction of the base median: "beyond bound" when the tree's
+# median is worse than the base's by more than the bound, else "unresolved"
+# when the base's quartile spread (q3 - q1) exceeds the bound, else "within
+# bound".
 #
 # Exit status: 0 when every run succeeded, 1 when one failed (its stderr is
 # shown), 2 on a usage error.  Set PYTHON to choose the interpreter
@@ -83,8 +88,10 @@ done
 import json, statistics, sys
 
 runs = [json.loads(line) for line in open(sys.argv[1])]
-better = {m["name"]: m["better"] for m in json.load(open(sys.argv[2]))["end_to_end"]}
+end_to_end = json.load(open(sys.argv[2]))["end_to_end"]
+better = {m["name"]: m["better"] for m in end_to_end}
 better["failed_frac"] = "lower"
+bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
 by_side = {side: {r["pair"]: r["metrics"] for r in runs if r["side"] == side}
            for side in ("base", "tree")}
 pairs = sorted(by_side["base"])
@@ -99,18 +106,24 @@ def quartiles(values):
 
 def summary(name, side):
     values = [by_side[side][p][name] for p in pairs]
-    median = statistics.median(values)
-    return median, f"{median:.6g} [{', '.join(f'{q:.6g}' for q in quartiles(values))}]"
+    median, spread = statistics.median(values), quartiles(values)
+    return median, spread, f"{median:.6g} [{', '.join(f'{q:.6g}' for q in spread)}]"
 
 
 print(f"{'metric':14s}  {'base median [q1, q3]':34s}  {'tree median [q1, q3]':34s}  "
-      f"{'change':>7s}  tree better/worse/equal")
+      f"{'change':>7s}  {'tree better/worse/equal':23s}  verdict")
 for name in by_side["base"][pairs[0]]:
-    (base_med, base_text), (tree_med, tree_text) = (summary(name, s) for s in ("base", "tree"))
+    (base_med, (q1, q3), base_text), (tree_med, _, tree_text) = (
+        summary(name, s) for s in ("base", "tree"))
     sign = 1.0 if better.get(name, "lower") == "higher" else -1.0
     diffs = [sign * (by_side["tree"][p][name] - by_side["base"][p][name]) for p in pairs]
     won, lost = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
     change = f"{(tree_med - base_med) / base_med:+.1%}" if base_med else "n/a"
+    verdict = ""
+    if name in bounds:
+        allowed = bounds[name] * abs(base_med)
+        verdict = ("beyond bound" if sign * (base_med - tree_med) > allowed
+                   else "unresolved" if q3 - q1 > allowed else "within bound")
     print(f"{name:14s}  {base_text:34s}  {tree_text:34s}  {change:>7s}  "
-          f"{won}/{lost}/{len(pairs) - won - lost}")
+          f"{f'{won}/{lost}/{len(pairs) - won - lost}':23s}  {verdict}".rstrip())
 EOF
