@@ -103,6 +103,7 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
         design is rank deficient or the counts are not finite
         (``nonfinite_counts``).
     """
+    omega_scan = float(1.0 * omega_scan)  # as a float; unlike float(), 1.0 * refuses a str
     rates = (0.5 * omega_scan, 1.5 * omega_scan)
     dc, (amp_half, amp_threehalf), rms = _fit_design(
         _kept_design(series, "both", 0.5, rates, omega_scan), series.counts)

@@ -453,10 +453,10 @@ def _ramp_rate(values, name: str) -> float:
     return 2.0 * half_rate
 
 
-def _phase_verdict(columns, column: str, harmonic: float, omega_scan: float | None) -> None:
-    """The record rule on a record's columns: returns None for a pass,
-    raises ``EstimationError`` for a refusal.  ``_kept_design`` states the rule."""
-    phi0, delta_phase = columns.phi0, columns.delta_phase
+def _phase_verdict(series, column: str, harmonic: float, omega_scan: float | None) -> None:
+    """The record rule on a record: returns None for a pass, raises
+    ``EstimationError`` for a refusal.  ``_kept_design`` states the rule."""
+    phi0, delta_phase = series.phi0, series.delta_phase
     if column == "both":
         values, arm = phi0, "its phases"
         rate = _ramp_rate(values, "scan phi0")
@@ -482,7 +482,8 @@ def _phase_verdict(columns, column: str, harmonic: float, omega_scan: float | No
     if column == "both":
         if not (math.isfinite(omega_scan) and omega_scan != 0.0):
             raise EstimationError("omega_scan must be nonzero and finite", "bad_scan_rate")
-        ramp = omega_scan * columns.step.astype(float)
+        with np.errstate(over="ignore"):  # an infinite ramp is refused below
+            ramp = omega_scan * series.step.astype(float)
         tol = 1e-9 * max(1.0, np.max(np.abs(ramp)))
         if not np.max(np.abs([phi0 - ramp, delta_phase - ramp])) <= tol < math.inf:
             raise EstimationError("phase columns are not omega_scan * step",
@@ -543,14 +544,21 @@ def _kept_design(series, column: str, harmonic: float, rates, omega_scan=None) -
     1e-9 of its largest |value| (at least 1) of both columns
     (``phase_step_mismatch``).  A refusal raises ``EstimationError(message,
     flag)``; a pass returns ``_design`` at ``rates`` over ``column`` (``step``
-    as floats for "both"), built once per layout (``_per_layout``).
+    as floats for "both").  A record holding a live ``_Layout``'s very
+    columns (``_layout_of``) gets the design its layout keeps, read-only,
+    per argument set, from the first pass; any other record, and a refused
+    one, is judged again on every fit and nothing is kept.
     """
-    def build(columns):
-        _phase_verdict(columns, column, harmonic, omega_scan)
-        values = columns.step.astype(float) if column == "both" else getattr(columns, column)
-        return _design(values, rates)
-
-    return _per_layout(series, (column, harmonic, tuple(rates), omega_scan), build)
+    layout = _layout_of(series)
+    key = (column, harmonic, tuple(rates), omega_scan)
+    if layout is not None and key in layout.kept:
+        return layout.kept[key]
+    _phase_verdict(series, column, harmonic, omega_scan)
+    x = series.step.astype(float) if column == "both" else getattr(series, column)
+    design = _design(x, rates)
+    if layout is not None:
+        design = layout.kept[key] = _read_only(design)
+    return design
 
 
 def _fit_ramp(series, column: str, harmonic: float):
@@ -570,9 +578,9 @@ class _Layout:
     ``step``, ``phi0`` and ``delta_phase`` are the record columns, each a
     read-only view of a private read-only array, a ramp past the largest
     double infinite; ``simulate_scan`` refuses such a ramp and hands every
-    record it makes these very objects.  ``kept`` holds what ``_per_layout``
-    built of them (each fit's design, built after the record rule passed).
-    Only ``scan`` reads it; a copy or a pickle is the live layout of its key
+    record it makes these very objects.  ``kept`` holds each fit's design
+    over them, built after the record rule passed; only ``_kept_design``
+    reads or writes it.  A copy or a pickle is the live layout of its key
     (``_intern``).
     """
 
@@ -620,26 +628,6 @@ def _layout_of(series) -> _Layout | None:
             and series.delta_phase is layout.delta_phase and series.step is layout.step):
         return layout
     return None
-
-
-def _per_layout(series, key: tuple, build):
-    """``build`` of the record's columns (any object with ``step``, ``phi0``
-    and ``delta_phase``), built once per layout.
-
-    A record holding a live ``_Layout``'s very columns (``_layout_of``) gets
-    the result kept on the layout under ``key`` (built on first use of the
-    key, of those same columns, and made read-only if an array); any other
-    record gets ``build(series)`` afresh, and nothing is kept.  A build that
-    raises keeps nothing, as with ``cached_property``.  ``key`` must tell
-    apart every argument that changes the result.
-    """
-    layout = _layout_of(series)
-    if layout is None:
-        return build(series)
-    if key not in layout.kept:
-        value = build(layout)
-        layout.kept[key] = _read_only(value) if isinstance(value, np.ndarray) else value
-    return layout.kept[key]
 
 
 def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:

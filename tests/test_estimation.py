@@ -137,10 +137,15 @@ class TestHarmonicRegress:
                     harmonic_regress(series, omega)
             assert err.value.flag == "bad_scan_rate", omega
             assert str(err.value) == "omega_scan must be nonzero and finite"
-        # a rate whose sign the upward record does not have is off its ramp
-        with pytest.raises(EstimationError) as err:
-            harmonic_regress(series, -sched.signal_rate)
-        assert err.value.flag == "phase_step_mismatch"
+        # a rate whose sign the upward record does not have is off its ramp,
+        # and so is one whose ramp overflows
+        for omega in (-sched.signal_rate, 1e308, -1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EstimationError) as err:
+                    harmonic_regress(series, omega)
+            assert err.value.flag == "phase_step_mismatch", omega
+            assert str(err.value) == "phase columns are not omega_scan * step"
         assert capfd.readouterr().err == ""
 
     def test_rejects_short_series(self):
@@ -940,6 +945,25 @@ class TestPhaseLayoutMemo:
         assert builds == {"_phase_verdict": 3, "_design": 1}
         assert list(passed._layout.kept) == [("phi0", 1.0, (1.0,), None)]
 
+    def test_a_kept_design_is_one_read_only_array(self):
+        # a record on a layout gets the kept array on every fit; a record
+        # built by hand gets a fresh, writeable array of the same bytes
+        sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
+        record = simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1), sched,
+                               NoiseModel(KAPPA), regime="lowgain")
+        assert scan._layout_of(record) is sched._layout
+        args = ("phi0", 1.0, (1.0,))
+        kept = scan._kept_design(record, *args)
+        assert scan._kept_design(record, *args) is kept
+        with pytest.raises(ValueError):
+            kept[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            kept.flags.writeable = True
+        fresh = [scan._kept_design(hand_built(record), *args) for _ in range(2)]
+        assert fresh[0] is not fresh[1] and not np.shares_memory(fresh[0], kept)
+        for design in fresh:
+            assert design.flags.writeable and design.tobytes() == kept.tobytes()
+
     def test_lstsq_runs_for_every_record(self, monkeypatch):
         schedules = round_trip_schedules()
         sig, idl, (series, sched), s1, s2 = round_trip_records("lowgain", 0.5, schedules=schedules)
@@ -1018,7 +1042,7 @@ class TestPhaseLayoutMemo:
         series, fourier = fourier_scan(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j),
                                        noise=poisson(2))
         rate = fourier.signal_rate
-        for omega in (rate, 1.5 * rate, rate):
+        for omega in (rate, 1.5 * rate, rate, np.array(rate)):
             results = []
             for candidate in (series, hand_built(series)):
                 try:

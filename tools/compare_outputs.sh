@@ -28,8 +28,9 @@
 # between them (nan when a differing cell is not a number), in total and
 # for each column that moved, named by its header cell.  For each .json or
 # .stdout file that differs (`simulate` prints its summary as JSON), it
-# prints the leaf keys that differ (dotted paths, list items by index) and
-# the largest absolute difference between them.
+# prints the leaf keys that differ (dotted paths, list items by index), a
+# leaf that only one side holds as "added" or "removed", and the largest
+# absolute difference between the leaves that both sides hold.
 #
 # Exit status: 0 when every file matches and every command exits as
 # expected (0, or the code listed in expected_exit), 1 otherwise, 2 on a
@@ -229,17 +230,21 @@ except ValueError as exc:
 keys = new.keys() | old.keys()
 # repr tells -0.0 from 0.0 and matches a NaN with itself
 differ = sorted(k for k in keys if (k in new) != (k in old) or repr(new[k]) != repr(old[k]))
+# per leaf: "added" or "removed" when one side holds it, else the |difference|
 deltas = {}
 for key in differ:
-    a, b = new.get(key), old.get(key)
+    if (key in new) != (key in old):
+        deltas[key] = "added" if key in new else "removed"
+        continue
+    a, b = new[key], old[key]
     numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
     deltas[key] = abs(a - b) if numbers else float("nan")
-largest = max(deltas.values(), default=0.0)
-if any(d != d for d in deltas.values()):
-    largest = float("nan")
+both = [d for d in deltas.values() if not isinstance(d, str)]
+largest = float("nan") if any(d != d for d in both) else max(both, default=0.0)
 print(f"  keys: {len(differ)} of {len(keys)} leaves differ, largest |difference| {largest!r}")
 for key in differ:
-    print(f"    {key}: |difference| {deltas[key]!r}")
+    delta = deltas[key]
+    print(f"    {key}: {delta}" if isinstance(delta, str) else f"    {key}: |difference| {delta!r}")
 PY
 }
 
