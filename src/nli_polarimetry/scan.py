@@ -14,7 +14,7 @@ import math
 import numbers
 import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -148,7 +148,7 @@ class TimeSeries:
     array is not copied).  A column that is not one-dimensional raises
     ``ValueError`` naming it; a NaN or infinite value, a step that does not
     exceed the one before it, or a negative ``expected_n`` raises
-    ``ValueError`` naming the value and its data row, as ``read_csv`` does,
+    ``ValueError`` naming the value and its data row, as ``from_csv`` does,
     at construction only (``_name_series_fault``; the fits flag one edited in).
 
     A record that holds a ramp shape's read-only ``step``, ``phi0`` and
@@ -172,36 +172,55 @@ class TimeSeries:
         return len(self.step)
 
     def to_csv(self, path: str | Path) -> None:
-        """Write the series with ``write_csv``, ``step`` as the integer column.
+        """Write the series with ``write_csv``: ``step`` as the int64 steps
+        ``_check_steps`` returns, every other column as floats.
 
         Raises ``ValueError``, and writes nothing, for a ``step`` that is not
-        an integer in [0, 2**53] (``_check_steps``).
+        an integer in [0, 2**53].
         """
-        _check_steps(self.step)
-        write_csv(path, CSV_COLUMNS, [getattr(self, name) for name in _SERIES_FIELDS], n_int=1)
+        write_csv(path, CSV_COLUMNS, [_check_steps(self.step), *(
+            np.asarray(getattr(self, name), dtype=float) for name in _SERIES_FIELDS[1:])])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TimeSeries":
-        """Read a series written by ``to_csv``.
+        """Read a series written by ``to_csv``: the one reader of the format.
 
-        Raises ``ValueError`` for a wrong header, an empty body, a row without
-        exactly five columns, a non-numeric or non-finite cell (named by column
-        and data row), or a ``step`` cell that is not an integer in [0, 2**53]
-        ("2.0" and "1e3" are): first one whose double is not (named by the
-        double), then one whose text is not, such as "2.0000000000000001"
-        or 2**53 + 1, though its double is (named by the text).  Empty lines
-        are skipped and do not count as data rows; a line of spaces is a
-        malformed data row.
+        The steps read back as the int64 array ``_check_steps`` returns, the
+        other columns as float64.  Raises ``ValueError`` for a header line
+        other than ``CSV_COLUMNS``, an empty body, a row without exactly five
+        cells (naming the data row where the rows differ in width), a
+        non-numeric or non-finite cell (named by column and data row), or a
+        ``step`` cell that is not an integer in [0, 2**53] ("2.0" and "1e3"
+        are): first one whose double is not (named by the double), then one
+        whose text is not, such as "2.0000000000000001" or 2**53 + 1, though
+        its double is (named by the text).  Empty lines are skipped and do
+        not count as data rows; a line of spaces is a malformed data row.
         """
-        body, data = read_csv(path, CSV_COLUMNS)
-        if not len(data):
+        with open(path) as fh:
+            found = tuple(fh.readline().rstrip("\n").split(","))
+            body = fh.read()
+        if found != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV header {found!r}; expected {CSV_COLUMNS!r}")
+        if not body.lstrip("\n"):
             raise ValueError("empty time series")
-        step = data[:, 0]
-        _check_steps(step)
+        try:
+            data = _loadtxt(io.StringIO(body))
+        except ValueError:
+            _locate_bad_row(body)
+            raise
+        if data.shape[1] != len(CSV_COLUMNS):
+            raise ValueError(f"expected {len(CSV_COLUMNS)} columns per row, "
+                             f"found {data.shape[1]}")
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"non-finite value '{data[row, col]}' in column "
+                             f"'{CSV_COLUMNS[col]}' of data row {row + 1}")
+        step = _check_steps(data[:, 0])
         if step[-1] == _MAX_STEP or _SPELLED_STEP.search("\n" + body):
             # only these cells can hide a fraction or 2**53 + 1 in their double
             # (the steps increase); as the doubles passed, a text is an integer
-            # in range iff it equals its double exactly (decimal imported here only)
+            # in range iff it equals its integer exactly (decimal imported here only)
             from decimal import Decimal
             rows = zip(filter(None, body.split("\n")), step.tolist())
             for n, (line, value) in enumerate(rows, 1):
@@ -209,11 +228,11 @@ class TimeSeries:
                 if Decimal(cell) != value:
                     raise ValueError(f"step {cell.strip()} of data row {n} is not an integer "
                                      "in [0, 2**53]")
-        return cls(step.astype(int), *data[:, 1:].T)
+        return cls(step, *data[:, 1:].T)
 
 
 # ``TimeSeries``'s columns, in the order its checks name a fault
-_SERIES_FIELDS = ("step", "phi0", "delta_phase", "expected_n", "counts")
+_SERIES_FIELDS = tuple(f.name for f in fields(TimeSeries))
 
 
 def _name_series_fault(columns) -> None:
@@ -249,9 +268,10 @@ def _name_series_fault(columns) -> None:
                          f"'{expected_n[row]}' in data row {row + 1}")
 
 
-def _check_steps(step) -> None:
-    """Raise ``ValueError`` naming the first step (value and data row) not an
-    integer in [0, 2**53]; an integer column is compared as integers."""
+def _check_steps(step) -> np.ndarray:
+    """The steps as an int64 array, once each is an integer in [0, 2**53];
+    else ``ValueError`` naming the first that is not (value and data row).
+    An integer column is compared as integers."""
     step = np.asarray(step)
     ok = (step >= 0) & (step <= _MAX_STEP)
     if step.dtype.kind not in "iu":
@@ -260,21 +280,21 @@ def _check_steps(step) -> None:
     if bad.size:
         raise ValueError(f"step {step[bad[0]].item()!r} of data row {bad[0] + 1} "
                          "is not an integer in [0, 2**53]")
+    return step.astype(np.int64, copy=False)
 
 
-def write_csv(path: str | Path, header, columns, n_int: int = 0) -> None:
+def write_csv(path: str | Path, header, columns) -> None:
     """Write equal-length columns as CSV, ``_CSV_BLOCK`` rows per ``write`` call.
 
-    The header row and every data row end in ``\\r\\n``.  The first ``n_int``
-    columns are written as integers; every other cell is ``repr`` of the
-    value cast to a Python float, the shortest string that reads back to the
-    same double.  Only one block's text is held at a time.  Columns of
-    unequal length, or a column count other than the header's, raise
-    ``ValueError`` and write nothing; a non-finite value in an integer
-    column raises after the blocks before its own are written.
+    The header row and every data row end in ``\\r\\n``.  A column of an
+    integer dtype is written as integers (``%d``); every other cell is
+    ``repr`` of the value cast to a Python float, the shortest string that
+    reads back to the same double (``3.0`` for an integral float).  Only one
+    block's text is held at a time.  Columns of unequal length, or a column
+    count other than the header's, raise ``ValueError`` and write nothing.
     """
-    columns = ([np.asarray(c) for c in columns[:n_int]]
-               + [np.asarray(c, dtype=float) for c in columns[n_int:]])
+    columns = [np.asarray(c) for c in columns]
+    columns = [c if c.dtype.kind in "iu" else c.astype(float, copy=False) for c in columns]
     lengths = [len(c) for c in columns]
     if len(lengths) != len(header) or len(set(lengths)) > 1:
         raise ValueError(f"expected {len(header)} columns of equal length, found "
@@ -283,64 +303,30 @@ def write_csv(path: str | Path, header, columns, n_int: int = 0) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, _CSV_BLOCK):
-            block = [c[start:start + _CSV_BLOCK].tolist() for c in columns]
-            # per-column formatters (%d writes a float step as "3"), consumed row by row
-            cells = [map("%d".__mod__, c) for c in block[:n_int]]
-            cells += [map(repr, c) for c in block[n_int:]]
+            # ``tolist`` gives Python ints and floats, whose ``repr`` is the cell
+            # (an int's is its ``%d``), consumed row by row
+            cells = [map(repr, c[start:start + _CSV_BLOCK].tolist()) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
-
-
-def read_csv(path: str | Path, header) -> tuple[str, np.ndarray]:
-    """Read a CSV written by ``write_csv``: the text after its header line,
-    and a float array of that text, one row per data row.
-
-    Raises ``ValueError`` when the first line is not ``header``, when a cell
-    is not a number (naming its column and data row), when a row does not
-    have one cell per header column (naming the data row where the rows
-    differ in width), or when a value is NaN or infinite (naming its column
-    and data row).  Empty lines are skipped; a body of only empty lines gives
-    zero rows.  A line of spaces is a data row, like any other non-empty line.
-    """
-    with open(path) as fh:
-        found = tuple(fh.readline().rstrip("\n").split(","))
-        body = fh.read()
-    if found != tuple(header):
-        raise ValueError(f"unexpected CSV header {found!r}; expected {tuple(header)!r}")
-    if not body.lstrip("\n"):
-        return body, np.empty((0, len(header)))
-    try:
-        data = _loadtxt(io.StringIO(body))
-    except ValueError:
-        _locate_bad_row(body, header)
-        raise
-    if data.shape[1] != len(header):
-        raise ValueError(f"expected {len(header)} columns per row, found {data.shape[1]}")
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(
-            f"non-finite value '{data[row, col]}' in column "
-            f"'{header[col]}' of data row {row + 1}"
-        )
-    return body, data
 
 
 def _loadtxt(lines, **kwargs) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, **kwargs)
 
 
-def _locate_bad_row(body: str, header) -> None:
-    """Raise ``ValueError`` naming the first data row ``_loadtxt`` rejects.
+def _locate_bad_row(body: str) -> None:
+    """Raise ``ValueError`` naming the first data row of a series body that
+    ``_loadtxt`` rejects.
 
     Parses each line it does not skip (each non-empty one) alone with that
-    call, and a failing line cell by cell.  Returns if no line fails.
+    call, and a failing line cell by cell, naming the cell's column from
+    ``CSV_COLUMNS``.  Returns if no line fails.
     """
     rows = (line for line in body.split("\n") if line)
     for n, line in enumerate(rows, 1):
         width = line.count(",") + 1
-        if width != len(header):
+        if width != len(CSV_COLUMNS):
             raise ValueError(
-                f"expected {len(header)} columns per row, found {width} in data row {n}"
+                f"expected {len(CSV_COLUMNS)} columns per row, found {width} in data row {n}"
             )
         try:
             _loadtxt([line])
@@ -350,7 +336,7 @@ def _locate_bad_row(body: str, header) -> None:
                     _loadtxt([line], usecols=col)
                 except ValueError:
                     raise ValueError(
-                        f"non-numeric value {cell!r} in column '{header[col]}' "
+                        f"non-numeric value {cell!r} in column '{CSV_COLUMNS[col]}' "
                         f"of data row {n}"
                     ) from None
 

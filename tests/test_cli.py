@@ -375,7 +375,7 @@ class TestCalibrateAndEstimate:
     def test_one_row_series_exits_3_without_warning(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         write_csv(data, ("step", "phi0", "delta_phase", "expected_N", "counts"),
-                  [[0], [0.0], [0.0], [1.0], [1.0]], n_int=1)
+                  [[0], [0.0], [0.0], [1.0], [1.0]])
         calib = tmp_path / "calib.json"
         calib.write_text('{"xi_bar": 0.23, "delta_xi": -0.61}')
         est_path = tmp_path / "e.json"

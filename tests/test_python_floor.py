@@ -2,7 +2,11 @@
 its sources use no newer syntax, and its module-level regular expressions no
 construct that Python's ``re`` accepts only from 3.11 on, which would make
 ``import nli_polarimetry`` fail on 3.10.  Both checks run on any interpreter
-from 3.10 on."""
+from 3.10 on.
+
+It also supports every platform numpy runs on, while CI runs on Linux only:
+no source of the package names numpy's platform-width integer, which is 32
+bits wide on Windows before numpy 2."""
 
 import ast
 import importlib
@@ -32,6 +36,20 @@ def opcode_names(node):
     elif isinstance(node, (tuple, list)):
         for item in node:
             yield from opcode_names(item)
+
+
+def platform_width_ints(source):
+    """Each ``astype(int)``, ``dtype=int`` and ``np.int_`` in ``source``, as
+    (line, text)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            named = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+                named += node.args[:1]
+            if any(isinstance(arg, ast.Name) and arg.id == "int" for arg in named):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Attribute) and node.attr == "int_":
+            yield node.lineno, ast.unparse(node)
 
 
 def module_patterns():
@@ -65,3 +83,12 @@ def test_module_patterns_use_no_newer_constructs():
         for text, opcode in ((r"\n[^,\n.eE]*+[.eE]", "POSSESSIVE_REPEAT"),
                              ("(?>ab)c", "ATOMIC_GROUP")):
             assert opcode in set(opcode_names(PARSER.parse(text)))
+
+
+def test_sources_use_no_platform_width_integer():
+    # the check sees each form it looks for
+    found = platform_width_ints("a.astype(int)\nnp.zeros(3, dtype=int)\nnp.int_\n"
+                                "a.astype(np.int64)\nnp.zeros(3, dtype=np.int64)\n")
+    assert [line for line, _ in found] == [1, 2, 3]
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        assert not list(platform_width_ints(path.read_text())), path

@@ -31,7 +31,7 @@ from nli_polarimetry import (
     simulate_scan,
 )
 from nli_polarimetry import scan
-from nli_polarimetry.scan import CSV_COLUMNS, _design, _fit_design, read_csv, write_csv
+from nli_polarimetry.scan import CSV_COLUMNS, _design, _fit_design, write_csv
 
 KAPPA = 1.0e4
 
@@ -316,11 +316,14 @@ def reference_to_csv(columns, path):
 
 def assert_writer_matches_reference(tmp_path, columns):
     """``write_csv`` writes the reference's bytes for any values, NaN and inf
-    included; a series of finite values writes them through ``to_csv``,
-    and a non-finite value cannot make a series."""
+    included, given int64 steps and float values; a series of finite values
+    writes them through ``to_csv`` from the columns as they are, and a
+    non-finite value cannot make a series."""
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     reference_to_csv(columns, ref)
-    write_csv(new, CSV_COLUMNS, columns, n_int=1)
+    step, *values = columns
+    write_csv(new, CSV_COLUMNS,
+              [step.astype(np.int64), *(np.asarray(c, dtype=float) for c in values)])
     assert new.read_bytes() == ref.read_bytes()
     new.unlink()
     if all(np.isfinite(c).all() for c in columns):
@@ -377,7 +380,7 @@ class TestTimeSeries:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("column", CSV_COLUMNS)
     def test_rejects_nonfinite_value(self, column, value):
-        # the wording of read_csv, with the field's name
+        # the wording of from_csv, with the field's name
         name = column.replace("expected_N", "expected_n")
         fields = {"step": np.arange(6.0), **{c: np.ones(6) for c in
                                               ("phi0", "delta_phase", "expected_n", "counts")}}
@@ -625,22 +628,27 @@ class TestTimeSeriesCsv:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("1,2\n3,x\n", "non-numeric value 'x' in column 'b' of data row 2"),
-            ("1,2\n\n3,x\n", "non-numeric value 'x' in column 'b' of data row 2"),
-            ("1,2\n3,\n", "non-numeric value '' in column 'b' of data row 2"),
-            ("1,2\n3\n", "expected 2 columns per row, found 1 in data row 2"),
-            ("1,2\n3,4,5\n6,7\n", "expected 2 columns per row, found 3 in data row 2"),
+            ("0,1,2,3,4\n1,1,2,3,x\n",
+             "non-numeric value 'x' in column 'counts' of data row 2"),
+            ("0,1,2,3,4\n\n1,1,x,3,4\n",
+             "non-numeric value 'x' in column 'delta_phase' of data row 2"),
+            ("0,1,2,3,4\n1,1,2,,4\n",
+             "non-numeric value '' in column 'expected_N' of data row 2"),
+            ("0,1,2,3,4\n1\n", "expected 5 columns per row, found 1 in data row 2"),
+            ("0,1,2,3,4\n1,1,2,3,4,5\n2,1,2,3,4\n",
+             "expected 5 columns per row, found 6 in data row 2"),
             # only empty lines are skipped: a line of spaces is a data row
-            ("   \n", "expected 2 columns per row, found 1 in data row 1"),
-            ("1,2\n   \n3,4\n", "expected 2 columns per row, found 1 in data row 2"),
+            ("   \n", "expected 5 columns per row, found 1 in data row 1"),
+            ("0,1,2,3,4\n   \n1,1,2,3,4\n",
+             "expected 5 columns per row, found 1 in data row 2"),
         ],
     )
     def test_parse_error_names_data_row(self, tmp_path, body, message):
         # numpy numbers rows its own way; the reader names the data row
-        path = tmp_path / "grid.csv"
-        path.write_text("a,b\n" + body)
+        path = tmp_path / "scan.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + body)
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            read_csv(path, ("a", "b"))
+            TimeSeries.from_csv(path)
 
     @pytest.mark.parametrize("cut", [0, 4, 15])
     def test_writer_rejects_ragged_columns(self, tmp_path, cut):
@@ -652,7 +660,7 @@ class TestTimeSeriesCsv:
         message = "^" + re.escape(f"expected 5 columns of equal length, found lengths "
                                   f"{[16, 16, 16, 16, cut]}") + "$"
         for write in (lambda path: series.to_csv(path),
-                      lambda path: write_csv(path, CSV_COLUMNS, columns, n_int=1)):
+                      lambda path: write_csv(path, CSV_COLUMNS, columns)):
             path = tmp_path / "ragged.csv"
             with pytest.raises(ValueError, match=message):
                 write(path)
@@ -700,6 +708,38 @@ class TestTimeSeriesCsv:
         lines = path.read_text().splitlines()
         write_lines(again, lines[:-1] + ["9.007199254740992e15" + lines[-1][16:]])
         assert TimeSeries.from_csv(again).step.tobytes() == series.step.tobytes()
+
+    def test_steps_read_back_as_int64(self, tmp_path):
+        # a platform-width int would wrap 2**31 where it is 32 bits wide
+        path = tmp_path / "scan.csv"
+        write_lines(path, [",".join(CSV_COLUMNS)]
+                    + [f"{step},0.0,0.0,1.0,1.0" for step in (0, 2**31, 2**53)])
+        back = TimeSeries.from_csv(path)
+        assert back.step.dtype == np.int64
+        assert back.step.tolist() == [0, 2**31, 2**53]
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_writer_takes_integer_columns_from_their_dtype(self, tmp_path, position):
+        # an integer column is written as integers wherever it stands, and a
+        # float column of integral values as floats
+        columns = [np.array([1.0, 3.0]), np.array([-0.0, 2.5]), np.array([7.0, 1e16])]
+        columns[position] = np.array([-2, 2**62], dtype=np.int64)
+        path = tmp_path / "grid.csv"
+        write_csv(path, ("a", "b", "c"), columns)
+        cells = [["1.0", "3.0"], ["-0.0", "2.5"], ["7.0", "1e+16"]]
+        cells[position] = ["-2", str(2**62)]
+        assert path.read_bytes() == ("a,b,c\r\n" + "".join(
+            ",".join(row) + "\r\n" for row in zip(*cells))).encode()
+
+    @pytest.mark.parametrize("dtype", ["float64", "int32", "uint64"])
+    def test_step_dtype_does_not_change_the_file(self, tmp_path, dtype):
+        # to_csv writes every step column through the int64 steps _check_steps returns
+        series = signal_arm_scan(0.31, 0.77, n=16)
+        path, other = tmp_path / "scan.csv", tmp_path / "other.csv"
+        series.to_csv(path)
+        TimeSeries(series.step.astype(dtype), series.phi0, series.delta_phase,
+                   series.expected_n, series.counts).to_csv(other)
+        assert other.read_bytes() == path.read_bytes()
 
     def test_integer_step_spellings_read_as_their_integers(self, tmp_path):
         # a cell whose text is an integer reads, whatever its spelling; only

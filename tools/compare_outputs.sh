@@ -21,7 +21,11 @@
 # scan has a nonpositive mean count level"), the fourier pipeline on a scan
 # that ramps one phase only (unequal rates), the rotated pipeline on a
 # setting pair at 4 points per period, and the ellipse pipeline on two
-# records of different lengths.
+# records of different lengths.  Two reader cases follow: `calibrate` on the
+# calibration pair rewritten by numpy's `savetxt` with its default `%.18e`
+# cells and '\n' row ends, and the fourier pipeline on the 400-row record
+# with its step cell "2" rewritten as "2.0000000000000001" (expected to exit
+# 2, its stderr pinned).
 #
 # For each .csv file that differs, it also prints how far the file moved:
 # the number of cells that differ and the largest absolute difference
@@ -169,6 +173,32 @@ PY
         --data coarse1.csv --data coarse2.csv --out estimate_rotated_undersampled.json
     nlipol estimate_ellipse_lengths estimate --pipeline ellipse \
         --data setting1.csv --data lowgain.csv --out estimate_ellipse_lengths.json
+    # reader cases
+    "$python" - "$out" <<'PY'
+import sys
+
+import numpy as np
+
+out = sys.argv[1]
+for name in ("cal_signal", "cal_idler"):
+    with open(f"{out}/{name}.csv") as fh:
+        header = fh.readline().rstrip("\n")
+    np.savetxt(f"{out}/{name}_savetxt.csv", np.loadtxt(f"{out}/{name}.csv", delimiter=",",
+                                                       skiprows=1),
+               delimiter=",", header=header, comments="")
+with open(f"{out}/lowgain.csv", newline="") as src:
+    lines = src.readlines()
+cell, rest = lines[3].split(",", 1)
+assert cell == "2", cell
+lines[3] = "2.0000000000000001," + rest
+with open(f"{out}/lowgain_fractional_step.csv", "w", newline="") as dst:
+    dst.writelines(lines)
+PY
+    nlipol calibrate_savetxt calibrate --signal-scan cal_signal_savetxt.csv \
+        --idler-scan cal_idler_savetxt.csv --out calibration_savetxt.json
+    nlipol estimate_fourier_fractional_step estimate --pipeline fourier \
+        --data lowgain_fractional_step.csv --calibration calibration.json \
+        --out estimate_fourier_fractional_step.json
 }
 
 # csv_delta NEW OLD: how far a CSV file moved, cell by cell
@@ -251,10 +281,11 @@ PY
 # commands expected to fail, with their exit code; every other one exits 0
 declare -A expected_exit=([simulate_exact_overflow]=3 [calibrate_swapped]=3
     [calibrate_negated]=3 [estimate_fourier_unequal]=3 [estimate_rotated_undersampled]=3
-    [estimate_ellipse_lengths]=3)
+    [estimate_ellipse_lengths]=3 [estimate_fourier_fractional_step]=2)
 # commands whose stderr is pinned too, without its final newline
 declare -A expected_stderr=(
-    [calibrate_negated]="error: calibration: second scan has a nonpositive mean count level")
+    [calibrate_negated]="error: calibration: second scan has a nonpositive mean count level"
+    [estimate_fourier_fractional_step]="error: step 2.0000000000000001 of data row 3 is not an integer in [0, 2**53]")
 
 run_all "$root/src" "$work/head"
 run_all "$work/base/src" "$work/base_out"
