@@ -82,7 +82,10 @@ def _number(doc: dict, path: str, key: str, default=None, low=None, high=None):
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a double
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key}: must be finite")
     if low is not None and value < low:

@@ -176,41 +176,6 @@ def extract_sample_fourier(
     )
 
 
-def _recover_rotated_params(b1: float, c1: float, b2: float, c2: float):
-    """Invert the two-setting amplitude relations.
-
-    Returns ``(tbar, dt, dphi, flags)``.  The amplitudes are relative to the
-    flux; when none exceeds 1e-12 (``_FRINGE_FLOOR``) the mean transmission is
-    unidentifiable.  Applies the flip ``(c1, c2) -> (-c1, -c2)`` when
-    ``c1 < 0`` (the mean transmission must be positive; the retardance is
-    then only known up to a full turn).
-    """
-    flags: list[str] = []
-    scale = max(abs(b1), abs(c1), abs(b2), abs(c2))
-    if scale <= _FRINGE_FLOOR:
-        raise UnidentifiableError("all fringe amplitudes vanish",
-                                  flag="tbar_unidentifiable")
-    tol = 1e-12 * scale
-    if c1 < 0.0:
-        c1, c2 = -c1, -c2
-        flags.append("c1_flipped_retardance_mod_2pi")
-    if abs(c1) <= tol and abs(b2) <= tol:
-        raise UnidentifiableError("mean-transmission amplitudes vanish",
-                                  flag="tbar_unidentifiable")
-
-    dphi = -2.0 * math.atan2(b2, c1)
-    tbar = math.hypot(b2, c1)
-    if abs(c2) <= tol:
-        if abs(b1) <= tol:
-            dt = 0.0
-        else:
-            dt = 2.0 * abs(b1)
-            flags.append("dt_sign_unidentified_at_half_turn")
-    else:
-        dt = 2.0 * math.copysign(math.hypot(b1, c2), c2)
-    return tbar, dt, dphi, flags
-
-
 def estimate_rotated(
     series_setting1: TimeSeries,
     series_setting2: TimeSeries,
@@ -231,7 +196,8 @@ def estimate_rotated(
       ``phibar`` from an independent measurement.  Even then two parameter
       sets reproduce the data exactly (the setting-2 quadratures can be
       assigned either way round); the larger cosine-amplitude root is
-      returned and the ambiguity flagged.
+      returned and the ambiguity flagged.  This mode flips a negative
+      setting-1 cosine amplitude c1 itself (``c1_flipped_retardance_mod_2pi``).
 
     A ``phibar`` passed with a structural assumption raises
     ``EstimationError`` (flag ``phibar_unused``).
@@ -276,9 +242,15 @@ def estimate_rotated(
             b2 = m / c2
         else:
             b2 = -math.sqrt(max(s, 0.0))
-        amps = (b1, c1, b2, c2)
         flags = ["general_mode_root_choice"]
         psi = float(wrap_axis(0.5 * (cmath.phase(complex(c2, -b2)) - cmath.phase(z2))))
+        if c1 < 0.0:
+            # tbar must be positive: the flip leaves dphi known mod 2*pi and
+            # turns the fringe reference a half turn, so psi a quarter turn
+            c1, c2 = -c1, -c2
+            psi = float(wrap_axis(psi + 0.5 * math.pi))
+            flags.append("c1_flipped_retardance_mod_2pi")
+        amps = (b1, c1, b2, c2)
         phib = float(phibar)
     else:
         phib = cmath.phase(w1) if abs(w1) > 0 else 0.0
@@ -308,16 +280,35 @@ def _structural_amplitudes(assume: str, mag1: float, mag2: float, lag: float):
 
 
 def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> SampleEstimate:
-    """Invert the amplitudes ``(b1, c1, b2, c2)`` and assemble the estimate.
+    """Invert the amplitudes ``(b1, c1, b2, c2)``, c1 >= 0, and assemble the estimate.
 
-    ``phibar`` is None when the route does not measure it; ``residuals`` are
-    the route's fit residuals, and ``flags`` are extended by the inversion's.
+    The amplitudes are relative to the flux (the general mode flips a
+    negative c1 itself).  The mean transmission is unidentifiable
+    (``UnidentifiableError``, flag ``tbar_unidentifiable``) when no amplitude
+    exceeds ``_FRINGE_FLOOR`` (1e-12), or when c1 and b2 are both at most
+    1e-12 of the largest.  ``phibar`` is None when the route does not
+    measure it; the inversion appends its flags to ``flags``.
     """
-    tbar, dt, dphi, rec_flags = _recover_rotated_params(*amps)
-    if "c1_flipped_retardance_mod_2pi" in rec_flags and psi is not None:
-        # the flip re-gauges the fringe reference by a half turn, which the
-        # setting-2 phase absorbs as a quarter-turn of the sample orientation
-        psi = float(wrap_axis(psi + 0.5 * math.pi))
+    b1, c1, b2, c2 = amps
+    scale = max(abs(b1), abs(c1), abs(b2), abs(c2))
+    if scale <= _FRINGE_FLOOR:
+        raise UnidentifiableError("all fringe amplitudes vanish",
+                                  flag="tbar_unidentifiable")
+    tol = 1e-12 * scale
+    if abs(c1) <= tol and abs(b2) <= tol:
+        raise UnidentifiableError("mean-transmission amplitudes vanish",
+                                  flag="tbar_unidentifiable")
+
+    dphi = -2.0 * math.atan2(b2, c1)
+    tbar = math.hypot(b2, c1)
+    if abs(c2) <= tol:
+        if abs(b1) <= tol:
+            dt = 0.0
+        else:
+            dt = 2.0 * abs(b1)
+            flags.append("dt_sign_unidentified_at_half_turn")
+    else:
+        dt = 2.0 * math.copysign(math.hypot(b1, c2), c2)
     return SampleEstimate(
         t_perp=tbar + 0.5 * dt,
         t_par=tbar - 0.5 * dt,
@@ -327,7 +318,7 @@ def _two_setting_estimate(amps, psi, phibar, residuals: dict, flags: list) -> Sa
         dphi=float(wrap_pi(dphi)),
         psi=psi,
         residuals=residuals,
-        flags=flags + rec_flags,
+        flags=flags,
     )
 
 

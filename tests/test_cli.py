@@ -22,6 +22,9 @@ from nli_polarimetry import (BeatingParameters, SignalControl, TimeSeries, ampli
 from nli_polarimetry.cli import main
 from nli_polarimetry.scan import write_csv
 
+# a JSON integer too large for a double, and a key to leave out of a config
+HUGE_INT = 10**400
+DROP = object()
 QWP = math.pi / 2
 DIAG = math.pi / 4
 
@@ -214,6 +217,41 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("dotted, value, message", [
+        ("noise", [], "noise: expected an object"),
+        ("interferometer.wp2", DROP, "interferometer: missing required key 'wp2'"),
+        ("interferometer.gain1.V", -0.1, "interferometer.gain1.V: must be >= 0.0"),
+        ("interferometer.gain1.V", HUGE_INT, "interferometer.gain1.V: must be finite"),
+        ("schedule.n_samples", 400.0, "schedule.n_samples: expected an integer"),
+        ("schedule.n_samples", 4, "schedule.n_samples: must be >= 8"),
+        ("noise.counts_per_unit_N", 0.0, "noise.counts_per_unit_N: must be > 0"),
+        ("noise.seed", 1.5, "noise.seed: expected an integer"),
+        ("noise.mode", "gaussian", "noise.mode: must be 'noiseless' or 'poisson'"),
+        ("regime", "highgain", "config.regime: must be 'exact' or 'lowgain'"),
+    ], ids=["noise_not_object", "missing_wp2", "negative_v", "huge_integer_v",
+            "float_n_samples", "few_samples", "zero_kappa", "float_seed", "unknown_mode",
+            "unknown_regime"])
+    def test_config_refusal_exits_2(self, tmp_path, capsys, dotted, value, message):
+        doc = base_config()
+        *parents, key = dotted.split(".")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = value
+        out = tmp_path / "out.csv"
+        assert run("simulate", "--config", write_config(tmp_path, doc), "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert run("simulate", "--config", path, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config: [Errno 2] No such file or directory: '{path}'\n")
+
     def test_rejects_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"interferometer": \n  oops\n}')
@@ -358,7 +396,11 @@ class TestCalibrateAndEstimate:
         ('{"xi_bar": true, "delta_xi": 0.1}', "calibration.xi_bar: expected a number"),
         ('{"xi_bar": "0.2", "delta_xi": 0.1}', "calibration.xi_bar: expected a number"),
         ('{"delta_xi": 0.1}', "calibration: missing required key 'xi_bar'"),
-    ], ids=["null", "nan", "true", "string", "missing"])
+        (f'{{"xi_bar": {HUGE_INT}, "delta_xi": 0.1}}', "calibration.xi_bar: must be finite"),
+        ("[0.2, 0.1]", "calibration: expected an object"),
+        ("oops", "cannot read calibration: Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["null", "nan", "true", "string", "missing", "huge_integer", "not_object",
+            "malformed"])
     def test_bad_calibration_value_exits_2(self, tmp_path, capsys, text, message):
         cfg = write_config(tmp_path, base_config())
         data = tmp_path / "main.csv"
@@ -371,6 +413,17 @@ class TestCalibrateAndEstimate:
                    "--calibration", calib, "--out", est_path) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not est_path.exists()
+
+    def test_unreadable_calibration_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        data = tmp_path / "main.csv"
+        assert run("simulate", "--config", cfg, "--out", data) == 0
+        calib = tmp_path / "missing.json"
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "fourier", "--data", data,
+                   "--calibration", calib, "--out", tmp_path / "e.json") == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read calibration: [Errno 2] No such file or directory: '{calib}'\n")
 
     def test_one_row_series_exits_3_without_warning(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
@@ -712,10 +765,15 @@ class TestRotatedPipelines:
         *((("--pipeline", "fourier", "--calibration", "missing.json", "--assume", assume),
            "--assume is used only by --pipeline rotated or ellipse")
           for assume in ("isotropic_phase", "isotropic_attenuation", "general")),
+        (("--pipeline", "fourier", "--calibration", "missing.json"),
+         "fourier pipeline takes exactly one --data series"),
+        (("--pipeline", "ellipse", "--assume", "general"),
+         "ellipse pipeline supports only the structural assumptions"),
     ], ids=["phibar_rotated_phase", "phibar_rotated_attenuation", "phibar_ellipse",
             "phibar_fourier", "phibar_nan", "phibar_inf",
             "calibration_rotated", "calibration_ellipse",
-            "assume_fourier_phase", "assume_fourier_attenuation", "assume_fourier_general"])
+            "assume_fourier_phase", "assume_fourier_attenuation", "assume_fourier_general",
+            "fourier_two_series", "ellipse_general"])
     def test_unused_or_bad_option_exits_2(self, tmp_path, capsys, options, message):
         s1, s2 = self.simulate_settings(tmp_path)
         est_path = tmp_path / "e.json"
@@ -723,6 +781,16 @@ class TestRotatedPipelines:
         code = run("estimate", "--data", s1, "--data", s2, *options, "--out", est_path)
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not est_path.exists()
+
+    @pytest.mark.parametrize("pipeline", ["rotated", "ellipse"])
+    def test_one_series_exits_2(self, tmp_path, capsys, pipeline):
+        s1, _ = self.simulate_settings(tmp_path)
+        est_path = tmp_path / "e.json"
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", pipeline, "--data", s1, "--out", est_path) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pipeline} pipeline takes two --data series (settings 1, 2)\n")
         assert not est_path.exists()
 
     def test_general_mode_without_phibar_exits_3(self, tmp_path, capsys):

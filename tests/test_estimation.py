@@ -49,7 +49,7 @@ from nli_polarimetry import (
 )
 from nli_polarimetry import estimation, scan
 from nli_polarimetry.angles import wrap_axis, wrap_pi
-from nli_polarimetry.estimation import ROTATED_ASSUMPTIONS, _recover_rotated_params
+from nli_polarimetry.estimation import ROTATED_ASSUMPTIONS, _two_setting_estimate
 from nli_polarimetry.scan import _fit_ramp
 
 KAPPA = 1.0e4
@@ -353,18 +353,26 @@ class TestFitSinusoid:
             assert err.value.flag == "bad_amplitude"
 
 
+def invert_amplitudes(b1, c1, b2, c2):
+    """``(tbar, dt, dphi, flags)`` of the two-setting back end for amplitudes
+    with c1 >= 0, no psi and no phibar."""
+    est = _two_setting_estimate((b1, c1, b2, c2), None, None, {}, [])
+    return est.tbar, est.dt, est.dphi, est.flags
+
+
 class TestRecoverRotatedParams:
-    """The two-setting inversion, ``(tbar, dt, dphi, flags)``."""
+    """The recovery of (tbar, dt, dphi) from ``(b1, c1, b2, c2)``, c1 >= 0, by
+    the two-setting back end; a negative c1 through the general mode."""
 
     def test_isotropic_phase_case(self):
-        tbar, dt, dphi, _ = _recover_rotated_params(0.0, 0.6, 0.0, 0.3)
+        tbar, dt, dphi, _ = invert_amplitudes(0.0, 0.6, 0.0, 0.3)
         assert dphi == pytest.approx(0.0, abs=1e-12)
         assert tbar == pytest.approx(0.6, abs=1e-12)
         assert dt == pytest.approx(0.6, abs=1e-12)
 
     def test_pure_retarder_quarter_turn(self):
         b1, c1, b2, c2 = amplitude_relations(1.0, 0.0, 0.5 * math.pi)
-        tbar, dt, dphi, _ = _recover_rotated_params(b1, c1, b2, c2)
+        tbar, dt, dphi, _ = invert_amplitudes(b1, c1, b2, c2)
         assert dphi == pytest.approx(0.5 * math.pi, abs=1e-12)
         assert tbar == pytest.approx(1.0, abs=1e-12)
         assert dt == pytest.approx(0.0, abs=1e-12)
@@ -374,30 +382,36 @@ class TestRecoverRotatedParams:
             tbar = rng.uniform(0.05, 1.0)
             dt = rng.uniform(-1.0, 1.0) * min(2.0 * tbar, 2.0 - 2.0 * tbar + 1e-12)
             dphi = rng.uniform(-math.pi + 0.1, math.pi - 0.1)
-            got_tbar, got_dt, got_dphi, _ = _recover_rotated_params(
+            got_tbar, got_dt, got_dphi, _ = invert_amplitudes(
                 *amplitude_relations(tbar, dt, dphi))
             assert got_tbar == pytest.approx(tbar, abs=1e-12)
             assert got_dt == pytest.approx(dt, abs=1e-12)
             assert got_dphi == pytest.approx(dphi, abs=1e-12)
 
-    def test_negative_c1_flip_rule(self):
-        # retardance beyond a half turn flips the fitted cosine amplitudes
-        tbar, dt, dphi = 0.7, 0.3, 2.5
-        b1, c1, b2, c2 = amplitude_relations(tbar, dt, dphi + 2.0 * math.pi)
-        assert c1 < 0
-        got_tbar, _, _, flags = _recover_rotated_params(b1, c1, b2, c2)
-        assert "c1_flipped_retardance_mod_2pi" in flags
-        assert got_tbar == pytest.approx(tbar, abs=1e-12)
-
     def test_unidentifiable_tbar(self):
         with pytest.raises(UnidentifiableError):
-            _recover_rotated_params(0.5, 0.0, 0.0, 0.4)
+            invert_amplitudes(0.5, 0.0, 0.0, 0.4)
 
     def test_half_turn_dt_flagged(self):
         b1, c1, b2, c2 = amplitude_relations(0.6, 0.4, math.pi)
-        _, dt, _, flags = _recover_rotated_params(b1, c1, b2, c2)
+        _, dt, _, flags = invert_amplitudes(b1, c1, b2, c2)
         assert "dt_sign_unidentified_at_half_turn" in flags
         assert dt == pytest.approx(0.4, abs=1e-12)
+
+    def test_negative_c1_flip_rule(self):
+        # retardance beyond a half turn makes the fitted setting-1 cosine
+        # amplitude negative; the general mode flips it before the inversion
+        # (setting 2's cosine amplitude is the larger root, so the root
+        # choice picks the true one)
+        tbar, dt, phibar, dphi, psi = 0.5, 0.8, 0.4, 0.2 + 2.0 * math.pi, 1.8
+        assert amplitude_relations(tbar, dt, dphi)[1] < 0
+        s1, s2 = (setting_scan(tbar, dt, phibar, dphi, psi, setting) for setting in (1, 2))
+        est = estimate_rotated(s1, s2, assume="general", phibar=phibar)
+        assert est.flags == ["general_mode_root_choice", "c1_flipped_retardance_mod_2pi"]
+        assert est.tbar == pytest.approx(tbar, abs=1e-12)
+        assert abs(est.dt) == pytest.approx(dt, abs=1e-12)
+        assert est.dphi == pytest.approx(wrap_pi(dphi), abs=1e-12)
+        assert axis_distance(est.psi, psi) < 1e-12
 
 
 class TestEstimateRotated:
@@ -478,6 +492,14 @@ class TestEstimateRotated:
             with pytest.raises(EstimationError) as err:
                 estimate_rotated(s1, s2, assume=assume, phibar=2.5)
             assert err.value.flag == "phibar_unused"
+
+    def test_rejects_unknown_assumption(self):
+        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
+        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        with pytest.raises(EstimationError) as err:
+            estimate_rotated(s1, s2, assume="bogus")
+        assert err.value.flag == "bad_assumption"
+        assert str(err.value) == "unknown assumption 'bogus'"
 
     def test_rounding_noise_fringe_leaves_psi_unidentified(self):
         # without diattenuation the setting-2 fringe is rounding noise
@@ -1616,9 +1638,40 @@ class TestFitEllipse:
 # is kept whole; the ellipse route keeps its old mapping of the fitted
 # invariants and its old assembly around the current conic fit.  The
 # rotated reference treats a relative setting-2 fringe of at most 1e-12 as
-# absent, as the estimators do; both references call the estimators'
-# inversion ``_recover_rotated_params`` and so share its 1e-12 floor on the
-# largest relative amplitude.
+# absent, as the estimators do; both references invert the amplitudes with
+# ``previous_recover_rotated_params``, the estimators' inversion before it
+# joined the back end, and so keep its 1e-12 floor on the largest relative
+# amplitude.
+
+
+def previous_recover_rotated_params(b1, c1, b2, c2):
+    """``estimation._recover_rotated_params`` before it joined the two-setting
+    back end, verbatim but for its floor written out: ``(tbar, dt, dphi,
+    flags)``, with the flip of a negative c1."""
+    flags: list[str] = []
+    scale = max(abs(b1), abs(c1), abs(b2), abs(c2))
+    if scale <= 1e-12:
+        raise UnidentifiableError("all fringe amplitudes vanish",
+                                  flag="tbar_unidentifiable")
+    tol = 1e-12 * scale
+    if c1 < 0.0:
+        c1, c2 = -c1, -c2
+        flags.append("c1_flipped_retardance_mod_2pi")
+    if abs(c1) <= tol and abs(b2) <= tol:
+        raise UnidentifiableError("mean-transmission amplitudes vanish",
+                                  flag="tbar_unidentifiable")
+
+    dphi = -2.0 * math.atan2(b2, c1)
+    tbar = math.hypot(b2, c1)
+    if abs(c2) <= tol:
+        if abs(b1) <= tol:
+            dt = 0.0
+        else:
+            dt = 2.0 * abs(b1)
+            flags.append("dt_sign_unidentified_at_half_turn")
+    else:
+        dt = 2.0 * math.copysign(math.hypot(b1, c2), c2)
+    return tbar, dt, dphi, flags
 
 
 def previous_direct_ellipse_fit(x, y):
@@ -1868,7 +1921,7 @@ def reference_estimate_rotated(series_setting1, series_setting2,
             if abs(w2) <= 1e-12:
                 flags.append("psi_unidentified_no_retardance_fringe")
 
-    tbar, dt, dphi, rec_flags = _recover_rotated_params(b1, c1, b2, c2)
+    tbar, dt, dphi, rec_flags = previous_recover_rotated_params(b1, c1, b2, c2)
     flags.extend(rec_flags)
     if "c1_flipped_retardance_mod_2pi" in rec_flags and psi is not None:
         psi = float(wrap_axis(psi + 0.5 * math.pi))
@@ -1909,7 +1962,7 @@ def reference_estimate_ellipse(series_setting1, series_setting2,
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     fit = fit_ellipse(points)
     b1, c1, b2, c2, psi = reference_ellipse_mapping(fit, assume)
-    tbar, dt, dphi, rec_flags = _recover_rotated_params(b1, c1, b2, c2)
+    tbar, dt, dphi, rec_flags = previous_recover_rotated_params(b1, c1, b2, c2)
     return SampleEstimate(
         t_perp=tbar + 0.5 * dt,
         t_par=tbar - 0.5 * dt,

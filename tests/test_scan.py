@@ -1,3 +1,4 @@
+import cmath
 import csv
 import dataclasses
 import math
@@ -934,6 +935,41 @@ class TestCalibrate:
             dd = min(dd, 4.0 * math.pi - dd)
             assert dd == pytest.approx(0.0, abs=1e-8)
         assert min(ds, abs(2.0 * math.pi - ds)) == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("delta_xi", [3.3, -3.3, 4.0, -4.0, 5.5])
+    def test_differential_offset_beyond_a_half_turn_reads_its_joint_flip(self, delta_xi):
+        # |delta_xi| > pi leaves cos(delta_xi / 2) < 0, so the offsets come
+        # back as the joint flip (xi_bar + pi, delta_xi -+ 2 pi), which puts
+        # the differential offset in [-pi, pi]
+        xi_bar = 0.7
+        result = calibrate(signal_arm_scan(xi_bar, delta_xi), idler_arm_scan(xi_bar, delta_xi))
+        assert result.signal_offset == pytest.approx(xi_bar - math.pi, abs=1e-12)
+        assert result.diff_offset == pytest.approx(
+            delta_xi - math.copysign(2.0 * math.pi, delta_xi), abs=1e-12)
+        assert -math.pi <= result.diff_offset <= math.pi
+
+    def test_noisy_fringe_phase_takes_the_joint_flip(self):
+        # a signal offset near pi/2 and a differential offset near a half
+        # turn: the noise leaves the half-angle phase read from the idler
+        # scan on the far side of pi/2, and the joint flip turns the signal
+        # offset half a turn from the signal fringe's phase
+        xi_bar, delta_xi = 0.5 * math.pi - 0.02, math.pi - 0.3
+        signal = signal_arm_scan(xi_bar, delta_xi,
+                                 noise=NoiseModel(1.0e3, seed=10, mode="poisson"))
+        idler = idler_arm_scan(xi_bar, delta_xi,
+                               noise=NoiseModel(1.0e3, seed=1010, mode="poisson"))
+        result = calibrate(signal, idler)
+        _, z1, _ = scan._fit_ramp(signal, "phi0", 1.0)
+        assert result.signal_offset == pytest.approx(cmath.phase(z1) - math.pi, abs=1e-12)
+        assert -math.pi <= result.diff_offset <= math.pi
+
+    def test_rejects_a_signal_scan_that_does_not_ramp(self):
+        flat = simulate_scan(calibration_config(), ScanSchedule(0.7, 1.1, 0.0, 0.0, 256),
+                             NoiseModel(KAPPA), regime="lowgain")
+        with pytest.raises(CalibrationError) as info:
+            calibrate(flat, idler_arm_scan(0.7, 1.1))
+        assert info.value.flag == "bad_scan_rate"
+        assert str(info.value) == "first scan does not ramp the signal arm"
 
     def test_poisson_accuracy(self):
         errors = []
