@@ -413,6 +413,16 @@ class TestRecoverRotatedParams:
         assert est.dphi == pytest.approx(wrap_pi(dphi), abs=1e-12)
         assert axis_distance(est.psi, psi) < 1e-12
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known open defect (ROADMAP): the flip negates c1 and c2, while the "
+        "half turn of phibar it stands for negates c1 and b1, so dt comes "
+        "back with the wrong sign"))
+    def test_negative_c1_flip_keeps_the_sign_of_dt(self):
+        tbar, dt, phibar, dphi, psi = 0.5, 0.8, 0.4, 0.2 + 2.0 * math.pi, 1.8
+        s1, s2 = (setting_scan(tbar, dt, phibar, dphi, psi, setting) for setting in (1, 2))
+        est = estimate_rotated(s1, s2, assume="general", phibar=phibar)
+        assert est.dt == pytest.approx(dt, abs=1e-12)
+
 
 class TestEstimateRotated:
     def test_isotropic_phase_round_trip(self):

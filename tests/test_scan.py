@@ -916,6 +916,7 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("xi_bar,delta_xi", [
         (-0.9, 0.6), (1.2, -2.2), (-2.8, 0.3), (3.0, 1.9), (0.4, 5.0),
+        (0.7, 3.3), (0.7, -3.3), (0.7, 4.0), (0.7, -4.0), (0.7, 5.5),
     ])
     def test_round_trip_across_quadrants(self, xi_bar, delta_xi):
         result = calibrate(
@@ -929,24 +930,17 @@ class TestCalibrate:
             ds = abs(abs(result.signal_offset - xi_bar) - math.pi) % (2.0 * math.pi)
             dd = (result.diff_offset - delta_xi) % (4.0 * math.pi)
             dd = min(dd, 4.0 * math.pi - dd)
-            assert dd == pytest.approx(2.0 * math.pi, abs=1e-8)
+            assert dd == pytest.approx(2.0 * math.pi, abs=1e-12)
         else:
             dd = (result.diff_offset - delta_xi) % (4.0 * math.pi)
             dd = min(dd, 4.0 * math.pi - dd)
-            assert dd == pytest.approx(0.0, abs=1e-8)
-        assert min(ds, abs(2.0 * math.pi - ds)) == pytest.approx(0.0, abs=1e-8)
-
-    @pytest.mark.parametrize("delta_xi", [3.3, -3.3, 4.0, -4.0, 5.5])
-    def test_differential_offset_beyond_a_half_turn_reads_its_joint_flip(self, delta_xi):
-        # |delta_xi| > pi leaves cos(delta_xi / 2) < 0, so the offsets come
-        # back as the joint flip (xi_bar + pi, delta_xi -+ 2 pi), which puts
-        # the differential offset in [-pi, pi]
-        xi_bar = 0.7
-        result = calibrate(signal_arm_scan(xi_bar, delta_xi), idler_arm_scan(xi_bar, delta_xi))
-        assert result.signal_offset == pytest.approx(xi_bar - math.pi, abs=1e-12)
-        assert result.diff_offset == pytest.approx(
-            delta_xi - math.copysign(2.0 * math.pi, delta_xi), abs=1e-12)
-        assert -math.pi <= result.diff_offset <= math.pi
+            assert dd == pytest.approx(0.0, abs=1e-12)
+        assert min(ds, abs(2.0 * math.pi - ds)) == pytest.approx(0.0, abs=1e-12)
+        # a differential offset beyond a half turn comes back on the flipped
+        # branch, which puts it in [-pi, pi]
+        if abs(delta_xi) > math.pi:
+            assert flipped
+            assert -math.pi <= result.diff_offset <= math.pi
 
     def test_noisy_fringe_phase_takes_the_joint_flip(self):
         # a signal offset near pi/2 and a differential offset near a half

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Lines of the package that no in-process Tier-1 test runs.
 #
-#   tools/untested_lines.sh [PYTEST_ARGS...]
+#   tools/untested_lines.sh
 #
-# Runs the Tier-1 suite (python -m pytest -q over tests/, or over
-# PYTEST_ARGS when given) in one interpreter under a standard-library line
-# tracer (sys.settrace, and threading.settrace for threads the tests
-# start), so no coverage package is needed.  The tracer records only frames
-# whose code lives in src/nli_polarimetry/, from the package's import on.
+# Runs the Tier-1 suite (python -m pytest -q over tests/) in one
+# interpreter under a standard-library line tracer (sys.settrace, and
+# threading.settrace for threads the tests start), so no coverage package
+# is needed.  The tracer records only frames whose code lives in
+# src/nli_polarimetry/, from the package's import on.
 # Then it prints, per module, the executable lines no test ran (the line
 # starts of every code object that compiling the module yields), as
 # "  LINE: source", with a count per module and a total.  A line marked
@@ -24,7 +24,7 @@ set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" "${PYTHON:-python3}" - "$@" <<'EOF'
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" "${PYTHON:-python3}" - <<'EOF'
 import dis
 import os
 import sys
@@ -75,11 +75,10 @@ def executable(path, source):
     return {line for line in found if not marked(line)}
 
 
-args = sys.argv[1:] or ["tests"]
 threading.settrace(tracer)
 sys.settrace(tracer)
 try:
-    status = pytest.main(["-q", "-p", "no:cacheprovider", *args])
+    status = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
 finally:
     sys.settrace(None)
     threading.settrace(None)
