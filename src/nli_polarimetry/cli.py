@@ -53,6 +53,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_UNIDENTIFIABLE = 4
 
+# the largest schedule a config may ask for, refused before any array is built
+MAX_SAMPLES = 10**7
+
 
 class ConfigError(ValueError):
     """Config validation failure; the message names the offending key."""
@@ -155,6 +158,8 @@ def parse_schedule(doc, path: str = "schedule") -> ScanSchedule:
         raise ConfigError(f"{path}.n_samples: expected an integer")
     if n < 8:
         raise ConfigError(f"{path}.n_samples: must be >= 8")
+    if n > MAX_SAMPLES:
+        raise ConfigError(f"{path}.n_samples: must be <= {MAX_SAMPLES}")
     return ScanSchedule(
         signal_offset=_number(doc, path, "xi_bar", default=0.0),
         diff_offset=_number(doc, path, "delta_xi", default=0.0),

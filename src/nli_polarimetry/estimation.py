@@ -197,7 +197,9 @@ def estimate_rotated(
       sets reproduce the data exactly (the setting-2 quadratures can be
       assigned either way round); the larger cosine-amplitude root is
       returned and the ambiguity flagged.  This mode flips a negative
-      setting-1 cosine amplitude c1 itself (``c1_flipped_retardance_mod_2pi``).
+      setting-1 cosine amplitude c1 itself, as a half turn of the fringe
+      reference: b1 and c1 change sign and psi turns a quarter turn
+      (``c1_flipped_retardance_mod_2pi``).
 
     A ``phibar`` passed with a structural assumption raises
     ``EstimationError`` (flag ``phibar_unused``).
@@ -245,9 +247,9 @@ def estimate_rotated(
         flags = ["general_mode_root_choice"]
         psi = float(wrap_axis(0.5 * (cmath.phase(complex(c2, -b2)) - cmath.phase(z2))))
         if c1 < 0.0:
-            # tbar must be positive: the flip leaves dphi known mod 2*pi and
-            # turns the fringe reference a half turn, so psi a quarter turn
-            c1, c2 = -c1, -c2
+            # tbar must be positive: a half turn of the fringe reference negates
+            # (b1, c1) and turns psi a quarter turn; dphi is known mod 2*pi
+            b1, c1 = -b1, -c1
             psi = float(wrap_axis(psi + 0.5 * math.pi))
             flags.append("c1_flipped_retardance_mod_2pi")
         amps = (b1, c1, b2, c2)
@@ -329,15 +331,13 @@ _EPS = sys.float_info.epsilon
 _C1_INV = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
 
 
-def _direct_ellipse_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _direct_ellipse_fit(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Ellipse-constrained direct least-squares conic fit.
 
-    Solves the quadratic-constraint eigenproblem on the scatter matrices
-    (numerically stable block formulation); returns (a, b, c, d, e, f),
-    scaled to 4ac - b^2 = 1.
+    Solves the quadratic-constraint eigenproblem on the scatter matrices of
+    the design's blocks ``d1`` (x^2, xy, y^2) and ``d2`` (x, y, 1), in the
+    stable block form; returns (a, b, c, d, e, f), scaled to 4ac - b^2 = 1.
     """
-    d1 = np.column_stack([x * x, x * y, y * y])
-    d2 = np.column_stack([x, y, np.ones_like(x)])
     s1 = d1.T @ d1
     s2 = d1.T @ d2
     s3 = d2.T @ d2
@@ -426,11 +426,11 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
         raise UnidentifiableError("points are too close to collinear for a conic fit",
                                   flag="degenerate_conic")
 
-    conic = _direct_ellipse_fit(norm[:, 0], norm[:, 1])
-    design = np.column_stack(
-        [norm[:, 0] ** 2, norm[:, 0] * norm[:, 1], norm[:, 1] ** 2,
-         norm[:, 0], norm[:, 1], np.ones(len(norm))]
-    )
+    x, y = norm[:, 0], norm[:, 1]
+    d1 = np.column_stack([x * x, x * y, y * y])
+    d2 = np.column_stack([x, y, np.ones_like(x)])
+    conic = _direct_ellipse_fit(d1, d2)
+    design = np.column_stack([d1, d2])
     theta = conic / math.sqrt(conic.dot(conic))  # np.linalg.norm's formula
     residual = math.sqrt(float(np.add.reduce((design @ theta) ** 2)) / n)
     a, b, c, d, e, f = conic.tolist()
@@ -460,7 +460,7 @@ def _fit_ellipse(points: np.ndarray) -> tuple[float, float, float, tuple[float, 
         sin_rel_mag = math.sqrt(max(0.0, 1.0 - cos_rel * cos_rel))
         # traversal direction from the polygon's signed area, each vertex
         # against the next (the last against the first)
-        x0, y0 = norm[:, 0] - cx, norm[:, 1] - cy
+        x0, y0 = x - cx, y - cy
         x1, y1 = (np.concatenate((v[1:], v[:1])) for v in (x0, y0))
         area = 0.5 * float(np.add.reduce(x0 * y1 - x1 * y0))
         rel_phase = math.atan2(-math.copysign(sin_rel_mag, area), cos_rel)

@@ -224,13 +224,15 @@ class TestSimulate:
         ("interferometer.gain1.V", HUGE_INT, "interferometer.gain1.V: must be finite"),
         ("schedule.n_samples", 400.0, "schedule.n_samples: expected an integer"),
         ("schedule.n_samples", 4, "schedule.n_samples: must be >= 8"),
+        ("schedule.n_samples", 10**7 + 1, "schedule.n_samples: must be <= 10000000"),
+        ("schedule.n_samples", HUGE_INT, "schedule.n_samples: must be <= 10000000"),
         ("noise.counts_per_unit_N", 0.0, "noise.counts_per_unit_N: must be > 0"),
         ("noise.seed", 1.5, "noise.seed: expected an integer"),
         ("noise.mode", "gaussian", "noise.mode: must be 'noiseless' or 'poisson'"),
         ("regime", "highgain", "config.regime: must be 'exact' or 'lowgain'"),
     ], ids=["noise_not_object", "missing_wp2", "negative_v", "huge_integer_v",
-            "float_n_samples", "few_samples", "zero_kappa", "float_seed", "unknown_mode",
-            "unknown_regime"])
+            "float_n_samples", "few_samples", "many_samples", "huge_integer_n_samples",
+            "zero_kappa", "float_seed", "unknown_mode", "unknown_regime"])
     def test_config_refusal_exits_2(self, tmp_path, capsys, dotted, value, message):
         doc = base_config()
         *parents, key = dotted.split(".")

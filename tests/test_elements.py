@@ -56,6 +56,12 @@ class TestCrystalGain:
         with pytest.raises(ValueError):
             CrystalGain(mean_photons=-0.1)
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_pump_phase(self, phase):
+        with pytest.raises(ValueError) as err:
+            CrystalGain(mean_photons=0.5, pump_phase=phase)
+        assert (err.type, str(err.value)) == (ValueError, "pump_phase must be finite")
+
 
 class TestWaveplateCoeffs:
     def test_unrotated_quarter_wave_is_pure_phase(self):
@@ -169,11 +175,30 @@ class TestSampleAxes:
         with pytest.raises(ValueError):
             SampleAxes(t_perp=1.2, t_par=0.5)
 
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.3, math.inf)])
+    @pytest.mark.parametrize("name", ["t_perp", "t_par"])
+    def test_rejects_nonfinite_transmission(self, name, value):
+        # a NaN passes the modulus test, so finiteness is checked first
+        with pytest.raises(ValueError) as err:
+            SampleAxes(**{"t_perp": 0.6, "t_par": 0.3, name: value})
+        assert (err.type, str(err.value)) == (ValueError, f"{name} must be finite")
+
 
 class TestSignalControl:
     def test_unitary(self):
         c = SignalControl(0.8 * cmath.exp(1j * 0.3))
         assert abs(c.transmission) ** 2 + c.reflection**2 == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("transmission, message", [
+        (complex(math.nan, 0.0), "transmission must be finite"),
+        (complex(0.5, -math.inf), "transmission must be finite"),
+        (1.2, "|transmission| must be <= 1"),
+        ((1.0 + 1e-9) * cmath.exp(2.0j), "|transmission| must be <= 1"),
+    ])
+    def test_rejects_bad_transmission(self, transmission, message):
+        with pytest.raises(ValueError) as err:
+            SignalControl(transmission)
+        assert (err.type, str(err.value)) == (ValueError, message)
 
 
 def sandwich_config(plate1, plate2, sample):

@@ -413,11 +413,9 @@ class TestRecoverRotatedParams:
         assert est.dphi == pytest.approx(wrap_pi(dphi), abs=1e-12)
         assert axis_distance(est.psi, psi) < 1e-12
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known open defect (ROADMAP): the flip negates c1 and c2, while the "
-        "half turn of phibar it stands for negates c1 and b1, so dt comes "
-        "back with the wrong sign"))
     def test_negative_c1_flip_keeps_the_sign_of_dt(self):
+        # the flip stands for a half turn of phibar, which negates b1 and c1
+        # and so keeps the sign of dt
         tbar, dt, phibar, dphi, psi = 0.5, 0.8, 0.4, 0.2 + 2.0 * math.pi, 1.8
         s1, s2 = (setting_scan(tbar, dt, phibar, dphi, psi, setting) for setting in (1, 2))
         est = estimate_rotated(s1, s2, assume="general", phibar=phibar)
@@ -1597,12 +1595,25 @@ class TestFitEllipse:
             pts = pts - pts.mean(axis=0)
             pts /= math.sqrt(np.mean(np.sum(pts**2, axis=1)))
             try:
-                a, b, c = estimation._direct_ellipse_fit(pts[:, 0], pts[:, 1])[:3]
+                x, y = pts[:, 0], pts[:, 1]
+                a, b, c = estimation._direct_ellipse_fit(
+                    np.column_stack([x * x, x * y, y * y]),
+                    np.column_stack([x, y, np.ones_like(x)]))[:3]
             except UnidentifiableError:
                 continue
             fitted += 1
             assert abs(4.0 * a * c - b * b - 1.0) <= 1e-12, k
         assert fitted >= 2900
+
+    def test_direct_fit_refuses_a_singular_linear_scatter(self):
+        # points on the line y = x make the linear block's scatter exactly
+        # singular (_fit_ellipse refuses such points as collinear first)
+        x = np.arange(8.0)
+        with pytest.raises(UnidentifiableError,
+                           match="^degenerate point configuration$") as err:
+            estimation._direct_ellipse_fit(np.column_stack([x * x, x * x, x * x]),
+                                           np.column_stack([x, x, np.ones_like(x)]))
+        assert err.value.flag == "degenerate_conic"
 
     def test_estimate_ellipse_rejects_unknown_assumption(self):
         s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
@@ -1656,8 +1667,10 @@ class TestFitEllipse:
 
 def previous_recover_rotated_params(b1, c1, b2, c2):
     """``estimation._recover_rotated_params`` before it joined the two-setting
-    back end, verbatim but for its floor written out: ``(tbar, dt, dphi,
-    flags)``, with the flip of a negative c1."""
+    back end, verbatim but for its floor written out and its flip: ``(tbar,
+    dt, dphi, flags)``.  A negative c1 negates b1 and c1, the half turn of
+    phibar that the flip stands for (it negated c1 and c2, which gave dt the
+    wrong sign)."""
     flags: list[str] = []
     scale = max(abs(b1), abs(c1), abs(b2), abs(c2))
     if scale <= 1e-12:
@@ -1665,7 +1678,7 @@ def previous_recover_rotated_params(b1, c1, b2, c2):
                                   flag="tbar_unidentifiable")
     tol = 1e-12 * scale
     if c1 < 0.0:
-        c1, c2 = -c1, -c2
+        b1, c1 = -b1, -c1
         flags.append("c1_flipped_retardance_mod_2pi")
     if abs(c1) <= tol and abs(b2) <= tol:
         raise UnidentifiableError("mean-transmission amplitudes vanish",

@@ -84,6 +84,14 @@ def amplitude(d, name):
     return getattr(d, part)[Mode[mode.upper()]]
 
 
+class TestInterferometerConfig:
+    @pytest.mark.parametrize("rotation", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_rotation(self, rng, rotation):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(random_config(rng), rotation=rotation)
+        assert (err.type, str(err.value)) == (ValueError, "rotation must be finite")
+
+
 class TestOutputCoefficients:
     def test_signal_tap_coefficient(self, rng):
         for _ in range(20):

@@ -72,6 +72,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             ScanSchedule(n_samples=4)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["signal_offset", "diff_offset", "signal_rate",
+                                      "diff_rate"])
+    def test_rejects_nonfinite_offset_or_rate(self, name, value):
+        with pytest.raises(ValueError) as err:
+            ScanSchedule(**{name: value})
+        assert (err.type, str(err.value)) == (ValueError, f"{name} must be finite")
+
     def test_rejects_fractional_sample_count(self):
         # np.arange(8.5) would make a 9-step scan
         with pytest.raises(ValueError, match="^n_samples must be an integer$"):
@@ -91,6 +99,13 @@ class TestSchedule:
         assert sched.signal_rate == sched.diff_rate
         # rate * n is a whole number of beat periods (4*pi each)
         assert (sched.signal_rate * sched.n_samples) / (4.0 * math.pi) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("counts", [(0, 100), (-1, 100), (2, 7)])
+    def test_fourier_protocol_refuses_too_few_periods_or_samples(self, counts):
+        with pytest.raises(ValueError) as err:
+            fourier_protocol_schedule(*counts)
+        assert (err.type, str(err.value)) == (
+            ValueError, "need n_periods >= 1 and samples_per_period >= 8")
 
     @pytest.mark.parametrize("counts, name", [
         ((True, 100), "n_periods"), ((1.5, 100), "n_periods"), ((2.0, 100), "n_periods"),

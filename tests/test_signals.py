@@ -134,6 +134,16 @@ class TestBeatingParameters:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             params(**{name: value})
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"mean_photons": -0.1}, "mean_photons must be >= 0"),
+        ({"signal_mag": 1.0 + 1e-9}, "signal_mag must lie in [0, 1]"),
+        ({"signal_mag": -0.1}, "signal_mag must lie in [0, 1]"),
+    ])
+    def test_rejects_out_of_range_field(self, overrides, message):
+        with pytest.raises(ValueError) as err:
+            params(**overrides)
+        assert (err.type, str(err.value)) == (ValueError, message)
+
     def test_rejects_unequal_gains(self, rng):
         cfg = dataclasses.replace(
             random_config(rng, equal_gains=True), crystal2=CrystalGain(3.33)

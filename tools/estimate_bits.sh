@@ -15,7 +15,13 @@
 # and it takes the Fourier, rotated and ellipse estimates and compares
 # float.hex() of each of their float fields and residuals (signed zeros and
 # NaN payloads included), their flags and their None fields; a trial that
-# raises is compared by its exception type, flag and message.
+# raises is compared by its exception type, flag and message.  On each
+# entry's two setting records it also runs, and compares in the same way,
+# the two-setting modes that the round trip does not: estimate_rotated with
+# assume="isotropic_attenuation" and with assume="general", phibar=0.4 (the
+# mean phase of the workloads' rotated sample), and estimate_ellipse with
+# assume="isotropic_attenuation"; a mode that refuses the records is
+# compared by its exception type, flag and message.
 #
 # Prints each field that differs, as "workload entry route.field: base
 # VALUE, tree VALUE" (for a record column: how many values differ and the
@@ -61,11 +67,34 @@ def bits(value):
     return repr(value)
 
 
+def refusal(exc):
+    """A refusal as its exception type, flag and message."""
+    return repr((type(exc).__name__, getattr(exc, "flag", None), str(exc)))
+
+
+def add(key, route, est):
+    """The fields of the estimate ``est`` of ``route``, by ``key``."""
+    for field, value in dataclasses.asdict(est).items():
+        value = bits(value)
+        if isinstance(value, dict):
+            for sub, item in value.items():
+                fields[f"{key} {route}.{field}.{sub}"] = item
+        else:
+            fields[f"{key} {route}.{field}"] = value
+
+
 # the records of a round trip, as it simulates them, in order
 RECORDS = ("signal_scan", "idler_scan", "measurement", "setting1", "setting2")
 simulated = []
 simulate_scan = workloads.scan.simulate_scan
 workloads.scan.simulate_scan = lambda *a, **k: simulated.append(simulate_scan(*a, **k)) or simulated[-1]
+# the two-setting modes the round trip does not run, on its setting records
+estimation = workloads.estimation
+MODES = (
+    ("rotated_attenuation", estimation.estimate_rotated, {"assume": "isotropic_attenuation"}),
+    ("rotated_general", estimation.estimate_rotated, {"assume": "general", "phibar": 0.4}),
+    ("ellipse_attenuation", estimation.estimate_ellipse, {"assume": "isotropic_attenuation"}),
+)
 
 seed, out = int(sys.argv[1]), sys.argv[2]
 fields = {}
@@ -79,20 +108,19 @@ with tempfile.TemporaryDirectory() as tmp:
             try:
                 result = workloads.run_round_trip(entry)
             except Exception as exc:
-                fields[f"{key} raised"] = repr((type(exc).__name__,
-                                                getattr(exc, "flag", None), str(exc)))
+                fields[f"{key} raised"] = refusal(exc)
                 result = ()
             for record, series in zip(RECORDS, simulated):
                 for column in ("expected_n", "counts"):
                     fields[f"{key} {record}.{column}"] = getattr(series, column).tobytes().hex()
-            for route, est in zip(("fourier", "rotated", "ellipse"), result):
-                for field, value in dataclasses.asdict(est).items():
-                    value = bits(value)
-                    if isinstance(value, dict):
-                        for sub, item in value.items():
-                            fields[f"{key} {route}.{field}.{sub}"] = item
-                    else:
-                        fields[f"{key} {route}.{field}"] = value
+            for route, estimate in zip(("fourier", "rotated", "ellipse"), result):
+                add(key, route, estimate)
+            if len(simulated) == len(RECORDS):
+                for route, estimator, kwargs in MODES:
+                    try:
+                        add(key, route, estimator(*simulated[3:], **kwargs))
+                    except Exception as exc:
+                        fields[f"{key} {route} raised"] = refusal(exc)
 Path(out).write_text(json.dumps(fields))
 EOF
 }
