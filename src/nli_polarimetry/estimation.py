@@ -199,7 +199,9 @@ def estimate_rotated(
       returned and the ambiguity flagged.  This mode flips a negative
       setting-1 cosine amplitude c1 itself, as a half turn of the fringe
       reference: b1 and c1 change sign and psi turns a quarter turn
-      (``c1_flipped_retardance_mod_2pi``).
+      (``c1_flipped_retardance_mod_2pi``).  A setting-2 fringe at or below
+      ``_FRINGE_FLOOR`` leaves psi None
+      (``psi_unidentified_no_setting2_fringe``), as in the structural modes.
 
     A ``phibar`` passed with a structural assumption raises
     ``EstimationError`` (flag ``phibar_unused``).
@@ -245,12 +247,17 @@ def estimate_rotated(
         else:
             b2 = -math.sqrt(max(s, 0.0))
         flags = ["general_mode_root_choice"]
-        psi = float(wrap_axis(0.5 * (cmath.phase(complex(c2, -b2)) - cmath.phase(z2))))
+        if abs(w2) <= _FRINGE_FLOOR:
+            psi = None
+            flags.append("psi_unidentified_no_setting2_fringe")
+        else:
+            psi = float(wrap_axis(0.5 * (cmath.phase(complex(c2, -b2)) - cmath.phase(z2))))
         if c1 < 0.0:
             # tbar must be positive: a half turn of the fringe reference negates
             # (b1, c1) and turns psi a quarter turn; dphi is known mod 2*pi
             b1, c1 = -b1, -c1
-            psi = float(wrap_axis(psi + 0.5 * math.pi))
+            if psi is not None:
+                psi = float(wrap_axis(psi + 0.5 * math.pi))
             flags.append("c1_flipped_retardance_mod_2pi")
         amps = (b1, c1, b2, c2)
         phib = float(phibar)

@@ -3,17 +3,15 @@ import collections
 import copy
 import dataclasses
 import gc
-import json
 import math
 import pickle
-import sys
 import warnings
 import weakref
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -21,10 +19,10 @@ from conftest import (
     analyzer_config,
     angles_close,
     axis_distance,
-    previous_pow2_scale,
     scaled_counts,
     two_setting_points,
 )
+from two_setting_draws import two_setting_draws
 from nli_polarimetry import (
     CalibrationError,
     CrystalGain,
@@ -48,7 +46,7 @@ from nli_polarimetry import (
     simulate_scan,
 )
 from nli_polarimetry import estimation, scan
-from nli_polarimetry.angles import wrap_axis, wrap_pi
+from nli_polarimetry.angles import wrap_pi
 from nli_polarimetry.estimation import ROTATED_ASSUMPTIONS, _two_setting_estimate
 from nli_polarimetry.scan import _fit_ramp
 
@@ -398,9 +396,10 @@ class TestRecoverRotatedParams:
         assert "dt_sign_unidentified_at_half_turn" in flags
         assert dt == pytest.approx(0.4, abs=1e-12)
 
-    def test_negative_c1_flip_rule(self):
+    def test_negative_c1_flip(self):
         # retardance beyond a half turn makes the fitted setting-1 cosine
-        # amplitude negative; the general mode flips it before the inversion
+        # amplitude negative; the general mode flips it as a half turn of
+        # phibar, which negates b1 and c1 and so keeps the sign of dt
         # (setting 2's cosine amplitude is the larger root, so the root
         # choice picks the true one)
         tbar, dt, phibar, dphi, psi = 0.5, 0.8, 0.4, 0.2 + 2.0 * math.pi, 1.8
@@ -409,63 +408,18 @@ class TestRecoverRotatedParams:
         est = estimate_rotated(s1, s2, assume="general", phibar=phibar)
         assert est.flags == ["general_mode_root_choice", "c1_flipped_retardance_mod_2pi"]
         assert est.tbar == pytest.approx(tbar, abs=1e-12)
-        assert abs(est.dt) == pytest.approx(dt, abs=1e-12)
+        assert est.dt == pytest.approx(dt, abs=1e-12)
         assert est.dphi == pytest.approx(wrap_pi(dphi), abs=1e-12)
         assert axis_distance(est.psi, psi) < 1e-12
 
-    def test_negative_c1_flip_keeps_the_sign_of_dt(self):
-        # the flip stands for a half turn of phibar, which negates b1 and c1
-        # and so keeps the sign of dt
-        tbar, dt, phibar, dphi, psi = 0.5, 0.8, 0.4, 0.2 + 2.0 * math.pi, 1.8
-        s1, s2 = (setting_scan(tbar, dt, phibar, dphi, psi, setting) for setting in (1, 2))
-        est = estimate_rotated(s1, s2, assume="general", phibar=phibar)
-        assert est.dt == pytest.approx(dt, abs=1e-12)
-
 
 class TestEstimateRotated:
-    def test_isotropic_phase_round_trip(self):
-        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
-        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
-        est = estimate_rotated(s1, s2, assume="isotropic_phase")
-        assert est.tbar == pytest.approx(0.6, abs=1e-6)
-        assert est.dt == pytest.approx(0.6, abs=1e-6)
-        assert est.dphi == pytest.approx(0.0, abs=1e-6)
-        assert est.phibar == pytest.approx(0.4, abs=1e-6)
-        assert axis_distance(est.psi, 1.8) < 1e-6
-
-    def test_isotropic_attenuation_round_trip(self):
-        s1 = setting_scan(0.6, 0.0, 0.4, 0.5 * math.pi, 1.8, setting=1)
-        s2 = setting_scan(0.6, 0.0, 0.4, 0.5 * math.pi, 1.8, setting=2)
-        est = estimate_rotated(s1, s2, assume="isotropic_attenuation")
-        assert est.tbar == pytest.approx(0.6, abs=1e-6)
-        assert est.dt == pytest.approx(0.0, abs=1e-6)
-        assert est.dphi == pytest.approx(0.5 * math.pi, abs=1e-6)
-        assert axis_distance(est.psi, 1.8) < 1e-6
-
     def test_residuals_are_the_fit_residuals_only(self):
         # each two-setting route reports its own fit's residuals, nothing more
         s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=k) for k in (1, 2))
         assert ((estimate_rotated(s1, s2).residuals.keys(),
                  estimate_ellipse(s1, s2).residuals.keys())
                 == ({"fit_rms_setting1", "fit_rms_setting2"}, {"conic_rms"}))
-
-    def test_general_mode_exact_branch(self):
-        # even with the mean phase known, the two-setting data admits two
-        # exactly-consistent parameter sets; the estimator returns one,
-        # flags the ambiguity, and must regenerate the record either way
-        tbar, dt, dphi, phibar, psi = 0.55, 0.4, 0.8, 0.4, 1.1
-        s1 = setting_scan(tbar, dt, phibar, dphi, psi, setting=1)
-        s2 = setting_scan(tbar, dt, phibar, dphi, psi, setting=2)
-        est = estimate_rotated(s1, s2, assume="general", phibar=phibar)
-        assert "general_mode_root_choice" in est.flags
-        # the recovered set must reproduce both fringe harmonics
-        b1, c1, b2, c2 = amplitude_relations(est.tbar, est.dt, est.dphi)
-        b1_true, c1_true, b2_true, c2_true = amplitude_relations(tbar, dt, dphi)
-        assert b1 == pytest.approx(b1_true, abs=1e-6)
-        assert c1 == pytest.approx(c1_true, abs=1e-6)
-        assert math.hypot(b2, c2) == pytest.approx(
-            math.hypot(b2_true, c2_true), abs=1e-6
-        )
 
     def test_general_mode_recovers_truth_on_primary_branch(self):
         # truth lies on the returned branch when the diattenuation-type
@@ -480,42 +434,50 @@ class TestEstimateRotated:
         assert axis_distance(est.psi, psi) < 1e-6
 
     def test_general_mode_requires_phibar(self):
-        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
-        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=k) for k in (1, 2))
         with pytest.raises(EstimationError):
             estimate_rotated(s1, s2, assume="general")
 
     def test_general_mode_rejects_nonfinite_phibar(self):
-        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
-        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=k) for k in (1, 2))
         for phibar in (math.nan, math.inf, -math.inf):
             with pytest.raises(EstimationError) as err:
                 estimate_rotated(s1, s2, assume="general", phibar=phibar)
             assert err.value.flag == "bad_phibar"
 
     def test_structural_modes_reject_phibar(self):
-        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
-        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=k) for k in (1, 2))
         for assume in ("isotropic_phase", "isotropic_attenuation"):
             with pytest.raises(EstimationError) as err:
                 estimate_rotated(s1, s2, assume=assume, phibar=2.5)
             assert err.value.flag == "phibar_unused"
 
     def test_rejects_unknown_assumption(self):
-        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
-        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=k) for k in (1, 2))
         with pytest.raises(EstimationError) as err:
             estimate_rotated(s1, s2, assume="bogus")
         assert err.value.flag == "bad_assumption"
         assert str(err.value) == "unknown assumption 'bogus'"
 
-    def test_rounding_noise_fringe_leaves_psi_unidentified(self):
-        # without diattenuation the setting-2 fringe is rounding noise
-        # (about 1e-16 of dc), which must not fix an orientation
-        s1, s2 = (setting_scan(0.6, 0.0, 0.4, 0.0, 1.8, setting=k, v=0.01) for k in (1, 2))
-        est = estimate_rotated(s1, s2, assume="isotropic_phase")
+    @pytest.mark.parametrize("assume, phibar, flags", [
+        ("isotropic_phase", None, ["psi_unidentified_no_diattenuation_fringe"]),
+        ("isotropic_attenuation", None, ["psi_unidentified_no_retardance_fringe"]),
+        ("general", 0.4, ["general_mode_root_choice", "psi_unidentified_no_setting2_fringe"]),
+        # a half turn off the mean phase: the c1 flip leaves psi None
+        ("general", 0.4 + math.pi, ["general_mode_root_choice",
+                                    "psi_unidentified_no_setting2_fringe",
+                                    "c1_flipped_retardance_mod_2pi"]),
+    ], ids=["isotropic_phase", "isotropic_attenuation", "general", "general-flipped"])
+    @pytest.mark.parametrize("psi", [0.3, 1.8])
+    def test_rounding_noise_fringe_leaves_psi_unidentified(self, assume, phibar, flags, psi):
+        # an isotropic sample's setting-2 fringe is rounding noise (about
+        # 1e-16 of dc), which must not fix an orientation in any mode (the
+        # general mode used to return psi 0.838 for 0.3 and 0.706 for 1.8)
+        s1, s2 = (setting_scan(0.6, 0.0, 0.4, 0.0, psi, setting=k, v=0.01) for k in (1, 2))
+        kwargs = {} if phibar is None else {"phibar": phibar}
+        est = estimate_rotated(s1, s2, assume=assume, **kwargs)
         assert est.psi is None
-        assert est.flags == ["psi_unidentified_no_diattenuation_fringe"]
+        assert est.flags == flags
         assert est.tbar == pytest.approx(0.6, abs=1e-9)
 
     @pytest.mark.parametrize("assume", ROTATED_ASSUMPTIONS)
@@ -1564,6 +1526,38 @@ class TestFitEllipse:
             fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8))
         assert err.value.flag == "degenerate_conic"
 
+    @pytest.mark.parametrize("conic", [
+        # a parabola (b^2 = 4ac): the centre divides by its zero discriminant
+        (1.0, 2.0, 1.0, 1.0, 0.0, -1.0),
+        # x^2 + y^2 = -1, an imaginary ellipse: F and a differ in sign
+        # whichever sign the conic takes
+        (1.0, 0.0, 1.0, 0.0, 0.0, 1.0),
+    ])
+    def test_a_fitted_conic_that_is_no_real_ellipse_is_refused(self, monkeypatch, conic):
+        monkeypatch.setattr(estimation, "_direct_ellipse_fit", lambda d1, d2: np.array(conic))
+        with pytest.raises(UnidentifiableError,
+                           match="^fitted conic is not a real ellipse$") as err:
+            fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8))
+        assert err.value.flag == "degenerate_conic"
+
+    def test_complex_eigenvectors_are_no_solution(self, monkeypatch):
+        # rounding can leave the constraint's eigenproblem a complex pair:
+        # its vectors are skipped even where their real parts are ellipses
+        # (4ac - b^2 = 4), and the one real vector left is a hyperbola (-4)
+        def eig(matrix):
+            vectors = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, -1.0]])
+            return np.array([1.0 + 1.0j, 1.0 - 1.0j, 2.0 + 0.0j]), vectors.astype(complex)
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        with pytest.raises(UnidentifiableError, match="^no ellipse solution found$") as err:
+            fit_ellipse(ellipse_points(0.6, 0.6, 0.0, 1.8))
+        assert err.value.flag == "degenerate_conic"
+
+    def test_a_negative_center_is_refused(self):
+        with pytest.raises(EstimationError, match="^fringe center must be positive$") as err:
+            fit_ellipse(-ellipse_points(0.6, 0.6, 0.0, 1.8))
+        assert type(err.value) is EstimationError
+        assert err.value.flag == "bad_center"
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", [0, 1])
     def test_nonfinite_points_rejected(self, value, column):
@@ -1616,8 +1610,7 @@ class TestFitEllipse:
         assert err.value.flag == "degenerate_conic"
 
     def test_estimate_ellipse_rejects_unknown_assumption(self):
-        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
-        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
+        s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=k) for k in (1, 2))
         with pytest.raises(EstimationError) as err:
             estimate_ellipse(s1, s2, assume="general")
         assert err.value.flag == "bad_assumption"
@@ -1644,457 +1637,175 @@ class TestFitEllipse:
             estimate_ellipse(s1, s2)
         assert err.value.flag == "phase_mismatch"
 
-    def test_estimate_ellipse_round_trip(self):
-        s1 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=1)
-        s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=2)
-        est = estimate_ellipse(s1, s2, assume="isotropic_phase")
-        assert est.tbar == pytest.approx(0.6, abs=1e-6)
-        assert est.dt == pytest.approx(0.6, abs=1e-6)
-        assert axis_distance(est.psi, 1.8) < 1e-6
-        assert est.phibar is None
+
+DRAWS = two_setting_draws()
+# the flag each assumption raises with psi None, and the general mode's others
+PSI_NONE = {
+    "isotropic_phase": "psi_unidentified_no_diattenuation_fringe",
+    "isotropic_attenuation": "psi_unidentified_no_retardance_fringe",
+    "general": "psi_unidentified_no_setting2_fringe",
+}
+GENERAL_FLAGS = {"general_mode_root_choice", "c1_flipped_retardance_mod_2pi",
+                 "dt_sign_unidentified_at_half_turn"}
+# each two-setting mode with the flags it may refuse records with that pass
+# the record rule
+ELLIPSE_REFUSALS = {"degenerate_conic", "bad_center", "tbar_unidentifiable"}
+TWO_SETTING_MODES = {
+    "rotated-isotropic_phase": (estimate_rotated, "isotropic_phase", {"tbar_unidentifiable"}),
+    "rotated-isotropic_attenuation": (estimate_rotated, "isotropic_attenuation",
+                                      {"tbar_unidentifiable"}),
+    "rotated-general": (estimate_rotated, "general",
+                        {"inconsistent_amplitudes", "tbar_unidentifiable"}),
+    "ellipse-isotropic_phase": (estimate_ellipse, "isotropic_phase", ELLIPSE_REFUSALS),
+    "ellipse-isotropic_attenuation": (estimate_ellipse, "isotropic_attenuation",
+                                      ELLIPSE_REFUSALS),
+}
+# the parameter that is zero on the samples each structural assumption fits
+ZERO = {"isotropic_phase": "dphi", "isotropic_attenuation": "dt"}
+# how closely a noiseless estimate reproduces its records, relative to their
+# peak: 8e-16 on these draws for the rotated route, 1.8e-9 for the conic fit,
+# whose fourth moments lose precision as the ellipse thins
+REPRODUCED = {estimate_rotated: 1e-9, estimate_ellipse: 1e-8}
 
 
-# Oracle: the two-setting estimators as written before they shared one back
-# end (one assumption mapping, one estimate assembly).  ``estimate_rotated``
-# is kept whole; the ellipse route keeps its old mapping of the fitted
-# invariants and its old assembly around the current conic fit.  The
-# rotated reference treats a relative setting-2 fringe of at most 1e-12 as
-# absent, as the estimators do; both references invert the amplitudes with
-# ``previous_recover_rotated_params``, the estimators' inversion before it
-# joined the back end, and so keep its 1e-12 floor on the largest relative
-# amplitude.
+def draw_records(draw, noise=None):
+    """The draw's two 72-step setting records (noiseless by default)."""
+    return [setting_scan(draw.tbar, draw.dt, draw.phibar, draw.dphi, draw.psi, setting,
+                         noise=noise, v=draw.v)
+            for setting in (1, 2)]
 
 
-def previous_recover_rotated_params(b1, c1, b2, c2):
-    """``estimation._recover_rotated_params`` before it joined the two-setting
-    back end, verbatim but for its floor written out and its flip: ``(tbar,
-    dt, dphi, flags)``.  A negative c1 negates b1 and c1, the half turn of
-    phibar that the flip stands for (it negated c1 and c2, which gave dt the
-    wrong sign)."""
-    flags: list[str] = []
-    scale = max(abs(b1), abs(c1), abs(b2), abs(c2))
-    if scale <= 1e-12:
-        raise UnidentifiableError("all fringe amplitudes vanish",
-                                  flag="tbar_unidentifiable")
-    tol = 1e-12 * scale
-    if c1 < 0.0:
-        b1, c1 = -b1, -c1
-        flags.append("c1_flipped_retardance_mod_2pi")
-    if abs(c1) <= tol and abs(b2) <= tol:
-        raise UnidentifiableError("mean-transmission amplitudes vanish",
-                                  flag="tbar_unidentifiable")
-
-    dphi = -2.0 * math.atan2(b2, c1)
-    tbar = math.hypot(b2, c1)
-    if abs(c2) <= tol:
-        if abs(b1) <= tol:
-            dt = 0.0
-        else:
-            dt = 2.0 * abs(b1)
-            flags.append("dt_sign_unidentified_at_half_turn")
-    else:
-        dt = 2.0 * math.copysign(math.hypot(b1, c2), c2)
-    return tbar, dt, dphi, flags
-
-
-def previous_direct_ellipse_fit(x, y):
-    """``estimation._direct_ellipse_fit`` before its scalars left numpy, verbatim."""
-    d1 = np.column_stack([x * x, x * y, y * y])
-    d2 = np.column_stack([x, y, np.ones_like(x)])
-    s1 = d1.T @ d1
-    s2 = d1.T @ d2
-    s3 = d2.T @ d2
+def outcome(estimator, records, assume, phibar):
+    """The mode's estimate of the records (the general mode's at ``phibar``),
+    or the ``EstimationError`` it raises."""
     try:
-        t = -np.linalg.solve(s3, s2.T)
-    except np.linalg.LinAlgError as exc:
-        raise UnidentifiableError("degenerate point configuration",
-                                  flag="degenerate_conic") from exc
-    m = s1 + s2 @ t
-    c1inv = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
-    vals, vecs = np.linalg.eig(c1inv @ m)
-    best = None
-    for k in range(3):
-        if abs(vals[k].imag) > 1e-8 * (1.0 + abs(vals[k].real)):
-            continue
-        v = np.real(vecs[:, k])
-        constraint = 4.0 * v[0] * v[2] - v[1] ** 2
-        if constraint > 0.0:
-            best = v / math.sqrt(constraint)
-    if best is None:
-        raise UnidentifiableError("no ellipse solution found", flag="degenerate_conic")
-    return np.concatenate([best, t @ best])
-
-
-def previous_fit_ellipse(points):
-    """``estimation._fit_ellipse`` before its means, roots, clamp and conic
-    invariants left numpy's wrappers and scalars, verbatim but for its
-    collinearity refusal, changed since (one rule for points too close to
-    collinear for the fit, which the old "points are collinear" rule
-    implied), and the refusal added since (a relative phase within rounding
-    of 0 or pi): the reference for the bits of every fit."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 6:
-        raise EstimationError("need at least 6 (N1, N2) points",
-                              flag="too_few_points")
-    if not np.isfinite(pts).all():
-        raise EstimationError("points must be finite", flag="nonfinite_points")
-
-    scale = previous_pow2_scale(pts)
-    centroid = scale * (pts / scale).mean(axis=0)
-    offsets = pts - centroid
-    spread = scale * np.sqrt(np.mean(np.sum((offsets / scale) ** 2, axis=1)))
-    if spread <= 0.0:
-        raise UnidentifiableError("all points coincide", flag="degenerate_conic")
-    norm = offsets / spread
-    sv = np.linalg.svd(norm - norm.mean(axis=0), compute_uv=False)
-    if (sv[-1] / sv[0]) ** 4 <= sys.float_info.epsilon:  # changed since
-        raise UnidentifiableError("points are too close to collinear for a conic fit",
-                                  flag="degenerate_conic")
-
-    conic = previous_direct_ellipse_fit(norm[:, 0], norm[:, 1])
-    a, b, c, d, e, f = conic
-    disc = b * b - 4.0 * a * c  # -1 by the fit's scaling
-    design = np.column_stack(
-        [norm[:, 0] ** 2, norm[:, 0] * norm[:, 1], norm[:, 1] ** 2,
-         norm[:, 0], norm[:, 1], np.ones(len(norm))]
-    )
-    theta = conic / np.linalg.norm(conic)
-    residual = float(np.sqrt(np.mean((design @ theta) ** 2)))
-
-    # center in normalized then original coordinates
-    cx = (2.0 * c * d - b * e) / disc
-    cy = (2.0 * a * e - b * d) / disc
-    center = (centroid[0] + spread * cx, centroid[1] + spread * cy)
-    if center[0] <= 0.0 or center[1] <= 0.0:
-        raise EstimationError("fringe center must be positive", flag="bad_center")
-
-    # central form A X^2 + B XY + C Y^2 = F
-    big_f = -(a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f)
-    if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
-        a, b, c, big_f = -a, -b, -c, -big_f
-    if big_f <= 0.0 or a <= 0.0 or c <= 0.0:
-        raise UnidentifiableError("fitted conic is not a real ellipse",
-                                  flag="degenerate_conic")
-
-    # harmonic invariants of the Lissajous parametrization
-    cos_rel = -b / (2.0 * math.sqrt(a * c))
-    cos_rel = float(np.clip(cos_rel, -1.0, 1.0))
-    sin_rel_mag = math.sqrt(max(0.0, 1.0 - cos_rel * cos_rel))
-    # traversal direction from the polygon's signed area, each vertex against
-    # the next (the last against the first)
-    x0, y0 = norm[:, 0] - cx, norm[:, 1] - cy
-    x1, y1 = (np.concatenate((v[1:], v[:1])) for v in (x0, y0))
-    area = 0.5 * float(np.sum(x0 * y1 - x1 * y0))
-    rel_phase = math.atan2(-math.copysign(sin_rel_mag, area), cos_rel)
-    if sin_rel_mag**2 <= 4.0 * sys.float_info.epsilon:  # added since
-        raise UnidentifiableError("relative phase is within rounding of 0 or pi",
-                                  flag="degenerate_conic")
-    sin_sq = max(sin_rel_mag**2, 1e-300)
-    amp_x = spread * math.sqrt(big_f / (a * sin_sq))
-    amp_y = spread * math.sqrt(big_f / (c * sin_sq))
-
-    return (float(amp_x), float(amp_y), float(rel_phase),
-            (float(center[0]), float(center[1])), residual)
-
-
-# what the fit raises where the previous one divided a numpy scalar by zero
-NO_REAL_ELLIPSE = (UnidentifiableError, "degenerate_conic", "fitted conic is not a real ellipse")
-
-
-def ellipse_fit_bits(fit, points):
-    """``float.hex`` of every number ``fit(points)`` returns, or the type,
-    flag and message of what it raises.  Numpy's scalars give the IEEE
-    results of an overflow or an invalid operation, as Python floats do,
-    without a warning; a division by zero raises ``FloatingPointError``."""
-    try:
-        with np.errstate(divide="raise", over="ignore", invalid="ignore", under="ignore"):
-            amp_x, amp_y, rel_phase, (cx, cy), residual = fit(points)
-    except Exception as exc:
-        return type(exc), getattr(exc, "flag", None), str(exc)
-    values = (amp_x, amp_y, rel_phase, cx, cy, residual)
-    assert all(type(value) is float for value in values)
-    return [value.hex() for value in values]
-
-
-def previous_fit_outcome(points):
-    """``ellipse_fit_bits`` of ``previous_fit_ellipse``, with its divisions
-    by zero replaced by the refusal the fit now raises for them."""
-    want = ellipse_fit_bits(previous_fit_ellipse, points)
-    if isinstance(want, tuple) and want[0] is FloatingPointError:
-        return NO_REAL_ELLIPSE
-    return want
-
-
-class TestFitEllipseOracle:
-    """``_fit_ellipse`` keeps the bits of ``previous_fit_ellipse``."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        t_perp=st.floats(0.0, 1.0),
-        t_par=st.floats(0.0, 1.0),
-        phibar=st.floats(-math.pi, math.pi),
-        dphi=st.floats(-math.pi, math.pi),
-        psi=st.floats(0.0, math.pi),
-        n=st.integers(6, 200),
-        phase_start=st.floats(-10.0, 10.0),
-        v=st.sampled_from((0.01, 0.5, 2.0)),
-        kappa=st.floats(1.0, 1e4),
-        poisson=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-        reverse=st.booleans(),
-        huge=st.booleans(),
-    )
-    def test_matches_the_previous_fit_bitwise(self, t_perp, t_par, phibar, dphi, psi, n,
-                                              phase_start, v, kappa, poisson, seed,
-                                              reverse, huge):
-        # low-gain records of the two analyzer settings over one period or
-        # more, Poisson-drawn or not, either traversal direction, and counts
-        # scaled by 2**1008 where they stay finite (past 1e307 for the largest)
-        phi0 = phase_start + np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        tbar, dt = 0.5 * (t_perp + t_par), t_perp - t_par
-        points = kappa * two_setting_points(tbar, dt, phibar, dphi, psi, phi0, v=v)
-        if poisson:
-            points = np.random.default_rng(seed).poisson(points).astype(float)
-        if reverse:
-            points = points[::-1]
-        if huge:
-            with np.errstate(over="ignore"):
-                points = 2.0**1008 * points
-            assume(np.isfinite(points).all())
-        want = previous_fit_outcome(points)
-        assert ellipse_fit_bits(estimation._fit_ellipse, points) == want
-
-    def test_refusals_match_the_previous_fit(self):
-        # each refusal of the previous fit, with its type, flag and message
-        ring = ellipse_points(0.6, 0.6, 0.0, 1.8)
-        line = np.column_stack([np.arange(8.0), 2.0 * np.arange(8.0) + 1.0])
-        cases = [np.ones((8, 2)), line, -ring, np.where(ring > 0.9, np.nan, ring)]
-        for points in cases:
-            want = previous_fit_outcome(points)
-            assert isinstance(want, tuple)
-            assert ellipse_fit_bits(estimation._fit_ellipse, points) == want
-
-    def test_a_conic_whose_invariants_divide_by_zero_is_degenerate(self, monkeypatch):
-        # a parabola (b^2 = 4ac): the previous fit divided numpy's scalars by
-        # its zero discriminant; the fit refuses it as no ellipse
-        def parabola(x, y):
-            return np.array([1.0, 2.0, 1.0, 1.0, 0.0, -1.0])
-        monkeypatch.setattr(estimation, "_direct_ellipse_fit", parabola)
-        monkeypatch.setitem(globals(), "previous_direct_ellipse_fit", parabola)
-        points = ellipse_points(0.6, 0.6, 0.0, 1.8)
-        assert ellipse_fit_bits(previous_fit_ellipse, points)[0] is FloatingPointError
-        assert ellipse_fit_bits(estimation._fit_ellipse, points) == NO_REAL_ELLIPSE
-
-
-def reference_estimate_rotated(series_setting1, series_setting2,
-                               assume="isotropic_phase", phibar=None):
-    if assume not in ("isotropic_phase", "isotropic_attenuation", "general"):
-        raise EstimationError(f"unknown assumption {assume!r}", flag="bad_assumption")
-    dc1, fringe1, rms1 = estimation._fit_ramp(series_setting1, "phi0", 1.0)
-    dc2, fringe2, rms2 = estimation._fit_ramp(series_setting2, "phi0", 1.0)
-    w1, w2 = fringe1 / dc1, fringe2 / dc2
-    flags = []
-
-    if assume == "general":
-        if phibar is None:
-            raise EstimationError(
-                "general mode needs the mean sample phase from an independent "
-                "measurement",
-                flag="phibar_required",
-            )
-        z1 = w1 * cmath.exp(-1j * phibar)
-        b1, c1 = -z1.imag, z1.real
-        z2 = w2 * cmath.exp(-1j * phibar)
-        s = abs(z2) ** 2
-        m = b1 * c1
-        disc = s * s - 4.0 * m * m
-        if disc < -1e-9 * max(s * s, 1.0):
-            raise EstimationError(
-                "fringe amplitudes are inconsistent with the two-setting model",
-                flag="inconsistent_amplitudes",
-            )
-        disc = max(disc, 0.0)
-        c2sq = 0.5 * (s + math.sqrt(disc))
-        c2 = math.sqrt(c2sq)
-        if c2 > 1e-12:
-            b2 = m / c2
-        else:
-            b2 = -math.sqrt(max(s, 0.0))
-        flags.append("general_mode_root_choice")
-        psi = float(wrap_axis(0.5 * (cmath.phase(complex(c2, -b2)) - cmath.phase(z2))))
-        phib = float(phibar)
-    else:
-        c1 = abs(w1)
-        b1 = 0.0
-        phib = cmath.phase(w1) if abs(w1) > 0 else 0.0
-        if assume == "isotropic_phase":
-            c2 = abs(w2)
-            b2 = 0.0
-            psi = float(wrap_axis(0.5 * (phib - cmath.phase(w2)))) if abs(w2) > 1e-12 else None
-            if abs(w2) <= 1e-12:
-                flags.append("psi_unidentified_no_diattenuation_fringe")
-        else:
-            b2 = -abs(w2)
-            c2 = 0.0
-            psi = (
-                float(wrap_axis(0.5 * (phib - cmath.phase(w2) + 0.5 * math.pi)))
-                if abs(w2) > 1e-12
-                else None
-            )
-            if abs(w2) <= 1e-12:
-                flags.append("psi_unidentified_no_retardance_fringe")
-
-    tbar, dt, dphi, rec_flags = previous_recover_rotated_params(b1, c1, b2, c2)
-    flags.extend(rec_flags)
-    if "c1_flipped_retardance_mod_2pi" in rec_flags and psi is not None:
-        psi = float(wrap_axis(psi + 0.5 * math.pi))
-    t_perp = tbar + 0.5 * dt
-    t_par = tbar - 0.5 * dt
-    return SampleEstimate(
-        t_perp=t_perp,
-        t_par=t_par,
-        tbar=tbar,
-        dt=dt,
-        phibar=float(wrap_pi(phib)),
-        dphi=float(wrap_pi(dphi)),
-        psi=psi,
-        residuals={"fit_rms_setting1": rms1, "fit_rms_setting2": rms2},
-        flags=flags,
-    )
-
-
-def reference_ellipse_mapping(fit, assume):
-    amp_x, amp_y = fit.amp_x / fit.center[0], fit.amp_y / fit.center[1]
-    rel_phase = fit.rel_phase
-    if assume == "isotropic_phase":
-        b1, c1 = 0.0, amp_x
-        b2, c2 = 0.0, amp_y
-        psi = float(wrap_axis(-0.5 * rel_phase))
-    else:
-        b1, c1 = 0.0, amp_x
-        b2, c2 = -amp_y, 0.0
-        psi = float(wrap_axis(0.5 * (0.5 * math.pi - rel_phase)))
-    return b1, c1, b2, c2, psi
-
-
-def reference_estimate_ellipse(series_setting1, series_setting2,
-                               assume="isotropic_phase"):
-    if len(series_setting1) != len(series_setting2):
-        raise EstimationError("the two series must have matching samples",
-                              flag="length_mismatch")
-    points = np.column_stack([series_setting1.counts, series_setting2.counts])
-    fit = fit_ellipse(points)
-    b1, c1, b2, c2, psi = reference_ellipse_mapping(fit, assume)
-    tbar, dt, dphi, rec_flags = previous_recover_rotated_params(b1, c1, b2, c2)
-    return SampleEstimate(
-        t_perp=tbar + 0.5 * dt,
-        t_par=tbar - 0.5 * dt,
-        tbar=tbar,
-        dt=dt,
-        phibar=None,
-        dphi=float(wrap_pi(dphi)),
-        psi=psi,
-        residuals={"conic_rms": fit.residual},
-        flags=rec_flags,
-    )
-
-
-def outcome(estimator, *args, **kwargs):
-    """The estimate as JSON text (repr of every float: exact to the bit), or
-    the error's flag and message."""
-    try:
-        return json.dumps(estimator(*args, **kwargs).to_json_dict())
+        return estimator(*records, assume=assume,
+                         **({"phibar": phibar} if assume == "general" else {}))
     except EstimationError as exc:
-        return (exc.flag, str(exc))
+        return exc
 
 
-TWO_SETTING_ROUTES = [
-    (estimate_rotated, reference_estimate_rotated, "isotropic_phase"),
-    (estimate_rotated, reference_estimate_rotated, "isotropic_attenuation"),
-    (estimate_rotated, reference_estimate_rotated, "general"),
-    (estimate_ellipse, reference_estimate_ellipse, "isotropic_phase"),
-    (estimate_ellipse, reference_estimate_ellipse, "isotropic_attenuation"),
+def checked(result, assume, refusals):
+    """The estimate ``result`` once its flags are checked against its mode's,
+    or None for a refusal, whose flag must be one of ``refusals``."""
+    if isinstance(result, EstimationError):
+        assert result.flag in refusals, result
+        return None
+    allowed = {PSI_NONE[assume], *(GENERAL_FLAGS if assume == "general" else ())}
+    assert set(result.flags) <= allowed, result.flags
+    assert (result.psi is None) == (PSI_NONE[assume] in result.flags)
+    return result
+
+
+def in_range(est):
+    """Both transmissions in [0, 1], to the forward model's 1e-12."""
+    return all(-1e-12 <= t <= 1.0 + 1e-12 for t in (est.t_perp, est.t_par))
+
+
+def reproduction_error(est, records, v):
+    """Largest |difference| between the records and the noiseless records of
+    the estimate's sample, relative to each record's peak.  A route that does
+    not measure phibar is given the setting-1 fringe's phase, the gauge of
+    its amplitudes; dphi gains 2*pi where a flag says it is known mod 2*pi."""
+    phibar = cmath.phase(fit_fringe(records[0])[1]) if est.phibar is None else est.phibar
+    dphi = est.dphi + 2.0 * math.pi * ("c1_flipped_retardance_mod_2pi" in est.flags)
+    resimulated = (setting_scan(est.tbar, est.dt, phibar, dphi, est.psi, setting, v=v)
+                   for setting in (1, 2))
+    return max(float(np.max(np.abs(new.counts - old.counts)) / np.max(old.counts))
+               for new, old in zip(resimulated, records))
+
+
+TBAR = "tbar_unidentifiable"
+NO_PSI = tuple(PSI_NONE[assume] for assume in ROTATED_ASSUMPTIONS)
+# Fitted relative fringes of setting 1 (phase 0) and setting 2 (amplitude,
+# phase) around the 1e-12 floor, and the outcome under each assumption of
+# ROTATED_ASSUMPTIONS (general at phibar 0): the psi reported, the flag
+# reported with psi None, or the refusal's flag.  No amplitude above 1e-12,
+# or a setting-1 one at most 1e-12 of the largest, leaves tbar unidentifiable
+# unless isotropic_attenuation's setting-2 sine amplitude carries it
+FRINGE_OUTCOMES = [
+    (0.0, 0.0, -1.1, (TBAR, TBAR, TBAR)),
+    (3e-13, 3e-13, -1.1, (TBAR, TBAR, TBAR)),
+    (1e-12, 0.0, -1.1, (TBAR, TBAR, TBAR)),
+    (5e-12, 0.0, -1.1, NO_PSI),
+    (0.4, 0.0, -1.1, NO_PSI),
+    (0.4, 1e-12, -1.1, NO_PSI),
+    (0.4, 5e-12, -1.1, (0.55, 0.25 * math.pi + 0.55, 0.55)),
+    (3e-13, 0.4, -1.1, (TBAR, 0.25 * math.pi + 0.55, TBAR)),
+    (1e-12, 0.4, -1.1, (0.55, 0.25 * math.pi + 0.55, 0.55)),
+    (0.4, 0.2, 0.0, (0.0, 0.25 * math.pi, 0.0)),  # no phase lag
 ]
 
 
-class TestTwoSettingOracle:
-    def test_routes_match_reference_bitwise(self):
-        # 500 random samples, each scanned noiseless and with Poisson noise;
-        # a third are pure retarders, a third pure diattenuators; retardances
-        # up to a full turn reach the c1 flip, and a perturbed mean phase
-        # makes the general mode reject some records
-        rng = np.random.default_rng(20261018)
-        seen = collections.Counter()
-        for k in range(500):
-            tbar = rng.uniform(0.02, 1.0)
-            dt = rng.uniform(-1.0, 1.0) * min(2.0 * tbar, 2.0 - 2.0 * tbar)
-            dphi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
-            structure = rng.integers(3)
-            if structure == 1:
-                dt = 0.0
-            elif structure == 2:
-                dphi = 0.0
-            phibar = rng.uniform(-math.pi, math.pi)
-            psi = rng.uniform(0.0, math.pi)
-            v = rng.uniform(0.05, 1.0)
-            phibar_given = phibar + (rng.normal(0.0, 0.3) if rng.uniform() < 0.5 else 0.0)
-            kappa = 10.0 ** rng.uniform(0.5, 4.0)
-            for noise in (NoiseModel(KAPPA), NoiseModel(kappa, seed=k, mode="poisson")):
-                s1, s2 = (setting_scan(tbar, dt, phibar, dphi, psi, setting, noise=noise, v=v)
-                          for setting in (1, 2))
-                for estimator, reference, assume in TWO_SETTING_ROUTES:
-                    kwargs = {"phibar": phibar_given} if assume == "general" else {}
-                    got = outcome(estimator, s1, s2, assume=assume, **kwargs)
-                    want = outcome(reference, s1, s2, assume=assume, **kwargs)
-                    assert got == want, (k, noise.mode, estimator.__name__, assume)
-                    seen["error" if isinstance(got, tuple) else "estimate"] += 1
-                    seen["c1_flip"] += "c1_flipped_retardance_mod_2pi" in got
-        assert seen["estimate"] + seen["error"] == 5000
-        assert seen["error"] > 0 and seen["c1_flip"] > 0
+class TestTwoSettingForwardModel:
+    """The two-setting modes against the forward model they invert, on the
+    seeded samples of ``two_setting_draws``."""
 
-    def test_vanishing_fringes_match_reference(self, monkeypatch):
-        # fitted fringes that vanish exactly (psi unidentified, tbar
-        # unidentifiable) or share their phase (zero phase lag) are out of
-        # reach of simulated records, so the fringe fits are drawn directly
-        rng = np.random.default_rng(1018)
-        fits = {}
-        monkeypatch.setattr(estimation, "_fit_ramp", lambda series, *rule: fits[id(series)])
-        s1, s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 1), setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2)
+    @pytest.mark.parametrize("mode", TWO_SETTING_MODES)
+    def test_noiseless_estimates_reproduce_the_records(self, mode):
+        # each sample's records under the assumption that fits it; the
+        # general mode's transmissions outside [0, 1] are left to the range
+        # test below, and the forward model refuses those above 1
+        estimator, assume, refusals = TWO_SETTING_MODES[mode]
         seen = collections.Counter()
-        for k in range(300):
-            amps = [0.0 if rng.uniform() < 0.3 else rng.uniform(0.0, 1.0) for _ in range(2)]
-            phases = list(rng.uniform(-math.pi, math.pi, size=2))
-            if rng.uniform() < 0.3:
-                phases[1] = phases[0]
-            for series, amp, phase in zip((s1, s2), amps, phases):
-                fits[id(series)] = (1.0, amp * cmath.exp(1j * phase) if amp else 0j, 0.0)
-            phibar = rng.uniform(-math.pi, math.pi)
-            for assume in ROTATED_ASSUMPTIONS:
-                kwargs = {"phibar": phibar} if assume == "general" else {}
-                got = outcome(estimate_rotated, s1, s2, assume=assume, **kwargs)
-                want = outcome(reference_estimate_rotated, s1, s2, assume=assume, **kwargs)
-                assert got == want, (k, assume)
-                seen["psi_unidentified"] += "psi_unidentified" in str(got)
-                seen["error"] += isinstance(got, tuple)
-        assert seen["psi_unidentified"] > 0 and seen["error"] > 0
+        for draw in DRAWS:
+            if assume in ZERO and getattr(draw, ZERO[assume]) != 0.0:
+                continue
+            records = draw_records(draw)
+            est = checked(outcome(estimator, records, assume, draw.phibar), assume, refusals)
+            if est is None or est.psi is None or "dt_sign_unidentified_at_half_turn" in est.flags:
+                continue  # a parameter left undetermined
+            if assume != "general":
+                assert in_range(est), draw
+            elif max(abs(est.t_perp), abs(est.t_par)) > 1.0:
+                continue
+            assert (est.phibar is None) == (estimator is estimate_ellipse)
+            assert reproduction_error(est, records, draw.v) <= REPRODUCED[estimator], draw
+            seen["reproduced"] += 1
+            seen["c1 flip"] += "c1_flipped_retardance_mod_2pi" in est.flags
+        assert seen["reproduced"] >= 150 and (assume != "general" or seen["c1 flip"] > 0), seen
 
-    def test_fringe_floor_matches_reference(self, monkeypatch):
-        # relative fringes below, at and just above the 1e-12 floor, drawn
-        # directly as fringe fits
-        fits = {}
-        monkeypatch.setattr(estimation, "_fit_ramp", lambda series, *rule: fits[id(series)])
-        s1, s2 = setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 1), setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2)
-        levels = (0.0, 3e-13, 1e-12, 1.001e-12, 5e-12, 0.4)
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "Known open defects: the general mode returns a root with a transmission "
+        "outside [0, 1] where the other root is the truth (ROADMAP item 15)"))
+    def test_general_mode_estimates_lie_in_range(self):
+        for draw in DRAWS:
+            est = estimate_rotated(*draw_records(draw), assume="general", phibar=draw.phibar)
+            assert in_range(est), draw
+
+    def test_estimates_are_finite_and_flagged_from_their_modes_lists(self):
+        # every mode on every sample's records, noiseless and Poisson-drawn,
+        # the general mode at the given phibar (perturbed on about half)
         seen = collections.Counter()
-        for amp1 in levels:
-            for amp2 in levels:
-                fits[id(s1)] = (1.0, amp1 * cmath.exp(0.3j), 0.0)
-                fits[id(s2)] = (1.0, amp2 * cmath.exp(-1.1j), 0.0)
-                for assume in ROTATED_ASSUMPTIONS:
-                    kwargs = {"phibar": 0.2} if assume == "general" else {}
-                    got = outcome(estimate_rotated, s1, s2, assume=assume, **kwargs)
-                    want = outcome(reference_estimate_rotated, s1, s2, assume=assume, **kwargs)
-                    assert got == want, (amp1, amp2, assume)
-                    seen["psi_unidentified"] += "psi_unidentified" in str(got)
-                    seen["tbar_unidentifiable"] += "tbar_unidentifiable" in str(got)
-        assert seen["psi_unidentified"] > 0 and seen["tbar_unidentifiable"] > 0
+        for k, draw in enumerate(DRAWS):
+            for noise in (NoiseModel(KAPPA), NoiseModel(draw.kappa, seed=k, mode="poisson")):
+                records = draw_records(draw, noise)
+                for estimator, assume, refusals in TWO_SETTING_MODES.values():
+                    result = outcome(estimator, records, assume, draw.phibar_given)
+                    est = checked(result, assume, refusals)
+                    if est is None:
+                        seen[result.flag] += 1
+                        continue
+                    values = (est.t_perp, est.t_par, est.tbar, est.dt, est.dphi, est.phibar,
+                              est.psi, *est.residuals.values())
+                    assert all(math.isfinite(x) for x in values if x is not None), (k, assume)
+                    seen.update(est.flags)
+        assert seen["inconsistent_amplitudes"] > 0 and seen["c1_flipped_retardance_mod_2pi"] > 0
+
+    @pytest.mark.parametrize("amp1, amp2, phase2, outcomes", FRINGE_OUTCOMES)
+    def test_vanishing_fringes(self, monkeypatch, amp1, amp2, phase2, outcomes):
+        # fringes at rounding level are out of reach of simulated records, so
+        # the fringe fits are given directly
+        s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting) for setting in (1, 2))
+        fits = {id(s1): (1.0, complex(amp1), 0.0),
+                id(s2): (1.0, amp2 * cmath.exp(1j * phase2), 0.0)}
+        monkeypatch.setattr(estimation, "_fit_ramp", lambda series, *rule: fits[id(series)])
+        for assume, want in zip(ROTATED_ASSUMPTIONS, outcomes):
+            result = outcome(estimate_rotated, (s1, s2), assume, 0.0)
+            if want == TBAR:
+                assert isinstance(result, UnidentifiableError) and result.flag == TBAR, assume
+            elif isinstance(want, str):
+                assert result.psi is None and want in result.flags, assume
+            else:
+                assert result.psi == pytest.approx(want, abs=1e-12), assume
+                assert PSI_NONE[assume] not in result.flags, assume

@@ -3,7 +3,8 @@
 #
 #   tools/design_report.sh BASE_REF
 #
-# Prints the net change in src/ lines against BASE_REF, the names that
+# Prints the net change in src/ lines against BASE_REF and then in tests/
+# lines (the line count every design change reports), the names that
 # src/nli_polarimetry/__init__.py re-exports at BASE_REF and in the working
 # tree (with the names added and removed), the size of every module's
 # __all__ that changed, and the count of independently settable values with
@@ -291,21 +292,30 @@ def module_all(source):
     return None
 
 
-old, new = base_files("src"), tree_files("src")
-lines = {k: sum(len(text.splitlines()) for text in files.values())
-         for k, files in (("old", old), ("new", new))}
-# tracked files from git's line diff; untracked files are all additions
-added = removed = 0
-for row in git("diff", "--numstat", base, "--", "src").splitlines():
-    a, r, _ = row.split("\t", 2)
-    if a != "-":
-        added, removed = added + int(a), removed + int(r)
-untracked = git("ls-files", "--others", "--exclude-standard", "--", "src").split()
-added += sum(len(new[name].splitlines()) for name in untracked if name in new)
-
 tag = base[:12]
-print(f"src/ lines: {lines['old']} at {tag}, {lines['new']} in the working tree, "
-      f"net {lines['new'] - lines['old']:+d} (+{added} -{removed})")
+
+
+def print_lines(path):
+    """Print the net change in the lines under ``path``; return its files at
+    the base and in the working tree."""
+    old, new = base_files(path), tree_files(path)
+    lines = {k: sum(len(text.splitlines()) for text in files.values())
+             for k, files in (("old", old), ("new", new))}
+    # tracked files from git's line diff; untracked files are all additions
+    added = removed = 0
+    for row in git("diff", "--numstat", base, "--", path).splitlines():
+        a, r, _ = row.split("\t", 2)
+        if a != "-":
+            added, removed = added + int(a), removed + int(r)
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", path).split()
+    added += sum(len(new[name].splitlines()) for name in untracked if name in new)
+    print(f"{path}/ lines: {lines['old']} at {tag}, {lines['new']} in the working tree, "
+          f"net {lines['new'] - lines['old']:+d} (+{added} -{removed})")
+    return old, new
+
+
+old, new = print_lines("src")
+print_lines("tests")
 
 init = f"{package}/__init__.py"
 old_names, new_names = reexports(old[init]), reexports(new[init])

@@ -23,9 +23,20 @@
 # assume="isotropic_attenuation"; a mode that refuses the records is
 # compared by its exception type, flag and message.
 #
+# Then it takes the 500 seeded samples of tests/two_setting_draws.py (drawn
+# from default_rng(20261018)), simulates each one's two low-gain setting
+# records (72 steps, as tests/test_estimation.py's setting_scan does),
+# noiseless and Poisson-drawn, and compares the bytes of their expected_n
+# and counts columns and the estimates of all five two-setting modes on
+# them: estimate_rotated with each structural assumption and with "general"
+# at the draw's given phibar (perturbed on about half the draws, which makes
+# the general mode refuse some records with inconsistent_amplitudes), and
+# estimate_ellipse with each structural assumption.
+#
 # Prints each field that differs, as "workload entry route.field: base
-# VALUE, tree VALUE" (for a record column: how many values differ and the
-# largest |difference|), then one summary line.  Exit status: 0 when every
+# VALUE, tree VALUE" ("draws K noise route.field" for a draw; for a record
+# column: how many values differ and the largest |difference|), then one
+# summary line.  Exit status: 0 when every
 # field matches, 1 when one differs, 2 on a usage error.  Set PYTHON to
 # choose the interpreter (default: python3).
 set -euo pipefail
@@ -49,13 +60,16 @@ trap 'rm -rf "$work"' EXIT
 
 git -C "$root" archive "$base_sha" src | tar -x -C "$work"
 
-# estimates SRC OUT: the estimates of every pool entry, as JSON, with SRC's package
+# estimates SRC OUT: the records and estimates of every pool entry and draw,
+# as JSON, with SRC's package
 estimates() {
-    PYTHONPATH="$1:$root/perfbench" PYTHONDONTWRITEBYTECODE=1 "$python" - "$seed" "$2" <<'EOF'
-import dataclasses, json, sys, tempfile
+    PYTHONPATH="$1:$root/perfbench:$root/tests" PYTHONDONTWRITEBYTECODE=1 "$python" - "$seed" "$2" <<'EOF'
+import cmath, dataclasses, json, math, sys, tempfile
 from pathlib import Path
 
+import nli_polarimetry as nlp
 import workloads
+from two_setting_draws import two_setting_draws
 
 
 def bits(value):
@@ -96,6 +110,42 @@ MODES = (
     ("ellipse_attenuation", estimation.estimate_ellipse, {"assume": "isotropic_attenuation"}),
 )
 
+
+def compare_modes(key, records, modes):
+    """Add the estimate of each mode on the setting ``records``, or its refusal."""
+    for route, estimator, kwargs in modes:
+        try:
+            add(key, route, estimator(*records, **kwargs))
+        except Exception as exc:
+            fields[f"{key} {route} raised"] = refusal(exc)
+
+
+def add_record(key, record, series):
+    """The bytes of the ``record`` ``series``'s expected_n and counts, by ``key``."""
+    for column in ("expected_n", "counts"):
+        fields[f"{key} {record}.{column}"] = getattr(series, column).tobytes().hex()
+
+
+def setting_record(draw, setting, noise):
+    """The 72-step low-gain record of analyzer setting 1 (crossed quarter-wave
+    pair) or 2 (aligned pair) for the draw's sample, rotated by its psi."""
+    half_dt, half_dphi = 0.5 * draw.dt, 0.5 * draw.dphi
+    cfg = nlp.InterferometerConfig(
+        crystal1=nlp.CrystalGain(draw.v),
+        crystal2=nlp.CrystalGain(draw.v),
+        signal=nlp.SignalControl(1.0),
+        waveplate1=nlp.quarter_wave(math.pi / 4),
+        waveplate2=nlp.quarter_wave(3 * math.pi / 4 if setting == 1 else math.pi / 4),
+        sample=nlp.SampleAxes(
+            t_perp=(draw.tbar + half_dt) * cmath.exp(1j * (draw.phibar + half_dphi)),
+            t_par=(draw.tbar - half_dt) * cmath.exp(1j * (draw.phibar - half_dphi)),
+        ),
+        rotation=draw.psi,
+    )
+    sched = nlp.ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
+    return nlp.simulate_scan(cfg, sched, noise, regime="lowgain")
+
+
 seed, out = int(sys.argv[1]), sys.argv[2]
 fields = {}
 with tempfile.TemporaryDirectory() as tmp:
@@ -111,16 +161,27 @@ with tempfile.TemporaryDirectory() as tmp:
                 fields[f"{key} raised"] = refusal(exc)
                 result = ()
             for record, series in zip(RECORDS, simulated):
-                for column in ("expected_n", "counts"):
-                    fields[f"{key} {record}.{column}"] = getattr(series, column).tobytes().hex()
+                add_record(key, record, series)
             for route, estimate in zip(("fourier", "rotated", "ellipse"), result):
                 add(key, route, estimate)
             if len(simulated) == len(RECORDS):
-                for route, estimator, kwargs in MODES:
-                    try:
-                        add(key, route, estimator(*simulated[3:], **kwargs))
-                    except Exception as exc:
-                        fields[f"{key} {route} raised"] = refusal(exc)
+                compare_modes(key, simulated[3:], MODES)
+for k, draw in enumerate(two_setting_draws()):
+    noises = (("noiseless", nlp.NoiseModel(1.0e4)),
+              ("poisson", nlp.NoiseModel(draw.kappa, seed=k, mode="poisson")))
+    for label, noise in noises:
+        key = f"draws {k} {label}"
+        records = [setting_record(draw, setting, noise) for setting in (1, 2)]
+        for record, series in zip(RECORDS[3:], records):
+            add_record(key, record, series)
+        compare_modes(key, records, (
+            ("rotated_phase", estimation.estimate_rotated, {"assume": "isotropic_phase"}),
+            MODES[0],
+            ("rotated_general", estimation.estimate_rotated,
+             {"assume": "general", "phibar": draw.phibar_given}),
+            ("ellipse_phase", estimation.estimate_ellipse, {"assume": "isotropic_phase"}),
+            MODES[2],
+        ))
 Path(out).write_text(json.dumps(fields))
 EOF
 }
@@ -149,10 +210,11 @@ for key in differ:
               f"|difference| {float(np.abs(new[moved] - old[moved]).max())!r}")
         continue
     print(f"{key}: base {base.get(key, '(absent)')}, tree {tree.get(key, '(absent)')}")
-entries = len({" ".join(key.split()[:2]) for key in base})
+samples = {" ".join(key.split()[:2]) for key in base}
+draws = sum(sample.startswith("draws ") for sample in samples)
+over = f"over {len(samples) - draws} pool entries and {draws} draws against {sys.argv[3]}"
 if differ:
-    print(f"DIFFERENT: {len(differ)} of {len(base.keys() | tree.keys())} fields "
-          f"over {entries} pool entries against {sys.argv[3]}")
+    print(f"DIFFERENT: {len(differ)} of {len(base.keys() | tree.keys())} fields {over}")
     sys.exit(1)
-print(f"identical: {len(base)} fields over {entries} pool entries against {sys.argv[3]}")
+print(f"identical: {len(base)} fields {over}")
 EOF
