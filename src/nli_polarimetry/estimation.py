@@ -512,7 +512,8 @@ def estimate_ellipse(
     if assume not in _PSI_UNIDENTIFIED:
         raise EstimationError(f"unsupported ellipse assumption {assume!r}",
                               flag="bad_assumption")
-    _kept_design(series_setting1, "phi0", 1.0, (1.0,))  # the rule, as the rotated route keeps it
+    # the rotated route's rule; a layout keeps the solve for that route's fits
+    _kept_design(series_setting1, "phi0", 1.0, (1.0,), rule_only=True)
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     amp_x, amp_y, rel_phase, center, residual = _fit_ellipse(points)
     if series_setting1.phi0[-1] < series_setting1.phi0[0]:

@@ -153,8 +153,8 @@ class TimeSeries:
 
     A record that holds a ramp shape's read-only ``step``, ``phi0`` and
     ``delta_phase`` objects, as ``simulate_scan``'s do, however it was made,
-    shares that shape's kept designs, each built after the record rule
-    passed (``_kept_design``).
+    shares that shape's kept least-squares solves, each built after the
+    record rule passed (``_kept_design``).
     """
 
     step: np.ndarray
@@ -483,42 +483,68 @@ def _design(t, rates) -> np.ndarray:
     )
 
 
-def _fit_design(design, counts):
-    """One-``lstsq`` fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]`` on
-    ``design = _design(t, rates)``.
+def _solve(design):
+    """The least-squares solve of ``design`` that ``_fit_design`` applies, or
+    None, the rank verdict: fewer rows than columns, or a smallest singular
+    value below 1e-10 of the largest, is rank deficient.
+
+    A solve is the thin SVD ``design = u diag(s) vt`` as the read-only pair
+    ``(u, back)``, ``back = vt.T / s``: the counts' coefficients are
+    ``back @ (counts @ u)`` and their residual is ``counts - u @ (counts @ u)``.
+    """
+    if design.shape[0] < design.shape[1]:
+        return None
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if s[-1] < 1e-10 * s[0]:
+        return None
+    return _read_only(u), _read_only(vt.T / s)
+
+
+def _fit_design(solve, counts):
+    """Fit ``counts ~ dc + sum_k Re[Z_k exp(i rates[k] t)]`` with the ``solve``
+    (``_solve``) of ``design = _design(t, rates)``: two matrix-vector
+    products on the counts.
 
     Returns ``(dc, [Z_k], resid_rms)`` in the cosine-phase convention; the
-    residual is rescaled by ``_pow2_scale`` before it is squared.  Rank
-    rule: raises ``EstimationError`` (flag ``rank_deficient``) unless the
-    design has at least as many rows as columns and the smallest singular value
-    ``lstsq`` returns is at least 1e-10 of the largest.  A residual RMS that
-    is not finite (NaN or infinite counts) raises flag ``nonfinite_counts``.
+    residual is rescaled by ``_pow2_scale`` before it is squared.  A rank
+    deficient design (a None ``solve``) raises ``EstimationError`` (flag
+    ``rank_deficient``); a residual RMS or a coefficient that is not finite
+    (NaN or infinite counts, or an overflow) raises flag
+    ``nonfinite_counts``, without a floating-point warning.
 
-    The mean of the squares is ``np.add.reduce`` divided by the row count,
-    which is what ``np.mean`` runs on a float array (the same pairwise sum,
-    then one IEEE division), and the square root of that one double is
-    ``math.sqrt``, correctly rounded as ``np.sqrt`` is: the RMS keeps the
-    bits of ``np.sqrt(np.mean(...))``.  The coefficients are unpacked as
-    Python floats, whose arithmetic is the same IEEE arithmetic as numpy's
-    scalars'; ``complex(a - 1j * b)`` keeps that form, as
-    ``complex(a, -b)`` would flip the sign of a zero part.
+    The counts are read as one contiguous float64 array, so a strided
+    column (``from_csv``'s) sums in the order of the contiguous record it
+    was written from, and fits to its bits.  The mean of the squares is
+    ``np.add.reduce`` divided by the row count, which is what ``np.mean``
+    runs on a float array (the same pairwise sum, then one IEEE division),
+    and the square root of that one double is ``math.sqrt``, correctly
+    rounded as ``np.sqrt`` is: the RMS keeps the bits of
+    ``np.sqrt(np.mean(...))`` of the kernel's residual.  The coefficients
+    are unpacked as Python floats, whose arithmetic is the same IEEE
+    arithmetic as numpy's scalars'; ``complex(a - 1j * b)`` keeps that
+    form, as ``complex(a, -b)`` would flip the sign of a zero part.
     """
-    coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
-    if len(singular) < design.shape[1] or singular[-1] < 1e-10 * singular[0]:
+    if solve is None:
         raise EstimationError("scan design matrix is rank deficient", "rank_deficient")
-    resid = counts - design @ coef
+    u, back = solve
+    counts = np.ascontiguousarray(counts, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # flagged below
+        w = counts @ u
+        resid = counts - u @ w
+        c = (back @ w).tolist()
     scale = _pow2_scale(resid)
     rms = scale * math.sqrt(float(np.add.reduce((resid / scale) ** 2)) / resid.size)
-    if not math.isfinite(rms):
+    if not (math.isfinite(rms) and all(map(math.isfinite, c))):
         raise EstimationError("scan counts or their fit residual are not finite",
                               "nonfinite_counts")
-    c = coef.tolist()
     amps = [complex(c[k] - 1j * c[k + 1]) for k in range(1, len(c), 2)]
     return c[0], amps, rms
 
 
-def _kept_design(series, column: str, harmonic: float, rates, omega_scan=None) -> np.ndarray:
-    """The record rule of every fit, then the design it fits on.
+def _kept_design(series, column: str, harmonic: float, rates, omega_scan=None,
+                 rule_only: bool = False):
+    """The record rule of every fit, then the solve (``_solve``) of the
+    design it fits on.
 
     A scan of ``column`` alone must hold the other phase column within 1e-12
     (``mixed_scan``); the dual scan ("both") must ramp both at one rate
@@ -529,22 +555,27 @@ def _kept_design(series, column: str, harmonic: float, rates, omega_scan=None) -
     (``bad_scan_rate``), its ramp ``omega_scan * step`` finite and within
     1e-9 of its largest |value| (at least 1) of both columns
     (``phase_step_mismatch``).  A refusal raises ``EstimationError(message,
-    flag)``; a pass returns ``_design`` at ``rates`` over ``column`` (``step``
-    as floats for "both").  A record holding a live ``_Layout``'s very
-    columns (``_layout_of``) gets the design its layout keeps, read-only,
-    per argument set, from the first pass; any other record, and a refused
-    one, is judged again on every fit and nothing is kept.
+    flag)``; a pass returns ``_solve`` of ``_design`` at ``rates`` over
+    ``column`` (``step`` as floats for "both"), with its rank verdict.  A
+    record holding a live ``_Layout``'s very columns (``_layout_of``) gets
+    the solve its layout keeps per argument set, built once, after the
+    first pass; any other record, and a refused one, is judged again and
+    gets a new solve on every fit, and nothing is kept.  A ``rule_only``
+    call (a route that fits no ramp) builds no solve for a record on no
+    layout, which would be thrown away, and returns None.
     """
     layout = _layout_of(series)
     key = (column, harmonic, tuple(rates), omega_scan)
     if layout is not None and key in layout.kept:
         return layout.kept[key]
     _phase_verdict(series, column, harmonic, omega_scan)
+    if rule_only and layout is None:
+        return None
     x = series.step.astype(float) if column == "both" else getattr(series, column)
-    design = _design(x, rates)
+    solve = _solve(_design(x, rates))
     if layout is not None:
-        design = layout.kept[key] = _read_only(design)
-    return design
+        layout.kept[key] = solve
+    return solve
 
 
 def _fit_ramp(series, column: str, harmonic: float):
@@ -564,10 +595,10 @@ class _Layout:
     ``step``, ``phi0`` and ``delta_phase`` are the record columns, each a
     read-only view of a private read-only array, a ramp past the largest
     double infinite; ``simulate_scan`` refuses such a ramp and hands every
-    record it makes these very objects.  ``kept`` holds each fit's design
-    over them, built after the record rule passed; only ``_kept_design``
-    reads or writes it.  A copy or a pickle is the live layout of its key
-    (``_intern``).
+    record it makes these very objects.  ``kept`` holds, per fit, the solve
+    of its design over them with its rank verdict (``_solve``), built once,
+    after the record rule passed; only ``_kept_design`` reads or writes it.
+    A copy or a pickle is the live layout of its key (``_intern``).
     """
 
     def __init__(self, key: tuple[str, str, int]):

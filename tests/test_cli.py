@@ -817,6 +817,73 @@ class TestRotatedPipelines:
             "error: unidentifiable: tbar_unidentifiable: ")
 
 
+class TestCsvRecordsFitLikeTheirSource:
+    """``nlipol calibrate`` and ``estimate`` on the CSVs ``simulate`` writes
+    give, value for value, what the same pipeline gives in process on the
+    simulated records: ``from_csv``'s strided column views fit to the bits
+    of the contiguous columns they were written from."""
+
+    N_PERIODS = 12  # 400 steps per period: 4800-row records, two CSV write blocks
+
+    def simulated(self, tmp_path, name, doc):
+        """Write ``doc``, run ``nlipol simulate`` on it and simulate it in process."""
+        config = write_config(tmp_path, doc, name=f"{name}.json")
+        out = tmp_path / f"{name}.csv"
+        assert run("simulate", "--config", config, "--out", out) == 0
+        cfg, schedule, noise, regime = cli.load_experiment(config)
+        series = nli_polarimetry.simulate_scan(cfg, schedule, noise, regime=regime)
+        assert len(series) > nli_polarimetry.scan._CSV_BLOCK
+        return out, series
+
+    def test_fourier_pipeline(self, tmp_path):
+        n = 400 * self.N_PERIODS
+        beat = 4.0 * math.pi * self.N_PERIODS / n
+        lossless = {f"interferometer.sample.{key}": value for key, value in (
+            ("t_perp_mag", 1.0), ("t_par_mag", 1.0), ("t_perp_phase", 0.0),
+            ("t_par_phase", 0.0))}
+        common = {"schedule.n_samples": n, "noise.mode": "poisson"}
+        docs = {
+            "sig": base_config(**lossless, **common, **{
+                "schedule.rate_phi0": 0.5 * beat, "schedule.rate_delta": 0.0}),
+            "idl": base_config(**lossless, **common, **{
+                "schedule.rate_phi0": 0.0, "schedule.rate_delta": beat, "noise.seed": 6}),
+            "meas": base_config(**common, **{
+                "schedule.rate_phi0": beat, "schedule.rate_delta": beat, "noise.seed": 7}),
+        }
+        (sig, sig_series), (idl, idl_series), (meas, meas_series) = (
+            self.simulated(tmp_path, name, doc) for name, doc in docs.items())
+        calib_path, est_path = tmp_path / "calib.json", tmp_path / "est.json"
+        assert run("calibrate", "--signal-scan", sig, "--idler-scan", idl,
+                   "--out", calib_path) == 0
+        assert run("estimate", "--pipeline", "fourier", "--data", meas,
+                   "--calibration", calib_path, "--out", est_path) == 0
+
+        calib = nli_polarimetry.calibrate(sig_series, idl_series)
+        assert json.loads(calib_path.read_text()) == {
+            "xi_bar": calib.signal_offset, "delta_xi": calib.diff_offset,
+            "flux_scale": calib.flux_scale, "diagnostics": calib.diagnostics}
+        decomp = nli_polarimetry.harmonic_regress(
+            meas_series, float(np.median(np.diff(meas_series.phi0))))
+        est = nli_polarimetry.extract_sample_fourier(
+            decomp, 2.0 * decomp.dc, calib.signal_offset, calib.diff_offset)
+        assert json.loads(est_path.read_text()) == json.loads(json.dumps(est.to_json_dict()))
+
+    @pytest.mark.parametrize("pipeline", ["rotated", "ellipse"])
+    def test_two_setting_pipelines(self, tmp_path, pipeline):
+        n = 72 * 5 * self.N_PERIODS
+        (s1, series1), (s2, series2) = (
+            self.simulated(tmp_path, f"s{setting}", rotated_setting_config(setting, 1.8, **{
+                "schedule.n_samples": n, "noise.mode": "poisson", "noise.seed": setting}))
+            for setting in (1, 2))
+        est_path = tmp_path / "est.json"
+        assert run("estimate", "--pipeline", pipeline, "--data", s1, "--data", s2,
+                   "--out", est_path) == 0
+        estimator = {"rotated": nli_polarimetry.estimate_rotated,
+                     "ellipse": nli_polarimetry.estimate_ellipse}[pipeline]
+        est = estimator(series1, series2)
+        assert json.loads(est_path.read_text()) == json.loads(json.dumps(est.to_json_dict()))
+
+
 class TestFigures:
     def test_fig3b_grid(self, tmp_path):
         assert run("figures", "--id", "fig3b", "--out-dir", tmp_path) == 0

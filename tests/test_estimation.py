@@ -846,6 +846,25 @@ ROUND_TRIPS = [(regime, v) for regime in ("lowgain", "exact") for v in GAIN_SWEE
 RATES = st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False)
 
 
+class TestStridedColumns:
+    @pytest.mark.parametrize("regime, v", [("lowgain", 0.5), ("exact", 2.0)])
+    def test_strided_columns_fit_like_contiguous_copies(self, regime, v):
+        # ``from_csv`` returns each column as a ``data[:, k]`` view of one
+        # row-major array; every route fits such a record to the bits of
+        # contiguous copies of its columns
+        def strided(record):
+            data = np.column_stack([getattr(record, name) for name in scan._SERIES_FIELDS])
+            return TimeSeries(record.step.copy(), *data[:, 1:].T)
+        records = round_trip_records(regime, v)
+        views = map_records(records, strided)
+        for record in flat_records(views):
+            assert not (record.counts.flags.c_contiguous or record.phi0.flags.c_contiguous)
+        want = {name: hex_fields(stage())
+                for name, stage in round_trip_stages(map_records(records, hand_built)).items()}
+        assert {name: hex_fields(stage())
+                for name, stage in round_trip_stages(views).items()} == want
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Counts of the record rule's verdicts (the Fourier route's step check
@@ -867,8 +886,9 @@ def builds(monkeypatch):
 class TestPhaseLayoutMemo:
     """Every record ``simulate_scan`` builds on one ramp shape holds that
     shape's ``scan._Layout`` columns; the record rule's verdict (the
-    Fourier route's step check within it) and the harmonic designs are
-    built once per layout, and a kept result changes no bit."""
+    Fourier route's step check within it) and the harmonic designs'
+    least-squares solves are built once per layout, and a kept result
+    changes no bit."""
 
     @pytest.mark.parametrize("regime, v", ROUND_TRIPS, ids=[f"{r}-{v}" for r, v in ROUND_TRIPS])
     def test_cold_and_warm_memos_give_the_same_bits(self, regime, v, builds):
@@ -887,11 +907,12 @@ class TestPhaseLayoutMemo:
         built = collections.Counter(builds)
         warm = {name: hex_fields(stage()) for name, stage in stages.items()}
         assert builds == built  # the warm pass built nothing
-        # records without a layout are checked, and get their designs, on
-        # every call: six fits, the ellipse route's check of setting 1 among them
+        # records without a layout are checked on every call, six times with
+        # the ellipse route's check of setting 1, and get a design for each
+        # of the five fits (the ellipse route fits no ramp, so builds none)
         fresh = {name: hex_fields(stage())
                  for name, stage in round_trip_stages(map_records(records, hand_built)).items()}
-        assert builds - built == {"_phase_verdict": 6, "_design": 6}
+        assert builds - built == {"_phase_verdict": 6, "_design": 5}
         assert warm == cold == fresh
 
     def test_each_verdict_and_design_is_built_once_per_layout(self, builds):
@@ -937,9 +958,9 @@ class TestPhaseLayoutMemo:
         assert builds == {"_phase_verdict": 3, "_design": 1}
         assert list(passed._layout.kept) == [("phi0", 1.0, (1.0,), None)]
 
-    def test_a_kept_design_is_one_read_only_array(self):
-        # a record on a layout gets the kept array on every fit; a record
-        # built by hand gets a fresh, writeable array of the same bytes
+    def test_a_kept_solve_is_read_only(self):
+        # a record on a layout gets the kept solve on every fit; a record
+        # built by hand gets a new solve of the same bytes on each
         sched = ScanSchedule(signal_rate=2.0 * math.pi / 72, n_samples=72)
         record = simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1), sched,
                                NoiseModel(KAPPA), regime="lowgain")
@@ -947,28 +968,55 @@ class TestPhaseLayoutMemo:
         args = ("phi0", 1.0, (1.0,))
         kept = scan._kept_design(record, *args)
         assert scan._kept_design(record, *args) is kept
-        with pytest.raises(ValueError):
-            kept[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            kept.flags.writeable = True
+        for array in kept:
+            with pytest.raises(ValueError):
+                array[0, 0] = 2.0
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
         fresh = [scan._kept_design(hand_built(record), *args) for _ in range(2)]
-        assert fresh[0] is not fresh[1] and not np.shares_memory(fresh[0], kept)
-        for design in fresh:
-            assert design.flags.writeable and design.tobytes() == kept.tobytes()
+        for solve in fresh:
+            for array, kept_array in zip(solve, kept):
+                assert not np.shares_memory(array, kept_array)
+                assert array.tobytes() == kept_array.tobytes()
+        assert not any(np.shares_memory(a, b) for a, b in zip(*fresh))
 
-    def test_lstsq_runs_for_every_record(self, monkeypatch):
+    def test_the_svd_runs_once_per_kept_key(self, monkeypatch):
+        # four layouts keep one solve each; the fits of later round trips on
+        # new records of the same schedules run no SVD (the ellipse stage,
+        # whose conic fit runs an SVD of its own, is left out)
         schedules = round_trip_schedules()
-        sig, idl, (series, sched), s1, s2 = round_trip_records("lowgain", 0.5, schedules=schedules)
-        calibrate(sig, idl)
-        fourier_route(series, sched)
-        estimate_rotated(s1, s2)
+        records = round_trip_records("lowgain", 0.5, schedules=schedules)
+        layouts = {scan._layout_of(r) for r in flat_records(records)}
+        for layout in layouts:
+            layout.kept.clear()
         calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-        calibrate(sig, idl)
-        fourier_route(series, sched)
-        estimate_rotated(s1, s2)
-        assert len(calls) == 5
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for seed in (11, 12, 13):
+            records = round_trip_records("lowgain", 0.5, seed=seed, schedules=schedules)
+            for name, stage in round_trip_stages(records).items():
+                if name != "ellipse":  # the conic fit runs an SVD of its own
+                    stage()
+        assert len(calls) == 4
+        assert sorted(len(layout.kept) for layout in layouts) == [1, 1, 1, 1]
+
+    def test_an_edited_count_moves_the_fit(self):
+        # the solve is kept, the counts are read on every fit
+        schedules = round_trip_schedules()
+        sig, idl, (series, sched), s1, s2 = round_trip_records("lowgain", 0.5,
+                                                               schedules=schedules)
+        stages = {"calibration": lambda: calibrate(sig, idl),
+                  "fourier": lambda: harmonic_regress(series, sched.signal_rate),
+                  "rotated": lambda: estimate_rotated(s1, s2)}
+        before = {name: hex_fields(stage()) for name, stage in stages.items()}
+        for record in (sig, series, s1):
+            record.counts[7] += 1.0
+        after = {name: hex_fields(stage()) for name, stage in stages.items()}
+        for name in stages:
+            assert after[name] != before[name]
+        for record in (sig, series, s1):
+            record.counts[7] -= 1.0
+        assert {name: hex_fields(stage()) for name, stage in stages.items()} == before
 
     def test_perturbed_delta_phase_is_still_mixed(self):
         s1, s2 = malformed_settings("ok")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import previous_pow2_scale
 from nli_polarimetry import EstimationError, HarmonicDecomposition, extract_sample_fourier
-from nli_polarimetry.scan import _fit_design, _pow2_scale
+from nli_polarimetry.scan import _fit_design, _pow2_scale, _solve
 
 TINY = 5e-324  # the smallest subnormal
 BIG = 2.0**1023
@@ -44,23 +44,33 @@ class TestPow2Scale:
         assert _pow2_scale(array).hex() == previous_pow2_scale(array).hex()
 
 
+def kernel_fit(design, counts):
+    """The solve of ``design``, the coefficients and the residual
+    ``_fit_design`` takes from it, as its own arithmetic gives them."""
+    solve = _solve(design)
+    u, back = solve
+    w = counts @ u
+    return solve, back @ w, counts - u @ w
+
+
 class TestResidualRms:
     @settings(max_examples=300, deadline=None)
     @given(counts=st.lists(FINITE, min_size=2, max_size=60))
     def test_matches_np_sqrt_of_np_mean(self, counts):
         # a one-column design (1, 0, 0, ...) fits only the first row, so the
-        # residual is every other count as drawn, signed zeros included
+        # residual is every other count as drawn (up to the sign of a zero)
         counts = np.array(counts)
         design = np.zeros((len(counts), 1))
         design[0, 0] = 1.0
-        coef = np.linalg.lstsq(design, counts, rcond=None)[0]
-        want = previous_rms(counts - design @ coef)
+        solve, coef, resid = kernel_fit(design, counts)
+        np.testing.assert_array_equal(resid, np.concatenate(([0.0], counts[1:])))
+        want = previous_rms(resid)
         if math.isfinite(want):
-            dc, amps, rms = _fit_design(design, counts)
+            dc, amps, rms = _fit_design(solve, counts)
             assert (rms.hex(), dc.hex(), amps) == (want.hex(), float(coef[0]).hex(), [])
         else:
             with pytest.raises(EstimationError) as info:
-                _fit_design(design, counts)
+                _fit_design(solve, counts)
             assert info.value.flag == "nonfinite_counts"
 
     @pytest.mark.parametrize("n", [8, 400, 40_000])
@@ -70,9 +80,9 @@ class TestResidualRms:
         rng = np.random.default_rng(n)
         design = np.column_stack([np.ones(n), *np.eye(n, 2).T])
         for counts in (rng.poisson(1e4, n).astype(float), rng.normal(0.0, 1.0, n) * 1e300):
-            coef = np.linalg.lstsq(design, counts, rcond=None)[0]
-            want = previous_rms(counts - design @ coef)
-            assert _fit_design(design, counts)[2].hex() == want.hex()
+            solve, _, resid = kernel_fit(design, counts)
+            want = previous_rms(resid)
+            assert _fit_design(solve, counts)[2].hex() == want.hex()
 
 
 class TestFourierClamp:

@@ -35,10 +35,15 @@
 #
 # Prints each field that differs, as "workload entry route.field: base
 # VALUE, tree VALUE" ("draws K noise route.field" for a draw; for a record
-# column: how many values differ and the largest |difference|), then one
-# summary line.  Exit status: 0 when every
-# field matches, 1 when one differs, 2 on a usage error.  Set PYTHON to
-# choose the interpreter (default: python3).
+# column: how many values differ and the largest |difference|).  When one
+# differs, a table follows with a row per route.field that moved: how many
+# of its entries moved numerically (a record column is one entry) and the
+# largest |difference| among them (inf for a NaN or a changed length), and
+# apart from those how many differ in their flags, in a refusal (raised on
+# one side, or with another type, flag or message) and in a None field.
+# Then one summary line.  Exit status: 0 when every field matches, 1 when
+# one differs, 2 on a usage error.  Set PYTHON to choose the interpreter
+# (default: python3).
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -190,7 +195,7 @@ estimates "$work/src" "$work/base.json"
 estimates "$root/src" "$work/tree.json"
 
 "$python" - "$work/base.json" "$work/tree.json" "${base_sha:0:12}" <<'EOF'
-import json, sys
+import collections, json, math, sys
 
 import numpy as np
 
@@ -199,21 +204,62 @@ missing = object()
 differ = [key for key in sorted(base.keys() | tree.keys(),
                                 key=lambda k: (k.split()[0], int(k.split()[1]), k))
           if base.get(key, missing) != tree.get(key, missing)]
+
+
+def field_of(key):
+    """The route.field of a key, without its pool entry or draw."""
+    return key.split(maxsplit=3 if key.startswith("draws ") else 2)[-1]
+
+
+# per route.field: its fields, and of those the numbers that moved (with the
+# largest |difference|) and the flag, refusal and None differences
+summary = collections.defaultdict(lambda: {"fields": 0, "moved": 0, "largest": 0.0,
+                                           "flags": 0, "refusals": 0, "None": 0})
+for key in base.keys() | tree.keys():
+    summary[field_of(key)]["fields"] += 1
 for key in differ:
-    if key.endswith((".expected_n", ".counts")) and key in base and key in tree:
-        old, new = (np.frombuffer(bytes.fromhex(side[key])) for side in (base, tree))
+    row = summary[field_of(key)]
+    old, new = base.get(key, missing), tree.get(key, missing)
+    if key.endswith((".expected_n", ".counts")) and missing not in (old, new):
+        old, new = (np.frombuffer(bytes.fromhex(side)) for side in (old, new))
+        row["moved"] += 1
         if old.shape != new.shape:
             print(f"{key}: base {old.size} values, tree {new.size}")
+            row["largest"] = math.inf
             continue
         moved = old.view(np.uint64) != new.view(np.uint64)
+        largest = float(np.abs(new[moved] - old[moved]).max())
         print(f"{key}: {int(moved.sum())} of {old.size} values differ, largest "
-              f"|difference| {float(np.abs(new[moved] - old[moved]).max())!r}")
+              f"|difference| {largest!r}")
+        row["largest"] = max(row["largest"], largest)
         continue
     print(f"{key}: base {base.get(key, '(absent)')}, tree {tree.get(key, '(absent)')}")
+    if key.endswith(" raised") or missing in (old, new):
+        row["refusals"] += 1
+    elif key.endswith(".flags"):
+        row["flags"] += 1
+    elif "None" in (old, new):
+        row["None"] += 1
+    else:
+        row["moved"] += 1
+        # a NaN that moved, or a move from or to one, counts as infinite
+        try:
+            largest = abs(float.fromhex(new) - float.fromhex(old))
+        except ValueError:
+            largest = math.inf
+        row["largest"] = max(row["largest"], largest if largest == largest else math.inf)
 samples = {" ".join(key.split()[:2]) for key in base}
 draws = sum(sample.startswith("draws ") for sample in samples)
 over = f"over {len(samples) - draws} pool entries and {draws} draws against {sys.argv[3]}"
 if differ:
+    width = max(len(name) for name in summary)
+    print(f"{'route.field':<{width}}  {'moved':>14}  {'largest |diff|':>14}  flags  "
+          "refusals  None")
+    for name, row in sorted(summary.items()):
+        if row["moved"] or row["flags"] or row["refusals"] or row["None"]:
+            print(f"{name:<{width}}  {row['moved']:>6} of {row['fields']:<6}  "
+                  f"{row['largest']:>14.3g}  {row['flags']:>5}  {row['refusals']:>8}  "
+                  f"{row['None']:>4}")
     print(f"DIFFERENT: {len(differ)} of {len(base.keys() | tree.keys())} fields {over}")
     sys.exit(1)
 print(f"identical: {len(base)} fields {over}")
