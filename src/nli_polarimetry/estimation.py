@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .angles import wrap_axis, wrap_half_pi, wrap_pi
-from .scan import EstimationError, TimeSeries, _fit_design, _fit_ramp, _kept_design, _pow2_scale
+from .scan import EstimationError, TimeSeries, _fit_ramp, _kept_design, _pow2_scale
 from .signals import HarmonicDecomposition
 
 __all__ = [
@@ -95,18 +95,12 @@ def harmonic_regress(series: TimeSeries, omega_scan: float) -> HarmonicDecomposi
     Raises
     ------
     EstimationError
-        If the record fails the dual-scan record rule ``scan._kept_design``:
-        its ramps, per row, so a decimated record passes, then
-        ``omega_scan`` nonzero and finite (``bad_scan_rate``; a downward
-        scan fits as an upward one does) and each phase column
-        ``omega_scan * step`` (``phase_step_mismatch``).  Also if the
-        design is rank deficient or the counts are not finite
-        (``nonfinite_counts``).
+        Where the one ramp fit, ``scan._fit_ramp(series, "both", (0.5, 1.5),
+        omega_scan)``, refuses; the record rule is ``scan._kept_design``'s.
+        A downward scan fits as an upward one does.
     """
     omega_scan = float(1.0 * omega_scan)  # as a float; unlike float(), 1.0 * refuses a str
-    rates = (0.5 * omega_scan, 1.5 * omega_scan)
-    dc, (amp_half, amp_threehalf), rms = _fit_design(
-        _kept_design(series, "both", 0.5, rates, omega_scan), series.counts)
+    dc, (amp_half, amp_threehalf), rms = _fit_ramp(series, "both", (0.5, 1.5), omega_scan)
     return HarmonicDecomposition(dc=dc, amp_half=amp_half, amp_threehalf=amp_threehalf,
                                  residual_rms=rms)
 
@@ -204,7 +198,8 @@ def estimate_rotated(
       (``psi_unidentified_no_setting2_fringe``), as in the structural modes.
 
     A ``phibar`` passed with a structural assumption raises
-    ``EstimationError`` (flag ``phibar_unused``).
+    ``EstimationError`` (flag ``phibar_unused``); this and the general
+    mode's ``phibar`` checks run before either record is fitted.
 
     The swap of the two sample axes maps (psi, dt, dphi) to
     (psi + pi/2, -dt, -dphi) and produces identical data; estimates are
@@ -212,22 +207,20 @@ def estimate_rotated(
     """
     if assume not in ROTATED_ASSUMPTIONS:
         raise EstimationError(f"unknown assumption {assume!r}", flag="bad_assumption")
-    if phibar is not None and assume != "general":
-        raise EstimationError(f"phibar is used only by the general mode, not {assume!r}",
-                              flag="phibar_unused")
-    dc1, fringe1, rms1 = _fit_ramp(series_setting1, "phi0", 1.0)
-    dc2, fringe2, rms2 = _fit_ramp(series_setting2, "phi0", 1.0)
+    if assume != "general":
+        if phibar is not None:
+            raise EstimationError(f"phibar is used only by the general mode, not {assume!r}",
+                                  flag="phibar_unused")
+    elif phibar is None:
+        raise EstimationError("general mode needs the mean sample phase from an "
+                              "independent measurement", flag="phibar_required")
+    elif not math.isfinite(phibar):
+        raise EstimationError("phibar must be finite", flag="bad_phibar")
+    dc1, (fringe1,), rms1 = _fit_ramp(series_setting1, "phi0", (1.0,))
+    dc2, (fringe2,), rms2 = _fit_ramp(series_setting2, "phi0", (1.0,))
     w1, w2 = fringe1 / dc1, fringe2 / dc2
 
     if assume == "general":
-        if phibar is None:
-            raise EstimationError(
-                "general mode needs the mean sample phase from an independent "
-                "measurement",
-                flag="phibar_required",
-            )
-        if not math.isfinite(phibar):
-            raise EstimationError("phibar must be finite", flag="bad_phibar")
         z1 = w1 * cmath.exp(-1j * phibar)
         b1, c1 = -z1.imag, z1.real
         z2 = w2 * cmath.exp(-1j * phibar)
@@ -495,12 +488,16 @@ def estimate_ellipse(
 
     The conic fit's invariants are mapped to sample parameters under the
     structural assumption ``"isotropic_phase"`` (no birefringence) or
-    ``"isotropic_attenuation"`` (no diattenuation), as in ``estimate_rotated``.
+    ``"isotropic_attenuation"`` (no diattenuation), as in ``estimate_rotated``;
+    any other is refused (``bad_assumption``) before the records are read.
     The counts are paired by index, so the two records must share their
     ``phi0`` and ``delta_phase`` columns (flag ``phase_mismatch``), which
     must pass the rotated route's record rule.  A column both records hold
     as one object (as records simulated on one schedule do) is not compared.
     """
+    if assume not in _PSI_UNIDENTIFIED:
+        raise EstimationError(f"unsupported ellipse assumption {assume!r}",
+                              flag="bad_assumption")
     if len(series_setting1) != len(series_setting2):
         raise EstimationError("the two series must have matching samples",
                               flag="length_mismatch")
@@ -509,11 +506,8 @@ def estimate_ellipse(
                             (series_setting1.delta_phase, series_setting2.delta_phase))):
         raise EstimationError("the two series must share their phase columns",
                               flag="phase_mismatch")
-    if assume not in _PSI_UNIDENTIFIED:
-        raise EstimationError(f"unsupported ellipse assumption {assume!r}",
-                              flag="bad_assumption")
     # the rotated route's rule; a layout keeps the solve for that route's fits
-    _kept_design(series_setting1, "phi0", 1.0, (1.0,), rule_only=True)
+    _kept_design(series_setting1, "phi0", (1.0,), rule_only=True)
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     amp_x, amp_y, rel_phase, center, residual = _fit_ellipse(points)
     if series_setting1.phi0[-1] < series_setting1.phi0[0]:

@@ -541,23 +541,24 @@ def _fit_design(solve, counts):
     return c[0], amps, rms
 
 
-def _kept_design(series, column: str, harmonic: float, rates, omega_scan=None,
-                 rule_only: bool = False):
+def _kept_design(series, column: str, harmonics, omega_scan=None, rule_only: bool = False):
     """The record rule of every fit, then the solve (``_solve``) of the
     design it fits on.
 
-    A scan of ``column`` alone must hold the other phase column within 1e-12
-    (``mixed_scan``); the dual scan ("both") must ramp both at one rate
-    (``unequal_scan_rates``).  The ramp must be uniform (``_ramp_rate``) and
-    nonzero (``bad_scan_rate``), with 8 points per period of ``harmonic``
-    (``undersampled``) and n*|rate| >= 0.999 period (``series_too_short``).
-    The dual scan's ``omega_scan`` must then be nonzero and finite
-    (``bad_scan_rate``), its ramp ``omega_scan * step`` finite and within
-    1e-9 of its largest |value| (at least 1) of both columns
-    (``phase_step_mismatch``).  A refusal raises ``EstimationError(message,
-    flag)``; a pass returns ``_solve`` of ``_design`` at ``rates`` over
-    ``column`` (``step`` as floats for "both"), with its rank verdict.  A
-    record holding a live ``_Layout``'s very columns (``_layout_of``) gets
+    ``harmonics`` are in phase units, ascending; the rule reads the lowest,
+    ``harmonics[0]``.  A scan of ``column`` alone must hold the other phase
+    column within 1e-12 (``mixed_scan``); the dual scan ("both") must ramp
+    both at one rate (``unequal_scan_rates``).  The ramp must be uniform
+    (``_ramp_rate``) and nonzero (``bad_scan_rate``), with 8 points per
+    period of that harmonic (``undersampled``) and n*|rate| >= 0.999 period
+    (``series_too_short``).  The dual scan's ``omega_scan`` must then be
+    nonzero and finite (``bad_scan_rate``), its ramp ``omega_scan * step``
+    finite and within 1e-9 of its largest |value| (at least 1) of both
+    columns (``phase_step_mismatch``).  A refusal raises
+    ``EstimationError(message, flag)``; a pass returns ``_solve`` of
+    ``_design`` over ``column`` at rates ``harmonics`` (for "both", over
+    ``step`` as floats at rates ``h * omega_scan``), with its rank verdict.
+    A record holding a live ``_Layout``'s very columns (``_layout_of``) gets
     the solve its layout keeps per argument set, built once, after the
     first pass; any other record, and a refused one, is judged again and
     gets a new solve on every fit, and nothing is kept.  A ``rule_only``
@@ -565,27 +566,29 @@ def _kept_design(series, column: str, harmonic: float, rates, omega_scan=None,
     layout, which would be thrown away, and returns None.
     """
     layout = _layout_of(series)
-    key = (column, harmonic, tuple(rates), omega_scan)
+    key = (column, tuple(harmonics), omega_scan)
     if layout is not None and key in layout.kept:
         return layout.kept[key]
-    _phase_verdict(series, column, harmonic, omega_scan)
+    _phase_verdict(series, column, harmonics[0], omega_scan)
     if rule_only and layout is None:
         return None
-    x = series.step.astype(float) if column == "both" else getattr(series, column)
+    if column == "both":
+        x, rates = series.step.astype(float), [h * omega_scan for h in harmonics]
+    else:
+        x, rates = getattr(series, column), harmonics
     solve = _solve(_design(x, rates))
     if layout is not None:
         layout.kept[key] = solve
     return solve
 
 
-def _fit_ramp(series, column: str, harmonic: float):
-    """``(dc, z, residual_rms)`` in counts of ``counts ~ dc + Re[z exp(i harmonic x)]``
-    over the ``column`` x that ``_kept_design`` passes; dc <= 0 is ``bad_amplitude``."""
-    dc, (z,), rms = _fit_design(_kept_design(series, column, harmonic, (harmonic,)),
-                                series.counts)
-    if dc <= 0.0:
+def _fit_ramp(series, column: str, harmonics, omega_scan=None):
+    """The one ramp fit: ``_fit_design``'s ``(dc, [Z_k], residual_rms)`` with
+    the solve ``_kept_design`` passes; a dc level <= 0 is ``bad_amplitude``."""
+    fit = _fit_design(_kept_design(series, column, harmonics, omega_scan), series.counts)
+    if fit[0] <= 0.0:
         raise EstimationError("scan has a nonpositive mean count level", "bad_amplitude")
-    return dc, z, rms
+    return fit
 
 
 class _Layout:
@@ -652,8 +655,8 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
 
     Expects two scans taken with the sample removed and the crossed
     quarter-wave analyzer pair, one ramping only the signal arm and one only
-    the idler differential phase, each fitted by ``_fit_ramp`` at harmonic 1
-    and 1/2 (a refusal raises ``CalibrationError``: the rotated route's flag
+    the idler differential phase, each fitted by ``_fit_ramp`` at harmonics
+    (1,) and (1/2,) (a refusal raises ``CalibrationError``: the rotated route's flag
     and message, after "first" or "second", or for a fringe below 5x its
     noise floor ``fringe_below_noise_floor``).  The empty-interferometer signal is
     ``2V[1 + cos((diff_offset + d)/2) cos(signal_offset + s)]`` where ``s``
@@ -667,9 +670,9 @@ def calibrate(signal_scan: TimeSeries, idler_scan: TimeSeries) -> Calibration:
     """
     order = "first"  # the scan a refusal names
     try:
-        dc1, z1, resid1 = _fit_ramp(signal_scan, "phi0", 1.0)
+        dc1, (z1,), resid1 = _fit_ramp(signal_scan, "phi0", (1.0,))
         order = "second"
-        dc2, z2, resid2 = _fit_ramp(idler_scan, "delta_phase", 0.5)
+        dc2, (z2,), resid2 = _fit_ramp(idler_scan, "delta_phase", (0.5,))
     except EstimationError as exc:
         raise CalibrationError(f"{order} {exc}", exc.flag) from None
     flux = 0.5 * (dc1 + dc2)

@@ -443,6 +443,25 @@ class TestCalibrateAndEstimate:
         assert err.startswith("error: series_too_short: ") and err.count("\n") == 1
         assert not est_path.exists()
 
+    @pytest.mark.parametrize("counts", ["zero", "negated"])
+    def test_nonpositive_dc_exits_3(self, tmp_path, capsys, counts):
+        # the fit refuses the record's dc level with its own message
+        data = tmp_path / "main.csv"
+        assert run("simulate", "--config", write_config(tmp_path, base_config()),
+                   "--out", data) == 0
+        series = TimeSeries.from_csv(data)
+        series.counts = np.zeros(len(series)) if counts == "zero" else -series.counts
+        series.to_csv(data)
+        calib = tmp_path / "calib.json"
+        calib.write_text('{"xi_bar": 0.23, "delta_xi": -0.61}')
+        est_path = tmp_path / "e.json"
+        capsys.readouterr()
+        assert run("estimate", "--pipeline", "fourier", "--data", data,
+                   "--calibration", calib, "--out", est_path) == 3
+        assert capsys.readouterr().err == (
+            "error: bad_amplitude: scan has a nonpositive mean count level\n")
+        assert not est_path.exists()
+
     def test_phase_columns_off_the_step_base_exit_3(self, tmp_path, capsys):
         # a 1-based step column under unchanged phase columns
         cfg = write_config(tmp_path, base_config(**{"interferometer.gain1.V": 0.01,

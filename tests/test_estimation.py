@@ -119,6 +119,18 @@ class TestHarmonicRegress:
         assert abs(decomp.amp_half) == pytest.approx(0.0, abs=1e-12)
         assert abs(decomp.amp_threehalf) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("counts", ["zero", "negated"])
+    def test_refuses_a_nonpositive_dc(self, counts):
+        # the one ramp fit's dc rule, with its flag and message
+        series, sched = fourier_scan(0.9 * cmath.exp(0.85j), 0.2 * cmath.exp(-0.05j))
+        series = dataclasses.replace(series, counts=(
+            np.zeros(len(series)) if counts == "zero" else -series.counts))
+        with pytest.raises(EstimationError) as err:
+            harmonic_regress(series, sched.signal_rate)
+        assert type(err.value) is EstimationError
+        assert err.value.flag == "bad_amplitude"
+        assert str(err.value) == "scan has a nonpositive mean count level"
+
     def test_rejects_unequal_rates(self):
         cfg = qwp_pair_config(0.9, 0.2)
         sched = ScanSchedule(signal_rate=0.2, diff_rate=0.1, n_samples=80)
@@ -302,8 +314,10 @@ class TestExtractSampleFourier:
 
 
 def fit_fringe(series):
-    """The rotated route's fringe fit: ``_fit_ramp`` over ``phi0`` at harmonic 1."""
-    return _fit_ramp(series, "phi0", 1.0)
+    """The rotated route's fringe fit, ``_fit_ramp`` over ``phi0`` at harmonics
+    (1,), as ``(dc, z, residual_rms)``."""
+    dc, (z,), rms = _fit_ramp(series, "phi0", (1.0,))
+    return dc, z, rms
 
 
 class TestFitSinusoid:
@@ -451,6 +465,19 @@ class TestEstimateRotated:
             with pytest.raises(EstimationError) as err:
                 estimate_rotated(s1, s2, assume=assume, phibar=2.5)
             assert err.value.flag == "phibar_unused"
+
+    @pytest.mark.parametrize("phibar, flag", [(None, "phibar_required"),
+                                              (math.nan, "bad_phibar")])
+    @pytest.mark.parametrize("case", ["undersampled", "bad_amplitude"])
+    def test_general_modes_phibar_is_checked_before_the_fits(self, case, phibar, flag):
+        # a pair that the fits refuse, with a phibar fault too: the argument
+        # is refused before either record is fitted
+        pair = malformed_settings(case if case == "undersampled" else "ok")
+        if case == "bad_amplitude":
+            pair = [dataclasses.replace(s, counts=-s.counts) for s in pair]
+        with pytest.raises(EstimationError) as err:
+            estimate_rotated(*pair, assume="general", phibar=phibar)
+        assert err.value.flag == flag
 
     def test_rejects_unknown_assumption(self):
         s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=k) for k in (1, 2))
@@ -956,7 +983,7 @@ class TestPhaseLayoutMemo:
         for _ in range(2):
             estimate_rotated(*pairs[1])
         assert builds == {"_phase_verdict": 3, "_design": 1}
-        assert list(passed._layout.kept) == [("phi0", 1.0, (1.0,), None)]
+        assert list(passed._layout.kept) == [("phi0", (1.0,), None)]
 
     def test_a_kept_solve_is_read_only(self):
         # a record on a layout gets the kept solve on every fit; a record
@@ -965,7 +992,7 @@ class TestPhaseLayoutMemo:
         record = simulate_scan(analyzer_config(0.6, 0.6, 0.4, 0.0, 1.8, 1), sched,
                                NoiseModel(KAPPA), regime="lowgain")
         assert scan._layout_of(record) is sched._layout
-        args = ("phi0", 1.0, (1.0,))
+        args = ("phi0", (1.0,))
         kept = scan._kept_design(record, *args)
         assert scan._kept_design(record, *args) is kept
         for array in kept:
@@ -1065,13 +1092,13 @@ class TestPhaseLayoutMemo:
 
         def outcomes(series):
             found = []
-            for call in (lambda: _fit_ramp(series, "phi0", 1.0),
-                         lambda: _fit_ramp(series, "phi0", 2.0),
-                         lambda: _fit_ramp(series, "phi0", 10.0),
-                         lambda: _fit_ramp(series, "delta_phase", 1.0),
-                         lambda: _fit_ramp(series, "phi0", 1.0)):
+            for call in (lambda: _fit_ramp(series, "phi0", (1.0,)),
+                         lambda: _fit_ramp(series, "phi0", (2.0,)),
+                         lambda: _fit_ramp(series, "phi0", (10.0,)),
+                         lambda: _fit_ramp(series, "delta_phase", (1.0,)),
+                         lambda: _fit_ramp(series, "phi0", (1.0,))):
                 try:
-                    dc, z, rms = call()
+                    dc, (z,), rms = call()
                     found.append((dc.hex(), z.real.hex(), z.imag.hex(), rms.hex()))
                 except EstimationError as err:
                     found.append(err.flag)
@@ -1662,11 +1689,20 @@ class TestFitEllipse:
         with pytest.raises(EstimationError) as err:
             estimate_ellipse(s1, s2, assume="general")
         assert err.value.flag == "bad_assumption"
-        # the length check comes first
+
+    @pytest.mark.parametrize("case", ["length_mismatch", "phase_mismatch"])
+    def test_estimate_ellipse_checks_the_assumption_before_the_records(self, case):
+        # a pair refused for its records, under an unsupported assumption too
+        s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting=k) for k in (1, 2))
+        pair = (s1, setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2, n=80)
+                if case == "length_mismatch"
+                else dataclasses.replace(s2, delta_phase=s2.delta_phase + 0.1))
         with pytest.raises(EstimationError) as err:
-            estimate_ellipse(s1, setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, 2, n=80),
-                             assume="general")
-        assert err.value.flag == "length_mismatch"
+            estimate_ellipse(*pair)
+        assert err.value.flag == case
+        with pytest.raises(EstimationError) as err:
+            estimate_ellipse(*pair, assume="general")
+        assert err.value.flag == "bad_assumption"
 
     def test_estimate_ellipse_rejects_mismatched_phases(self):
         # setting 2 scanned at twice setting 1's rate: pairing the counts by
@@ -1785,33 +1821,49 @@ FRINGE_OUTCOMES = [
 ]
 
 
+def reproductions(mode):
+    """``(draw, estimate, reproduction_error)`` of the mode's noiseless
+    estimate on each sample's records under the assumption that fits it,
+    where the estimate determines every parameter; the general mode's
+    transmissions outside [0, 1] are left out (the forward model refuses
+    those above 1), and the structural modes' must lie in range."""
+    estimator, assume, refusals = TWO_SETTING_MODES[mode]
+    for draw in DRAWS:
+        if assume in ZERO and getattr(draw, ZERO[assume]) != 0.0:
+            continue
+        records = draw_records(draw)
+        est = checked(outcome(estimator, records, assume, draw.phibar), assume, refusals)
+        if est is None or est.psi is None or "dt_sign_unidentified_at_half_turn" in est.flags:
+            continue  # a parameter left undetermined
+        if assume != "general":
+            assert in_range(est), draw
+        elif max(abs(est.t_perp), abs(est.t_par)) > 1.0:
+            continue
+        yield draw, est, reproduction_error(est, records, draw.v)
+
+
 class TestTwoSettingForwardModel:
     """The two-setting modes against the forward model they invert, on the
     seeded samples of ``two_setting_draws``."""
 
     @pytest.mark.parametrize("mode", TWO_SETTING_MODES)
     def test_noiseless_estimates_reproduce_the_records(self, mode):
-        # each sample's records under the assumption that fits it; the
-        # general mode's transmissions outside [0, 1] are left to the range
-        # test below, and the forward model refuses those above 1
-        estimator, assume, refusals = TWO_SETTING_MODES[mode]
+        estimator, assume, _ = TWO_SETTING_MODES[mode]
         seen = collections.Counter()
-        for draw in DRAWS:
-            if assume in ZERO and getattr(draw, ZERO[assume]) != 0.0:
-                continue
-            records = draw_records(draw)
-            est = checked(outcome(estimator, records, assume, draw.phibar), assume, refusals)
-            if est is None or est.psi is None or "dt_sign_unidentified_at_half_turn" in est.flags:
-                continue  # a parameter left undetermined
-            if assume != "general":
-                assert in_range(est), draw
-            elif max(abs(est.t_perp), abs(est.t_par)) > 1.0:
-                continue
+        for draw, est, error in reproductions(mode):
             assert (est.phibar is None) == (estimator is estimate_ellipse)
-            assert reproduction_error(est, records, draw.v) <= REPRODUCED[estimator], draw
+            assert error <= REPRODUCED[estimator], draw
             seen["reproduced"] += 1
             seen["c1 flip"] += "c1_flipped_retardance_mod_2pi" in est.flags
         assert seen["reproduced"] >= 150 and (assume != "general" or seen["c1 flip"] > 0), seen
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "Known open defects: the conic fit reproduces two noiseless draws (123 and "
+        "153) only to about 1e-9 of their peak, unflagged (ROADMAP item 4)"))
+    def test_ellipse_modes_reproduce_the_records_as_the_rotated_route_does(self):
+        for mode in ("ellipse-isotropic_phase", "ellipse-isotropic_attenuation"):
+            for draw, _, error in reproductions(mode):
+                assert error <= REPRODUCED[estimate_rotated], (mode, draw)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "Known open defects: the general mode returns a root with a transmission "
@@ -1845,8 +1897,8 @@ class TestTwoSettingForwardModel:
         # fringes at rounding level are out of reach of simulated records, so
         # the fringe fits are given directly
         s1, s2 = (setting_scan(0.6, 0.6, 0.4, 0.0, 1.8, setting) for setting in (1, 2))
-        fits = {id(s1): (1.0, complex(amp1), 0.0),
-                id(s2): (1.0, amp2 * cmath.exp(1j * phase2), 0.0)}
+        fits = {id(s1): (1.0, [complex(amp1)], 0.0),
+                id(s2): (1.0, [amp2 * cmath.exp(1j * phase2)], 0.0)}
         monkeypatch.setattr(estimation, "_fit_ramp", lambda series, *rule: fits[id(series)])
         for assume, want in zip(ROTATED_ASSUMPTIONS, outcomes):
             result = outcome(estimate_rotated, (s1, s2), assume, 0.0)

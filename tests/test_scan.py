@@ -968,7 +968,7 @@ class TestCalibrate:
         idler = idler_arm_scan(xi_bar, delta_xi,
                                noise=NoiseModel(1.0e3, seed=1010, mode="poisson"))
         result = calibrate(signal, idler)
-        _, z1, _ = scan._fit_ramp(signal, "phi0", 1.0)
+        _, (z1,), _ = scan._fit_ramp(signal, "phi0", (1.0,))
         assert result.signal_offset == pytest.approx(cmath.phase(z1) - math.pi, abs=1e-12)
         assert -math.pi <= result.diff_offset <= math.pi
 

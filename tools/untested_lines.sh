@@ -12,7 +12,8 @@
 # starts of every code object that compiling the module yields), as
 # "  LINE: source", with a count per module and a total.  A line marked
 # "pragma: no cover" is left out, and with a def line so is the body of its
-# function.
+# function.  So are the bodies of "if TYPE_CHECKING:" and
+# 'if __name__ == "__main__":', which never run under the tests by design.
 #
 # CLI tests that run nlipol through subprocess are not traced: a line that
 # only such a test reaches is listed as untested.  The tracer slows the
@@ -25,6 +26,7 @@ set -euo pipefail
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" "${PYTHON:-python3}" - <<'EOF'
+import ast
 import dis
 import os
 import sys
@@ -57,9 +59,21 @@ def tracer(frame, event, arg):
     return local
 
 
+def never_run(source):
+    """Lines of the bodies of the module's "if TYPE_CHECKING:" and
+    'if __name__ == "__main__":' blocks."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING", "__name__ == '__main__'"):
+            found.update(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
+    return found
+
+
 def executable(path, source):
     """Line starts of every code object in the module, less the lines marked
-    'pragma: no cover' and the functions whose def line is so marked."""
+    'pragma: no cover', the functions whose def line is so marked and the
+    lines ``never_run`` names."""
     text = source.splitlines()
 
     def marked(lineno):
@@ -72,7 +86,7 @@ def executable(path, source):
             continue
         found.update(line for _, line in dis.findlinestarts(code) if line)
         stack.extend(c for c in code.co_consts if hasattr(c, "co_code"))
-    return {line for line in found if not marked(line)}
+    return {line for line in found if not marked(line)} - never_run(source)
 
 
 threading.settrace(tracer)
