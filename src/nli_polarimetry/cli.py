@@ -37,6 +37,7 @@ from .estimation import (
 )
 from .interferometer import InterferometerConfig, photon_number_exact
 from .scan import (
+    NOISE_MODES,
     REGIMES,
     CalibrationError,
     NoiseModel,
@@ -67,14 +68,16 @@ def _require_mapping(doc, path: str) -> dict:
     return doc
 
 
-def _check_keys(doc: dict, path: str, required: tuple, optional: tuple = ()) -> None:
+def _check_keys(doc, path: str, required: tuple, optional: tuple = ()) -> dict:
+    """``doc``, refused unless it is an object with every required key and no other."""
     allowed = set(required) | set(optional)
-    for key in doc:
+    for key in _require_mapping(doc, path):
         if key not in allowed:
             raise ConfigError(f"{path}: unknown key '{key}'")
     for key in required:
         if key not in doc:
             raise ConfigError(f"{path}: missing required key '{key}'")
+    return doc
 
 
 def _number(doc: dict, path: str, key: str, default=None, low=None, high=None):
@@ -99,8 +102,7 @@ def _number(doc: dict, path: str, key: str, default=None, low=None, high=None):
 
 
 def _gain(doc, path: str) -> CrystalGain:
-    doc = _require_mapping(doc, path)
-    _check_keys(doc, path, ("V",), ("pump_phase",))
+    doc = _check_keys(doc, path, ("V",), ("pump_phase",))
     return CrystalGain(
         mean_photons=_number(doc, path, "V", low=0.0),
         pump_phase=_number(doc, path, "pump_phase", default=0.0),
@@ -108,8 +110,7 @@ def _gain(doc, path: str) -> CrystalGain:
 
 
 def _waveplate(doc, path: str) -> WaveplateCoeffs:
-    doc = _require_mapping(doc, path)
-    _check_keys(doc, path, ("axis_angle", "retardance"))
+    doc = _check_keys(doc, path, ("axis_angle", "retardance"))
     return waveplate(
         axis_angle=_number(doc, path, "axis_angle"),
         retardance=_number(doc, path, "retardance"),
@@ -117,20 +118,13 @@ def _waveplate(doc, path: str) -> WaveplateCoeffs:
 
 
 def parse_interferometer(doc, path: str = "interferometer") -> InterferometerConfig:
-    doc = _require_mapping(doc, path)
-    _check_keys(doc, path, ("gain1", "gain2", "signal", "wp1", "wp2", "sample"), ("psi",))
-    signal_doc = _require_mapping(doc["signal"], f"{path}.signal")
-    _check_keys(signal_doc, f"{path}.signal", ("ts_mag",), ("ts_phase",))
+    doc = _check_keys(doc, path, ("gain1", "gain2", "signal", "wp1", "wp2", "sample"), ("psi",))
+    signal_doc = _check_keys(doc["signal"], f"{path}.signal", ("ts_mag",), ("ts_phase",))
     ts_mag = _number(signal_doc, f"{path}.signal", "ts_mag", low=0.0, high=1.0)
     ts_phase = _number(signal_doc, f"{path}.signal", "ts_phase", default=0.0)
-    sample_doc = _require_mapping(doc["sample"], f"{path}.sample")
-    _check_keys(
-        sample_doc,
-        f"{path}.sample",
-        ("t_perp_mag", "t_par_mag"),
-        ("t_perp_phase", "t_par_phase"),
-    )
     sp = f"{path}.sample"
+    sample_doc = _check_keys(doc["sample"], sp, ("t_perp_mag", "t_par_mag"),
+                             ("t_perp_phase", "t_par_phase"))
     sample = SampleAxes(
         t_perp=_number(sample_doc, sp, "t_perp_mag", low=0.0, high=1.0)
         * cmath.exp(1j * _number(sample_doc, sp, "t_perp_phase", default=0.0)),
@@ -149,8 +143,7 @@ def parse_interferometer(doc, path: str = "interferometer") -> InterferometerCon
 
 
 def parse_schedule(doc, path: str = "schedule") -> ScanSchedule:
-    doc = _require_mapping(doc, path)
-    _check_keys(
+    doc = _check_keys(
         doc, path, ("n_samples",), ("xi_bar", "delta_xi", "rate_phi0", "rate_delta")
     )
     n = doc["n_samples"]
@@ -170,8 +163,7 @@ def parse_schedule(doc, path: str = "schedule") -> ScanSchedule:
 
 
 def parse_noise(doc, path: str = "noise") -> NoiseModel:
-    doc = _require_mapping(doc, path)
-    _check_keys(doc, path, ("counts_per_unit_N",), ("seed", "mode"))
+    doc = _check_keys(doc, path, ("counts_per_unit_N",), ("seed", "mode"))
     kappa = _number(doc, path, "counts_per_unit_N")
     if kappa <= 0.0:
         raise ConfigError(f"{path}.counts_per_unit_N: must be > 0")
@@ -181,7 +173,7 @@ def parse_noise(doc, path: str = "noise") -> NoiseModel:
     if seed < 0:
         raise ConfigError(f"{path}.seed: must be >= 0")
     mode = doc.get("mode", "noiseless")
-    if mode not in ("noiseless", "poisson"):
+    if mode not in NOISE_MODES:
         raise ConfigError(f"{path}.mode: must be 'noiseless' or 'poisson'")
     return NoiseModel(counts_per_unit=kappa, seed=seed, mode=mode)
 
@@ -195,8 +187,7 @@ def load_experiment(path: str | Path, seed_override: int | None = None):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config line {exc.lineno}: {exc.msg}") from exc
-    doc = _require_mapping(doc, "config")
-    _check_keys(doc, "config", ("interferometer", "schedule", "noise"), ("regime",))
+    doc = _check_keys(doc, "config", ("interferometer", "schedule", "noise"), ("regime",))
     regime = doc.get("regime", "exact")
     if regime not in REGIMES:
         raise ConfigError("config.regime: must be 'exact' or 'lowgain'")

@@ -149,7 +149,7 @@ def extract_sample_fourier(
     t_par_c = float(min(max(t_par, 0.0), 1.0))
     t_perp_c = float(min(max(t_perp, 0.0), 1.0))
 
-    weak = 1e-12 * amplitude
+    weak = _FRINGE_FLOOR * amplitude
     if abs(decomp.amp_half) < weak or abs(decomp.amp_threehalf) < weak:
         flags.append("phase_unreliable_weak_harmonic")
     arg_eps = cmath.phase(decomp.amp_half)
@@ -506,8 +506,8 @@ def estimate_ellipse(
                             (series_setting1.delta_phase, series_setting2.delta_phase))):
         raise EstimationError("the two series must share their phase columns",
                               flag="phase_mismatch")
-    # the rotated route's rule; a layout keeps the solve for that route's fits
-    _kept_design(series_setting1, "phi0", (1.0,), rule_only=True)
+    # the rule by the rotated fits' call; a record on no layout drops the solve it builds
+    _kept_design(series_setting1, "phi0", (1.0,))
     points = np.column_stack([series_setting1.counts, series_setting2.counts])
     amp_x, amp_y, rel_phase, center, residual = _fit_ellipse(points)
     if series_setting1.phi0[-1] < series_setting1.phi0[0]:

@@ -36,8 +36,9 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("step", "phi0", "delta_phase", "expected_N", "counts")
-# the forward models ``simulate_scan`` can run
+# the forward models ``simulate_scan`` can run, and the count models of ``NoiseModel``
 REGIMES = ("exact", "lowgain")
+NOISE_MODES = ("noiseless", "poisson")
 # rows ``write_csv`` formats per write call, so it holds one block's text,
 # not the record's
 _CSV_BLOCK = 4096
@@ -130,7 +131,7 @@ class NoiseModel:
     def __post_init__(self):
         if not (math.isfinite(self.counts_per_unit) and self.counts_per_unit > 0.0):
             raise ValueError("counts_per_unit must be positive")
-        if self.mode not in ("noiseless", "poisson"):
+        if self.mode not in NOISE_MODES:
             raise ValueError("mode must be 'noiseless' or 'poisson'")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError("seed must be an integer")
@@ -541,7 +542,7 @@ def _fit_design(solve, counts):
     return c[0], amps, rms
 
 
-def _kept_design(series, column: str, harmonics, omega_scan=None, rule_only: bool = False):
+def _kept_design(series, column: str, harmonics, omega_scan=None):
     """The record rule of every fit, then the solve (``_solve``) of the
     design it fits on.
 
@@ -561,17 +562,13 @@ def _kept_design(series, column: str, harmonics, omega_scan=None, rule_only: boo
     A record holding a live ``_Layout``'s very columns (``_layout_of``) gets
     the solve its layout keeps per argument set, built once, after the
     first pass; any other record, and a refused one, is judged again and
-    gets a new solve on every fit, and nothing is kept.  A ``rule_only``
-    call (a route that fits no ramp) builds no solve for a record on no
-    layout, which would be thrown away, and returns None.
+    gets a new solve on every fit, and nothing is kept.
     """
     layout = _layout_of(series)
     key = (column, tuple(harmonics), omega_scan)
     if layout is not None and key in layout.kept:
         return layout.kept[key]
     _phase_verdict(series, column, harmonics[0], omega_scan)
-    if rule_only and layout is None:
-        return None
     if column == "both":
         x, rates = series.step.astype(float), [h * omega_scan for h in harmonics]
     else:

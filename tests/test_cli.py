@@ -218,7 +218,21 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("dotted, value, message", [
+        (None, [], "config: expected an object"),
+        ("interferometer", 1.5, "interferometer: expected an object"),
+        ("interferometer.gain2", None, "interferometer.gain2: expected an object"),
+        ("interferometer.wp1", "qwp", "interferometer.wp1: expected an object"),
+        ("interferometer.signal", 1.0, "interferometer.signal: expected an object"),
+        ("interferometer.sample", [0.9, 0.2], "interferometer.sample: expected an object"),
+        ("schedule", 400, "schedule: expected an object"),
         ("noise", [], "noise: expected an object"),
+        ("interferometer.extra", 1, "interferometer: unknown key 'extra'"),
+        ("interferometer.gain1.extra", 1, "interferometer.gain1: unknown key 'extra'"),
+        ("interferometer.wp2.extra", 1, "interferometer.wp2: unknown key 'extra'"),
+        ("interferometer.signal.extra", 1, "interferometer.signal: unknown key 'extra'"),
+        ("interferometer.sample.extra", 1, "interferometer.sample: unknown key 'extra'"),
+        ("schedule.extra", 1, "schedule: unknown key 'extra'"),
+        ("noise.extra", 1, "noise: unknown key 'extra'"),
         ("interferometer.wp2", DROP, "interferometer: missing required key 'wp2'"),
         ("interferometer.gain1.V", -0.1, "interferometer.gain1.V: must be >= 0.0"),
         ("interferometer.gain1.V", HUGE_INT, "interferometer.gain1.V: must be finite"),
@@ -230,19 +244,27 @@ class TestSimulate:
         ("noise.seed", 1.5, "noise.seed: expected an integer"),
         ("noise.mode", "gaussian", "noise.mode: must be 'noiseless' or 'poisson'"),
         ("regime", "highgain", "config.regime: must be 'exact' or 'lowgain'"),
-    ], ids=["noise_not_object", "missing_wp2", "negative_v", "huge_integer_v",
+    ], ids=["config_not_object", "interferometer_not_object", "gain_not_object",
+            "wp_not_object", "signal_not_object", "sample_not_object",
+            "schedule_not_object", "noise_not_object", "interferometer_unknown_key",
+            "gain_unknown_key", "wp_unknown_key", "signal_unknown_key",
+            "sample_unknown_key", "schedule_unknown_key", "noise_unknown_key",
+            "missing_wp2", "negative_v", "huge_integer_v",
             "float_n_samples", "few_samples", "many_samples", "huge_integer_n_samples",
             "zero_kappa", "float_seed", "unknown_mode", "unknown_regime"])
     def test_config_refusal_exits_2(self, tmp_path, capsys, dotted, value, message):
-        doc = base_config()
-        *parents, key = dotted.split(".")
-        node = doc
-        for parent in parents:
-            node = node[parent]
-        if value is DROP:
-            del node[key]
+        if dotted is None:  # ``value`` in place of the whole document
+            doc = value
         else:
-            node[key] = value
+            doc = base_config()
+            *parents, key = dotted.split(".")
+            node = doc
+            for parent in parents:
+                node = node[parent]
+            if value is DROP:
+                del node[key]
+            else:
+                node[key] = value
         out = tmp_path / "out.csv"
         assert run("simulate", "--config", write_config(tmp_path, doc), "--out", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -320,7 +320,7 @@ def fit_fringe(series):
     return dc, z, rms
 
 
-class TestFitSinusoid:
+class TestFitRamp:
     """The rotated route's fringe fit, which reports counts."""
 
     def test_recovers_gauge_fixed_amplitudes(self):
@@ -372,7 +372,7 @@ def invert_amplitudes(b1, c1, b2, c2):
     return est.tbar, est.dt, est.dphi, est.flags
 
 
-class TestRecoverRotatedParams:
+class TestTwoSettingEstimate:
     """The recovery of (tbar, dt, dphi) from ``(b1, c1, b2, c2)``, c1 >= 0, by
     the two-setting back end; a negative c1 through the general mode."""
 
@@ -935,11 +935,12 @@ class TestPhaseLayoutMemo:
         warm = {name: hex_fields(stage()) for name, stage in stages.items()}
         assert builds == built  # the warm pass built nothing
         # records without a layout are checked on every call, six times with
-        # the ellipse route's check of setting 1, and get a design for each
-        # of the five fits (the ellipse route fits no ramp, so builds none)
+        # the ellipse route's check of setting 1, and get a design on each:
+        # one for each of the five fits, and one that the ellipse route's
+        # check builds by the rotated fit's call and does not use
         fresh = {name: hex_fields(stage())
                  for name, stage in round_trip_stages(map_records(records, hand_built)).items()}
-        assert builds - built == {"_phase_verdict": 6, "_design": 5}
+        assert builds - built == {"_phase_verdict": 6, "_design": 6}
         assert warm == cold == fresh
 
     def test_each_verdict_and_design_is_built_once_per_layout(self, builds):

@@ -22,7 +22,9 @@
 # bound being a fraction of the base median: "beyond bound" when the tree's
 # median is worse than the base's by more than the bound, else "unresolved"
 # when the base's quartile spread (q3 - q1) exceeds the bound, else "within
-# bound".
+# bound".  Under fewer than 10 pairs a note follows the table: a claimed gain
+# is judged over at least 10, and a short set can read a change that a
+# longer one does not.
 #
 # Exit status: 0 when every run succeeded, 1 when one failed (its stderr is
 # shown), 2 on a usage error.  Set PYTHON to choose the interpreter
@@ -126,4 +128,6 @@ for name in by_side["base"][pairs[0]]:
                    else "unresolved" if q3 - q1 > allowed else "within bound")
     print(f"{name:14s}  {base_text:34s}  {tree_text:34s}  {change:>7s}  "
           f"{f'{won}/{lost}/{len(pairs) - won - lost}':23s}  {verdict}".rstrip())
+if len(pairs) < 10:
+    print(f"note: pairs run: {len(pairs)}; judging a claimed gain needs at least 10")
 EOF
